@@ -214,15 +214,22 @@ pub fn nproc() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// The checkout's git revision, or `unknown` outside a git checkout.
+/// The git revision of the checkout in the working directory, or `unknown`
+/// when it is not a git checkout. Reads `.git` directly rather than running
+/// `git`, which would search the directories above the checkout.
 #[must_use]
 pub fn git_revision() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .stderr(std::process::Stdio::null())
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map_or_else(|| "unknown".to_string(), |rev| rev.trim().to_string())
+    let read = |path: &str| std::fs::read_to_string(path).ok();
+    let head = read(".git/HEAD").unwrap_or_default();
+    let rev = match head.trim().strip_prefix("ref: ") {
+        Some(name) => read(&format!(".git/{name}")).or_else(|| {
+            read(".git/packed-refs")?
+                .lines()
+                .find(|line| line.ends_with(&format!(" {name}")))
+                .map(str::to_string)
+        }),
+        None => Some(head),
+    };
+    rev.and_then(|rev| rev.get(..12).map(str::to_string))
+        .unwrap_or_else(|| "unknown".to_string())
 }
