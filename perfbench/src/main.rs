@@ -10,7 +10,8 @@
 use std::process::ExitCode;
 
 use perfbench::alloc::CountingAlloc;
-use perfbench::measure::{metrics_json, Metric};
+use perfbench::measure::{metrics_json, Metric, Sample};
+use perfbench::threads::ThreadWatch;
 use perfbench::{git_revision, nproc, traced, Scale, Workload};
 
 #[global_allocator]
@@ -78,6 +79,7 @@ fn main() -> ExitCode {
         }
     };
     let workload = args.workload;
+    let watch = ThreadWatch::start();
     println!(
         "host: workload={} seed={} seconds={} trace={} nproc={} git_rev={}",
         workload.name(),
@@ -91,14 +93,22 @@ fn main() -> ExitCode {
     let outcome = workload.run(Scale::Full, args.seed, args.seconds);
     println!("input: {}", outcome.input);
     println!(
-        "run: threads={} passes={} attempted={} failed={}",
-        outcome.threads,
-        outcome.pass_secs.len(),
+        "run: passes={} attempted={} failed={}",
+        outcome.passes.len(),
         outcome.attempted(),
         outcome.failed
     );
-    println!("pass_s: {:?}", outcome.pass_secs);
-    println!("setup_s: {:?}", outcome.setup_secs);
+    let secs = |samples: &[Sample]| samples.iter().map(|s| s.secs).collect::<Vec<_>>();
+    let reference =
+        |samples: &[Sample]| samples.iter().map(|s| s.reference_secs).collect::<Vec<_>>();
+    println!("pass_s: {:?}", secs(&outcome.passes));
+    println!("pass_reference_s: {:?}", reference(&outcome.passes));
+    println!("setup_s: {:?}", secs(&outcome.setups));
+    println!("setup_reference_s: {:?}", reference(&outcome.setups));
+    println!(
+        "host: unscaled median-pass ops_per_s = {}",
+        outcome.host_ops_per_s()
+    );
     print_metrics("end-to-end", &outcome.end_to_end());
     print_metrics(
         "end-to-end",
@@ -113,7 +123,8 @@ fn main() -> ExitCode {
             println!("ledger: {layer} self = {ns} ns/op");
         }
         println!(
-            "ledger: layers sum to {} ns/op vs {} ns/op untraced ({:+.1} %, {} the 10 % rule)",
+            "ledger: layers sum to {} ns/op vs {} ns/op untraced ({:+.1} %, {} ~10 %; recorded, \
+             not enforced)",
             traced.own.full_stack_ns_per_op(),
             traced.untraced_ns_per_op,
             traced.overhead_frac * 100.0,
@@ -130,6 +141,17 @@ fn main() -> ExitCode {
     assert!(
         metrics.iter().all(|m| m.value.is_finite()),
         "non-finite metric in {metrics:?}"
+    );
+    let threads = watch.stop();
+    println!(
+        "threads: peak running = {threads} (sampled), nproc = {}",
+        nproc()
+    );
+    assert!(
+        threads <= nproc(),
+        "{} ran {threads} threads at once on {} cores",
+        workload.name(),
+        nproc()
     );
     println!(
         "{{\"correct\": {}, \"attempted\": {}, \"failed\": {}, \"metrics\": {}}}",

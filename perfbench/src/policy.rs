@@ -30,11 +30,10 @@ use stt_ctrl::{
 use stt_sense::SchemeKind;
 
 use crate::measure::{
-    failed_over_passes, median_of, median_time, repeat_setup, time, timed_passes, Ledger, Metric,
-    Outcome,
+    failed_over_passes, scaled_of, scaled_time, setup_and_passes, time, Ledger, Metric, Outcome,
 };
 use crate::replay::{sched_digest, serve_serial, sim_p99, ARRIVAL_SALT};
-use crate::{nproc, Scale};
+use crate::Scale;
 
 /// Banks in the controller.
 pub const BANKS: usize = 4;
@@ -64,8 +63,8 @@ impl Params {
         match scale {
             Scale::Full => Self {
                 ops: 200_000,
-                setup_reps: 3,
-                stage_reps: 5,
+                setup_reps: 7,
+                stage_reps: 7,
             },
             Scale::Probe => Self {
                 ops: 20_000,
@@ -187,24 +186,30 @@ pub fn check_completions<S: TxnSource + ?Sized>(
 pub fn run(scale: Scale, seed: u64, seconds: f64) -> Outcome {
     let params = Params::at(scale);
     let config = controller_config(seed, EccMode::Secded);
-    let (trace, setup_secs) = repeat_setup(params.setup_reps, || {
+    // The first pass is verified as it finishes; later passes must match its
+    // digest.
+    let mut first: Option<(Telemetry, u64)> = None;
+    let mut digests = Vec::new();
+    let setup = || {
         let trace = trace(&config, params.ops, seed);
         // Warm-up pass through the full stack.
         let controller = Controller::new(config.clone());
         black_box(Frontend::new(controller, frontend_config(CLASSES)).run(&trace));
         trace
-    });
-
-    // The first pass is verified as it finishes; later passes must match its
-    // digest.
-    let mut first: Option<(Telemetry, u64)> = None;
-    let mut digests = Vec::new();
-    let pass_secs = timed_passes(seconds, || {
+    };
+    let measured = setup_and_passes(seconds, params.setup_reps, setup, |trace| {
         let controller = Controller::new(config.clone());
-        let (run, secs) = time(|| Frontend::new(controller, frontend_config(CLASSES)).run(&trace));
+        // The frontend leaves the closure with its run, so dropping it is
+        // not timed.
+        let ((frontend, run), secs) = time(|| {
+            let mut frontend = Frontend::new(controller, frontend_config(CLASSES));
+            let run = frontend.run(trace);
+            (frontend, run)
+        });
+        drop(frontend);
         digests.push(sched_digest(&run));
         if first.is_none() {
-            let failed = check_completions(&run.completions, &trace, config.footprint())
+            let failed = check_completions(&run.completions, trace, config.footprint())
                 + run.telemetry.aggregate().queue.dropped;
             first = Some((run.telemetry, failed));
         }
@@ -225,10 +230,9 @@ pub fn run(scale: Scale, seed: u64, seconds: f64) -> Outcome {
         ),
         ops_per_pass: ops,
         failed: failed_over_passes(&digests, first_failed, ops),
-        pass_secs,
-        setup_secs,
+        passes: measured.passes,
+        setups: measured.setups,
         peak_heap_bytes,
-        threads: nproc().min(BANKS),
         sim: vec![
             sim_p99(&telemetry),
             Metric::new(
@@ -252,11 +256,11 @@ pub fn ledger(scale: Scale, seed: u64) -> Ledger {
     let raw = controller_config(seed, EccMode::None);
     let ecc = controller_config(seed, EccMode::Secded);
 
-    let (trace, generate_s) = time(|| trace(&ecc, params.ops, seed));
-    let (_, new_s) = median_time(reps, || Controller::new(ecc.clone()));
+    let (trace, generate_s) = scaled_time(1, || trace(&ecc, params.ops, seed));
+    let (_, new_s) = scaled_time(reps, || Controller::new(ecc.clone()));
     let cells = u32::try_from(ecc.spec.capacity_bits()).expect("bank fits u32 cells");
     let cols = u32::try_from(ecc.spec.cols).expect("bank width fits u32");
-    let (_, lower_s) = median_time(reps, || {
+    let (_, lower_s) = scaled_time(reps, || {
         MarchAlgorithm::CMinus
             .program()
             .lower_with_background(cells, cols, DataBackground::Solid)
@@ -268,10 +272,14 @@ pub fn ledger(scale: Scale, seed: u64) -> Ledger {
     let stages: Vec<(f64, SchedRun)> = (0..=CLASSES)
         .map(|classes| {
             let mut last = None;
-            let secs = median_of(reps, || {
+            let secs = scaled_of(reps, || {
                 let controller = Controller::new(ecc.clone());
-                let (run, secs) =
-                    time(|| Frontend::new(controller, frontend_config(classes)).run(&trace));
+                let ((frontend, run), secs) = time(|| {
+                    let mut frontend = Frontend::new(controller, frontend_config(classes));
+                    let run = frontend.run(&trace);
+                    (frontend, run)
+                });
+                drop(frontend);
                 last = Some(run);
                 secs
             });

@@ -16,8 +16,8 @@ use stt_ctrl::{
 use stt_sense::SchemeKind;
 
 use crate::measure::{
-    failed_over_passes, median_of, median_time, repeat_setup, time, timed_passes, Digest, Ledger,
-    Metric, Outcome,
+    failed_over_passes, scaled_of, scaled_time, setup_and_passes, time, Digest, Ledger, Metric,
+    Outcome,
 };
 use crate::{nproc, Scale};
 
@@ -42,8 +42,8 @@ impl Params {
     fn at(scale: Scale) -> Self {
         match scale {
             Scale::Full => Self {
-                ops: 400_000,
-                setup_reps: 7,
+                ops: 100_000,
+                setup_reps: 15,
                 stage_reps: 9,
             },
             Scale::Probe => Self {
@@ -149,7 +149,9 @@ struct FirstPass {
 pub fn run(scale: Scale, seed: u64, seconds: f64) -> Outcome {
     let params = Params::at(scale);
     let config = config(seed, BANKS);
-    let (binary, setup_secs) = repeat_setup(params.setup_reps, || {
+    let mut first: Option<FirstPass> = None;
+    let mut digests = Vec::new();
+    let setup = || {
         let binary = trace(&config, params.ops, seed).to_binary();
         let view = TraceView::new(&binary).expect("generated trace is valid");
         // Warm-up pass: pages in the banks, the trace and the frontend's
@@ -160,12 +162,9 @@ pub fn run(scale: Scale, seed: u64, seconds: f64) -> Outcome {
         );
         black_box(frontend.run(&view));
         binary
-    });
-    let view = TraceView::new(&binary).expect("generated trace is valid");
-
-    let mut first: Option<FirstPass> = None;
-    let mut digests = Vec::new();
-    let pass_secs = timed_passes(seconds, || {
+    };
+    let measured = setup_and_passes(seconds, params.setup_reps, setup, |binary| {
+        let view = TraceView::new(binary).expect("generated trace is valid");
         let controller = Controller::new(config.clone());
         let (frontend_run, secs) = time(|| {
             let mut frontend = Frontend::new(controller, FrontendConfig::fcfs_unbounded());
@@ -186,6 +185,7 @@ pub fn run(scale: Scale, seed: u64, seconds: f64) -> Outcome {
     let peak_heap_bytes = crate::alloc::peak_bytes();
 
     let first = first.expect("at least one pass");
+    let view = TraceView::new(&measured.state).expect("generated trace is valid");
     let mut reference = Controller::new(config.clone());
     let serial = reference.run(&view, Dispatch::Serial);
     let per_bank = bank_ops(&view, BANKS);
@@ -206,11 +206,9 @@ pub fn run(scale: Scale, seed: u64, seconds: f64) -> Outcome {
         ),
         ops_per_pass: ops,
         failed: failed_over_passes(&digests, first_failed, ops),
-        pass_secs,
-        setup_secs,
+        passes: measured.passes,
+        setups: measured.setups,
         peak_heap_bytes,
-        // Controller::new samples banks on the stats fan-out.
-        threads: nproc().min(BANKS),
         sim: vec![
             sim_p99(&first.telemetry),
             Metric::new(
@@ -232,21 +230,25 @@ pub fn ledger(scale: Scale, seed: u64) -> Ledger {
     let ops = params.ops as f64;
     let config = config(seed, BANKS);
 
-    let (owned, generate_s) = time(|| trace(&config, params.ops, seed));
-    let (binary, to_binary_s) = time(|| {
+    let (owned, generate_s) = scaled_time(1, || trace(&config, params.ops, seed));
+    let (binary, to_binary_s) = scaled_time(1, || {
         let binary = owned.to_binary();
         TraceView::new(&binary).expect("generated trace is valid");
         binary
     });
     let view = TraceView::new(&binary).expect("generated trace is valid");
-    let (_, new_s) = median_time(reps, || Controller::new(config.clone()));
+    let (_, new_s) = scaled_time(reps, || Controller::new(config.clone()));
 
     let serial_s = serve_serial(&config, &view, Dispatch::Serial, reps);
     let mut run = None;
-    let frontend_s = median_of(reps, || {
+    let frontend_s = scaled_of(reps, || {
         let controller = Controller::new(config.clone());
-        let (out, secs) =
-            time(|| Frontend::new(controller, FrontendConfig::fcfs_unbounded()).run(&view));
+        let ((frontend, out), secs) = time(|| {
+            let mut frontend = Frontend::new(controller, FrontendConfig::fcfs_unbounded());
+            let out = frontend.run(&view);
+            (frontend, out)
+        });
+        drop(frontend);
         run = Some(out);
         secs
     });
@@ -293,7 +295,7 @@ pub(crate) fn serve_serial<S: TxnSource + ?Sized>(
     dispatch: Dispatch,
     reps: usize,
 ) -> f64 {
-    median_of(reps, || {
+    scaled_of(reps, || {
         let mut controller = Controller::new(config.clone());
         let (telemetry, secs) = time(|| controller.run(trace, dispatch));
         black_box(telemetry);

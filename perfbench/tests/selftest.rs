@@ -4,6 +4,7 @@
 //! counted as failures.
 
 use perfbench::alloc::CountingAlloc;
+use perfbench::threads::ThreadWatch;
 use perfbench::{traced, Outcome, Scale, Workload, PER_LAYER};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -107,6 +108,19 @@ fn simulated_results_repeat_for_a_seed_and_differ_across_seeds() {
         assert_eq!(sim_bits(&a), sim_bits(&b));
         assert_ne!(a.digest, c.digest, "{} ignores its seed", workload.name());
     }
+}
+
+#[test]
+fn the_thread_watch_sees_spawned_workers() {
+    let watch = ThreadWatch::start();
+    std::thread::scope(|scope| {
+        for _ in 0..3 {
+            scope.spawn(|| std::thread::sleep(std::time::Duration::from_millis(100)));
+        }
+    });
+    // Other tests may run threads too, so the peak is at least the three
+    // workers.
+    assert!(watch.stop() >= 3);
 }
 
 #[test]
