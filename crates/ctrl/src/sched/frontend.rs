@@ -868,23 +868,50 @@ impl Frontend {
                         schedule_fresh(&mut events, &order, trace, &mut cursor, now);
                     }
                 }
-                Event::Complete { bank } => {
+                Event::Complete { bank }
+                | Event::ScrubComplete { bank }
+                | Event::MarchComplete { bank }
+                | Event::CalibComplete { bank } => {
                     end_ns = end_ns.max(now);
                     let lane = &mut lanes[bank];
-                    let served = lane.in_service.take().expect("completion without service");
-                    lane.stats.completed += 1;
-                    unfinished -= 1;
-                    let sojourn_ns = now - served.queued.arrival_ns;
-                    lane.stats.sojourn.observe(sojourn_ns);
-                    completions.push(Completion {
-                        trace_index: served.queued.trace_index,
-                        bank,
-                        op: served.queued.txn.op,
-                        arrival_ns: served.queued.arrival_ns,
-                        admit_ns: served.queued.admit_ns,
-                        start_ns: served.start_ns,
-                        complete_ns: now,
-                    });
+                    match event {
+                        Event::Complete { .. } => {
+                            let served =
+                                lane.in_service.take().expect("completion without service");
+                            lane.stats.completed += 1;
+                            unfinished -= 1;
+                            let sojourn_ns = now - served.queued.arrival_ns;
+                            lane.stats.sojourn.observe(sojourn_ns);
+                            completions.push(Completion {
+                                trace_index: served.queued.trace_index,
+                                bank,
+                                op: served.queued.txn.op,
+                                arrival_ns: served.queued.arrival_ns,
+                                admit_ns: served.queued.admit_ns,
+                                start_ns: served.start_ns,
+                                complete_ns: now,
+                            });
+                        }
+                        Event::ScrubComplete { .. } => {
+                            debug_assert!(lane.scrub_busy, "scrub completion without scrub");
+                            lane.scrub_busy = false;
+                        }
+                        Event::MarchComplete { .. } => {
+                            debug_assert!(lane.march_busy, "march completion without march op");
+                            lane.march_busy = false;
+                        }
+                        _ => {
+                            debug_assert!(
+                                lane.calib_busy,
+                                "calibration completion without a burst"
+                            );
+                            lane.calib_busy = false;
+                        }
+                    }
+                    // Every completion flavour shares this tail: the lane
+                    // just went idle, so serve the next demand, re-offer a
+                    // parked retry, land a stalled admission and re-kick the
+                    // March source.
                     try_dispatch(lane, &mut banks[bank], &faults, &mut events, policy, now);
                     wake_parked(lane, &mut events, backpressure, now);
                     // Dispatch freed a slot (or the queue was empty): a
@@ -952,15 +979,6 @@ impl Frontend {
                     }
                     events.schedule(now + interval_ns, Event::Scrub { bank });
                 }
-                Event::ScrubComplete { bank } => {
-                    end_ns = end_ns.max(now);
-                    let lane = &mut lanes[bank];
-                    debug_assert!(lane.scrub_busy, "scrub completion without scrub");
-                    lane.scrub_busy = false;
-                    try_dispatch(lane, &mut banks[bank], &faults, &mut events, policy, now);
-                    wake_parked(lane, &mut events, backpressure, now);
-                    kick_march(&mut march, &mut lanes[bank], &mut events, bank, now);
-                }
                 Event::March { bank } => {
                     march.kicked[bank] = false;
                     if !march.waiting(bank) {
@@ -990,15 +1008,6 @@ impl Frontend {
                     let service_ns = (served.telemetry().march.busy_time - busy_before).get() * 1e9;
                     lane.march_busy = true;
                     events.schedule(now + service_ns, Event::MarchComplete { bank });
-                }
-                Event::MarchComplete { bank } => {
-                    end_ns = end_ns.max(now);
-                    let lane = &mut lanes[bank];
-                    debug_assert!(lane.march_busy, "march completion without march op");
-                    lane.march_busy = false;
-                    try_dispatch(lane, &mut banks[bank], &faults, &mut events, policy, now);
-                    wake_parked(lane, &mut events, backpressure, now);
-                    kick_march(&mut march, &mut lanes[bank], &mut events, bank, now);
                 }
                 Event::Calib { bank } => {
                     // Like the scrub daemon, the calibration daemon dies
@@ -1031,15 +1040,6 @@ impl Frontend {
                         }
                     }
                     events.schedule(now + config.interval_ns, Event::Calib { bank });
-                }
-                Event::CalibComplete { bank } => {
-                    end_ns = end_ns.max(now);
-                    let lane = &mut lanes[bank];
-                    debug_assert!(lane.calib_busy, "calibration completion without a burst");
-                    lane.calib_busy = false;
-                    try_dispatch(lane, &mut banks[bank], &faults, &mut events, policy, now);
-                    wake_parked(lane, &mut events, backpressure, now);
-                    kick_march(&mut march, &mut lanes[bank], &mut events, bank, now);
                 }
             }
         }
@@ -1639,6 +1639,38 @@ mod tests {
             Controller::new(config),
             FrontendConfig::fcfs_unbounded().with_scrub(ScrubConfig::every_ns(100.0)),
         );
+    }
+
+    #[test]
+    fn background_completion_lands_a_stalled_admission() {
+        // One bank, depth 1: the scrub tick at 100 ns occupies the lane, the
+        // read at 101 ns fills the queue and the read at 102 ns stalls. The
+        // scrub completion starts the first read and frees the slot, so the
+        // blocked host must be admitted right then — not a service time
+        // later at the first read's completion.
+        let controller_config =
+            ControllerConfig::small(SchemeKind::Nondestructive, 1).with_ecc(EccMode::Secded);
+        let mut trace = Trace::new();
+        trace.push(Transaction::read(0, stt_array::Address::new(0, 0)).at(101));
+        trace.push(Transaction::read(0, stt_array::Address::new(1, 1)).at(102));
+        let config = FrontendConfig::fcfs_unbounded()
+            .with_queue_depth(1)
+            .with_backpressure(Backpressure::Stall)
+            .with_scrub(ScrubConfig::every_ns(100.0));
+        let run = Frontend::new(Controller::new(controller_config), config).run(&trace);
+        let (first, second) = (run.completions.get(0), run.completions.get(1));
+        assert_eq!((first.trace_index, second.trace_index), (0, 1));
+        assert!(
+            first.start_ns > 101.0,
+            "the first read waited for the scrub"
+        );
+        assert_eq!(
+            second.admit_ns, first.start_ns,
+            "the stalled read lands when the scrub completion frees the slot"
+        );
+        let queue = run.telemetry.aggregate().queue;
+        assert_eq!(queue.stalls, 1);
+        assert_eq!(queue.stall_time_ns, first.start_ns - 102.0);
     }
 
     #[test]
