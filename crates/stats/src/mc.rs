@@ -46,6 +46,11 @@ where
 /// bank dispatch) can parallelise index-addressed loops the same way.
 /// Results are a pure function of `index`, so the output is identical for
 /// any thread count or scheduling.
+///
+/// # Panics
+///
+/// Re-raises a panicking `fill` on the calling thread with its original
+/// payload (the lowest-indexed worker's, when several panic).
 pub fn fill_indexed<T, F>(count: usize, fill: F) -> Vec<T>
 where
     T: Send,
@@ -61,18 +66,31 @@ where
 
     let mut results: Vec<Option<T>> = (0..count).map(|_| None).collect();
     let chunk = count.div_ceil(threads);
-    crossbeam::scope(|scope| {
-        for (worker, slice) in results.chunks_mut(chunk).enumerate() {
-            let fill = &fill;
-            scope.spawn(move |_| {
-                let base = worker * chunk;
-                for (offset, slot) in slice.iter_mut().enumerate() {
-                    *slot = Some(fill(base + offset));
-                }
-            });
-        }
+    // Join every worker inside the scope so a panic keeps its payload (the
+    // scope's own error only says that *some* thread panicked), then
+    // re-raise the first one on the calling thread.
+    let panicked = crossbeam::scope(|scope| {
+        let workers: Vec<_> = results
+            .chunks_mut(chunk)
+            .enumerate()
+            .map(|(worker, slice)| {
+                let fill = &fill;
+                scope.spawn(move |_| {
+                    let base = worker * chunk;
+                    for (offset, slot) in slice.iter_mut().enumerate() {
+                        *slot = Some(fill(base + offset));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .fold(None, |first, worker| first.or(worker.join().err()))
     })
-    .expect("scoped worker panicked");
+    .expect("every scoped worker was joined");
+    if let Some(payload) = panicked {
+        std::panic::resume_unwind(payload);
+    }
     results
         .into_iter()
         .map(|slot| slot.expect("every slot filled"))
@@ -205,6 +223,15 @@ mod tests {
     #[should_panic(expected = "one result per trial")]
     fn batched_trials_enforce_result_count() {
         let _ = run_trial_batches(10, 4, 1, |_rngs, _start| Vec::<u8>::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "index 700 failed")]
+    fn fill_indexed_keeps_the_worker_panic_message() {
+        let _ = fill_indexed(1000, |index| {
+            assert_ne!(index, 700, "index 700 failed");
+            index
+        });
     }
 
     #[test]
