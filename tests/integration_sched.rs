@@ -24,8 +24,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stt_ctrl::{
     Backpressure, CalibConfig, Controller, ControllerConfig, Dispatch, DriftPlan, EccMode,
-    FaultPlan, Frontend, FrontendConfig, Policy, QueueTelemetry, ScrubConfig, ThermalTransient,
-    Trace, Workload,
+    FaultPlan, Frontend, FrontendConfig, MarchAlgorithm, MarchConfig, Policy, QueueTelemetry,
+    ScrubConfig, ThermalTransient, Trace, Workload,
 };
 use stt_sense::SchemeKind;
 
@@ -253,6 +253,90 @@ fn destructive_reads_queue_harder_than_nondestructive_at_the_same_load() {
         p99[&SchemeKind::Destructive],
         p99[&SchemeKind::Nondestructive]
     );
+}
+
+/// FNV-1a over a byte string: a small, dependency-free fingerprint.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Pins the interleaving of all three background classes against demand
+/// under every backpressure mode.
+///
+/// A SECDED controller with a standing hot-spot on bank 0 runs read
+/// priority at depth 4 with scrub, raw March C− and the frontend
+/// calibration daemon mounted together. Bursts of 48 transactions 3 ns
+/// apart overload the queues (stall, retry and drop all fire); the quiet
+/// gaps between bursts are where test, scrub and calibration work runs.
+/// The fingerprint covers the whole [`SchedRun`](stt_ctrl::SchedRun) —
+/// telemetry, completion log, makespan — plus the final stored bits. It
+/// moves only with an intended change to simulated results; a refactor of
+/// the scheduler must leave every value below untouched.
+#[test]
+fn cross_class_interleaving_is_pinned_under_every_backpressure_mode() {
+    let config = ControllerConfig::small(SchemeKind::Nondestructive, 2)
+        .with_seed(1313)
+        .with_ecc(EccMode::Secded)
+        .with_drift(DriftPlan::quiet().with_transient(ThermalTransient {
+            bank: 0,
+            start_ns: 0.0,
+            ramp_ns: 0.0,
+            hold_ns: 1e12,
+            fall_ns: 0.0,
+            amplitude_k: 60.0,
+        }));
+    let trace = Trace::from_transactions(
+        Workload::Uniform { read_fraction: 0.5 }
+            .generate(config.footprint(), 960, &mut StdRng::seed_from_u64(42))
+            .transactions()
+            .iter()
+            .enumerate()
+            .map(|(i, txn)| txn.at((i / 48) as u64 * 4_000 + (i % 48) as u64 * 3))
+            .collect(),
+    );
+    let modes = [
+        (Backpressure::Stall, 0x3803_5b7c_f9b7_1362),
+        (
+            Backpressure::Retry { delay_ns: 25.0 },
+            0xa4ac_fc59_fbaa_1ec2,
+        ),
+        (Backpressure::Drop, 0xc209_54b3_7e5a_99a4),
+    ];
+    for (backpressure, expected) in modes {
+        let mut frontend = Frontend::new(
+            Controller::new(config.clone()),
+            FrontendConfig::fcfs_unbounded()
+                .with_policy(Policy::ReadPriority {
+                    write_high_water: 4,
+                })
+                .with_queue_depth(4)
+                .with_backpressure(backpressure)
+                .with_scrub(ScrubConfig::every_ns(150.0))
+                .with_march(MarchConfig::new(MarchAlgorithm::CMinus).with_raw(true))
+                .with_calib(CalibConfig::date2010()),
+        );
+        let run = frontend.run(&trace);
+        let aggregate = run.telemetry.aggregate();
+        let queue = &aggregate.queue;
+        assert!(
+            queue.stalls + queue.retried_admissions + queue.dropped > 0,
+            "{backpressure:?}: the bursts must overload the queues"
+        );
+        assert!(
+            aggregate.ecc.scrub_words_scanned > 0
+                && aggregate.march.ops > 0
+                && aggregate.calib.bursts > 0,
+            "{backpressure:?}: every background class must run"
+        );
+        let fingerprint =
+            fnv1a(format!("{run:?}{:?}", frontend.controller().stored_state()).as_bytes());
+        assert_eq!(
+            fingerprint, expected,
+            "{backpressure:?}: simulated results moved (got {fingerprint:#018x})"
+        );
+    }
 }
 
 proptest! {
