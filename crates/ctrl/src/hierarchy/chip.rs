@@ -34,7 +34,7 @@ use crate::reliability::EccMode;
 use crate::retry::RetryPolicy;
 use crate::sched::event::EventQueue;
 use crate::sched::policy::Policy;
-use crate::sched::queue::{InService, Lane, Queued};
+use crate::sched::queue::{Lane, Queued};
 use crate::telemetry::{BankTelemetry, ChannelTelemetry, LatencyBounds, QueueTelemetry};
 use crate::txn::{Transaction, TxnSource};
 
@@ -606,26 +606,15 @@ impl<'a> ChannelSim<'a> {
             .lanes
             .entry(txn.bank)
             .or_insert_with(|| Lane::new(usize::MAX));
-        lane.stats.admitted += 1;
         let queued = Queued {
             txn,
             trace_index,
             arrival_ns: now,
             admit_ns: now,
         };
-        if lane.in_service.is_none() && lane.queue.is_empty() {
-            start_service(
-                lane,
-                bank,
-                &self.bank_config.faults,
-                &mut self.events,
-                queued,
-                now,
-            );
-        } else {
-            lane.flush_occupancy(now);
-            lane.queue.admit(queued);
-            lane.stats.max_depth = lane.stats.max_depth.max(lane.queue.len() as u64);
+        if let Some(done) = lane.admit(bank, &self.bank_config.faults, queued, now) {
+            self.events
+                .schedule(done, Event::BankDone { bank: txn.bank });
         }
     }
 
@@ -650,22 +639,20 @@ impl<'a> ChannelSim<'a> {
     /// Retires the completed transaction and starts the bank's next one.
     fn complete(&mut self, banks: &mut BTreeMap<usize, Bank>, bank: usize, now: f64) {
         let lane = self.lanes.get_mut(&bank).expect("completion without lane");
-        let served = lane.in_service.take().expect("completion without service");
-        lane.stats.completed += 1;
-        lane.stats.sojourn.observe(now - served.queued.arrival_ns);
+        lane.retire(now);
         self.stats.completed += 1;
         self.completed += 1;
         self.outstanding -= 1;
         self.end_ns = self.end_ns.max(now);
         let bank_state = banks.get_mut(&bank).expect("completion without bank");
-        try_dispatch(
-            lane,
+        if let Some(done) = lane.try_dispatch(
             bank_state,
             &self.bank_config.faults,
-            &mut self.events,
             self.config.policy,
             now,
-        );
+        ) {
+            self.events.schedule(done, Event::BankDone { bank });
+        }
     }
 
     /// Flushes per-lane occupancy integrals and folds this run's counters
@@ -760,55 +747,6 @@ fn run_channel(
         }
     }
     sim.finish(state);
-}
-
-/// Runs `Bank::execute` for `queued` and schedules the bus claim at `now +
-/// array service time` (the service time is whatever the bank actually
-/// charged, read off its busy-time accumulator — same convention as the
-/// scheduler frontend).
-fn start_service(
-    lane: &mut Lane,
-    bank: &mut Bank,
-    faults: &FaultPlan,
-    events: &mut EventQueue<Event>,
-    queued: Queued,
-    now: f64,
-) {
-    lane.stats.wait_ns.push(now - queued.admit_ns);
-    let busy_before = bank.telemetry().busy_time;
-    bank.execute(&queued.txn, faults);
-    let service_ns = (bank.telemetry().busy_time - busy_before).get() * 1e9;
-    events.schedule(
-        now + service_ns,
-        Event::BankDone {
-            bank: queued.txn.bank,
-        },
-    );
-    lane.in_service = Some(InService {
-        queued,
-        start_ns: now,
-    });
-}
-
-/// If the bank is idle and has waiting work, picks the next transaction per
-/// `policy` and starts serving it.
-fn try_dispatch(
-    lane: &mut Lane,
-    bank: &mut Bank,
-    faults: &FaultPlan,
-    events: &mut EventQueue<Event>,
-    policy: Policy,
-    now: f64,
-) {
-    if lane.in_service.is_some() {
-        return;
-    }
-    let Some(index) = policy.choose(&mut lane.queue) else {
-        return;
-    };
-    lane.flush_occupancy(now);
-    let queued = lane.queue.take(index);
-    start_service(lane, bank, faults, events, queued, now);
 }
 
 #[cfg(test)]

@@ -34,8 +34,10 @@ use crate::telemetry::{QueueTelemetry, SojournStats, Telemetry};
 use crate::txn::{Op, Transaction, TxnSource};
 
 use super::event::EventQueue;
-use super::policy::{Policy, PriorityClass};
-use super::queue::{InService, Lane, ParkedRetry, Queued};
+#[cfg(doc)]
+use super::policy::PriorityClass;
+use super::policy::{Daemon, Policy};
+use super::queue::{Lane, ParkedRetry, Queued};
 
 /// What admission does when a transaction's bank queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -58,9 +60,9 @@ pub enum Backpressure {
 /// When present, [`Frontend::run`] lowers the algorithm once and drives the
 /// schedule through every bank as [`PriorityClass::Test`] traffic: test
 /// operations run only in demand-idle gaps (demand always outranks the
-/// tester), outrank the scrub daemon, and are non-preemptive once started —
-/// an in-flight test op finishes before a newly arrived demand transaction
-/// is served. The full test re-runs on every `run` call; verdicts accumulate
+/// tester), outrank the scrub and calibration daemons, and are
+/// non-preemptive once started — an in-flight test op finishes before a
+/// newly arrived demand transaction is served. The full test re-runs on every `run` call; verdicts accumulate
 /// in each bank's [`MarchTelemetry`](crate::telemetry::MarchTelemetry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MarchConfig {
@@ -120,7 +122,8 @@ pub struct FrontendConfig {
     #[serde(default)]
     pub scrub: Option<ScrubConfig>,
     /// March manufacturing-test traffic source (see [`MarchConfig`]): a
-    /// [`PriorityClass::Test`] citizen between demand and scrub.
+    /// [`PriorityClass::Test`] citizen between demand and the background
+    /// daemons.
     #[serde(default)]
     pub march: Option<MarchConfig>,
     /// Per-bank calibration daemon (see [`CalibConfig`]): a periodic
@@ -217,23 +220,29 @@ impl FrontendConfig {
                 "retry delay must be positive, got {delay_ns}"
             );
         }
-        if let Some(scrub) = self.scrub {
-            assert!(
-                scrub.interval_ns.is_finite() && scrub.interval_ns > 0.0,
-                "scrub interval must be positive, got {}",
-                scrub.interval_ns
-            );
+        for (daemon, name) in [(Daemon::Scrub, "scrub"), (Daemon::Calib, "calibration")] {
+            if let Some(interval_ns) = self.period(daemon) {
+                assert!(
+                    interval_ns.is_finite() && interval_ns > 0.0,
+                    "{name} interval must be positive, got {interval_ns}"
+                );
+            }
         }
         if let Some(calib) = self.calib {
-            assert!(
-                calib.interval_ns.is_finite() && calib.interval_ns > 0.0,
-                "calibration interval must be positive, got {}",
-                calib.interval_ns
-            );
             assert!(
                 calib.burst_reads > 0,
                 "a calibration burst needs at least one read"
             );
+        }
+    }
+
+    /// Tick interval of a mounted periodic daemon. The March source has
+    /// none: it is offered work whenever a lane idles.
+    fn period(&self, daemon: Daemon) -> Option<f64> {
+        match daemon {
+            Daemon::Scrub => self.scrub.map(|scrub| scrub.interval_ns),
+            Daemon::Calib => self.calib.map(|calib| calib.interval_ns),
+            Daemon::March => None,
         }
     }
 }
@@ -441,27 +450,16 @@ enum Event {
     /// A transaction is offered to its bank (fresh from the trace, or a
     /// re-offer under [`Backpressure::Retry`]).
     Arrive { trace_index: usize, fresh: bool },
-    /// A bank finished serving its in-flight transaction.
+    /// A bank finished serving its in-flight demand transaction.
     Complete { bank: usize },
-    /// The scrub daemon's periodic tick: offer one word-scrub to `bank`.
-    /// Served only when the lane is idle and the policy arbitrates
-    /// [`PriorityClass::Background`]; deferred (and counted) otherwise.
-    Scrub { bank: usize },
-    /// A bank finished an in-flight word-scrub.
-    ScrubComplete { bank: usize },
-    /// Offer `bank` its next March-test operation. Served when the lane is
-    /// idle and no demand waits (strict [`PriorityClass`] order); deferred
-    /// (and counted) otherwise, to be re-kicked by the next completion.
-    March { bank: usize },
-    /// A bank finished an in-flight March-test operation.
-    MarchComplete { bank: usize },
-    /// The calibration daemon's periodic tick: evaluate `bank`'s trip
-    /// condition. A check is free; a *tripped* check runs the burst +
-    /// refit and occupies the lane like scrub. Background priority:
-    /// deferred (and counted) when the lane is busy or demand/test waits.
-    Calib { bank: usize },
-    /// A bank finished an in-flight calibration burst.
-    CalibComplete { bank: usize },
+    /// `daemon` offers `bank` one operation: a periodic scrub or
+    /// calibration tick, or the March source's next test op. Served only
+    /// when the lane is idle and the policy arbitrates the daemon's
+    /// [`PriorityClass`]; deferred (and counted) otherwise. A calibration
+    /// check that does not trip is free and leaves the lane idle.
+    Offer { bank: usize, daemon: Daemon },
+    /// A bank finished the background operation occupying its lane.
+    BackgroundDone { bank: usize },
 }
 
 /// Run state of the March traffic source: one lowered schedule shared by
@@ -472,10 +470,10 @@ struct MarchSource {
     steps: Vec<MarchStep>,
     /// Next step index per bank.
     cursor: Vec<usize>,
-    /// Whether an [`Event::March`] for the bank is already in the heap
-    /// (at most one per bank, like the scrub daemon's tick).
+    /// Whether a March [`Event::Offer`] for the bank is already in the
+    /// heap (at most one per bank, like a periodic daemon's tick).
     kicked: Vec<bool>,
-    /// Steps not yet executed across all banks; the scrub daemon stays
+    /// Steps not yet executed across all banks; the periodic daemons stay
     /// alive — and the event loop keeps running — while this is non-zero.
     remaining: usize,
     /// Raw-array read mode (see [`MarchConfig::raw`]).
@@ -518,7 +516,7 @@ impl MarchSource {
 
 /// Schedules `bank`'s next March offer at `now` if steps remain, none is
 /// already pending, and the lane is idle — called wherever the lane may
-/// have just gone idle (every completion flavour). A ready test op that
+/// have just gone idle (the shared completion tail). A ready test op that
 /// finds the lane re-occupied (demand won arbitration at this completion)
 /// counts as one deferral.
 fn kick_march(
@@ -531,12 +529,13 @@ fn kick_march(
     if !march.waiting(bank) || march.kicked[bank] {
         return;
     }
-    if lane.in_service.is_some() || lane.scrub_busy || lane.march_busy || lane.calib_busy {
+    if lane.busy() {
         lane.stats.march_deferred += 1;
         return;
     }
     march.kicked[bank] = true;
-    events.schedule(now, Event::March { bank });
+    let daemon = Daemon::March;
+    events.schedule(now, Event::Offer { bank, daemon });
 }
 
 /// An admission blocked on a full queue under [`Backpressure::Stall`].
@@ -591,9 +590,13 @@ impl Frontend {
     /// # Panics
     ///
     /// Panics if the configuration is invalid (zero queue depth,
-    /// non-positive retry delay, non-positive scrub interval), or if scrub
-    /// is enabled on a controller without ECC (scrub re-reads words through
-    /// the codec; without check bits there is nothing to correct).
+    /// non-positive retry delay, non-positive scrub or calibration
+    /// interval, a calibration burst of zero reads), if scrub is enabled on
+    /// a controller without ECC (scrub re-reads words through the codec;
+    /// without check bits there is nothing to correct), or if calibration
+    /// is enabled both inline on the controller
+    /// ([`ControllerConfig::with_calib`](crate::engine::ControllerConfig::with_calib))
+    /// and here (the two daemons would both refit β).
     #[must_use]
     pub fn new(controller: Controller, config: FrontendConfig) -> Self {
         config.validate();
@@ -664,6 +667,7 @@ impl Frontend {
     /// Panics if a transaction addresses a bank the controller does not
     /// have.
     pub fn run<S: TxnSource + ?Sized>(&mut self, trace: &S) -> SchedRun {
+        let config = self.config;
         let FrontendConfig {
             queue_depth,
             policy,
@@ -672,7 +676,7 @@ impl Frontend {
             march,
             calib,
             exact_sojourn,
-        } = self.config;
+        } = config;
         let faults = self.controller.config().faults.clone();
         let bank_count = self.controller.config().banks;
         let capacity_bits = self.controller.config().spec.capacity_bits();
@@ -708,7 +712,7 @@ impl Frontend {
         }
 
         let banks = self.controller.banks_mut();
-        // FCFS at unbounded depth with no scrub daemon is the hot
+        // FCFS at unbounded depth with no background daemon is the hot
         // configuration (it is also the serial-replay anchor): backpressure
         // can never fire, banks never interact, and the only event kinds
         // are fresh arrivals and completions. That specialisation replaces
@@ -769,38 +773,30 @@ impl Frontend {
         }
 
         // In flight at any instant: one fresh arrival, per bank one
-        // completion + one scrub tick + one scrub completion + one March
-        // offer or completion + one calibration tick + one calibration
-        // completion, plus at most one re-offer per parked transaction.
+        // completion (demand or background) + one March offer + one tick
+        // per periodic daemon, plus at most one re-offer per parked
+        // transaction.
         let mut events: EventQueue<Event> =
-            EventQueue::with_capacity(if retrying { n } else { 0 } + 6 * bank_count + 4);
+            EventQueue::with_capacity(if retrying { n } else { 0 } + 4 * bank_count + 4);
         let mut cursor = 0usize;
         let mut stalled: Option<StalledAdmission> = None;
-        // Demand transactions not yet completed or dropped. The scrub and
-        // calibration daemons' ticks reschedule themselves only while this
-        // (or the March backlog) is non-zero, so the event loop terminates
-        // as soon as demand and test traffic drain.
+        // Demand transactions not yet completed or dropped. The periodic
+        // daemons' ticks reschedule themselves only while this (or the
+        // March backlog) is non-zero, so the event loop terminates as soon
+        // as demand and test traffic drain.
         let mut unfinished = n;
         let mut march = MarchSource::new(march, capacity_bits, cols, bank_count);
 
         schedule_fresh(&mut events, &order, trace, &mut cursor, 0.0);
-        for bank in 0..bank_count {
-            if march.waiting(bank) {
-                march.kicked[bank] = true;
-                events.schedule(0.0, Event::March { bank });
-            }
+        for (bank, lane) in lanes.iter_mut().enumerate() {
+            kick_march(&mut march, lane, &mut events, bank, 0.0);
         }
-        if let Some(scrub) = scrub {
-            if unfinished > 0 || march.remaining > 0 {
-                for bank in 0..bank_count {
-                    events.schedule(scrub.interval_ns, Event::Scrub { bank });
-                }
-            }
-        }
-        if let Some(calib) = calib {
-            if unfinished > 0 || march.remaining > 0 {
-                for bank in 0..bank_count {
-                    events.schedule(calib.interval_ns, Event::Calib { bank });
+        for daemon in [Daemon::Scrub, Daemon::Calib] {
+            if let Some(interval_ns) = config.period(daemon) {
+                if unfinished > 0 || march.remaining > 0 {
+                    for bank in 0..bank_count {
+                        events.schedule(interval_ns, Event::Offer { bank, daemon });
+                    }
                 }
             }
         }
@@ -813,24 +809,7 @@ impl Frontend {
                     let txn = trace.get(trace_index);
                     let lane = &mut lanes[txn.bank];
                     let mut advance_stream = fresh;
-                    if lane.in_service.is_none()
-                        && !lane.scrub_busy
-                        && !lane.march_busy
-                        && !lane.calib_busy
-                        && lane.queue.is_empty()
-                    {
-                        // Idle bank, empty queue: straight into service.
-                        lane.stats.admitted += 1;
-                        let queued = Queued {
-                            txn,
-                            trace_index,
-                            arrival_ns: txn.arrival_ns as f64,
-                            admit_ns: now,
-                        };
-                        let complete_ns =
-                            start_service(lane, &mut banks[txn.bank], &faults, queued, now);
-                        events.schedule(complete_ns, Event::Complete { bank: txn.bank });
-                    } else if lane.queue.is_full() {
+                    if lane.queue.is_full() {
                         match backpressure {
                             Backpressure::Drop => {
                                 lane.stats.dropped += 1;
@@ -862,57 +841,42 @@ impl Frontend {
                             }
                         }
                     } else {
-                        admit(lane, txn, trace_index, now);
+                        let queued = queued(txn, trace_index, now);
+                        if let Some(done) = lane.admit(&mut banks[txn.bank], &faults, queued, now) {
+                            events.schedule(done, Event::Complete { bank: txn.bank });
+                        }
                     }
                     if advance_stream {
                         schedule_fresh(&mut events, &order, trace, &mut cursor, now);
                     }
                 }
-                Event::Complete { bank }
-                | Event::ScrubComplete { bank }
-                | Event::MarchComplete { bank }
-                | Event::CalibComplete { bank } => {
+                Event::Complete { bank } | Event::BackgroundDone { bank } => {
                     end_ns = end_ns.max(now);
                     let lane = &mut lanes[bank];
-                    match event {
-                        Event::Complete { .. } => {
-                            let served =
-                                lane.in_service.take().expect("completion without service");
-                            lane.stats.completed += 1;
-                            unfinished -= 1;
-                            let sojourn_ns = now - served.queued.arrival_ns;
-                            lane.stats.sojourn.observe(sojourn_ns);
-                            completions.push(Completion {
-                                trace_index: served.queued.trace_index,
-                                bank,
-                                op: served.queued.txn.op,
-                                arrival_ns: served.queued.arrival_ns,
-                                admit_ns: served.queued.admit_ns,
-                                start_ns: served.start_ns,
-                                complete_ns: now,
-                            });
-                        }
-                        Event::ScrubComplete { .. } => {
-                            debug_assert!(lane.scrub_busy, "scrub completion without scrub");
-                            lane.scrub_busy = false;
-                        }
-                        Event::MarchComplete { .. } => {
-                            debug_assert!(lane.march_busy, "march completion without march op");
-                            lane.march_busy = false;
-                        }
-                        _ => {
-                            debug_assert!(
-                                lane.calib_busy,
-                                "calibration completion without a burst"
-                            );
-                            lane.calib_busy = false;
-                        }
+                    if let Event::Complete { .. } = event {
+                        let served = lane.retire(now);
+                        unfinished -= 1;
+                        completions.push(Completion {
+                            trace_index: served.queued.trace_index,
+                            bank,
+                            op: served.queued.txn.op,
+                            arrival_ns: served.queued.arrival_ns,
+                            admit_ns: served.queued.admit_ns,
+                            start_ns: served.start_ns,
+                            complete_ns: now,
+                        });
+                    } else {
+                        let occupant = lane.background.take();
+                        debug_assert!(occupant.is_some(), "background completion without work");
                     }
-                    // Every completion flavour shares this tail: the lane
-                    // just went idle, so serve the next demand, re-offer a
-                    // parked retry, land a stalled admission and re-kick the
-                    // March source.
-                    try_dispatch(lane, &mut banks[bank], &faults, &mut events, policy, now);
+                    // Every completion shares this tail: the lane just went
+                    // idle, so serve the next demand, re-offer a parked
+                    // retry, land a stalled admission and re-kick the March
+                    // source.
+                    let served = &mut banks[bank];
+                    if let Some(done) = lane.try_dispatch(served, &faults, policy, now) {
+                        events.schedule(done, Event::Complete { bank });
+                    }
                     wake_parked(lane, &mut events, backpressure, now);
                     // Dispatch freed a slot (or the queue was empty): a
                     // stalled admission targeting this bank can land now.
@@ -921,125 +885,55 @@ impl Frontend {
                         if txn.bank == bank && !lane.queue.is_full() {
                             stalled = None;
                             lane.stats.stall_time_ns += now - blocked.offered_ns;
-                            if lane.in_service.is_none()
-                                && !lane.scrub_busy
-                                && !lane.march_busy
-                                && !lane.calib_busy
-                                && lane.queue.is_empty()
-                            {
-                                lane.stats.admitted += 1;
-                                let queued = Queued {
-                                    txn,
-                                    trace_index: blocked.trace_index,
-                                    arrival_ns: txn.arrival_ns as f64,
-                                    admit_ns: now,
-                                };
-                                let complete_ns =
-                                    start_service(lane, &mut banks[bank], &faults, queued, now);
-                                events.schedule(complete_ns, Event::Complete { bank });
-                            } else {
-                                admit(lane, txn, blocked.trace_index, now);
+                            let queued = queued(txn, blocked.trace_index, now);
+                            if let Some(done) = lane.admit(served, &faults, queued, now) {
+                                events.schedule(done, Event::Complete { bank });
                             }
                             // The host unblocks: resume the arrival stream,
                             // no earlier than now.
                             schedule_fresh(&mut events, &order, trace, &mut cursor, now);
                         }
                     }
-                    kick_march(&mut march, &mut lanes[bank], &mut events, bank, now);
+                    kick_march(&mut march, lane, &mut events, bank, now);
                 }
-                Event::Scrub { bank } => {
-                    // The daemon dies with the demand and test streams: no
-                    // reschedule once everything completed or dropped, so
-                    // the loop drains. (An idle tick also leaves the
-                    // makespan alone.)
-                    if unfinished == 0 && march.remaining == 0 {
-                        continue;
-                    }
-                    let interval_ns = scrub.expect("scrub event without scrub config").interval_ns;
-                    let lane = &mut lanes[bank];
-                    let busy = lane.in_service.is_some()
-                        || lane.scrub_busy
-                        || lane.march_busy
-                        || lane.calib_busy;
-                    if busy
-                        || policy.arbitrate3(!lane.queue.is_empty(), march.waiting(bank))
-                            != PriorityClass::Background
-                    {
-                        // Demand and test traffic preempt at arbitration:
-                        // skip this tick.
-                        lane.stats.scrub_deferred += 1;
-                    } else {
-                        let served = &mut banks[bank];
-                        let busy_before = served.telemetry().ecc.scrub_busy_time;
-                        served.scrub_next(&faults);
-                        let service_ns =
-                            (served.telemetry().ecc.scrub_busy_time - busy_before).get() * 1e9;
-                        lane.scrub_busy = true;
-                        events.schedule(now + service_ns, Event::ScrubComplete { bank });
-                    }
-                    events.schedule(now + interval_ns, Event::Scrub { bank });
-                }
-                Event::March { bank } => {
-                    march.kicked[bank] = false;
-                    if !march.waiting(bank) {
-                        continue;
-                    }
-                    let lane = &mut lanes[bank];
-                    let busy = lane.in_service.is_some()
-                        || lane.scrub_busy
-                        || lane.march_busy
-                        || lane.calib_busy;
-                    if busy
-                        || policy.arbitrate3(!lane.queue.is_empty(), true) != PriorityClass::Test
-                    {
-                        // Whatever occupies the lane re-kicks the test when
-                        // it completes (a non-empty queue implies a busy
-                        // lane, so a completion is always pending here).
-                        lane.stats.march_deferred += 1;
-                        continue;
-                    }
-                    end_ns = end_ns.max(now);
-                    let step = march.steps[march.cursor[bank]];
-                    march.cursor[bank] += 1;
-                    march.remaining -= 1;
-                    let served = &mut banks[bank];
-                    let busy_before = served.telemetry().march.busy_time;
-                    served.execute_march_op(step.cell, step.op, step.element, march.raw, &faults);
-                    let service_ns = (served.telemetry().march.busy_time - busy_before).get() * 1e9;
-                    lane.march_busy = true;
-                    events.schedule(now + service_ns, Event::MarchComplete { bank });
-                }
-                Event::Calib { bank } => {
-                    // Like the scrub daemon, the calibration daemon dies
-                    // with the demand and test streams.
-                    if unfinished == 0 && march.remaining == 0 {
-                        continue;
-                    }
-                    let config = calib.expect("calibration event without calib config");
-                    let lane = &mut lanes[bank];
-                    let busy = lane.in_service.is_some()
-                        || lane.scrub_busy
-                        || lane.march_busy
-                        || lane.calib_busy;
-                    if busy
-                        || policy.arbitrate3(!lane.queue.is_empty(), march.waiting(bank))
-                            != PriorityClass::Background
-                    {
-                        lane.stats.calib_deferred += 1;
-                    } else {
-                        // A check that does not trip is free (counter
-                        // inspection, no array access); only a tripped
-                        // check — burst + refit — occupies the lane.
-                        let served = &mut banks[bank];
-                        let busy_before = served.telemetry().calib.busy_time;
-                        if served.calibration_tick(&config) {
-                            let service_ns =
-                                (served.telemetry().calib.busy_time - busy_before).get() * 1e9;
-                            lane.calib_busy = true;
-                            events.schedule(now + service_ns, Event::CalibComplete { bank });
+                Event::Offer { bank, daemon } => {
+                    if daemon == Daemon::March {
+                        march.kicked[bank] = false;
+                        if !march.waiting(bank) {
+                            continue;
                         }
+                    } else if unfinished == 0 && march.remaining == 0 {
+                        // The periodic daemons die with the demand and test
+                        // streams: no reschedule once everything completed
+                        // or dropped, so the loop drains. (An idle tick
+                        // also leaves the makespan alone.)
+                        continue;
                     }
-                    events.schedule(now + config.interval_ns, Event::Calib { bank });
+                    let lane = &mut lanes[bank];
+                    if lane.busy()
+                        || policy.arbitrate(!lane.queue.is_empty(), march.waiting(bank))
+                            != daemon.class()
+                    {
+                        // The lane is occupied or a higher class waits:
+                        // skip this offer. A periodic daemon retries at its
+                        // next tick; whatever occupies the lane re-kicks
+                        // the March source when it completes (a non-empty
+                        // queue implies a busy lane, so a completion is
+                        // always pending).
+                        match daemon {
+                            Daemon::Scrub => lane.stats.scrub_deferred += 1,
+                            Daemon::March => lane.stats.march_deferred += 1,
+                            Daemon::Calib => lane.stats.calib_deferred += 1,
+                        }
+                    } else if let Some(service_ns) =
+                        serve_daemon(daemon, &mut banks[bank], &faults, &mut march, calib)
+                    {
+                        lane.background = Some(daemon);
+                        events.schedule(now + service_ns, Event::BackgroundDone { bank });
+                    }
+                    if let Some(interval_ns) = config.period(daemon) {
+                        events.schedule(now + interval_ns, Event::Offer { bank, daemon });
+                    }
                 }
             }
         }
@@ -1068,12 +962,7 @@ impl Frontend {
         steady_state_allocs: u64,
     ) -> SchedRun {
         for lane in &mut lanes {
-            debug_assert!(lane.queue.is_empty() && lane.in_service.is_none() && !lane.scrub_busy);
-            debug_assert!(!lane.march_busy, "drained loop left a March op in flight");
-            debug_assert!(
-                !lane.calib_busy,
-                "drained loop left a calibration burst in flight"
-            );
+            debug_assert!(lane.queue.is_empty() && !lane.busy());
             debug_assert!(lane.parked.is_empty(), "drained loop left parked retries");
             lane.flush_occupancy(end_ns);
             lane.stats.horizon_ns = end_ns;
@@ -1170,26 +1059,8 @@ struct FastInFlight {
     start_ns: f64,
 }
 
-/// The service-start half of the fast path: identical telemetry and bank
-/// work to [`start_service`], minus the `InService` store (the caller
-/// records a [`FastInFlight`] instead). Returns the completion instant.
-fn fast_start_service(
-    lane: &mut Lane,
-    bank: &mut Bank,
-    faults: &FaultPlan,
-    txn: &Transaction,
-    admit_ns: f64,
-    now: f64,
-) -> f64 {
-    lane.stats.wait_ns.push(now - admit_ns);
-    let busy_before = bank.telemetry().busy_time;
-    bank.execute(txn, faults);
-    let service_ns = (bank.telemetry().busy_time - busy_before).get() * 1e9;
-    now + service_ns
-}
-
 /// The raw-speed specialisation of the event loop for FCFS dispatch at
-/// unbounded queue depth with no scrub daemon (DESIGN.md §12).
+/// unbounded queue depth with no background daemon (DESIGN.md §12).
 ///
 /// Under that configuration backpressure can never fire and the only
 /// event kinds are fresh arrivals — already sorted in `order` — and bank
@@ -1256,7 +1127,7 @@ fn fcfs_unbounded_loop<S: TxnSource + ?Sized>(
             if slots[b] == CompletionSlot::idle() && rings[b].is_empty() {
                 // Idle bank, empty queue: straight into service.
                 lane.stats.admitted += 1;
-                let complete_ns = fast_start_service(lane, &mut banks[b], faults, &txn, now, now);
+                let complete_ns = lane.execute(&mut banks[b], faults, &txn, now, now);
                 in_flight[b] = FastInFlight {
                     trace_index: trace_index as u32,
                     admit_ns: now,
@@ -1312,8 +1183,7 @@ fn fcfs_unbounded_loop<S: TxnSource + ?Sized>(
                 rings[bank].pop_front()
             } {
                 let txn = trace.get(head.trace_index as usize);
-                let complete_ns =
-                    fast_start_service(lane, &mut banks[bank], faults, &txn, head.admit_ns, now);
+                let complete_ns = lane.execute(&mut banks[bank], faults, &txn, head.admit_ns, now);
                 in_flight[bank] = FastInFlight {
                     trace_index: head.trace_index,
                     admit_ns: head.admit_ns,
@@ -1366,62 +1236,54 @@ fn wake_parked(
     );
 }
 
-/// Admits a transaction into a lane's waiting queue at `now`.
-fn admit(lane: &mut Lane, txn: Transaction, trace_index: usize, now: f64) {
-    lane.stats.admitted += 1;
-    lane.flush_occupancy(now);
-    lane.queue.admit(Queued {
+/// A trace transaction entering its lane at `now`.
+fn queued(txn: Transaction, trace_index: usize, now: f64) -> Queued {
+    Queued {
         txn,
         trace_index,
         arrival_ns: txn.arrival_ns as f64,
         admit_ns: now,
-    });
-    lane.stats.max_depth = lane.stats.max_depth.max(lane.queue.len() as u64);
-}
-
-/// If the bank is idle and has waiting work, picks the next transaction per
-/// `policy` and starts serving it.
-fn try_dispatch(
-    lane: &mut Lane,
-    bank: &mut Bank,
-    faults: &FaultPlan,
-    events: &mut EventQueue<Event>,
-    policy: Policy,
-    now: f64,
-) {
-    if lane.in_service.is_some() || lane.scrub_busy || lane.march_busy || lane.calib_busy {
-        return;
     }
-    let Some(index) = policy.choose(&mut lane.queue) else {
-        return;
-    };
-    lane.flush_occupancy(now);
-    let queued = lane.queue.take(index);
-    let bank_index = queued.txn.bank;
-    let complete_ns = start_service(lane, bank, faults, queued, now);
-    events.schedule(complete_ns, Event::Complete { bank: bank_index });
 }
 
-/// Runs `Bank::execute` for `queued` and returns the completion instant
-/// `now + service time` for the caller to schedule. The service time is
-/// whatever the bank actually charged (attempt-dependent), read off its
-/// busy-time accumulator.
-fn start_service(
-    lane: &mut Lane,
+/// Runs one operation of `daemon` on `bank` and returns
+/// the time it occupies the lane — the daemon's own busy clock, after −
+/// before — or `None` for a calibration check that did not trip (a check
+/// is counter inspection, no array access, so it is free).
+fn serve_daemon(
+    daemon: Daemon,
     bank: &mut Bank,
     faults: &FaultPlan,
-    queued: Queued,
-    now: f64,
-) -> f64 {
-    lane.stats.wait_ns.push(now - queued.admit_ns);
-    let busy_before = bank.telemetry().busy_time;
-    bank.execute(&queued.txn, faults);
-    let service_ns = (bank.telemetry().busy_time - busy_before).get() * 1e9;
-    lane.in_service = Some(InService {
-        queued,
-        start_ns: now,
-    });
-    now + service_ns
+    march: &mut MarchSource,
+    calib: Option<CalibConfig>,
+) -> Option<f64> {
+    let busy_ns = |bank: &Bank| {
+        let telemetry = bank.telemetry();
+        match daemon {
+            Daemon::Scrub => telemetry.ecc.scrub_busy_time,
+            Daemon::March => telemetry.march.busy_time,
+            Daemon::Calib => telemetry.calib.busy_time,
+        }
+    };
+    let busy_before = busy_ns(bank);
+    match daemon {
+        Daemon::Scrub => {
+            bank.scrub_next(faults);
+        }
+        Daemon::March => {
+            let step = march.steps[march.cursor[bank.index()]];
+            march.cursor[bank.index()] += 1;
+            march.remaining -= 1;
+            bank.execute_march_op(step.cell, step.op, step.element, march.raw, faults);
+        }
+        Daemon::Calib => {
+            let config = calib.expect("calibration offer without calib config");
+            if !bank.calibration_tick(&config) {
+                return None;
+            }
+        }
+    }
+    Some((busy_ns(bank) - busy_before).get() * 1e9)
 }
 
 #[cfg(test)]

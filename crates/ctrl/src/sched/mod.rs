@@ -21,14 +21,15 @@
 //!   arbitration hook among demand, test and background traffic.
 //! * [`Frontend`] — the engine tying them together over a
 //!   [`Controller`](crate::Controller), with [`Backpressure`] (stall, drop,
-//!   retry) when queues fill, an optional background scrub daemon
-//!   ([`ScrubConfig`](crate::reliability::ScrubConfig)) that repairs
-//!   correctable errors in lane-idle gaps, an optional March
-//!   manufacturing-test source ([`MarchConfig`]) that drives
-//!   [`march`](crate::march) programs through the banks between demand
-//!   and scrub in priority, and queueing telemetry
-//!   ([`QueueTelemetry`](crate::QueueTelemetry)) the serial replay path
-//!   cannot measure.
+//!   retry) when queues fill, up to three background daemons sharing one
+//!   offer-and-complete path — scrub
+//!   ([`ScrubConfig`](crate::reliability::ScrubConfig)) repairing
+//!   correctable errors in lane-idle gaps, a March manufacturing-test
+//!   source ([`MarchConfig`]) driving [`march`](crate::march) programs
+//!   through the banks between demand and the other daemons in priority,
+//!   and β recalibration ([`CalibConfig`](crate::CalibConfig)) — and
+//!   queueing telemetry ([`QueueTelemetry`](crate::QueueTelemetry)) the
+//!   serial replay path cannot measure.
 //!
 //! The frontend reuses [`Bank`](crate::Bank) as its service stage, so under
 //! FCFS at unbounded depth it is *bit-identical* to serial replay — same

@@ -27,21 +27,45 @@ use super::queue::BankQueue;
 /// Demand traffic is the host's reads and writes; test traffic is the
 /// March harness's lowered operations (see
 /// [`MarchConfig`](crate::sched::MarchConfig)); background traffic is the
-/// scrub daemon's word re-reads (see
-/// [`ScrubConfig`](crate::reliability::ScrubConfig)). The ordering is
-/// strict: every built-in [`Policy`] is work-conserving for demand, test
-/// work runs in lane-idle gaps, and scrub runs only when neither demand
-/// nor test work waits — an in-progress operation of any class finishes
-/// (the service stage is not interruptible, like a real array access), but
-/// no lower-class one starts while a higher class waits.
+/// maintenance daemons' work: the scrub daemon's word re-reads (see
+/// [`ScrubConfig`](crate::reliability::ScrubConfig)) and the calibration
+/// daemon's reference-read bursts (see [`CalibConfig`](crate::CalibConfig)).
+/// The ordering is strict: every built-in [`Policy`] is work-conserving for
+/// demand, test work runs in lane-idle gaps, and background work runs only
+/// when neither demand nor test work waits — an in-progress operation of
+/// any class finishes (the service stage is not interruptible, like a real
+/// array access), but no lower-class one starts while a higher class waits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PriorityClass {
     /// Host reads and writes.
     Demand,
     /// Manufacturing-test traffic (March operations).
     Test,
-    /// Best-effort maintenance traffic (scrub).
+    /// Best-effort maintenance traffic (scrub and calibration).
     Background,
+}
+
+/// The frontend's background traffic sources: each one offers work to a
+/// lane in its own [`PriorityClass`] and, once granted, occupies the lane
+/// until its operation completes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Daemon {
+    /// One word-scrub per periodic tick.
+    Scrub,
+    /// The next March-test operation, offered whenever the lane idles.
+    March,
+    /// A periodic trip check; a tripped check runs a burst and refit.
+    Calib,
+}
+
+impl Daemon {
+    /// The class this daemon's work arbitrates as.
+    pub(crate) fn class(self) -> PriorityClass {
+        match self {
+            Daemon::March => PriorityClass::Test,
+            Daemon::Scrub | Daemon::Calib => PriorityClass::Background,
+        }
+    }
 }
 
 /// How a bank picks the next transaction to serve.
@@ -70,27 +94,14 @@ impl Policy {
         }
     }
 
-    /// Which class an idle lane should serve next. Every built-in policy is
-    /// work-conserving for demand: [`PriorityClass::Background`] is chosen
-    /// only when no demand transaction is waiting. The hook is on `Policy`
-    /// so a future policy can trade differently (e.g. guarantee scrub
-    /// bandwidth under sustained load).
+    /// Which class an idle lane should serve next, given whether demand
+    /// and test work are waiting. Every built-in policy is strict: demand
+    /// always wins, test work runs in demand-idle gaps, and
+    /// [`PriorityClass::Background`] is chosen only when neither waits. The
+    /// hook is on `Policy` so a future policy can trade differently (e.g.
+    /// guarantee scrub bandwidth under sustained load).
     #[must_use]
-    pub fn arbitrate(&self, demand_waiting: bool) -> PriorityClass {
-        if demand_waiting {
-            PriorityClass::Demand
-        } else {
-            PriorityClass::Background
-        }
-    }
-
-    /// Three-way arbitration among demand, March-test and scrub work:
-    /// demand always wins, test work runs in demand-idle gaps, scrub only
-    /// when the lane is otherwise idle. [`Policy::arbitrate`] remains the
-    /// two-class view (test absent), so existing callers see identical
-    /// behaviour.
-    #[must_use]
-    pub fn arbitrate3(&self, demand_waiting: bool, test_waiting: bool) -> PriorityClass {
+    pub fn arbitrate(&self, demand_waiting: bool, test_waiting: bool) -> PriorityClass {
         if demand_waiting {
             PriorityClass::Demand
         } else if test_waiting {
@@ -233,18 +244,18 @@ mod tests {
                 write_high_water: 4,
             },
         ] {
-            assert_eq!(policy.arbitrate(true), PriorityClass::Demand);
-            assert_eq!(policy.arbitrate(false), PriorityClass::Background);
+            assert_eq!(policy.arbitrate(true, false), PriorityClass::Demand);
+            assert_eq!(policy.arbitrate(false, false), PriorityClass::Background);
         }
     }
 
     #[test]
     fn three_way_arbitration_is_strict() {
         let policy = Policy::Fcfs;
-        assert_eq!(policy.arbitrate3(true, true), PriorityClass::Demand);
-        assert_eq!(policy.arbitrate3(true, false), PriorityClass::Demand);
-        assert_eq!(policy.arbitrate3(false, true), PriorityClass::Test);
-        assert_eq!(policy.arbitrate3(false, false), PriorityClass::Background);
+        assert_eq!(policy.arbitrate(true, true), PriorityClass::Demand);
+        assert_eq!(policy.arbitrate(true, false), PriorityClass::Demand);
+        assert_eq!(policy.arbitrate(false, true), PriorityClass::Test);
+        assert_eq!(policy.arbitrate(false, false), PriorityClass::Background);
     }
 
     #[test]

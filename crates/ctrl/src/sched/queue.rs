@@ -17,9 +17,13 @@
 
 use std::collections::VecDeque;
 
+use crate::bank::Bank;
+use crate::faults::FaultPlan;
 use crate::sched::arena::Slab;
 use crate::telemetry::QueueTelemetry;
 use crate::txn::Transaction;
+
+use super::policy::{Daemon, Policy};
 
 /// One admitted transaction waiting in a bank queue.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -185,22 +189,19 @@ pub(crate) struct ParkedRetry {
 }
 
 /// Per-bank run state shared by the scheduler frontend and the hierarchy
-/// chip engine: the waiting queue, the in-flight transaction and this run's
-/// queueing counters. The frontend keys lanes by bank index in a flat
+/// chip engine: the waiting queue, what occupies the service stage and this
+/// run's queueing counters. The frontend keys lanes by bank index in a flat
 /// controller; the chip engine materialises them lazily per touched bank —
-/// the bookkeeping is identical either way, so it lives here once.
+/// the bookkeeping and the service step are identical either way, so they
+/// live here once. Each loop schedules its own event at the completion
+/// instant these methods return.
 pub(crate) struct Lane {
     pub(crate) queue: BankQueue,
     pub(crate) in_service: Option<InService>,
-    /// A word-scrub occupies the service stage (mutually exclusive with
-    /// `in_service`; scrub is non-preemptive once started).
-    pub(crate) scrub_busy: bool,
-    /// A March-test operation occupies the service stage (mutually
-    /// exclusive with both of the above; test ops are non-preemptive too).
-    pub(crate) march_busy: bool,
-    /// A calibration burst occupies the service stage (mutually exclusive
-    /// with all of the above; a burst is non-preemptive once tripped).
-    pub(crate) calib_busy: bool,
+    /// The daemon whose operation occupies the service stage (mutually
+    /// exclusive with `in_service`; background work is non-preemptive once
+    /// started, like a demand access).
+    pub(crate) background: Option<Daemon>,
     pub(crate) last_change_ns: f64,
     pub(crate) stats: QueueTelemetry,
     /// Retry-backpressure waitlist (empty except under `Retry`).
@@ -216,13 +217,16 @@ impl Lane {
         Self {
             queue: BankQueue::with_capacity_hint(queue_depth, hint),
             in_service: None,
-            scrub_busy: false,
-            march_busy: false,
-            calib_busy: false,
+            background: None,
             last_change_ns: 0.0,
             stats: QueueTelemetry::default(),
             parked: VecDeque::new(),
         }
+    }
+
+    /// `true` while demand or background work occupies the service stage.
+    pub(crate) fn busy(&self) -> bool {
+        self.in_service.is_some() || self.background.is_some()
     }
 
     /// Accumulates the depth integral up to `now` (call before any queue
@@ -230,6 +234,87 @@ impl Lane {
     pub(crate) fn flush_occupancy(&mut self, now: f64) {
         self.stats.depth_time_ns += self.queue.len() as f64 * (now - self.last_change_ns);
         self.last_change_ns = now;
+    }
+
+    /// Takes the finished demand transaction out of service at `now` and
+    /// counts its completion and sojourn.
+    pub(crate) fn retire(&mut self, now: f64) -> InService {
+        let served = self.in_service.take().expect("completion without service");
+        self.stats.completed += 1;
+        self.stats.sojourn.observe(now - served.queued.arrival_ns);
+        served
+    }
+
+    /// Admits `queued` at `now`: straight into service when the lane is
+    /// idle with nothing waiting (returning the completion instant),
+    /// otherwise at the queue tail. The caller checked the queue has room.
+    pub(crate) fn admit(
+        &mut self,
+        bank: &mut Bank,
+        faults: &FaultPlan,
+        queued: Queued,
+        now: f64,
+    ) -> Option<f64> {
+        self.stats.admitted += 1;
+        if !self.busy() && self.queue.is_empty() {
+            return Some(self.start_service(bank, faults, queued, now));
+        }
+        self.flush_occupancy(now);
+        self.queue.admit(queued);
+        self.stats.max_depth = self.stats.max_depth.max(self.queue.len() as u64);
+        None
+    }
+
+    /// If the lane is idle and has waiting work, picks the next transaction
+    /// per `policy`, starts serving it and returns the completion instant.
+    pub(crate) fn try_dispatch(
+        &mut self,
+        bank: &mut Bank,
+        faults: &FaultPlan,
+        policy: Policy,
+        now: f64,
+    ) -> Option<f64> {
+        if self.busy() {
+            return None;
+        }
+        let index = policy.choose(&mut self.queue)?;
+        self.flush_occupancy(now);
+        let queued = self.queue.take(index);
+        Some(self.start_service(bank, faults, queued, now))
+    }
+
+    /// Serves `queued` (see [`Lane::execute`]) and records it in flight.
+    fn start_service(
+        &mut self,
+        bank: &mut Bank,
+        faults: &FaultPlan,
+        queued: Queued,
+        now: f64,
+    ) -> f64 {
+        let complete_ns = self.execute(bank, faults, &queued.txn, queued.admit_ns, now);
+        self.in_service = Some(InService {
+            queued,
+            start_ns: now,
+        });
+        complete_ns
+    }
+
+    /// The service step: records the wait since `admit_ns`, runs
+    /// `Bank::execute` and returns the completion instant `now + service
+    /// time`. The service time is whatever the bank actually charged
+    /// (attempt-dependent), read off its busy clock as after − before.
+    pub(crate) fn execute(
+        &mut self,
+        bank: &mut Bank,
+        faults: &FaultPlan,
+        txn: &Transaction,
+        admit_ns: f64,
+        now: f64,
+    ) -> f64 {
+        self.stats.wait_ns.push(now - admit_ns);
+        let busy_before = bank.telemetry().busy_time;
+        bank.execute(txn, faults);
+        now + (bank.telemetry().busy_time - busy_before).get() * 1e9
     }
 }
 
