@@ -27,6 +27,12 @@ cargo test -q -p stt-ctrl --test integration_reliability
 echo "==> cargo test -q"
 cargo test -q
 
+# The benchmark is a package of its own (perfbench/), built against the
+# crates' public APIs: building and self-testing it here makes an API
+# change that breaks the benchmark fail this gate.
+echo "==> cargo test --release -q --manifest-path perfbench/Cargo.toml"
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+
 # Documentation gate over the repo's own crates (vendored stand-ins are
 # exempt — they mirror upstream APIs we don't own).
 echo "==> cargo doc --no-deps (warnings denied)"
