@@ -62,8 +62,9 @@ pub enum Backpressure {
 /// operations run only in demand-idle gaps (demand always outranks the
 /// tester), outrank the scrub and calibration daemons, and are
 /// non-preemptive once started — an in-flight test op finishes before a
-/// newly arrived demand transaction is served. The full test re-runs on every `run` call; verdicts accumulate
-/// in each bank's [`MarchTelemetry`](crate::telemetry::MarchTelemetry).
+/// newly arrived demand transaction is served. The full test re-runs on
+/// every `run` call; verdicts accumulate in each bank's
+/// [`MarchTelemetry`](crate::telemetry::MarchTelemetry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MarchConfig {
     /// Which March algorithm to run.
@@ -873,8 +874,8 @@ impl Frontend {
                     // idle, so serve the next demand, re-offer a parked
                     // retry, land a stalled admission and re-kick the March
                     // source.
-                    let served = &mut banks[bank];
-                    if let Some(done) = lane.try_dispatch(served, &faults, policy, now) {
+                    let bank_state = &mut banks[bank];
+                    if let Some(done) = lane.try_dispatch(bank_state, &faults, policy, now) {
                         events.schedule(done, Event::Complete { bank });
                     }
                     wake_parked(lane, &mut events, backpressure, now);
@@ -886,7 +887,7 @@ impl Frontend {
                             stalled = None;
                             lane.stats.stall_time_ns += now - blocked.offered_ns;
                             let queued = queued(txn, blocked.trace_index, now);
-                            if let Some(done) = lane.admit(served, &faults, queued, now) {
+                            if let Some(done) = lane.admit(bank_state, &faults, queued, now) {
                                 events.schedule(done, Event::Complete { bank });
                             }
                             // The host unblocks: resume the arrival stream,
