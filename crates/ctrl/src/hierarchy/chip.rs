@@ -605,7 +605,7 @@ impl<'a> ChannelSim<'a> {
         let lane = self
             .lanes
             .entry(txn.bank)
-            .or_insert_with(|| Lane::new(usize::MAX));
+            .or_insert_with(|| Lane::with_capacity_hint(usize::MAX, 0));
         let queued = Queued {
             txn,
             trace_index,

@@ -209,10 +209,6 @@ pub(crate) struct Lane {
 }
 
 impl Lane {
-    pub(crate) fn new(queue_depth: usize) -> Self {
-        Self::with_capacity_hint(queue_depth, 0)
-    }
-
     pub(crate) fn with_capacity_hint(queue_depth: usize, hint: usize) -> Self {
         Self {
             queue: BankQueue::with_capacity_hint(queue_depth, hint),
@@ -303,6 +299,10 @@ impl Lane {
     /// `Bank::execute` and returns the completion instant `now + service
     /// time`. The service time is whatever the bank actually charged
     /// (attempt-dependent), read off its busy clock as after − before.
+    // The FCFS fast path calls this from a loop generic over the trace
+    // type, compiled in the caller's crate; without the hint it stays an
+    // out-of-line call there (measured ~3 % on `replay-fcfs`).
+    #[inline]
     pub(crate) fn execute(
         &mut self,
         bank: &mut Bank,
