@@ -139,6 +139,65 @@ fn fast_path_matches_the_general_event_loop_exactly() {
 }
 
 #[test]
+fn fast_path_matches_the_general_event_loop_on_ties_and_unsorted_arrivals() {
+    // Two traces the monotone 4 ns one above cannot exercise. At a 0.4 ns
+    // mean gap most arrivals share a nanosecond, so cross-bank completions
+    // tie with arrivals and with each other and only the heap's sequence
+    // order decides who pops first. Reversing the arrival stamps within
+    // chunks of 7 makes the trace non-monotone, so both loops take the
+    // offer-order sort.
+    for kind in [SchemeKind::Destructive, SchemeKind::Nondestructive] {
+        let config = ControllerConfig::small(kind, 4)
+            .with_seed(59)
+            .with_ecc(EccMode::Secded);
+        let tied = timed_trace(
+            &config,
+            Workload::Uniform { read_fraction: 0.7 },
+            2_000,
+            0.4,
+        );
+        let mut shuffled = tied.transactions().to_vec();
+        for chunk in shuffled.chunks_mut(7) {
+            let stamps: Vec<u64> = chunk.iter().rev().map(|t| t.arrival_ns).collect();
+            for (txn, stamp) in chunk.iter_mut().zip(stamps) {
+                txn.arrival_ns = stamp;
+            }
+        }
+        let unsorted = Trace::from_transactions(shuffled);
+        assert!(
+            unsorted
+                .transactions()
+                .windows(2)
+                .any(|w| w[1].arrival_ns < w[0].arrival_ns),
+            "the reversed trace must be non-monotone"
+        );
+
+        for (label, trace) in [("tied", &tied), ("unsorted", &unsorted)] {
+            let mut fast = Frontend::new(
+                Controller::new(config.clone()),
+                FrontendConfig::fcfs_unbounded(),
+            );
+            let fast_run = fast.run(trace);
+            let mut general = Frontend::new(
+                Controller::new(config.clone()),
+                FrontendConfig::fcfs_unbounded().with_scrub(ScrubConfig::every_ns(1e18)),
+            );
+            let general_run = general.run(trace);
+
+            assert_eq!(
+                fast.controller().stored_state(),
+                general.controller().stored_state(),
+                "{kind}, {label}: both loop flavours must store the same bits"
+            );
+            assert_eq!(
+                fast_run, general_run,
+                "{kind}, {label}: telemetry, completions and makespan must be bit-identical"
+            );
+        }
+    }
+}
+
+#[test]
 fn drift_with_inline_calibration_holds_the_anchor_identity() {
     // A standing hot-spot on bank 0 plus the inline daemon: the trip →
     // burst → refit loop runs inside each bank, so serial replay, parallel
