@@ -19,8 +19,6 @@
 //! That identity is asserted by the integration suite the same way the
 //! `Serial ≡ Parallel` dispatch property already is.
 
-use std::collections::VecDeque;
-
 use serde::{Deserialize, Serialize};
 
 use crate::alloc_probe;
@@ -427,7 +425,8 @@ pub struct SchedRun {
     /// Time of the last completion (nanoseconds); 0 for an empty trace.
     pub makespan_ns: f64,
     /// Heap allocations observed *inside* the event loop, via
-    /// [`alloc_probe`]. Always 0 unless the process installed a counting
+    /// [`alloc_probe`] — on the FCFS fast path, the bank-major service
+    /// pass included. Always 0 unless the process installed a counting
     /// allocator (the `sched_frontend` bench does, and asserts 0 for the
     /// fault-free hot path).
     pub steady_state_allocs: u64,
@@ -658,10 +657,12 @@ impl Frontend {
     /// telemetry (including queueing horizons) sums across calls.
     ///
     /// All working storage (event heap, lane arenas, completion columns,
-    /// retry waitlists) is preallocated from the trace length before the
+    /// retry waitlists; on the FCFS fast path the per-bank offer lists and
+    /// service times) is preallocated from the trace length before the
     /// event loop starts, so the fault-free steady state performs no heap
     /// allocation — [`SchedRun::steady_state_allocs`] reports what a
-    /// counting allocator observed inside the loop, when one is installed.
+    /// counting allocator observed inside the loop (and the fast path's
+    /// service pass), when one is installed.
     ///
     /// # Panics
     ///
@@ -715,13 +716,13 @@ impl Frontend {
         let banks = self.controller.banks_mut();
         // FCFS at unbounded depth with no background daemon is the hot
         // configuration (it is also the serial-replay anchor): backpressure
-        // can never fire, banks never interact, and the only event kinds
-        // are fresh arrivals and completions. That specialisation replaces
-        // the event heap with a sorted-arrival cursor merged against one
-        // pending-completion slot per bank, and the shared slab queue with
-        // lane-local FIFO rings, preserving the heap's exact `(time, seq)`
-        // pop order — see DESIGN.md §12. The bank-count gate bounds the
-        // per-event completion-slot scan.
+        // can never fire, banks never interact and each bank serves exactly
+        // its own transactions in offer order. The fast path therefore runs
+        // every `Bank::execute` up front, one bank at a time, and then
+        // replays only the timing: a sorted-arrival cursor merged against
+        // one pending-completion slot per bank, in the heap's exact
+        // `(time, seq)` pop order — see DESIGN.md §12. The bank-count gate
+        // bounds the per-event completion-slot scan.
         let fast_path = matches!(policy, Policy::Fcfs)
             && queue_depth == usize::MAX
             && scrub.is_none()
@@ -731,7 +732,8 @@ impl Frontend {
         // Lane arenas sized to the deepest each queue can get this run (a
         // lane can only ever hold its own bank's transactions); the retry
         // waitlist can hold every one of them in the worst case. The fast
-        // path queues in its own rings, so its slab stays unallocated.
+        // path queues by cursor into its per-bank lists, so its slab stays
+        // unallocated.
         let retrying = matches!(backpressure, Backpressure::Retry { .. });
         let mut lanes: Vec<Lane> = bank_load
             .iter()
@@ -751,22 +753,37 @@ impl Frontend {
         let mut end_ns = 0.0f64;
 
         if fast_path {
-            let mut slots = vec![CompletionSlot::idle(); bank_count];
-            let mut in_flight = vec![FastInFlight::default(); bank_count];
-            let mut rings: Vec<VecDeque<FastQueued>> = bank_load
+            // Each bank's transactions in offer order, and every
+            // transaction's service time (nanoseconds, by trace index).
+            let mut offered: Vec<Vec<u32>> = bank_load
                 .iter()
-                .map(|&load| VecDeque::with_capacity(load))
+                .map(|&load| Vec::with_capacity(load))
                 .collect();
+            for &i in &order {
+                offered[trace.get(i as usize).bank].push(i);
+            }
+            let mut service = vec![0.0f64; n];
+            let mut fast = vec![FastLane::default(); bank_count];
+            let mut slots = vec![CompletionSlot::idle(); bank_count];
             let allocs_before = alloc_probe::count();
+            // Bank-major service pass: one bank's cells stay hot at a time.
+            // The service time is whatever the bank charged (attempt-
+            // dependent), read off its busy clock as after − before.
+            for (bank, indices) in banks.iter_mut().zip(&offered) {
+                for &i in indices {
+                    let busy_before = bank.telemetry().busy_time;
+                    bank.execute(&trace.get(i as usize), &faults);
+                    service[i as usize] = (bank.telemetry().busy_time - busy_before).get() * 1e9;
+                }
+            }
             end_ns = fcfs_unbounded_loop(
                 trace,
                 &order,
+                &offered,
+                &service,
                 &mut lanes,
-                banks,
-                &faults,
+                &mut fast,
                 &mut slots,
-                &mut rings,
-                &mut in_flight,
                 &mut completions,
             );
             let steady_state_allocs = alloc_probe::count() - allocs_before;
@@ -1039,40 +1056,36 @@ impl CompletionSlot {
     }
 }
 
-/// Fast-path queue entry: the transaction is re-decoded from the trace at
-/// dispatch time, so a waiting ring holds 16 bytes per entry instead of a
-/// full [`Queued`]. (Arrival time is implied: under FCFS-unbounded it is
-/// always the transaction's own `arrival_ns`.)
-#[derive(Debug, Clone, Copy)]
-struct FastQueued {
-    trace_index: u32,
-    admit_ns: f64,
-}
-
-/// Fast-path in-flight record — the lane's `in_service` equivalent, kept
-/// in a flat per-bank array so service start and completion never touch
-/// the `Option` machinery. Valid exactly while the bank's completion slot
-/// is non-idle.
+/// Fast-path per-bank timing state. `offered[b][started..admitted]` is
+/// the bank's waiting queue and, while its completion slot is non-idle,
+/// `offered[b][started - 1]` is in service since `start_ns`.
 #[derive(Debug, Clone, Copy, Default)]
-struct FastInFlight {
-    trace_index: u32,
-    admit_ns: f64,
+struct FastLane {
+    admitted: usize,
+    started: usize,
     start_ns: f64,
 }
 
-/// The raw-speed specialisation of the event loop for FCFS dispatch at
-/// unbounded queue depth with no background daemon (DESIGN.md §12).
+/// The timing half of the FCFS fast path (DESIGN.md §12): every
+/// `Bank::execute` already ran, bank-major, and left its service time in
+/// `service`; this loop only places those services on the timeline.
 ///
-/// Under that configuration backpressure can never fire and the only
-/// event kinds are fresh arrivals — already sorted in `order` — and bank
-/// completions, of which at most one per bank is pending. The heap
-/// therefore collapses to a cursor over `order` merged against
-/// `bank_count` completion slots by `(time, seq)`, with sequence numbers
-/// assigned at exactly the points the general loop calls
+/// Under FCFS at unbounded depth with no background daemon, backpressure
+/// can never fire and the only event kinds are fresh arrivals — already
+/// sorted in `order` — and bank completions, of which at most one per bank
+/// is pending. The heap therefore collapses to a cursor over `order`
+/// merged against `bank_count` completion slots by `(time, seq)`, with
+/// sequence numbers assigned at exactly the points the general loop calls
 /// `EventQueue::schedule`. Pop order, per-lane telemetry, completion-log
 /// order and bank state are bit-identical to the general loop — the
-/// integration suite asserts it by replaying the same trace down both
+/// integration suite asserts it by replaying the same traces down both
 /// paths. Returns the run horizon.
+///
+/// The merge cannot shrink to a per-bank recurrence `done = max(arrival,
+/// prev_done) + service`: when an arrival ties a completion in time, their
+/// sequence numbers decide whether the arrival queues or starts directly,
+/// which moves `max_depth`, the split points of the `depth_time_ns` float
+/// sum, and the completion-log order across banks.
 // The arguments are the loop's working set, preallocated by the caller so
 // the loop itself stays allocation-free; a bundling struct would only
 // rename the problem.
@@ -1080,12 +1093,11 @@ struct FastInFlight {
 fn fcfs_unbounded_loop<S: TxnSource + ?Sized>(
     trace: &S,
     order: &[u32],
+    offered: &[Vec<u32>],
+    service: &[f64],
     lanes: &mut [Lane],
-    banks: &mut [Bank],
-    faults: &FaultPlan,
+    fast: &mut [FastLane],
     slots: &mut [CompletionSlot],
-    rings: &mut [VecDeque<FastQueued>],
-    in_flight: &mut [FastInFlight],
     completions: &mut CompletionLog,
 ) -> f64 {
     let Some(&first) = order.first() else {
@@ -1097,7 +1109,7 @@ fn fcfs_unbounded_loop<S: TxnSource + ?Sized>(
     // cached so the handler does not decode it a second time.
     let mut arr_index = first as usize;
     let mut arr_txn = trace.get(arr_index);
-    let mut arr_slot = CompletionSlot::new((arr_txn.arrival_ns as f64).max(0.0), 0);
+    let mut arr_slot = CompletionSlot::new(arr_txn.arrival_ns as f64, 0);
     let mut next_seq = 1u64;
     let mut cursor = 1usize;
     loop {
@@ -1118,42 +1130,41 @@ fn fcfs_unbounded_loop<S: TxnSource + ?Sized>(
         // Events pop in time order, so the horizon only ever advances.
         end_ns = now;
         if bank == usize::MAX {
-            // Fresh arrival (Event::Arrive with fresh = true).
-            let trace_index = arr_index;
-            let txn = arr_txn;
-            let b = txn.bank;
+            // Fresh arrival (Event::Arrive with fresh = true). Offer order
+            // is sorted, so it pops at its own stamp: admit_ns = arrival.
+            debug_assert_eq!(now, arr_txn.arrival_ns as f64);
+            let b = arr_txn.bank;
             let lane = &mut lanes[b];
+            let fl = &mut fast[b];
+            debug_assert_eq!(offered[b][fl.admitted] as usize, arr_index);
+            lane.stats.admitted += 1;
             // Slot idle ⟺ the bank is not serving (fast-path invariant),
             // and the slot is already hot from the scan above.
-            if slots[b] == CompletionSlot::idle() && rings[b].is_empty() {
+            if slots[b] == CompletionSlot::idle() && fl.started == fl.admitted {
                 // Idle bank, empty queue: straight into service.
-                lane.stats.admitted += 1;
-                let complete_ns = lane.execute(&mut banks[b], faults, &txn, now, now);
-                in_flight[b] = FastInFlight {
-                    trace_index: trace_index as u32,
-                    admit_ns: now,
-                    start_ns: now,
-                };
-                slots[b] = CompletionSlot::new(complete_ns, next_seq);
+                lane.stats.wait_ns.push(0.0);
+                fl.admitted += 1;
+                fl.started += 1;
+                fl.start_ns = now;
+                slots[b] = CompletionSlot::new(now + service[arr_index], next_seq);
                 next_seq += 1;
             } else {
-                // `admit` against the lane-local FIFO ring: same counter
-                // and depth-integral updates, no slab indirection.
-                lane.stats.admitted += 1;
-                lane.stats.depth_time_ns += rings[b].len() as f64 * (now - lane.last_change_ns);
+                // `Lane::admit` at the queue tail: same counter and
+                // depth-integral updates.
+                let waiting = (fl.admitted - fl.started) as f64;
+                lane.stats.depth_time_ns += waiting * (now - lane.last_change_ns);
                 lane.last_change_ns = now;
-                rings[b].push_back(FastQueued {
-                    trace_index: trace_index as u32,
-                    admit_ns: now,
-                });
-                lane.stats.max_depth = lane.stats.max_depth.max(rings[b].len() as u64);
+                fl.admitted += 1;
+                let depth = (fl.admitted - fl.started) as u64;
+                lane.stats.max_depth = lane.stats.max_depth.max(depth);
             }
-            // schedule_fresh: offer the next trace transaction.
+            // schedule_fresh: offer the next trace transaction (its stamp
+            // is ≥ now, so the general loop's `max(now)` floor is a no-op).
             if let Some(&next) = order.get(cursor) {
                 cursor += 1;
                 arr_index = next as usize;
                 arr_txn = trace.get(arr_index);
-                arr_slot = CompletionSlot::new((arr_txn.arrival_ns as f64).max(now), next_seq);
+                arr_slot = CompletionSlot::new(arr_txn.arrival_ns as f64, next_seq);
                 next_seq += 1;
             } else {
                 arr_slot = CompletionSlot::idle();
@@ -1162,35 +1173,32 @@ fn fcfs_unbounded_loop<S: TxnSource + ?Sized>(
             // Event::Complete.
             slots[bank] = CompletionSlot::idle();
             let lane = &mut lanes[bank];
-            let served = in_flight[bank];
-            let txn = trace.get(served.trace_index as usize);
+            let fl = &mut fast[bank];
+            let trace_index = offered[bank][fl.started - 1] as usize;
+            let txn = trace.get(trace_index);
             let arrival_ns = txn.arrival_ns as f64;
             lane.stats.completed += 1;
-            let sojourn_ns = now - arrival_ns;
-            lane.stats.sojourn.observe(sojourn_ns);
+            lane.stats.sojourn.observe(now - arrival_ns);
             completions.push(Completion {
-                trace_index: served.trace_index as usize,
+                trace_index,
                 bank,
                 op: txn.op,
                 arrival_ns,
-                admit_ns: served.admit_ns,
-                start_ns: served.start_ns,
+                admit_ns: arrival_ns,
+                start_ns: fl.start_ns,
                 complete_ns: now,
             });
             // try_dispatch under FCFS: the head is the choice.
-            if let Some(head) = {
-                lane.stats.depth_time_ns += rings[bank].len() as f64 * (now - lane.last_change_ns);
-                lane.last_change_ns = now;
-                rings[bank].pop_front()
-            } {
-                let txn = trace.get(head.trace_index as usize);
-                let complete_ns = lane.execute(&mut banks[bank], faults, &txn, head.admit_ns, now);
-                in_flight[bank] = FastInFlight {
-                    trace_index: head.trace_index,
-                    admit_ns: head.admit_ns,
-                    start_ns: now,
-                };
-                slots[bank] = CompletionSlot::new(complete_ns, next_seq);
+            let waiting = (fl.admitted - fl.started) as f64;
+            lane.stats.depth_time_ns += waiting * (now - lane.last_change_ns);
+            lane.last_change_ns = now;
+            if fl.started < fl.admitted {
+                let head = offered[bank][fl.started] as usize;
+                fl.started += 1;
+                fl.start_ns = now;
+                let admit_ns = trace.get(head).arrival_ns as f64;
+                lane.stats.wait_ns.push(now - admit_ns);
+                slots[bank] = CompletionSlot::new(now + service[head], next_seq);
                 next_seq += 1;
             }
         }

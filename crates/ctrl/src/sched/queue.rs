@@ -279,7 +279,11 @@ impl Lane {
         Some(self.start_service(bank, faults, queued, now))
     }
 
-    /// Serves `queued` (see [`Lane::execute`]) and records it in flight.
+    /// The service step: records the wait since admission, runs
+    /// `Bank::execute`, records `queued` in flight and returns the
+    /// completion instant `now + service time`. The service time is
+    /// whatever the bank actually charged (attempt-dependent), read off its
+    /// busy clock as after − before.
     fn start_service(
         &mut self,
         bank: &mut Bank,
@@ -287,33 +291,13 @@ impl Lane {
         queued: Queued,
         now: f64,
     ) -> f64 {
-        let complete_ns = self.execute(bank, faults, &queued.txn, queued.admit_ns, now);
+        self.stats.wait_ns.push(now - queued.admit_ns);
+        let busy_before = bank.telemetry().busy_time;
+        bank.execute(&queued.txn, faults);
         self.in_service = Some(InService {
             queued,
             start_ns: now,
         });
-        complete_ns
-    }
-
-    /// The service step: records the wait since `admit_ns`, runs
-    /// `Bank::execute` and returns the completion instant `now + service
-    /// time`. The service time is whatever the bank actually charged
-    /// (attempt-dependent), read off its busy clock as after − before.
-    // The FCFS fast path calls this from a loop generic over the trace
-    // type, compiled in the caller's crate; without the hint it stays an
-    // out-of-line call there (measured ~3 % on `replay-fcfs`).
-    #[inline]
-    pub(crate) fn execute(
-        &mut self,
-        bank: &mut Bank,
-        faults: &FaultPlan,
-        txn: &Transaction,
-        admit_ns: f64,
-        now: f64,
-    ) -> f64 {
-        self.stats.wait_ns.push(now - admit_ns);
-        let busy_before = bank.telemetry().busy_time;
-        bank.execute(txn, faults);
         now + (bank.telemetry().busy_time - busy_before).get() * 1e9
     }
 }
