@@ -28,8 +28,9 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// The harness default: an 8 mV guard band (the auto-zero SA's usable
-    /// threshold) and up to 3 attempts.
+    /// The harness default: an 8 mV guard band (the plain latch SA's usable
+    /// threshold, the paper's quoted sensing-path resolution) and up to 3
+    /// attempts.
     #[must_use]
     pub fn date2010() -> Self {
         Self {
