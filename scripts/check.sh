@@ -33,6 +33,22 @@ cargo test -q
 echo "==> cargo test --release -q --manifest-path perfbench/Cargo.toml"
 cargo test --release -q --manifest-path perfbench/Cargo.toml
 
+# Full-scale correctness: the self-tests above only run the smoke size, and
+# perfbench exits 0 even when its checks fail, so run every workload at
+# full size for a short window and require its last line to say so.
+echo "==> perfbench full-scale correctness (every workload, seed 1)"
+for workload in replay-fcfs policy-ecc-bg chip-closed-loop fig5-mc; do
+    last="$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 0.1 --trace 0 | tail -n 1)"
+    case "$last" in
+        *'"correct": true'*) echo "    $workload: correct" ;;
+        *)
+            echo "    FAIL: $workload did not report \"correct\": true"
+            exit 1
+            ;;
+    esac
+done
+
 # Documentation gate over the repo's own crates (vendored stand-ins are
 # exempt — they mirror upstream APIs we don't own).
 echo "==> cargo doc --no-deps (warnings denied)"
