@@ -141,9 +141,9 @@ fn fast_path_matches_the_general_event_loop_exactly() {
 #[test]
 fn fast_path_matches_the_general_event_loop_on_ties_and_unsorted_arrivals() {
     // Two traces the monotone 4 ns one above cannot exercise. At a 0.4 ns
-    // mean gap most arrivals share a nanosecond, so cross-bank completions
-    // tie with arrivals and with each other and only the heap's sequence
-    // order decides who pops first. Reversing the arrival stamps within
+    // mean gap most arrivals share a nanosecond, so banks start together
+    // and their completions tie, and only the heap's sequence order
+    // decides which pops first. Reversing the arrival stamps within
     // chunks of 7 makes the trace non-monotone, so both loops take the
     // offer-order sort.
     for kind in [SchemeKind::Destructive, SchemeKind::Nondestructive] {
