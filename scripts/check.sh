@@ -36,17 +36,32 @@ cargo test --release -q --manifest-path perfbench/Cargo.toml
 # Full-scale correctness: the self-tests above only run the smoke size, and
 # perfbench exits 0 even when its checks fail, so run every workload at
 # full size for a short window and require its last line to say so.
-echo "==> perfbench full-scale correctness (every workload, seed 1)"
-for workload in replay-fcfs policy-ecc-bg chip-closed-loop fig5-mc; do
-    last="$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 0.1 --trace 0 | tail -n 1)"
+#
+# Each workload's simulated statistics must also hash to its pinned seed-1
+# digest, so a host-speed change that moves the simulation fails here. A pin
+# changes only in a commit that changes the model on purpose, and that
+# commit says why.
+echo "==> perfbench full-scale correctness and digests (every workload, seed 1)"
+for pin in replay-fcfs:c4d0646bab941f48 policy-ecc-bg:43b7ca8eb5927359 \
+    chip-closed-loop:c844cd0e1ff61838 fig5-mc:109d93eb11962ae4; do
+    workload="${pin%%:*}"
+    expected="${pin#*:}"
+    output="$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 0.1 --trace 0)"
+    last="$(printf '%s\n' "$output" | tail -n 1)"
     case "$last" in
-        *'"correct": true'*) echo "    $workload: correct" ;;
+        *'"correct": true'*) ;;
         *)
             echo "    FAIL: $workload did not report \"correct\": true"
             exit 1
             ;;
     esac
+    actual="$(printf '%s\n' "$output" | sed -n 's/^digest: //p')"
+    if [ "$actual" != "$expected" ]; then
+        echo "    FAIL: $workload digest: expected $expected, actual ${actual:-none}"
+        exit 1
+    fi
+    echo "    $workload: correct, digest $actual"
 done
 
 # Documentation gate over the repo's own crates (vendored stand-ins are
