@@ -129,11 +129,20 @@ impl ConventionalDesign {
     /// divider — so this takes none.
     #[must_use]
     pub fn margins(&self, cell: &Cell) -> SenseMargins {
-        let v_high = first_read_voltage(cell, ResistanceState::AntiParallel, self.i_read);
-        let v_low = first_read_voltage(cell, ResistanceState::Parallel, self.i_read);
         SenseMargins {
-            margin0: self.v_ref - v_low,
-            margin1: v_high - self.v_ref,
+            margin0: self.margin(cell, ResistanceState::Parallel),
+            margin1: self.margin(cell, ResistanceState::AntiParallel),
+        }
+    }
+
+    /// The one margin of [`Self::margins`] for a stored `state`, evaluating
+    /// only that state's bit-line voltage.
+    #[must_use]
+    pub fn margin(&self, cell: &Cell, state: ResistanceState) -> Volts {
+        let v_bl = first_read_voltage(cell, state, self.i_read);
+        match state {
+            ResistanceState::Parallel => self.v_ref - v_bl,
+            ResistanceState::AntiParallel => v_bl - self.v_ref,
         }
     }
 }
@@ -144,6 +153,16 @@ impl DestructiveDesign {
     /// this scheme has no divider).
     #[must_use]
     pub fn margins(&self, cell: &Cell, perturb: &Perturbations) -> SenseMargins {
+        SenseMargins {
+            margin0: self.margin(cell, ResistanceState::Parallel, perturb),
+            margin1: self.margin(cell, ResistanceState::AntiParallel, perturb),
+        }
+    }
+
+    /// The one margin of [`Self::margins`] for a stored `state`, evaluating
+    /// only that state's first read and the reference.
+    #[must_use]
+    pub fn margin(&self, cell: &Cell, state: ResistanceState, perturb: &Perturbations) -> Volts {
         // After the erase the cell is in the low state regardless of the
         // stored value, so the reference is always V_BL2(L).
         let v_bl2 = second_read_voltage(
@@ -152,11 +171,10 @@ impl DestructiveDesign {
             self.i_r2,
             perturb.delta_r_t,
         );
-        let v_high1 = first_read_voltage(cell, ResistanceState::AntiParallel, self.i_r1);
-        let v_low1 = first_read_voltage(cell, ResistanceState::Parallel, self.i_r1);
-        SenseMargins {
-            margin0: v_bl2 - v_low1,
-            margin1: v_high1 - v_bl2,
+        let v_bl1 = first_read_voltage(cell, state, self.i_r1);
+        match state {
+            ResistanceState::Parallel => v_bl2 - v_bl1,
+            ResistanceState::AntiParallel => v_bl1 - v_bl2,
         }
     }
 }
@@ -166,15 +184,22 @@ impl NondestructiveDesign {
     /// under `perturb` — Eqs. (8)/(9) with the §IV disturbances folded in.
     #[must_use]
     pub fn margins(&self, cell: &Cell, perturb: &Perturbations) -> SenseMargins {
-        let alpha = self.alpha * (1.0 + perturb.alpha_deviation);
-        let divided = |state: ResistanceState| {
-            second_read_voltage(cell, state, self.i_r2, perturb.delta_r_t) * alpha
-        };
-        let v_high1 = first_read_voltage(cell, ResistanceState::AntiParallel, self.i_r1);
-        let v_low1 = first_read_voltage(cell, ResistanceState::Parallel, self.i_r1);
         SenseMargins {
-            margin0: divided(ResistanceState::Parallel) - v_low1,
-            margin1: v_high1 - divided(ResistanceState::AntiParallel),
+            margin0: self.margin(cell, ResistanceState::Parallel, perturb),
+            margin1: self.margin(cell, ResistanceState::AntiParallel, perturb),
+        }
+    }
+
+    /// The one margin of [`Self::margins`] for a stored `state`, evaluating
+    /// only that state's two reads.
+    #[must_use]
+    pub fn margin(&self, cell: &Cell, state: ResistanceState, perturb: &Perturbations) -> Volts {
+        let alpha = self.alpha * (1.0 + perturb.alpha_deviation);
+        let divided = second_read_voltage(cell, state, self.i_r2, perturb.delta_r_t) * alpha;
+        let v_bl1 = first_read_voltage(cell, state, self.i_r1);
+        match state {
+            ResistanceState::Parallel => divided - v_bl1,
+            ResistanceState::AntiParallel => v_bl1 - divided,
         }
     }
 }

@@ -81,6 +81,16 @@ pub trait SenseScheme {
     /// Analytic sense margins for `cell` (no perturbations).
     fn margins(&self, cell: &Cell) -> SenseMargins;
 
+    /// The settled comparator differential when `cell` holds `state`:
+    /// `margin1` for anti-parallel and `−margin0` for parallel, so a
+    /// positive value reads "1".
+    ///
+    /// Bit-identical to the value taken from [`Self::margins`]; the three
+    /// schemes override it to evaluate only `state`'s voltages.
+    fn differential(&self, cell: &Cell, state: ResistanceState) -> Volts {
+        signed_margin(self.margins(cell).for_state(state), state)
+    }
+
     /// Senses the stored state of `cell` with a sampled SA offset.
     ///
     /// This is the *analytic* read — the settled comparator differential
@@ -90,12 +100,8 @@ pub trait SenseScheme {
     where
         Self: Sized,
     {
-        let margins = self.margins(cell);
         let stored = cell.state();
-        let differential = match stored {
-            ResistanceState::AntiParallel => margins.margin1,
-            ResistanceState::Parallel => -margins.margin0,
-        };
+        let differential = self.differential(cell, stored);
         let offset = self.amplifier().sample_offset(rng);
         let bit = self.amplifier().resolve(differential, offset);
         ReadOutcome {
@@ -103,6 +109,15 @@ pub trait SenseScheme {
             differential,
             correct: bit == stored.bit(),
         }
+    }
+}
+
+/// A stored state's margin as a comparator differential: positive reads
+/// "1", so the parallel state's margin is negated.
+fn signed_margin(margin: Volts, state: ResistanceState) -> Volts {
+    match state {
+        ResistanceState::AntiParallel => margin,
+        ResistanceState::Parallel => -margin,
     }
 }
 
@@ -148,6 +163,10 @@ impl SenseScheme for ConventionalScheme {
 
     fn margins(&self, cell: &Cell) -> SenseMargins {
         self.design.margins(cell)
+    }
+
+    fn differential(&self, cell: &Cell, state: ResistanceState) -> Volts {
+        signed_margin(self.design.margin(cell, state), state)
     }
 }
 
@@ -222,6 +241,10 @@ impl SenseScheme for DestructiveScheme {
     fn margins(&self, cell: &Cell) -> SenseMargins {
         self.design.margins(cell, &Perturbations::NONE)
     }
+
+    fn differential(&self, cell: &Cell, state: ResistanceState) -> Volts {
+        signed_margin(self.design.margin(cell, state, &Perturbations::NONE), state)
+    }
 }
 
 /// The paper's nondestructive self-reference scheme.
@@ -281,6 +304,10 @@ impl SenseScheme for NondestructiveScheme {
     fn margins(&self, cell: &Cell) -> SenseMargins {
         self.design.margins(cell, &Perturbations::NONE)
     }
+
+    fn differential(&self, cell: &Cell, state: ResistanceState) -> Volts {
+        signed_margin(self.design.margin(cell, state, &Perturbations::NONE), state)
+    }
 }
 
 #[cfg(test)]
@@ -321,6 +348,66 @@ mod tests {
         assert!(scheme.read(&cell, &mut rng).differential.get() > 0.0);
         cell.set_state(ResistanceState::Parallel);
         assert!(scheme.read(&cell, &mut rng).differential.get() < 0.0);
+    }
+
+    /// Nominal, ±30 % RA-varied and pinhole-collapsed cells: the last has
+    /// its high state shorted to 2 % above the low-state curve.
+    fn differential_test_cells() -> Vec<Cell> {
+        let spec = CellSpec::date2010_chip();
+        let nominal = spec.nominal_cell();
+        let transistor = *nominal.transistor();
+        let ra_varied = |ra_factor: f64| {
+            let sample = stt_mtj::SampledMtj {
+                ra_factor,
+                tmr_factor: 1.0,
+            };
+            Cell::new(spec.mtj.varied(&sample).into_device(), transistor)
+        };
+        let resistance = &spec.mtj.resistance;
+        let (low, dr_low) = (resistance.r_low0(), resistance.dr_low_max());
+        let pinhole = stt_mtj::MtjSpec {
+            resistance: stt_mtj::LinearRolloff::new(
+                low,
+                low * 1.02,
+                dr_low,
+                dr_low * 1.02,
+                resistance.i_max(),
+            ),
+            switching: spec.mtj.switching,
+        };
+        vec![
+            nominal,
+            ra_varied(1.3),
+            ra_varied(0.7),
+            Cell::new(pinhole.into_device(), transistor),
+        ]
+    }
+
+    #[test]
+    fn differential_is_the_margins_value_bit_for_bit() {
+        fn check<S: SenseScheme>(scheme: &S, cell: &Cell) {
+            let margins = scheme.margins(cell);
+            for (state, expected) in [
+                (ResistanceState::AntiParallel, margins.margin1),
+                (ResistanceState::Parallel, -margins.margin0),
+            ] {
+                assert_eq!(
+                    scheme.differential(cell, state).get().to_bits(),
+                    expected.get().to_bits(),
+                    "{} {state:?}",
+                    scheme.kind()
+                );
+            }
+        }
+        let (_, design) = setup();
+        let conventional = ConventionalScheme::new(design.conventional);
+        let destructive = DestructiveScheme::new(design.destructive);
+        let nondestructive = NondestructiveScheme::new(design.nondestructive);
+        for cell in differential_test_cells() {
+            check(&conventional, &cell);
+            check(&destructive, &cell);
+            check(&nondestructive, &cell);
+        }
     }
 
     #[test]

@@ -386,11 +386,10 @@ impl Bank {
             (decoded.data >> (cell - span.start)) & 1 == 1
         } else {
             self.apply_retention(cell..cell + 1, faults, Stream::March);
-            let scheme = self.scheme;
-            let retry = self.retry;
-            let (array, rng) = (&mut self.array, &mut self.march_rng);
-            let resolution = retry.resolve(|| scheme.sense_once(array, addr, rng));
-            if scheme.is_destructive() {
+            let resolution =
+                self.scheme
+                    .resolve(&self.retry, &mut self.array, addr, &mut self.march_rng);
+            if self.scheme.is_destructive() {
                 self.snap_stuck_cells();
             }
             self.apply_read_disturb(cell..cell + 1, faults, Stream::March);
@@ -407,11 +406,10 @@ impl Bank {
     fn serve_read_plain(&mut self, addr: Address, faults: &FaultPlan) {
         let cell = self.truth_index(addr);
         self.apply_retention(cell..cell + 1, faults, Stream::Demand);
-        let scheme = self.scheme;
-        let retry = self.retry;
-        let (array, rng) = (&mut self.array, &mut self.rng);
-        let resolution = retry.resolve(|| scheme.sense_once(array, addr, rng));
-        if scheme.is_destructive() {
+        let resolution = self
+            .scheme
+            .resolve(&self.retry, &mut self.array, addr, &mut self.rng);
+        if self.scheme.is_destructive() {
             // The erase/write-back pulses may have hit a stuck cell.
             self.snap_stuck_cells();
         }
@@ -898,8 +896,6 @@ impl Bank {
     /// `span.start + k`), the largest per-cell attempt count, the total
     /// attempts, and whether any cell fell back unconfidently.
     fn sense_word(&mut self, span: Range<usize>, stream: Stream) -> (u64, u32, u64, bool) {
-        let scheme = self.scheme;
-        let retry = self.retry;
         let cols = self.array.cols();
         let mut received = 0u64;
         let mut max_attempts = 1u32;
@@ -907,13 +903,12 @@ impl Bank {
         let mut any_unconfident = false;
         for (k, cell) in span.enumerate() {
             let addr = Address::new(cell / cols, cell % cols);
-            let array = &mut self.array;
             let rng = match stream {
                 Stream::Demand => &mut self.rng,
                 Stream::Scrub => &mut self.scrub_rng,
                 Stream::March => &mut self.march_rng,
             };
-            let resolution = retry.resolve(|| scheme.sense_once(array, addr, rng));
+            let resolution = self.scheme.resolve(&self.retry, &mut self.array, addr, rng);
             max_attempts = max_attempts.max(resolution.attempts);
             total_attempts += u64::from(resolution.attempts);
             any_unconfident |= !resolution.confident;

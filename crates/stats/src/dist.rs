@@ -19,8 +19,27 @@ use serde::{Deserialize, Serialize};
 /// assert!(z.is_finite());
 /// ```
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    let (u1, u2) = box_muller_uniforms(rng);
+    box_muller(u1, u2)
+}
+
+/// The two uniform draws behind one [`standard_normal`] deviate, in draw
+/// order: `u1` in `[f64::MIN_POSITIVE, 1)` (so its logarithm is finite) and
+/// `u2` in `[0, 1)`.
+///
+/// Split out so a caller can draw exactly what [`standard_normal`] would —
+/// leaving the RNG in the same place — and evaluate [`box_muller`] only when
+/// it needs the deviate itself.
+pub fn box_muller_uniforms<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
+    (u1, u2)
+}
+
+/// The Box–Muller transform of two uniforms from [`box_muller_uniforms`]:
+/// `√(−2 ln u1) · cos(2π u2)`.
+#[must_use]
+pub fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
@@ -277,7 +296,19 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+
+    #[test]
+    fn split_box_muller_is_standard_normal_bit_for_bit() {
+        let mut split_rng = StdRng::seed_from_u64(41);
+        let mut whole_rng = StdRng::seed_from_u64(41);
+        for _ in 0..10_000 {
+            let (u1, u2) = box_muller_uniforms(&mut split_rng);
+            let z = standard_normal(&mut whole_rng);
+            assert_eq!(box_muller(u1, u2).to_bits(), z.to_bits());
+        }
+        assert_eq!(split_rng.next_u64(), whole_rng.next_u64());
+    }
 
     #[test]
     fn cdf_matches_known_values() {

@@ -9,14 +9,25 @@
 //! 3. **The paper's §I argument, traffic-shaped** — a power cut mid-read
 //!    corrupts stored data under the destructive scheme and never under
 //!    the nondestructive (or conventional) scheme.
+//! 4. **The production read path is its reference** — `Scheme::resolve`
+//!    returns what `RetryPolicy::resolve` over `Scheme::sense_once` does,
+//!    leaving the RNG and the array in the same state (checked as a
+//!    proptest, plus fixed cases through each of its branches).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
+use stt_array::{Address, Array, ArraySpec, Cell, CellSpec};
 use stt_ctrl::{
-    Controller, ControllerConfig, Dispatch, FaultPlan, RetryPolicy, Sensed, Trace, Workload,
+    Controller, ControllerConfig, Dispatch, DriftPlan, FaultPlan, ReadResolution, RetryPolicy,
+    Scheme, Sensed, Trace, Workload,
 };
-use stt_sense::SchemeKind;
+use stt_mtj::{MtjSpec, ResistanceCurve, ResistanceState};
+use stt_sense::{
+    ConventionalScheme, DesignPoint, DestructiveScheme, NondestructiveScheme, SchemeKind,
+    SenseAmplifier, SenseScheme,
+};
+use stt_stats::dist::box_muller_uniforms;
 use stt_units::Volts;
 
 fn trace_for(config: &ControllerConfig, workload: Workload, ops: usize, seed: u64) -> Trace {
@@ -184,4 +195,290 @@ proptest! {
         prop_assert_eq!(calls_a, calls_b);
         prop_assert!(calls_a as u32 <= policy.max_attempts);
     }
+}
+
+/// Runs `Scheme::resolve` and its reference — `RetryPolicy::resolve` over
+/// `Scheme::sense_once` — from equal copies of `array` and equally seeded
+/// RNGs, and asserts an equal resolution, an equal next RNG draw and an
+/// equal array afterwards. Returns the resolution.
+fn assert_resolve_matches_reference(
+    scheme: &Scheme,
+    retry: &RetryPolicy,
+    array: &Array,
+    addr: Address,
+    seed: u64,
+) -> ReadResolution {
+    let (mut array_fast, mut rng_fast) = (array.clone(), StdRng::seed_from_u64(seed));
+    let (mut array_ref, mut rng_ref) = (array.clone(), StdRng::seed_from_u64(seed));
+    let fast = scheme.resolve(retry, &mut array_fast, addr, &mut rng_fast);
+    let reference = retry.resolve(|| scheme.sense_once(&mut array_ref, addr, &mut rng_ref));
+    let context = format!("{} {retry:?} at {addr}, seed {seed}", scheme.kind());
+    assert_eq!(fast, reference, "resolution: {context}");
+    assert_eq!(rng_fast.next_u64(), rng_ref.next_u64(), "RNG: {context}");
+    assert!(array_fast == array_ref, "array: {context}");
+    reference
+}
+
+/// `kind` built from the nominal design point with `amplifier` in its path.
+fn scheme_with(kind: SchemeKind, amplifier: SenseAmplifier) -> Scheme {
+    let design = DesignPoint::date2010(&CellSpec::date2010_chip().nominal_cell());
+    match kind {
+        SchemeKind::Conventional => Scheme::Conventional(
+            ConventionalScheme::new(design.conventional).with_amplifier(amplifier),
+        ),
+        SchemeKind::Destructive => Scheme::Destructive(
+            DestructiveScheme::new(design.destructive).with_amplifier(amplifier),
+        ),
+        SchemeKind::Nondestructive => Scheme::Nondestructive(
+            NondestructiveScheme::new(design.nondestructive).with_amplifier(amplifier),
+        ),
+    }
+}
+
+/// The settled comparator differential `scheme` sees on `cell`.
+fn differential_of(scheme: &Scheme, cell: &Cell) -> f64 {
+    let state = cell.state();
+    match scheme {
+        Scheme::Conventional(s) => s.differential(cell, state),
+        Scheme::Destructive(s) => s.differential(cell, state),
+        Scheme::Nondestructive(s) => s.differential(cell, state),
+    }
+    .get()
+}
+
+/// The three amplifiers the schemes are built with.
+fn oracle_amplifiers() -> [SenseAmplifier; 3] {
+    [
+        SenseAmplifier::auto_zero(),
+        SenseAmplifier::plain_latch(),
+        SenseAmplifier::ideal(),
+    ]
+}
+
+/// An 8 × 8 sampled array with a checkerboard of states, and the same
+/// array rebuilt at +60 K (the drift layer's RNG-free rebuild, which keeps
+/// each cell's transistor and state).
+fn oracle_arrays() -> [Array; 2] {
+    let mut array = ArraySpec::small_test_array().sample(&mut StdRng::seed_from_u64(55));
+    array.fill_with(|addr| (addr.row + addr.col) % 2 == 0);
+    let plan = DriftPlan::quiet().with_ambient(360.0);
+    let key = plan.key_at(0, 0.0);
+    let mut hot = array.clone();
+    for addr in array.addresses() {
+        let cell = array.cell(addr);
+        let ResistanceCurve::Linear(rolloff) = cell.device().curve() else {
+            panic!("sampled cells use the linear calibration")
+        };
+        let base = MtjSpec {
+            resistance: *rolloff,
+            switching: *cell.device().switching(),
+        };
+        let drifted = plan.drifted_spec(&base, key);
+        *hot.cell_mut(addr) = Cell::new(drifted.into_device(), *cell.transistor());
+        hot.cell_mut(addr).set_state(cell.state());
+    }
+    [array, hot]
+}
+
+/// Guard bands the oracle sweeps for a cell whose differential is `d` under
+/// offset `sigma`: the policy values, then bands a few σ and a few ulps from
+/// `|d|` and from 0.
+fn oracle_guard_bands(d: f64, sigma: f64) -> Vec<f64> {
+    let margin = d.abs();
+    let ulp_up = |x: f64, n: u64| f64::from_bits(x.to_bits() + n);
+    let ulp_down = |x: f64, n: u64| f64::from_bits(x.to_bits().saturating_sub(n));
+    let mut bands = vec![0.0, 1e-3, 8e-3, 50e-3];
+    for k in [0.5, 1.0, 2.0, 3.0, 5.0] {
+        bands.push(margin + k * sigma);
+        bands.push((margin - k * sigma).max(0.0));
+        bands.push(k * sigma);
+    }
+    for n in [1, 3] {
+        bands.push(ulp_up(margin, n));
+        bands.push(ulp_down(margin, n));
+        bands.push(ulp_up(0.0, n));
+    }
+    bands.push(margin);
+    bands
+}
+
+#[test]
+fn scheme_resolve_matches_the_reference_on_the_policy_grid() {
+    for array in oracle_arrays() {
+        for kind in SchemeKind::ALL {
+            for amplifier in oracle_amplifiers() {
+                let scheme = scheme_with(kind, amplifier);
+                for guard_mv in [0.0, 1.0, 8.0, 50.0] {
+                    for max_attempts in 1..=4 {
+                        let retry = RetryPolicy {
+                            guard_band: Volts::from_milli(guard_mv),
+                            max_attempts,
+                        };
+                        for (k, addr) in array.addresses().enumerate() {
+                            assert_resolve_matches_reference(
+                                &scheme, &retry, &array, addr, k as u64,
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+    /// Any scheme × amplifier × cell (sampled or hot) × attempt budget ×
+    /// seed, with guard bands placed where the settled-attempt bound is
+    /// tightest: on, a few σ from and a few ulps from the cell's `|d|`, and
+    /// just above 0.
+    #[test]
+    fn scheme_resolve_matches_the_retry_reference(
+        kind_index in 0usize..3,
+        amplifier_index in 0usize..3,
+        hot in proptest::bool::ANY,
+        cell_index in 0usize..64,
+        band_index in 0usize..64,
+        max_attempts in 1u32..5,
+        seed in 0u64..u64::MAX,
+    ) {
+        let arrays = oracle_arrays();
+        let array = &arrays[usize::from(hot)];
+        let amplifier = oracle_amplifiers()[amplifier_index];
+        let scheme = scheme_with(SchemeKind::ALL[kind_index], amplifier);
+        let addr = Address::new(cell_index / 8, cell_index % 8);
+        let d = differential_of(&scheme, array.cell(addr));
+        let bands = oracle_guard_bands(d, amplifier.offset_sigma().get());
+        let retry = RetryPolicy {
+            guard_band: Volts::new(bands[band_index % bands.len()]),
+            max_attempts,
+        };
+        assert_resolve_matches_reference(&scheme, &retry, array, addr, seed);
+    }
+}
+
+/// The settled-attempt bound of `Scheme::resolve`, restated without its
+/// rounding slack: the smallest `u1` it decides for differential `d`. The
+/// fixed cases below keep every `u1` at least 1 % away from it, so they
+/// land on the intended branch.
+fn settle_threshold(d: f64, guard: f64, sigma: f64) -> f64 {
+    let margin = d.abs();
+    let room = if margin > guard {
+        margin - guard
+    } else {
+        (guard - margin).min(margin)
+    };
+    let k = room / sigma;
+    1.0 / (1.0 + k * k / 2.0)
+}
+
+/// Per attempt of a read-only scheme's chain from `seed`: `Some(true)` if
+/// the bound settles it, `Some(false)` if it takes the exact path, `None`
+/// if its `u1` sits within 1 % of the threshold.
+fn settled_attempts(seed: u64, attempts: u32, threshold: f64) -> Vec<Option<bool>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..attempts)
+        .map(|_| {
+            let (u1, _) = box_muller_uniforms(&mut rng);
+            if u1 >= 1.01 * threshold {
+                Some(true)
+            } else if u1 <= 0.99 * threshold {
+                Some(false)
+            } else {
+                None
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn scheme_resolve_matches_the_reference_through_each_branch() {
+    // The nominal cell holding a "1" under the nondestructive scheme:
+    // d ≈ +9.3 mV.
+    let mut array = ArraySpec::small_test_array().sample(&mut StdRng::seed_from_u64(8));
+    let addr = Address::new(2, 5);
+    let nominal = CellSpec::date2010_chip().nominal_cell();
+    *array.cell_mut(addr) = nominal;
+    array
+        .cell_mut(addr)
+        .set_state(ResistanceState::AntiParallel);
+    let auto_zero = scheme_with(SchemeKind::Nondestructive, SenseAmplifier::auto_zero());
+    let d = differential_of(&auto_zero, array.cell(addr));
+    assert!(d > 5e-3, "nominal nondestructive differential {d}");
+    let retry = |guard: f64| RetryPolicy {
+        guard_band: Volts::new(guard),
+        max_attempts: 3,
+    };
+    let seed_where = |attempts: u32, threshold: f64, want: &dyn Fn(&[Option<bool>]) -> bool| {
+        (0..100_000)
+            .find(|&seed| want(&settled_attempts(seed, attempts, threshold)))
+            .expect("a seed reaching the branch")
+    };
+    let sigma = 0.3e-3;
+
+    // Confident and settled on the first attempt.
+    let threshold = settle_threshold(d, 1e-3, sigma);
+    let seed = seed_where(1, threshold, &|a| a[0] == Some(true));
+    let resolution = assert_resolve_matches_reference(&auto_zero, &retry(1e-3), &array, addr, seed);
+    assert_eq!((resolution.bit, resolution.attempts), (true, 1));
+    assert!(resolution.confident);
+
+    // Exact: `u1` under the threshold on the first attempt, and an ideal
+    // amplifier (σ = 0), which the bound never decides.
+    let seed = seed_where(1, threshold, &|a| a[0] == Some(false));
+    let resolution = assert_resolve_matches_reference(&auto_zero, &retry(1e-3), &array, addr, seed);
+    assert!(resolution.confident);
+    let ideal = scheme_with(SchemeKind::Nondestructive, SenseAmplifier::ideal());
+    let resolution = assert_resolve_matches_reference(&ideal, &retry(1e-3), &array, addr, 3);
+    assert_eq!((resolution.bit, resolution.attempts), (true, 1));
+
+    // All attempts settled unconfident: a guard band far above |d|, and
+    // the fallback takes the differential's sign.
+    let threshold = settle_threshold(d, 50e-3, sigma);
+    let seed = seed_where(3, threshold, &|a| a.iter().all(|&s| s == Some(true)));
+    let resolution =
+        assert_resolve_matches_reference(&auto_zero, &retry(50e-3), &array, addr, seed);
+    assert_eq!((resolution.bit, resolution.confident), (true, false));
+    assert_eq!(resolution.attempts, 3);
+
+    // Mixed: an amplifier with σ = |d| settles some attempts and not
+    // others, and the rebuilt observations sum to the opposite sign of d —
+    // so a fallback that trusted the sign of d would read the wrong bit.
+    let wide = scheme_with(
+        SchemeKind::Nondestructive,
+        SenseAmplifier::new(Volts::new(d), Volts::ZERO),
+    );
+    let threshold = settle_threshold(d, 50e-3, d);
+    let mut mixed_flipped = 0;
+    for seed in 0..2_000 {
+        let attempts = settled_attempts(seed, 3, threshold);
+        let mixed = attempts.contains(&Some(true)) && attempts.contains(&Some(false));
+        if !mixed || attempts.contains(&None) {
+            continue;
+        }
+        let resolution = assert_resolve_matches_reference(&wide, &retry(50e-3), &array, addr, seed);
+        if !resolution.confident && !resolution.bit {
+            mixed_flipped += 1;
+        }
+    }
+    assert!(
+        mixed_flipped > 0,
+        "no mixed chain fell back against d's sign"
+    );
+
+    // Destructive: with σ = |d| and a guard band far above it, attempts
+    // mis-sense and the write-back flips the cell mid-chain, so each
+    // attempt must re-derive d from the state the last one left.
+    let destructive = scheme_with(SchemeKind::Destructive, SenseAmplifier::auto_zero());
+    let d = differential_of(&destructive, array.cell(addr));
+    let wide = scheme_with(
+        SchemeKind::Destructive,
+        SenseAmplifier::new(Volts::new(d.abs()), Volts::ZERO),
+    );
+    let misreads = (0..500)
+        .filter(|&seed| {
+            !assert_resolve_matches_reference(&wide, &retry(4.0 * d.abs()), &array, addr, seed).bit
+        })
+        .count();
+    assert!(misreads > 0, "no destructive chain mis-sensed");
 }
