@@ -678,7 +678,8 @@ impl Bank {
         let (word, wrapped) = self.ecc.as_mut().expect("checked above").cursor.advance();
         let span = self.word_span(word);
         self.apply_retention(span.clone(), faults, Stream::Scrub);
-        let (received, max_attempts, _, _) = self.sense_word(span.clone(), Stream::Scrub);
+        let (received, max_attempts, total_attempts, _) =
+            self.sense_word(span.clone(), Stream::Scrub);
         if self.scheme.is_destructive() {
             self.snap_stuck_cells();
         }
@@ -687,7 +688,7 @@ impl Bank {
             self.snap_stuck_cells();
         }
         let mut latency = self.read_cost.latency() * f64::from(max_attempts);
-        let mut energy = self.read_cost.energy() * f64::from(max_attempts);
+        let mut energy = self.read_cost.energy() * total_attempts as f64;
 
         let check = self.ecc.as_ref().expect("checked above").check[word];
         let decoded = codec::decode(received, check);
@@ -1231,6 +1232,20 @@ mod tests {
         assert_eq!(ecc.scrub_ce_corrected, 1);
         assert_eq!(ecc.scrub_cells_rewritten, 1);
         assert_eq!(ecc.scrub_passes, 1);
+    }
+
+    #[test]
+    fn scrub_charges_every_sense_attempt_of_its_word() {
+        let faults = FaultPlan::none();
+        let mut bank = small_ecc_bank(SchemeKind::Nondestructive, &faults);
+        let before = bank.telemetry().energy;
+        let outcome = bank.scrub_next(&faults).expect("ECC bank must scrub");
+        assert_eq!(outcome.cells_rewritten, 0, "a healthy word needs no repair");
+        // Like a demand word read, energy sums every cell's attempts: at
+        // least one sense per cell of the word.
+        let charged = (bank.telemetry().energy - before).get();
+        let floor = bank.read_cost.energy().get() * WORD_BITS as f64;
+        assert!(charged >= floor, "scrub charged {charged} J < {floor} J");
     }
 
     #[test]

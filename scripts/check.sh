@@ -42,7 +42,7 @@ cargo test --release -q --manifest-path perfbench/Cargo.toml
 # changes only in a commit that changes the model on purpose, and that
 # commit says why.
 echo "==> perfbench full-scale correctness and digests (every workload, seed 1)"
-for pin in replay-fcfs:c4d0646bab941f48 policy-ecc-bg:43b7ca8eb5927359 \
+for pin in replay-fcfs:c4d0646bab941f48 policy-ecc-bg:193055da55e1978d \
     chip-closed-loop:c844cd0e1ff61838 fig5-mc:109d93eb11962ae4; do
     workload="${pin%%:*}"
     expected="${pin#*:}"

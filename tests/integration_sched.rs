@@ -356,12 +356,12 @@ fn cross_class_interleaving_is_pinned_under_every_backpressure_mode() {
             .collect(),
     );
     let modes = [
-        (Backpressure::Stall, 0x3803_5b7c_f9b7_1362),
+        (Backpressure::Stall, 0x4d35_b8e8_12c7_3407),
         (
             Backpressure::Retry { delay_ns: 25.0 },
-            0xa4ac_fc59_fbaa_1ec2,
+            0x632e_e5d5_36c6_b389,
         ),
-        (Backpressure::Drop, 0xc209_54b3_7e5a_99a4),
+        (Backpressure::Drop, 0x50cd_ad02_9e40_60ef),
     ];
     for (backpressure, expected) in modes {
         let mut frontend = Frontend::new(
