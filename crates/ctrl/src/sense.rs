@@ -145,7 +145,7 @@ impl Scheme {
     /// [`RetryPolicy::resolve`] is the reference semantics. Every attempt
     /// still draws its offset's two uniforms in order, but most attempts are
     /// decided from the settled differential and `u1` alone, without
-    /// evaluating the Box–Muller transform (see [`Settle`]).
+    /// evaluating the Box–Muller transform (DESIGN.md §12 states the bound).
     ///
     /// # Panics
     ///
