@@ -441,6 +441,15 @@ fn scheme_resolve_matches_the_reference_through_each_branch() {
     assert_eq!((resolution.bit, resolution.confident), (true, false));
     assert_eq!(resolution.attempts, 3);
 
+    // A budget longer than the attempts `Scheme::resolve` keeps for a
+    // rebuild goes through the reference loop whole.
+    let long = RetryPolicy {
+        guard_band: Volts::new(50e-3),
+        max_attempts: 12,
+    };
+    let resolution = assert_resolve_matches_reference(&auto_zero, &long, &array, addr, seed);
+    assert_eq!(resolution.attempts, 12);
+
     // Mixed: an amplifier with σ = |d| settles some attempts and not
     // others, and the rebuilt observations sum to the opposite sign of d —
     // so a fallback that trusted the sign of d would read the wrong bit.
