@@ -1,8 +1,8 @@
 //! `trafficsim` — sweep the stt-ctrl engine over scheme × bank count ×
 //! workload and write the telemetry to `results/traffic.csv`.
 //!
-//! Every sweep point is served twice — serially and with one worker thread
-//! per bank — and the two telemetry sets are asserted **equal** before the
+//! Every sweep point is served twice — serially and on parallel bank
+//! workers — and the two telemetry sets are asserted **equal** before the
 //! row is recorded, so the CSV doubles as a determinism proof for the
 //! engine's parallel dispatch.
 //!
@@ -575,7 +575,7 @@ fn topology_sweep(ops_per_channel: usize, topology: Topology) -> Table {
 /// hot-spot with the inline calibration daemon watching each bank's
 /// misread/retry-exhaustion telemetry.
 ///
-/// Each arm is served twice — serially and one thread per bank — and the
+/// Each arm is served twice — serially and on parallel bank workers — and the
 /// two telemetry sets are asserted equal, so drift application and the
 /// trip → burst → refit loop are covered by the same determinism proof as
 /// the plain engine. For full-size runs the two robustness gates are

@@ -2,10 +2,11 @@
 //!
 //! Transactions are partitioned per bank in trace order; each bank then
 //! serves its slice against its own array with its own RNG. Because banks
-//! share nothing, the parallel dispatch (one crossbeam scoped thread per
-//! bank) executes the exact same per-bank instruction-and-RNG sequence as
-//! the serial one — [`Controller::run`] returns **equal** [`Telemetry`]
-//! either way, which the test suite asserts outright.
+//! share nothing, the parallel dispatch (scoped workers, each serving a run
+//! of consecutive banks) executes the exact same per-bank
+//! instruction-and-RNG sequence as the serial one — [`Controller::run`]
+//! returns **equal** [`Telemetry`] either way, which the test suite asserts
+//! outright.
 
 use serde::{Deserialize, Serialize};
 use stt_array::ArraySpec;
@@ -17,7 +18,7 @@ use crate::faults::{DriftPlan, FaultPlan};
 use crate::reliability::EccMode;
 use crate::retry::RetryPolicy;
 use crate::telemetry::{LatencyBounds, Telemetry};
-use crate::txn::{Transaction, TxnSource};
+use crate::txn::TxnSource;
 use crate::workload::Footprint;
 
 /// How [`Controller::run`] drives its banks.
@@ -25,8 +26,124 @@ use crate::workload::Footprint;
 pub enum Dispatch {
     /// One bank after another, on the calling thread.
     Serial,
-    /// One scoped worker thread per bank.
+    /// `min(available_parallelism, banks)` scoped workers, each serving a
+    /// run of consecutive banks; a worker's panic resurfaces on the caller
+    /// with its own message.
     Parallel,
+}
+
+impl Dispatch {
+    /// How many workers this dispatch serves `banks` banks on.
+    pub(crate) fn workers(self, banks: usize) -> usize {
+        match self {
+            Self::Serial => 1,
+            Self::Parallel => std::thread::available_parallelism()
+                .map_or(1, std::num::NonZeroUsize::get)
+                .min(banks),
+        }
+    }
+}
+
+/// Per-bank transaction counts of `trace`, and whether its arrivals never
+/// decrease.
+///
+/// # Panics
+///
+/// Panics if a transaction addresses a bank beyond `banks`.
+pub(crate) fn census<S: TxnSource + ?Sized>(trace: &S, banks: usize) -> (Vec<usize>, bool) {
+    let mut load = vec![0usize; banks];
+    let mut monotone = true;
+    let mut prev_arrival = 0u64;
+    for i in 0..trace.len() {
+        let txn = trace.get(i);
+        assert!(
+            txn.bank < banks,
+            "transaction targets bank {} of a {banks}-bank controller",
+            txn.bank
+        );
+        load[txn.bank] += 1;
+        monotone &= txn.arrival_ns >= prev_arrival;
+        prev_arrival = txn.arrival_ns;
+    }
+    (load, monotone)
+}
+
+/// Trace indices grouped by bank: bank `b` serves
+/// `indices[bounds[b]..bounds[b + 1]]`, in the order they were offered.
+pub(crate) struct BankLists {
+    pub(crate) indices: Vec<u32>,
+    pub(crate) bounds: Vec<usize>,
+}
+
+impl BankLists {
+    /// Buckets `order` by bank, where `load[b]` counts bank `b`'s entries.
+    pub(crate) fn partition<S: TxnSource + ?Sized>(
+        trace: &S,
+        load: &[usize],
+        order: impl IntoIterator<Item = u32>,
+    ) -> Self {
+        let mut bounds = vec![0; load.len() + 1];
+        for (b, &n) in load.iter().enumerate() {
+            bounds[b + 1] = bounds[b] + n;
+        }
+        let mut next = bounds.clone();
+        let mut indices = vec![0; bounds[load.len()]];
+        for i in order {
+            let slot = &mut next[trace.get(i as usize).bank];
+            indices[*slot] = i;
+            *slot += 1;
+        }
+        Self { indices, bounds }
+    }
+}
+
+/// Runs `serve(bank, indices, service)` for every bank with its list from
+/// `lists` and its own slice of `service` (empty, or bank-major like
+/// `lists.indices`), on at most `workers` scoped workers that each take a
+/// run of consecutive banks. One worker serves in place, without spawning
+/// or allocating. Kept out of line so the spawn code stays out of its
+/// callers' hot bodies.
+///
+/// # Panics
+///
+/// Joins every worker, then re-raises the first panicking one's payload.
+#[inline(never)]
+pub(crate) fn serve_banks<F>(
+    banks: &mut [Bank],
+    lists: &BankLists,
+    mut service: &mut [f64],
+    workers: usize,
+    serve: F,
+) where
+    F: Fn(&mut Bank, &[u32], &mut [f64]) + Sync,
+{
+    let run = banks.len().div_ceil(workers.max(1));
+    let record = !service.is_empty();
+    let jobs = banks.iter_mut().enumerate().map(|(b, bank)| {
+        let span = lists.bounds[b]..lists.bounds[b + 1];
+        let take = if record { span.len() } else { 0 };
+        let (mine, rest) = std::mem::take(&mut service).split_at_mut(take);
+        service = rest;
+        (bank, &lists.indices[span], mine)
+    });
+    if run >= jobs.len() {
+        return jobs.for_each(|(bank, indices, service)| serve(bank, indices, service));
+    }
+    let mut jobs: Vec<_> = jobs.collect();
+    let panicked = crossbeam::scope(|scope| {
+        let serve = &serve;
+        let workers: Vec<_> = jobs
+            .chunks_mut(run)
+            .map(|run| scope.spawn(move |_| run.iter_mut().for_each(|(b, i, s)| serve(b, i, s))))
+            .collect();
+        workers
+            .into_iter()
+            .fold(None, |first, worker| first.or(worker.join().err()))
+    })
+    .expect("every scoped worker was joined");
+    if let Some(payload) = panicked {
+        std::panic::resume_unwind(payload);
+    }
 }
 
 /// Everything needed to build a controller.
@@ -198,42 +315,19 @@ impl Controller {
     /// # Panics
     ///
     /// Panics if a transaction addresses a bank the controller does not
-    /// have.
+    /// have, or re-raises a bank's own panic (such as an out-of-range
+    /// address) with its message under either dispatch.
     pub fn run<S: TxnSource + ?Sized>(&mut self, trace: &S, dispatch: Dispatch) -> Telemetry {
-        let mut per_bank: Vec<Vec<Transaction>> = vec![Vec::new(); self.banks.len()];
-        for i in 0..trace.len() {
-            let txn = trace.get(i);
-            assert!(
-                txn.bank < per_bank.len(),
-                "transaction targets bank {} of a {}-bank controller",
-                txn.bank,
-                per_bank.len()
-            );
-            per_bank[txn.bank].push(txn);
-        }
         let Self { config, banks } = self;
+        let (load, _) = census(trace, banks.len());
+        let lists = BankLists::partition(trace, &load, 0..trace.len() as u32);
         let faults = &config.faults;
-        match dispatch {
-            Dispatch::Serial => {
-                for (bank, txns) in banks.iter_mut().zip(&per_bank) {
-                    for txn in txns {
-                        bank.execute(txn, faults);
-                    }
-                }
+        let workers = dispatch.workers(banks.len());
+        serve_banks(banks, &lists, &mut [], workers, |bank, indices, _| {
+            for &i in indices {
+                bank.execute(&trace.get(i as usize), faults);
             }
-            Dispatch::Parallel => {
-                crossbeam::scope(|scope| {
-                    for (bank, txns) in banks.iter_mut().zip(&per_bank) {
-                        scope.spawn(move |_| {
-                            for txn in txns {
-                                bank.execute(txn, faults);
-                            }
-                        });
-                    }
-                })
-                .expect("a bank worker panicked");
-            }
-        }
+        });
         self.telemetry()
     }
 
@@ -251,7 +345,7 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::txn::Trace;
+    use crate::txn::{Trace, Transaction};
     use crate::workload::Workload;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -282,6 +376,44 @@ mod tests {
         controller.run(&trace, Dispatch::Serial);
         let telemetry = controller.run(&trace, Dispatch::Serial);
         assert_eq!(telemetry.transactions(), 200);
+    }
+
+    #[test]
+    fn any_worker_grouping_serves_the_same_banks() {
+        // Five banks over 1, 2, 3 and 6 workers: one in-place run, uneven
+        // runs of 3 + 2 and 2 + 2 + 1, and more workers than banks —
+        // exercised whatever the host's core count.
+        let config = ControllerConfig::small(SchemeKind::Destructive, 5)
+            .with_faults(FaultPlan::none().with_power_cut_every(7));
+        let trace = small_trace(&config, 700);
+        let (load, _) = census(&trace, 5);
+        let lists = BankLists::partition(&trace, &load, 0..trace.len() as u32);
+        for (b, span) in lists.bounds.windows(2).enumerate() {
+            let indices = &lists.indices[span[0]..span[1]];
+            assert!(indices.iter().all(|&i| trace.get(i as usize).bank == b));
+        }
+        let serve_on = |workers| {
+            let mut controller = Controller::new(config.clone());
+            let mut service = vec![0.0; trace.len()];
+            serve_banks(
+                &mut controller.banks,
+                &lists,
+                &mut service,
+                workers,
+                |bank, indices, service| {
+                    for (&i, busy) in indices.iter().zip(service) {
+                        bank.execute(&trace.get(i as usize), &config.faults);
+                        *busy = bank.telemetry().busy_time.get();
+                    }
+                },
+            );
+            (controller.stored_state(), controller.telemetry(), service)
+        };
+        let reference = serve_on(1);
+        assert!(reference.2.iter().all(|&busy| busy > 0.0));
+        for workers in [2, 3, 6] {
+            assert_eq!(serve_on(workers), reference, "{workers} workers");
+        }
     }
 
     #[test]

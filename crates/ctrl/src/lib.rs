@@ -16,7 +16,7 @@
 //! * [`faults`] — traffic-driven power cuts and stuck-at defects.
 //! * [`bank`] — one bank: array + truth mirror + RNG + telemetry.
 //! * [`engine`] — the [`Controller`]: partition a trace per bank, serve it
-//!   serially or on one scoped thread per bank, bit-identically.
+//!   serially or on `min(cores, banks)` scoped workers, bit-identically.
 //! * [`reliability`] — the (72,64) SECDED codec, background-scrub plumbing,
 //!   and the fault-injection campaign harness.
 //! * [`march`] — the manufacturing-test subsystem: March algorithms

@@ -11,7 +11,7 @@
 //! * [`runner`] — [`run_march`]: drive a lowered program through
 //!   [`Bank::execute_march_op`](crate::bank::Bank::execute_march_op) on
 //!   every bank of a [`Controller`](crate::engine::Controller), serially
-//!   or one thread per bank, bit-identically;
+//!   or on parallel bank workers, bit-identically;
 //! * [`campaign`] — [`run_escape_campaign`]: fault class × sensing scheme
 //!   × protection level × algorithm → detection rate, escape rate and test
 //!   time, with the textbook coverage guarantees asserted.

@@ -1,6 +1,6 @@
 //! Drives a lowered March program through every bank of a controller.
 
-use crate::engine::{Controller, Dispatch};
+use crate::engine::{serve_banks, BankLists, Controller, Dispatch};
 use crate::march::program::{DataBackground, MarchAlgorithm};
 use crate::telemetry::Telemetry;
 
@@ -57,30 +57,17 @@ pub fn run_march_with(
     let steps = algorithm
         .program()
         .lower_with_background(cells, cols, background);
-    match dispatch {
-        Dispatch::Serial => {
-            for bank in controller.banks_mut() {
-                for step in &steps {
-                    bank.execute_march_op(step.cell, step.op, step.element, raw, &faults);
-                }
-            }
+    let banks = controller.banks_mut();
+    let lists = BankLists {
+        indices: Vec::new(),
+        bounds: vec![0; banks.len() + 1],
+    };
+    let workers = dispatch.workers(banks.len());
+    serve_banks(banks, &lists, &mut [], workers, |bank, _, _| {
+        for step in &steps {
+            bank.execute_march_op(step.cell, step.op, step.element, raw, &faults);
         }
-        Dispatch::Parallel => {
-            let banks = controller.banks_mut();
-            let faults = &faults;
-            let steps = &steps;
-            crossbeam::scope(|scope| {
-                for bank in banks.iter_mut() {
-                    scope.spawn(move |_| {
-                        for step in steps {
-                            bank.execute_march_op(step.cell, step.op, step.element, raw, faults);
-                        }
-                    });
-                }
-            })
-            .expect("a March worker panicked");
-        }
-    }
+    });
     controller.telemetry()
 }
 

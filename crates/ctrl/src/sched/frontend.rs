@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 use crate::alloc_probe;
 use crate::bank::Bank;
 use crate::calib::CalibConfig;
-use crate::engine::Controller;
+use crate::engine::{census, serve_banks, BankLists, Controller, Dispatch};
 use crate::faults::FaultPlan;
 use crate::march::{DataBackground, MarchAlgorithm, MarchStep};
 use crate::reliability::ScrubConfig;
@@ -426,7 +426,8 @@ pub struct SchedRun {
     pub makespan_ns: f64,
     /// Heap allocations observed *inside* the event loop, via
     /// [`alloc_probe`] — on the FCFS fast path, the bank-major service
-    /// pass included. Always 0 unless the process installed a counting
+    /// pass included (and with it, above the parallel cutoff, a fixed
+    /// amount per worker spawned). Always 0 unless the process installed a counting
     /// allocator (the `sched_frontend` bench does, and asserts 0 for the
     /// fault-free hot path).
     pub steady_state_allocs: u64,
@@ -657,12 +658,14 @@ impl Frontend {
     /// telemetry (including queueing horizons) sums across calls.
     ///
     /// All working storage (event heap, lane arenas, completion columns,
-    /// retry waitlists; on the FCFS fast path the per-bank offer lists and
-    /// service times) is preallocated from the trace length before the
+    /// retry waitlists; on the FCFS fast path the bank-major offer lists
+    /// and service times) is preallocated from the trace length before the
     /// event loop starts, so the fault-free steady state performs no heap
     /// allocation — [`SchedRun::steady_state_allocs`] reports what a
     /// counting allocator observed inside the loop (and the fast path's
-    /// service pass), when one is installed.
+    /// service pass), when one is installed. The one exception: a fast-path
+    /// trace of 16,384 transactions or more serves its banks on parallel
+    /// workers, and spawning them allocates a fixed amount per worker.
     ///
     /// # Panics
     ///
@@ -691,20 +694,7 @@ impl Frontend {
         // arrivals) and a per-bank census (so each lane preallocates
         // exactly the entries that could ever wait in it, instead of the
         // whole trace length per bank).
-        let mut monotone = true;
-        let mut prev_arrival = 0u64;
-        let mut bank_load = vec![0usize; bank_count];
-        for i in 0..n {
-            let txn = trace.get(i);
-            assert!(
-                txn.bank < bank_count,
-                "transaction targets bank {} of a {bank_count}-bank controller",
-                txn.bank
-            );
-            bank_load[txn.bank] += 1;
-            monotone &= txn.arrival_ns >= prev_arrival;
-            prev_arrival = txn.arrival_ns;
-        }
+        let (bank_load, monotone) = census(trace, bank_count);
 
         // Offer order: by arrival time, trace order breaking ties — so a
         // monotonically-timed (or untimed) trace is offered in trace order.
@@ -753,33 +743,46 @@ impl Frontend {
         let mut end_ns = 0.0f64;
 
         if fast_path {
-            // Each bank's transactions in offer order, and every
-            // transaction's service time (nanoseconds, by trace index).
-            let mut offered: Vec<Vec<u32>> = bank_load
-                .iter()
-                .map(|&load| Vec::with_capacity(load))
-                .collect();
-            for &i in &order {
-                offered[trace.get(i as usize).bank].push(i);
-            }
+            // Each bank's transactions in offer order, and their service
+            // times (nanoseconds), both bank-major.
+            let lists = BankLists::partition(trace, &bank_load, order.iter().copied());
             let mut service = vec![0.0f64; n];
-            let mut fast = vec![FastLane::default(); bank_count];
+            let mut fast: Vec<FastLane> = lists.bounds[..bank_count]
+                .iter()
+                .map(|&first| FastLane {
+                    admitted: first,
+                    started: first,
+                    start_ns: 0.0,
+                })
+                .collect();
             let mut slots = vec![CompletionSlot::idle(); bank_count];
+            let dispatch = if n >= PARALLEL_SERVICE_MIN_TXNS {
+                Dispatch::Parallel
+            } else {
+                Dispatch::Serial
+            };
             let allocs_before = alloc_probe::count();
-            // Bank-major service pass: one bank's cells stay hot at a time.
-            // The service time is whatever the bank charged (attempt-
-            // dependent), read off its busy clock as after − before.
-            for (bank, indices) in banks.iter_mut().zip(&offered) {
-                for &i in indices {
-                    let busy_before = bank.telemetry().busy_time;
-                    bank.execute(&trace.get(i as usize), &faults);
-                    service[i as usize] = (bank.telemetry().busy_time - busy_before).get() * 1e9;
-                }
-            }
+            // Bank-major service pass: one bank's cells stay hot at a time,
+            // and banks share nothing, so long traces serve them on parallel
+            // workers. The service time is whatever the bank charged
+            // (attempt-dependent), read off its busy clock as after − before.
+            serve_banks(
+                banks,
+                &lists,
+                &mut service,
+                dispatch.workers(bank_count),
+                |bank, indices, service| {
+                    for (&i, service_ns) in indices.iter().zip(service) {
+                        let busy_before = bank.telemetry().busy_time;
+                        bank.execute(&trace.get(i as usize), &faults);
+                        *service_ns = (bank.telemetry().busy_time - busy_before).get() * 1e9;
+                    }
+                },
+            );
             end_ns = fcfs_unbounded_loop(
                 trace,
                 &order,
-                &offered,
+                &lists.indices,
                 &service,
                 &mut lanes,
                 &mut fast,
@@ -1025,6 +1028,16 @@ fn schedule_fresh<S: TxnSource + ?Sized>(
 /// stay trivially cheap. Wider controllers fall back to the event heap.
 const FAST_PATH_MAX_BANKS: usize = 16;
 
+/// Shortest trace whose fast-path service pass runs on parallel workers.
+/// Measured on a 2-core host: a scoped spawn plus join of 2 workers costs
+/// 36 µs at best and about 88 µs on average, and paper-scale bank work
+/// costs about 250 ns per transaction. Two workers halve the pass, so
+/// they break even near 700 transactions; at 16,384 the pass's ~4 ms
+/// dwarfs the spawn on slower hosts and cheaper banks too. Shorter traces
+/// (the 2,000-op `sched_frontend` bench among them) stay serial and
+/// allocation-free.
+const PARALLEL_SERVICE_MIN_TXNS: usize = 16_384;
+
 /// One bank's pending completion in the fast path: the instant service
 /// finishes, plus the sequence number the equivalent heap event would have
 /// carried (the tie-breaker that keeps pop order bit-compatible with the
@@ -1056,10 +1069,11 @@ impl CompletionSlot {
     }
 }
 
-/// Fast-path per-bank timing state. `offered[b][started..admitted]` is
-/// the bank's waiting queue and, while its completion slot is non-idle,
-/// `offered[b][started - 1]` is in service since `start_ns`.
-#[derive(Debug, Clone, Copy, Default)]
+/// Fast-path per-bank timing state: cursors into the bank-major offer
+/// lists. `offered[started..admitted]` is the bank's waiting queue and,
+/// while its completion slot is non-idle, `offered[started - 1]` is in
+/// service since `start_ns`.
+#[derive(Debug, Clone, Copy)]
 struct FastLane {
     admitted: usize,
     started: usize,
@@ -1068,7 +1082,8 @@ struct FastLane {
 
 /// The timing half of the FCFS fast path (DESIGN.md §12): every
 /// `Bank::execute` already ran, bank-major, and left its service time in
-/// `service`; this loop only places those services on the timeline.
+/// `service`, parallel to `offered`; this loop only places those services
+/// on the timeline.
 ///
 /// Under FCFS at unbounded depth with no background daemon, backpressure
 /// can never fire and the only event kinds are fresh arrivals — already
@@ -1093,7 +1108,7 @@ struct FastLane {
 fn fcfs_unbounded_loop<S: TxnSource + ?Sized>(
     trace: &S,
     order: &[u32],
-    offered: &[Vec<u32>],
+    offered: &[u32],
     service: &[f64],
     lanes: &mut [Lane],
     fast: &mut [FastLane],
@@ -1136,17 +1151,17 @@ fn fcfs_unbounded_loop<S: TxnSource + ?Sized>(
             let b = arr_txn.bank;
             let lane = &mut lanes[b];
             let fl = &mut fast[b];
-            debug_assert_eq!(offered[b][fl.admitted] as usize, arr_index);
+            debug_assert_eq!(offered[fl.admitted] as usize, arr_index);
             lane.stats.admitted += 1;
             // Slot idle ⟺ the bank is not serving (fast-path invariant),
             // and the slot is already hot from the scan above.
             if slots[b] == CompletionSlot::idle() && fl.started == fl.admitted {
                 // Idle bank, empty queue: straight into service.
                 lane.stats.wait_ns.push(0.0);
+                slots[b] = CompletionSlot::new(now + service[fl.admitted], next_seq);
                 fl.admitted += 1;
                 fl.started += 1;
                 fl.start_ns = now;
-                slots[b] = CompletionSlot::new(now + service[arr_index], next_seq);
                 next_seq += 1;
             } else {
                 // `Lane::admit` at the queue tail: same counter and
@@ -1174,7 +1189,7 @@ fn fcfs_unbounded_loop<S: TxnSource + ?Sized>(
             slots[bank] = CompletionSlot::idle();
             let lane = &mut lanes[bank];
             let fl = &mut fast[bank];
-            let trace_index = offered[bank][fl.started - 1] as usize;
+            let trace_index = offered[fl.started - 1] as usize;
             let txn = trace.get(trace_index);
             let arrival_ns = txn.arrival_ns as f64;
             lane.stats.completed += 1;
@@ -1193,12 +1208,12 @@ fn fcfs_unbounded_loop<S: TxnSource + ?Sized>(
             lane.stats.depth_time_ns += waiting * (now - lane.last_change_ns);
             lane.last_change_ns = now;
             if fl.started < fl.admitted {
-                let head = offered[bank][fl.started] as usize;
-                fl.started += 1;
-                fl.start_ns = now;
+                let head = offered[fl.started] as usize;
                 let admit_ns = trace.get(head).arrival_ns as f64;
                 lane.stats.wait_ns.push(now - admit_ns);
-                slots[bank] = CompletionSlot::new(now + service[head], next_seq);
+                slots[bank] = CompletionSlot::new(now + service[fl.started], next_seq);
+                fl.started += 1;
+                fl.start_ns = now;
                 next_seq += 1;
             }
         }

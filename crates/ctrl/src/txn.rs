@@ -339,8 +339,9 @@ impl Trace {
 /// replay engine ([`Controller::run`](crate::Controller::run), the
 /// [`sched`](crate::sched) frontend, the [`hierarchy`](crate::hierarchy)
 /// chip) is generic over this trait, so both representations run through
-/// identical code and produce bit-identical results.
-pub trait TxnSource {
+/// identical code and produce bit-identical results. `Sync`, so bank
+/// workers can share one source while each serves its own banks.
+pub trait TxnSource: Sync {
     /// Number of transactions in the stream.
     fn len(&self) -> usize;
 

@@ -131,6 +131,15 @@ cargo run --release -q -p stt-bench --bin trafficsim -- \
     --topology-sweep --ops 200 --geometry 2x1x2x2 --csv "$smoke_dir" > /dev/null
 test -s "$smoke_dir/topology_sweep.csv"
 
+# Plain traffic sweep smoke: the only check.sh step that drives
+# Controller::run's parallel arm at full width. It asserts serial ==
+# parallel at 1, 4 and 8 banks, so on a multi-core host it exercises the
+# grouping of several banks onto one worker.
+echo "==> trafficsim smoke (serial == parallel dispatch)"
+cargo run --release -q -p stt-bench --bin trafficsim -- \
+    --ops 200 --csv "$smoke_dir" > /dev/null
+test -s "$smoke_dir/traffic.csv"
+
 # Manufacturing-test smoke: the March escape campaign on the trimmed
 # (smoke-sized) matrix. Every textbook coverage guarantee is asserted
 # inside run_escape_campaign, so a non-empty CSV means they all held.

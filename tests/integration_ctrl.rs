@@ -2,8 +2,9 @@
 //!
 //! The three properties the controller stakes its design on:
 //!
-//! 1. **Determinism** — a parallel run (one thread per bank) returns
-//!    telemetry equal to a serial run of the same trace and seed.
+//! 1. **Determinism** — a parallel run (scoped workers over runs of
+//!    banks) returns telemetry equal to a serial run of the same trace and
+//!    seed, and a bank's panic keeps its message under either dispatch.
 //! 2. **Retry is safe** — the retry policy can never flip a read whose
 //!    first attempt was already confident (checked as a proptest).
 //! 3. **The paper's §I argument, traffic-shaped** — a power cut mid-read
@@ -19,8 +20,8 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use stt_array::{Address, Array, ArraySpec, Cell, CellSpec};
 use stt_ctrl::{
-    Controller, ControllerConfig, Dispatch, DriftPlan, FaultPlan, ReadResolution, RetryPolicy,
-    Scheme, Sensed, Trace, Workload,
+    Controller, ControllerConfig, Dispatch, DriftPlan, FaultPlan, Frontend, FrontendConfig,
+    ReadResolution, RetryPolicy, Scheme, Sensed, Trace, Transaction, Workload,
 };
 use stt_mtj::{MtjSpec, ResistanceCurve, ResistanceState};
 use stt_sense::{
@@ -59,6 +60,32 @@ fn parallel_run_equals_serial_run_under_faults() {
         let parallel = Controller::new(config).run(&trace, Dispatch::Parallel);
         assert_eq!(serial, parallel, "{kind}");
     }
+}
+
+/// A valid trace over four small banks with a read of row 99 of an 8×8
+/// bank appended last.
+fn trace_ending_out_of_range(config: &ControllerConfig, ops: usize) -> Trace {
+    let mut trace = trace_for(config, Workload::Uniform { read_fraction: 0.6 }, ops, 12);
+    trace.push(Transaction::read(3, Address::new(99, 0)));
+    trace
+}
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn parallel_dispatch_keeps_a_bank_panic_message() {
+    let config = ControllerConfig::small(SchemeKind::Nondestructive, 4);
+    let trace = trace_ending_out_of_range(&config, 200);
+    Controller::new(config).run(&trace, Dispatch::Parallel);
+}
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn parallel_fast_path_keeps_a_bank_panic_message() {
+    // Long enough (past 16,384 transactions) that the FCFS fast path serves
+    // its banks on parallel workers.
+    let config = ControllerConfig::small(SchemeKind::Nondestructive, 4);
+    let trace = trace_ending_out_of_range(&config, 20_000);
+    Frontend::new(Controller::new(config), FrontendConfig::fcfs_unbounded()).run(&trace);
 }
 
 #[test]

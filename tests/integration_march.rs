@@ -4,7 +4,7 @@
 //!
 //! 1. **Dispatch identity survives test traffic** — a March program over a
 //!    fault-laden controller produces bit-identical stored state and
-//!    telemetry whether banks run serially, one thread per bank, or as
+//!    telemetry whether banks run serially, on parallel workers, or as
 //!    test-class traffic through the scheduler frontend.
 //! 2. **Textbook coverage** — March C– detects 100% of stuck-at and write
 //!    transition faults at exactly its 10n op cost; the only escapes on an

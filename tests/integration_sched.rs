@@ -198,6 +198,55 @@ fn fast_path_matches_the_general_event_loop_on_ties_and_unsorted_arrivals() {
 }
 
 #[test]
+fn parallel_fast_path_matches_serial_replay_and_the_general_loop() {
+    // Past 16,384 transactions the fast path serves its banks on parallel
+    // workers; every other identity test stays below that cutoff. The
+    // same long trace must leave serial replay, the fast path and the
+    // general loop (forced by the inert scrub tick above) bit-identical,
+    // for every scheme and once with power cuts landing mid-read.
+    let cases = SchemeKind::ALL
+        .map(|kind| (kind, FaultPlan::none()))
+        .into_iter()
+        .chain([(
+            SchemeKind::Destructive,
+            FaultPlan::none().with_power_cut_every(40),
+        )]);
+    for (kind, faults) in cases {
+        let config = ControllerConfig::small(kind, 4)
+            .with_seed(60)
+            .with_ecc(EccMode::Secded)
+            .with_faults(faults);
+        let trace = timed_trace(
+            &config,
+            Workload::Uniform { read_fraction: 0.7 },
+            20_000,
+            4.0,
+        );
+        assert_anchor_identity(config.clone(), &trace);
+
+        let mut fast = Frontend::new(
+            Controller::new(config.clone()),
+            FrontendConfig::fcfs_unbounded(),
+        );
+        let fast_run = fast.run(&trace);
+        let mut general = Frontend::new(
+            Controller::new(config),
+            FrontendConfig::fcfs_unbounded().with_scrub(ScrubConfig::every_ns(1e18)),
+        );
+        let general_run = general.run(&trace);
+        assert_eq!(
+            fast.controller().stored_state(),
+            general.controller().stored_state(),
+            "{kind}: both loop flavours must store the same bits"
+        );
+        assert_eq!(
+            fast_run, general_run,
+            "{kind}: telemetry, completions and makespan must be bit-identical"
+        );
+    }
+}
+
+#[test]
 fn drift_with_inline_calibration_holds_the_anchor_identity() {
     // A standing hot-spot on bank 0 plus the inline daemon: the trip →
     // burst → refit loop runs inside each bank, so serial replay, parallel
