@@ -1,10 +1,9 @@
-//! Wall-clock cost of the β-recalibration daemon's working parts: the
-//! per-window trip check (paid on every daemon tick, almost always a
-//! no-op) and a full tripped cycle — reference-read burst through the real
-//! sensing path plus the Eq. 10 β re-optimisation and scheme swap. The
-//! tripped cycle is what a bank's lane is occupied for during an
-//! excursion, so its wall-clock cost is the number `calib_burst_us` in
-//! BENCH_MNA.json tracks.
+//! Wall-clock cost of the β-recalibration daemon's working parts: the trip
+//! check (paid on every daemon tick, almost always a no-op) and a full
+//! tripped cycle — reference-read burst through the real sensing path plus
+//! the Eq. 10 β re-optimisation and scheme swap. The tripped cycle is what
+//! a bank's lane is occupied for during an excursion, so its wall-clock
+//! cost is the number `calib_burst_us` in BENCH_MNA.json tracks.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, SamplingMode};
 use stt_array::Address;
@@ -14,7 +13,7 @@ use stt_ctrl::{
 use stt_sense::SchemeKind;
 
 /// The +60 K standing hot-spot the thermal sweep uses: static β misreads
-/// every stored 1 on bank 0, so a check window of hammered reads always
+/// every stored 1 on bank 0, so a tick after a run of hammered reads always
 /// trips the daemon.
 fn hot_config() -> ControllerConfig {
     ControllerConfig::small(SchemeKind::Nondestructive, 1)
@@ -29,14 +28,17 @@ fn hot_config() -> ControllerConfig {
         }))
 }
 
-/// A bank one tick away from tripping: a full check window of reads
-/// against a negative stored-1 margin, every one a misread.
-fn primed_bank(calib: &CalibConfig) -> Bank {
+/// Demand reads a primed bank has served since its last check.
+const PRIMING_READS: usize = 64;
+
+/// A bank one tick away from tripping: a window of reads against a
+/// negative stored-1 margin, every one a misread.
+fn primed_bank() -> Bank {
     let faults = FaultPlan::none();
     let mut bank = Bank::new(0, &hot_config());
     let addr = Address::new(2, 2);
     bank.execute(&Transaction::write(0, addr, true), &faults);
-    for _ in 0..calib.check_reads {
+    for _ in 0..PRIMING_READS {
         bank.execute(&Transaction::read(0, addr), &faults);
     }
     bank
@@ -58,7 +60,7 @@ fn bench_calib(c: &mut Criterion) {
     // the β bisection against the drifted nominal cell, the scheme swap.
     group.bench_function("burst_refit", |b| {
         b.iter_batched(
-            || primed_bank(&calib),
+            primed_bank,
             |mut bank| {
                 let tripped = bank.calibration_tick(&calib);
                 assert!(tripped, "a primed window must trip");

@@ -1,6 +1,7 @@
 //! Wall-clock cost of the manufacturing-test subsystem: lowering a March
 //! program to its flat per-cell schedule, and executing the lowered
-//! schedule against a fault-laden bank array through the serial runner.
+//! schedule against a fault-laden bank array as test-class traffic through
+//! the scheduler frontend — the mount the escape campaign uses.
 //!
 //! Lowering is the test-controller's "compile" step — it runs once per
 //! campaign cell (7 classes × 3 schemes × 3 protections × 2 algorithms in
@@ -10,7 +11,10 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, SamplingMode, Throughput};
 use stt_array::Address;
-use stt_ctrl::{run_march, Controller, ControllerConfig, Dispatch, FaultPlan, MarchAlgorithm};
+use stt_ctrl::{
+    Controller, ControllerConfig, FaultPlan, Frontend, FrontendConfig, MarchAlgorithm, MarchConfig,
+    Trace,
+};
 use stt_sense::SchemeKind;
 
 /// Cells per bank for the lowering benches — sized like a real array tile,
@@ -33,8 +37,9 @@ fn bench_lowering(c: &mut Criterion) {
     group.finish();
 }
 
-/// End-to-end serial March run over a small fault-laden controller: the
-/// per-bank cost every escape-campaign cell pays, sensing path included.
+/// End-to-end March run over a small fault-laden controller with no demand
+/// traffic: the per-bank cost every escape-campaign cell pays, sensing path
+/// included.
 fn bench_execute(c: &mut Criterion) {
     let mut group = c.benchmark_group("march_lowering/run");
     group.sampling_mode(SamplingMode::Flat);
@@ -46,19 +51,20 @@ fn bench_execute(c: &mut Criterion) {
     let config = ControllerConfig::small(SchemeKind::Nondestructive, 2)
         .with_seed(2010)
         .with_faults(faults);
+    let idle = Trace::new();
     for algorithm in MarchAlgorithm::ALL {
-        let ops = {
-            let mut controller = Controller::new(config.clone());
-            let telemetry = run_march(&mut controller, algorithm, Dispatch::Serial);
-            telemetry.banks.iter().map(|b| b.march.ops).sum::<u64>()
+        let frontend = || {
+            Frontend::new(
+                Controller::new(config.clone()),
+                FrontendConfig::fcfs_unbounded().with_march(MarchConfig::new(algorithm)),
+            )
         };
+        let ops = frontend().run(&idle).telemetry.aggregate().march.ops;
         group.throughput(Throughput::Elements(ops));
         group.bench_function(algorithm.name(), |b| {
             b.iter_batched(
-                || Controller::new(config.clone()),
-                |mut controller| {
-                    std::hint::black_box(run_march(&mut controller, algorithm, Dispatch::Serial));
-                },
+                frontend,
+                |mut frontend| std::hint::black_box(frontend.run(&idle)),
                 BatchSize::LargeInput,
             )
         });

@@ -47,13 +47,15 @@
 //! campaign (see [`stt_ctrl::faults`] and [`stt_ctrl::calib`]): three arms
 //! over a two-bank nondestructive controller — ambient baseline, a standing
 //! +60 K hot-spot on bank 0 with the design-time (static) β, and the same
-//! hot-spot with the inline per-bank recalibration daemon enabled. Every
-//! arm runs serially and in parallel and the telemetry is asserted
-//! bit-identical; per-bank rows (misreads, retry exhaustion, calibration
-//! trips/bursts/refits, the live β) go to `results/thermal_sweep.csv`. For
-//! full-size runs the sweep asserts the robustness headline: the hot-spot
-//! degrades the static-β misread rate by ≥ 10×, and the daemon pulls it
-//! back within 2× of the ambient baseline (trip-latency floor aside).
+//! hot-spot with the frontend's per-bank recalibration daemon mounted.
+//! Every arm serves one Poisson-timed trace through the scheduler frontend
+//! at FCFS unbounded; the two daemon-free arms are asserted bit-identical
+//! to parallel dispatch. Per-bank rows (misreads, retry exhaustion,
+//! calibration trips/bursts/refits, the live β) go to
+//! `results/thermal_sweep.csv`. For full-size runs the sweep asserts the
+//! robustness headline: the hot-spot degrades the static-β misread rate by
+//! ≥ 10×, and the daemon pulls it back within 2× of the ambient baseline
+//! (trip-latency floor aside).
 //!
 //! Run `trafficsim --help` for the full mode/flag table.
 
@@ -65,8 +67,8 @@ use rand::SeedableRng;
 use stt_ctrl::{
     run_campaign, run_escape_campaign, CalibConfig, CampaignConfig, Chip, ChipConfig,
     ClosedLoopSource, Controller, ControllerConfig, Dispatch, DriftPlan, Frontend, FrontendConfig,
-    InterleavePolicy, MarchCampaignConfig, Policy, Protection, ShardDispatch, Telemetry,
-    ThermalTransient, Topology, Trace, Workload,
+    InterleavePolicy, MarchCampaignConfig, Policy, Protection, QueueTelemetry, ShardDispatch,
+    Telemetry, ThermalTransient, Topology, Trace, Workload,
 };
 use stt_sense::SchemeKind;
 use stt_stats::Table;
@@ -99,6 +101,15 @@ const THERMAL_BANKS: usize = 2;
 /// negative while a refit β still re-equalises both margins well above
 /// zero (see the bank-level calibration tests).
 const THERMAL_AMPLITUDE_K: f64 = 60.0;
+/// Mean Poisson inter-arrival gap (ns) of the `--thermal-sweep` trace.
+/// The calibration daemon only runs in lane-idle gaps, so the hot bank
+/// must idle between reads: at 20 ns and 40 ns the gates hold, while at
+/// 10 ns bank 0 never idles, every check defers, and the calibrated arm
+/// equals hot-static.
+const THERMAL_GAP_NS: f64 = 20.0;
+/// Daemon periods of trip latency the `--thermal-sweep` gate grants the
+/// calibrated arm before it must hold the baseline misread rate.
+const THERMAL_TRIP_INTERVALS: f64 = 4.0;
 
 fn scheme_label(kind: SchemeKind) -> &'static str {
     match kind {
@@ -572,17 +583,17 @@ fn topology_sweep(ops_per_channel: usize, topology: Topology) -> Table {
 
 /// Runs the thermal-drift/recalibration campaign: ambient baseline, then a
 /// standing hot-spot on bank 0 served with a static β, then the same
-/// hot-spot with the inline calibration daemon watching each bank's
+/// hot-spot with the frontend's calibration daemon watching each bank's
 /// misread/retry-exhaustion telemetry.
 ///
-/// Each arm is served twice — serially and on parallel bank workers — and the
-/// two telemetry sets are asserted equal, so drift application and the
-/// trip → burst → refit loop are covered by the same determinism proof as
-/// the plain engine. For full-size runs the two robustness gates are
-/// asserted: static β must degrade ≥ 10× against baseline, the calibrated
-/// arm must stay within 2× of baseline (or the trip-latency floor — the
-/// daemon only observes an excursion after a check window's worth of
-/// reads).
+/// Every arm serves the same Poisson-timed trace through the scheduler
+/// frontend at FCFS unbounded. The two daemon-free arms ride the fast path,
+/// and their telemetry (queue section aside) is asserted equal to parallel
+/// dispatch, so drift application stays covered by the determinism proof.
+/// For full-size runs the two robustness gates are asserted: static β must
+/// degrade ≥ 10× against baseline, the calibrated arm must stay within 2×
+/// of baseline (or the trip-latency floor — the daemon only observes an
+/// excursion at its next check in an idle gap).
 fn thermal_sweep(ops_per_config: usize) -> Table {
     let mut table = Table::new([
         "arm",
@@ -610,34 +621,48 @@ fn thermal_sweep(ops_per_config: usize) -> Table {
         fall_ns: 0.0,
         amplitude_k: THERMAL_AMPLITUDE_K,
     });
+    let trace = Workload::ReadMostly
+        .generate(
+            ControllerConfig::date2010(kind, THERMAL_BANKS).footprint(),
+            ops_per_config,
+            &mut StdRng::seed_from_u64(SEED ^ 0x7e41),
+        )
+        .with_poisson_arrivals(THERMAL_GAP_NS, &mut StdRng::seed_from_u64(SEED ^ 0x7e42));
+    let calib = CalibConfig::date2010();
     let arms: [(&str, DriftPlan, Option<CalibConfig>); 3] = [
         ("baseline", DriftPlan::quiet(), None),
         ("hot-static", hot.clone(), None),
-        ("hot-calibrated", hot, Some(CalibConfig::date2010())),
+        ("hot-calibrated", hot, Some(calib)),
     ];
     // Bank-0 misread rate per arm, for the gates.
     let mut rate_of = std::collections::HashMap::new();
     let mut reads_of = std::collections::HashMap::new();
     let mut calibrated_telemetry = None;
     for (arm, plan, calib) in arms {
-        let mut config = ControllerConfig::date2010(kind, THERMAL_BANKS)
+        let config = ControllerConfig::date2010(kind, THERMAL_BANKS)
             .with_seed(SEED)
             .with_drift(plan);
+        let mut frontend_config = FrontendConfig::fcfs_unbounded();
         if let Some(calib) = calib {
-            config = config.with_calib(calib);
+            frontend_config = frontend_config.with_calib(calib);
         }
-        let trace = Workload::ReadMostly.generate(
-            config.footprint(),
-            ops_per_config,
-            &mut StdRng::seed_from_u64(SEED ^ 0x7e41),
-        );
-        let serial = Controller::new(config.clone()).run(&trace, Dispatch::Serial);
-        let parallel = Controller::new(config).run(&trace, Dispatch::Parallel);
-        assert_eq!(
-            serial, parallel,
-            "{arm}: parallel dispatch diverged from serial under drift"
-        );
-        for (bank, telemetry) in parallel.banks.iter().enumerate() {
+        let mut telemetry = Frontend::new(Controller::new(config.clone()), frontend_config)
+            .run(&trace)
+            .telemetry;
+        let checked = if calib.is_none() {
+            let parallel = Controller::new(config).run(&trace, Dispatch::Parallel);
+            for bank in &mut telemetry.banks {
+                bank.queue = QueueTelemetry::default();
+            }
+            assert_eq!(
+                telemetry, parallel,
+                "{arm}: the frontend diverged from parallel dispatch under drift"
+            );
+            "  [frontend == parallel ✓]"
+        } else {
+            ""
+        };
+        for (bank, telemetry) in telemetry.banks.iter().enumerate() {
             let rate = if telemetry.reads > 0 {
                 telemetry.misreads as f64 / telemetry.reads as f64
             } else {
@@ -649,8 +674,7 @@ fn thermal_sweep(ops_per_config: usize) -> Table {
             }
             println!(
                 "{arm:<16} bank {bank}: {:>5} reads, {:>5} misreads (rate {:.4}), \
-                 {:>5} retry-exhausted, {} trips / {} refits, beta {:.4}  \
-                 [serial == parallel ✓]",
+                 {:>5} retry-exhausted, {} trips / {} refits, beta {:.4}{checked}",
                 telemetry.reads,
                 telemetry.misreads,
                 rate,
@@ -677,12 +701,12 @@ fn thermal_sweep(ops_per_config: usize) -> Table {
                 format!("{:.3}", telemetry.busy_time.get() * 1e6),
             ]);
         }
-        if arm == "hot-calibrated" {
-            calibrated_telemetry = Some(parallel.banks[0].calib.clone());
+        if calib.is_some() {
+            calibrated_telemetry = Some(telemetry.banks[0].calib.clone());
         }
     }
     // Short smoke runs see too few reads for stable rates (and may not even
-    // fill one check window); the gates arm at the default sweep size.
+    // reach one daemon period); the gates arm at the default sweep size.
     if ops_per_config >= DEFAULT_OPS {
         let baseline = rate_of["baseline"];
         let statics = rate_of["hot-static"];
@@ -696,9 +720,10 @@ fn thermal_sweep(ops_per_config: usize) -> Table {
             "hot-spot must degrade the static-beta misread rate >= 10x \
              (baseline {baseline:.6}, static {statics:.6})"
         );
-        // The daemon cannot see an excursion until a check window of reads
-        // has accrued, so grant it a few windows of trip latency.
-        let trip_floor = 4.0 * CalibConfig::date2010().check_reads as f64 / reads;
+        // The daemon cannot see an excursion before its next check, so
+        // grant it a few daemon periods of bank-0 traffic as trip latency.
+        let per_interval = calib.interval_ns / (THERMAL_GAP_NS * THERMAL_BANKS as f64);
+        let trip_floor = THERMAL_TRIP_INTERVALS * per_interval / reads;
         assert!(
             calibrated <= (2.0 * baseline).max(trip_floor),
             "recalibration must hold the misread rate within 2x of baseline \

@@ -132,8 +132,6 @@ pub struct Bank {
     last_touch_ns: Vec<f64>,
     /// Dynamic-drift sidecar, present only under a non-quiet plan.
     drift: Option<DriftState>,
-    /// Inline calibration daemon, `None` when off (or frontend-driven).
-    calib: Option<CalibConfig>,
     /// Nominal (unvaried) device recipe, the β refit's starting point.
     nominal_mtj: MtjSpec,
     nominal_transistor: AccessTransistor,
@@ -258,7 +256,6 @@ impl Bank {
             ecc,
             last_touch_ns: vec![0.0; spec.capacity_bits()],
             drift,
-            calib: config.calib,
             nominal_mtj: spec.cell.mtj.clone(),
             nominal_transistor: *nominal.transistor(),
             calib_reads_mark: 0,
@@ -302,7 +299,6 @@ impl Bank {
                 } else {
                     self.serve_read_plain(txn.addr, faults);
                 }
-                self.maybe_inline_calibration();
             }
             Op::Write(bit) => self.serve_write(txn.addr, bit, faults),
         }
@@ -807,32 +803,14 @@ impl Bank {
         }
     }
 
-    /// Inline calibration daemon: once per
-    /// [`CalibConfig::check_reads`] demand reads, evaluate the trip
-    /// condition against the window's misread + retry-exhaustion counts.
-    fn maybe_inline_calibration(&mut self) {
-        let Some(calib) = self.calib else {
-            return;
-        };
-        if self.telemetry.reads - self.calib_reads_mark < calib.check_reads {
-            return;
-        }
-        self.calibration_check(calib);
-    }
-
-    /// Frontend-daemon entry point: one periodic calibration check on this
-    /// bank (the scheduler invokes it as background work). Applies any
-    /// pending drift first — an idle bank's temperature still follows the
-    /// plan — then evaluates the trip condition. Returns `true` when a
-    /// burst + refit ran.
+    /// One calibration check on this bank, the daemon's entry point (the
+    /// scheduler frontend offers it as periodic background work). Applies
+    /// any pending drift first — an idle bank's temperature still follows
+    /// the plan — then compares the error rate since the last check against
+    /// the trip threshold; on a trip, runs the burst + refit. Returns `true`
+    /// when a burst + refit ran.
     pub fn calibration_tick(&mut self, calib: &CalibConfig) -> bool {
         self.maybe_apply_drift();
-        self.calibration_check(*calib)
-    }
-
-    /// One watch-window evaluation: compare the error rate since the last
-    /// check against the trip threshold; on a trip, run the burst + refit.
-    fn calibration_check(&mut self, calib: CalibConfig) -> bool {
         let reads = self.telemetry.reads - self.calib_reads_mark;
         let errors =
             (self.telemetry.misreads + self.telemetry.unconfident_reads) - self.calib_errors_mark;
@@ -842,7 +820,7 @@ impl Bank {
             return false;
         }
         self.telemetry.calib.trips += 1;
-        self.calibration_burst(calib);
+        self.calibration_burst(*calib);
         true
     }
 
@@ -1494,14 +1472,20 @@ mod tests {
     fn inline_calibration_trips_and_recovers_the_misread_rate() {
         let faults = FaultPlan::none();
         let addr = Address::new(2, 2);
-        let base = small_config(SchemeKind::Nondestructive, &faults).with_drift(hot_plan());
-        let calibrated_config = base.clone().with_calib(CalibConfig::date2010());
+        let config = small_config(SchemeKind::Nondestructive, &faults).with_drift(hot_plan());
+        let calib = CalibConfig::date2010();
 
-        let mut statics = Bank::new(0, &base);
-        let mut calibrated = Bank::new(0, &calibrated_config);
+        let mut statics = Bank::new(0, &config);
+        let mut calibrated = Bank::new(0, &config);
         for bank in [&mut statics, &mut calibrated] {
             bank.execute(&Transaction::write(0, addr, true), &faults);
-            hammer_reads(bank, addr, 192, &faults);
+        }
+        hammer_reads(&mut statics, addr, 192, &faults);
+        // A check every 64 demand reads, as a daemon ticking in the gaps of
+        // a steady read stream would.
+        for _ in 0..3 {
+            hammer_reads(&mut calibrated, addr, 64, &faults);
+            calibrated.calibration_tick(&calib);
         }
         // Static β under the hot-spot: the stored-1 margin is negative, so
         // every one of the 192 reads delivers the wrong bit.
@@ -1517,7 +1501,7 @@ mod tests {
             "the refit beta stays near the paper's operating point, got {}",
             calib.last_beta
         );
-        // The first trip fires one check window (64 reads) in; from the
+        // The first trip fires at the first tick (64 reads in); from the
         // refit onward the delivered bits are correct again.
         let misread_calibrated = calibrated.telemetry().misreads;
         assert!(
@@ -1544,7 +1528,6 @@ mod tests {
     fn calibration_tick_is_the_frontend_entry_point() {
         let faults = FaultPlan::none();
         let addr = Address::new(2, 2);
-        // Drift, no inline daemon: the frontend owns the trip decision.
         let config = small_config(SchemeKind::Nondestructive, &faults).with_drift(hot_plan());
         let mut bank = Bank::new(0, &config);
         let calib = CalibConfig::date2010();

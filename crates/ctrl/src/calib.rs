@@ -10,9 +10,8 @@
 //!
 //! The calibration daemon closes the loop per bank:
 //!
-//! 1. **Watch** — misread + retry-exhaustion counts are compared against
-//!    [`CalibConfig::trip_rate`] over windows of
-//!    [`CalibConfig::check_reads`] demand reads.
+//! 1. **Watch** — each check compares the misread + retry-exhaustion
+//!    count since the previous check against [`CalibConfig::trip_rate`].
 //! 2. **Burst** — when tripped, the bank issues
 //!    [`CalibConfig::burst_reads`] *read-only* reference-cell senses
 //!    through the real sensing path (never mutating state, drawing from a
@@ -27,63 +26,39 @@
 //! lands **before** the first misread — the recalibrated bank never leaves
 //! the paper's equal-margin operating point far behind.
 //!
-//! Two deployment modes share this config:
-//!
-//! * **Inline** ([`ControllerConfig::with_calib`](crate::engine::ControllerConfig::with_calib))
-//!   — the bank evaluates the trip condition itself every `check_reads`
-//!   demand reads. Works under serial, parallel and frontend dispatch and
-//!   preserves bit-identity across all three.
-//! * **Frontend daemon**
-//!   ([`FrontendConfig::with_calib`](crate::sched::FrontendConfig::with_calib))
-//!   — a periodic scheduler event per bank, arbitrated as background work
-//!   (demand > test > calibration/scrub) so bursts only run in idle gaps
-//!   and never delay or reorder demand traffic.
+//! The daemon is mounted on the scheduler frontend
+//! ([`FrontendConfig::with_calib`](crate::sched::FrontendConfig::with_calib)):
+//! every [`CalibConfig::interval_ns`] each bank is offered one check
+//! ([`Bank::calibration_tick`](crate::bank::Bank::calibration_tick)),
+//! arbitrated as background work (demand > test > calibration/scrub), so
+//! checks and bursts only run in lane-idle gaps and never delay or reorder
+//! demand traffic.
 
 use serde::{Deserialize, Serialize};
 
 /// Configuration for the per-bank calibration daemon.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CalibConfig {
-    /// Inline mode: evaluate the trip condition every this many demand
-    /// reads on a bank.
-    pub check_reads: u64,
     /// Trip threshold: recalibrate when
-    /// `(misreads + unconfident reads) / reads` over the last window
+    /// `(misreads + unconfident reads) / reads` since the previous check
     /// reaches this rate.
     pub trip_rate: f64,
     /// Reference-cell senses per calibration burst.
     pub burst_reads: u32,
-    /// Frontend-daemon mode: period (ns) between calibration checks on
-    /// each bank.
+    /// Period (ns) between calibration checks on each bank.
     pub interval_ns: f64,
 }
 
 impl CalibConfig {
-    /// Baseline tuning: check every 64 reads, trip at a 1 % error rate
-    /// (one bad read per window), 32-read bursts, 500 ns daemon period.
+    /// Baseline tuning: trip at a 1 % error rate, 32-read bursts, one
+    /// check per bank every 500 ns.
     #[must_use]
     pub fn date2010() -> Self {
         Self {
-            check_reads: 64,
             trip_rate: 0.01,
             burst_reads: 32,
             interval_ns: 500.0,
         }
-    }
-
-    /// Sets the inline check window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `check_reads` is zero.
-    #[must_use]
-    pub fn with_check_reads(mut self, check_reads: u64) -> Self {
-        assert!(
-            check_reads > 0,
-            "the check window must cover at least one read"
-        );
-        self.check_reads = check_reads;
-        self
     }
 
     /// Sets the trip rate.
@@ -161,11 +136,9 @@ mod tests {
     #[test]
     fn builders_apply_and_validate() {
         let config = CalibConfig::date2010()
-            .with_check_reads(128)
             .with_trip_rate(0.5)
             .with_burst_reads(8)
             .with_interval_ns(1000.0);
-        assert_eq!(config.check_reads, 128);
         assert!(!config.trips(1, 128));
         assert!(config.trips(64, 128));
         assert_eq!(config.burst_reads, 8);

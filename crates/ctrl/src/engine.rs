@@ -13,7 +13,6 @@ use stt_array::ArraySpec;
 use stt_sense::SchemeKind;
 
 use crate::bank::Bank;
-use crate::calib::CalibConfig;
 use crate::faults::{DriftPlan, FaultPlan};
 use crate::reliability::EccMode;
 use crate::retry::RetryPolicy;
@@ -102,7 +101,8 @@ impl BankLists {
 /// `lists.indices`), on at most `workers` scoped workers that each take a
 /// run of consecutive banks. One worker serves in place, without spawning
 /// or allocating. Kept out of line so the spawn code stays out of its
-/// callers' hot bodies.
+/// callers' hot bodies. Callers: the frontend's FCFS fast path and
+/// [`Controller::run`].
 ///
 /// # Panics
 ///
@@ -117,7 +117,6 @@ pub(crate) fn serve_banks<F>(
 ) where
     F: Fn(&mut Bank, &[u32], &mut [f64]) + Sync,
 {
-    let run = banks.len().div_ceil(workers.max(1));
     let record = !service.is_empty();
     let jobs = banks.iter_mut().enumerate().map(|(b, bank)| {
         let span = lists.bounds[b]..lists.bounds[b + 1];
@@ -126,15 +125,38 @@ pub(crate) fn serve_banks<F>(
         service = rest;
         (bank, &lists.indices[span], mine)
     });
-    if run >= jobs.len() {
+    if workers <= 1 || jobs.len() <= 1 {
         return jobs.for_each(|(bank, indices, service)| serve(bank, indices, service));
     }
     let mut jobs: Vec<_> = jobs.collect();
+    on_workers(&mut jobs, workers, |(bank, indices, service)| {
+        serve(bank, indices, service);
+    });
+}
+
+/// Runs `serve` on every job, on at most `workers` scoped workers that
+/// each take a run of consecutive jobs; one worker serves in place,
+/// without spawning. The one spawn site of the crate's bank and channel
+/// dispatch.
+///
+/// # Panics
+///
+/// Joins every worker, then re-raises the first panicking one's payload,
+/// so a worker's own message reaches the caller.
+pub(crate) fn on_workers<T, F>(jobs: &mut [T], workers: usize, serve: F)
+where
+    T: Send,
+    F: Fn(&mut T) + Sync,
+{
+    let run = jobs.len().div_ceil(workers.max(1));
+    if run >= jobs.len() {
+        return jobs.iter_mut().for_each(serve);
+    }
     let panicked = crossbeam::scope(|scope| {
         let serve = &serve;
         let workers: Vec<_> = jobs
             .chunks_mut(run)
-            .map(|run| scope.spawn(move |_| run.iter_mut().for_each(|(b, i, s)| serve(b, i, s))))
+            .map(|run| scope.spawn(move |_| run.iter_mut().for_each(serve)))
             .collect();
         workers
             .into_iter()
@@ -173,12 +195,6 @@ pub struct ControllerConfig {
     /// (defaults to quiet: no drift, bit-identical to pre-drift builds).
     #[serde(default)]
     pub drift: DriftPlan,
-    /// Inline per-bank calibration daemon: each bank evaluates the trip
-    /// condition itself every [`CalibConfig::check_reads`] demand reads
-    /// (defaults to off). Mutually exclusive with the frontend daemon
-    /// ([`FrontendConfig::with_calib`](crate::sched::FrontendConfig::with_calib)).
-    #[serde(default)]
-    pub calib: Option<CalibConfig>,
 }
 
 impl ControllerConfig {
@@ -195,7 +211,6 @@ impl ControllerConfig {
             latency_bounds: LatencyBounds::date2010(),
             ecc: EccMode::None,
             drift: DriftPlan::quiet(),
-            calib: None,
         }
     }
 
@@ -240,13 +255,6 @@ impl ControllerConfig {
     #[must_use]
     pub fn with_drift(mut self, drift: DriftPlan) -> Self {
         self.drift = drift;
-        self
-    }
-
-    /// Enables the inline per-bank calibration daemon.
-    #[must_use]
-    pub fn with_calib(mut self, calib: CalibConfig) -> Self {
-        self.calib = Some(calib);
         self
     }
 

@@ -28,7 +28,7 @@ use stt_array::ArraySpec;
 use stt_sense::SchemeKind;
 
 use crate::bank::Bank;
-use crate::engine::ControllerConfig;
+use crate::engine::{on_workers, ControllerConfig};
 use crate::faults::{DriftPlan, FaultPlan};
 use crate::reliability::EccMode;
 use crate::retry::RetryPolicy;
@@ -208,7 +208,6 @@ impl ChipConfig {
             latency_bounds: self.latency_bounds,
             ecc: self.ecc,
             drift: DriftPlan::quiet(),
-            calib: None,
         }
     }
 }
@@ -502,23 +501,14 @@ impl Chip {
     fn dispatch(&mut self, work: Vec<ChannelWork<'_>>, dispatch: ShardDispatch) -> ChipRun {
         let config = &self.config;
         let bank_config = &self.bank_config;
-        match dispatch {
-            ShardDispatch::Serial => {
-                for (channel, (state, work)) in self.channels.iter_mut().zip(work).enumerate() {
-                    run_channel(config, bank_config, channel, work, state);
-                }
-            }
-            ShardDispatch::Sharded => {
-                crossbeam::scope(|scope| {
-                    for (channel, (state, work)) in self.channels.iter_mut().zip(work).enumerate() {
-                        scope.spawn(move |_| {
-                            run_channel(config, bank_config, channel, work, state);
-                        });
-                    }
-                })
-                .expect("a channel worker panicked");
-            }
-        }
+        let workers = match dispatch {
+            ShardDispatch::Serial => 1,
+            ShardDispatch::Sharded => work.len(),
+        };
+        let mut jobs: Vec<_> = self.channels.iter_mut().zip(work).enumerate().collect();
+        on_workers(&mut jobs, workers, |(channel, (state, work))| {
+            run_channel(config, bank_config, *channel, work, state);
+        });
         ChipRun {
             telemetry: self.telemetry(),
             completed: self.channels.iter().map(|c| c.last_completed).sum(),
@@ -678,13 +668,13 @@ fn run_channel(
     config: &ChipConfig,
     bank_config: &ControllerConfig,
     channel: usize,
-    work: ChannelWork<'_>,
+    work: &ChannelWork<'_>,
     state: &mut ChannelState,
 ) {
     let mut sim = ChannelSim::new(config, bank_config, channel);
     let banks = &mut state.banks;
 
-    let (trace, source): (&[(usize, Transaction)], Option<&ClosedLoopSource>) = match &work {
+    let (trace, source): (&[(usize, Transaction)], Option<&ClosedLoopSource>) = match work {
         ChannelWork::Trace(txns) => (txns.as_slice(), None),
         ChannelWork::Closed(source) => (&[], Some(source)),
     };

@@ -20,9 +20,9 @@
 //! * [`reliability`] — the (72,64) SECDED codec, background-scrub plumbing,
 //!   and the fault-injection campaign harness.
 //! * [`march`] — the manufacturing-test subsystem: March algorithms
-//!   (C–, SS) as data, lowered onto the real banks serially, sharded, or
-//!   as [`PriorityClass::Test`] frontend traffic, plus escape-rate
-//!   campaigns over the extended defect library.
+//!   (C–, SS) as data, lowered onto the real banks as
+//!   [`PriorityClass::Test`] frontend traffic, plus escape-rate campaigns
+//!   over the extended defect library.
 //! * [`sched`] — the event-driven request frontend: timestamped arrivals,
 //!   bounded per-bank queues with backpressure, pluggable dispatch
 //!   policies, a background scrub daemon, queueing-delay telemetry.
@@ -93,9 +93,8 @@ pub use hierarchy::{
     ShardDispatch, Topology,
 };
 pub use march::{
-    march_c_minus, march_ss, run_escape_campaign, run_march, run_march_with, DataBackground,
-    EscapeRow, FaultClass, MarchAlgorithm, MarchCampaignConfig, MarchOp, MarchProgram, MarchStep,
-    PlantedDefect,
+    march_c_minus, march_ss, run_escape_campaign, DataBackground, EscapeRow, FaultClass,
+    MarchAlgorithm, MarchCampaignConfig, MarchOp, MarchProgram, MarchStep, PlantedDefect,
 };
 pub use reliability::{
     run_campaign, CampaignConfig, CampaignRow, EccMode, FaultIntensity, Protection, ScrubConfig,

@@ -8,13 +8,16 @@
 //! * [`program`] — the algorithm library ([`march_c_minus`], [`march_ss`])
 //!   as data ([`MarchProgram`]: elements of address order × op sequence)
 //!   and its deterministic lowering to per-cell [`MarchStep`] schedules;
-//! * [`runner`] — [`run_march`]: drive a lowered program through
-//!   [`Bank::execute_march_op`](crate::bank::Bank::execute_march_op) on
-//!   every bank of a [`Controller`](crate::engine::Controller), serially
-//!   or on parallel bank workers, bit-identically;
 //! * [`campaign`] — [`run_escape_campaign`]: fault class × sensing scheme
 //!   × protection level × algorithm → detection rate, escape rate and test
 //!   time, with the textbook coverage guarantees asserted.
+//!
+//! A program runs over a controller's banks through the scheduler
+//! frontend's test-traffic mount
+//! ([`FrontendConfig::with_march`](crate::sched::FrontendConfig::with_march)):
+//! every bank walks the lowered schedule through
+//! [`Bank::execute_march_op`](crate::bank::Bank::execute_march_op) on its
+//! own March RNG stream, in demand-idle gaps.
 //!
 //! Verdicts come from the **real sensing path**: a March read senses
 //! through the bank's configured scheme (and, under ECC, observes the
@@ -25,7 +28,6 @@
 
 pub mod campaign;
 pub mod program;
-pub mod runner;
 
 pub use campaign::{
     run_escape_campaign, EscapeRow, FaultClass, MarchCampaignConfig, PlantedDefect,
@@ -34,4 +36,3 @@ pub use program::{
     march_c_minus, march_ss, AddressOrder, DataBackground, MarchAlgorithm, MarchElement, MarchOp,
     MarchProgram, MarchStep,
 };
-pub use runner::{run_march, run_march_with};

@@ -129,8 +129,7 @@ pub struct FrontendConfig {
     /// [`PriorityClass::Background`] check of each bank's misread /
     /// retry-exhaustion rate; a tripped check runs a reference-read burst
     /// and β refit in a lane-idle gap, never delaying or reordering demand.
-    /// Mutually exclusive with the inline daemon
-    /// ([`ControllerConfig::with_calib`](crate::engine::ControllerConfig::with_calib)).
+    /// The only mount of the daemon: a bank never checks itself.
     #[serde(default)]
     pub calib: Option<CalibConfig>,
     /// Retain raw per-completion sojourn samples
@@ -594,21 +593,13 @@ impl Frontend {
     /// non-positive retry delay, non-positive scrub or calibration
     /// interval, a calibration burst of zero reads), if scrub is enabled on
     /// a controller without ECC (scrub re-reads words through the codec;
-    /// without check bits there is nothing to correct), or if calibration
-    /// is enabled both inline on the controller
-    /// ([`ControllerConfig::with_calib`](crate::engine::ControllerConfig::with_calib))
-    /// and here (the two daemons would both refit β).
+    /// without check bits there is nothing to correct).
     #[must_use]
     pub fn new(controller: Controller, config: FrontendConfig) -> Self {
         config.validate();
         assert!(
             config.scrub.is_none() || controller.config().ecc.is_enabled(),
             "the scrub daemon requires ECC (see ControllerConfig::with_ecc)"
-        );
-        assert!(
-            config.calib.is_none() || controller.config().calib.is_none(),
-            "enable the inline calibration daemon (ControllerConfig::with_calib) or the \
-             frontend daemon (FrontendConfig::with_calib), not both"
         );
         let banks = controller.config().banks;
         Self {
@@ -1576,6 +1567,22 @@ mod tests {
     }
 
     #[test]
+    fn a_healthy_bank_passes_march_at_textbook_cost() {
+        let config = ControllerConfig::small(SchemeKind::Nondestructive, 1).with_seed(3);
+        let cells = config.spec.capacity_bits() as u64;
+        let run = Frontend::new(
+            Controller::new(config),
+            FrontendConfig::fcfs_unbounded().with_march(MarchConfig::new(MarchAlgorithm::CMinus)),
+        )
+        .run(&Trace::new());
+        let march = &run.telemetry.banks[0].march;
+        assert_eq!(march.ops, 10 * cells, "March C- is a 10n test");
+        assert_eq!(march.mismatches, 0, "healthy cells must pass");
+        assert!(march.failing_cells.is_empty());
+        assert!(march.busy_time.get() > 0.0);
+    }
+
+    #[test]
     fn march_defers_to_demand_and_still_finishes() {
         let controller_config = ControllerConfig::small(SchemeKind::Nondestructive, 2).with_seed(5);
         let cells = controller_config.spec.capacity_bits() as u64;
@@ -1772,15 +1779,5 @@ mod tests {
                 qb.calib.last_beta
             );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "not both")]
-    fn inline_and_frontend_calibration_are_mutually_exclusive() {
-        let config = hot_controller_config().with_calib(Calib::date2010());
-        let _ = Frontend::new(
-            Controller::new(config),
-            FrontendConfig::fcfs_unbounded().with_calib(Calib::date2010()),
-        );
     }
 }

@@ -93,6 +93,19 @@ fn sharded_trace_replay_matches_serial_for_every_interleave() {
 }
 
 #[test]
+#[should_panic(expected = "out of range")]
+fn sharded_chip_keeps_a_bank_panic_message() {
+    // A bank on channel 1's worker reads past its array: the caller must
+    // see the bank's own message, not an opaque worker-join error.
+    let config = ChipConfig::small(SchemeKind::Nondestructive, Topology::new(2, 1, 1, 2));
+    let trace = Trace::from_transactions(vec![
+        Transaction::read(0, Address::new(0, 0)),
+        Transaction::read(3, Address::new(99, 99)),
+    ]);
+    Chip::new(config).run_trace(&trace, ShardDispatch::Sharded);
+}
+
+#[test]
 fn lazy_chips_materialise_at_most_the_touched_banks() {
     // 512 banks addressable; a hot-set trace touches only a few.
     let topology = Topology::new(4, 2, 8, 8);

@@ -14,10 +14,9 @@
 //! 4. **The paper's system-level argument** — at the same offered load the
 //!    destructive scheme's restore-inflated 25 ns read queues harder than
 //!    the nondestructive scheme's 14 ns read.
-//! 5. **Drift and recalibration preserve the anchor** — thermal/aging
-//!    drift on the busy clock plus the inline β-recalibration daemon stay
-//!    bit-identical across serial replay, parallel dispatch and the
-//!    frontend (checked as a proptest over transient shapes).
+//! 5. **Drift preserves the anchor** — thermal/aging drift on the busy
+//!    clock stays bit-identical across serial replay, parallel dispatch and
+//!    the frontend (checked as a proptest over transient shapes).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -247,10 +246,10 @@ fn parallel_fast_path_matches_serial_replay_and_the_general_loop() {
 }
 
 #[test]
-fn drift_with_inline_calibration_holds_the_anchor_identity() {
-    // A standing hot-spot on bank 0 plus the inline daemon: the trip →
-    // burst → refit loop runs inside each bank, so serial replay, parallel
-    // dispatch and the frontend must all see the identical sequence.
+fn drift_holds_the_anchor_identity() {
+    // A standing hot-spot on bank 0: drift rebuilds run inside each bank on
+    // its busy clock, so serial replay, parallel dispatch and the frontend
+    // must all see the identical sequence.
     let plan = DriftPlan::quiet().with_transient(ThermalTransient {
         bank: 0,
         start_ns: 0.0,
@@ -261,18 +260,14 @@ fn drift_with_inline_calibration_holds_the_anchor_identity() {
     });
     let config = ControllerConfig::small(SchemeKind::Nondestructive, 2)
         .with_seed(77)
-        .with_drift(plan)
-        .with_calib(CalibConfig::date2010());
+        .with_drift(plan);
     let trace = timed_trace(&config, Workload::ReadMostly, 1_200, 6.0);
     let parallel = Controller::new(config.clone()).run(&trace, Dispatch::Parallel);
     let serial = Controller::new(config.clone()).run(&trace, Dispatch::Serial);
-    assert_eq!(
-        serial, parallel,
-        "calibration must not break bank isolation"
-    );
+    assert_eq!(serial, parallel, "drift must not break bank isolation");
     assert!(
-        parallel.aggregate().calib.trips >= 1,
-        "the hot-spot must actually trip the daemon"
+        parallel.banks[0].misreads > parallel.banks[1].misreads,
+        "the hot-spot must actually degrade bank 0's reads"
     );
     assert_anchor_identity(config, &trace);
 }
@@ -503,11 +498,11 @@ proptest! {
         }
     }
 
-    /// Any transient shape (including ramps and cool-downs mid-trace) with
-    /// the inline recalibration daemon stays bit-identical across serial
-    /// replay, parallel dispatch and the event-driven frontend.
+    /// Any transient shape (including ramps and cool-downs mid-trace) stays
+    /// bit-identical across serial replay, parallel dispatch and the
+    /// event-driven frontend.
     #[test]
-    fn drift_with_calibration_is_bit_identical_across_dispatch(
+    fn drift_is_bit_identical_across_dispatch(
         ops in 1usize..120,
         gap_ns in 1.0f64..30.0,
         amplitude_k in 0.0f64..90.0,
@@ -524,8 +519,7 @@ proptest! {
         });
         let config = ControllerConfig::small(SchemeKind::Nondestructive, 2)
             .with_seed(seed)
-            .with_drift(plan)
-            .with_calib(CalibConfig::date2010().with_check_reads(16));
+            .with_drift(plan);
         let trace = Workload::ReadMostly
             .generate(config.footprint(), ops, &mut StdRng::seed_from_u64(seed))
             .with_poisson_arrivals(gap_ns, &mut StdRng::seed_from_u64(seed ^ 0xbeef));
