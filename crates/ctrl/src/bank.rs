@@ -1569,6 +1569,102 @@ mod tests {
         );
     }
 
+    /// FNV-1a over a byte string: a small, dependency-free fingerprint.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Pins every read datapath — demand (plain and word), scrub, decoded
+    /// and raw March — under stuck cells, retention and read disturb. Each
+    /// datapath draws its senses and soft errors from its own stream, so a
+    /// read that takes the wrong stream, or disturbs the wrong span, moves
+    /// the fingerprint of the bank's telemetry and stored bits. The pins
+    /// move only with an intended change to simulated results.
+    #[test]
+    fn read_datapaths_are_pinned_under_soft_errors() {
+        use crate::march::MarchAlgorithm;
+        use rand::SeedableRng;
+
+        let faults = FaultPlan::none()
+            .with_stuck_cell(0, Address::new(0, 3), true)
+            .with_stuck_cell(0, Address::new(5, 6), false)
+            .with_retention_rate(2e-5)
+            .with_read_disturb(0.02);
+        // March C− over the first row: 80 steps a pass, so the run below
+        // completes a decoded pass and most of a raw one.
+        let march = MarchAlgorithm::CMinus.program().lower(8);
+        let pins = [
+            (
+                SchemeKind::Conventional,
+                EccMode::None,
+                0x2386_02b4_b394_12fa,
+            ),
+            (
+                SchemeKind::Conventional,
+                EccMode::Secded,
+                0x7aee_3f08_4069_cde0,
+            ),
+            (
+                SchemeKind::Destructive,
+                EccMode::None,
+                0x237a_2bd2_aad9_2e95,
+            ),
+            (
+                SchemeKind::Destructive,
+                EccMode::Secded,
+                0x5248_fd74_02e0_dab0,
+            ),
+            (
+                SchemeKind::Nondestructive,
+                EccMode::None,
+                0x0833_cd33_bc82_53c5,
+            ),
+            (
+                SchemeKind::Nondestructive,
+                EccMode::Secded,
+                0x9157_8f07_d89f_05f3,
+            ),
+        ];
+        for (kind, ecc, expected) in pins {
+            let mut bank = Bank::new(0, &small_config(kind, &faults).with_ecc(ecc));
+            let mut traffic = StdRng::seed_from_u64(31);
+            let mut marched = 0;
+            for step in 0..400 {
+                let addr = Address::new(traffic.gen_range(0..8), traffic.gen_range(0..8));
+                let txn = if traffic.gen_bool(0.6) {
+                    Transaction::read(0, addr)
+                } else {
+                    Transaction::write(0, addr, traffic.gen_bool(0.5))
+                };
+                bank.execute(&txn, &faults);
+                if step % 7 == 0 {
+                    let _ = bank.scrub_next(&faults);
+                }
+                if step % 3 == 0 {
+                    let op = march[marched % march.len()];
+                    let raw = (marched / march.len()) % 2 == 1;
+                    bank.execute_march_op(op.cell, op.op, op.element, raw, &faults);
+                    marched += 1;
+                }
+            }
+            let telemetry = bank.telemetry();
+            assert!(
+                telemetry.retention_flips > 0 && telemetry.read_disturb_flips > 0,
+                "{kind}/{}: both soft-error models must fire",
+                ecc.name()
+            );
+            let fingerprint = fnv1a(format!("{telemetry:?}{:?}", bank.stored_bits()).as_bytes());
+            assert_eq!(
+                fingerprint,
+                expected,
+                "{kind}/{}: simulated results moved (got {fingerprint:#018x})",
+                ecc.name()
+            );
+        }
+    }
+
     #[test]
     fn execute_march_op_attributes_failures_to_elements() {
         let addr = Address::new(3, 3); // row-major cell 27

@@ -22,8 +22,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stt_array::Address;
 use stt_ctrl::{
-    Chip, ChipConfig, ClosedLoopSource, FaultPlan, Geometry, GeometryParseErrorKind, Interleave,
-    InterleavePolicy, QueueTelemetry, ShardDispatch, Topology, Trace, Transaction, Workload,
+    BusTiming, Chip, ChipConfig, ChipRun, ClosedLoopSource, FaultPlan, Geometry,
+    GeometryParseErrorKind, Interleave, InterleavePolicy, QueueTelemetry, ShardDispatch, Topology,
+    Trace, Transaction, Workload,
 };
 use stt_sense::SchemeKind;
 
@@ -272,6 +273,132 @@ fn per_level_rollups_partition_chip_traffic() {
             "the {label} roll-up must partition the chip"
         );
     }
+}
+
+/// FNV-1a over a byte string: a small, dependency-free fingerprint.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Fingerprints a chip's runs together with its final stored bits.
+fn chip_fingerprint(runs: &[ChipRun], chip: &Chip) -> u64 {
+    fnv1a(format!("{runs:?}{:?}", chip.stored_state()).as_bytes())
+}
+
+/// Pins the chip's channel loop on the cases where its event order
+/// matters: bus contention under a wide closed-loop window, a sharded
+/// window-2 run on a chip that already holds state, open-loop replay with
+/// power cuts, arrivals that tie bank-done instants at zero bus time, and
+/// a trace that touches one bank after a closed loop. The fingerprints
+/// move only with an intended change to simulated results; a rewrite of
+/// the channel loop must leave every value below untouched.
+#[test]
+fn chip_runs_are_pinned() {
+    let topology = Topology::new(2, 1, 2, 2);
+    let mut fingerprints = Vec::new();
+
+    let contended = BusTiming {
+        group_bus_ns: 10.0,
+        channel_bus_ns: 5.0,
+    };
+    let wide = ClosedLoopSource::read_mostly(300, 16).with_mean_think_ns(1.0);
+    for kind in SchemeKind::ALL {
+        let config = ChipConfig::small(kind, topology)
+            .with_seed(41)
+            .with_bus(contended);
+        let mut chip = Chip::new(config);
+        let first = chip.run_closed_loop(&wide, ShardDispatch::Serial);
+        assert!(first.telemetry.channels[0].bus_wait_ns > 0.0, "{kind}");
+        let second = chip.run_closed_loop(&wide.with_window(2), ShardDispatch::Sharded);
+        fingerprints.push(chip_fingerprint(&[first, second], &chip));
+    }
+
+    let geometry = ChipConfig::small(SchemeKind::Nondestructive, topology).geometry();
+    let replay = Workload::Zipf {
+        theta: 0.9,
+        read_fraction: 0.8,
+    }
+    .generate_physical(
+        &geometry,
+        InterleavePolicy::BankXor,
+        500,
+        &mut StdRng::seed_from_u64(43),
+    )
+    .with_poisson_arrivals(6.0, &mut StdRng::seed_from_u64(44));
+    for kind in SchemeKind::ALL {
+        let config = ChipConfig::small(kind, topology)
+            .with_seed(42)
+            .with_faults(FaultPlan::none().with_power_cut_every(13));
+        let mut chip = Chip::new(config);
+        let run = chip.run_trace(&replay, ShardDispatch::Sharded);
+        assert!(run.telemetry.aggregate().power_cuts > 0, "{kind}");
+        fingerprints.push(chip_fingerprint(&[run], &chip));
+    }
+
+    // Conventional reads take a whole 9 ns and the bus is free, so 1 ns
+    // arrivals land on the very instants banks finish.
+    let flat = ChipConfig::small(SchemeKind::Conventional, Topology::flat(20))
+        .with_seed(45)
+        .with_bus(BusTiming {
+            group_bus_ns: 0.0,
+            channel_bus_ns: 0.0,
+        });
+    let ties = Trace::from_transactions(
+        Workload::Uniform { read_fraction: 1.0 }
+            .generate_physical(
+                &flat.geometry(),
+                InterleavePolicy::Linear,
+                400,
+                &mut StdRng::seed_from_u64(46),
+            )
+            .transactions()
+            .iter()
+            .enumerate()
+            .map(|(i, txn)| txn.at(i as u64))
+            .collect(),
+    );
+    let mut chip = Chip::new(flat);
+    let run = chip.run_trace(&ties, ShardDispatch::Serial);
+    fingerprints.push(chip_fingerprint(&[run], &chip));
+
+    let mut chip = Chip::new(ChipConfig::small(SchemeKind::Nondestructive, topology).with_seed(47));
+    let closed = chip.run_closed_loop(
+        &ClosedLoopSource::read_mostly(200, 4),
+        ShardDispatch::Serial,
+    );
+    let one_bank = Trace::from_transactions(
+        (0..60)
+            .map(|i| {
+                let addr = Address::new(i % 8, (3 * i) % 8);
+                let txn = if i % 4 == 0 {
+                    Transaction::write(5, addr, i % 8 == 0)
+                } else {
+                    Transaction::read(5, addr)
+                };
+                txn.at(2 * i as u64)
+            })
+            .collect(),
+    );
+    let replayed = chip.run_trace(&one_bank, ShardDispatch::Sharded);
+    assert_eq!(replayed.completed, 60);
+    fingerprints.push(chip_fingerprint(&[closed, replayed], &chip));
+
+    let expected = [
+        0x8737_f628_a437_6610,
+        0x7f78_f30f_305c_1519,
+        0x26ba_3c4b_7cf7_9717,
+        0xe58c_71d4_193d_a324,
+        0xc6e7_e8fc_daff_5376,
+        0x9dfc_d7b5_0e44_ebfc,
+        0x33ec_f3c0_a6b0_deaf,
+        0x0e5d_7fc4_31ff_d48d,
+    ];
+    assert_eq!(
+        fingerprints, expected,
+        "simulated results moved (got {fingerprints:#018x?})"
+    );
 }
 
 proptest! {
