@@ -14,15 +14,24 @@
 //! * the **demand** stream serves host traffic (senses, write pulses);
 //! * the **scrub** stream serves background scrub reads and repairs, so an
 //!   interleaved scrub never changes what a demand read would have seen;
-//! * the **fault** stream drives retention and read-disturb injection, and
-//!   is only drawn from when those fault models are enabled — a quiet plan
-//!   leaves demand traffic bit-identical to builds without soft errors;
+//! * the **fault** stream drives retention and read-disturb injection on
+//!   demand reads, and is only drawn from when those fault models are
+//!   enabled — a quiet plan leaves demand traffic bit-identical to builds
+//!   without soft errors (scrub and March draw their soft errors from
+//!   their own streams);
 //! * the **March** stream serves manufacturing-test traffic
 //!   ([`Bank::execute_march_op`]) so a test pass is deterministic and
 //!   independent of whatever demand traffic preceded it;
 //! * the **calibration** stream serves the calibration daemon's
 //!   reference-cell bursts (see [`crate::calib`]), so recalibrating a bank
 //!   never changes what a demand read would have seen.
+//!
+//! Every read kind — a demand read of one cell or of an ECC word, a scrub
+//! step, a decoded or raw March read — runs one datapath, `read_span`:
+//! retention decay, one sense per cell, the destructive write-back landing
+//! on stuck cells, then read disturb, all on the reader's streams. The read
+//! kinds differ only in the span they read and the clock they charge, the
+//! way demand and March writes share `write_cell`.
 //!
 //! Dynamic drift (see [`DriftPlan`]) evolves each bank's cells on its
 //! demand busy clock. Rebuilding cells for a new drift quantum draws no
@@ -46,7 +55,7 @@ use crate::engine::ControllerConfig;
 use crate::faults::{CouplingKind, DriftKey, DriftPlan, FaultPlan};
 use crate::march::MarchOp;
 use crate::reliability::codec::{self, DecodeKind};
-use crate::reliability::{word_count, ScrubCursor, ScrubOutcome, WORD_BITS};
+use crate::reliability::{word_count, ScrubCursor, WORD_BITS};
 use crate::retry::RetryPolicy;
 use crate::sense::Scheme;
 use crate::telemetry::{BankTelemetry, EccEventKind};
@@ -82,6 +91,54 @@ enum Stream {
     March,
 }
 
+/// The bank's seeded RNG streams. The two accessors are the one place an
+/// operation's [`Stream`] picks its RNG.
+#[derive(Debug)]
+struct Streams {
+    demand: StdRng,
+    scrub: StdRng,
+    fault: StdRng,
+    march: StdRng,
+    calib: StdRng,
+}
+
+impl Streams {
+    /// The RNG serving `stream`'s senses and write pulses.
+    fn pulses(&mut self, stream: Stream) -> &mut StdRng {
+        match stream {
+            Stream::Demand => &mut self.demand,
+            Stream::Scrub => &mut self.scrub,
+            Stream::March => &mut self.march,
+        }
+    }
+
+    /// The RNG serving `stream`'s soft-error draws (retention, read
+    /// disturb): demand traffic draws them from the fault stream, so a
+    /// quiet plan leaves its senses untouched; scrub and March draw them
+    /// from their own streams.
+    fn soft_errors(&mut self, stream: Stream) -> &mut StdRng {
+        match stream {
+            Stream::Demand => &mut self.fault,
+            Stream::Scrub => &mut self.scrub,
+            Stream::March => &mut self.march,
+        }
+    }
+}
+
+/// What one [`Bank::read_span`] sensed.
+#[derive(Debug, Clone, Copy)]
+struct SpanSense {
+    /// The received bits: bit `k` is cell `span.start + k`.
+    bits: u64,
+    /// The most attempts any one cell needed: the span's latency in reads,
+    /// one sense amplifier per column.
+    slowest: u32,
+    /// Attempts summed over the span: its energy in reads.
+    attempts: u64,
+    /// `true` when any cell fell back unconfidently.
+    unconfident: bool,
+}
+
 /// Controller-side ECC state for one bank: the per-word check store
 /// (modelling dedicated check columns, updated on writes, never corrupted
 /// by the array) and the scrub walk cursor.
@@ -111,11 +168,7 @@ pub struct Bank {
     array: Array,
     /// What the host believes each cell holds (row-major).
     truth: Vec<bool>,
-    rng: StdRng,
-    scrub_rng: StdRng,
-    fault_rng: StdRng,
-    march_rng: StdRng,
-    calib_rng: StdRng,
+    streams: Streams,
     scheme: Scheme,
     retry: RetryPolicy,
     /// Stuck-at defects on this bank, pre-filtered from the fault plan.
@@ -154,10 +207,6 @@ impl Bank {
     pub fn new(index: usize, config: &ControllerConfig) -> Self {
         let spec = &config.spec;
         let mut rng = stt_stats::trial_rng(config.seed, index);
-        let scrub_rng = stt_stats::trial_rng(config.seed ^ SCRUB_STREAM, index);
-        let fault_rng = stt_stats::trial_rng(config.seed ^ FAULT_STREAM, index);
-        let march_rng = stt_stats::trial_rng(config.seed ^ MARCH_STREAM, index);
-        let calib_rng = stt_stats::trial_rng(config.seed ^ CALIB_STREAM, index);
         let mut array = spec.sample(&mut rng);
         let mut truth = vec![false; spec.capacity_bits()];
         let cols = spec.cols;
@@ -241,11 +290,13 @@ impl Bank {
             index,
             array,
             truth,
-            rng,
-            scrub_rng,
-            fault_rng,
-            march_rng,
-            calib_rng,
+            streams: Streams {
+                demand: rng,
+                scrub: stt_stats::trial_rng(config.seed ^ SCRUB_STREAM, index),
+                fault: stt_stats::trial_rng(config.seed ^ FAULT_STREAM, index),
+                march: stt_stats::trial_rng(config.seed ^ MARCH_STREAM, index),
+                calib: stt_stats::trial_rng(config.seed ^ CALIB_STREAM, index),
+            },
             scheme: Scheme::for_kind(config.kind, &design),
             retry: config.retry,
             stuck,
@@ -353,108 +404,49 @@ impl Bank {
         }
     }
 
-    /// One March read on the March stream through the bank's real read
-    /// path. With ECC the tester observes the *decoded* bit — exactly what
-    /// a host would — so single-cell defects the codec absorbs legitimately
-    /// escape the test at that protection level; `raw` bypasses the codec
-    /// and senses the one cell directly, like an unprotected part.
-    /// Soft-error models tick as they do for demand reads, on the March
-    /// stream.
+    /// One March read on the March stream through the bank's read
+    /// datapath. With ECC the tester observes the *decoded* bit — exactly
+    /// what a host would — so single-cell defects the codec absorbs
+    /// legitimately escape the test at that protection level; `raw`
+    /// bypasses the codec and senses the one cell directly, like an
+    /// unprotected part.
     fn march_read(&mut self, addr: Address, raw: bool, faults: &FaultPlan) -> bool {
         let cell = self.truth_index(addr);
-        if self.ecc.is_some() && !raw {
-            let word = cell / WORD_BITS;
-            let span = self.word_span(word);
-            self.apply_retention(span.clone(), faults, Stream::March);
-            let (received, max_attempts, total_attempts, _) =
-                self.sense_word(span.clone(), Stream::March);
-            if self.scheme.is_destructive() {
-                self.snap_stuck_cells();
-            }
-            self.apply_read_disturb(span.clone(), faults, Stream::March);
-            if faults.has_soft_errors() {
-                self.snap_stuck_cells();
-            }
-            let check = self.ecc.as_ref().expect("checked above").check[word];
-            let decoded = codec::decode(received, check);
-            self.telemetry.march.busy_time += self.read_cost.latency() * f64::from(max_attempts);
-            self.telemetry.energy += self.read_cost.energy() * total_attempts as f64;
-            (decoded.data >> (cell - span.start)) & 1 == 1
-        } else {
-            self.apply_retention(cell..cell + 1, faults, Stream::March);
-            let resolution =
-                self.scheme
-                    .resolve(&self.retry, &mut self.array, addr, &mut self.march_rng);
-            if self.scheme.is_destructive() {
-                self.snap_stuck_cells();
-            }
-            self.apply_read_disturb(cell..cell + 1, faults, Stream::March);
-            if faults.has_soft_errors() {
-                self.snap_stuck_cells();
-            }
-            self.telemetry.march.busy_time +=
-                self.read_cost.latency() * f64::from(resolution.attempts);
-            self.telemetry.energy += self.read_cost.energy() * f64::from(resolution.attempts);
-            resolution.bit
-        }
+        let word = cell / WORD_BITS;
+        let (span, check) = match &self.ecc {
+            Some(ecc) if !raw => (self.word_span(word), Some(ecc.check[word])),
+            _ => (cell..cell + 1, None),
+        };
+        let sense = self.read_span(span.clone(), faults, Stream::March);
+        self.telemetry.march.busy_time += self.read_cost.latency() * f64::from(sense.slowest);
+        self.telemetry.energy += self.read_cost.energy() * sense.attempts as f64;
+        let bits = check.map_or(sense.bits, |check| codec::decode(sense.bits, check).data);
+        (bits >> (cell - span.start)) & 1 == 1
     }
 
     fn serve_read_plain(&mut self, addr: Address, faults: &FaultPlan) {
         let cell = self.truth_index(addr);
-        self.apply_retention(cell..cell + 1, faults, Stream::Demand);
-        let resolution = self
-            .scheme
-            .resolve(&self.retry, &mut self.array, addr, &mut self.rng);
-        if self.scheme.is_destructive() {
-            // The erase/write-back pulses may have hit a stuck cell.
-            self.snap_stuck_cells();
-        }
-        self.apply_read_disturb(cell..cell + 1, faults, Stream::Demand);
-        if faults.has_soft_errors() {
-            self.snap_stuck_cells();
-        }
-        self.telemetry.read_retries += u64::from(resolution.retries());
-        if !resolution.confident {
-            self.telemetry.unconfident_reads += 1;
-        }
-        if resolution.bit != self.truth[cell] {
+        let sense = self.read_span(cell..cell + 1, faults, Stream::Demand);
+        if (sense.bits == 1) != self.truth[cell] {
             self.telemetry.misreads += 1;
         }
-        let latency = self.read_cost.latency() * f64::from(resolution.attempts);
-        let energy = self.read_cost.energy() * f64::from(resolution.attempts);
-        self.telemetry.record_read_latency(latency);
-        self.telemetry.busy_time += latency;
-        self.telemetry.energy += energy;
+        self.charge_demand_read(sense);
     }
 
-    /// An ECC-protected read: sense the whole 64-cell word (one sense
-    /// amplifier per column, so word latency is the *slowest* cell's retry
-    /// chain while energy sums every attempt), decode it against the check
-    /// store, and classify the access as clean / corrected CE / detected UE
-    /// / silent. The delivered bit is cut from the *decoded* word, so a
-    /// single-bit error anywhere in the word — stuck cell, retention flip,
-    /// marginal sense — no longer reaches the host.
+    /// An ECC-protected read: sense the whole 64-cell word, decode it
+    /// against the check store, and classify the access as clean /
+    /// corrected CE / detected UE / silent. The delivered bit is cut from
+    /// the *decoded* word, so a single-bit error anywhere in the word —
+    /// stuck cell, retention flip, marginal sense — no longer reaches the
+    /// host.
     fn serve_read_ecc(&mut self, addr: Address, faults: &FaultPlan) {
         let cell = self.truth_index(addr);
         let word = cell / WORD_BITS;
         let span = self.word_span(word);
-        self.apply_retention(span.clone(), faults, Stream::Demand);
-        let (received, max_attempts, total_attempts, any_unconfident) =
-            self.sense_word(span.clone(), Stream::Demand);
-        if self.scheme.is_destructive() {
-            self.snap_stuck_cells();
-        }
-        self.apply_read_disturb(span.clone(), faults, Stream::Demand);
-        if faults.has_soft_errors() {
-            self.snap_stuck_cells();
-        }
-        self.telemetry.read_retries += u64::from(max_attempts - 1);
-        if any_unconfident {
-            self.telemetry.unconfident_reads += 1;
-        }
-
+        let sense = self.read_span(span.clone(), faults, Stream::Demand);
+        self.charge_demand_read(sense);
         let check = self.ecc.as_ref().expect("ECC read without ECC state").check[word];
-        let decoded = codec::decode(received, check);
+        let decoded = codec::decode(sense.bits, check);
         let truth = truth_word(&self.truth, word);
         let ecc = &mut self.telemetry.ecc;
         match decoded.kind {
@@ -478,12 +470,20 @@ impl Bank {
         if delivered != self.truth[cell] {
             self.telemetry.misreads += 1;
         }
+    }
 
-        let latency = self.read_cost.latency() * f64::from(max_attempts);
-        let energy = self.read_cost.energy() * total_attempts as f64;
+    /// Charges a demand read's sense on the demand clock: its retries and
+    /// unconfident count, and a latency of the slowest cell's attempts
+    /// with an energy of every cell's.
+    fn charge_demand_read(&mut self, sense: SpanSense) {
+        self.telemetry.read_retries += u64::from(sense.slowest - 1);
+        if sense.unconfident {
+            self.telemetry.unconfident_reads += 1;
+        }
+        let latency = self.read_cost.latency() * f64::from(sense.slowest);
         self.telemetry.record_read_latency(latency);
         self.telemetry.busy_time += latency;
-        self.telemetry.energy += energy;
+        self.telemetry.energy += self.read_cost.energy() * sense.attempts as f64;
     }
 
     /// A read interrupted by a power cut. The scheme's sequence is built as
@@ -495,8 +495,8 @@ impl Bank {
     fn serve_read_with_power_cut(&mut self, addr: Address) {
         self.telemetry.power_cuts += 1;
         let scheme = self.scheme;
-        let sensed = scheme.sense_readonly(&self.array, addr, &mut self.rng);
-        let rng = RefCell::new(&mut self.rng);
+        let sensed = scheme.sense_readonly(&self.array, addr, &mut self.streams.demand);
+        let rng = RefCell::new(&mut self.streams.demand);
         let steps: Vec<OperationStep<'_>> = if scheme.is_destructive() {
             vec![
                 Box::new(|_a: &mut Array| {}), // read 1: V_BL1 onto C1
@@ -553,11 +553,7 @@ impl Bank {
             1
         } else {
             let array = &mut self.array;
-            let rng = match stream {
-                Stream::Demand => &mut self.rng,
-                Stream::Scrub => &mut self.scrub_rng,
-                Stream::March => &mut self.march_rng,
-            };
+            let rng = self.streams.pulses(stream);
             match array.write_bit_verified(addr, bit, MAX_WRITE_ATTEMPTS, rng) {
                 Some(used) => {
                     self.telemetry.write_retries += u64::from(used - 1);
@@ -578,12 +574,7 @@ impl Bank {
                 .find(|cell| cell.addr == addr)
                 .map(|cell| cell.prob);
             if let Some(prob) = prob {
-                let rng = match stream {
-                    Stream::Demand => &mut self.rng,
-                    Stream::Scrub => &mut self.scrub_rng,
-                    Stream::March => &mut self.march_rng,
-                };
-                if rng.gen_bool(prob) {
+                if self.streams.pulses(stream).gen_bool(prob) {
                     self.array.write_bit(addr, !bit);
                     self.telemetry.backhop_flips += 1;
                 }
@@ -648,8 +639,8 @@ impl Bank {
     }
 
     /// One background scrub step: re-read the next word in the round-robin
-    /// walk through the configured sensing scheme (on the dedicated scrub
-    /// RNG stream), decode it, and **repair in place** — every cell whose
+    /// walk through the demand read datapath (on the dedicated scrub RNG
+    /// stream), decode it, and **repair in place** — every cell whose
     /// stored state disagrees with the decoded word is rewritten, which
     /// fixes retention flips, read-disturb flips and power-cut damage alike
     /// as long as the word is still correctable.
@@ -664,115 +655,71 @@ impl Bank {
     /// the rest of the run — and a third flip on top miscorrects, so scrub
     /// would lock wrong data in place.
     ///
-    /// Returns `None` when the bank runs without ECC (nothing to scrub
-    /// against). Scrub time and energy are charged to the bank's busy-time
-    /// accumulator exactly like demand traffic, so the scheduler frontend
-    /// prices scrub occupancy the same way.
-    pub fn scrub_next(&mut self, faults: &FaultPlan) -> Option<ScrubOutcome> {
-        self.ecc.as_ref()?;
+    /// Returns `false` when the bank runs without ECC (nothing to scrub
+    /// against). What the step found and repaired lands in
+    /// [`EccTelemetry`](crate::EccTelemetry). Scrub time is charged to
+    /// `ecc.scrub_busy_time`, not the demand busy clock, so scrub never
+    /// advances the retention decay it repairs; its energy joins the
+    /// bank's total.
+    pub fn scrub_next(&mut self, faults: &FaultPlan) -> bool {
+        let Some(state) = &mut self.ecc else {
+            return false;
+        };
+        let (word, wrapped) = state.cursor.advance();
+        let check = state.check[word];
         self.maybe_apply_drift();
-        let (word, wrapped) = self.ecc.as_mut().expect("checked above").cursor.advance();
         let span = self.word_span(word);
-        self.apply_retention(span.clone(), faults, Stream::Scrub);
-        let (received, max_attempts, total_attempts, _) =
-            self.sense_word(span.clone(), Stream::Scrub);
-        if self.scheme.is_destructive() {
-            self.snap_stuck_cells();
-        }
-        self.apply_read_disturb(span.clone(), faults, Stream::Scrub);
-        if faults.has_soft_errors() {
-            self.snap_stuck_cells();
-        }
-        let mut latency = self.read_cost.latency() * f64::from(max_attempts);
-        let mut energy = self.read_cost.energy() * total_attempts as f64;
-
-        let check = self.ecc.as_ref().expect("checked above").check[word];
-        let decoded = codec::decode(received, check);
-        let mut corrected = false;
-        let mut uncorrectable = false;
-        let mut rewritten = 0u32;
-        match decoded.kind {
-            DecodeKind::Clean => {}
+        let sense = self.read_span(span.clone(), faults, Stream::Scrub);
+        let mut latency = self.read_cost.latency() * f64::from(sense.slowest);
+        let mut energy = self.read_cost.energy() * sense.attempts as f64;
+        let decoded = codec::decode(sense.bits, check);
+        let ecc = &mut self.telemetry.ecc;
+        let target = match decoded.kind {
+            DecodeKind::Clean => None,
             DecodeKind::Uncorrectable => {
-                uncorrectable = true;
-                self.telemetry.ecc.scrub_ue_found += 1;
-                self.telemetry.ecc.log_event(word, EccEventKind::ScrubUe);
-                // Host-assisted reconstruction: restore every cell that
-                // disagrees with the host's copy. The check sidecar already
-                // holds encode(truth), so the word re-reads clean afterwards.
-                let truth = truth_word(&self.truth, word);
-                for k in 0..span.len() {
-                    let addr = self.addr_of(span.start + k);
-                    let target = (truth >> k) & 1 == 1;
-                    if self.array.read_state(addr).bit() != target {
-                        let pulses = self
-                            .array
-                            .write_bit_verified(
-                                addr,
-                                target,
-                                MAX_WRITE_ATTEMPTS,
-                                &mut self.scrub_rng,
-                            )
-                            .unwrap_or(MAX_WRITE_ATTEMPTS);
-                        latency += self.write_cost.latency() * f64::from(pulses);
-                        energy += self.write_cost.energy() * f64::from(pulses);
-                        rewritten += 1;
-                    }
-                }
-                if rewritten > 0 {
-                    self.snap_stuck_cells();
-                }
-                self.telemetry.ecc.scrub_cells_rewritten += u64::from(rewritten);
+                ecc.scrub_ue_found += 1;
+                ecc.log_event(word, EccEventKind::ScrubUe);
+                // Host-assisted reconstruction: restore the host's copy.
+                // The check sidecar already holds encode(truth), so the
+                // word re-reads clean afterwards.
+                Some(truth_word(&self.truth, word))
             }
             _ => {
-                corrected = true;
-                self.telemetry.ecc.scrub_ce_corrected += 1;
-                self.telemetry.ecc.log_event(word, EccEventKind::ScrubCe);
-                // Repair: rewrite cells whose *stored* state disagrees with
-                // the corrected word. A transient mis-sense decodes to the
-                // stored state itself, so nothing is rewritten (and no RNG
-                // is drawn) — scrub stays a no-op on a healthy array.
-                for k in 0..span.len() {
-                    let addr = self.addr_of(span.start + k);
-                    let target = (decoded.data >> k) & 1 == 1;
-                    if self.array.read_state(addr).bit() != target {
-                        let pulses = self
-                            .array
-                            .write_bit_verified(
-                                addr,
-                                target,
-                                MAX_WRITE_ATTEMPTS,
-                                &mut self.scrub_rng,
-                            )
-                            .unwrap_or(MAX_WRITE_ATTEMPTS);
-                        latency += self.write_cost.latency() * f64::from(pulses);
-                        energy += self.write_cost.energy() * f64::from(pulses);
-                        rewritten += 1;
-                    }
-                }
-                if rewritten > 0 {
-                    self.snap_stuck_cells();
-                }
-                self.telemetry.ecc.scrub_cells_rewritten += u64::from(rewritten);
+                ecc.scrub_ce_corrected += 1;
+                ecc.log_event(word, EccEventKind::ScrubCe);
+                // A transient mis-sense decodes to the stored state itself,
+                // so nothing is rewritten (and no RNG is drawn) — scrub
+                // stays a no-op on a healthy array.
+                Some(decoded.data)
             }
+        };
+        if let Some(target) = target {
+            let mut rewritten = 0;
+            for (k, cell) in span.enumerate() {
+                let addr = self.addr_of(cell);
+                let bit = (target >> k) & 1 == 1;
+                if self.array.read_state(addr).bit() != bit {
+                    let pulses = self
+                        .array
+                        .write_bit_verified(addr, bit, MAX_WRITE_ATTEMPTS, &mut self.streams.scrub)
+                        .unwrap_or(MAX_WRITE_ATTEMPTS);
+                    latency += self.write_cost.latency() * f64::from(pulses);
+                    energy += self.write_cost.energy() * f64::from(pulses);
+                    rewritten += 1;
+                }
+            }
+            if rewritten > 0 {
+                self.snap_stuck_cells();
+            }
+            self.telemetry.ecc.scrub_cells_rewritten += rewritten;
         }
         self.telemetry.ecc.scrub_words_scanned += 1;
         if wrapped {
             self.telemetry.ecc.scrub_passes += 1;
         }
-        // Scrub occupancy is charged to its own accumulator: `busy_time` is
-        // the demand-traffic clock (and the retention-decay clock), so
-        // folding scrub into it would accelerate the decay scrub repairs
-        // and mismatch fault exposure across protection levels.
         self.telemetry.ecc.scrub_busy_time += latency;
         self.telemetry.energy += energy;
-        Some(ScrubOutcome {
-            word,
-            corrected,
-            uncorrectable,
-            cells_rewritten: rewritten,
-            completed_pass: wrapped,
-        })
+        true
     }
 
     /// Advances dynamic drift to the bank's current busy-time temperature /
@@ -837,7 +784,7 @@ impl Bank {
         let cells = self.truth.len();
         for k in 0..calib.burst_reads as usize {
             let addr = self.addr_of(k % cells);
-            let _ = scheme.sense_readonly(&self.array, addr, &mut self.calib_rng);
+            let _ = scheme.sense_readonly(&self.array, addr, &mut self.streams.calib);
         }
         self.telemetry.calib.busy_time += self.read_cost.latency() * f64::from(calib.burst_reads);
         self.telemetry.energy += self.read_cost.energy() * f64::from(calib.burst_reads);
@@ -870,32 +817,39 @@ impl Bank {
         };
     }
 
-    /// Senses every cell of `span` once through the retry policy, on the
-    /// requesting stream's RNG. Returns the received word (bit `k` = cell
-    /// `span.start + k`), the largest per-cell attempt count, the total
-    /// attempts, and whether any cell fell back unconfidently.
-    fn sense_word(&mut self, span: Range<usize>, stream: Stream) -> (u64, u32, u64, bool) {
-        let cols = self.array.cols();
-        let mut received = 0u64;
-        let mut max_attempts = 1u32;
-        let mut total_attempts = 0u64;
-        let mut any_unconfident = false;
-        for (k, cell) in span.enumerate() {
-            let addr = Address::new(cell / cols, cell % cols);
-            let rng = match stream {
-                Stream::Demand => &mut self.rng,
-                Stream::Scrub => &mut self.scrub_rng,
-                Stream::March => &mut self.march_rng,
-            };
+    /// The read datapath every read kind shares — demand (one cell or a
+    /// whole word), scrub and March. In physical order: retention decay
+    /// materialises on the span, each cell is sensed once through
+    /// [`Scheme::resolve`] on `stream`'s RNG, a destructive scheme's
+    /// write-back re-pins stuck cells, read disturb hits the span, and
+    /// stuck cells are re-pinned over any soft-error flip. Pricing is the
+    /// caller's: each read kind charges its own clock.
+    fn read_span(&mut self, span: Range<usize>, faults: &FaultPlan, stream: Stream) -> SpanSense {
+        self.apply_retention(span.clone(), faults, stream);
+        let mut sense = SpanSense {
+            bits: 0,
+            slowest: 1,
+            attempts: 0,
+            unconfident: false,
+        };
+        for (k, cell) in span.clone().enumerate() {
+            let addr = self.addr_of(cell);
+            let rng = self.streams.pulses(stream);
             let resolution = self.scheme.resolve(&self.retry, &mut self.array, addr, rng);
-            max_attempts = max_attempts.max(resolution.attempts);
-            total_attempts += u64::from(resolution.attempts);
-            any_unconfident |= !resolution.confident;
-            if resolution.bit {
-                received |= 1u64 << k;
-            }
+            sense.bits |= u64::from(resolution.bit) << k;
+            sense.slowest = sense.slowest.max(resolution.attempts);
+            sense.attempts += u64::from(resolution.attempts);
+            sense.unconfident |= !resolution.confident;
         }
-        (received, max_attempts, total_attempts, any_unconfident)
+        if self.scheme.is_destructive() {
+            // The erase/write-back pulses may have hit a stuck cell.
+            self.snap_stuck_cells();
+        }
+        self.apply_read_disturb(span, faults, stream);
+        if faults.has_soft_errors() {
+            self.snap_stuck_cells();
+        }
+        sense
     }
 
     /// Materialises retention decay on every cell of `span`: each cell
@@ -907,22 +861,11 @@ impl Bank {
             return;
         }
         let now_ns = self.busy_now_ns();
-        let cols = self.array.cols();
         for cell in span {
             let p = faults.retention_flip_prob(now_ns - self.last_touch_ns[cell]);
             self.last_touch_ns[cell] = now_ns;
-            if p <= 0.0 {
-                continue;
-            }
-            let rng = match stream {
-                Stream::Demand => &mut self.fault_rng,
-                Stream::Scrub => &mut self.scrub_rng,
-                Stream::March => &mut self.march_rng,
-            };
-            if rng.gen_bool(p) {
-                let addr = Address::new(cell / cols, cell % cols);
-                let stored = self.array.read_state(addr).bit();
-                self.array.write_bit(addr, !stored);
+            if p > 0.0 && self.streams.soft_errors(stream).gen_bool(p) {
+                self.flip(cell);
                 self.telemetry.retention_flips += 1;
             }
         }
@@ -934,20 +877,20 @@ impl Bank {
         let Some(p) = faults.read_disturb_prob else {
             return;
         };
-        let cols = self.array.cols();
         for cell in span {
-            let rng = match stream {
-                Stream::Demand => &mut self.fault_rng,
-                Stream::Scrub => &mut self.scrub_rng,
-                Stream::March => &mut self.march_rng,
-            };
-            if rng.gen_bool(p) {
-                let addr = Address::new(cell / cols, cell % cols);
-                let stored = self.array.read_state(addr).bit();
-                self.array.write_bit(addr, !stored);
+            if self.streams.soft_errors(stream).gen_bool(p) {
+                self.flip(cell);
                 self.telemetry.read_disturb_flips += 1;
             }
         }
+    }
+
+    /// Inverts the stored state of `cell` (row-major) behind the host's
+    /// back.
+    fn flip(&mut self, cell: usize) {
+        let addr = self.addr_of(cell);
+        let stored = self.array.read_state(addr).bit();
+        self.array.write_bit(addr, !stored);
     }
 
     /// The bank's stored bits right now, row-major — the quantity the
@@ -1201,15 +1144,12 @@ mod tests {
         let stored = bank.array.read_state(victim).bit();
         bank.array.write_bit(victim, !stored);
         assert_eq!(bank.audit_corrupted_bits(), 1);
-        let outcome = bank.scrub_next(&faults).expect("ECC bank must scrub");
-        assert!(outcome.corrected, "{outcome:?}");
-        assert_eq!(outcome.cells_rewritten, 1);
-        assert!(outcome.completed_pass, "single-word bank wraps every scan");
+        assert!(bank.scrub_next(&faults), "ECC bank must scrub");
         assert_eq!(bank.audit_corrupted_bits(), 0, "scrub must repair in place");
         let ecc = &bank.telemetry().ecc;
-        assert_eq!(ecc.scrub_ce_corrected, 1);
+        assert_eq!(ecc.scrub_ce_corrected, 1, "{ecc:?}");
         assert_eq!(ecc.scrub_cells_rewritten, 1);
-        assert_eq!(ecc.scrub_passes, 1);
+        assert_eq!(ecc.scrub_passes, 1, "single-word bank wraps every scan");
     }
 
     #[test]
@@ -1217,8 +1157,12 @@ mod tests {
         let faults = FaultPlan::none();
         let mut bank = small_ecc_bank(SchemeKind::Nondestructive, &faults);
         let before = bank.telemetry().energy;
-        let outcome = bank.scrub_next(&faults).expect("ECC bank must scrub");
-        assert_eq!(outcome.cells_rewritten, 0, "a healthy word needs no repair");
+        assert!(bank.scrub_next(&faults), "ECC bank must scrub");
+        assert_eq!(
+            bank.telemetry().ecc.scrub_cells_rewritten,
+            0,
+            "a healthy word needs no repair"
+        );
         // Like a demand word read, energy sums every cell's attempts: at
         // least one sense per cell of the word.
         let charged = (bank.telemetry().energy - before).get();
@@ -1229,7 +1173,7 @@ mod tests {
     #[test]
     fn scrub_without_ecc_is_refused() {
         let mut bank = small_bank(SchemeKind::Nondestructive, &FaultPlan::none());
-        assert!(bank.scrub_next(&FaultPlan::none()).is_none());
+        assert!(!bank.scrub_next(&FaultPlan::none()));
     }
 
     #[test]
@@ -1238,8 +1182,8 @@ mod tests {
         let mut scrubbed = small_ecc_bank(SchemeKind::Nondestructive, &faults);
         let mut control = small_ecc_bank(SchemeKind::Nondestructive, &faults);
         for _ in 0..8 {
-            let outcome = scrubbed.scrub_next(&faults).unwrap();
-            assert_eq!(outcome.cells_rewritten, 0);
+            assert!(scrubbed.scrub_next(&faults));
+            assert_eq!(scrubbed.telemetry().ecc.scrub_cells_rewritten, 0);
         }
         assert_eq!(scrubbed.stored_bits(), control.stored_bits());
         // Demand reads after scrubbing see the exact same RNG stream.

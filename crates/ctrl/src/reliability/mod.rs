@@ -36,7 +36,7 @@ pub mod scrub;
 use serde::{Deserialize, Serialize};
 
 pub use campaign::{run_campaign, CampaignConfig, CampaignRow, FaultIntensity, Protection};
-pub use scrub::{ScrubConfig, ScrubCursor, ScrubOutcome};
+pub use scrub::{ScrubConfig, ScrubCursor};
 
 /// Cells per ECC word.
 pub const WORD_BITS: usize = codec::DATA_BITS as usize;

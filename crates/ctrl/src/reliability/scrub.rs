@@ -43,23 +43,6 @@ impl ScrubConfig {
     }
 }
 
-/// What one [`crate::Bank::scrub_next`] call did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScrubOutcome {
-    /// The word index that was scanned.
-    pub word: usize,
-    /// `true` when the scan corrected a CE (and rewrote the flipped cell
-    /// for a data error).
-    pub corrected: bool,
-    /// `true` when the word decoded uncorrectable (left for map-out).
-    pub uncorrectable: bool,
-    /// Cells physically rewritten by this scan.
-    pub cells_rewritten: u32,
-    /// `true` when this scan wrapped around to word 0 — one full pass of
-    /// the bank completed.
-    pub completed_pass: bool,
-}
-
 /// Round-robin word cursor for one bank's scrub walk.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScrubCursor {
