@@ -12,6 +12,7 @@
 //! channel crosses the channel bus, so a completed array access still
 //! queues for its buses before the data is really delivered (the
 //! serialization delay that makes cheap reads buy bus headroom at scale).
+//! Each bank's lane serves its queue first-come, first-served.
 //!
 //! Banks are materialised **lazily**: a multi-GB address space is fully
 //! addressable through the topology, but a bank allocates its array, truth
@@ -113,8 +114,6 @@ pub struct ChipConfig {
     pub interleave: InterleavePolicy,
     /// Shared-bus timing.
     pub bus: BusTiming,
-    /// Per-bank dispatch policy inside each channel.
-    pub policy: Policy,
 }
 
 impl ChipConfig {
@@ -133,7 +132,6 @@ impl ChipConfig {
             ecc: EccMode::None,
             interleave: InterleavePolicy::Linear,
             bus: BusTiming::date2010(),
-            policy: Policy::Fcfs,
         }
     }
 
@@ -178,13 +176,6 @@ impl ChipConfig {
     #[must_use]
     pub fn with_bus(mut self, bus: BusTiming) -> Self {
         self.bus = bus;
-        self
-    }
-
-    /// Overrides the per-bank dispatch policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: Policy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -635,12 +626,9 @@ impl<'a> ChannelSim<'a> {
         self.outstanding -= 1;
         self.end_ns = self.end_ns.max(now);
         let bank_state = banks.get_mut(&bank).expect("completion without bank");
-        if let Some(done) = lane.try_dispatch(
-            bank_state,
-            &self.bank_config.faults,
-            self.config.policy,
-            now,
-        ) {
+        if let Some(done) =
+            lane.try_dispatch(bank_state, &self.bank_config.faults, Policy::Fcfs, now)
+        {
             self.events.schedule(done, Event::BankDone { bank });
         }
     }
