@@ -566,11 +566,10 @@ fn topology_sweep(ops_per_channel: usize, topology: Topology) -> Table {
     let mut chip = Chip::new(config);
     let run = chip.run_trace(&trace, ShardDispatch::Sharded);
     assert_eq!(run.completed as usize, trace.len());
-    assert!(
-        chip.resident_banks() <= touched.len(),
-        "lazy chip materialised {} banks for {} touched",
+    assert_eq!(
         chip.resident_banks(),
-        touched.len()
+        touched.len(),
+        "a lazy chip materialises exactly the touched banks"
     );
     println!(
         "sparse Zipf replay: {} of {} banks resident ({} touched) — lazy materialisation ✓",

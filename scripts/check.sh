@@ -121,14 +121,14 @@ awk -v value="$amortization" -v floor="${FIG5_AMORTIZATION_FLOOR:-5.0}" 'BEGIN {
 }'
 
 # Fast end-to-end smoke of the full-chip hierarchy: a small topology sweep
-# that asserts sharded == serial at every point and exercises the lazy
-# sparse-chip path (200 ops keeps it to a few seconds; the knee assertion
-# only arms at >= 1000 ops).
+# that asserts sharded == serial at every point, asserts that the lazy
+# sparse chip materialises exactly the banks its replay touches, and, at
+# 1000 ops, arms the knee assertion (about 1.5 s).
 echo "==> trafficsim --topology-sweep smoke"
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 cargo run --release -q -p stt-bench --bin trafficsim -- \
-    --topology-sweep --ops 200 --geometry 2x1x2x2 --csv "$smoke_dir" > /dev/null
+    --topology-sweep --ops 1000 --geometry 2x1x2x2 --csv "$smoke_dir" > /dev/null
 test -s "$smoke_dir/topology_sweep.csv"
 
 # Plain traffic sweep smoke: the only check.sh step that drives
