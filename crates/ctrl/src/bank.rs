@@ -126,7 +126,7 @@ impl Streams {
 }
 
 /// What one [`Bank::read_span`] sensed.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 struct SpanSense {
     /// The received bits: bit `k` is cell `span.start + k`.
     bits: u64,
