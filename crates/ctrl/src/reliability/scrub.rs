@@ -7,8 +7,10 @@
 //! and is served only when the dispatch policy finds no demand work — the
 //! demand class always preempts it at arbitration. The scrub *operation*
 //! lives on the bank ([`crate::Bank::scrub_next`]): re-read the next word
-//! through the configured sensing scheme, decode it, rewrite any corrected
-//! cell in place, and log uncorrectable words.
+//! through the bank's demand read datapath, decode it, rewrite any
+//! corrected cell in place, and restore an uncorrectable word from the
+//! host's copy. What each step found lands in
+//! [`EccTelemetry`](crate::EccTelemetry).
 //!
 //! Scrub reads sense through a **dedicated per-bank RNG stream**, so an
 //! interleaved scrub never changes the offsets (and therefore the results)
