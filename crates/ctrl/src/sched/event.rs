@@ -9,13 +9,14 @@
 //! sequence number: two events at the same instant always pop in the order
 //! they were scheduled, independent of heap internals or float quirks.
 //!
-//! Storage is index-based: entries live in one flat `Vec` used as an
-//! implicit binary min-heap (parent/child navigation is index arithmetic,
-//! sift operations swap in place), so there is no per-event box and — once
-//! the frontend has reserved the run's worst-case event count up front —
-//! scheduling and popping never allocate.
+//! Storage is std's [`BinaryHeap`] over entries whose order is the reverse
+//! of `(time, seq)`, so the max-heap pops the earliest event first. `seq` is
+//! unique, so no two entries compare equal and the pop order is a function
+//! of the keys alone. Once the frontend has reserved the run's worst-case
+//! event count up front, scheduling and popping never allocate.
 
 use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// One scheduled entry: a timestamp, a tie-breaking sequence number and the
 /// payload.
@@ -26,16 +27,30 @@ struct Scheduled<E> {
     event: E,
 }
 
-impl<E> Scheduled<E> {
-    /// Min-heap priority: earliest timestamp first, ties by insertion order.
-    fn before(&self, other: &Self) -> bool {
-        match self.time_ns.total_cmp(&other.time_ns) {
-            Ordering::Less => true,
-            Ordering::Greater => false,
-            Ordering::Equal => self.seq < other.seq,
-        }
+impl<E> Ord for Scheduled<E> {
+    /// Reversed `(time, seq)`: the greatest entry is the earliest event,
+    /// ties broken by insertion order.
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .time_ns
+            .total_cmp(&self.time_ns)
+            .then(other.seq.cmp(&self.seq))
     }
 }
+
+impl<E> PartialOrd for Scheduled<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> PartialEq for Scheduled<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<E> Eq for Scheduled<E> {}
 
 /// A min-heap of timestamped events with deterministic tie-breaking.
 ///
@@ -55,9 +70,7 @@ impl<E> Scheduled<E> {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EventQueue<E> {
-    /// Implicit binary heap: `heap[0]` is the earliest event, children of
-    /// index `i` sit at `2i + 1` and `2i + 2`.
-    heap: Vec<Scheduled<E>>,
+    heap: BinaryHeap<Scheduled<E>>,
     seq: u64,
 }
 
@@ -65,24 +78,16 @@ impl<E> EventQueue<E> {
     /// An empty event queue.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            heap: Vec::new(),
-            seq: 0,
-        }
+        Self::with_capacity(0)
     }
 
     /// An empty event queue with room for `capacity` pending events.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            heap: Vec::with_capacity(capacity),
+            heap: BinaryHeap::with_capacity(capacity),
             seq: 0,
         }
-    }
-
-    /// Reserves room for at least `additional` more pending events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
     }
 
     /// Schedules `event` at `time_ns`.
@@ -99,28 +104,12 @@ impl<E> EventQueue<E> {
             event,
         });
         self.seq += 1;
-        self.sift_up(self.heap.len() - 1);
-    }
-
-    /// The timestamp of the earliest pending event.
-    #[must_use]
-    pub fn next_time(&self) -> Option<f64> {
-        self.heap.first().map(|entry| entry.time_ns)
     }
 
     /// Removes and returns the earliest pending event (ties in scheduling
     /// order).
     pub fn pop(&mut self) -> Option<(f64, E)> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let last = self.heap.len() - 1;
-        self.heap.swap(0, last);
-        let entry = self.heap.pop().expect("heap checked non-empty");
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
-        Some((entry.time_ns, entry.event))
+        self.heap.pop().map(|entry| (entry.time_ns, entry.event))
     }
 
     /// Number of pending events.
@@ -134,55 +123,29 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.heap[i].before(&self.heap[parent]) {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let n = self.heap.len();
-        loop {
-            let (left, right) = (2 * i + 1, 2 * i + 2);
-            let mut smallest = i;
-            if left < n && self.heap[left].before(&self.heap[smallest]) {
-                smallest = left;
-            }
-            if right < n && self.heap[right].before(&self.heap[smallest]) {
-                smallest = right;
-            }
-            if smallest == i {
-                break;
-            }
-            self.heap.swap(i, smallest);
-            i = smallest;
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn pops_in_time_order() {
         let mut queue = EventQueue::new();
+        assert!(queue.is_empty());
         for &t in &[5.0, 1.0, 3.0, 2.0, 4.0] {
             queue.schedule(t, t as u64);
         }
+        assert_eq!(queue.len(), 5);
+        assert!(!queue.is_empty());
         let mut popped = Vec::new();
         while let Some((t, e)) = queue.pop() {
             assert_eq!(t as u64, e);
             popped.push(t);
         }
         assert_eq!(popped, vec![1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert!(queue.is_empty());
     }
 
     #[test]
@@ -193,16 +156,6 @@ mod tests {
         }
         let order: Vec<u64> = std::iter::from_fn(|| queue.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn next_time_peeks_without_removing() {
-        let mut queue = EventQueue::new();
-        assert_eq!(queue.next_time(), None);
-        queue.schedule(2.5, ());
-        assert_eq!(queue.next_time(), Some(2.5));
-        assert_eq!(queue.len(), 1);
-        assert!(!queue.is_empty());
     }
 
     #[test]
@@ -236,5 +189,42 @@ mod tests {
     #[should_panic(expected = "timestamps must be numbers")]
     fn nan_timestamps_are_rejected() {
         EventQueue::new().schedule(f64::NAN, ());
+    }
+
+    proptest! {
+        /// The heap against a naive reference: a `Vec` of pending
+        /// `(time, seq)` pairs, popped by a linear scan for the least pair.
+        /// Each op is a pop (`op % 3 == 0`) or a schedule at one of four
+        /// instants (including -0.0 and 0.0), so ties dominate.
+        #[test]
+        fn prop_pops_match_a_linear_scan_reference(
+            ops in proptest::collection::vec(0u32..12, 0..200),
+        ) {
+            const TIMES: [f64; 4] = [-0.0, 0.0, 1.5, 3.0];
+            let mut queue = EventQueue::new();
+            let mut reference: Vec<(f64, u64)> = Vec::new();
+            let mut seq = 0u64;
+            for op in ops {
+                if op % 3 == 0 {
+                    let least = (0..reference.len()).min_by(|&a, &b| {
+                        let (ta, sa) = reference[a];
+                        let (tb, sb) = reference[b];
+                        ta.total_cmp(&tb).then(sa.cmp(&sb))
+                    });
+                    let expected = least.map(|i| reference.remove(i));
+                    let popped = queue.pop();
+                    prop_assert_eq!(
+                        popped.map(|(t, s)| (t.to_bits(), s)),
+                        expected.map(|(t, s)| (t.to_bits(), s))
+                    );
+                } else {
+                    let time = TIMES[(op / 3) as usize];
+                    queue.schedule(time, seq);
+                    reference.push((time, seq));
+                    seq += 1;
+                }
+                prop_assert_eq!(queue.len(), reference.len());
+            }
+        }
     }
 }

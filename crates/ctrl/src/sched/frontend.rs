@@ -648,7 +648,7 @@ impl Frontend {
     /// The simulated clock restarts at zero for each call; accumulated
     /// telemetry (including queueing horizons) sums across calls.
     ///
-    /// All working storage (event heap, lane arenas, completion columns,
+    /// All working storage (event heap, lane queues, completion columns,
     /// retry waitlists; on the FCFS fast path the bank-major offer lists
     /// and service times) is preallocated from the trace length before the
     /// event loop starts, so the fault-free steady state performs no heap
@@ -710,11 +710,11 @@ impl Frontend {
             && march.is_none()
             && calib.is_none()
             && bank_count <= FAST_PATH_MAX_BANKS;
-        // Lane arenas sized to the deepest each queue can get this run (a
-        // lane can only ever hold its own bank's transactions); the retry
+        // Lane queues sized to the deepest each can get this run (a lane
+        // can only ever hold its own bank's transactions); the retry
         // waitlist can hold every one of them in the worst case. The fast
-        // path queues by cursor into its per-bank lists, so its slab stays
-        // unallocated.
+        // path queues by cursor into its per-bank lists, so its lane queues
+        // stay unallocated.
         let retrying = matches!(backpressure, Backpressure::Retry { .. });
         let mut lanes: Vec<Lane> = bank_load
             .iter()

@@ -12,10 +12,11 @@
 //! This module supplies the missing piece as a classic discrete-event
 //! simulation:
 //!
-//! * [`EventQueue`] — a deterministic min-heap of timestamped events
-//!   (insertion-order tie-breaking, NaN-free by construction).
-//! * [`BankQueue`] — bounded per-bank admission queues that encode the
-//!   per-address ordering rule every policy must obey.
+//! * [`EventQueue`] — a deterministic min-heap of timestamped events over
+//!   std's `BinaryHeap` (insertion-order tie-breaking, NaN-free by
+//!   construction).
+//! * [`BankQueue`] — bounded per-bank admission queues over a `VecDeque`
+//!   that encode the per-address ordering rule every policy must obey.
 //! * [`Policy`] — pluggable dispatch: FCFS, read-priority with write
 //!   draining, oldest-first anti-starvation — plus the [`PriorityClass`]
 //!   arbitration hook among demand, test and background traffic.
@@ -36,7 +37,6 @@
 //! stored state, same audit counters — while additionally reporting sojourn
 //! quantiles, occupancy and backpressure counts.
 
-pub(crate) mod arena;
 pub mod event;
 pub mod frontend;
 pub mod policy;

@@ -8,18 +8,16 @@
 //! that rule once — [`BankQueue::eligible`] yields exactly the entries a
 //! policy may legally pick — so every policy inherits it for free.
 //!
-//! Storage is arena-backed (DESIGN.md §12): entries live in a
-//! `Slab` (`sched::arena`) under stable `u32` keys and the FIFO is a
-//! ring of keys, so admitting moves one 64-byte struct into a reused slot,
-//! serving the head is an O(1) ring pop, and — after the preallocation the
-//! frontend requests via [`BankQueue::with_capacity_hint`] — the steady
-//! state allocates nothing.
+//! Storage is one `VecDeque<Queued>` in admission order (DESIGN.md §12):
+//! admitting is a push at the back, serving the head is an O(1)
+//! `pop_front`, an out-of-order pick shifts at most the queue's depth, and
+//! — after the preallocation the frontend requests via
+//! [`BankQueue::with_capacity_hint`] — the steady state allocates nothing.
 
 use std::collections::VecDeque;
 
 use crate::bank::Bank;
 use crate::faults::FaultPlan;
-use crate::sched::arena::Slab;
 use crate::telemetry::QueueTelemetry;
 use crate::txn::Transaction;
 
@@ -42,10 +40,8 @@ pub struct Queued {
 /// A bounded FIFO of waiting transactions for one bank.
 #[derive(Debug, Clone)]
 pub struct BankQueue {
-    /// Entry storage; freed slots are reused LIFO.
-    slab: Slab<Queued>,
-    /// Admission-order ring of slab keys.
-    order: VecDeque<u32>,
+    /// Waiting entries in admission order.
+    entries: VecDeque<Queued>,
     capacity: usize,
     /// Write-drain hysteresis flag for the read-priority policy: set when
     /// queued writes reach the high-water mark, cleared when they drain to
@@ -79,8 +75,7 @@ impl BankQueue {
             "bank queues need capacity for at least one entry"
         );
         Self {
-            slab: Slab::with_capacity(hint),
-            order: VecDeque::with_capacity(hint),
+            entries: VecDeque::with_capacity(hint),
             capacity,
             draining: false,
         }
@@ -89,19 +84,19 @@ impl BankQueue {
     /// Number of waiting transactions.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.entries.len()
     }
 
     /// `true` when nothing is waiting.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.entries.is_empty()
     }
 
     /// `true` when the queue cannot admit another transaction.
     #[must_use]
     pub fn is_full(&self) -> bool {
-        self.order.len() >= self.capacity
+        self.entries.len() >= self.capacity
     }
 
     /// The waiting transaction at queue position `index` (admission order;
@@ -112,12 +107,12 @@ impl BankQueue {
     /// Panics if `index` is out of bounds.
     #[must_use]
     pub fn entry(&self, index: usize) -> &Queued {
-        self.slab.get(self.order[index])
+        &self.entries[index]
     }
 
     /// Iterates the waiting transactions in admission order.
     pub fn iter(&self) -> impl Iterator<Item = &Queued> + '_ {
-        self.order.iter().map(|&key| self.slab.get(key))
+        self.entries.iter()
     }
 
     /// Number of waiting writes.
@@ -134,21 +129,19 @@ impl BankQueue {
     /// by the time an entry reaches the queue the decision is already made.
     pub fn admit(&mut self, queued: Queued) {
         assert!(!self.is_full(), "admit() on a full queue");
-        let key = self.slab.insert(queued);
-        self.order.push_back(key);
+        self.entries.push_back(queued);
     }
 
     /// Indices of entries a policy may legally serve next: an entry is
     /// eligible iff no *earlier-admitted* entry targets the same address.
     /// The head of the queue is therefore always eligible.
     pub fn eligible(&self) -> impl Iterator<Item = usize> + '_ {
-        self.order.iter().enumerate().filter_map(move |(i, &key)| {
-            let addr = self.slab.get(key).txn.addr;
+        self.entries.iter().enumerate().filter_map(move |(i, q)| {
             let blocked = self
-                .order
+                .entries
                 .iter()
                 .take(i)
-                .any(|&p| self.slab.get(p).txn.addr == addr);
+                .any(|p| p.txn.addr == q.txn.addr);
             (!blocked).then_some(i)
         })
     }
@@ -160,12 +153,9 @@ impl BankQueue {
     ///
     /// Panics if `index` is out of bounds.
     pub fn take(&mut self, index: usize) -> Queued {
-        let key = if index == 0 {
-            self.order.pop_front().expect("take(0) on an empty queue")
-        } else {
-            self.order.remove(index).expect("queue position in bounds")
-        };
-        self.slab.remove(key)
+        self.entries
+            .remove(index)
+            .expect("queue position in bounds")
     }
 }
 
@@ -305,6 +295,7 @@ impl Lane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use stt_array::Address;
 
     fn queued(trace_index: usize, txn: Transaction) -> Queued {
@@ -376,7 +367,7 @@ mod tests {
         assert_eq!(mid.trace_index, 2);
         let remaining: Vec<usize> = queue.iter().map(|q| q.trace_index).collect();
         assert_eq!(remaining, vec![0, 1, 3]);
-        // Freed slot is reused: admitting again does not grow the arena.
+        // A later admission lands behind the survivors.
         queue.admit(queued(9, Transaction::read(0, Address::new(9, 0))));
         assert_eq!(queue.entry(3).trace_index, 9);
     }
@@ -388,5 +379,49 @@ mod tests {
         queue.admit(queued(1, Transaction::read(0, Address::new(0, 1))));
         queue.admit(queued(2, Transaction::write(0, Address::new(0, 2), false)));
         assert_eq!(queue.queued_writes(), 2);
+    }
+
+    proptest! {
+        /// The queue against a naive reference: a plain `Vec<Queued>` in
+        /// admission order. Each op admits (`op % 3 != 0`, a read or write
+        /// to one of three cells, so same-address blocking is common) or
+        /// takes the entry at position `op / 3 % len`; after every op the
+        /// contents, eligibility and write count must agree.
+        #[test]
+        fn prop_matches_a_vec_reference(
+            ops in proptest::collection::vec(0u32..48, 0..160),
+        ) {
+            const DEPTH: usize = 6;
+            let mut queue = BankQueue::new(DEPTH);
+            let mut reference: Vec<Queued> = Vec::new();
+            for (step, op) in ops.into_iter().enumerate() {
+                let cell = Address::new(0, (op / 3 % 3) as usize);
+                if op % 3 != 0 {
+                    prop_assert_eq!(queue.is_full(), reference.len() == DEPTH);
+                    if reference.len() < DEPTH {
+                        let txn = if op / 9 % 2 == 0 {
+                            Transaction::read(0, cell)
+                        } else {
+                            Transaction::write(0, cell, op % 2 == 0)
+                        };
+                        queue.admit(queued(step, txn));
+                        reference.push(queued(step, txn));
+                    }
+                } else if !reference.is_empty() {
+                    let index = (op / 3) as usize % reference.len();
+                    prop_assert_eq!(queue.take(index), reference.remove(index));
+                }
+                prop_assert_eq!(queue.iter().copied().collect::<Vec<_>>(), reference.clone());
+                let eligible: Vec<usize> = (0..reference.len())
+                    .filter(|&i| {
+                        let addr = reference[i].txn.addr;
+                        !reference[..i].iter().any(|p| p.txn.addr == addr)
+                    })
+                    .collect();
+                prop_assert_eq!(queue.eligible().collect::<Vec<_>>(), eligible);
+                let writes = reference.iter().filter(|q| !q.txn.op.is_read()).count();
+                prop_assert_eq!(queue.queued_writes(), writes);
+            }
+        }
     }
 }
