@@ -1,7 +1,7 @@
 //! Address interleaving: how a linear host address maps onto the hierarchy.
 //!
 //! A controller advertises one flat address space (`0..geometry.cells()`);
-//! an [`Interleave`] policy decides which physical cell each linear address
+//! an [`InterleavePolicy`] decides which physical cell each linear address
 //! lands on. The mapping is the lever that trades locality against
 //! parallelism: consecutive addresses can stay inside one bank (maximal
 //! row locality, zero bank parallelism) or stripe across channels (maximal
@@ -9,61 +9,120 @@
 //! **bijection** — `decode ∘ encode = identity` and no two linear addresses
 //! alias the same cell — which the integration suite property-tests over
 //! random geometries.
-//!
-//! Three policies ship:
-//!
-//! * [`Linear`] — bank-major: address space filled one bank at a time.
-//!   Sequential traffic hammers a single bank and its group bus.
-//! * [`BankXor`] — the classic row-XOR-bank swizzle: within a channel the
-//!   serving bank is permuted by the row bits, so row-sequential streams
-//!   that would reuse one bank spread across the channel's bank pool.
-//! * [`ChannelStriped`] — consecutive addresses rotate through channels
-//!   first, recruiting every independent channel (and worker shard) even
-//!   for small hot sets.
 
 use serde::{Deserialize, Serialize};
 use stt_array::Address;
 
 use super::topology::{Geometry, PhysAddr};
 
-/// A bijective mapping between linear addresses and physical locations.
+/// The interleaving policies: bijective mappings between linear addresses
+/// and physical locations.
 ///
-/// Implementations must satisfy, for every `geometry` and every
+/// Every policy satisfies, for every `geometry` and every
 /// `linear < geometry.cells()`:
 ///
 /// * `encode(geometry, decode(geometry, linear)) == linear`;
 /// * `decode` never yields the same [`PhysAddr`] for two distinct linear
 ///   addresses (which follows from the first law plus range preservation).
-pub trait Interleave {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum InterleavePolicy {
+    /// Bank-major filling: linear address `a` lives in global bank
+    /// `a / cells_per_bank` at row-major offset `a % cells_per_bank`.
+    /// Sequential traffic hammers a single bank and its group bus.
+    Linear,
+    /// Row-XOR-bank swizzle within each channel. The linear address
+    /// decomposes exactly like [`Linear`](Self::Linear), but the serving
+    /// bank *within the channel* is permuted by the row index: for a
+    /// power-of-two per-channel bank count the permutation is the textbook
+    /// `bank ^ (row & (n-1))` XOR swizzle; otherwise it falls back to the
+    /// additive rotation `(bank + row) mod n`, which is equally bijective
+    /// for any `n`. Either way, row-sequential streams that `Linear` would
+    /// pin to one bank rotate across the channel's whole bank pool.
+    BankXor,
+    /// Cell-granular channel striping: consecutive linear addresses rotate
+    /// through the channels, then fill each channel bank-major. Even a
+    /// small hot set recruits every channel — and therefore every worker
+    /// shard.
+    ChannelStriped,
+}
+
+impl InterleavePolicy {
+    /// Every shipped policy, in sweep order.
+    pub const ALL: [InterleavePolicy; 3] = [
+        InterleavePolicy::Linear,
+        InterleavePolicy::BankXor,
+        InterleavePolicy::ChannelStriped,
+    ];
+
     /// Short machine-readable name for table/CSV rows.
-    fn name(&self) -> &'static str;
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            InterleavePolicy::Linear => "linear",
+            InterleavePolicy::BankXor => "bank-xor",
+            InterleavePolicy::ChannelStriped => "channel-striped",
+        }
+    }
 
     /// Maps a linear address to its physical location.
     ///
     /// # Panics
     ///
     /// Panics if `linear >= geometry.cells()`.
-    fn decode(&self, geometry: &Geometry, linear: usize) -> PhysAddr;
+    #[must_use]
+    pub fn decode(self, geometry: &Geometry, linear: usize) -> PhysAddr {
+        assert!(
+            linear < geometry.cells(),
+            "linear address {linear} outside geometry ({} cells)",
+            geometry.cells()
+        );
+        let per_bank = geometry.cells_per_bank();
+        let per_channel = geometry.topology.banks_per_channel();
+        let (flat, offset) = match self {
+            InterleavePolicy::Linear => (linear / per_bank, linear % per_bank),
+            InterleavePolicy::BankXor => {
+                let (flat, offset) = (linear / per_bank, linear % per_bank);
+                let channel = flat / per_channel;
+                let local = swizzle(per_channel, flat % per_channel, offset / geometry.cols);
+                (channel * per_channel + local, offset)
+            }
+            InterleavePolicy::ChannelStriped => {
+                let channels = geometry.topology.channels;
+                let within = linear / channels;
+                let local_bank = within / per_bank;
+                (
+                    (linear % channels) * per_channel + local_bank,
+                    within % per_bank,
+                )
+            }
+        };
+        PhysAddr {
+            coord: geometry.topology.coord(flat),
+            addr: Address::new(offset / geometry.cols, offset % geometry.cols),
+        }
+    }
 
     /// Maps a physical location back to its linear address.
     ///
     /// # Panics
     ///
     /// Panics if `phys` is outside the geometry.
-    fn encode(&self, geometry: &Geometry, phys: PhysAddr) -> usize;
-}
-
-/// Splits a linear address into `(global flat bank, row, col)` bank-major.
-fn split_bank_major(geometry: &Geometry, linear: usize) -> (usize, usize, usize) {
-    assert!(
-        linear < geometry.cells(),
-        "linear address {linear} outside geometry ({} cells)",
-        geometry.cells()
-    );
-    let per_bank = geometry.cells_per_bank();
-    let flat = linear / per_bank;
-    let offset = linear % per_bank;
-    (flat, offset / geometry.cols, offset % geometry.cols)
+    #[must_use]
+    pub fn encode(self, geometry: &Geometry, phys: PhysAddr) -> usize {
+        let per_channel = geometry.topology.banks_per_channel();
+        let flat = geometry.topology.flatten(phys.coord);
+        let (channel, local) = (flat / per_channel, flat % per_channel);
+        match self {
+            InterleavePolicy::Linear => join_bank_major(geometry, flat, phys.addr),
+            InterleavePolicy::BankXor => {
+                let local = unswizzle(per_channel, local, phys.addr.row);
+                join_bank_major(geometry, channel * per_channel + local, phys.addr)
+            }
+            InterleavePolicy::ChannelStriped => {
+                join_bank_major(geometry, local, phys.addr) * geometry.topology.channels + channel
+            }
+        }
+    }
 }
 
 /// Joins `(global flat bank, row, col)` back into a bank-major linear
@@ -78,173 +137,23 @@ fn join_bank_major(geometry: &Geometry, flat: usize, addr: Address) -> usize {
     flat * geometry.cells_per_bank() + addr.row * geometry.cols + addr.col
 }
 
-/// Bank-major filling: linear address `a` lives in global bank
-/// `a / cells_per_bank` at row-major offset `a % cells_per_bank`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Linear;
-
-impl Interleave for Linear {
-    fn name(&self) -> &'static str {
-        "linear"
-    }
-
-    fn decode(&self, geometry: &Geometry, linear: usize) -> PhysAddr {
-        let (flat, row, col) = split_bank_major(geometry, linear);
-        PhysAddr {
-            coord: geometry.topology.coord(flat),
-            addr: Address::new(row, col),
-        }
-    }
-
-    fn encode(&self, geometry: &Geometry, phys: PhysAddr) -> usize {
-        join_bank_major(geometry, geometry.topology.flatten(phys.coord), phys.addr)
+/// [`InterleavePolicy::BankXor`]'s permutation of a channel-local bank
+/// index by `row`.
+fn swizzle(per_channel: usize, local_bank: usize, row: usize) -> usize {
+    if per_channel.is_power_of_two() {
+        local_bank ^ (row & (per_channel - 1))
+    } else {
+        (local_bank + row) % per_channel
     }
 }
 
-/// Row-XOR-bank swizzle within each channel.
-///
-/// The linear address decomposes exactly like [`Linear`], but the serving
-/// bank *within the channel* is permuted by the row index: for a
-/// power-of-two per-channel bank count the permutation is the textbook
-/// `bank ^ (row & (n-1))` XOR swizzle; otherwise it falls back to the
-/// additive rotation `(bank + row) mod n`, which is equally bijective for
-/// any `n`. Either way, row-sequential streams that [`Linear`] would pin to
-/// one bank rotate across the channel's whole bank pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BankXor;
-
-impl BankXor {
-    fn swizzle(per_channel: usize, local_bank: usize, row: usize) -> usize {
-        if per_channel.is_power_of_two() {
-            local_bank ^ (row & (per_channel - 1))
-        } else {
-            (local_bank + row) % per_channel
-        }
-    }
-
-    fn unswizzle(per_channel: usize, swizzled: usize, row: usize) -> usize {
-        if per_channel.is_power_of_two() {
-            // XOR is an involution.
-            swizzled ^ (row & (per_channel - 1))
-        } else {
-            (swizzled + per_channel - row % per_channel) % per_channel
-        }
-    }
-}
-
-impl Interleave for BankXor {
-    fn name(&self) -> &'static str {
-        "bank-xor"
-    }
-
-    fn decode(&self, geometry: &Geometry, linear: usize) -> PhysAddr {
-        let (flat, row, col) = split_bank_major(geometry, linear);
-        let per_channel = geometry.topology.banks_per_channel();
-        let channel = flat / per_channel;
-        let local = Self::swizzle(per_channel, flat % per_channel, row);
-        PhysAddr {
-            coord: geometry.topology.coord(channel * per_channel + local),
-            addr: Address::new(row, col),
-        }
-    }
-
-    fn encode(&self, geometry: &Geometry, phys: PhysAddr) -> usize {
-        let per_channel = geometry.topology.banks_per_channel();
-        let flat = geometry.topology.flatten(phys.coord);
-        let channel = flat / per_channel;
-        let local = Self::unswizzle(per_channel, flat % per_channel, phys.addr.row);
-        join_bank_major(geometry, channel * per_channel + local, phys.addr)
-    }
-}
-
-/// Cell-granular channel striping: consecutive linear addresses rotate
-/// through the channels, then fill each channel bank-major. Even a small
-/// hot set recruits every channel — and therefore every worker shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ChannelStriped;
-
-impl Interleave for ChannelStriped {
-    fn name(&self) -> &'static str {
-        "channel-striped"
-    }
-
-    fn decode(&self, geometry: &Geometry, linear: usize) -> PhysAddr {
-        assert!(
-            linear < geometry.cells(),
-            "linear address {linear} outside geometry ({} cells)",
-            geometry.cells()
-        );
-        let channels = geometry.topology.channels;
-        let channel = linear % channels;
-        let within = linear / channels;
-        let per_bank = geometry.cells_per_bank();
-        let local_bank = within / per_bank;
-        let offset = within % per_bank;
-        let flat = channel * geometry.topology.banks_per_channel() + local_bank;
-        PhysAddr {
-            coord: geometry.topology.coord(flat),
-            addr: Address::new(offset / geometry.cols, offset % geometry.cols),
-        }
-    }
-
-    fn encode(&self, geometry: &Geometry, phys: PhysAddr) -> usize {
-        let per_channel = geometry.topology.banks_per_channel();
-        let flat = geometry.topology.flatten(phys.coord);
-        let (channel, local_bank) = (flat / per_channel, flat % per_channel);
-        let offset = join_bank_major(geometry, local_bank, phys.addr);
-        offset * geometry.topology.channels + channel
-    }
-}
-
-/// The interleaving policies the harness sweeps, as a plain enum so configs
-/// stay `Copy`/serde-friendly while still dispatching through the
-/// [`Interleave`] trait objects behind it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum InterleavePolicy {
-    /// Bank-major filling (see [`Linear`]).
-    Linear,
-    /// Row-XOR-bank swizzle within each channel (see [`BankXor`]).
-    BankXor,
-    /// Cell-granular channel rotation (see [`ChannelStriped`]).
-    ChannelStriped,
-}
-
-impl InterleavePolicy {
-    /// Every shipped policy, in sweep order.
-    pub const ALL: [InterleavePolicy; 3] = [
-        InterleavePolicy::Linear,
-        InterleavePolicy::BankXor,
-        InterleavePolicy::ChannelStriped,
-    ];
-
-    /// The trait object this variant names.
-    #[must_use]
-    pub fn as_interleave(self) -> &'static dyn Interleave {
-        match self {
-            InterleavePolicy::Linear => &Linear,
-            InterleavePolicy::BankXor => &BankXor,
-            InterleavePolicy::ChannelStriped => &ChannelStriped,
-        }
-    }
-
-    /// Short machine-readable name for table/CSV rows.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        self.as_interleave().name()
-    }
-}
-
-impl Interleave for InterleavePolicy {
-    fn name(&self) -> &'static str {
-        (*self).name()
-    }
-
-    fn decode(&self, geometry: &Geometry, linear: usize) -> PhysAddr {
-        self.as_interleave().decode(geometry, linear)
-    }
-
-    fn encode(&self, geometry: &Geometry, phys: PhysAddr) -> usize {
-        self.as_interleave().encode(geometry, phys)
+/// The inverse of [`swizzle`].
+fn unswizzle(per_channel: usize, swizzled: usize, row: usize) -> usize {
+    if per_channel.is_power_of_two() {
+        // XOR is an involution.
+        swizzled ^ (row & (per_channel - 1))
+    } else {
+        (swizzled + per_channel - row % per_channel) % per_channel
     }
 }
 
@@ -299,7 +208,7 @@ mod tests {
     fn channel_striping_rotates_channels_per_cell() {
         let geometry = Geometry::new(Topology::new(4, 1, 2, 2), 8, 8);
         for linear in 0..32 {
-            let phys = ChannelStriped.decode(&geometry, linear);
+            let phys = InterleavePolicy::ChannelStriped.decode(&geometry, linear);
             assert_eq!(phys.coord.channel, linear % 4);
         }
     }
@@ -307,12 +216,17 @@ mod tests {
     #[test]
     fn linear_keeps_sequential_addresses_in_one_bank() {
         let geometry = Geometry::new(Topology::new(2, 1, 2, 2), 8, 8);
-        let first = Linear.decode(&geometry, 0).coord;
+        let first = InterleavePolicy::Linear.decode(&geometry, 0).coord;
         for linear in 0..geometry.cells_per_bank() {
-            assert_eq!(Linear.decode(&geometry, linear).coord, first);
+            assert_eq!(
+                InterleavePolicy::Linear.decode(&geometry, linear).coord,
+                first
+            );
         }
         assert_ne!(
-            Linear.decode(&geometry, geometry.cells_per_bank()).coord,
+            InterleavePolicy::Linear
+                .decode(&geometry, geometry.cells_per_bank())
+                .coord,
             first
         );
     }
@@ -325,7 +239,7 @@ mod tests {
         let mut banks = std::collections::HashSet::new();
         for row in 0..geometry.rows {
             let linear = row * geometry.cols;
-            let coord = BankXor.decode(&geometry, linear).coord;
+            let coord = InterleavePolicy::BankXor.decode(&geometry, linear).coord;
             assert_eq!(coord.channel, 0);
             banks.insert((coord.rank, coord.group, coord.bank));
         }
@@ -340,9 +254,9 @@ mod tests {
         for per_channel in 1..=9usize {
             for row in 0..20 {
                 for bank in 0..per_channel {
-                    let swizzled = BankXor::swizzle(per_channel, bank, row);
+                    let swizzled = swizzle(per_channel, bank, row);
                     assert!(swizzled < per_channel);
-                    assert_eq!(BankXor::unswizzle(per_channel, swizzled, row), bank);
+                    assert_eq!(unswizzle(per_channel, swizzled, row), bank);
                 }
             }
         }
@@ -352,6 +266,6 @@ mod tests {
     #[should_panic(expected = "outside geometry")]
     fn out_of_range_linear_addresses_panic() {
         let geometry = Geometry::new(Topology::flat(2), 4, 4);
-        let _ = Linear.decode(&geometry, geometry.cells());
+        let _ = InterleavePolicy::Linear.decode(&geometry, geometry.cells());
     }
 }

@@ -8,8 +8,8 @@
 //!   ([`BankCoord`]), the full address-space shape ([`Geometry`]), and the
 //!   `CxRxGxB` geometry flag parser with typed errors.
 //! * [`interleave`] — pluggable, provably bijective mappings from linear
-//!   host addresses to physical `(bank, cell)` locations: [`Linear`],
-//!   [`BankXor`], [`ChannelStriped`] behind the [`Interleave`] trait.
+//!   host addresses to physical `(bank, cell)` locations: the
+//!   [`InterleavePolicy`] variants `Linear`, `BankXor` and `ChannelStriped`.
 //! * [`source`] — the closed-loop, window-limited traffic source
 //!   ([`ClosedLoopSource`]) whose issue rate *reacts* to backpressure, so a
 //!   window sweep locates the throughput/latency knee.
@@ -32,7 +32,7 @@ pub mod source;
 pub mod topology;
 
 pub use chip::{BusTiming, Chip, ChipConfig, ChipRun, ChipTelemetry, ShardDispatch};
-pub use interleave::{BankXor, ChannelStriped, Interleave, InterleavePolicy, Linear};
+pub use interleave::InterleavePolicy;
 pub use source::ClosedLoopSource;
 pub use topology::{
     BankCoord, Geometry, GeometryParseError, GeometryParseErrorKind, PhysAddr, Topology,

@@ -10,7 +10,7 @@
 //!
 //! A [`Topology`] is purely structural (counts per level); pairing it with
 //! per-bank array dimensions gives a [`Geometry`], the address space the
-//! [`Interleave`](crate::hierarchy::Interleave) policies map linear
+//! [`InterleavePolicy`](crate::hierarchy::InterleavePolicy) variants map linear
 //! addresses into. Topologies parse from the compact `CxRxGxB` notation
 //! (`"2x1x4x4"` = 2 channels × 1 rank × 4 groups × 4 banks), with a typed
 //! [`GeometryParseError`] in the same style as
@@ -263,8 +263,9 @@ pub struct PhysAddr {
 }
 
 /// A [`Topology`] paired with per-bank array dimensions: the complete
-/// linear address space an [`Interleave`](crate::hierarchy::Interleave)
-/// policy maps into physical locations.
+/// linear address space an
+/// [`InterleavePolicy`](crate::hierarchy::InterleavePolicy) maps into
+/// physical locations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Geometry {
     /// Structural counts per hierarchy level.

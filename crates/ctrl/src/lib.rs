@@ -89,8 +89,8 @@ pub use faults::{
 };
 pub use hierarchy::{
     BankCoord, BusTiming, Chip, ChipConfig, ChipRun, ChipTelemetry, ClosedLoopSource, Geometry,
-    GeometryParseError, GeometryParseErrorKind, Interleave, InterleavePolicy, PhysAddr,
-    ShardDispatch, Topology,
+    GeometryParseError, GeometryParseErrorKind, InterleavePolicy, PhysAddr, ShardDispatch,
+    Topology,
 };
 pub use march::{
     march_c_minus, march_ss, run_escape_campaign, DataBackground, EscapeRow, FaultClass,

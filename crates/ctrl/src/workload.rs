@@ -17,7 +17,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use stt_array::Address;
 
-use crate::hierarchy::{Geometry, Interleave, InterleavePolicy};
+use crate::hierarchy::{Geometry, InterleavePolicy};
 use crate::txn::{Trace, Transaction};
 
 /// Cap on the Zipf rank table used by [`Workload::generate_physical`]. The

@@ -23,8 +23,8 @@ use rand::SeedableRng;
 use stt_array::Address;
 use stt_ctrl::{
     BusTiming, Chip, ChipConfig, ChipRun, ClosedLoopSource, FaultPlan, Geometry,
-    GeometryParseErrorKind, Interleave, InterleavePolicy, QueueTelemetry, ShardDispatch, Topology,
-    Trace, Transaction, Workload,
+    GeometryParseErrorKind, InterleavePolicy, QueueTelemetry, ShardDispatch, Topology, Trace,
+    Transaction, Workload,
 };
 use stt_sense::SchemeKind;
 
