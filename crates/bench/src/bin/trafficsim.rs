@@ -65,10 +65,10 @@ use std::path::Path;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stt_ctrl::{
-    run_campaign, run_escape_campaign, CalibConfig, CampaignConfig, Chip, ChipConfig,
-    ClosedLoopSource, Controller, ControllerConfig, Dispatch, DriftPlan, Frontend, FrontendConfig,
-    InterleavePolicy, MarchCampaignConfig, Policy, Protection, QueueTelemetry, ShardDispatch,
-    Telemetry, ThermalTransient, Topology, Trace, Workload,
+    run_campaign, run_escape_campaign, CalibConfig, CampaignConfig, ChannelTelemetry, Chip,
+    ChipConfig, ClosedLoopSource, Controller, ControllerConfig, Dispatch, DriftPlan, Frontend,
+    FrontendConfig, InterleavePolicy, MarchCampaignConfig, Policy, Protection, QueueTelemetry,
+    ShardDispatch, Telemetry, ThermalTransient, Topology, Trace, Workload,
 };
 use stt_sense::SchemeKind;
 use stt_stats::Table;
@@ -475,30 +475,11 @@ fn topology_sweep(ops_per_channel: usize, topology: Topology) -> Table {
             if knee.is_none() && window > 1 && p99 > KNEE_FACTOR * base {
                 knee = Some((window, run.ops_per_second(), p99));
             }
-            let issued: u64 = run.telemetry.channels.iter().map(|c| c.issued).sum();
-            let throttled: u64 = run
-                .telemetry
-                .channels
-                .iter()
-                .map(|c| c.source_throttled)
-                .sum();
-            let max_outstanding = run
-                .telemetry
-                .channels
-                .iter()
-                .map(|c| c.max_outstanding)
-                .max()
-                .unwrap_or(0);
-            let mean_bus_wait = if run.completed > 0 {
-                run.telemetry
-                    .channels
-                    .iter()
-                    .map(|c| c.bus_wait_ns)
-                    .sum::<f64>()
-                    / run.completed as f64
-            } else {
-                0.0
-            };
+            let mut channels = ChannelTelemetry::default();
+            for channel in &run.telemetry.channels {
+                channels.merge(channel);
+            }
+            let throttled = channels.source_throttled;
             println!(
                 "{:<15} window {window:>2}: {:.1} Mops, p50 {:.0} ns, p99 {:.0} ns, \
                  throttled {throttled}  [serial == sharded ✓]",
@@ -511,14 +492,14 @@ fn topology_sweep(ops_per_channel: usize, topology: Topology) -> Table {
                 scheme_label(kind).to_string(),
                 topology.to_string(),
                 window.to_string(),
-                issued.to_string(),
+                channels.issued.to_string(),
                 run.completed.to_string(),
                 format!("{:.3}", run.ops_per_second() * 1e-6),
                 format!("{:.1}", totals.queue.sojourn_p50()),
                 format!("{:.1}", p99),
-                format!("{mean_bus_wait:.2}"),
+                format!("{:.2}", channels.mean_bus_wait_ns()),
                 throttled.to_string(),
-                max_outstanding.to_string(),
+                channels.max_outstanding.to_string(),
                 run.telemetry.resident_banks().to_string(),
             ]);
         }
@@ -662,11 +643,7 @@ fn thermal_sweep(ops_per_config: usize) -> Table {
             ""
         };
         for (bank, telemetry) in telemetry.banks.iter().enumerate() {
-            let rate = if telemetry.reads > 0 {
-                telemetry.misreads as f64 / telemetry.reads as f64
-            } else {
-                0.0
-            };
+            let rate = telemetry.misread_rate();
             if bank == 0 {
                 rate_of.insert(arm, rate);
                 reads_of.insert(arm, telemetry.reads);
