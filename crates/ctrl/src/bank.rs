@@ -1231,17 +1231,27 @@ mod tests {
     fn soft_fault_streams_leave_quiet_plans_bit_identical() {
         // A plan with soft-error models *present but the bank untouched by
         // them* must not perturb the demand stream: same seed, same reads,
-        // same outcomes as a no-fault run.
+        // same outcomes as a no-fault run. The rates are so small that no
+        // cell flips, but `b` still draws every retention and disturb
+        // trial, from its fault stream.
         let quiet = FaultPlan::none();
+        let soft = FaultPlan::none()
+            .with_retention_rate(1e-15)
+            .with_read_disturb(1e-12);
         let mut a = small_bank(SchemeKind::Nondestructive, &quiet);
-        let mut b = small_bank(SchemeKind::Nondestructive, &quiet);
+        let mut b = small_bank(SchemeKind::Nondestructive, &soft);
         for col in 0..8 {
             let addr = Address::new(4, col);
             a.execute(&Transaction::read(0, addr), &quiet);
-            b.execute(&Transaction::read(0, addr), &quiet);
+            b.execute(&Transaction::read(0, addr), &soft);
         }
         assert_eq!(a.telemetry(), b.telemetry());
         assert_eq!(a.stored_bits(), b.stored_bits());
+        assert_eq!(
+            a.streams.demand.gen::<u64>(),
+            b.streams.demand.gen::<u64>(),
+            "soft-error draws must leave the demand stream where it was"
+        );
     }
 
     #[test]
