@@ -14,6 +14,8 @@
 //!    memory proportional to the working set, not the chip.
 //! 4. **Closed-loop backpressure** — the source never exceeds its window,
 //!    and a tight window visibly throttles issue.
+//! 5. **Chip ≡ flat controller, per bank** — under a defect library, each
+//!    chip bank ends a trace exactly as serial controller replay leaves it.
 
 use std::collections::HashSet;
 
@@ -22,9 +24,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stt_array::Address;
 use stt_ctrl::{
-    BusTiming, Chip, ChipConfig, ChipRun, ClosedLoopSource, FaultPlan, Geometry,
-    GeometryParseErrorKind, InterleavePolicy, QueueTelemetry, ShardDispatch, Topology, Trace,
-    Transaction, Workload,
+    BusTiming, Chip, ChipConfig, ChipRun, ClosedLoopSource, Controller, ControllerConfig,
+    CouplingKind, Dispatch, FaultPlan, Geometry, GeometryParseErrorKind, InterleavePolicy,
+    QueueTelemetry, ShardDispatch, Topology, Trace, Transaction, Workload,
 };
 use stt_sense::SchemeKind;
 
@@ -70,6 +72,88 @@ fn sharded_dispatch_is_bit_identical_to_serial_under_faults() {
             .with_seed(99)
             .with_faults(plan.clone());
         assert_sharded_identity(config, &ClosedLoopSource::read_mostly(500, 3));
+    }
+}
+
+/// The chip is a flat controller with buses in front: each bank serves
+/// its own transactions in arrival order either way, so under a defect
+/// library spread over both channels every bank must end with the same
+/// telemetry (queueing aside, which only the chip keeps) and the same
+/// stored bits as under serial controller replay of the same trace.
+#[test]
+fn chip_banks_match_a_flat_controller_under_a_per_bank_defect_library() {
+    let topology = Topology::new(2, 1, 2, 2);
+    // One row of defects per faulty bank, so every class meets traffic.
+    let mut plan = FaultPlan::none()
+        .with_power_cut_every(17)
+        .with_coupling_fault(
+            6,
+            0,
+            9,
+            10,
+            CouplingKind::State {
+                aggressor_value: true,
+                victim_value: false,
+            },
+        )
+        .with_coupling_fault(6, 0, 20, 21, CouplingKind::Disturb { victim_value: true })
+        .with_coupling_fault(
+            6,
+            0,
+            40,
+            33,
+            CouplingKind::Disturb {
+                victim_value: false,
+            },
+        );
+    for col in 0..8 {
+        plan = plan
+            .with_transition_fault(1, Address::new(0, col), col % 2 == 0)
+            .with_pinhole(2, Address::new(3, col))
+            .with_backhop(5, Address::new(4, col), 0.5)
+            .with_stuck_cell(7, Address::new(7, col), col % 2 == 1);
+    }
+    for kind in SchemeKind::ALL {
+        let config = ChipConfig::small(kind, topology)
+            .with_seed(41)
+            .with_faults(plan.clone());
+        let trace = Workload::Uniform { read_fraction: 0.6 }.generate_physical(
+            &config.geometry(),
+            InterleavePolicy::ChannelStriped,
+            3000,
+            &mut StdRng::seed_from_u64(29),
+        );
+        let mut chip = Chip::new(config);
+        let run = chip.run_trace(&trace, ShardDispatch::Sharded);
+        assert_eq!(run.completed, 3000, "{kind}");
+
+        let mut flat = Controller::new(
+            ControllerConfig::small(kind, topology.total_banks())
+                .with_seed(41)
+                .with_faults(plan.clone()),
+        );
+        let reference = flat.run(&trace, Dispatch::Serial);
+        assert_eq!(run.telemetry.resident_banks(), topology.total_banks());
+        for ((coord, chip_bank), flat_bank) in run.telemetry.banks.iter().zip(&reference.banks) {
+            let mut chip_bank = chip_bank.clone();
+            chip_bank.queue = QueueTelemetry::default();
+            assert_eq!(&chip_bank, flat_bank, "{kind}: bank {coord:?} diverged");
+        }
+        let flat_state: Vec<(usize, Vec<bool>)> =
+            flat.stored_state().into_iter().enumerate().collect();
+        assert_eq!(
+            chip.stored_state(),
+            flat_state,
+            "{kind}: stored bits diverged"
+        );
+
+        let bank = |index: usize| &reference.banks[index];
+        assert!(bank(1).write_transition_faults > 0, "{kind}: transition");
+        assert!(bank(2).misreads > 0, "{kind}: pinhole");
+        assert!(bank(5).backhop_flips > 0, "{kind}: backhop");
+        assert!(bank(6).coupling_triggers > 0, "{kind}: coupling");
+        assert!(bank(7).misreads > 0, "{kind}: stuck");
+        assert!(reference.aggregate().power_cuts > 0, "{kind}: power cut");
     }
 }
 
