@@ -7,9 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, SamplingMode};
 use stt_array::Address;
-use stt_ctrl::{
-    Bank, CalibConfig, ControllerConfig, DriftPlan, FaultPlan, ThermalTransient, Transaction,
-};
+use stt_ctrl::{Bank, CalibConfig, ControllerConfig, DriftPlan, ThermalTransient, Transaction};
 use stt_sense::SchemeKind;
 
 /// The +60 K standing hot-spot the thermal sweep uses: static β misreads
@@ -34,12 +32,11 @@ const PRIMING_READS: usize = 64;
 /// A bank one tick away from tripping: a window of reads against a
 /// negative stored-1 margin, every one a misread.
 fn primed_bank() -> Bank {
-    let faults = FaultPlan::none();
     let mut bank = Bank::new(0, &hot_config());
     let addr = Address::new(2, 2);
-    bank.execute(&Transaction::write(0, addr, true), &faults);
+    bank.execute(&Transaction::write(0, addr, true));
     for _ in 0..PRIMING_READS {
-        bank.execute(&Transaction::read(0, addr), &faults);
+        bank.execute(&Transaction::read(0, addr));
     }
     bank
 }

@@ -171,8 +171,9 @@ pub struct Bank {
     streams: Streams,
     scheme: Scheme,
     retry: RetryPolicy,
-    /// Stuck-at defects on this bank, pre-filtered from the fault plan.
-    stuck: Vec<(Address, bool)>,
+    /// This bank's slice of the fault plan: the scalar knobs and only the
+    /// defects that sit on this bank.
+    faults: FaultPlan,
     read_cost: OperationCost,
     write_cost: OperationCost,
     telemetry: BankTelemetry,
@@ -197,6 +198,10 @@ pub struct Bank {
 impl Bank {
     /// Samples and initialises bank `index` of `config`.
     ///
+    /// The bank keeps its own slice of `config.faults` (the scalar knobs and
+    /// the defects on bank `index`) and injects it into everything it
+    /// serves, so no service call takes a fault plan.
+    ///
     /// The array is filled with a random pattern (ideal preload writes, not
     /// traffic), stuck cells are snapped to their defect value, and the
     /// host's truth mirror starts equal to the actual stored state — so
@@ -220,20 +225,16 @@ impl Bank {
                 truth[row * cols + col] = bit;
             }
         }
-        let stuck: Vec<(Address, bool)> = config
-            .faults
-            .stuck_cells_of(index)
-            .map(|cell| (cell.addr, cell.value))
-            .collect();
-        for &(addr, value) in &stuck {
-            array.write_bit(addr, value);
-            truth[addr.row * cols + addr.col] = value;
+        let faults = config.faults.for_bank(index);
+        for cell in &faults.stuck_cells {
+            array.write_bit(cell.addr, cell.value);
+            truth[cell.addr.row * cols + cell.addr.col] = cell.value;
         }
         // Pinhole defects: swap the sampled device for one whose "high"
         // state is the low-state curve scaled by the residual TMR, keeping
         // the sampled transistor and the preloaded state. No RNG is drawn,
         // so a quiet plan leaves every stream untouched.
-        for defect in config.faults.pinhole_cells_of(index) {
+        for defect in &faults.pinhole_cells {
             let mtj = &spec.cell.mtj;
             let low = mtj.resistance.r_low0();
             let dr_low = mtj.resistance.dr_low_max();
@@ -273,7 +274,7 @@ impl Bank {
             key: None,
         });
         let nominal = spec.cell.nominal_cell();
-        let mut telemetry = BankTelemetry::with_bounds(&config.latency_bounds);
+        let mut telemetry = BankTelemetry::new();
         let ecc = config.ecc.is_enabled().then(|| {
             let words = word_count(spec.capacity_bits());
             telemetry.ecc.words_total = words as u64;
@@ -299,7 +300,7 @@ impl Bank {
             },
             scheme: Scheme::for_kind(config.kind, &design),
             retry: config.retry,
-            stuck,
+            faults,
             read_cost: timing.read_cost(config.kind, &design),
             write_cost: write_cost(&timing),
             telemetry,
@@ -332,26 +333,27 @@ impl Bank {
         self.ecc.is_some()
     }
 
-    /// Serves one transaction.
+    /// Serves one transaction, injecting the faults this bank was built
+    /// with.
     ///
     /// # Panics
     ///
     /// Panics if the transaction's address is out of this bank's range.
-    pub fn execute(&mut self, txn: &Transaction, faults: &FaultPlan) {
+    pub fn execute(&mut self, txn: &Transaction) {
         self.maybe_apply_drift();
         match txn.op {
             Op::Read => {
                 self.reads_served += 1;
                 self.telemetry.reads += 1;
-                if faults.cuts_power_on(self.reads_served) {
+                if self.faults.cuts_power_on(self.reads_served) {
                     self.serve_read_with_power_cut(txn.addr);
                 } else if self.ecc.is_some() {
-                    self.serve_read_ecc(txn.addr, faults);
+                    self.serve_read_ecc(txn.addr);
                 } else {
-                    self.serve_read_plain(txn.addr, faults);
+                    self.serve_read_plain(txn.addr);
                 }
             }
-            Op::Write(bit) => self.serve_write(txn.addr, bit, faults),
+            Op::Write(bit) => self.serve_write(txn.addr, bit),
         }
     }
 
@@ -371,21 +373,14 @@ impl Bank {
     /// # Panics
     ///
     /// Panics if `cell` is out of this bank's range.
-    pub fn execute_march_op(
-        &mut self,
-        cell: u32,
-        op: MarchOp,
-        element: u8,
-        raw: bool,
-        faults: &FaultPlan,
-    ) {
+    pub fn execute_march_op(&mut self, cell: u32, op: MarchOp, element: u8, raw: bool) {
         self.maybe_apply_drift();
         let addr = self.addr_of(cell as usize);
         self.telemetry.march.ops += 1;
         match op {
             MarchOp::W(bit) => {
                 self.telemetry.march.writes += 1;
-                let pulses_burned = self.write_cell(addr, bit, faults, Stream::March);
+                let pulses_burned = self.write_cell(addr, bit, Stream::March);
                 self.telemetry.march.busy_time +=
                     self.write_cost.latency() * f64::from(pulses_burned);
                 self.telemetry.energy += self.write_cost.energy() * f64::from(pulses_burned);
@@ -394,7 +389,7 @@ impl Bank {
             }
             MarchOp::R(expected) => {
                 self.telemetry.march.reads += 1;
-                let got = self.march_read(addr, raw, faults);
+                let got = self.march_read(addr, raw);
                 if got != expected {
                     self.telemetry
                         .march
@@ -410,23 +405,23 @@ impl Bank {
     /// legitimately escape the test at that protection level; `raw`
     /// bypasses the codec and senses the one cell directly, like an
     /// unprotected part.
-    fn march_read(&mut self, addr: Address, raw: bool, faults: &FaultPlan) -> bool {
+    fn march_read(&mut self, addr: Address, raw: bool) -> bool {
         let cell = self.truth_index(addr);
         let word = cell / WORD_BITS;
         let (span, check) = match &self.ecc {
             Some(ecc) if !raw => (self.word_span(word), Some(ecc.check[word])),
             _ => (cell..cell + 1, None),
         };
-        let sense = self.read_span(span.clone(), faults, Stream::March);
+        let sense = self.read_span(span.clone(), Stream::March);
         self.telemetry.march.busy_time += self.read_cost.latency() * f64::from(sense.slowest);
         self.telemetry.energy += self.read_cost.energy() * sense.attempts as f64;
         let bits = check.map_or(sense.bits, |check| codec::decode(sense.bits, check).data);
         (bits >> (cell - span.start)) & 1 == 1
     }
 
-    fn serve_read_plain(&mut self, addr: Address, faults: &FaultPlan) {
+    fn serve_read_plain(&mut self, addr: Address) {
         let cell = self.truth_index(addr);
-        let sense = self.read_span(cell..cell + 1, faults, Stream::Demand);
+        let sense = self.read_span(cell..cell + 1, Stream::Demand);
         if (sense.bits == 1) != self.truth[cell] {
             self.telemetry.misreads += 1;
         }
@@ -439,11 +434,11 @@ impl Bank {
     /// the *decoded* word, so a single-bit error anywhere in the word —
     /// stuck cell, retention flip, marginal sense — no longer reaches the
     /// host.
-    fn serve_read_ecc(&mut self, addr: Address, faults: &FaultPlan) {
+    fn serve_read_ecc(&mut self, addr: Address) {
         let cell = self.truth_index(addr);
         let word = cell / WORD_BITS;
         let span = self.word_span(word);
-        let sense = self.read_span(span.clone(), faults, Stream::Demand);
+        let sense = self.read_span(span.clone(), Stream::Demand);
         self.charge_demand_read(sense);
         let check = self.ecc.as_ref().expect("ECC read without ECC state").check[word];
         let decoded = codec::decode(sense.bits, check);
@@ -521,9 +516,9 @@ impl Bank {
         self.snap_stuck_cells();
     }
 
-    fn serve_write(&mut self, addr: Address, bit: bool, faults: &FaultPlan) {
+    fn serve_write(&mut self, addr: Address, bit: bool) {
         self.telemetry.writes += 1;
-        let pulses_burned = self.write_cell(addr, bit, faults, Stream::Demand);
+        let pulses_burned = self.write_cell(addr, bit, Stream::Demand);
         self.telemetry.busy_time += self.write_cost.latency() * f64::from(pulses_burned);
         self.telemetry.energy += self.write_cost.energy() * f64::from(pulses_burned);
         let index = self.truth_index(addr);
@@ -537,12 +532,14 @@ impl Bank {
     /// price on its own clock. The truth mirror and ECC check store always
     /// track what the host *believes* it wrote; the defects corrupt only
     /// the stored state.
-    fn write_cell(&mut self, addr: Address, bit: bool, faults: &FaultPlan, stream: Stream) -> u32 {
+    fn write_cell(&mut self, addr: Address, bit: bool, stream: Stream) -> u32 {
         let index = self.truth_index(addr);
         let prior = self.array.read_state(addr).bit();
         let transition_lost = prior != bit
-            && faults
-                .transition_faults_of(self.index)
+            && self
+                .faults
+                .transition_faults
+                .iter()
                 .any(|fault| fault.addr == addr && fault.rising == bit);
         let pulses_burned = if transition_lost {
             // WTF: the pulse is driven (and priced) but the free layer never
@@ -569,8 +566,10 @@ impl Bank {
         self.snap_stuck_cells();
         // Backhopping: a completed write hops back before the next access.
         if !transition_lost {
-            let prob = faults
-                .backhop_cells_of(self.index)
+            let prob = self
+                .faults
+                .backhop_cells
+                .iter()
                 .find(|cell| cell.addr == addr)
                 .map(|cell| cell.prob);
             if let Some(prob) = prob {
@@ -580,7 +579,7 @@ impl Bank {
                 }
             }
         }
-        self.apply_coupling(addr, index, bit, prior, faults);
+        self.apply_coupling(addr, index, bit, prior);
         // Controller-side read-modify-write: the check columns are refreshed
         // from the host's word, so they always match the truth mirror.
         if let Some(ecc) = &mut self.ecc {
@@ -596,19 +595,12 @@ impl Bank {
     /// participates — while the CFds trigger is the non-transition `w1`
     /// pulse itself (`prior && bit`). Victims are corrupted behind the
     /// host's back: the truth mirror is not updated.
-    fn apply_coupling(
-        &mut self,
-        addr: Address,
-        index: usize,
-        bit: bool,
-        prior: bool,
-        faults: &FaultPlan,
-    ) {
+    fn apply_coupling(&mut self, addr: Address, index: usize, bit: bool, prior: bool) {
         let word = index / WORD_BITS;
         let position = index % WORD_BITS;
         let stored = self.array.read_state(addr).bit();
         let mut forced: Vec<(usize, bool)> = Vec::new();
-        for fault in faults.coupling_faults_of(self.index) {
+        for fault in &self.faults.coupling_faults {
             if fault.word != word || fault.aggressor_bit != position {
                 continue;
             }
@@ -661,7 +653,7 @@ impl Bank {
     /// `ecc.scrub_busy_time`, not the demand busy clock, so scrub never
     /// advances the retention decay it repairs; its energy joins the
     /// bank's total.
-    pub fn scrub_next(&mut self, faults: &FaultPlan) -> bool {
+    pub fn scrub_next(&mut self) -> bool {
         let Some(state) = &mut self.ecc else {
             return false;
         };
@@ -669,7 +661,7 @@ impl Bank {
         let check = state.check[word];
         self.maybe_apply_drift();
         let span = self.word_span(word);
-        let sense = self.read_span(span.clone(), faults, Stream::Scrub);
+        let sense = self.read_span(span.clone(), Stream::Scrub);
         let mut latency = self.read_cost.latency() * f64::from(sense.slowest);
         let mut energy = self.read_cost.energy() * sense.attempts as f64;
         let decoded = codec::decode(sense.bits, check);
@@ -824,8 +816,8 @@ impl Bank {
     /// write-back re-pins stuck cells, read disturb hits the span, and
     /// stuck cells are re-pinned over any soft-error flip. Pricing is the
     /// caller's: each read kind charges its own clock.
-    fn read_span(&mut self, span: Range<usize>, faults: &FaultPlan, stream: Stream) -> SpanSense {
-        self.apply_retention(span.clone(), faults, stream);
+    fn read_span(&mut self, span: Range<usize>, stream: Stream) -> SpanSense {
+        self.apply_retention(span.clone(), stream);
         let mut sense = SpanSense {
             bits: 0,
             slowest: 1,
@@ -845,8 +837,8 @@ impl Bank {
             // The erase/write-back pulses may have hit a stuck cell.
             self.snap_stuck_cells();
         }
-        self.apply_read_disturb(span, faults, stream);
-        if faults.has_soft_errors() {
+        self.apply_read_disturb(span, stream);
+        if self.faults.has_soft_errors() {
             self.snap_stuck_cells();
         }
         sense
@@ -856,13 +848,15 @@ impl Bank {
     /// flips with the exponential-hazard probability of its idle span on
     /// the bank's busy-time clock, then has its clock reset. Draws nothing
     /// when retention faults are off.
-    fn apply_retention(&mut self, span: Range<usize>, faults: &FaultPlan, stream: Stream) {
-        if faults.retention_rate_per_ns.is_none() {
+    fn apply_retention(&mut self, span: Range<usize>, stream: Stream) {
+        if self.faults.retention_rate_per_ns.is_none() {
             return;
         }
         let now_ns = self.busy_now_ns();
         for cell in span {
-            let p = faults.retention_flip_prob(now_ns - self.last_touch_ns[cell]);
+            let p = self
+                .faults
+                .retention_flip_prob(now_ns - self.last_touch_ns[cell]);
             self.last_touch_ns[cell] = now_ns;
             if p > 0.0 && self.streams.soft_errors(stream).gen_bool(p) {
                 self.flip(cell);
@@ -873,8 +867,8 @@ impl Bank {
 
     /// Read disturb: after a sense, each cell of the victim span flips with
     /// the plan's per-read probability. Draws nothing when disabled.
-    fn apply_read_disturb(&mut self, span: Range<usize>, faults: &FaultPlan, stream: Stream) {
-        let Some(p) = faults.read_disturb_prob else {
+    fn apply_read_disturb(&mut self, span: Range<usize>, stream: Stream) {
+        let Some(p) = self.faults.read_disturb_prob else {
             return;
         };
         for cell in span {
@@ -917,8 +911,8 @@ impl Bank {
     /// Re-pins every stuck cell to its defect value (a stuck MTJ "accepts"
     /// the pulse, then relaxes straight back).
     fn snap_stuck_cells(&mut self) {
-        for &(addr, value) in &self.stuck {
-            self.array.write_bit(addr, value);
+        for cell in &self.faults.stuck_cells {
+            self.array.write_bit(cell.addr, cell.value);
         }
     }
 
@@ -1013,8 +1007,8 @@ mod tests {
         let mut bank = small_bank(SchemeKind::Nondestructive, &faults);
         let addr = Address::new(2, 5);
         for bit in [true, false, true] {
-            bank.execute(&Transaction::write(0, addr, bit), &faults);
-            bank.execute(&Transaction::read(0, addr), &faults);
+            bank.execute(&Transaction::write(0, addr, bit));
+            bank.execute(&Transaction::read(0, addr));
         }
         assert_eq!(bank.telemetry().reads, 3);
         assert_eq!(bank.telemetry().writes, 3);
@@ -1026,7 +1020,7 @@ mod tests {
     fn read_latency_scales_with_attempts() {
         let faults = FaultPlan::none();
         let mut bank = small_bank(SchemeKind::Nondestructive, &faults);
-        bank.execute(&Transaction::read(0, Address::new(1, 1)), &faults);
+        bank.execute(&Transaction::read(0, Address::new(1, 1)));
         let telemetry = bank.telemetry();
         // A single nondestructive read is 14 ns (ChipTiming::date2010 docs);
         // any retries add whole multiples of it.
@@ -1040,8 +1034,8 @@ mod tests {
         let addr = Address::new(3, 3);
         let faults = FaultPlan::none().with_stuck_cell(0, addr, false);
         let mut bank = small_bank(SchemeKind::Nondestructive, &faults);
-        bank.execute(&Transaction::write(0, addr, true), &faults);
-        bank.execute(&Transaction::read(0, addr), &faults);
+        bank.execute(&Transaction::write(0, addr, true));
+        bank.execute(&Transaction::read(0, addr));
         assert_eq!(
             bank.telemetry().misreads,
             1,
@@ -1058,8 +1052,8 @@ mod tests {
         let faults = FaultPlan::none().with_power_cut_every(1);
         for kind in SchemeKind::ALL {
             let mut bank = small_bank(kind, &faults);
-            bank.execute(&Transaction::write(0, addr, true), &faults);
-            bank.execute(&Transaction::read(0, addr), &faults);
+            bank.execute(&Transaction::write(0, addr, true));
+            bank.execute(&Transaction::read(0, addr));
             let telemetry = bank.telemetry();
             assert_eq!(telemetry.power_cuts, 1, "{kind}");
             if kind == SchemeKind::Destructive {
@@ -1082,8 +1076,8 @@ mod tests {
         let faults = FaultPlan::none().with_stuck_cell(0, addr, false);
         let mut bank = small_ecc_bank(SchemeKind::Nondestructive, &faults);
         assert!(bank.has_ecc());
-        bank.execute(&Transaction::write(0, addr, true), &faults);
-        bank.execute(&Transaction::read(0, addr), &faults);
+        bank.execute(&Transaction::write(0, addr, true));
+        bank.execute(&Transaction::read(0, addr));
         let ecc = &bank.telemetry().ecc;
         assert_eq!(ecc.corrected_ce, 1, "{ecc:?}");
         assert_eq!(ecc.detected_ue + ecc.silent_errors, 0);
@@ -1101,7 +1095,7 @@ mod tests {
         let faults = FaultPlan::none();
         let mut bank = small_ecc_bank(SchemeKind::Nondestructive, &faults);
         for col in 0..4 {
-            bank.execute(&Transaction::read(0, Address::new(0, col)), &faults);
+            bank.execute(&Transaction::read(0, Address::new(0, col)));
         }
         let ecc = &bank.telemetry().ecc;
         assert_eq!(
@@ -1118,7 +1112,7 @@ mod tests {
     fn ecc_word_read_charges_word_energy_single_read_latency() {
         let faults = FaultPlan::none();
         let mut bank = small_ecc_bank(SchemeKind::Nondestructive, &faults);
-        bank.execute(&Transaction::read(0, Address::new(0, 0)), &faults);
+        bank.execute(&Transaction::read(0, Address::new(0, 0)));
         let telemetry = bank.telemetry();
         // 64 parallel sense amps: latency is one read times the slowest
         // cell's attempts, far below 64 serial reads.
@@ -1128,7 +1122,7 @@ mod tests {
         // so compare against a retry-robust multiple.
         let one_cell_read_energy = {
             let mut single = small_bank(SchemeKind::Nondestructive, &faults);
-            single.execute(&Transaction::read(0, Address::new(0, 0)), &faults);
+            single.execute(&Transaction::read(0, Address::new(0, 0)));
             single.telemetry().energy
         };
         assert!(telemetry.energy.get() >= one_cell_read_energy.get() * 8.0);
@@ -1144,7 +1138,7 @@ mod tests {
         let stored = bank.array.read_state(victim).bit();
         bank.array.write_bit(victim, !stored);
         assert_eq!(bank.audit_corrupted_bits(), 1);
-        assert!(bank.scrub_next(&faults), "ECC bank must scrub");
+        assert!(bank.scrub_next(), "ECC bank must scrub");
         assert_eq!(bank.audit_corrupted_bits(), 0, "scrub must repair in place");
         let ecc = &bank.telemetry().ecc;
         assert_eq!(ecc.scrub_ce_corrected, 1, "{ecc:?}");
@@ -1157,7 +1151,7 @@ mod tests {
         let faults = FaultPlan::none();
         let mut bank = small_ecc_bank(SchemeKind::Nondestructive, &faults);
         let before = bank.telemetry().energy;
-        assert!(bank.scrub_next(&faults), "ECC bank must scrub");
+        assert!(bank.scrub_next(), "ECC bank must scrub");
         assert_eq!(
             bank.telemetry().ecc.scrub_cells_rewritten,
             0,
@@ -1173,7 +1167,7 @@ mod tests {
     #[test]
     fn scrub_without_ecc_is_refused() {
         let mut bank = small_bank(SchemeKind::Nondestructive, &FaultPlan::none());
-        assert!(!bank.scrub_next(&FaultPlan::none()));
+        assert!(!bank.scrub_next());
     }
 
     #[test]
@@ -1182,15 +1176,15 @@ mod tests {
         let mut scrubbed = small_ecc_bank(SchemeKind::Nondestructive, &faults);
         let mut control = small_ecc_bank(SchemeKind::Nondestructive, &faults);
         for _ in 0..8 {
-            assert!(scrubbed.scrub_next(&faults));
+            assert!(scrubbed.scrub_next());
             assert_eq!(scrubbed.telemetry().ecc.scrub_cells_rewritten, 0);
         }
         assert_eq!(scrubbed.stored_bits(), control.stored_bits());
         // Demand reads after scrubbing see the exact same RNG stream.
         let addr = Address::new(2, 2);
         for _ in 0..16 {
-            scrubbed.execute(&Transaction::read(0, addr), &faults);
-            control.execute(&Transaction::read(0, addr), &faults);
+            scrubbed.execute(&Transaction::read(0, addr));
+            control.execute(&Transaction::read(0, addr));
         }
         assert_eq!(scrubbed.telemetry().misreads, control.telemetry().misreads);
         assert_eq!(
@@ -1207,8 +1201,8 @@ mod tests {
         let mut bank = small_ecc_bank(SchemeKind::Nondestructive, &faults);
         let hot = Address::new(0, 0);
         for k in 0..200 {
-            bank.execute(&Transaction::write(0, hot, k % 2 == 0), &faults);
-            bank.execute(&Transaction::read(0, hot), &faults);
+            bank.execute(&Transaction::write(0, hot, k % 2 == 0));
+            bank.execute(&Transaction::read(0, hot));
         }
         assert!(
             bank.telemetry().retention_flips > 0,
@@ -1222,7 +1216,7 @@ mod tests {
         let mut bank = small_bank(SchemeKind::Nondestructive, &faults);
         let addr = Address::new(1, 1);
         for _ in 0..50 {
-            bank.execute(&Transaction::read(0, addr), &faults);
+            bank.execute(&Transaction::read(0, addr));
         }
         assert!(bank.telemetry().read_disturb_flips > 0);
     }
@@ -1242,8 +1236,8 @@ mod tests {
         let mut b = small_bank(SchemeKind::Nondestructive, &soft);
         for col in 0..8 {
             let addr = Address::new(4, col);
-            a.execute(&Transaction::read(0, addr), &quiet);
-            b.execute(&Transaction::read(0, addr), &soft);
+            a.execute(&Transaction::read(0, addr));
+            b.execute(&Transaction::read(0, addr));
         }
         assert_eq!(a.telemetry(), b.telemetry());
         assert_eq!(a.stored_bits(), b.stored_bits());
@@ -1260,18 +1254,18 @@ mod tests {
         let faults = FaultPlan::none().with_transition_fault(0, addr, true);
         let mut bank = small_bank(SchemeKind::Nondestructive, &faults);
         // Falling writes are healthy (the fault is rising-only)...
-        bank.execute(&Transaction::write(0, addr, false), &faults);
+        bank.execute(&Transaction::write(0, addr, false));
         assert_eq!(bank.telemetry().write_transition_faults, 0);
         assert!(!bank.array.read_state(addr).bit());
         // ...but the 0→1 transition is silently lost: one pulse charged,
         // the array unchanged, the truth mirror fooled.
-        bank.execute(&Transaction::write(0, addr, true), &faults);
+        bank.execute(&Transaction::write(0, addr, true));
         assert_eq!(bank.telemetry().write_transition_faults, 1);
         assert!(
             !bank.array.read_state(addr).bit(),
             "the write must not land"
         );
-        bank.execute(&Transaction::read(0, addr), &faults);
+        bank.execute(&Transaction::read(0, addr));
         assert_eq!(bank.telemetry().misreads, 1, "the host sees stale data");
         assert!(bank.audit_corrupted_bits() >= 1);
     }
@@ -1281,7 +1275,7 @@ mod tests {
         let addr = Address::new(5, 2);
         let faults = FaultPlan::none().with_backhop(0, addr, 1.0);
         let mut bank = small_bank(SchemeKind::Nondestructive, &faults);
-        bank.execute(&Transaction::write(0, addr, true), &faults);
+        bank.execute(&Transaction::write(0, addr, true));
         assert_eq!(bank.telemetry().backhop_flips, 1);
         assert!(
             !bank.array.read_state(addr).bit(),
@@ -1307,9 +1301,9 @@ mod tests {
             },
         );
         let mut bank = small_bank(SchemeKind::Nondestructive, &faults);
-        bank.execute(&Transaction::write(0, victim, false), &faults);
+        bank.execute(&Transaction::write(0, victim, false));
         let triggers_before = bank.telemetry().coupling_triggers;
-        bank.execute(&Transaction::write(0, aggressor, true), &faults);
+        bank.execute(&Transaction::write(0, aggressor, true));
         assert_eq!(bank.telemetry().coupling_triggers, triggers_before + 1);
         assert!(
             bank.array.read_state(victim).bit(),
@@ -1330,14 +1324,14 @@ mod tests {
             CouplingKind::Disturb { victim_value: true },
         );
         let mut bank = small_bank(SchemeKind::Nondestructive, &faults);
-        bank.execute(&Transaction::write(0, victim, false), &faults);
-        bank.execute(&Transaction::write(0, aggressor, false), &faults);
+        bank.execute(&Transaction::write(0, victim, false));
+        bank.execute(&Transaction::write(0, aggressor, false));
         // The transition write 0→1 does not sensitise CFds...
-        bank.execute(&Transaction::write(0, aggressor, true), &faults);
+        bank.execute(&Transaction::write(0, aggressor, true));
         assert_eq!(bank.telemetry().coupling_triggers, 0);
         assert!(!bank.array.read_state(victim).bit());
         // ...the non-transition w1 does.
-        bank.execute(&Transaction::write(0, aggressor, true), &faults);
+        bank.execute(&Transaction::write(0, aggressor, true));
         assert_eq!(bank.telemetry().coupling_triggers, 1);
         assert!(bank.array.read_state(victim).bit());
     }
@@ -1350,8 +1344,8 @@ mod tests {
             let mut bank = small_bank(kind, &faults);
             // The write datapath works (verified by state read-back), but
             // the collapsed TMR leaves nothing for the sense amp to see.
-            bank.execute(&Transaction::write(0, addr, true), &faults);
-            bank.execute(&Transaction::read(0, addr), &faults);
+            bank.execute(&Transaction::write(0, addr, true));
+            bank.execute(&Transaction::read(0, addr));
             assert_eq!(
                 bank.telemetry().misreads,
                 1,
@@ -1378,9 +1372,9 @@ mod tests {
         })
     }
 
-    fn hammer_reads(bank: &mut Bank, addr: Address, reads: usize, faults: &FaultPlan) {
+    fn hammer_reads(bank: &mut Bank, addr: Address, reads: usize) {
         for _ in 0..reads {
-            bank.execute(&Transaction::read(0, addr), faults);
+            bank.execute(&Transaction::read(0, addr));
         }
     }
 
@@ -1390,8 +1384,8 @@ mod tests {
         let addr = Address::new(2, 2);
         let config = small_config(SchemeKind::Nondestructive, &faults).with_drift(hot_plan());
         let mut bank = Bank::new(0, &config);
-        bank.execute(&Transaction::write(0, addr, true), &faults);
-        hammer_reads(&mut bank, addr, 40, &faults);
+        bank.execute(&Transaction::write(0, addr, true));
+        hammer_reads(&mut bank, addr, 40);
         let telemetry = bank.telemetry();
         assert!(
             telemetry.misreads + telemetry.unconfident_reads > 10,
@@ -1415,8 +1409,8 @@ mod tests {
             } else {
                 Transaction::read(0, addr)
             };
-            plain.execute(&txn, &faults);
-            quiet.execute(&txn, &faults);
+            plain.execute(&txn);
+            quiet.execute(&txn);
         }
         assert_eq!(plain.telemetry(), quiet.telemetry());
         assert_eq!(plain.stored_bits(), quiet.stored_bits());
@@ -1432,13 +1426,13 @@ mod tests {
         let mut statics = Bank::new(0, &config);
         let mut calibrated = Bank::new(0, &config);
         for bank in [&mut statics, &mut calibrated] {
-            bank.execute(&Transaction::write(0, addr, true), &faults);
+            bank.execute(&Transaction::write(0, addr, true));
         }
-        hammer_reads(&mut statics, addr, 192, &faults);
+        hammer_reads(&mut statics, addr, 192);
         // A check every 64 demand reads, as a daemon ticking in the gaps of
         // a steady read stream would.
         for _ in 0..3 {
-            hammer_reads(&mut calibrated, addr, 64, &faults);
+            hammer_reads(&mut calibrated, addr, 64);
             calibrated.calibration_tick(&calib);
         }
         // Static β under the hot-spot: the stored-1 margin is negative, so
@@ -1489,8 +1483,8 @@ mod tests {
             !bank.calibration_tick(&calib),
             "no reads yet, nothing to trip on"
         );
-        bank.execute(&Transaction::write(0, addr, true), &faults);
-        hammer_reads(&mut bank, addr, 40, &faults);
+        bank.execute(&Transaction::write(0, addr, true));
+        hammer_reads(&mut bank, addr, 40);
         assert!(bank.calibration_tick(&calib), "a 25 %+ error rate trips");
         assert_eq!(bank.telemetry().calib.refits, 1);
         assert!(
@@ -1506,16 +1500,16 @@ mod tests {
         // Decoded reads: SECDED absorbs the single stuck cell, the tester
         // sees a passing part. Raw reads: the defect is observed directly.
         let mut decoded = small_ecc_bank(SchemeKind::Nondestructive, &faults);
-        decoded.execute_march_op(27, MarchOp::W(true), 1, false, &faults);
-        decoded.execute_march_op(27, MarchOp::R(true), 1, false, &faults);
+        decoded.execute_march_op(27, MarchOp::W(true), 1, false);
+        decoded.execute_march_op(27, MarchOp::R(true), 1, false);
         assert_eq!(
             decoded.telemetry().march.mismatches,
             0,
             "the codec must absorb a single stuck cell on the decoded path"
         );
         let mut raw = small_ecc_bank(SchemeKind::Nondestructive, &faults);
-        raw.execute_march_op(27, MarchOp::W(true), 1, true, &faults);
-        raw.execute_march_op(27, MarchOp::R(true), 1, true, &faults);
+        raw.execute_march_op(27, MarchOp::W(true), 1, true);
+        raw.execute_march_op(27, MarchOp::R(true), 1, true);
         assert_eq!(
             raw.telemetry().march.mismatches,
             1,
@@ -1592,14 +1586,14 @@ mod tests {
                 } else {
                     Transaction::write(0, addr, traffic.gen_bool(0.5))
                 };
-                bank.execute(&txn, &faults);
+                bank.execute(&txn);
                 if step % 7 == 0 {
-                    let _ = bank.scrub_next(&faults);
+                    let _ = bank.scrub_next();
                 }
                 if step % 3 == 0 {
                     let op = march[marched % march.len()];
                     let raw = (marched / march.len()) % 2 == 1;
-                    bank.execute_march_op(op.cell, op.op, op.element, raw, &faults);
+                    bank.execute_march_op(op.cell, op.op, op.element, raw);
                     marched += 1;
                 }
             }
@@ -1624,8 +1618,8 @@ mod tests {
         let addr = Address::new(3, 3); // row-major cell 27
         let faults = FaultPlan::none().with_stuck_cell(0, addr, false);
         let mut bank = small_bank(SchemeKind::Nondestructive, &faults);
-        bank.execute_march_op(27, MarchOp::W(true), 1, false, &faults);
-        bank.execute_march_op(27, MarchOp::R(true), 1, false, &faults);
+        bank.execute_march_op(27, MarchOp::W(true), 1, false);
+        bank.execute_march_op(27, MarchOp::R(true), 1, false);
         let march = &bank.telemetry().march;
         assert_eq!(march.ops, 2);
         assert_eq!((march.writes, march.reads), (1, 1));

@@ -16,7 +16,7 @@ use crate::bank::Bank;
 use crate::faults::{DriftPlan, FaultPlan};
 use crate::reliability::EccMode;
 use crate::retry::RetryPolicy;
-use crate::telemetry::{LatencyBounds, Telemetry};
+use crate::telemetry::Telemetry;
 use crate::txn::TxnSource;
 use crate::workload::Footprint;
 
@@ -179,14 +179,11 @@ pub struct ControllerConfig {
     pub kind: SchemeKind,
     /// Read-retry policy.
     pub retry: RetryPolicy,
-    /// Faults to inject while serving.
+    /// Faults to inject while serving; each bank is built with its own
+    /// slice of the plan.
     pub faults: FaultPlan,
     /// Master seed; bank `k` derives its stream from `(seed, k)`.
     pub seed: u64,
-    /// Read-latency histogram binning (defaults to the historical
-    /// 0–100 ns × 2 ns grid).
-    #[serde(default)]
-    pub latency_bounds: LatencyBounds,
     /// Error-correction layer over bank reads (defaults to none, the seed
     /// behaviour: every misread is silent).
     #[serde(default)]
@@ -208,7 +205,6 @@ impl ControllerConfig {
             retry: RetryPolicy::date2010(),
             faults: FaultPlan::none(),
             seed: 2010,
-            latency_bounds: LatencyBounds::date2010(),
             ecc: EccMode::None,
             drift: DriftPlan::quiet(),
         }
@@ -234,13 +230,6 @@ impl ControllerConfig {
     #[must_use]
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Overrides the read-latency histogram binning.
-    #[must_use]
-    pub fn with_latency_bounds(mut self, bounds: LatencyBounds) -> Self {
-        self.latency_bounds = bounds;
         self
     }
 
@@ -326,14 +315,13 @@ impl Controller {
     /// have, or re-raises a bank's own panic (such as an out-of-range
     /// address) with its message under either dispatch.
     pub fn run<S: TxnSource + ?Sized>(&mut self, trace: &S, dispatch: Dispatch) -> Telemetry {
-        let Self { config, banks } = self;
+        let banks = &mut self.banks;
         let (load, _) = census(trace, banks.len());
         let lists = BankLists::partition(trace, &load, 0..trace.len() as u32);
-        let faults = &config.faults;
         let workers = dispatch.workers(banks.len());
         serve_banks(banks, &lists, &mut [], workers, |bank, indices, _| {
             for &i in indices {
-                bank.execute(&trace.get(i as usize), faults);
+                bank.execute(&trace.get(i as usize));
             }
         });
         self.telemetry()
@@ -410,7 +398,7 @@ mod tests {
                 workers,
                 |bank, indices, service| {
                     for (&i, busy) in indices.iter().zip(service) {
-                        bank.execute(&trace.get(i as usize), &config.faults);
+                        bank.execute(&trace.get(i as usize));
                         *busy = bank.telemetry().busy_time.get();
                     }
                 },

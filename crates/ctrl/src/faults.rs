@@ -282,39 +282,6 @@ impl FaultPlan {
         self
     }
 
-    /// Merges `other` into this plan, returning the combination.
-    ///
-    /// Scalar knobs (`power_cut_every`, `retention_rate_per_ns`,
-    /// `read_disturb_prob`) take `other`'s value when it is set. Defect
-    /// lists concatenate, except stuck cells where **the later plan wins**
-    /// on a (bank, address) conflict — composing a per-lot baseline with a
-    /// per-device patch must let the patch re-pin a cell.
-    #[must_use]
-    pub fn merge(mut self, other: Self) -> Self {
-        self.power_cut_every = other.power_cut_every.or(self.power_cut_every);
-        self.retention_rate_per_ns = other.retention_rate_per_ns.or(self.retention_rate_per_ns);
-        self.read_disturb_prob = other.read_disturb_prob.or(self.read_disturb_prob);
-        self.stuck_cells.extend(other.stuck_cells);
-        // Later stuck-cell wins: keep only the last entry per (bank, addr),
-        // preserving the order in which the surviving entries first settled.
-        let mut seen = Vec::new();
-        let mut kept = Vec::new();
-        for cell in self.stuck_cells.iter().rev() {
-            if seen.contains(&(cell.bank, cell.addr)) {
-                continue;
-            }
-            seen.push((cell.bank, cell.addr));
-            kept.push(*cell);
-        }
-        kept.reverse();
-        self.stuck_cells = kept;
-        self.transition_faults.extend(other.transition_faults);
-        self.coupling_faults.extend(other.coupling_faults);
-        self.pinhole_cells.extend(other.pinhole_cells);
-        self.backhop_cells.extend(other.backhop_cells);
-        self
-    }
-
     /// Probability that a cell idle for `idle_ns` nanoseconds of bank busy
     /// time has suffered a retention flip (0 when retention faults are off
     /// or the cell was just touched).
@@ -344,39 +311,22 @@ impl FaultPlan {
         }
     }
 
-    /// The stuck cells of one bank.
-    pub fn stuck_cells_of(&self, bank: usize) -> impl Iterator<Item = &StuckCell> + '_ {
-        self.stuck_cells
-            .iter()
-            .filter(move |cell| cell.bank == bank)
-    }
-
-    /// The write transition faults of one bank.
-    pub fn transition_faults_of(&self, bank: usize) -> impl Iterator<Item = &TransitionFault> + '_ {
-        self.transition_faults
-            .iter()
-            .filter(move |fault| fault.bank == bank)
-    }
-
-    /// The coupling defects of one bank.
-    pub fn coupling_faults_of(&self, bank: usize) -> impl Iterator<Item = &CouplingFault> + '_ {
-        self.coupling_faults
-            .iter()
-            .filter(move |fault| fault.bank == bank)
-    }
-
-    /// The pinhole defects of one bank.
-    pub fn pinhole_cells_of(&self, bank: usize) -> impl Iterator<Item = &PinholeCell> + '_ {
-        self.pinhole_cells
-            .iter()
-            .filter(move |cell| cell.bank == bank)
-    }
-
-    /// The backhopping defects of one bank.
-    pub fn backhop_cells_of(&self, bank: usize) -> impl Iterator<Item = &BackhopCell> + '_ {
-        self.backhop_cells
-            .iter()
-            .filter(move |cell| cell.bank == bank)
+    /// The slice of this plan that bank `bank` is built with: the scalar
+    /// knobs, and only the defects that sit on that bank, in plan order.
+    pub(crate) fn for_bank(&self, bank: usize) -> Self {
+        fn on_bank<T: Clone>(defects: &[T], bank: usize, at: impl Fn(&T) -> usize) -> Vec<T> {
+            defects.iter().filter(|d| at(d) == bank).cloned().collect()
+        }
+        Self {
+            power_cut_every: self.power_cut_every,
+            stuck_cells: on_bank(&self.stuck_cells, bank, |c| c.bank),
+            retention_rate_per_ns: self.retention_rate_per_ns,
+            read_disturb_prob: self.read_disturb_prob,
+            transition_faults: on_bank(&self.transition_faults, bank, |f| f.bank),
+            coupling_faults: on_bank(&self.coupling_faults, bank, |f| f.bank),
+            pinhole_cells: on_bank(&self.pinhole_cells, bank, |c| c.bank),
+            backhop_cells: on_bank(&self.backhop_cells, bank, |c| c.bank),
+        }
     }
 }
 
@@ -391,6 +341,13 @@ pub const DRIFT_T_MAX: f64 = 500.0;
 /// size, so a bank rebuilds its cells only when the accumulated aging has
 /// moved by a full percent — not on every access.
 const AGE_EXPONENT_STEP: f64 = 0.01;
+
+/// Temperature quantisation step (K) of a [`DriftKey`].
+const TEMP_STEP_K: f64 = 2.0;
+
+/// High-state roll-off flattening per kelvin above the 300 K calibration
+/// point: `ΔR_Hmax` scales by `1/(1 + tc·ΔT)`.
+const ROLLOFF_TC_PER_K: f64 = 0.01;
 
 /// A piecewise-linear thermal excursion on one bank: the die temperature
 /// ramps from ambient up by `amplitude_k`, holds, and falls back — a
@@ -439,8 +396,7 @@ impl ThermalTransient {
 /// Quantised drift state of one bank: the temperature step and aging step
 /// its cells were last rebuilt at. Banks compare keys, not raw clocks, so
 /// an access only pays for a cell-array rebuild when the drift has moved a
-/// full quantum ([`DriftPlan::step_k`] kelvin or one step of aging
-/// exponent).
+/// full quantum (2 K of temperature or one percent of aging exponent).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DriftKey {
     temp_step: i32,
@@ -450,8 +406,8 @@ pub struct DriftKey {
 impl DriftKey {
     /// The dequantised die temperature this key represents (K).
     #[must_use]
-    pub fn temperature_k(&self, step_k: f64) -> f64 {
-        (f64::from(self.temp_step) * step_k).clamp(DRIFT_T_MIN, DRIFT_T_MAX)
+    pub fn temperature_k(&self) -> f64 {
+        (f64::from(self.temp_step) * TEMP_STEP_K).clamp(DRIFT_T_MIN, DRIFT_T_MAX)
     }
 }
 
@@ -463,16 +419,18 @@ impl DriftKey {
 ///
 /// * **Thermal transients** — PWL trapezoid excursions
 ///   ([`ThermalTransient`]) superimposed on a configurable ambient. The
-///   drifted spec follows [`ThermalModel::spec_at`] *plus* an extra
-///   high-state roll-off flattening `1/(1 + tc·ΔT)` above the 300 K
-///   calibration point: heating degrades the bias roll-off contrast the
+///   drifted spec follows [`ThermalModel::date2010_mgo`]'s
+///   [`spec_at`](ThermalModel::spec_at) *plus* an extra high-state roll-off
+///   flattening `1/(1 + 0.01·ΔT)` above the 300 K calibration point
+///   (ΔT in kelvin): heating degrades the bias roll-off contrast the
 ///   nondestructive scheme's β was designed against, which is what makes a
 ///   static β genuinely misread mid-trace.
 /// * **MgO aging** — an exponential decay of the high-state roll-off with
 ///   accumulated busy time, modelling barrier wear-out.
 ///
-/// Rebuilding a bank's cells for a new [`DriftKey`] draws **no RNG**, so
-/// enabling drift never perturbs sense or write randomness.
+/// Temperature is quantised to 2 K [`DriftKey`] steps. Rebuilding a bank's
+/// cells for a new key draws **no RNG**, so enabling drift never perturbs
+/// sense or write randomness.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DriftPlan {
     /// Ambient die temperature (K). Default 300 K (the calibration point).
@@ -481,32 +439,14 @@ pub struct DriftPlan {
     /// Per-bank thermal excursions.
     #[serde(default)]
     pub transients: Vec<ThermalTransient>,
-    /// High-state roll-off flattening per kelvin above the 300 K
-    /// calibration: `ΔR_Hmax` scales by `1/(1 + tc·ΔT)`.
-    #[serde(default = "default_rolloff_tc")]
-    pub rolloff_tc_per_k: f64,
     /// MgO aging rate: the high-state roll-off decays as
     /// `exp(−rate · busy_ns)` (`None` = no aging).
     #[serde(default)]
     pub aging_rate_per_ns: Option<f64>,
-    /// Temperature quantisation step (K) for [`DriftKey`]s.
-    #[serde(default = "default_step_k")]
-    pub step_k: f64,
-    /// The thermal model mapping temperature to device specs.
-    #[serde(default = "ThermalModel::date2010_mgo")]
-    pub thermal: ThermalModel,
 }
 
 fn default_ambient_k() -> f64 {
     T_REFERENCE
-}
-
-fn default_rolloff_tc() -> f64 {
-    0.01
-}
-
-fn default_step_k() -> f64 {
-    2.0
 }
 
 impl Default for DriftPlan {
@@ -524,10 +464,7 @@ impl DriftPlan {
         Self {
             ambient_k: default_ambient_k(),
             transients: Vec::new(),
-            rolloff_tc_per_k: default_rolloff_tc(),
             aging_rate_per_ns: None,
-            step_k: default_step_k(),
-            thermal: ThermalModel::date2010_mgo(),
         }
     }
 
@@ -580,21 +517,6 @@ impl DriftPlan {
         self
     }
 
-    /// Sets the roll-off flattening coefficient (per kelvin above 300 K).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tc` is not finite and non-negative.
-    #[must_use]
-    pub fn with_rolloff_tc(mut self, tc: f64) -> Self {
-        assert!(
-            tc.is_finite() && tc >= 0.0,
-            "roll-off temperature coefficient must be non-negative, got {tc}"
-        );
-        self.rolloff_tc_per_k = tc;
-        self
-    }
-
     /// Sets the MgO aging rate (roll-off decay per nanosecond of busy time).
     ///
     /// # Panics
@@ -607,21 +529,6 @@ impl DriftPlan {
             "aging rate must be positive, got {rate}"
         );
         self.aging_rate_per_ns = Some(rate);
-        self
-    }
-
-    /// Sets the temperature quantisation step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step_k` is not finite and positive.
-    #[must_use]
-    pub fn with_step(mut self, step_k: f64) -> Self {
-        assert!(
-            step_k.is_finite() && step_k > 0.0,
-            "temperature step must be positive, got {step_k}"
-        );
-        self.step_k = step_k;
         self
     }
 
@@ -643,7 +550,7 @@ impl DriftPlan {
     pub fn key_at(&self, bank: usize, busy_ns: f64) -> DriftKey {
         let temp = self.temperature_at(bank, busy_ns);
         #[allow(clippy::cast_possible_truncation)]
-        let temp_step = (temp / self.step_k).round() as i32;
+        let temp_step = (temp / TEMP_STEP_K).round() as i32;
         let exponent = self.aging_rate_per_ns.map_or(0.0, |rate| rate * busy_ns);
         #[allow(clippy::cast_possible_truncation)]
         let age_step = (exponent / AGE_EXPONENT_STEP).floor() as i32;
@@ -654,16 +561,17 @@ impl DriftPlan {
     }
 
     /// The drifted device spec at drift state `key`, derived from the
-    /// undrifted `reference` spec: [`ThermalModel::spec_at`] at the key's
-    /// temperature, with the high-state roll-off additionally flattened by
-    /// heating (`1/(1 + tc·ΔT)` above 300 K) and aging
+    /// undrifted `reference` spec: [`ThermalModel::date2010_mgo`]'s
+    /// [`spec_at`](ThermalModel::spec_at) at the key's temperature, with the
+    /// high-state roll-off additionally flattened by heating
+    /// (`1/(1 + 0.01·ΔT)` above 300 K) and aging
     /// (`exp(−age exponent)`). The combined flattening is floored at 5 % so
     /// the spec stays physical.
     #[must_use]
     pub fn drifted_spec(&self, reference: &MtjSpec, key: DriftKey) -> MtjSpec {
-        let t = key.temperature_k(self.step_k);
-        let spec = self.thermal.spec_at(reference, t);
-        let heating = 1.0 / (1.0 + self.rolloff_tc_per_k * (t - T_REFERENCE).max(0.0));
+        let t = key.temperature_k();
+        let spec = ThermalModel::date2010_mgo().spec_at(reference, t);
+        let heating = 1.0 / (1.0 + ROLLOFF_TC_PER_K * (t - T_REFERENCE).max(0.0));
         let aging = (-f64::from(key.age_step) * AGE_EXPONENT_STEP).exp();
         let factor = (heating * aging).clamp(0.05, 1.0);
         let r = &spec.resistance;
@@ -689,7 +597,7 @@ mod tests {
         let plan = FaultPlan::none();
         assert!(!plan.cuts_power_on(1));
         assert!(!plan.cuts_power_on(1000));
-        assert_eq!(plan.stuck_cells_of(0).count(), 0);
+        assert!(plan.for_bank(0).stuck_cells.is_empty());
     }
 
     #[test]
@@ -733,9 +641,9 @@ mod tests {
             .with_stuck_cell(0, Address::new(1, 1), true)
             .with_stuck_cell(2, Address::new(3, 3), false)
             .with_stuck_cell(0, Address::new(5, 5), false);
-        assert_eq!(plan.stuck_cells_of(0).count(), 2);
-        assert_eq!(plan.stuck_cells_of(1).count(), 0);
-        assert_eq!(plan.stuck_cells_of(2).count(), 1);
+        assert_eq!(plan.for_bank(0).stuck_cells.len(), 2);
+        assert_eq!(plan.for_bank(1).stuck_cells.len(), 0);
+        assert_eq!(plan.for_bank(2).stuck_cells.len(), 1);
     }
 
     #[test]
@@ -755,13 +663,14 @@ mod tests {
             )
             .with_pinhole(1, Address::new(4, 4))
             .with_backhop(0, Address::new(7, 7), 0.5);
-        assert_eq!(plan.transition_faults_of(0).count(), 1);
-        assert_eq!(plan.transition_faults_of(1).count(), 1);
-        assert_eq!(plan.coupling_faults_of(0).count(), 1);
-        assert_eq!(plan.coupling_faults_of(1).count(), 0);
-        assert_eq!(plan.pinhole_cells_of(1).count(), 1);
-        assert_eq!(plan.backhop_cells_of(0).count(), 1);
-        assert!(plan.transition_faults_of(0).next().unwrap().rising);
+        let (bank0, bank1) = (plan.for_bank(0), plan.for_bank(1));
+        assert_eq!(bank0.transition_faults.len(), 1);
+        assert_eq!(bank1.transition_faults.len(), 1);
+        assert_eq!(bank0.coupling_faults.len(), 1);
+        assert_eq!(bank1.coupling_faults.len(), 0);
+        assert_eq!(bank1.pinhole_cells.len(), 1);
+        assert_eq!(bank0.backhop_cells.len(), 1);
+        assert!(bank0.transition_faults[0].rising);
     }
 
     #[test]
@@ -780,47 +689,6 @@ mod tests {
     #[should_panic(expected = "backhop probability")]
     fn backhop_rejects_bad_probability() {
         let _ = FaultPlan::none().with_backhop(0, Address::new(0, 0), 0.0);
-    }
-
-    #[test]
-    fn merge_later_stuck_cell_wins() {
-        let base = FaultPlan::none()
-            .with_stuck_cell(0, Address::new(1, 1), true)
-            .with_stuck_cell(0, Address::new(2, 2), true)
-            .with_power_cut_every(100);
-        let patch = FaultPlan::none()
-            .with_stuck_cell(0, Address::new(1, 1), false)
-            .with_stuck_cell(1, Address::new(1, 1), true)
-            .with_retention_rate(1e-6);
-        let merged = base.merge(patch);
-        assert_eq!(merged.stuck_cells.len(), 3);
-        let repinned = merged
-            .stuck_cells_of(0)
-            .find(|c| c.addr == Address::new(1, 1))
-            .expect("cell survives the merge");
-        assert!(!repinned.value, "the later plan re-pins the cell to 0");
-        assert_eq!(merged.power_cut_every, Some(100));
-        assert_eq!(merged.retention_rate_per_ns, Some(1e-6));
-    }
-
-    #[test]
-    fn merge_concatenates_defect_lists_and_prefers_later_scalars() {
-        let base = FaultPlan::none()
-            .with_power_cut_every(50)
-            .with_transition_fault(0, Address::new(0, 0), true);
-        let patch = FaultPlan::none()
-            .with_power_cut_every(75)
-            .with_transition_fault(0, Address::new(0, 1), false)
-            .with_pinhole(0, Address::new(2, 2))
-            .with_backhop(0, Address::new(3, 3), 0.25);
-        let merged = base.merge(patch);
-        assert_eq!(merged.power_cut_every, Some(75), "later scalar wins");
-        assert_eq!(merged.transition_faults.len(), 2);
-        assert_eq!(merged.pinhole_cells.len(), 1);
-        assert_eq!(merged.backhop_cells.len(), 1);
-        // Merging a quiet plan changes nothing.
-        let merged_again = merged.clone().merge(FaultPlan::none());
-        assert_eq!(merged_again, merged);
     }
 
     #[test]
@@ -943,7 +811,7 @@ mod tests {
             // Heating collapses TMR (spec_at) *and* flattens the roll-off
             // beyond the proportional spec_at scaling.
             assert!(hot.resistance.r_high0() < cold.resistance.r_high0());
-            let spec_at_only = plan.thermal.spec_at(&reference, 450.0);
+            let spec_at_only = ThermalModel::date2010_mgo().spec_at(&reference, 450.0);
             assert!(
                 hot.resistance.dr_high_max().get()
                     < 0.5 * spec_at_only.resistance.dr_high_max().get(),

@@ -36,10 +36,9 @@ use crate::retry::RetryPolicy;
 use crate::sched::event::EventQueue;
 use crate::sched::policy::Policy;
 use crate::sched::queue::{Lane, Queued};
-use crate::telemetry::{BankTelemetry, ChannelTelemetry, LatencyBounds, QueueTelemetry};
+use crate::telemetry::{BankTelemetry, ChannelTelemetry, QueueTelemetry};
 use crate::txn::{Transaction, TxnSource};
 
-use super::interleave::InterleavePolicy;
 use super::source::ClosedLoopSource;
 use super::topology::{BankCoord, Geometry, Topology};
 
@@ -89,7 +88,10 @@ pub enum ShardDispatch {
     Sharded,
 }
 
-/// Everything needed to build a [`Chip`].
+/// Everything needed to build a [`Chip`]. How host addresses map onto
+/// the hierarchy is not part of it: a chip serves physical transactions,
+/// and the interleave is chosen when a trace is generated (see
+/// [`Workload::generate_physical`](crate::Workload::generate_physical)).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChipConfig {
     /// The hierarchy's level counts.
@@ -100,25 +102,21 @@ pub struct ChipConfig {
     pub kind: SchemeKind,
     /// Read-retry policy.
     pub retry: RetryPolicy,
-    /// Faults to inject while serving.
+    /// Faults to inject while serving; each bank is built with its own
+    /// slice of the plan, keyed by global bank index.
     pub faults: FaultPlan,
     /// Master seed; global bank `k` derives its streams from `(seed, k)`.
     pub seed: u64,
-    /// Read-latency histogram binning.
-    #[serde(default)]
-    pub latency_bounds: LatencyBounds,
     /// Error-correction layer over bank reads.
     #[serde(default)]
     pub ecc: EccMode,
-    /// How linear host addresses map onto the hierarchy.
-    pub interleave: InterleavePolicy,
     /// Shared-bus timing.
     pub bus: BusTiming,
 }
 
 impl ChipConfig {
     /// Paper-scale banks (16 kb each) arranged in `topology`, no faults,
-    /// linear interleaving, FCFS dispatch.
+    /// no ECC, the default bus timing.
     #[must_use]
     pub fn date2010(kind: SchemeKind, topology: Topology) -> Self {
         Self {
@@ -128,9 +126,7 @@ impl ChipConfig {
             retry: RetryPolicy::date2010(),
             faults: FaultPlan::none(),
             seed: 2010,
-            latency_bounds: LatencyBounds::date2010(),
             ecc: EccMode::None,
-            interleave: InterleavePolicy::Linear,
             bus: BusTiming::date2010(),
         }
     }
@@ -165,13 +161,6 @@ impl ChipConfig {
         self
     }
 
-    /// Overrides the interleaving policy.
-    #[must_use]
-    pub fn with_interleave(mut self, interleave: InterleavePolicy) -> Self {
-        self.interleave = interleave;
-        self
-    }
-
     /// Overrides the bus timing.
     #[must_use]
     pub fn with_bus(mut self, bus: BusTiming) -> Self {
@@ -196,7 +185,6 @@ impl ChipConfig {
             retry: self.retry,
             faults: self.faults.clone(),
             seed: self.seed,
-            latency_bounds: self.latency_bounds,
             ecc: self.ecc,
             drift: DriftPlan::quiet(),
         }
@@ -593,7 +581,7 @@ impl<'a> ChannelSim<'a> {
             arrival_ns: now,
             admit_ns: now,
         };
-        if let Some(done) = lane.admit(bank, &self.bank_config.faults, queued, now) {
+        if let Some(done) = lane.admit(bank, queued, now) {
             self.events
                 .schedule(done, Event::BankDone { bank: txn.bank });
         }
@@ -626,9 +614,7 @@ impl<'a> ChannelSim<'a> {
         self.outstanding -= 1;
         self.end_ns = self.end_ns.max(now);
         let bank_state = banks.get_mut(&bank).expect("completion without bank");
-        if let Some(done) =
-            lane.try_dispatch(bank_state, &self.bank_config.faults, Policy::Fcfs, now)
-        {
+        if let Some(done) = lane.try_dispatch(bank_state, Policy::Fcfs, now) {
             self.events.schedule(done, Event::BankDone { bank });
         }
     }
@@ -730,6 +716,7 @@ fn run_channel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hierarchy::InterleavePolicy;
     use crate::txn::Trace;
     use crate::workload::Workload;
     use rand::SeedableRng;

@@ -106,8 +106,8 @@ pub use sched::{
 };
 pub use sense::{Scheme, Sensed};
 pub use telemetry::{
-    rollup_by, BankTelemetry, CalibTelemetry, ChannelTelemetry, EccTelemetry, LatencyBounds,
-    MarchFail, MarchTelemetry, QueueTelemetry, SojournStats, Telemetry,
+    rollup_by, BankTelemetry, CalibTelemetry, ChannelTelemetry, EccTelemetry, MarchFail,
+    MarchTelemetry, QueueTelemetry, SojournStats, Telemetry,
 };
 pub use txn::{
     Op, Trace, TraceBinaryError, TraceParseError, TraceParseErrorKind, TraceView, Transaction,

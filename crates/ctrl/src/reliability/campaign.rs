@@ -388,7 +388,12 @@ mod tests {
         assert_ne!(a, intensity.plan(2, &spec, 10), "seed moves the defects");
         assert_eq!(a.stuck_cells.len(), 2 * intensity.stuck_cells_per_bank);
         for bank in 0..2 {
-            let cells: Vec<_> = a.stuck_cells_of(bank).map(|c| c.addr).collect();
+            let cells: Vec<_> = a
+                .for_bank(bank)
+                .stuck_cells
+                .iter()
+                .map(|c| c.addr)
+                .collect();
             let mut deduped = cells.clone();
             deduped.dedup();
             assert_eq!(cells.len(), intensity.stuck_cells_per_bank);

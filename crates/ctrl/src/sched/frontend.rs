@@ -25,7 +25,6 @@ use crate::alloc_probe;
 use crate::bank::Bank;
 use crate::calib::CalibConfig;
 use crate::engine::{census, serve_banks, BankLists, Controller, Dispatch};
-use crate::faults::FaultPlan;
 use crate::march::{DataBackground, MarchAlgorithm, MarchStep};
 use crate::reliability::ScrubConfig;
 use crate::telemetry::{QueueTelemetry, SojournStats, Telemetry};
@@ -621,12 +620,6 @@ impl Frontend {
         &self.controller
     }
 
-    /// Unwraps the controller, discarding the frontend.
-    #[must_use]
-    pub fn into_controller(self) -> Controller {
-        self.controller
-    }
-
     /// A telemetry snapshot with the queueing section filled in from the
     /// runs so far.
     #[must_use]
@@ -673,7 +666,6 @@ impl Frontend {
             calib,
             exact_sojourn,
         } = config;
-        let faults = self.controller.config().faults.clone();
         let bank_count = self.controller.config().banks;
         let capacity_bits = self.controller.config().spec.capacity_bits();
         let cols = self.controller.config().spec.cols;
@@ -765,7 +757,7 @@ impl Frontend {
                 |bank, indices, service| {
                     for (&i, service_ns) in indices.iter().zip(service) {
                         let busy_before = bank.telemetry().busy_time;
-                        bank.execute(&trace.get(i as usize), &faults);
+                        bank.execute(&trace.get(i as usize));
                         *service_ns = (bank.telemetry().busy_time - busy_before).get() * 1e9;
                     }
                 },
@@ -854,7 +846,7 @@ impl Frontend {
                         }
                     } else {
                         let queued = queued(txn, trace_index, now);
-                        if let Some(done) = lane.admit(&mut banks[txn.bank], &faults, queued, now) {
+                        if let Some(done) = lane.admit(&mut banks[txn.bank], queued, now) {
                             events.schedule(done, Event::Complete { bank: txn.bank });
                         }
                     }
@@ -886,7 +878,7 @@ impl Frontend {
                     // retry, land a stalled admission and re-kick the March
                     // source.
                     let bank_state = &mut banks[bank];
-                    if let Some(done) = lane.try_dispatch(bank_state, &faults, policy, now) {
+                    if let Some(done) = lane.try_dispatch(bank_state, policy, now) {
                         events.schedule(done, Event::Complete { bank });
                     }
                     wake_parked(lane, &mut events, backpressure, now);
@@ -898,7 +890,7 @@ impl Frontend {
                             stalled = None;
                             lane.stats.stall_time_ns += now - blocked.offered_ns;
                             let queued = queued(txn, blocked.trace_index, now);
-                            if let Some(done) = lane.admit(bank_state, &faults, queued, now) {
+                            if let Some(done) = lane.admit(bank_state, queued, now) {
                                 events.schedule(done, Event::Complete { bank });
                             }
                             // The host unblocks: resume the arrival stream,
@@ -938,7 +930,7 @@ impl Frontend {
                             Daemon::Calib => lane.stats.calib_deferred += 1,
                         }
                     } else if let Some(service_ns) =
-                        serve_daemon(daemon, &mut banks[bank], &faults, &mut march, calib)
+                        serve_daemon(daemon, &mut banks[bank], &mut march, calib)
                     {
                         lane.background = Some(daemon);
                         events.schedule(now + service_ns, Event::BackgroundDone { bank });
@@ -1268,7 +1260,6 @@ fn queued(txn: Transaction, trace_index: usize, now: f64) -> Queued {
 fn serve_daemon(
     daemon: Daemon,
     bank: &mut Bank,
-    faults: &FaultPlan,
     march: &mut MarchSource,
     calib: Option<CalibConfig>,
 ) -> Option<f64> {
@@ -1283,13 +1274,13 @@ fn serve_daemon(
     let busy_before = busy_ns(bank);
     match daemon {
         Daemon::Scrub => {
-            bank.scrub_next(faults);
+            bank.scrub_next();
         }
         Daemon::March => {
             let step = march.steps[march.cursor[bank.index()]];
             march.cursor[bank.index()] += 1;
             march.remaining -= 1;
-            bank.execute_march_op(step.cell, step.op, step.element, march.raw, faults);
+            bank.execute_march_op(step.cell, step.op, step.element, march.raw);
         }
         Daemon::Calib => {
             let config = calib.expect("calibration offer without calib config");

@@ -17,7 +17,6 @@
 use std::collections::VecDeque;
 
 use crate::bank::Bank;
-use crate::faults::FaultPlan;
 use crate::telemetry::QueueTelemetry;
 use crate::txn::Transaction;
 
@@ -234,16 +233,10 @@ impl Lane {
     /// Admits `queued` at `now`: straight into service when the lane is
     /// idle with nothing waiting (returning the completion instant),
     /// otherwise at the queue tail. The caller checked the queue has room.
-    pub(crate) fn admit(
-        &mut self,
-        bank: &mut Bank,
-        faults: &FaultPlan,
-        queued: Queued,
-        now: f64,
-    ) -> Option<f64> {
+    pub(crate) fn admit(&mut self, bank: &mut Bank, queued: Queued, now: f64) -> Option<f64> {
         self.stats.admitted += 1;
         if !self.busy() && self.queue.is_empty() {
-            return Some(self.start_service(bank, faults, queued, now));
+            return Some(self.start_service(bank, queued, now));
         }
         self.flush_occupancy(now);
         self.queue.admit(queued);
@@ -256,7 +249,6 @@ impl Lane {
     pub(crate) fn try_dispatch(
         &mut self,
         bank: &mut Bank,
-        faults: &FaultPlan,
         policy: Policy,
         now: f64,
     ) -> Option<f64> {
@@ -266,7 +258,7 @@ impl Lane {
         let index = policy.choose(&mut self.queue)?;
         self.flush_occupancy(now);
         let queued = self.queue.take(index);
-        Some(self.start_service(bank, faults, queued, now))
+        Some(self.start_service(bank, queued, now))
     }
 
     /// The service step: records the wait since admission, runs
@@ -274,16 +266,10 @@ impl Lane {
     /// completion instant `now + service time`. The service time is
     /// whatever the bank actually charged (attempt-dependent), read off its
     /// busy clock as after − before.
-    fn start_service(
-        &mut self,
-        bank: &mut Bank,
-        faults: &FaultPlan,
-        queued: Queued,
-        now: f64,
-    ) -> f64 {
+    fn start_service(&mut self, bank: &mut Bank, queued: Queued, now: f64) -> f64 {
         self.stats.wait_ns.push(now - queued.admit_ns);
         let busy_before = bank.telemetry().busy_time;
-        bank.execute(&queued.txn, faults);
+        bank.execute(&queued.txn);
         self.in_service = Some(InService {
             queued,
             start_ns: now,

@@ -101,17 +101,6 @@ impl Scheme {
         matches!(self, Scheme::Destructive(_))
     }
 
-    /// The usable threshold of the scheme's sense amplifier — the natural
-    /// guard band for a retry policy in this scheme's read path.
-    #[must_use]
-    pub fn amplifier_threshold(&self) -> Volts {
-        match self {
-            Scheme::Conventional(s) => s.amplifier().usable_threshold(),
-            Scheme::Destructive(s) => s.amplifier().usable_threshold(),
-            Scheme::Nondestructive(s) => s.amplifier().usable_threshold(),
-        }
-    }
-
     /// Senses `addr` once, with this scheme's full hardware sequence.
     ///
     /// Conventional and nondestructive reads never touch cell state. A

@@ -227,65 +227,15 @@ impl Default for SojournStats {
     }
 }
 
-/// Binning for the read-latency histogram.
-///
-/// Destructive reads with retries run to ~3×25 ns, so the default 0–100 ns
-/// range in 2 ns bins covers every scheme's *service* latency. Queueing
-/// delays under load are open-ended, though, so the bounds are configurable
-/// per controller and the histogram's explicit overflow bucket (see
-/// [`Histogram::overflow`]) is surfaced by every report instead of letting
-/// saturated samples vanish into the top bin.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LatencyBounds {
-    /// Lower edge of the histogram range (nanoseconds).
-    pub low_ns: f64,
-    /// Upper edge of the histogram range (nanoseconds); samples at or above
-    /// it land in the overflow bucket.
-    pub high_ns: f64,
-    /// Number of equal-width bins.
-    pub bins: usize,
-}
+/// Upper edge (ns) of the read-latency histogram, which starts at 0 ns.
+/// Destructive reads with retries run to ~3×25 ns, so 100 ns covers every
+/// scheme's *service* latency; slower samples land in the histogram's
+/// explicit overflow bucket (see [`Histogram::overflow`]), which every
+/// report surfaces instead of letting them vanish into the top bin.
+const LATENCY_HIGH_NS: f64 = 100.0;
 
-impl LatencyBounds {
-    /// The historical fixed binning: 0–100 ns in 2 ns bins.
-    #[must_use]
-    pub fn date2010() -> Self {
-        Self {
-            low_ns: 0.0,
-            high_ns: 100.0,
-            bins: 50,
-        }
-    }
-
-    /// Overrides the upper edge, keeping the 2 ns bin width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `high_ns` is not above the lower edge.
-    #[must_use]
-    pub fn with_high_ns(mut self, high_ns: f64) -> Self {
-        assert!(
-            high_ns > self.low_ns,
-            "histogram upper edge {high_ns} must exceed lower edge {}",
-            self.low_ns
-        );
-        self.high_ns = high_ns;
-        self.bins = (((high_ns - self.low_ns) / 2.0).ceil() as usize).max(1);
-        self
-    }
-
-    /// Builds an empty histogram with these bounds.
-    #[must_use]
-    pub fn histogram(&self) -> Histogram {
-        Histogram::new(self.low_ns, self.high_ns, self.bins)
-    }
-}
-
-impl Default for LatencyBounds {
-    fn default() -> Self {
-        Self::date2010()
-    }
-}
+/// Number of read-latency histogram bins: 2 ns each.
+const LATENCY_BINS: usize = 50;
 
 /// Queueing counters for one bank, filled only by the event-driven
 /// [`sched`](crate::sched) frontend (serial replay has no queues, so these
@@ -717,15 +667,10 @@ pub struct BankTelemetry {
 }
 
 impl BankTelemetry {
-    /// Fresh, all-zero telemetry with the default histogram bounds.
+    /// Fresh, all-zero telemetry, with the read-latency histogram over
+    /// 0–100 ns in 2 ns bins.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_bounds(&LatencyBounds::date2010())
-    }
-
-    /// Fresh, all-zero telemetry with the given latency-histogram bounds.
-    #[must_use]
-    pub fn with_bounds(bounds: &LatencyBounds) -> Self {
         Self {
             reads: 0,
             writes: 0,
@@ -742,7 +687,7 @@ impl BankTelemetry {
             backhop_flips: 0,
             coupling_triggers: 0,
             read_latency_ns: Summary::new(),
-            read_latency_hist: bounds.histogram(),
+            read_latency_hist: Histogram::new(0.0, LATENCY_HIGH_NS, LATENCY_BINS),
             busy_time: Seconds::ZERO,
             energy: Joules::ZERO,
             queue: QueueTelemetry::default(),
@@ -885,8 +830,7 @@ pub struct Telemetry {
 
 impl Telemetry {
     /// Sums every bank into one set of counters (bank order, so the result
-    /// is deterministic). Seeds the accumulator from the first bank so the
-    /// histogram keeps whatever bounds the controller was configured with.
+    /// is deterministic).
     #[must_use]
     pub fn aggregate(&self) -> BankTelemetry {
         let mut banks = self.banks.iter();
@@ -949,40 +893,15 @@ mod tests {
     }
 
     #[test]
-    fn custom_bounds_capture_queueing_scale_latencies() {
-        // The fixed 100 ns ceiling would push sojourn-scale samples into the
-        // overflow bucket; widened bounds bin them, and the overflow count
-        // stays visible either way.
-        let mut fixed = BankTelemetry::new();
-        let mut wide = BankTelemetry::with_bounds(&LatencyBounds::date2010().with_high_ns(1000.0));
+    fn queueing_scale_latencies_land_in_the_overflow_bucket() {
+        // Sojourn-scale samples lie past the 100 ns ceiling: they must stay
+        // visible in the overflow count, not vanish into the top bin.
+        let mut telemetry = BankTelemetry::new();
         for latency_ns in [40.0, 250.0, 900.0] {
-            fixed.record_read_latency(Seconds::from_nano(latency_ns));
-            wide.record_read_latency(Seconds::from_nano(latency_ns));
+            telemetry.record_read_latency(Seconds::from_nano(latency_ns));
         }
-        assert_eq!(fixed.read_latency_hist.overflow(), 2);
-        assert_eq!(wide.read_latency_hist.overflow(), 0);
-        assert_eq!(wide.read_latency_hist.total(), 3);
-    }
-
-    #[test]
-    fn with_high_ns_keeps_two_ns_bins() {
-        let bounds = LatencyBounds::date2010().with_high_ns(500.0);
-        assert_eq!(bounds.bins, 250);
-        assert_eq!(bounds.histogram().bin_edges(0), (0.0, 2.0));
-    }
-
-    #[test]
-    fn aggregate_respects_custom_bounds() {
-        let bounds = LatencyBounds::date2010().with_high_ns(400.0);
-        let mut a = BankTelemetry::with_bounds(&bounds);
-        a.record_read_latency(Seconds::from_nano(300.0));
-        let telemetry = Telemetry {
-            banks: vec![a.clone(), BankTelemetry::with_bounds(&bounds)],
-            audit_corrupted_bits: 0,
-        };
-        let total = telemetry.aggregate();
-        assert_eq!(total.read_latency_hist.overflow(), 0);
-        assert_eq!(total.read_latency_hist.total(), 1);
+        assert_eq!(telemetry.read_latency_hist.overflow(), 2);
+        assert_eq!(telemetry.read_latency_hist.total(), 3);
     }
 
     #[test]

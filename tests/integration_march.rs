@@ -57,7 +57,7 @@ fn march_reference(
         .map(|index| {
             let mut bank = Bank::new(index, config);
             for step in &steps {
-                bank.execute_march_op(step.cell, step.op, step.element, false, &config.faults);
+                bank.execute_march_op(step.cell, step.op, step.element, false);
             }
             bank
         })
