@@ -159,4 +159,19 @@ cargo run --release -q -p stt-bench --bin trafficsim -- \
     --thermal-sweep --ops 4000 --csv "$smoke_dir" > /dev/null
 test -s "$smoke_dir/thermal_sweep.csv"
 
+# Reliability smoke: the fault-intensity ladder under no protection, ECC
+# and ECC+scrub, the main production user of the fault plan. --ops 4000
+# arms the graceful-degradation gate (about 2 s).
+echo "==> trafficsim --reliability-sweep smoke"
+cargo run --release -q -p stt-bench --bin trafficsim -- \
+    --reliability-sweep --ops 4000 --csv "$smoke_dir" > /dev/null
+test -s "$smoke_dir/reliability_sweep.csv"
+
+# Load smoke: offered load per scheme through the frontend. --ops 1000
+# arms the gate that destructive p99 sojourn exceeds nondestructive.
+echo "==> trafficsim --load-sweep smoke"
+cargo run --release -q -p stt-bench --bin trafficsim -- \
+    --load-sweep --ops 1000 --csv "$smoke_dir" > /dev/null
+test -s "$smoke_dir/load_sweep.csv"
+
 echo "all checks passed"
