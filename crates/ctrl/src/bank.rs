@@ -1613,6 +1613,90 @@ mod tests {
         }
     }
 
+    /// Pins a drifting, calibrated bank under each scheme: bank 0 warms
+    /// through a ramp and cools again, so its drift key moves a step at a
+    /// time, and bank 1 sits at a constant 310 K behind SECDED. Demand reads and writes,
+    /// scrub, raw March, power cuts and calibration ticks all touch drifted
+    /// cells, and the refits move β. A 16 × 10 bank spans two and a half
+    /// ECC words, so reads touch only part of the array between key
+    /// changes. The pins move only with an intended change to simulated
+    /// results.
+    #[test]
+    fn drifting_calibrated_banks_are_pinned() {
+        use crate::march::MarchAlgorithm;
+        use rand::SeedableRng;
+
+        let drift = DriftPlan::quiet()
+            .with_ambient(310.0)
+            .with_transient(ThermalTransient {
+                bank: 0,
+                start_ns: 200.0,
+                ramp_ns: 1_500.0,
+                hold_ns: 800.0,
+                fall_ns: 1_500.0,
+                amplitude_k: 60.0,
+            });
+        let faults = FaultPlan::none()
+            .with_power_cut_every(23)
+            .with_retention_rate(1e-5);
+        let mut spec = stt_array::ArraySpec::small_test_array();
+        spec.rows = 16;
+        spec.cols = 10;
+        spec.bitline.cells_per_bitline = 16;
+        let march = MarchAlgorithm::CMinus.program().lower(160);
+        let calib = CalibConfig::date2010();
+        let pins = [
+            (SchemeKind::Conventional, 0, 0x3f26_7ab6_caa9_e24f),
+            (SchemeKind::Conventional, 1, 0x5c14_4eff_40a2_374c),
+            (SchemeKind::Destructive, 0, 0xd06c_37b9_e64b_6e84),
+            (SchemeKind::Destructive, 1, 0x2a8e_5883_50ee_f674),
+            (SchemeKind::Nondestructive, 0, 0xc77e_5151_f0b4_5a40),
+            (SchemeKind::Nondestructive, 1, 0x4d96_d0f7_0d8c_9cc7),
+        ];
+        for (kind, index, expected) in pins {
+            let mut config = ControllerConfig::small(kind, 2)
+                .with_seed(91)
+                .with_faults(faults.clone())
+                .with_drift(drift.clone());
+            config.spec = spec.clone();
+            if index == 1 {
+                config = config.with_ecc(EccMode::Secded);
+            }
+            let mut bank = Bank::new(index, &config);
+            let mut traffic = StdRng::seed_from_u64(47);
+            for step in 0..600 {
+                let addr = Address::new(traffic.gen_range(0..16), traffic.gen_range(0..10));
+                let txn = if traffic.gen_bool(0.6) {
+                    Transaction::read(0, addr)
+                } else {
+                    Transaction::write(0, addr, traffic.gen_bool(0.5))
+                };
+                bank.execute(&txn);
+                if step % 5 == 0 {
+                    let _ = bank.scrub_next();
+                }
+                if step % 11 == 0 {
+                    let op = march[(step / 11) % march.len()];
+                    bank.execute_march_op(op.cell, op.op, op.element, true);
+                }
+                if step % 16 == 0 {
+                    let _ = bank.calibration_tick(&calib);
+                }
+            }
+            let telemetry = bank.telemetry();
+            assert!(telemetry.power_cuts > 0, "{kind}/bank {index}");
+            assert!(
+                index == 1 || telemetry.calib.refits > 0,
+                "{kind}: the hot bank must refit"
+            );
+            let fingerprint = fnv1a(format!("{telemetry:?}{:?}", bank.stored_bits()).as_bytes());
+            assert_eq!(
+                fingerprint, expected,
+                "{kind}/bank {index}: simulated results moved (got {fingerprint:#018x})"
+            );
+        }
+    }
+
     #[test]
     fn execute_march_op_attributes_failures_to_elements() {
         let addr = Address::new(3, 3); // row-major cell 27
