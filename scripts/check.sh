@@ -37,31 +37,38 @@ cargo test --release -q --manifest-path perfbench/Cargo.toml
 # perfbench exits 0 even when its checks fail, so run every workload at
 # full size for a short window and require its last line to say so.
 #
-# Each workload's simulated statistics must also hash to its pinned seed-1
-# digest, so a host-speed change that moves the simulation fails here. A pin
-# changes only in a commit that changes the model on purpose, and that
-# commit says why.
-echo "==> perfbench full-scale correctness and digests (every workload, seed 1)"
-for pin in replay-fcfs:c4d0646bab941f48 policy-ecc-bg:193055da55e1978d \
-    chip-closed-loop:c844cd0e1ff61838 fig5-mc:109d93eb11962ae4; do
+# Each workload's simulated statistics must also hash to its pinned digest
+# for seeds 1-3, so a host-speed change that moves the simulation fails
+# here. A pin changes only in a commit that changes the model on purpose,
+# and that commit says why.
+echo "==> perfbench full-scale correctness and digests (every workload, seeds 1-3)"
+for pin in \
+    replay-fcfs:1:c4d0646bab941f48 policy-ecc-bg:1:193055da55e1978d \
+    chip-closed-loop:1:c844cd0e1ff61838 fig5-mc:1:109d93eb11962ae4 \
+    replay-fcfs:2:a5e49e966e76ff10 policy-ecc-bg:2:9b23524b7d380800 \
+    chip-closed-loop:2:0103c55c77f80c40 fig5-mc:2:e6108ee9b10c8549 \
+    replay-fcfs:3:69a582f7768e29f1 policy-ecc-bg:3:653b9da2b24e3417 \
+    chip-closed-loop:3:faf82b340442af14 fig5-mc:3:b7edb291fd02dc1d; do
     workload="${pin%%:*}"
-    expected="${pin#*:}"
+    seed="${pin#*:}"
+    seed="${seed%%:*}"
+    expected="${pin##*:}"
     output="$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 0.1 --trace 0)"
+        --workload "$workload" --seed "$seed" --seconds 0.1 --trace 0)"
     last="$(printf '%s\n' "$output" | tail -n 1)"
     case "$last" in
         *'"correct": true'*) ;;
         *)
-            echo "    FAIL: $workload did not report \"correct\": true"
+            echo "    FAIL: $workload seed $seed did not report \"correct\": true"
             exit 1
             ;;
     esac
     actual="$(printf '%s\n' "$output" | sed -n 's/^digest: //p')"
     if [ "$actual" != "$expected" ]; then
-        echo "    FAIL: $workload digest: expected $expected, actual ${actual:-none}"
+        echo "    FAIL: $workload seed $seed digest: expected $expected, actual ${actual:-none}"
         exit 1
     fi
-    echo "    $workload: correct, digest $actual"
+    echo "    $workload seed $seed: correct, digest $actual"
 done
 
 # Documentation gate over the repo's own crates (vendored stand-ins are
