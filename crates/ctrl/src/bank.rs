@@ -34,9 +34,16 @@
 //! way demand and March writes share `write_cell`.
 //!
 //! Dynamic drift (see [`DriftPlan`]) evolves each bank's cells on its
-//! demand busy clock. Rebuilding cells for a new drift quantum draws no
-//! RNG, so drift-laden runs stay bit-identical across serial, parallel and
-//! event-driven dispatch too.
+//! demand busy clock. A new drift quantum marks every cell stale, and a
+//! stale cell is rebuilt when an access next reads its device. A rebuild
+//! draws no RNG, so the lazy result equals an eager one and drift-laden
+//! runs stay bit-identical across serial, parallel and event-driven
+//! dispatch too.
+//!
+//! Each cell keeps its [`SettleCodes`], which decide most sense attempts
+//! without the exact offset draw (see [`Scheme::resolve_cached`]). A cell's
+//! codes are cleared when it is rebuilt, and every code when a refit
+//! changes the scheme.
 
 use std::cell::RefCell;
 use std::ops::Range;
@@ -52,12 +59,12 @@ use stt_sense::{ChipTiming, DesignPoint, SchemeKind};
 
 use crate::calib::CalibConfig;
 use crate::engine::ControllerConfig;
-use crate::faults::{CouplingKind, DriftKey, DriftPlan, FaultPlan};
+use crate::faults::{CouplingKind, DriftKey, DriftPlan, DriftStep, FaultPlan};
 use crate::march::MarchOp;
 use crate::reliability::codec::{self, DecodeKind};
 use crate::reliability::{word_count, ScrubCursor, WORD_BITS};
 use crate::retry::RetryPolicy;
-use crate::sense::Scheme;
+use crate::sense::{Scheme, SenseWork, SettleCodes};
 use crate::telemetry::{BankTelemetry, EccEventKind};
 use crate::txn::{Op, Transaction};
 
@@ -149,16 +156,39 @@ struct EccState {
 }
 
 /// Dynamic-drift state for one bank, present only under a non-quiet
-/// [`DriftPlan`]: the per-cell *undrifted* baseline specs (captured after
-/// sampling and pinhole swaps, so defects drift with the rest of the
-/// array), and the quantised drift key the cells were last rebuilt at.
+/// [`DriftPlan`].
+///
+/// A slice whose key can move keeps the per-cell *undrifted* baseline
+/// specs (captured after sampling and pinhole swaps, so defects drift with
+/// the rest of the array) and rebuilds stale cells from them lazily. A
+/// slice with a constant key is applied once in [`Bank::new`] and keeps no
+/// baseline.
 #[derive(Debug)]
 struct DriftState {
+    /// This bank's slice of the plan.
     plan: DriftPlan,
-    /// `None` until the first access applies drift.
-    key: Option<DriftKey>,
-    /// Row-major per-cell baseline specs at the 300 K calibration point.
+    /// The key every cell is built at, or is rebuilt at when next touched.
+    key: DriftKey,
+    /// The key's factors.
+    step: DriftStep,
+    /// Row-major per-cell baseline specs at the 300 K calibration point;
+    /// empty under a constant key.
     baseline: Vec<MtjSpec>,
+    /// Bit `c % 64` of word `c / 64` is set while cell `c` still holds the
+    /// device of an earlier key; empty under a constant key.
+    stale: Vec<u64>,
+}
+
+/// Deterministic work counts of one bank, kept outside its telemetry so
+/// they never reach a digest.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BankWork {
+    /// Sense attempts, exact-path attempts and settle-code fills.
+    pub sense: SenseWork,
+    /// Cells rebuilt for a new drift key.
+    pub cell_rebuilds: u64,
+    /// Drift-key changes after construction.
+    pub key_changes: u64,
 }
 
 /// One independently-addressable bank of the controller.
@@ -166,8 +196,9 @@ struct DriftState {
 pub struct Bank {
     index: usize,
     array: Array,
-    /// What the host believes each cell holds (row-major).
-    truth: Vec<bool>,
+    /// What the host believes each cell holds: bit `c % 64` of word
+    /// `c / 64` is row-major cell `c`, and bits past the last cell are 0.
+    truth: Vec<u64>,
     streams: Streams,
     scheme: Scheme,
     retry: RetryPolicy,
@@ -182,10 +213,14 @@ pub struct Bank {
     ecc: Option<EccState>,
     /// Busy-time stamp (ns) of each cell's last access, the retention
     /// fault's per-cell clock. Busy time — not wall time — so retention is
-    /// identical across serial, parallel and event-driven dispatch.
+    /// identical across serial, parallel and event-driven dispatch. Empty
+    /// when retention faults are off.
     last_touch_ns: Vec<f64>,
     /// Dynamic-drift sidecar, present only under a non-quiet plan.
     drift: Option<DriftState>,
+    /// Each cell's settle codes under the current scheme (row-major).
+    codes: Vec<SettleCodes>,
+    work: BankWork,
     /// Nominal (unvaried) device recipe, the β refit's starting point.
     nominal_mtj: MtjSpec,
     nominal_transistor: AccessTransistor,
@@ -213,7 +248,8 @@ impl Bank {
         let spec = &config.spec;
         let mut rng = stt_stats::trial_rng(config.seed, index);
         let mut array = spec.sample(&mut rng);
-        let mut truth = vec![false; spec.capacity_bits()];
+        let cells = spec.capacity_bits();
+        let mut truth = vec![0; word_count(cells)];
         let cols = spec.cols;
         // Row-major like `Array::addresses`, so the preload draw order (and
         // every downstream stream) is unchanged — without materialising an
@@ -222,13 +258,13 @@ impl Bank {
             for col in 0..cols {
                 let bit = rng.gen_bool(0.5);
                 array.write_bit(Address::new(row, col), bit);
-                truth[row * cols + col] = bit;
+                set_bit(&mut truth, row * cols + col, bit);
             }
         }
         let faults = config.faults.for_bank(index);
         for cell in &faults.stuck_cells {
             array.write_bit(cell.addr, cell.value);
-            truth[cell.addr.row * cols + cell.addr.col] = cell.value;
+            set_bit(&mut truth, cell.addr.row * cols + cell.addr.col, cell.value);
         }
         // Pinhole defects: swap the sampled device for one whose "high"
         // state is the low-state curve scaled by the residual TMR, keeping
@@ -253,25 +289,32 @@ impl Bank {
             *array.cell_mut(defect.addr) = Cell::new(collapsed.into_device(), transistor);
             array.cell_mut(defect.addr).set_state(prior);
         }
-        // Dynamic drift: capture the per-cell baseline specs *after* the
-        // pinhole swaps, so every defect drifts along with the healthy
-        // cells. The capture (and later rebuilds) draws no RNG.
-        let drift = (!config.drift.is_quiet()).then(|| DriftState {
-            baseline: array
-                .addresses()
-                .map(|addr| {
-                    let device = array.cell(addr).device();
-                    let ResistanceCurve::Linear(rolloff) = device.curve() else {
-                        panic!("dynamic drift requires linear-calibration cells")
-                    };
-                    MtjSpec {
-                        resistance: *rolloff,
-                        switching: *device.switching(),
-                    }
-                })
-                .collect(),
-            plan: config.drift.clone(),
-            key: None,
+        // Dynamic drift on this bank's slice of the plan, from the pinhole-
+        // swapped array, so every defect drifts along with the healthy
+        // cells. Nothing here (or in a later rebuild) draws RNG.
+        let mut work = BankWork::default();
+        let drift = (!config.drift.is_quiet()).then(|| {
+            let plan = config.drift.for_bank(index);
+            let key = plan.key_at(index, 0.0);
+            let step = key.step();
+            let (baseline, stale) = if plan.has_constant_key() {
+                for cell in 0..cells {
+                    let spec = undrifted_spec(&array, cell);
+                    rebuild(&mut array, cell, &spec, &step);
+                }
+                work.cell_rebuilds += cells as u64;
+                (Vec::new(), Vec::new())
+            } else {
+                let baseline = (0..cells).map(|cell| undrifted_spec(&array, cell));
+                (baseline.collect(), vec![u64::MAX; word_count(cells)])
+            };
+            DriftState {
+                plan,
+                key,
+                step,
+                baseline,
+                stale,
+            }
         });
         let nominal = spec.cell.nominal_cell();
         let mut telemetry = BankTelemetry::new();
@@ -279,12 +322,15 @@ impl Bank {
             let words = word_count(spec.capacity_bits());
             telemetry.ecc.words_total = words as u64;
             EccState {
-                check: (0..words)
-                    .map(|w| codec::encode(truth_word(&truth, w)))
-                    .collect(),
+                check: truth.iter().map(|&word| codec::encode(word)).collect(),
                 cursor: ScrubCursor::new(words),
             }
         });
+        let last_touch_ns = if faults.retention_rate_per_ns.is_some() {
+            vec![0.0; cells]
+        } else {
+            Vec::new()
+        };
         let design = DesignPoint::date2010(&spec.cell.nominal_cell());
         let timing = ChipTiming::date2010();
         Self {
@@ -306,8 +352,10 @@ impl Bank {
             telemetry,
             reads_served: 0,
             ecc,
-            last_touch_ns: vec![0.0; spec.capacity_bits()],
+            last_touch_ns,
             drift,
+            codes: vec![SettleCodes::default(); cells],
+            work,
             nominal_mtj: spec.cell.mtj.clone(),
             nominal_transistor: *nominal.transistor(),
             calib_reads_mark: 0,
@@ -325,6 +373,13 @@ impl Bank {
     #[must_use]
     pub fn telemetry(&self) -> &BankTelemetry {
         &self.telemetry
+    }
+
+    /// Deterministic work counts so far: sense attempts and their exact
+    /// evaluations, settle-code fills, cell rebuilds and drift-key changes.
+    #[must_use]
+    pub fn work(&self) -> BankWork {
+        self.work
     }
 
     /// `true` when this bank runs with the SECDED layer.
@@ -384,8 +439,7 @@ impl Bank {
                 self.telemetry.march.busy_time +=
                     self.write_cost.latency() * f64::from(pulses_burned);
                 self.telemetry.energy += self.write_cost.energy() * f64::from(pulses_burned);
-                let index = self.truth_index(addr);
-                self.last_touch_ns[index] = self.busy_now_ns();
+                self.touch(addr);
             }
             MarchOp::R(expected) => {
                 self.telemetry.march.reads += 1;
@@ -422,7 +476,7 @@ impl Bank {
     fn serve_read_plain(&mut self, addr: Address) {
         let cell = self.truth_index(addr);
         let sense = self.read_span(cell..cell + 1, Stream::Demand);
-        if (sense.bits == 1) != self.truth[cell] {
+        if (sense.bits == 1) != self.truth_bit(cell) {
             self.telemetry.misreads += 1;
         }
         self.charge_demand_read(sense);
@@ -442,7 +496,7 @@ impl Bank {
         self.charge_demand_read(sense);
         let check = self.ecc.as_ref().expect("ECC read without ECC state").check[word];
         let decoded = codec::decode(sense.bits, check);
-        let truth = truth_word(&self.truth, word);
+        let truth = self.truth[word];
         let ecc = &mut self.telemetry.ecc;
         match decoded.kind {
             DecodeKind::Uncorrectable => {
@@ -462,7 +516,7 @@ impl Bank {
             _ => ecc.clean_reads += 1,
         }
         let delivered = (decoded.data >> (cell - span.start)) & 1 == 1;
-        if delivered != self.truth[cell] {
+        if delivered != self.truth_bit(cell) {
             self.telemetry.misreads += 1;
         }
     }
@@ -489,6 +543,7 @@ impl Bank {
     /// down.
     fn serve_read_with_power_cut(&mut self, addr: Address) {
         self.telemetry.power_cuts += 1;
+        self.refresh(self.truth_index(addr));
         let scheme = self.scheme;
         let sensed = scheme.sense_readonly(&self.array, addr, &mut self.streams.demand);
         let rng = RefCell::new(&mut self.streams.demand);
@@ -521,8 +576,17 @@ impl Bank {
         let pulses_burned = self.write_cell(addr, bit, Stream::Demand);
         self.telemetry.busy_time += self.write_cost.latency() * f64::from(pulses_burned);
         self.telemetry.energy += self.write_cost.energy() * f64::from(pulses_burned);
+        self.touch(addr);
+    }
+
+    /// Resets `addr`'s retention clock to now; a no-op when retention
+    /// faults are off.
+    fn touch(&mut self, addr: Address) {
         let index = self.truth_index(addr);
-        self.last_touch_ns[index] = self.busy_now_ns();
+        let now_ns = self.busy_now_ns();
+        if let Some(last) = self.last_touch_ns.get_mut(index) {
+            *last = now_ns;
+        }
     }
 
     /// The write datapath shared by demand and March traffic: programming
@@ -534,6 +598,7 @@ impl Bank {
     /// the stored state.
     fn write_cell(&mut self, addr: Address, bit: bool, stream: Stream) -> u32 {
         let index = self.truth_index(addr);
+        self.refresh(index);
         let prior = self.array.read_state(addr).bit();
         let transition_lost = prior != bit
             && self
@@ -562,7 +627,7 @@ impl Bank {
                 }
             }
         };
-        self.truth[index] = bit;
+        set_bit(&mut self.truth, index, bit);
         self.snap_stuck_cells();
         // Backhopping: a completed write hops back before the next access.
         if !transition_lost {
@@ -584,7 +649,7 @@ impl Bank {
         // from the host's word, so they always match the truth mirror.
         if let Some(ecc) = &mut self.ecc {
             let word = index / WORD_BITS;
-            ecc.check[word] = codec::encode(truth_word(&self.truth, word));
+            ecc.check[word] = codec::encode(self.truth[word]);
         }
         pulses_burned
     }
@@ -605,7 +670,7 @@ impl Bank {
                 continue;
             }
             let victim = fault.word * WORD_BITS + fault.victim_bit;
-            if victim >= self.truth.len() {
+            if victim >= self.cell_count() {
                 continue;
             }
             match fault.kind {
@@ -674,7 +739,7 @@ impl Bank {
                 // Host-assisted reconstruction: restore the host's copy.
                 // The check sidecar already holds encode(truth), so the
                 // word re-reads clean afterwards.
-                Some(truth_word(&self.truth, word))
+                Some(self.truth[word])
             }
             _ => {
                 ecc.scrub_ce_corrected += 1;
@@ -691,6 +756,7 @@ impl Bank {
                 let addr = self.addr_of(cell);
                 let bit = (target >> k) & 1 == 1;
                 if self.array.read_state(addr).bit() != bit {
+                    self.refresh(cell);
                     let pulses = self
                         .array
                         .write_bit_verified(addr, bit, MAX_WRITE_ATTEMPTS, &mut self.streams.scrub)
@@ -715,31 +781,43 @@ impl Bank {
     }
 
     /// Advances dynamic drift to the bank's current busy-time temperature /
-    /// age point. Quantised by [`DriftPlan`]'s step so the array is only
-    /// rebuilt when the operating point actually moves; the rebuild swaps
-    /// each cell's device for its drifted baseline (preserving stored state
-    /// and the sampled transistor) and draws **no** RNG — exactly the
-    /// pinhole-swap pattern — so every stream stays bit-identical across
-    /// serial, parallel and frontend dispatch.
+    /// age point. Quantised by [`DriftPlan`]'s step, so only a move to a new
+    /// key does anything: it marks every cell stale, to be rebuilt at the
+    /// new key by [`Self::refresh`] when an access next reads its device.
     fn maybe_apply_drift(&mut self) {
         let busy = self.busy_now_ns();
         let Some(state) = self.drift.as_mut() else {
             return;
         };
         let key = state.plan.key_at(self.index, busy);
-        if state.key == Some(key) {
+        if state.key == key {
             return;
         }
-        state.key = Some(key);
-        let cols = self.array.cols();
-        for (cell, base) in state.baseline.iter().enumerate() {
-            let addr = Address::new(cell / cols, cell % cols);
-            let spec = state.plan.drifted_spec(base, key);
-            let prior = self.array.cell(addr).state();
-            let transistor = *self.array.cell(addr).transistor();
-            *self.array.cell_mut(addr) = Cell::new(spec.into_device(), transistor);
-            self.array.cell_mut(addr).set_state(prior);
+        state.key = key;
+        state.step = key.step();
+        state.stale.fill(u64::MAX);
+        self.work.key_changes += 1;
+    }
+
+    /// Rebuilds `cell` (row-major) at the current drift key if a key change
+    /// left it stale, and clears its settle codes. Every path that reads a
+    /// cell's device calls this first. The rebuild swaps the device for the
+    /// drifted baseline, keeps the stored state and the sampled transistor,
+    /// and draws **no** RNG — exactly the pinhole-swap pattern — so every
+    /// stream stays bit-identical across serial, parallel and frontend
+    /// dispatch, and a lazy rebuild equals an eager one.
+    fn refresh(&mut self, cell: usize) {
+        let Some(state) = self.drift.as_mut() else {
+            return;
+        };
+        let (word, bit) = (cell / WORD_BITS, 1u64 << (cell % WORD_BITS));
+        match state.stale.get_mut(word) {
+            Some(stale) if *stale & bit != 0 => *stale &= !bit,
+            _ => return,
         }
+        rebuild(&mut self.array, cell, &state.baseline[cell], &state.step);
+        self.codes[cell] = SettleCodes::default();
+        self.work.cell_rebuilds += 1;
     }
 
     /// One calibration check on this bank, the daemon's entry point (the
@@ -773,8 +851,9 @@ impl Bank {
         self.telemetry.calib.bursts += 1;
         self.telemetry.calib.burst_reads += u64::from(calib.burst_reads);
         let scheme = self.scheme;
-        let cells = self.truth.len();
+        let cells = self.cell_count();
         for k in 0..calib.burst_reads as usize {
+            self.refresh(k % cells);
             let addr = self.addr_of(k % cells);
             let _ = scheme.sense_readonly(&self.array, addr, &mut self.streams.calib);
         }
@@ -788,19 +867,19 @@ impl Bank {
     /// and swaps the new operating point into this bank's read path. Read
     /// timing is deliberately left at the design-time cost: the SA's clamp
     /// and integration windows are hardware, only the current ratio β moves.
+    /// A refit that changes the scheme clears every settle code.
     fn refit(&mut self) {
         let spec = match &self.drift {
-            Some(state) => {
-                let key = state
-                    .key
-                    .unwrap_or_else(|| state.plan.key_at(self.index, 0.0));
-                state.plan.drifted_spec(&self.nominal_mtj, key)
-            }
+            Some(state) => state.step.apply(&self.nominal_mtj),
             None => self.nominal_mtj.clone(),
         };
         let cell = Cell::new(spec.into_device(), self.nominal_transistor);
         let design = DesignPoint::date2010(&cell);
-        self.scheme = Scheme::for_kind(self.scheme.kind(), &design);
+        let scheme = Scheme::for_kind(self.scheme.kind(), &design);
+        if scheme != self.scheme {
+            self.scheme = scheme;
+            self.codes.fill(SettleCodes::default());
+        }
         self.telemetry.calib.refits += 1;
         self.telemetry.calib.last_beta = match self.scheme.kind() {
             SchemeKind::Conventional => 0.0,
@@ -825,9 +904,16 @@ impl Bank {
             unconfident: false,
         };
         for (k, cell) in span.clone().enumerate() {
+            self.refresh(cell);
             let addr = self.addr_of(cell);
-            let rng = self.streams.pulses(stream);
-            let resolution = self.scheme.resolve(&self.retry, &mut self.array, addr, rng);
+            let resolution = self.scheme.resolve_cached(
+                &self.retry,
+                &mut self.array,
+                addr,
+                self.streams.pulses(stream),
+                &mut self.codes[cell],
+                &mut self.work.sense,
+            );
             sense.bits |= u64::from(resolution.bit) << k;
             sense.slowest = sense.slowest.max(resolution.attempts);
             sense.attempts += u64::from(resolution.attempts);
@@ -904,7 +990,9 @@ impl Bank {
     pub fn audit_corrupted_bits(&self) -> u64 {
         self.array
             .addresses()
-            .filter(|&addr| self.array.read_state(addr).bit() != self.truth[self.truth_index(addr)])
+            .filter(|&addr| {
+                self.array.read_state(addr).bit() != self.truth_bit(self.truth_index(addr))
+            })
             .count() as u64
     }
 
@@ -916,8 +1004,27 @@ impl Bank {
         }
     }
 
+    /// What the host believes cell `cell` (row-major) holds.
+    fn truth_bit(&self, cell: usize) -> bool {
+        (self.truth[cell / WORD_BITS] >> (cell % WORD_BITS)) & 1 == 1
+    }
+
+    fn cell_count(&self) -> usize {
+        self.array.rows() * self.array.cols()
+    }
+
+    /// The row-major index of `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the address is out of range.
     fn truth_index(&self, addr: Address) -> usize {
-        addr.row * self.array.cols() + addr.col
+        let (rows, cols) = (self.array.rows(), self.array.cols());
+        assert!(
+            addr.row < rows && addr.col < cols,
+            "address {addr} out of range ({rows} × {cols})"
+        );
+        addr.row * cols + addr.col
     }
 
     fn addr_of(&self, cell: usize) -> Address {
@@ -929,7 +1036,7 @@ impl Bank {
     /// missing bits are constant zeros on both sides of the codec).
     fn word_span(&self, word: usize) -> Range<usize> {
         let start = word * WORD_BITS;
-        start..(start + WORD_BITS).min(self.truth.len())
+        start..(start + WORD_BITS).min(self.cell_count())
     }
 
     fn busy_now_ns(&self) -> f64 {
@@ -937,17 +1044,43 @@ impl Bank {
     }
 }
 
-/// The host-truth contents of ECC word `word` (bit `k` = cell
-/// `word * 64 + k`; cells past the end of the bank read as zero).
-fn truth_word(truth: &[bool], word: usize) -> u64 {
-    let start = word * WORD_BITS;
-    let mut bits = 0u64;
-    for k in 0..WORD_BITS {
-        if truth.get(start + k).copied().unwrap_or(false) {
-            bits |= 1u64 << k;
-        }
+/// Sets bit `cell` of a row-major bit mirror packed 64 cells to a word.
+fn set_bit(words: &mut [u64], cell: usize, bit: bool) {
+    let mask = 1u64 << (cell % WORD_BITS);
+    if bit {
+        words[cell / WORD_BITS] |= mask;
+    } else {
+        words[cell / WORD_BITS] &= !mask;
     }
-    bits
+}
+
+/// The linear-calibration spec of cell `cell`'s device (row-major).
+///
+/// # Panics
+///
+/// Panics if the device is not on the linear calibration, which drift
+/// requires.
+fn undrifted_spec(array: &Array, cell: usize) -> MtjSpec {
+    let device = array
+        .cell(Address::new(cell / array.cols(), cell % array.cols()))
+        .device();
+    let ResistanceCurve::Linear(rolloff) = device.curve() else {
+        panic!("dynamic drift requires linear-calibration cells")
+    };
+    MtjSpec {
+        resistance: *rolloff,
+        switching: *device.switching(),
+    }
+}
+
+/// Swaps cell `cell`'s device (row-major) for `reference` drifted by
+/// `step`, keeping its stored state and sampled transistor.
+fn rebuild(array: &mut Array, cell: usize, reference: &MtjSpec, step: &DriftStep) {
+    let addr = Address::new(cell / array.cols(), cell % array.cols());
+    let prior = array.cell(addr).state();
+    let transistor = *array.cell(addr).transistor();
+    *array.cell_mut(addr) = Cell::new(step.apply(reference).into_device(), transistor);
+    array.cell_mut(addr).set_state(prior);
 }
 
 /// Latency/energy of one programming pulse (decode + pulse + driver
@@ -1695,6 +1828,115 @@ mod tests {
                 "{kind}/bank {index}: simulated results moved (got {fingerprint:#018x})"
             );
         }
+    }
+
+    /// The smallest `u1` the settle bound before the exact form decided:
+    /// `1/(1 + (1 − ε)k²/2)`, from `ln u ≥ 1 − 1/u`, under the same limits
+    /// on `k` and `room`.
+    fn loose_threshold(differential: f64, guard: f64, sigma: f64) -> f64 {
+        let margin = differential.abs();
+        let room = if margin > guard {
+            margin - guard
+        } else {
+            (guard - margin).min(margin)
+        };
+        let k = room / sigma;
+        if !(sigma > 0.0 && k >= 1e-3 && room >= 1e-6 * guard) {
+            return f64::INFINITY;
+        }
+        1.0 / (1.0 + (1.0 - 1e-9) * k * k / 2.0)
+    }
+
+    /// A paper-scale nondestructive bank behind SECDED, warmed through a
+    /// ramp with the calibration daemon ticking: the work counters show
+    /// the lazy rebuild and the exact settle bound paying.
+    #[test]
+    fn settle_codes_and_lazy_rebuilds_cut_the_work_of_a_hot_bank() {
+        use crate::sense::SenseWork;
+        use rand::SeedableRng;
+        use stt_sense::SenseScheme;
+        use stt_stats::dist::box_muller_uniforms;
+
+        let drift = DriftPlan::quiet().with_transient(ThermalTransient {
+            bank: 0,
+            start_ns: 5_000.0,
+            ramp_ns: 30_000.0,
+            hold_ns: 20_000.0,
+            fall_ns: 30_000.0,
+            amplitude_k: 60.0,
+        });
+        let config = ControllerConfig::date2010(SchemeKind::Nondestructive, 1)
+            .with_seed(5)
+            .with_ecc(EccMode::Secded)
+            .with_drift(drift);
+        let mut bank = Bank::new(0, &config);
+        let calib = CalibConfig::date2010();
+        let mut traffic = StdRng::seed_from_u64(13);
+        for step in 0..3_000 {
+            let addr = Address::new(traffic.gen_range(0..128), traffic.gen_range(0..128));
+            let txn = if traffic.gen_bool(0.7) {
+                Transaction::read(0, addr)
+            } else {
+                Transaction::write(0, addr, traffic.gen_bool(0.5))
+            };
+            bank.execute(&txn);
+            if step % 50 == 0 {
+                let _ = bank.calibration_tick(&calib);
+            }
+        }
+        let work = bank.work();
+        let cells = bank.cell_count();
+        assert!(bank.telemetry().calib.refits > 0, "the hot bank must refit");
+        assert!(work.key_changes > 20, "{work:?}");
+        assert!(
+            work.cell_rebuilds < work.key_changes * cells as u64,
+            "rebuilds must stay lazy: {work:?}"
+        );
+        assert!(work.sense.exact < work.sense.attempts, "{work:?}");
+        assert!(work.sense.fills <= work.sense.attempts, "{work:?}");
+
+        // One more read of every cell of the warmed, refitted bank through
+        // its settle codes, against the loose bound on the same draws: the
+        // reference chain from an equal RNG, whose attempts' `u1` the loose
+        // bound would have sent to the exact path.
+        let Scheme::Nondestructive(scheme) = bank.scheme else {
+            unreachable!("a nondestructive bank")
+        };
+        let sigma = scheme.amplifier().offset_sigma().get();
+        let guard = bank.retry.guard_band.get();
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut coded = SenseWork::default();
+        let mut loose_exact = 0;
+        for cell in 0..cells {
+            bank.refresh(cell);
+            let addr = bank.addr_of(cell);
+            let mut reference_rng = rng.clone();
+            let resolution = bank.scheme.resolve_cached(
+                &bank.retry,
+                &mut bank.array,
+                addr,
+                &mut rng,
+                &mut bank.codes[cell],
+                &mut coded,
+            );
+            let d = scheme.differential(bank.array.cell(addr), bank.array.read_state(addr));
+            let loose = loose_threshold(d.get(), guard, sigma);
+            let reference = bank.retry.resolve(|| {
+                let (u1, _) = box_muller_uniforms(&mut reference_rng.clone());
+                if u1 < loose {
+                    loose_exact += 1;
+                }
+                bank.scheme
+                    .sense_readonly(&bank.array, addr, &mut reference_rng)
+            });
+            assert_eq!(resolution, reference, "cell {cell}");
+        }
+        let share = coded.exact as f64 / coded.attempts as f64;
+        let loose_share = f64::from(loose_exact) / coded.attempts as f64;
+        assert!(
+            share <= 0.6 * loose_share,
+            "exact-path share {share:.4} against {loose_share:.4} under the loose bound"
+        );
     }
 
     #[test]

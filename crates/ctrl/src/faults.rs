@@ -30,7 +30,7 @@
 
 use serde::{Deserialize, Serialize};
 use stt_array::Address;
-use stt_mtj::{LinearRolloff, MtjSpec, ThermalModel, T_REFERENCE};
+use stt_mtj::{LinearRolloff, MtjSpec, ThermalFactors, ThermalModel, T_REFERENCE};
 
 use crate::reliability::WORD_BITS;
 
@@ -409,6 +409,46 @@ impl DriftKey {
     pub fn temperature_k(&self) -> f64 {
         (f64::from(self.temp_step) * TEMP_STEP_K).clamp(DRIFT_T_MIN, DRIFT_T_MAX)
     }
+
+    /// The per-key half of [`DriftPlan::drifted_spec`]: everything that
+    /// depends on the key alone, evaluated once per key change.
+    pub(crate) fn step(self) -> DriftStep {
+        let t = self.temperature_k();
+        let heating = 1.0 / (1.0 + ROLLOFF_TC_PER_K * (t - T_REFERENCE).max(0.0));
+        let aging = (-f64::from(self.age_step) * AGE_EXPONENT_STEP).exp();
+        DriftStep {
+            thermal: ThermalModel::date2010_mgo().factors_at(t),
+            rolloff: (heating * aging).clamp(0.05, 1.0),
+        }
+    }
+}
+
+/// One [`DriftKey`]'s factors: the thermal model's temperature factors and
+/// the combined heating × aging roll-off flattening. [`Self::apply`] is the
+/// per-cell half of [`DriftPlan::drifted_spec`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct DriftStep {
+    thermal: ThermalFactors,
+    rolloff: f64,
+}
+
+impl DriftStep {
+    /// The drifted spec of the undrifted `reference`, bit-identical to
+    /// [`DriftPlan::drifted_spec`] at this step's key.
+    pub(crate) fn apply(&self, reference: &MtjSpec) -> MtjSpec {
+        let spec = self.thermal.apply(reference);
+        let r = &spec.resistance;
+        MtjSpec {
+            resistance: LinearRolloff::new(
+                r.r_low0(),
+                r.r_high0(),
+                r.dr_low_max(),
+                r.dr_high_max() * self.rolloff,
+                r.i_max(),
+            ),
+            switching: spec.switching,
+        }
+    }
 }
 
 /// Dynamic thermal/aging drift: how each bank's device physics evolves
@@ -569,22 +609,29 @@ impl DriftPlan {
     /// the spec stays physical.
     #[must_use]
     pub fn drifted_spec(&self, reference: &MtjSpec, key: DriftKey) -> MtjSpec {
-        let t = key.temperature_k();
-        let spec = ThermalModel::date2010_mgo().spec_at(reference, t);
-        let heating = 1.0 / (1.0 + ROLLOFF_TC_PER_K * (t - T_REFERENCE).max(0.0));
-        let aging = (-f64::from(key.age_step) * AGE_EXPONENT_STEP).exp();
-        let factor = (heating * aging).clamp(0.05, 1.0);
-        let r = &spec.resistance;
-        MtjSpec {
-            resistance: LinearRolloff::new(
-                r.r_low0(),
-                r.r_high0(),
-                r.dr_low_max(),
-                r.dr_high_max() * factor,
-                r.i_max(),
-            ),
-            switching: spec.switching,
+        key.step().apply(reference)
+    }
+
+    /// The slice of this plan that bank `bank` is built with: the ambient,
+    /// the aging rate, and only the transients on that bank, in plan order.
+    pub(crate) fn for_bank(&self, bank: usize) -> Self {
+        Self {
+            ambient_k: self.ambient_k,
+            transients: self
+                .transients
+                .iter()
+                .filter(|t| t.bank == bank)
+                .copied()
+                .collect(),
+            aging_rate_per_ns: self.aging_rate_per_ns,
         }
+    }
+
+    /// `true` when no bank's key ever moves under this plan: it has no
+    /// transients and no aging. A bank whose slice has a constant key
+    /// applies it once at construction.
+    pub(crate) fn has_constant_key(&self) -> bool {
+        self.transients.is_empty() && self.aging_rate_per_ns.is_none()
     }
 }
 

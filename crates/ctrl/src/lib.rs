@@ -104,7 +104,7 @@ pub use sched::{
     Backpressure, Completion, CompletionLog, Frontend, FrontendConfig, MarchConfig, Policy,
     PriorityClass, SchedRun,
 };
-pub use sense::{Scheme, Sensed};
+pub use sense::{Scheme, SenseWork, Sensed, SettleCodes};
 pub use telemetry::{
     rollup_by, BankTelemetry, CalibTelemetry, ChannelTelemetry, EccTelemetry, MarchFail,
     MarchTelemetry, QueueTelemetry, SojournStats, Telemetry,

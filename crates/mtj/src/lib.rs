@@ -53,7 +53,7 @@ pub use device::{MtjDevice, MtjSpec};
 pub use fit::{fit_from_curve, fit_from_sweep, fit_linear_rolloff, FitRolloffError, RolloffFit};
 pub use model::{ConductanceModel, LinearRolloff, ResistanceCurve, ResistanceModel};
 pub use switching::{SwitchingModel, WritePolarity};
-pub use thermal::{ThermalModel, T_REFERENCE};
+pub use thermal::{ThermalFactors, ThermalModel, T_REFERENCE};
 pub use variation::{OxideSensitivity, SampledMtj, VariationModel};
 
 use serde::{Deserialize, Serialize};

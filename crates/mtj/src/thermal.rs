@@ -111,10 +111,7 @@ impl ThermalModel {
     /// identical electrodes.
     #[must_use]
     pub fn tmr_at(&self, tmr_reference: f64, t_kelvin: f64) -> f64 {
-        // Invert Julliere at reference: TMR = 2P²/(1−P²) ⇒ P² = TMR/(TMR+2).
-        let p_ref_sq = tmr_reference / (tmr_reference + 2.0);
-        let p_sq = p_ref_sq * self.polarization_factor(t_kelvin).powi(2);
-        2.0 * p_sq / (1.0 - p_sq)
+        julliere_tmr(tmr_reference, self.polarization_factor(t_kelvin).powi(2))
     }
 
     /// The device spec at `t_kelvin`: resistances follow TMR(T) and the
@@ -122,16 +119,58 @@ impl ThermalModel {
     /// `T_ref/T` and `I_c0` softens linearly.
     #[must_use]
     pub fn spec_at(&self, reference: &MtjSpec, t_kelvin: f64) -> MtjSpec {
-        let calibration = &reference.resistance;
+        self.factors_at(t_kelvin).apply(reference)
+    }
+
+    /// The factors of [`Self::spec_at`] that depend on the temperature
+    /// alone. A caller rebuilding many devices at one temperature evaluates
+    /// them once and applies them per device; the result is bit-identical
+    /// to `spec_at`.
+    #[must_use]
+    pub fn factors_at(&self, t_kelvin: f64) -> ThermalFactors {
         let dt = t_kelvin - T_REFERENCE;
+        ThermalFactors {
+            t_kelvin,
+            parallel_factor: 1.0 / (1.0 + self.parallel_tc * dt),
+            polarization_sq: self.polarization_factor(t_kelvin).powi(2),
+            critical_current_factor: (1.0 - self.critical_current_tc * dt).max(0.1),
+        }
+    }
+}
+
+/// Julliere TMR from the reference TMR and the squared relative spin
+/// polarisation: invert `TMR = 2P²/(1 − P²)` at reference, scale `P²`.
+fn julliere_tmr(tmr_reference: f64, polarization_sq: f64) -> f64 {
+    let p_ref_sq = tmr_reference / (tmr_reference + 2.0);
+    let p_sq = p_ref_sq * polarization_sq;
+    2.0 * p_sq / (1.0 - p_sq)
+}
+
+/// The temperature-only factors of [`ThermalModel::spec_at`] at one
+/// temperature (from [`ThermalModel::factors_at`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ThermalFactors {
+    t_kelvin: f64,
+    /// `1/(1 + parallel_tc·ΔT)`: the parallel-state resistance scale.
+    parallel_factor: f64,
+    /// `(P(T)/P(T_ref))²`.
+    polarization_sq: f64,
+    /// `max(1 − critical_current_tc·ΔT, 0.1)`: the `I_c0` scale.
+    critical_current_factor: f64,
+}
+
+impl ThermalFactors {
+    /// The spec of `reference` at these factors' temperature.
+    #[must_use]
+    pub fn apply(&self, reference: &MtjSpec) -> MtjSpec {
+        let calibration = &reference.resistance;
 
         // Parallel state: conductance grows with T ⇒ resistance shrinks.
-        let parallel_factor = 1.0 / (1.0 + self.parallel_tc * dt);
-        let r_low = calibration.r_low0() * parallel_factor;
+        let r_low = calibration.r_low0() * self.parallel_factor;
 
         // Anti-parallel state from TMR(T) on top of the parallel state.
         let tmr_ref = (calibration.r_high0() - calibration.r_low0()) / calibration.r_low0();
-        let tmr = self.tmr_at(tmr_ref, t_kelvin);
+        let tmr = julliere_tmr(tmr_ref, self.polarization_sq);
         let r_high = r_low * (1.0 + tmr);
 
         // Roll-offs stay proportional to their state's resistance (barrier
@@ -141,8 +180,8 @@ impl ThermalModel {
         let dr_high = calibration.dr_high_max() * (r_high / calibration.r_high0());
 
         let switching = reference.switching;
-        let delta = (switching.delta() * T_REFERENCE / t_kelvin).max(1.0);
-        let i_c0 = switching.i_c0() * (1.0 - self.critical_current_tc * dt).max(0.1);
+        let delta = (switching.delta() * T_REFERENCE / self.t_kelvin).max(1.0);
+        let i_c0 = switching.i_c0() * self.critical_current_factor;
 
         MtjSpec {
             resistance: LinearRolloff::new(

@@ -10,8 +10,9 @@
 //! 3. **The paper's §I argument, traffic-shaped** — a power cut mid-read
 //!    corrupts stored data under the destructive scheme and never under
 //!    the nondestructive (or conventional) scheme.
-//! 4. **The production read path is its reference** — `Scheme::resolve`
-//!    returns what `RetryPolicy::resolve` over `Scheme::sense_once` does,
+//! 4. **The production read path is its reference** — `Scheme::resolve`,
+//!    and `Scheme::resolve_cached` over settle codes kept across reads,
+//!    return what `RetryPolicy::resolve` over `Scheme::sense_once` does,
 //!    leaving the RNG and the array in the same state (checked as a
 //!    proptest, plus fixed cases through each of its branches).
 
@@ -21,7 +22,8 @@ use rand::{RngCore, SeedableRng};
 use stt_array::{Address, Array, ArraySpec, Cell, CellSpec};
 use stt_ctrl::{
     Controller, ControllerConfig, Dispatch, DriftPlan, FaultPlan, Frontend, FrontendConfig,
-    ReadResolution, RetryPolicy, Scheme, Sensed, Trace, Transaction, Workload,
+    ReadResolution, RetryPolicy, Scheme, SenseWork, Sensed, SettleCodes, Trace, Transaction,
+    Workload,
 };
 use stt_mtj::{MtjSpec, ResistanceCurve, ResistanceState};
 use stt_sense::{
@@ -246,6 +248,45 @@ fn assert_resolve_matches_reference(
     reference
 }
 
+/// Serves `reads` reads of `addr` through `Scheme::resolve_cached`, with one
+/// set of settle codes kept across them, and through the reference, each
+/// side carrying its own array and RNG from read to read: a destructive
+/// misread flips the cell, so a later read starts from the other state's
+/// code. Asserts equal resolutions after every read, and an equal next RNG
+/// draw and an equal array at the end. Returns the last resolution.
+fn assert_cached_matches_reference(
+    scheme: &Scheme,
+    retry: &RetryPolicy,
+    array: &Array,
+    addr: Address,
+    seed: u64,
+    reads: usize,
+) -> ReadResolution {
+    let (mut array_fast, mut rng_fast) = (array.clone(), StdRng::seed_from_u64(seed));
+    let (mut array_ref, mut rng_ref) = (array.clone(), StdRng::seed_from_u64(seed));
+    let mut codes = SettleCodes::default();
+    let mut work = SenseWork::default();
+    let context = format!("{} {retry:?} at {addr}, seed {seed}", scheme.kind());
+    let mut last = None;
+    for read in 0..reads {
+        let fast = scheme.resolve_cached(
+            retry,
+            &mut array_fast,
+            addr,
+            &mut rng_fast,
+            &mut codes,
+            &mut work,
+        );
+        let reference = retry.resolve(|| scheme.sense_once(&mut array_ref, addr, &mut rng_ref));
+        assert_eq!(fast, reference, "resolution of read {read}: {context}");
+        last = Some(reference);
+    }
+    assert_eq!(rng_fast.next_u64(), rng_ref.next_u64(), "RNG: {context}");
+    assert!(array_fast == array_ref, "array: {context}");
+    assert!(work.exact <= work.attempts && work.fills <= work.attempts);
+    last.expect("at least one read")
+}
+
 /// `kind` built from the nominal design point with `amplifier` in its path.
 fn scheme_with(kind: SchemeKind, amplifier: SenseAmplifier) -> Scheme {
     let design = DesignPoint::date2010(&CellSpec::date2010_chip().nominal_cell());
@@ -345,6 +386,9 @@ fn scheme_resolve_matches_the_reference_on_the_policy_grid() {
                             assert_resolve_matches_reference(
                                 &scheme, &retry, &array, addr, k as u64,
                             );
+                            assert_cached_matches_reference(
+                                &scheme, &retry, &array, addr, k as u64, 3,
+                            );
                         }
                     }
                 }
@@ -355,10 +399,12 @@ fn scheme_resolve_matches_the_reference_on_the_policy_grid() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4096))]
-    /// Any scheme × amplifier × cell (sampled or hot) × attempt budget ×
-    /// seed, with guard bands placed where the settled-attempt bound is
-    /// tightest: on, a few σ from and a few ulps from the cell's `|d|`, and
-    /// just above 0.
+    /// Any scheme × amplifier (σ = 0 among them) × cell (sampled or hot) ×
+    /// attempt budget × seed, with guard bands placed where the settle
+    /// bound is tightest: 0, on, a few σ from and a few ulps from the
+    /// cell's `|d|`, and just above 0. Both the one-read path and up to
+    /// four reads over settle codes kept across them, through destructive
+    /// state flips.
     #[test]
     fn scheme_resolve_matches_the_retry_reference(
         kind_index in 0usize..3,
@@ -367,6 +413,7 @@ proptest! {
         cell_index in 0usize..64,
         band_index in 0usize..64,
         max_attempts in 1u32..5,
+        reads in 1usize..5,
         seed in 0u64..u64::MAX,
     ) {
         let arrays = oracle_arrays();
@@ -381,13 +428,14 @@ proptest! {
             max_attempts,
         };
         assert_resolve_matches_reference(&scheme, &retry, array, addr, seed);
+        assert_cached_matches_reference(&scheme, &retry, array, addr, seed, reads);
     }
 }
 
-/// The settled-attempt bound of `Scheme::resolve`, restated without its
-/// rounding slack: the smallest `u1` it decides for differential `d`. The
-/// fixed cases below keep every `u1` at least 1 % away from it, so they
-/// land on the intended branch.
+/// The settle bound of `Scheme::resolve`, restated without its rounding
+/// slack or `f32` round-up: the smallest `u1` it decides for differential
+/// `d`, `exp(−k²/2)`. The fixed cases below keep every `u1` at least 1 %
+/// away from it, so they land on the intended branch.
 fn settle_threshold(d: f64, guard: f64, sigma: f64) -> f64 {
     let margin = d.abs();
     let room = if margin > guard {
@@ -396,7 +444,7 @@ fn settle_threshold(d: f64, guard: f64, sigma: f64) -> f64 {
         (guard - margin).min(margin)
     };
     let k = room / sigma;
-    1.0 / (1.0 + k * k / 2.0)
+    (-k * k / 2.0).exp()
 }
 
 /// Per attempt of a read-only scheme's chain from `seed`: `Some(true)` if
@@ -443,18 +491,21 @@ fn scheme_resolve_matches_the_reference_through_each_branch() {
     };
     let sigma = 0.3e-3;
 
+    // A guard band 2σ under |d|: the threshold is e⁻², so a seed's first
+    // `u1` lands on either side of it often.
+    let near = d - 2.0 * sigma;
+    let threshold = settle_threshold(d, near, sigma);
+
     // Confident and settled on the first attempt.
-    let threshold = settle_threshold(d, 1e-3, sigma);
     let seed = seed_where(1, threshold, &|a| a[0] == Some(true));
-    let resolution = assert_resolve_matches_reference(&auto_zero, &retry(1e-3), &array, addr, seed);
+    let resolution = assert_resolve_matches_reference(&auto_zero, &retry(near), &array, addr, seed);
     assert_eq!((resolution.bit, resolution.attempts), (true, 1));
     assert!(resolution.confident);
 
     // Exact: `u1` under the threshold on the first attempt, and an ideal
     // amplifier (σ = 0), which the bound never decides.
     let seed = seed_where(1, threshold, &|a| a[0] == Some(false));
-    let resolution = assert_resolve_matches_reference(&auto_zero, &retry(1e-3), &array, addr, seed);
-    assert!(resolution.confident);
+    assert_resolve_matches_reference(&auto_zero, &retry(near), &array, addr, seed);
     let ideal = scheme_with(SchemeKind::Nondestructive, SenseAmplifier::ideal());
     let resolution = assert_resolve_matches_reference(&ideal, &retry(1e-3), &array, addr, 3);
     assert_eq!((resolution.bit, resolution.attempts), (true, 1));
@@ -517,4 +568,10 @@ fn scheme_resolve_matches_the_reference_through_each_branch() {
         })
         .count();
     assert!(misreads > 0, "no destructive chain mis-sensed");
+    // The same chains read three times over kept settle codes: a misread
+    // leaves the other state for the next read, whose attempts take that
+    // state's code.
+    for seed in 0..500 {
+        assert_cached_matches_reference(&wide, &retry(4.0 * d.abs()), &array, addr, seed, 3);
+    }
 }
