@@ -1830,6 +1830,66 @@ mod tests {
         }
     }
 
+    /// `true` when `cell` is not stale and holds exactly the device an
+    /// eager rebuild at the bank's current key would have given it.
+    fn rebuilt(bank: &Bank, cell: usize) -> bool {
+        let state = bank.drift.as_ref().expect("a drifting bank");
+        let stale = (state.stale[cell / WORD_BITS] >> (cell % WORD_BITS)) & 1 == 1;
+        let key = state.plan.key_at(bank.index, bank.busy_now_ns());
+        let eager = state.plan.drifted_spec(&state.baseline[cell], key);
+        !stale && *bank.array.cell(bank.addr_of(cell)).device() == eager.into_device()
+    }
+
+    /// Each path that reads a cell's device rebuilds the stale cells it
+    /// touches to exactly the eager result, and leaves every other cell
+    /// stale. Reads whose outcome a stale device would not move — a power
+    /// cut's sense, a calibration burst — still pass through the rebuild.
+    #[test]
+    fn device_reading_paths_rebuild_the_cells_they_touch() {
+        let config = ControllerConfig::small(SchemeKind::Destructive, 1)
+            .with_seed(3)
+            .with_ecc(EccMode::Secded)
+            .with_drift(hot_plan());
+        let plain = |faults: FaultPlan| {
+            let mut config = config.clone().with_faults(faults);
+            config.ecc = EccMode::None;
+            Bank::new(0, &config)
+        };
+        let untouched = 63;
+
+        let mut bank = plain(FaultPlan::none());
+        bank.execute(&Transaction::write(0, Address::new(1, 2), true));
+        assert!(rebuilt(&bank, 10), "a write rebuilds its cell");
+        bank.execute(&Transaction::read(0, Address::new(2, 3)));
+        assert!(rebuilt(&bank, 19), "a plain read rebuilds its cell");
+        assert!(!rebuilt(&bank, untouched));
+
+        let mut bank = plain(FaultPlan::none().with_power_cut_every(1));
+        bank.execute(&Transaction::read(0, Address::new(0, 5)));
+        assert_eq!(bank.telemetry().power_cuts, 1);
+        assert!(rebuilt(&bank, 5), "a power-cut read rebuilds its cell");
+        assert!(!rebuilt(&bank, untouched));
+
+        let mut bank = plain(FaultPlan::none());
+        bank.calibration_burst(CalibConfig::date2010());
+        assert!(
+            (0..32).all(|cell| rebuilt(&bank, cell)),
+            "a burst rebuilds its cells"
+        );
+        assert!(!rebuilt(&bank, untouched));
+
+        let mut bank = Bank::new(0, &config);
+        let victim = Address::new(0, 7);
+        let stored = bank.array.read_state(victim).bit();
+        bank.array.write_bit(victim, !stored);
+        assert!(bank.scrub_next());
+        assert_eq!(bank.telemetry().ecc.scrub_cells_rewritten, 1);
+        assert!(
+            (0..64).all(|cell| rebuilt(&bank, cell)),
+            "scrub rebuilds its word"
+        );
+    }
+
     /// The smallest `u1` the settle bound before the exact form decided:
     /// `1/(1 + (1 − ε)k²/2)`, from `ln u ≥ 1 − 1/u`, under the same limits
     /// on `k` and `room`.
