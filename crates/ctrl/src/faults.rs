@@ -782,6 +782,29 @@ mod tests {
         }
 
         #[test]
+        fn a_bank_slice_keeps_its_keys_and_only_its_transients() {
+            let other = ThermalTransient {
+                bank: 1,
+                ..hotspot(40.0)
+            };
+            let plan = DriftPlan::quiet()
+                .with_ambient(320.0)
+                .with_transient(hotspot(100.0))
+                .with_transient(other)
+                .with_transient(hotspot(-30.0));
+            for bank in 0..3 {
+                let slice = plan.for_bank(bank);
+                assert!(slice.transients.iter().all(|t| t.bank == bank));
+                assert_eq!(slice.has_constant_key(), bank == 2);
+                for busy_ns in [0.0, 1200.0, 2000.0, 3800.0, 1e6] {
+                    assert_eq!(slice.key_at(bank, busy_ns), plan.key_at(bank, busy_ns));
+                }
+            }
+            assert_eq!(plan.for_bank(0).transients.len(), 2);
+            assert!(!plan.with_aging_rate(1e-6).for_bank(2).has_constant_key());
+        }
+
+        #[test]
         fn transient_traces_the_trapezoid() {
             let t = hotspot(100.0);
             assert_eq!(t.offset_at(0.0), 0.0);

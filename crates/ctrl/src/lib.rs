@@ -80,7 +80,7 @@ pub mod telemetry;
 pub mod txn;
 pub mod workload;
 
-pub use bank::Bank;
+pub use bank::{Bank, BankWork};
 pub use calib::CalibConfig;
 pub use engine::{Controller, ControllerConfig, Dispatch};
 pub use faults::{

@@ -319,12 +319,16 @@ fn resolve_coded<S: SenseScheme>(
     let mut kept = [(0, 0.0, 0.0); KEPT_ATTEMPTS];
     let mut all_decided = true;
     for attempt in 1..=retry.max_attempts {
+        // Both states' codes are read before the state, so the two loads
+        // (often cache misses on a large bank) do not wait on each other.
+        let pair = codes.0;
         let state = usize::from(array.read_state(addr).bit());
-        if codes.0[state] == STALE {
-            codes.0[state] = settle_code(differential(array, state), guard, sigma);
+        let mut code = pair[state];
+        if code == STALE {
+            code = settle_code(differential(array, state), guard, sigma);
+            codes.0[state] = code;
             work.fills += 1;
         }
-        let code = codes.0[state];
         let (u1, u2) = box_muller_uniforms(rng);
         work.attempts += 1;
         let (bit, confident) = if u1 >= threshold(code) {
