@@ -261,8 +261,8 @@ fn sense_analytic<S: SenseScheme>(
 /// state, for [`Scheme::resolve_cached`]. The default is stale: every code
 /// is computed on first use.
 ///
-/// A code packs what `u1` alone decides about an attempt (see
-/// [`settle_code`]): bits 0–29 hold the smallest deciding `u1` as an `f32`
+/// A code packs what `u1` alone decides about an attempt (DESIGN.md §12
+/// states the bound): bits 0–29 hold the smallest deciding `u1` as an `f32`
 /// (every threshold is below 2.0, so its top two bits are clear), bit 30
 /// whether a decided attempt is confident and bit 31 whether it latches a
 /// 1. A threshold of 1.5 decides nothing, and 0 marks a stale code.
