@@ -755,8 +755,9 @@ impl Bank {
             for (k, cell) in span.enumerate() {
                 let addr = self.addr_of(cell);
                 let bit = (target >> k) & 1 == 1;
+                // The read above rebuilt every cell of the span, so the
+                // rewrite pulses see current devices.
                 if self.array.read_state(addr).bit() != bit {
-                    self.refresh(cell);
                     let pulses = self
                         .array
                         .write_bit_verified(addr, bit, MAX_WRITE_ATTEMPTS, &mut self.streams.scrub)
