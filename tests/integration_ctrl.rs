@@ -18,7 +18,7 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use stt_array::{Address, Array, ArraySpec, Cell, CellSpec};
 use stt_ctrl::{
     Controller, ControllerConfig, Dispatch, DriftPlan, FaultPlan, Frontend, FrontendConfig,
@@ -285,6 +285,148 @@ fn assert_cached_matches_reference(
     assert!(array_fast == array_ref, "array: {context}");
     assert!(work.exact <= work.attempts && work.fills <= work.attempts);
     last.expect("at least one read")
+}
+
+/// Reads `cells` (row-major) through the bank's read entry, one
+/// `Scheme::resolve_cached` per cell over `codes` (indexed by cell), and
+/// returns each cell's resolution in order.
+fn resolve_span(
+    scheme: &Scheme,
+    retry: &RetryPolicy,
+    array: &mut Array,
+    cells: std::ops::Range<usize>,
+    rng: &mut StdRng,
+    codes: &mut [SettleCodes],
+    work: &mut SenseWork,
+) -> Vec<ReadResolution> {
+    let cols = array.cols();
+    cells
+        .map(|cell| {
+            let addr = Address::new(cell / cols, cell % cols);
+            scheme.resolve_cached(retry, array, addr, rng, &mut codes[cell], work)
+        })
+        .collect()
+}
+
+/// A sampled 20 × 8 array with random states: 160 cells, two whole 64-cell
+/// words and a partial last one, each word crossing eight rows. `hot`
+/// rebuilds it at +60 K, as the drift layer does.
+fn span_array(seed: u64, hot: bool) -> Array {
+    let mut spec = ArraySpec::small_test_array();
+    spec.rows = 20;
+    spec.bitline.cells_per_bitline = 20;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut array = spec.sample(&mut rng);
+    array.fill_with(|_| rng.gen_bool(0.5));
+    if !hot {
+        return array;
+    }
+    let plan = DriftPlan::quiet().with_ambient(360.0);
+    let key = plan.key_at(0, 0.0);
+    for addr in array.addresses().collect::<Vec<_>>() {
+        let cell = array.cell(addr);
+        let ResistanceCurve::Linear(rolloff) = cell.device().curve() else {
+            panic!("sampled cells use the linear calibration")
+        };
+        let base = MtjSpec {
+            resistance: *rolloff,
+            switching: *cell.device().switching(),
+        };
+        let drifted = plan.drifted_spec(&base, key);
+        let (transistor, state) = (*cell.transistor(), cell.state());
+        *array.cell_mut(addr) = Cell::new(drifted.into_device(), transistor);
+        array.cell_mut(addr).set_state(state);
+    }
+    array
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+    /// A sequence of spans — whole words, the partial last word, single
+    /// cells and arbitrary runs, all crossing rows of an 8-column array —
+    /// read through the span entry over settle codes carried from span to
+    /// span, under every scheme, amplifier (σ = 0 among them), guard band
+    /// (0 and `RetryPolicy::date2010`'s among them) and attempt budget
+    /// (`no_retry`'s, `date2010`'s and one past the attempts the read path
+    /// keeps for a fallback). Each cell resolves as the reference does,
+    /// `RetryPolicy::resolve` over `Scheme::sense_once`, leaving the RNG and
+    /// the array where it leaves them; and the codes and work equal those
+    /// of reading the same cells one at a time.
+    #[test]
+    fn span_reads_match_the_reference_and_cell_by_cell_reads(
+        kind_index in 0usize..3,
+        amplifier_index in 0usize..3,
+        band_index in 0usize..4,
+        budget_index in 0usize..3,
+        hot in proptest::bool::ANY,
+        spans in proptest::collection::vec(0u64..u64::MAX, 1..6),
+        seed in 0u64..u64::MAX,
+    ) {
+        let array = span_array(seed ^ 0x5eed, hot);
+        let cells = array.rows() * array.cols();
+        let amplifier = oracle_amplifiers()[amplifier_index];
+        let scheme = scheme_with(SchemeKind::ALL[kind_index], amplifier);
+        let retry = RetryPolicy {
+            guard_band: Volts::from_milli([0.0, 1.0, 8.0, 50.0][band_index]),
+            max_attempts: [1, 3, 12][budget_index],
+        };
+        let fresh = || {
+            let codes = vec![SettleCodes::default(); cells];
+            (array.clone(), StdRng::seed_from_u64(seed), codes, SenseWork::default())
+        };
+        let (mut array_span, mut rng_span, mut codes_span, mut work_span) = fresh();
+        let (mut array_cell, mut rng_cell, mut codes_cell, mut work_cell) = fresh();
+        let (mut array_ref, mut rng_ref, _, _) = fresh();
+        let mut attempts = 0;
+        for (read, &draw) in spans.iter().enumerate() {
+            // Shape, start and length of the span, from one draw.
+            let start = (draw >> 8) as usize % cells;
+            let len = 1 + (draw >> 32) as usize % 64;
+            let span = match draw % 3 {
+                0 => {
+                    let word = start % 3 * 64;
+                    word..(word + 64).min(cells)
+                }
+                1 => start..start + 1,
+                _ => start..(start + len).min(cells),
+            };
+            let context = format!("{} {retry:?} span {read} {span:?}", scheme.kind());
+            let got = resolve_span(
+                &scheme,
+                &retry,
+                &mut array_span,
+                span.clone(),
+                &mut rng_span,
+                &mut codes_span,
+                &mut work_span,
+            );
+            prop_assert_eq!(got.len(), span.len());
+            for (k, cell) in span.clone().enumerate() {
+                let addr = Address::new(cell / 8, cell % 8);
+                let reference =
+                    retry.resolve(|| scheme.sense_once(&mut array_ref, addr, &mut rng_ref));
+                let one = resolve_span(
+                    &scheme,
+                    &retry,
+                    &mut array_cell,
+                    cell..cell + 1,
+                    &mut rng_cell,
+                    &mut codes_cell,
+                    &mut work_cell,
+                );
+                prop_assert!(got[k] == reference, "cell {cell}: {context}");
+                prop_assert!(one[0] == reference, "cell {cell} alone: {context}");
+                attempts += u64::from(reference.attempts);
+            }
+        }
+        let next = rng_ref.next_u64();
+        prop_assert_eq!(rng_span.next_u64(), next);
+        prop_assert_eq!(rng_cell.next_u64(), next);
+        prop_assert!(array_span == array_ref && array_cell == array_ref, "arrays differ");
+        prop_assert!(codes_span == codes_cell, "settle codes differ");
+        prop_assert_eq!(work_span, work_cell);
+        prop_assert_eq!(work_span.attempts, attempts);
+    }
 }
 
 /// `kind` built from the nominal design point with `amplifier` in its path.
