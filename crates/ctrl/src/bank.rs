@@ -1831,6 +1831,100 @@ mod tests {
         }
     }
 
+    /// Pins the work of a drifting SECDED bank under each scheme, not just
+    /// its results: bank 0 warms through a ramp and cools again while
+    /// demand reads and writes, scrub, raw March and calibration ticks all
+    /// read drifted cells. Every [`BankWork`] count is exact per seed, so a
+    /// change that does more (or less) sensing, filling or rebuilding fails
+    /// here whatever the host's timing noise. The pins move only with an
+    /// intended change to the work a bank does.
+    #[test]
+    fn drifting_ecc_bank_work_is_pinned() {
+        use crate::march::MarchAlgorithm;
+        use rand::SeedableRng;
+
+        let drift = DriftPlan::quiet().with_transient(ThermalTransient {
+            bank: 0,
+            start_ns: 200.0,
+            ramp_ns: 1_500.0,
+            hold_ns: 800.0,
+            fall_ns: 1_500.0,
+            amplitude_k: 60.0,
+        });
+        let faults = FaultPlan::none()
+            .with_power_cut_every(23)
+            .with_retention_rate(1e-5);
+        let mut spec = stt_array::ArraySpec::small_test_array();
+        spec.rows = 16;
+        spec.cols = 10;
+        spec.bitline.cells_per_bitline = 16;
+        let march = MarchAlgorithm::CMinus.program().lower(160);
+        let calib = CalibConfig::date2010();
+        let work = |attempts, exact, fills, cell_rebuilds, key_changes| BankWork {
+            sense: SenseWork {
+                attempts,
+                exact,
+                fills,
+            },
+            cell_rebuilds,
+            key_changes,
+        };
+        // Each scheme's guard band sits near its cells' differentials, so
+        // reads retry, fall back and trip the calibration daemon.
+        let pins = [
+            (
+                SchemeKind::Conventional,
+                20.0,
+                work(28_043, 580, 6_903, 6_586, 60),
+            ),
+            (
+                SchemeKind::Destructive,
+                70.0,
+                work(29_204, 392, 3_690, 3_349, 41),
+            ),
+            (
+                SchemeKind::Nondestructive,
+                8.0,
+                work(40_641, 4_105, 5_211, 4_832, 60),
+            ),
+        ];
+        for (kind, guard_mv, expected) in pins {
+            let mut config = ControllerConfig::small(kind, 1)
+                .with_seed(91)
+                .with_faults(faults.clone())
+                .with_ecc(EccMode::Secded)
+                .with_drift(drift.clone());
+            config.spec = spec.clone();
+            config.retry.guard_band = stt_units::Volts::from_milli(guard_mv);
+            let mut bank = Bank::new(0, &config);
+            let mut traffic = StdRng::seed_from_u64(47);
+            for step in 0..600 {
+                let addr = Address::new(traffic.gen_range(0..16), traffic.gen_range(0..10));
+                let txn = if traffic.gen_bool(0.6) {
+                    Transaction::read(0, addr)
+                } else {
+                    Transaction::write(0, addr, traffic.gen_bool(0.5))
+                };
+                bank.execute(&txn);
+                if step % 5 == 0 {
+                    let _ = bank.scrub_next();
+                }
+                if step % 11 == 0 {
+                    let op = march[(step / 11) % march.len()];
+                    bank.execute_march_op(op.cell, op.op, op.element, true);
+                }
+                if step % 16 == 0 {
+                    let _ = bank.calibration_tick(&calib);
+                }
+            }
+            assert!(
+                bank.telemetry().calib.bursts > 0,
+                "{kind}: a burst must run"
+            );
+            assert_eq!(bank.work(), expected, "{kind}: the bank's work moved");
+        }
+    }
+
     /// `true` when `cell` is not stale and holds exactly the device an
     /// eager rebuild at the bank's current key would have given it.
     fn rebuilt(bank: &Bank, cell: usize) -> bool {
