@@ -134,7 +134,14 @@ impl Array {
         self.spec.cols
     }
 
-    fn index(&self, addr: Address) -> usize {
+    /// The row-major index of `addr`: the cell at `addr` is
+    /// `cells_mut()[index_of(addr)]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the address is out of range.
+    #[must_use]
+    pub fn index_of(&self, addr: Address) -> usize {
         assert!(
             addr.row < self.spec.rows && addr.col < self.spec.cols,
             "address {addr} out of range ({} × {})",
@@ -151,7 +158,7 @@ impl Array {
     /// Panics if the address is out of range.
     #[must_use]
     pub fn cell(&self, addr: Address) -> &Cell {
-        &self.cells[self.index(addr)]
+        &self.cells[self.index_of(addr)]
     }
 
     /// Mutable access to the cell at `addr`.
@@ -160,8 +167,15 @@ impl Array {
     ///
     /// Panics if the address is out of range.
     pub fn cell_mut(&mut self, addr: Address) -> &mut Cell {
-        let index = self.index(addr);
+        let index = self.index_of(addr);
         &mut self.cells[index]
+    }
+
+    /// Mutable access to every cell, row-major: `Address::new(row, col)` is
+    /// cell `row * cols + col`. A caller walking a run of cells slices this
+    /// once instead of checking each address.
+    pub fn cells_mut(&mut self) -> &mut [Cell] {
+        &mut self.cells
     }
 
     /// Iterates over all addresses in row-major order.

@@ -41,7 +41,7 @@
 //! dispatch too.
 //!
 //! Each cell keeps its [`SettleCodes`], which decide most sense attempts
-//! without the exact offset draw (see [`Scheme::resolve_cached`]). A cell's
+//! without the exact offset draw (see [`Scheme::resolve_span`]). A cell's
 //! codes are cleared when it is rebuilt, and every code when a refit
 //! changes the scheme.
 
@@ -543,7 +543,8 @@ impl Bank {
     /// down.
     fn serve_read_with_power_cut(&mut self, addr: Address) {
         self.telemetry.power_cuts += 1;
-        self.refresh(self.truth_index(addr));
+        let cell = self.truth_index(addr);
+        self.refresh(cell..cell + 1);
         let scheme = self.scheme;
         let sensed = scheme.sense_readonly(&self.array, addr, &mut self.streams.demand);
         let rng = RefCell::new(&mut self.streams.demand);
@@ -598,7 +599,7 @@ impl Bank {
     /// the stored state.
     fn write_cell(&mut self, addr: Address, bit: bool, stream: Stream) -> u32 {
         let index = self.truth_index(addr);
-        self.refresh(index);
+        self.refresh(index..index + 1);
         let prior = self.array.read_state(addr).bit();
         let transition_lost = prior != bit
             && self
@@ -800,25 +801,37 @@ impl Bank {
         self.work.key_changes += 1;
     }
 
-    /// Rebuilds `cell` (row-major) at the current drift key if a key change
-    /// left it stale, and clears its settle codes. Every path that reads a
-    /// cell's device calls this first. The rebuild swaps the device for the
-    /// drifted baseline, keeps the stored state and the sampled transistor,
-    /// and draws **no** RNG — exactly the pinhole-swap pattern — so every
-    /// stream stays bit-identical across serial, parallel and frontend
-    /// dispatch, and a lazy rebuild equals an eager one.
-    fn refresh(&mut self, cell: usize) {
+    /// Rebuilds every cell of `span` (row-major) that a key change left
+    /// stale at the current drift key, and clears its settle codes: one
+    /// stale-bitset test per word, and a rebuild for each set bit. Every
+    /// path that reads a cell's device calls this first. The rebuild swaps
+    /// the device for the drifted baseline, keeps the stored state and the
+    /// sampled transistor, and draws **no** RNG — exactly the pinhole-swap
+    /// pattern — so every stream stays bit-identical across serial,
+    /// parallel and frontend dispatch, and a lazy rebuild equals an eager
+    /// one.
+    fn refresh(&mut self, span: Range<usize>) {
         let Some(state) = self.drift.as_mut() else {
             return;
         };
-        let (word, bit) = (cell / WORD_BITS, 1u64 << (cell % WORD_BITS));
-        match state.stale.get_mut(word) {
-            Some(stale) if *stale & bit != 0 => *stale &= !bit,
-            _ => return,
+        let mut cell = span.start;
+        while cell < span.end {
+            let (word, low) = (cell / WORD_BITS, cell % WORD_BITS);
+            let high = (span.end - word * WORD_BITS).min(WORD_BITS);
+            let Some(stale) = state.stale.get_mut(word) else {
+                return;
+            };
+            let mut due = *stale & (u64::MAX >> (WORD_BITS - (high - low)) << low);
+            *stale &= !due;
+            while due != 0 {
+                let cell = word * WORD_BITS + due.trailing_zeros() as usize;
+                due &= due - 1;
+                rebuild(&mut self.array, cell, &state.baseline[cell], &state.step);
+                self.codes[cell] = SettleCodes::default();
+                self.work.cell_rebuilds += 1;
+            }
+            cell = (word + 1) * WORD_BITS;
         }
-        rebuild(&mut self.array, cell, &state.baseline[cell], &state.step);
-        self.codes[cell] = SettleCodes::default();
-        self.work.cell_rebuilds += 1;
     }
 
     /// One calibration check on this bank, the daemon's entry point (the
@@ -854,7 +867,7 @@ impl Bank {
         let scheme = self.scheme;
         let cells = self.cell_count();
         for k in 0..calib.burst_reads as usize {
-            self.refresh(k % cells);
+            self.refresh(k % cells..k % cells + 1);
             let addr = self.addr_of(k % cells);
             let _ = scheme.sense_readonly(&self.array, addr, &mut self.streams.calib);
         }
@@ -891,35 +904,34 @@ impl Bank {
 
     /// The read datapath every read kind shares — demand (one cell or a
     /// whole word), scrub and March. In physical order: retention decay
-    /// materialises on the span, each cell is sensed once through
-    /// [`Scheme::resolve`] on `stream`'s RNG, a destructive scheme's
+    /// materialises on the span, stale cells are rebuilt, the span is sensed
+    /// through [`Scheme::resolve_span`] on `stream`'s RNG, a destructive scheme's
     /// write-back re-pins stuck cells, read disturb hits the span, and
     /// stuck cells are re-pinned over any soft-error flip. Pricing is the
     /// caller's: each read kind charges its own clock.
     fn read_span(&mut self, span: Range<usize>, stream: Stream) -> SpanSense {
         self.apply_retention(span.clone(), stream);
+        self.refresh(span.clone());
         let mut sense = SpanSense {
             bits: 0,
             slowest: 1,
             attempts: 0,
             unconfident: false,
         };
-        for (k, cell) in span.clone().enumerate() {
-            self.refresh(cell);
-            let addr = self.addr_of(cell);
-            let resolution = self.scheme.resolve_cached(
-                &self.retry,
-                &mut self.array,
-                addr,
-                self.streams.pulses(stream),
-                &mut self.codes[cell],
-                &mut self.work.sense,
-            );
-            sense.bits |= u64::from(resolution.bit) << k;
-            sense.slowest = sense.slowest.max(resolution.attempts);
-            sense.attempts += u64::from(resolution.attempts);
-            sense.unconfident |= !resolution.confident;
-        }
+        self.scheme.resolve_span(
+            &self.retry,
+            &mut self.array,
+            span.clone(),
+            self.streams.pulses(stream),
+            &mut self.codes[span.clone()],
+            &mut self.work.sense,
+            |k, resolution| {
+                sense.bits |= u64::from(resolution.bit) << k;
+                sense.slowest = sense.slowest.max(resolution.attempts);
+                sense.attempts += u64::from(resolution.attempts);
+                sense.unconfident |= !resolution.confident;
+            },
+        );
         if self.scheme.is_destructive() {
             // The erase/write-back pulses may have hit a stuck cell.
             self.snap_stuck_cells();
@@ -1020,12 +1032,7 @@ impl Bank {
     ///
     /// Panics if the address is out of range.
     fn truth_index(&self, addr: Address) -> usize {
-        let (rows, cols) = (self.array.rows(), self.array.cols());
-        assert!(
-            addr.row < rows && addr.col < cols,
-            "address {addr} out of range ({rows} × {cols})"
-        );
-        addr.row * cols + addr.col
+        self.array.index_of(addr)
     }
 
     fn addr_of(&self, cell: usize) -> Address {
@@ -1077,11 +1084,10 @@ fn undrifted_spec(array: &Array, cell: usize) -> MtjSpec {
 /// Swaps cell `cell`'s device (row-major) for `reference` drifted by
 /// `step`, keeping its stored state and sampled transistor.
 fn rebuild(array: &mut Array, cell: usize, reference: &MtjSpec, step: &DriftStep) {
-    let addr = Address::new(cell / array.cols(), cell % array.cols());
-    let prior = array.cell(addr).state();
-    let transistor = *array.cell(addr).transistor();
-    *array.cell_mut(addr) = Cell::new(step.apply(reference).into_device(), transistor);
-    array.cell_mut(addr).set_state(prior);
+    let cell = &mut array.cells_mut()[cell];
+    let (prior, transistor) = (cell.state(), *cell.transistor());
+    *cell = Cell::new(step.apply(reference).into_device(), transistor);
+    cell.set_state(prior);
 }
 
 /// Latency/energy of one programming pulse (decode + pulse + driver
@@ -2063,16 +2069,18 @@ mod tests {
         let mut coded = SenseWork::default();
         let mut loose_exact = 0;
         for cell in 0..cells {
-            bank.refresh(cell);
+            bank.refresh(cell..cell + 1);
             let addr = bank.addr_of(cell);
             let mut reference_rng = rng.clone();
-            let resolution = bank.scheme.resolve_cached(
+            let mut resolution = None;
+            bank.scheme.resolve_span(
                 &bank.retry,
                 &mut bank.array,
-                addr,
+                cell..cell + 1,
                 &mut rng,
-                &mut bank.codes[cell],
+                &mut bank.codes[cell..=cell],
                 &mut coded,
+                |_, read| resolution = Some(read),
             );
             let d = scheme.differential(bank.array.cell(addr), bank.array.read_state(addr));
             let loose = loose_threshold(d.get(), guard, sigma);
@@ -2084,7 +2092,7 @@ mod tests {
                 bank.scheme
                     .sense_readonly(&bank.array, addr, &mut reference_rng)
             });
-            assert_eq!(resolution, reference, "cell {cell}");
+            assert_eq!(resolution, Some(reference), "cell {cell}");
         }
         let share = coded.exact as f64 / coded.attempts as f64;
         let loose_share = f64::from(loose_exact) / coded.attempts as f64;

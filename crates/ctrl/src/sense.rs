@@ -6,22 +6,25 @@
 //! the engine needs: *sense this cell once, mutating the array exactly as
 //! the scheme's hardware sequence would*.
 
+use std::ops::Range;
+
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
-use stt_array::{Address, Array};
+use stt_array::{Address, Array, Cell};
 use stt_mtj::ResistanceState;
 use stt_sense::{
     ConventionalScheme, DesignPoint, DestructiveScheme, NondestructiveScheme, SchemeKind,
-    SenseScheme,
+    SenseAmplifier, SenseScheme,
 };
 use stt_stats::dist::{box_muller, box_muller_uniforms};
-use stt_units::Volts;
+use stt_units::{Amps, Seconds, Volts};
 
 use crate::retry::{ReadResolution, RetryPolicy};
 
-/// Longest retry chain [`Scheme::resolve_cached`] serves itself: it keeps
-/// every unconfident attempt's draw for a possible fallback rebuild, in a
-/// fixed buffer. Longer policies take [`RetryPolicy::resolve`] directly.
+/// Longest retry chain [`Scheme::resolve_span`] decides from settle codes:
+/// it keeps every unconfident attempt's draw for a possible fallback
+/// rebuild, in a fixed buffer. Longer policies evaluate every attempt
+/// exactly through [`RetryPolicy::resolve`].
 const KEPT_ATTEMPTS: usize = 8;
 
 /// Relative slack ε of the settle bound, far above the few-ulp rounding of
@@ -129,27 +132,16 @@ impl Scheme {
     ///
     /// Panics if the address is out of range.
     pub fn sense_once(&self, array: &mut Array, addr: Address, rng: &mut StdRng) -> Sensed {
-        match self {
-            Scheme::Conventional(s) => sense_analytic(s, array, addr, rng),
-            Scheme::Nondestructive(s) => sense_analytic(s, array, addr, rng),
-            Scheme::Destructive(s) => {
-                let sensed = sense_analytic(s, array, addr, rng);
-                array.write_bit_pulsed(addr, false, rng);
-                array.write_bit_pulsed(addr, sensed.bit, rng);
-                sensed
-            }
+        let sensed = self.sense_readonly(array, addr, rng);
+        if self.is_destructive() {
+            array.write_bit_pulsed(addr, false, rng);
+            array.write_bit_pulsed(addr, sensed.bit, rng);
         }
+        sensed
     }
 
-    /// Resolves one read of `addr` through `retry`: the controller's read
-    /// path.
-    ///
-    /// The result is exactly `retry.resolve(|| self.sense_once(array, addr,
-    /// rng))` — the same [`ReadResolution`], the same RNG position
-    /// afterwards and, for the destructive scheme, the same cell state;
-    /// [`RetryPolicy::resolve`] is the reference semantics. This computes
-    /// the cell's settle codes on the fly; [`Self::resolve_cached`] keeps
-    /// them across reads.
+    /// Resolves one read of `addr` through `retry`: a one-cell
+    /// [`Self::resolve_span`] over fresh settle codes.
     ///
     /// # Panics
     ///
@@ -162,55 +154,80 @@ impl Scheme {
         addr: Address,
         rng: &mut StdRng,
     ) -> ReadResolution {
-        let mut codes = SettleCodes::default();
-        self.resolve_cached(
-            retry,
-            array,
-            addr,
-            rng,
-            &mut codes,
-            &mut SenseWork::default(),
-        )
+        let (cell, mut read) = (array.index_of(addr), None);
+        let (codes, work) = (&mut [SettleCodes::default()], &mut SenseWork::default());
+        self.resolve_span(retry, array, cell..cell + 1, rng, codes, work, |_, r| {
+            read = Some(r);
+        });
+        read.expect("a one-cell span resolves its cell")
     }
 
-    /// [`Self::resolve`], deciding attempts from `codes`, the settle codes
-    /// of the cell at `addr` under this scheme and `retry`, and counting
-    /// the work in `work`.
+    /// The bank's read path: resolves one read of each cell of `cells`
+    /// (row-major in `array`) through `retry`, in order, and hands the
+    /// span's `k`-th cell to `each(k, resolution)`.
     ///
-    /// Every attempt still draws its offset's two uniforms in order, but
-    /// most are decided from the code of the state the attempt starts from
-    /// and `u1` alone, without evaluating the Box–Muller transform
-    /// (DESIGN.md §12 states the bound). A stale code is filled from the
-    /// cell's differential; an undecided attempt evaluates the differential
-    /// at most once per state and chain. The caller keeps `codes` per cell
-    /// and clears them whenever the cell's device, the scheme or `retry`
-    /// changes; a state flip needs no clearing, as each state has its own
-    /// code.
+    /// Cell by cell this is exactly `retry.resolve(|| self.sense_once(array,
+    /// addr, rng))`, the reference semantics: the same resolution, RNG
+    /// position and cell state. Each attempt still draws its two uniforms,
+    /// but most are decided from `u1` and the settle code of the state the
+    /// attempt starts from (DESIGN.md §12), kept in `codes[k]`; the caller
+    /// clears a cell's codes whenever its device, the scheme or `retry`
+    /// changes. A read-only scheme under a short budget resolves a cell
+    /// inline when its code decides the first attempt confident; any other
+    /// cell goes on in an out-of-line retry chain.
     ///
     /// # Panics
     ///
-    /// Panics if `retry.max_attempts` is zero or the address is out of
-    /// range.
-    pub fn resolve_cached(
+    /// Panics if `retry.max_attempts` is zero, `cells` runs past the array
+    /// or `codes` is not one entry per cell.
+    #[allow(clippy::too_many_arguments)]
+    pub fn resolve_span(
         &self,
         retry: &RetryPolicy,
         array: &mut Array,
-        addr: Address,
+        cells: Range<usize>,
         rng: &mut StdRng,
-        codes: &mut SettleCodes,
+        codes: &mut [SettleCodes],
         work: &mut SenseWork,
-    ) -> ReadResolution {
+        mut each: impl FnMut(usize, ReadResolution),
+    ) {
         assert!(retry.max_attempts > 0, "need at least one sense attempt");
-        if retry.max_attempts as usize > KEPT_ATTEMPTS {
-            let resolution = retry.resolve(|| self.sense_once(array, addr, rng));
-            work.attempts += u64::from(resolution.attempts);
-            work.exact += u64::from(resolution.attempts);
-            return resolution;
+        assert_eq!(codes.len(), cells.len(), "one set of settle codes per cell");
+        let chain = Chain {
+            scheme: self,
+            retry,
+            sigma: self.amplifier().offset_sigma().get(),
+            guard: retry.guard_band.get(),
+            write: (array.spec().write_current, array.spec().write_pulse),
+        };
+        let cells = array.cells_mut()[cells].iter_mut().zip(codes).enumerate();
+        if self.is_destructive() || retry.max_attempts as usize > KEPT_ATTEMPTS {
+            for (k, (cell, codes)) in cells {
+                each(k, chain.resolve(cell, rng, codes, work, None));
+            }
+            return;
         }
-        match self {
-            Scheme::Conventional(s) => resolve_coded(s, retry, array, addr, rng, codes, work),
-            Scheme::Destructive(s) => resolve_coded(s, retry, array, addr, rng, codes, work),
-            Scheme::Nondestructive(s) => resolve_coded(s, retry, array, addr, rng, codes, work),
+        for (k, (cell, codes)) in cells {
+            let (pair, state) = (*codes, usize::from(cell.state().bit()));
+            let mut code = pair.get(state);
+            if code == STALE {
+                code = chain.fill(codes, state, self.differential(cell, state), work);
+            }
+            let (u1, u2) = box_muller_uniforms(rng);
+            if code & CONFIDENT != 0 && u1 >= threshold(code) {
+                work.attempts += 1;
+                let (bit, attempts, confident) = (code & POSITIVE != 0, 1, true);
+                each(
+                    k,
+                    ReadResolution {
+                        bit,
+                        attempts,
+                        confident,
+                    },
+                );
+            } else {
+                each(k, chain.resolve(cell, rng, codes, work, Some((u1, u2))));
+            }
         }
     }
 
@@ -225,40 +242,49 @@ impl Scheme {
     ///
     /// Panics if the address is out of range.
     pub fn sense_readonly(&self, array: &Array, addr: Address, rng: &mut StdRng) -> Sensed {
-        match self {
-            Scheme::Conventional(s) => sense_analytic(s, array, addr, rng),
-            Scheme::Nondestructive(s) => sense_analytic(s, array, addr, rng),
-            Scheme::Destructive(s) => sense_analytic(s, array, addr, rng),
+        self.sense_cell(array.cell(addr), rng)
+    }
+
+    /// The analytic sense: the settled differential from the scheme's
+    /// margins, plus a freshly sampled amplifier offset.
+    ///
+    /// This mirrors [`SenseScheme::read`] but keeps the offset visible in
+    /// `observed`, because the retry policy needs the comparator's actual
+    /// input, not just the sign it latched.
+    fn sense_cell(&self, cell: &Cell, rng: &mut StdRng) -> Sensed {
+        let stored = cell.state();
+        let differential = Volts::new(self.differential(cell, usize::from(stored.bit())));
+        let offset = self.amplifier().sample_offset(rng);
+        let bit = self.amplifier().resolve(differential, offset);
+        Sensed {
+            bit,
+            observed: differential + offset,
+            correct: bit == stored.bit(),
         }
     }
-}
 
-/// The analytic sense shared by every scheme: settled differential from the
-/// scheme's margins, plus a freshly sampled amplifier offset.
-///
-/// This mirrors [`SenseScheme::read`] but keeps the offset visible in
-/// `observed`, because the retry policy needs the comparator's actual input,
-/// not just the sign it latched.
-fn sense_analytic<S: SenseScheme>(
-    scheme: &S,
-    array: &Array,
-    addr: Address,
-    rng: &mut StdRng,
-) -> Sensed {
-    let cell = array.cell(addr);
-    let stored = cell.state();
-    let differential = scheme.differential(cell, stored);
-    let offset = scheme.amplifier().sample_offset(rng);
-    let bit = scheme.amplifier().resolve(differential, offset);
-    Sensed {
-        bit,
-        observed: differential + offset,
-        correct: bit == stored.bit(),
+    fn amplifier(&self) -> &SenseAmplifier {
+        match self {
+            Scheme::Conventional(s) => s.amplifier(),
+            Scheme::Destructive(s) => s.amplifier(),
+            Scheme::Nondestructive(s) => s.amplifier(),
+        }
+    }
+
+    /// The settled comparator differential of `cell` holding `state`.
+    fn differential(&self, cell: &Cell, state: usize) -> f64 {
+        let stored = ResistanceState::from_bit(state == 1);
+        match self {
+            Scheme::Conventional(s) => s.differential(cell, stored),
+            Scheme::Destructive(s) => s.differential(cell, stored),
+            Scheme::Nondestructive(s) => s.differential(cell, stored),
+        }
+        .get()
     }
 }
 
 /// One cell's settle codes under a scheme and retry policy, one per stored
-/// state, for [`Scheme::resolve_cached`]. The default is stale: every code
+/// state, for [`Scheme::resolve_span`]. The default is stale: every code
 /// is computed on first use.
 ///
 /// A code packs what `u1` alone decides about an attempt (DESIGN.md §12
@@ -266,10 +292,20 @@ fn sense_analytic<S: SenseScheme>(
 /// (every threshold is below 2.0, so its top two bits are clear), bit 30
 /// whether a decided attempt is confident and bit 31 whether it latches a
 /// 1. A threshold of 1.5 decides nothing, and 0 marks a stale code.
+///
+/// Both codes share one `u64`, state 1's in the high half, so a single load
+/// brings them without waiting on the cell's state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SettleCodes([u32; 2]);
+pub struct SettleCodes(u64);
 
-/// Deterministic work counts of [`Scheme::resolve_cached`].
+impl SettleCodes {
+    #[allow(clippy::cast_possible_truncation)]
+    fn get(self, state: usize) -> u32 {
+        (self.0 >> (32 * state)) as u32
+    }
+}
+
+/// Deterministic work counts of [`Scheme::resolve_span`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SenseWork {
     /// Sense attempts.
@@ -280,96 +316,124 @@ pub struct SenseWork {
     pub fills: u64,
 }
 
-/// [`Scheme::resolve_cached`] for one scheme type, with at most
-/// [`KEPT_ATTEMPTS`] attempts.
-///
-/// Each attempt looks up the code of the state it starts from — a
-/// destructive scheme's mis-sensed write-back can flip the state mid-chain
-/// — and draws `(u1, u2)` exactly as [`SenseAmplifier::sample_offset`]
-/// would, so the RNG stream never moves. Only attempts the code leaves
-/// undecided evaluate the exact observation.
-///
-/// An unconfident chain falls back on the sign of the summed observations.
-/// Each decided unconfident observation has its code's sign, so if every
-/// attempt was decided and all their codes share a sign, the sum has it
-/// too. Otherwise the kept uniforms rebuild the exact observations, summed
-/// in attempt order as [`RetryPolicy::resolve`] does.
-///
-/// [`SenseAmplifier::sample_offset`]: stt_sense::SenseAmplifier::sample_offset
-fn resolve_coded<S: SenseScheme>(
-    scheme: &S,
-    retry: &RetryPolicy,
-    array: &mut Array,
-    addr: Address,
-    rng: &mut StdRng,
-    codes: &mut SettleCodes,
-    work: &mut SenseWork,
-) -> ReadResolution {
-    let sigma = scheme.amplifier().offset_sigma().get();
-    let guard = retry.guard_band.get();
-    // The exact differential of each state, evaluated at most once.
-    let mut differentials = [None; 2];
-    let mut differential = |array: &Array, state: usize| {
-        *differentials[state].get_or_insert_with(|| {
-            let stored = ResistanceState::from_bit(state == 1);
-            scheme.differential(array.cell(addr), stored).get()
-        })
-    };
-    // (state, u1, u2) of each unconfident attempt, in order.
-    let mut kept = [(0, 0.0, 0.0); KEPT_ATTEMPTS];
-    let mut all_decided = true;
-    for attempt in 1..=retry.max_attempts {
-        // Both states' codes are read before the state, so the two loads
-        // (often cache misses on a large bank) do not wait on each other.
-        let pair = codes.0;
-        let state = usize::from(array.read_state(addr).bit());
-        let mut code = pair[state];
-        if code == STALE {
-            code = settle_code(differential(array, state), guard, sigma);
-            codes.0[state] = code;
-            work.fills += 1;
+/// What every retry chain of a span shares.
+struct Chain<'a> {
+    scheme: &'a Scheme,
+    retry: &'a RetryPolicy,
+    sigma: f64,
+    guard: f64,
+    /// The array's write current and pulse, for a destructive write-back.
+    write: (Amps, Seconds),
+}
+
+impl Chain<'_> {
+    /// One cell's read out of the span loop, `first` holding the uniforms
+    /// the loop drew for its first attempt, if it drew them.
+    ///
+    /// Each attempt takes the code of the state it starts from (a
+    /// destructive write-back can flip it) and draws `(u1, u2)` as
+    /// [`SenseAmplifier::sample_offset`] would; only attempts the code
+    /// leaves undecided evaluate the exact observation. An unconfident
+    /// chain falls back on the sign of the summed observations: if every
+    /// attempt was decided and their codes share a sign, the sum has it
+    /// too; otherwise the kept uniforms rebuild the observations, summed in
+    /// attempt order as [`RetryPolicy::resolve`] does. A budget longer than
+    /// [`KEPT_ATTEMPTS`] keeps nothing and senses every attempt exactly.
+    #[inline(never)]
+    fn resolve(
+        &self,
+        cell: &mut Cell,
+        rng: &mut StdRng,
+        codes: &mut SettleCodes,
+        work: &mut SenseWork,
+        mut first: Option<(f64, f64)>,
+    ) -> ReadResolution {
+        let (retry, sigma, guard) = (self.retry, self.sigma, self.guard);
+        if retry.max_attempts as usize > KEPT_ATTEMPTS {
+            let resolution = retry.resolve(|| {
+                let sensed = self.scheme.sense_cell(cell, rng);
+                self.write_back(cell, sensed.bit, rng);
+                sensed
+            });
+            work.attempts += u64::from(resolution.attempts);
+            work.exact += u64::from(resolution.attempts);
+            return resolution;
         }
-        let (u1, u2) = box_muller_uniforms(rng);
-        work.attempts += 1;
-        let (bit, confident) = if u1 >= threshold(code) {
-            (code & POSITIVE != 0, code & CONFIDENT != 0)
-        } else {
-            work.exact += 1;
-            all_decided = false;
-            let observed = observed(differential(array, state), sigma, u1, u2);
-            (observed > 0.0, observed.abs() >= guard)
+        let mut differentials = [None; 2];
+        let mut differential = |cell: &Cell, state: usize| {
+            *differentials[state].get_or_insert_with(|| self.scheme.differential(cell, state))
         };
-        if scheme.is_destructive() {
-            array.write_bit_pulsed(addr, false, rng);
-            array.write_bit_pulsed(addr, bit, rng);
-        }
-        if confident {
-            return ReadResolution {
-                bit,
-                attempts: attempt,
-                confident: true,
+        // (state, u1, u2) of each unconfident attempt, in order.
+        let mut kept = [(0, 0.0, 0.0); KEPT_ATTEMPTS];
+        let mut all_decided = true;
+        for attempt in 1..=retry.max_attempts {
+            let state = usize::from(cell.state().bit());
+            let mut code = codes.get(state);
+            if code == STALE {
+                code = self.fill(codes, state, differential(cell, state), work);
+            }
+            let (u1, u2) = first.take().unwrap_or_else(|| box_muller_uniforms(rng));
+            work.attempts += 1;
+            let (bit, confident) = if u1 >= threshold(code) {
+                (code & POSITIVE != 0, code & CONFIDENT != 0)
+            } else {
+                work.exact += 1;
+                all_decided = false;
+                let observed = observed(differential(cell, state), sigma, u1, u2);
+                (observed > 0.0, observed.abs() >= guard)
             };
+            self.write_back(cell, bit, rng);
+            if confident {
+                return ReadResolution {
+                    bit,
+                    attempts: attempt,
+                    confident: true,
+                };
+            }
+            kept[attempt as usize - 1] = (state, u1, u2);
         }
-        kept[attempt as usize - 1] = (state, u1, u2);
+        let kept = &kept[..retry.max_attempts as usize];
+        let positive = |state: usize| codes.get(state) & POSITIVE != 0;
+        let first = positive(kept[0].0);
+        let bit = if all_decided && kept.iter().all(|&(state, _, _)| positive(state) == first) {
+            first
+        } else {
+            kept.iter().fold(0.0, |sum, &(state, u1, u2)| {
+                sum + observed(differential(cell, state), sigma, u1, u2)
+            }) > 0.0
+        };
+        ReadResolution {
+            bit,
+            attempts: retry.max_attempts,
+            confident: false,
+        }
     }
-    let kept = &kept[..retry.max_attempts as usize];
-    let positive = |state: usize| codes.0[state] & POSITIVE != 0;
-    let first = positive(kept[0].0);
-    let bit = if all_decided && kept.iter().all(|&(state, _, _)| positive(state) == first) {
-        first
-    } else {
-        kept.iter().fold(0.0, |sum, &(state, u1, u2)| {
-            sum + observed(differential(array, state), sigma, u1, u2)
-        }) > 0.0
-    };
-    ReadResolution {
-        bit,
-        attempts: retry.max_attempts,
-        confident: false,
+
+    /// Fills the stale (zero) code of `state` from its `differential`.
+    fn fill(
+        &self,
+        codes: &mut SettleCodes,
+        state: usize,
+        differential: f64,
+        work: &mut SenseWork,
+    ) -> u32 {
+        let code = settle_code(differential, self.guard, self.sigma);
+        codes.0 |= u64::from(code) << (32 * state);
+        work.fills += 1;
+        code
+    }
+
+    /// A destructive scheme's erase and write-back of the sensed `bit`.
+    fn write_back(&self, cell: &mut Cell, bit: bool, rng: &mut StdRng) {
+        if self.scheme.is_destructive() {
+            let (current, pulse) = self.write;
+            cell.write_with_pulse(ResistanceState::Parallel, current, pulse, rng);
+            cell.write_with_pulse(ResistanceState::from_bit(bit), current, pulse, rng);
+        }
     }
 }
 
-/// The comparator input [`sense_analytic`] computes from these uniforms:
+/// The comparator input [`Scheme::sense_cell`] computes from these uniforms:
 /// the differential plus `σ · box_muller(u1, u2)`, in the same operations.
 fn observed(differential: f64, sigma: f64, u1: f64, u2: f64) -> f64 {
     (Volts::new(differential) + Volts::new(sigma * box_muller(u1, u2))).get()

@@ -11,10 +11,11 @@
 //!    corrupts stored data under the destructive scheme and never under
 //!    the nondestructive (or conventional) scheme.
 //! 4. **The production read path is its reference** — `Scheme::resolve`,
-//!    and `Scheme::resolve_cached` over settle codes kept across reads,
-//!    return what `RetryPolicy::resolve` over `Scheme::sense_once` does,
-//!    leaving the RNG and the array in the same state (checked as a
-//!    proptest, plus fixed cases through each of its branches).
+//!    and `Scheme::resolve_span` over spans of cells and settle codes kept
+//!    across reads, return what `RetryPolicy::resolve` over
+//!    `Scheme::sense_once` does, leaving the RNG and the array in the same
+//!    state (checked as proptests, plus fixed cases through each of its
+//!    branches).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -248,8 +249,8 @@ fn assert_resolve_matches_reference(
     reference
 }
 
-/// Serves `reads` reads of `addr` through `Scheme::resolve_cached`, with one
-/// set of settle codes kept across them, and through the reference, each
+/// Serves `reads` reads of `addr` through `Scheme::resolve_span`, one cell
+/// at a time with one set of settle codes kept across them, and through the reference, each
 /// side carrying its own array and RNG from read to read: a destructive
 /// misread flips the cell, so a later read starts from the other state's
 /// code. Asserts equal resolutions after every read, and an equal next RNG
@@ -268,15 +269,17 @@ fn assert_cached_matches_reference(
     let mut work = SenseWork::default();
     let context = format!("{} {retry:?} at {addr}, seed {seed}", scheme.kind());
     let mut last = None;
+    let cell = array.index_of(addr);
     for read in 0..reads {
-        let fast = scheme.resolve_cached(
+        let fast = resolve_span(
+            scheme,
             retry,
             &mut array_fast,
-            addr,
+            cell..cell + 1,
             &mut rng_fast,
-            &mut codes,
+            std::slice::from_mut(&mut codes),
             &mut work,
-        );
+        )[0];
         let reference = retry.resolve(|| scheme.sense_once(&mut array_ref, addr, &mut rng_ref));
         assert_eq!(fast, reference, "resolution of read {read}: {context}");
         last = Some(reference);
@@ -287,9 +290,9 @@ fn assert_cached_matches_reference(
     last.expect("at least one read")
 }
 
-/// Reads `cells` (row-major) through the bank's read entry, one
-/// `Scheme::resolve_cached` per cell over `codes` (indexed by cell), and
-/// returns each cell's resolution in order.
+/// Reads `cells` (row-major) through `Scheme::resolve_span`, the bank's
+/// read entry, over `codes` (one set per cell of the span), and returns
+/// each cell's resolution in order.
 fn resolve_span(
     scheme: &Scheme,
     retry: &RetryPolicy,
@@ -299,12 +302,13 @@ fn resolve_span(
     codes: &mut [SettleCodes],
     work: &mut SenseWork,
 ) -> Vec<ReadResolution> {
-    let cols = array.cols();
-    cells
-        .map(|cell| {
-            let addr = Address::new(cell / cols, cell % cols);
-            scheme.resolve_cached(retry, array, addr, rng, &mut codes[cell], work)
-        })
+    let mut resolutions = vec![None; cells.len()];
+    scheme.resolve_span(retry, array, cells, rng, codes, work, |k, read| {
+        resolutions[k] = Some(read);
+    });
+    resolutions
+        .into_iter()
+        .map(|read| read.expect("every cell resolves"))
         .collect()
 }
 
@@ -397,7 +401,7 @@ proptest! {
                 &mut array_span,
                 span.clone(),
                 &mut rng_span,
-                &mut codes_span,
+                &mut codes_span[span.clone()],
                 &mut work_span,
             );
             prop_assert_eq!(got.len(), span.len());
@@ -411,7 +415,7 @@ proptest! {
                     &mut array_cell,
                     cell..cell + 1,
                     &mut rng_cell,
-                    &mut codes_cell,
+                    &mut codes_cell[cell..=cell],
                     &mut work_cell,
                 );
                 prop_assert!(got[k] == reference, "cell {cell}: {context}");
