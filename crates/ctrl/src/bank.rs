@@ -8,7 +8,7 @@
 //! Monte-Carlo runner, which is what makes an N-thread run bit-identical
 //! to a serial one.
 //!
-//! Five independent RNG streams per bank keep orthogonal concerns from
+//! Four independent RNG streams per bank keep orthogonal concerns from
 //! perturbing each other:
 //!
 //! * the **demand** stream serves host traffic (senses, write pulses);
@@ -21,10 +21,10 @@
 //!   their own streams);
 //! * the **March** stream serves manufacturing-test traffic
 //!   ([`Bank::execute_march_op`]) so a test pass is deterministic and
-//!   independent of whatever demand traffic preceded it;
-//! * the **calibration** stream serves the calibration daemon's
-//!   reference-cell bursts (see [`crate::calib`]), so recalibrating a bank
-//!   never changes what a demand read would have seen.
+//!   independent of whatever demand traffic preceded it.
+//!
+//! A calibration burst draws nothing: it is priced, not sensed (see
+//! [`crate::calib`]).
 //!
 //! Every read kind — a demand read of one cell or of an ECC word, a scrub
 //! step, a decoded or raw March read — runs one datapath, `read_span`:
@@ -79,8 +79,6 @@ const SCRUB_STREAM: u64 = 0x5343_5255_4253_4d31;
 const FAULT_STREAM: u64 = 0x4641_554c_5453_4d32;
 /// Seed salt for the per-bank March-test RNG stream.
 const MARCH_STREAM: u64 = 0x4d41_5243_4853_4d33;
-/// Seed salt for the per-bank calibration RNG stream.
-const CALIB_STREAM: u64 = 0x4341_4c49_4253_4d34;
 
 /// Residual high/low separation of a pinhole-shorted MTJ. The MgO defect
 /// shunts the tunnel barrier, so both magnetic states conduct through the
@@ -106,7 +104,6 @@ struct Streams {
     scrub: StdRng,
     fault: StdRng,
     march: StdRng,
-    calib: StdRng,
 }
 
 impl Streams {
@@ -342,7 +339,6 @@ impl Bank {
                 scrub: stt_stats::trial_rng(config.seed ^ SCRUB_STREAM, index),
                 fault: stt_stats::trial_rng(config.seed ^ FAULT_STREAM, index),
                 march: stt_stats::trial_rng(config.seed ^ MARCH_STREAM, index),
-                calib: stt_stats::trial_rng(config.seed ^ CALIB_STREAM, index),
             },
             scheme: Scheme::for_kind(config.kind, &design),
             retry: config.retry,
@@ -855,22 +851,15 @@ impl Bank {
         true
     }
 
-    /// A calibration burst: [`CalibConfig::burst_reads`] read-only
-    /// reference senses through the real sensing path on the dedicated
-    /// calibration RNG stream (never mutating cell state, never touching
-    /// demand randomness), then the β refit. Occupancy lands on
+    /// A calibration burst: the time and energy of
+    /// [`CalibConfig::burst_reads`] reference reads, then the β refit. The
+    /// refit uses only the drifted nominal device, so the reads are priced,
+    /// not sensed: no cell is read and no RNG drawn. Occupancy lands on
     /// `telemetry.calib.busy_time`, not the demand clock, so a burst never
     /// advances retention decay or the drift clock itself.
     fn calibration_burst(&mut self, calib: CalibConfig) {
         self.telemetry.calib.bursts += 1;
         self.telemetry.calib.burst_reads += u64::from(calib.burst_reads);
-        let scheme = self.scheme;
-        let cells = self.cell_count();
-        for k in 0..calib.burst_reads as usize {
-            self.refresh(k % cells..k % cells + 1);
-            let addr = self.addr_of(k % cells);
-            let _ = scheme.sense_readonly(&self.array, addr, &mut self.streams.calib);
-        }
         self.telemetry.calib.busy_time += self.read_cost.latency() * f64::from(calib.burst_reads);
         self.telemetry.energy += self.read_cost.energy() * f64::from(calib.burst_reads);
         self.refit();
@@ -1881,17 +1870,17 @@ mod tests {
             (
                 SchemeKind::Conventional,
                 20.0,
-                work(28_043, 580, 6_903, 6_586, 60),
+                work(28_043, 580, 6_903, 6_461, 60),
             ),
             (
                 SchemeKind::Destructive,
                 70.0,
-                work(29_204, 392, 3_690, 3_349, 41),
+                work(29_204, 392, 3_690, 3_317, 41),
             ),
             (
                 SchemeKind::Nondestructive,
                 8.0,
-                work(40_641, 4_105, 5_211, 4_832, 60),
+                work(40_641, 4_105, 5_211, 4_800, 60),
             ),
         ];
         for (kind, guard_mv, expected) in pins {
@@ -1943,8 +1932,8 @@ mod tests {
 
     /// Each path that reads a cell's device rebuilds the stale cells it
     /// touches to exactly the eager result, and leaves every other cell
-    /// stale. Reads whose outcome a stale device would not move — a power
-    /// cut's sense, a calibration burst — still pass through the rebuild.
+    /// stale. A read whose outcome a stale device would not move — a power
+    /// cut's sense — still passes through the rebuild.
     #[test]
     fn device_reading_paths_rebuild_the_cells_they_touch() {
         let config = ControllerConfig::small(SchemeKind::Destructive, 1)
@@ -1969,14 +1958,6 @@ mod tests {
         bank.execute(&Transaction::read(0, Address::new(0, 5)));
         assert_eq!(bank.telemetry().power_cuts, 1);
         assert!(rebuilt(&bank, 5), "a power-cut read rebuilds its cell");
-        assert!(!rebuilt(&bank, untouched));
-
-        let mut bank = plain(FaultPlan::none());
-        bank.calibration_burst(CalibConfig::date2010());
-        assert!(
-            (0..32).all(|cell| rebuilt(&bank, cell)),
-            "a burst rebuilds its cells"
-        );
         assert!(!rebuilt(&bank, untouched));
 
         let mut bank = Bank::new(0, &config);

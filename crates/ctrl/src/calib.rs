@@ -12,16 +12,18 @@
 //!
 //! 1. **Watch** — each check compares the misread + retry-exhaustion
 //!    count since the previous check against [`CalibConfig::trip_rate`].
-//! 2. **Burst** — when tripped, the bank issues
-//!    [`CalibConfig::burst_reads`] *read-only* reference-cell senses
-//!    through the real sensing path (never mutating state, drawing from a
-//!    dedicated calibration RNG stream so demand randomness is untouched).
+//! 2. **Burst** — when tripped, the bank is charged the read time and
+//!    energy of [`CalibConfig::burst_reads`] reference-cell reads on its
+//!    calibration clock. The burst is priced, not sensed: the refit below
+//!    needs only the drifted nominal device, so no cell is read and no RNG
+//!    is drawn.
 //! 3. **Refit** — the bank re-runs the Eq. 5/10 β optimiser against its
 //!    drifted nominal device and swaps the new operating point into its
 //!    read path.
 //!
 //! Retry exhaustion fires while the margin is still several SA sigmas wide
-//! (an unconfident read needs `|observation|` under the 1 mV guard band;
+//! (an unconfident read needs `|observation|` under the 8 mV guard band of
+//! [`RetryPolicy::date2010`](crate::RetryPolicy::date2010);
 //! a misread needs the noise to cross the full margin), so a trip normally
 //! lands **before** the first misread — the recalibrated bank never leaves
 //! the paper's equal-margin operating point far behind.
@@ -43,7 +45,7 @@ pub struct CalibConfig {
     /// `(misreads + unconfident reads) / reads` since the previous check
     /// reaches this rate.
     pub trip_rate: f64,
-    /// Reference-cell senses per calibration burst.
+    /// Reference-cell reads priced per calibration burst.
     pub burst_reads: u32,
     /// Period (ns) between calibration checks on each bank.
     pub interval_ns: f64,
