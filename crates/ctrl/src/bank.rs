@@ -782,9 +782,10 @@ impl Bank {
     /// age point. Quantised by [`DriftPlan`]'s step, so only a move to a new
     /// key does anything: it marks every cell stale, to be rebuilt at the
     /// new key by [`Self::refresh`] when an access next reads its device.
+    /// A constant key, applied in [`Bank::new`], is never looked up again.
     fn maybe_apply_drift(&mut self) {
         let busy = self.busy_now_ns();
-        let Some(state) = self.drift.as_mut() else {
+        let Some(state) = self.drift.as_mut().filter(|state| !state.stale.is_empty()) else {
             return;
         };
         let key = state.plan.key_at(self.index, busy);
