@@ -798,10 +798,10 @@ impl Bank {
         self.work.key_changes += 1;
     }
 
-    /// Rebuilds every cell of `span` (row-major) that a key change left
-    /// stale at the current drift key, and clears its settle codes: one
-    /// stale-bitset test per word, and a rebuild for each set bit. Every
-    /// path that reads a cell's device calls this first. The rebuild swaps
+    /// Rebuilds every cell of `span` (row-major, within one 64-cell word)
+    /// that a key change left stale at the current drift key, and clears
+    /// its settle codes: one stale-bitset test, and a rebuild for each set
+    /// bit. Every path that reads a cell's device calls this first. The rebuild swaps
     /// the device for the drifted baseline, keeps the stored state and the
     /// sampled transistor, and draws **no** RNG — exactly the pinhole-swap
     /// pattern — so every stream stays bit-identical across serial,
@@ -811,23 +811,22 @@ impl Bank {
         let Some(state) = self.drift.as_mut() else {
             return;
         };
-        let mut cell = span.start;
-        while cell < span.end {
-            let (word, low) = (cell / WORD_BITS, cell % WORD_BITS);
-            let high = (span.end - word * WORD_BITS).min(WORD_BITS);
-            let Some(stale) = state.stale.get_mut(word) else {
-                return;
-            };
-            let mut due = *stale & (u64::MAX >> (WORD_BITS - (high - low)) << low);
-            *stale &= !due;
-            while due != 0 {
-                let cell = word * WORD_BITS + due.trailing_zeros() as usize;
-                due &= due - 1;
-                rebuild(&mut self.array, cell, &state.baseline[cell], &state.step);
-                self.codes[cell] = SettleCodes::default();
-                self.work.cell_rebuilds += 1;
-            }
-            cell = (word + 1) * WORD_BITS;
+        let word = span.start / WORD_BITS;
+        debug_assert!(
+            (span.end - 1) / WORD_BITS == word,
+            "{span:?} crosses a word"
+        );
+        let Some(stale) = state.stale.get_mut(word) else {
+            return;
+        };
+        let mut due = *stale & (u64::MAX >> (WORD_BITS - span.len()) << (span.start % WORD_BITS));
+        *stale &= !due;
+        while due != 0 {
+            let cell = word * WORD_BITS + due.trailing_zeros() as usize;
+            due &= due - 1;
+            rebuild(&mut self.array, cell, &state.baseline[cell], &state.step);
+            self.codes[cell] = SettleCodes::default();
+            self.work.cell_rebuilds += 1;
         }
     }
 

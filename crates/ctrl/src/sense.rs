@@ -157,7 +157,7 @@ impl Scheme {
         let (cell, mut read) = (array.index_of(addr), None);
         let (codes, work) = (&mut [SettleCodes::default()], &mut SenseWork::default());
         self.resolve_span(retry, array, cell..cell + 1, rng, codes, work, |_, r| {
-            read = Some(r);
+            read = Some(r)
         });
         read.expect("a one-cell span resolves its cell")
     }
@@ -193,17 +193,11 @@ impl Scheme {
     ) {
         assert!(retry.max_attempts > 0, "need at least one sense attempt");
         assert_eq!(codes.len(), cells.len(), "one set of settle codes per cell");
-        let chain = Chain {
-            scheme: self,
-            retry,
-            sigma: self.amplifier().offset_sigma().get(),
-            guard: retry.guard_band.get(),
-            write: (array.spec().write_current, array.spec().write_pulse),
-        };
+        let write = (array.spec().write_current, array.spec().write_pulse);
         let cells = array.cells_mut()[cells].iter_mut().zip(codes).enumerate();
         if self.is_destructive() || retry.max_attempts as usize > KEPT_ATTEMPTS {
             for (k, (cell, codes)) in cells {
-                each(k, chain.resolve(cell, rng, codes, work, None));
+                each(k, self.chain(retry, write, cell, rng, codes, work, None));
             }
             return;
         }
@@ -211,23 +205,21 @@ impl Scheme {
             let (pair, state) = (*codes, usize::from(cell.state().bit()));
             let mut code = pair.get(state);
             if code == STALE {
-                code = chain.fill(codes, state, self.differential(cell, state), work);
+                code = self.fill(retry, codes, state, self.differential(cell, state), work);
             }
             let (u1, u2) = box_muller_uniforms(rng);
-            if code & CONFIDENT != 0 && u1 >= threshold(code) {
+            let resolution = if code & CONFIDENT != 0 && u1 >= threshold(code) {
                 work.attempts += 1;
                 let (bit, attempts, confident) = (code & POSITIVE != 0, 1, true);
-                each(
-                    k,
-                    ReadResolution {
-                        bit,
-                        attempts,
-                        confident,
-                    },
-                );
+                ReadResolution {
+                    bit,
+                    attempts,
+                    confident,
+                }
             } else {
-                each(k, chain.resolve(cell, rng, codes, work, Some((u1, u2))));
-            }
+                self.chain(retry, write, cell, rng, codes, work, Some((u1, u2)))
+            };
+            each(k, resolution);
         }
     }
 
@@ -245,12 +237,8 @@ impl Scheme {
         self.sense_cell(array.cell(addr), rng)
     }
 
-    /// The analytic sense: the settled differential from the scheme's
-    /// margins, plus a freshly sampled amplifier offset.
-    ///
-    /// This mirrors [`SenseScheme::read`] but keeps the offset visible in
-    /// `observed`, because the retry policy needs the comparator's actual
-    /// input, not just the sign it latched.
+    /// The analytic sense, [`SenseScheme::read`] with the sampled offset
+    /// kept in `observed`: the retry policy judges the comparator's input.
     fn sense_cell(&self, cell: &Cell, rng: &mut StdRng) -> Sensed {
         let stored = cell.state();
         let differential = Volts::new(self.differential(cell, usize::from(stored.bit())));
@@ -281,54 +269,10 @@ impl Scheme {
         }
         .get()
     }
-}
 
-/// One cell's settle codes under a scheme and retry policy, one per stored
-/// state, for [`Scheme::resolve_span`]. The default is stale: every code
-/// is computed on first use.
-///
-/// A code packs what `u1` alone decides about an attempt (DESIGN.md §12
-/// states the bound): bits 0–29 hold the smallest deciding `u1` as an `f32`
-/// (every threshold is below 2.0, so its top two bits are clear), bit 30
-/// whether a decided attempt is confident and bit 31 whether it latches a
-/// 1. A threshold of 1.5 decides nothing, and 0 marks a stale code.
-///
-/// Both codes share one `u64`, state 1's in the high half, so a single load
-/// brings them without waiting on the cell's state.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SettleCodes(u64);
-
-impl SettleCodes {
-    #[allow(clippy::cast_possible_truncation)]
-    fn get(self, state: usize) -> u32 {
-        (self.0 >> (32 * state)) as u32
-    }
-}
-
-/// Deterministic work counts of [`Scheme::resolve_span`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SenseWork {
-    /// Sense attempts.
-    pub attempts: u64,
-    /// Attempts that evaluated the exact Box–Muller observation.
-    pub exact: u64,
-    /// Stale settle codes filled.
-    pub fills: u64,
-}
-
-/// What every retry chain of a span shares.
-struct Chain<'a> {
-    scheme: &'a Scheme,
-    retry: &'a RetryPolicy,
-    sigma: f64,
-    guard: f64,
-    /// The array's write current and pulse, for a destructive write-back.
-    write: (Amps, Seconds),
-}
-
-impl Chain<'_> {
     /// One cell's read out of the span loop, `first` holding the uniforms
-    /// the loop drew for its first attempt, if it drew them.
+    /// the loop drew for its first attempt, if it drew them; `write` is
+    /// the array's write current and pulse, for a destructive write-back.
     ///
     /// Each attempt takes the code of the state it starts from (a
     /// destructive write-back can flip it) and draws `(u1, u2)` as
@@ -339,20 +283,24 @@ impl Chain<'_> {
     /// too; otherwise the kept uniforms rebuild the observations, summed in
     /// attempt order as [`RetryPolicy::resolve`] does. A budget longer than
     /// [`KEPT_ATTEMPTS`] keeps nothing and senses every attempt exactly.
+    #[allow(clippy::too_many_arguments)]
     #[inline(never)]
-    fn resolve(
+    fn chain(
         &self,
+        retry: &RetryPolicy,
+        write: (Amps, Seconds),
         cell: &mut Cell,
         rng: &mut StdRng,
         codes: &mut SettleCodes,
         work: &mut SenseWork,
         mut first: Option<(f64, f64)>,
     ) -> ReadResolution {
-        let (retry, sigma, guard) = (self.retry, self.sigma, self.guard);
+        let sigma = self.amplifier().offset_sigma().get();
+        let guard = retry.guard_band.get();
         if retry.max_attempts as usize > KEPT_ATTEMPTS {
             let resolution = retry.resolve(|| {
-                let sensed = self.scheme.sense_cell(cell, rng);
-                self.write_back(cell, sensed.bit, rng);
+                let sensed = self.sense_cell(cell, rng);
+                self.write_back(write, cell, sensed.bit, rng);
                 sensed
             });
             work.attempts += u64::from(resolution.attempts);
@@ -361,7 +309,7 @@ impl Chain<'_> {
         }
         let mut differentials = [None; 2];
         let mut differential = |cell: &Cell, state: usize| {
-            *differentials[state].get_or_insert_with(|| self.scheme.differential(cell, state))
+            *differentials[state].get_or_insert_with(|| self.differential(cell, state))
         };
         // (state, u1, u2) of each unconfident attempt, in order.
         let mut kept = [(0, 0.0, 0.0); KEPT_ATTEMPTS];
@@ -370,7 +318,7 @@ impl Chain<'_> {
             let state = usize::from(cell.state().bit());
             let mut code = codes.get(state);
             if code == STALE {
-                code = self.fill(codes, state, differential(cell, state), work);
+                code = self.fill(retry, codes, state, differential(cell, state), work);
             }
             let (u1, u2) = first.take().unwrap_or_else(|| box_muller_uniforms(rng));
             work.attempts += 1;
@@ -382,7 +330,7 @@ impl Chain<'_> {
                 let observed = observed(differential(cell, state), sigma, u1, u2);
                 (observed > 0.0, observed.abs() >= guard)
             };
-            self.write_back(cell, bit, rng);
+            self.write_back(write, cell, bit, rng);
             if confident {
                 return ReadResolution {
                     bit,
@@ -412,25 +360,59 @@ impl Chain<'_> {
     /// Fills the stale (zero) code of `state` from its `differential`.
     fn fill(
         &self,
+        retry: &RetryPolicy,
         codes: &mut SettleCodes,
         state: usize,
         differential: f64,
         work: &mut SenseWork,
     ) -> u32 {
-        let code = settle_code(differential, self.guard, self.sigma);
+        let sigma = self.amplifier().offset_sigma().get();
+        let code = settle_code(differential, retry.guard_band.get(), sigma);
         codes.0 |= u64::from(code) << (32 * state);
         work.fills += 1;
         code
     }
 
     /// A destructive scheme's erase and write-back of the sensed `bit`.
-    fn write_back(&self, cell: &mut Cell, bit: bool, rng: &mut StdRng) {
-        if self.scheme.is_destructive() {
-            let (current, pulse) = self.write;
+    fn write_back(&self, write: (Amps, Seconds), cell: &mut Cell, bit: bool, rng: &mut StdRng) {
+        if self.is_destructive() {
+            let (current, pulse) = write;
             cell.write_with_pulse(ResistanceState::Parallel, current, pulse, rng);
             cell.write_with_pulse(ResistanceState::from_bit(bit), current, pulse, rng);
         }
     }
+}
+
+/// One cell's settle codes under a scheme and retry policy, one per stored
+/// state, for [`Scheme::resolve_span`]. The default is stale: every code
+/// is computed on first use.
+///
+/// A code packs what `u1` alone decides about an attempt (DESIGN.md §12
+/// states the bound): bits 0–29 hold the smallest deciding `u1` as an `f32`
+/// (every threshold is below 2.0, so its top two bits are clear), bit 30
+/// whether a decided attempt is confident and bit 31 whether it latches a
+/// one. A threshold of 1.5 decides nothing, and 0 marks a stale code. Both
+/// codes share one `u64`, state 1's in the high half, so a single load
+/// brings them without waiting on the cell's state.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SettleCodes(u64);
+
+impl SettleCodes {
+    #[allow(clippy::cast_possible_truncation)]
+    fn get(self, state: usize) -> u32 {
+        (self.0 >> (32 * state)) as u32
+    }
+}
+
+/// Deterministic work counts of [`Scheme::resolve_span`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SenseWork {
+    /// Sense attempts.
+    pub attempts: u64,
+    /// Attempts that evaluated the exact Box–Muller observation.
+    pub exact: u64,
+    /// Stale settle codes filled.
+    pub fills: u64,
 }
 
 /// The comparator input [`Scheme::sense_cell`] computes from these uniforms:
