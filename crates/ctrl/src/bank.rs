@@ -456,7 +456,7 @@ impl Bank {
     /// bypasses the codec and senses the one cell directly, like an
     /// unprotected part.
     fn march_read(&mut self, addr: Address, raw: bool) -> bool {
-        let cell = self.truth_index(addr);
+        let cell = self.array.index_of(addr);
         let word = cell / WORD_BITS;
         let (span, check) = match &self.ecc {
             Some(ecc) if !raw => (self.word_span(word), Some(ecc.check[word])),
@@ -470,7 +470,7 @@ impl Bank {
     }
 
     fn serve_read_plain(&mut self, addr: Address) {
-        let cell = self.truth_index(addr);
+        let cell = self.array.index_of(addr);
         let sense = self.read_span(cell..cell + 1, Stream::Demand);
         if (sense.bits == 1) != self.truth_bit(cell) {
             self.telemetry.misreads += 1;
@@ -485,7 +485,7 @@ impl Bank {
     /// stuck cell, retention flip, marginal sense — no longer reaches the
     /// host.
     fn serve_read_ecc(&mut self, addr: Address) {
-        let cell = self.truth_index(addr);
+        let cell = self.array.index_of(addr);
         let word = cell / WORD_BITS;
         let span = self.word_span(word);
         let sense = self.read_span(span.clone(), Stream::Demand);
@@ -539,7 +539,7 @@ impl Bank {
     /// down.
     fn serve_read_with_power_cut(&mut self, addr: Address) {
         self.telemetry.power_cuts += 1;
-        let cell = self.truth_index(addr);
+        let cell = self.array.index_of(addr);
         self.refresh(cell..cell + 1);
         let scheme = self.scheme;
         let sensed = scheme.sense_readonly(&self.array, addr, &mut self.streams.demand);
@@ -579,7 +579,7 @@ impl Bank {
     /// Resets `addr`'s retention clock to now; a no-op when retention
     /// faults are off.
     fn touch(&mut self, addr: Address) {
-        let index = self.truth_index(addr);
+        let index = self.array.index_of(addr);
         let now_ns = self.busy_now_ns();
         if let Some(last) = self.last_touch_ns.get_mut(index) {
             *last = now_ns;
@@ -594,7 +594,7 @@ impl Bank {
     /// track what the host *believes* it wrote; the defects corrupt only
     /// the stored state.
     fn write_cell(&mut self, addr: Address, bit: bool, stream: Stream) -> u32 {
-        let index = self.truth_index(addr);
+        let index = self.array.index_of(addr);
         self.refresh(index..index + 1);
         let prior = self.array.read_state(addr).bit();
         let transition_lost = prior != bit
@@ -801,18 +801,18 @@ impl Bank {
     /// Rebuilds every cell of `span` (row-major, within one 64-cell word)
     /// that a key change left stale at the current drift key, and clears
     /// its settle codes: one stale-bitset test, and a rebuild for each set
-    /// bit. Every path that reads a cell's device calls this first. The rebuild swaps
-    /// the device for the drifted baseline, keeps the stored state and the
-    /// sampled transistor, and draws **no** RNG — exactly the pinhole-swap
-    /// pattern — so every stream stays bit-identical across serial,
-    /// parallel and frontend dispatch, and a lazy rebuild equals an eager
-    /// one.
+    /// bit. Every path that reads a cell's device calls this first. The
+    /// rebuild swaps the device for the drifted baseline, keeps the stored
+    /// state and the sampled transistor, and draws **no** RNG — exactly the
+    /// pinhole-swap pattern — so every stream stays bit-identical across
+    /// serial, parallel and frontend dispatch, and a lazy rebuild equals an
+    /// eager one.
     fn refresh(&mut self, span: Range<usize>) {
         let Some(state) = self.drift.as_mut() else {
             return;
         };
         let word = span.start / WORD_BITS;
-        debug_assert!(
+        assert!(
             (span.end - 1) / WORD_BITS == word,
             "{span:?} crosses a word"
         );
@@ -893,10 +893,11 @@ impl Bank {
 
     /// The read datapath every read kind shares — demand (one cell or a
     /// whole word), scrub and March. In physical order: retention decay
-    /// materialises on the span, stale cells are rebuilt, the span is sensed
-    /// through [`Scheme::resolve_span`] on `stream`'s RNG, a destructive scheme's
-    /// write-back re-pins stuck cells, read disturb hits the span, and
-    /// stuck cells are re-pinned over any soft-error flip. Pricing is the
+    /// materialises on the span, its stale cells are rebuilt, the span is
+    /// sensed through [`Scheme::resolve_span`] on `stream`'s RNG, a
+    /// destructive scheme's write-back re-pins stuck cells, read disturb
+    /// hits the span, and stuck cells are re-pinned over any soft-error
+    /// flip. Pricing is the
     /// caller's: each read kind charges its own clock.
     fn read_span(&mut self, span: Range<usize>, stream: Stream) -> SpanSense {
         self.apply_retention(span.clone(), stream);
@@ -993,7 +994,7 @@ impl Bank {
         self.array
             .addresses()
             .filter(|&addr| {
-                self.array.read_state(addr).bit() != self.truth_bit(self.truth_index(addr))
+                self.array.read_state(addr).bit() != self.truth_bit(self.array.index_of(addr))
             })
             .count() as u64
     }
@@ -1013,15 +1014,6 @@ impl Bank {
 
     fn cell_count(&self) -> usize {
         self.array.rows() * self.array.cols()
-    }
-
-    /// The row-major index of `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the address is out of range.
-    fn truth_index(&self, addr: Address) -> usize {
-        self.array.index_of(addr)
     }
 
     fn addr_of(&self, cell: usize) -> Address {
