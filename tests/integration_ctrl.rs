@@ -249,12 +249,13 @@ fn assert_resolve_matches_reference(
     reference
 }
 
-/// Serves `reads` reads of `addr` through `Scheme::resolve_span`, one cell
-/// at a time with one set of settle codes kept across them, and through the reference, each
-/// side carrying its own array and RNG from read to read: a destructive
-/// misread flips the cell, so a later read starts from the other state's
-/// code. Asserts equal resolutions after every read, and an equal next RNG
-/// draw and an equal array at the end. Returns the last resolution.
+/// Serves `reads` reads of `addr` through `Scheme::resolve_span`, as
+/// one-cell spans with one set of settle codes kept across them, and
+/// through the reference, each side carrying its own array and RNG from
+/// read to read: a destructive misread flips the cell, so a later read
+/// starts from the other state's code. Asserts equal resolutions after
+/// every read, and an equal next RNG draw and an equal array at the end.
+/// Returns the last resolution.
 fn assert_cached_matches_reference(
     scheme: &Scheme,
     retry: &RetryPolicy,
