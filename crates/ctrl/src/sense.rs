@@ -307,6 +307,7 @@ impl Scheme {
             work.exact += u64::from(resolution.attempts);
             return resolution;
         }
+        // The exact differential of each state, evaluated at most once.
         let mut differentials = [None; 2];
         let mut differential = |cell: &Cell, state: usize| {
             *differentials[state].get_or_insert_with(|| self.differential(cell, state))
