@@ -396,6 +396,8 @@ impl BandedLu {
 mod tests {
     use super::*;
     use crate::matrix::LuFactors;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     /// Deterministic pseudo-random values in `[-1, 1)` (splitmix64 bits).
     fn noise(seed: &mut u64) -> f64 {
@@ -471,34 +473,74 @@ mod tests {
         }
     }
 
-    #[test]
-    fn multi_rhs_bit_identical_to_single() {
-        let mut seed = 42u64;
-        let n = 24;
-        let banded = random_banded(n, 2, 2, &mut seed);
-        let lu = BandedLu::factor(banded).expect("dominant");
-        let width = 5usize;
-        let rhs: Vec<Vec<f64>> = (0..width)
-            .map(|_| (0..n).map(|_| noise(&mut seed)).collect())
-            .collect();
-        // Batched solve in SoA layout.
-        let mut soa = vec![0.0; n * width];
-        for (m, b) in rhs.iter().enumerate() {
-            for (row, &value) in b.iter().enumerate() {
-                soa[row * width + m] = value;
+    /// A banded matrix whose diagonal is small next to its subdiagonals,
+    /// so partial pivoting interchanges rows wherever `kl > 0`.
+    fn pivoting_banded(n: usize, kl: usize, ku: usize, seed: &mut u64) -> BandedMatrix {
+        let mut m = BandedMatrix::zeros(n, kl, ku);
+        for i in 0..n {
+            let lo = i.saturating_sub(kl);
+            let hi = (i + ku).min(n - 1);
+            for j in lo..=hi {
+                let v = noise(seed);
+                let v = if j == i {
+                    1e-3 * v
+                } else {
+                    v.signum() * (0.5 + v.abs())
+                };
+                m.stamp(i, j, v);
             }
         }
-        lu.solve_multi_in_place(&mut soa, width).expect("factored");
-        // Each column must match a standalone solve to the last bit.
-        for (m, b) in rhs.iter().enumerate() {
-            let mut single = b.clone();
-            lu.solve_in_place(&mut single).expect("factored");
-            for row in 0..n {
-                assert_eq!(
-                    soa[row * width + m],
-                    single[row],
-                    "member {m} row {row} diverged"
+        m
+    }
+
+    /// The widths the batched solve must handle: single lanes, vector
+    /// multiples, the campaign width, and widths with a ragged tail.
+    const WIDTHS: [usize; 6] = [1, 2, 5, 8, 64, 67];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn multi_rhs_bit_identical_to_single(
+            seed in 0u64..u64::MAX,
+            n in 1usize..40,
+            kl in 0usize..4,
+            ku in 0usize..4,
+            width in 0usize..6,
+        ) {
+            let width = WIDTHS[width];
+            let mut seed = seed;
+            let Ok(lu) = BandedLu::factor(pivoting_banded(n, kl, ku, &mut seed)) else {
+                return Err(TestCaseError::Reject("singular draw".into()));
+            };
+            if kl > 0 && n > 1 {
+                prop_assert!(
+                    lu.ipiv.iter().enumerate().any(|(k, &p)| p != k),
+                    "no row interchange to check"
                 );
+            }
+            let rhs: Vec<Vec<f64>> = (0..width)
+                .map(|_| (0..n).map(|_| noise(&mut seed)).collect())
+                .collect();
+            // Batched solve in SoA layout.
+            let mut soa = vec![0.0; n * width];
+            for (m, b) in rhs.iter().enumerate() {
+                for (row, &value) in b.iter().enumerate() {
+                    soa[row * width + m] = value;
+                }
+            }
+            lu.solve_multi_in_place(&mut soa, width).expect("factored");
+            // Each column must match a standalone solve to the last bit.
+            for (m, b) in rhs.iter().enumerate() {
+                let mut single = b.clone();
+                lu.solve_in_place(&mut single).expect("factored");
+                for (row, &want) in single.iter().enumerate() {
+                    let got = soa[row * width + m];
+                    prop_assert!(
+                        got.to_bits() == want.to_bits(),
+                        "member {m} row {row} diverged: {got} vs {want}"
+                    );
+                }
             }
         }
     }

@@ -5,16 +5,23 @@
 //! not a tolerance) to a sequential [`Circuit::transient`] of the same
 //! circuit with that member's waveform overrides applied in place. The
 //! property holds for both solver strategies (the cached-LU fast path and
-//! the `AlwaysRestamp` reference) and both matrix backends, because the
-//! per-member floating-point op sequence is the same in either path.
+//! the `AlwaysRestamp` reference), both integrators, both matrix backends
+//! and both banded orderings, because the per-member floating-point op
+//! sequence is the same in either path. The batch must also do the same
+//! work: the sequential run's factorizations once, its solves once per
+//! member.
 
 use proptest::prelude::*;
 use proptest::test_runner::{PtRng, TestCaseError};
 use stt_mna::{
-    BatchMember, Circuit, CurrentSourceId, Node, SolverBackend, SolverStrategy, SourceId,
-    SwitchSchedule, TranOptions, Waveform,
+    BatchMember, Circuit, CurrentSourceId, Integrator, Node, SolverBackend, SolverStrategy,
+    SourceId, SwitchSchedule, TranOptions, Waveform,
 };
 use stt_units::{Farads, Ohms, Seconds};
+
+/// The batch widths the properties draw from: a single lane, a width that
+/// is no multiple of a SIMD lane count, the campaign width, and one past it.
+const WIDTHS: [usize; 4] = [1, 7, 64, 65];
 
 fn nanos(t: f64) -> Seconds {
     Seconds::from_nano(t)
@@ -30,18 +37,53 @@ struct Targets {
     base_supply: Waveform,
 }
 
+/// How the random circuit declares its nodes, which decides the ordering
+/// the banded backend keeps.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Layout {
+    /// Nodes in line order: the netlist order is at least as narrow as
+    /// the RCM order.
+    Natural,
+    /// Nodes declared in a random order: the RCM order is narrower.
+    Scrambled,
+}
+
 /// A random linear read circuit: a pulsed current driver into a short
-/// bit-line ladder, a switched hold capacitor (so the cached-LU key changes
-/// mid-run), and a DC supply rail through a divider (so a vsource branch row
-/// is in the system). Returns the circuit, its probe nodes, and the two
-/// override targets.
-fn random_circuit(seed: u64) -> (Circuit, Vec<Node>, Targets) {
+/// bit-line ladder, and a switched hold capacitor with an initial condition
+/// (so the cached-LU key changes mid-run) biased from a DC supply rail
+/// through a VCVS buffer and a resistor (so both kinds of branch row are in
+/// the system). The ladder carries one floating capacitor across two of
+/// its segments and one grounded capacitor declared ground-first. Returns
+/// the circuit, its probe nodes, and the two override targets.
+///
+/// In the natural layout the netlist order has bandwidth 2, and the
+/// floating capacitor closes a triangle, so no ordering is narrower.
+fn random_circuit(seed: u64, layout: Layout) -> (Circuit, Vec<Node>, Targets) {
     let mut rng = PtRng::new(seed);
     let mut pick = |lo: f64, hi: f64| lo + (hi - lo) * rng.unit_f64();
+    let segments = 4 + (pick(0.0, 6.0) as usize);
+
+    // Declaration order: bl, the ladder, hold, amp, rail. Scrambled
+    // layouts permute it (Fisher–Yates over the same draws).
+    let mut names: Vec<String> = std::iter::once("bl".to_string())
+        .chain((0..segments).map(|segment| format!("seg_{segment}")))
+        .chain(["hold", "amp", "rail"].map(String::from))
+        .collect();
+    if layout == Layout::Scrambled {
+        for i in (1..names.len()).rev() {
+            let j = (pick(0.0, (i + 1) as f64) as usize).min(i);
+            names.swap(i, j);
+        }
+    }
     let mut circuit = Circuit::new();
-    let bl = circuit.node("bl");
-    let hold = circuit.node("hold");
-    let rail = circuit.node("rail");
+    for name in &names {
+        circuit.node(name);
+    }
+    let node = |name: &str| circuit.find_node(name).expect("declared above");
+    let (bl, hold, amp, rail) = (node("bl"), node("hold"), node("amp"), node("rail"));
+    let ladder: Vec<Node> = (0..segments)
+        .map(|segment| node(&format!("seg_{segment}")))
+        .collect();
 
     let base_drive = Waveform::pulse(
         0.0,
@@ -53,17 +95,19 @@ fn random_circuit(seed: u64) -> (Circuit, Vec<Node>, Targets) {
     );
     let base_supply = Waveform::Dc(pick(0.8, 1.2));
     let driver = circuit.current_source(bl, Node::GROUND, base_drive.clone());
-    let supply = circuit.voltage_source(rail, Node::GROUND, base_supply.clone());
-    circuit.resistor(rail, bl, Ohms::from_mega(pick(1.0, 20.0)));
 
-    let segments = 4 + (pick(0.0, 6.0) as usize);
     let mut previous = bl;
-    for segment in 0..segments {
-        let node = circuit.node(&format!("seg_{segment}"));
-        circuit.resistor(previous, node, Ohms::new(pick(20.0, 120.0)));
-        circuit.capacitor(node, Node::GROUND, Farads::from_femto(pick(2.0, 20.0)));
-        previous = node;
+    for (segment, &next) in ladder.iter().enumerate() {
+        circuit.resistor(previous, next, Ohms::new(pick(20.0, 120.0)));
+        let farads = Farads::from_femto(pick(2.0, 20.0));
+        if segment == 1 {
+            circuit.capacitor(Node::GROUND, next, farads);
+        } else {
+            circuit.capacitor(next, Node::GROUND, farads);
+        }
+        previous = next;
     }
+    circuit.capacitor(ladder[0], ladder[2], Farads::from_femto(pick(1.0, 5.0)));
     circuit.resistor(previous, Node::GROUND, Ohms::new(pick(2_000.0, 5_000.0)));
 
     let t_close = pick(0.9, 1.7);
@@ -74,7 +118,16 @@ fn random_circuit(seed: u64) -> (Circuit, Vec<Node>, Targets) {
         Ohms::from_mega(pick(100.0, 2_000.0)),
         SwitchSchedule::closed_during(nanos(t_close), nanos(t_close + pick(0.5, 1.2))),
     );
-    circuit.capacitor(hold, Node::GROUND, Farads::from_femto(pick(10.0, 50.0)));
+    circuit.capacitor_with_ic(
+        hold,
+        Node::GROUND,
+        Farads::from_femto(pick(10.0, 50.0)),
+        pick(-0.2, 0.2),
+    );
+    // Branch rows follow the nodes: the VCVS's first, then the supply's.
+    circuit.vcvs(amp, Node::GROUND, rail, Node::GROUND, pick(0.2, 0.8));
+    circuit.resistor(amp, hold, Ohms::from_mega(pick(1.0, 20.0)));
+    let supply = circuit.voltage_source(rail, Node::GROUND, base_supply.clone());
 
     let targets = Targets {
         driver,
@@ -82,31 +135,40 @@ fn random_circuit(seed: u64) -> (Circuit, Vec<Node>, Targets) {
         base_drive,
         base_supply,
     };
-    (circuit, vec![bl, previous, hold], targets)
+    (circuit, vec![bl, previous, hold, amp], targets)
 }
 
-/// Runs the batch and the k sequential references and asserts exact
-/// equality of every probed sample.
-fn assert_batch_matches_sequential(
+/// One property case: the circuit, the run options and the batch shape.
+#[derive(Debug, Clone, Copy)]
+struct Case {
     seed: u64,
     k: usize,
     strategy: SolverStrategy,
     backend: SolverBackend,
+    integrator: Integrator,
+    layout: Layout,
     from_zero: bool,
     dt: f64,
-) -> Result<(), TestCaseError> {
-    let (circuit, probes, targets) = random_circuit(seed);
-    let mut options = TranOptions::new(nanos(4.0), nanos(dt))
-        .with_strategy(strategy)
-        .with_backend(backend);
-    if from_zero {
+}
+
+/// Runs the batch and the k sequential references and asserts exact
+/// equality of every probed sample, plus the batch's work counts: the
+/// sequential factorizations once for the whole batch, and the sequential
+/// solves once per member.
+fn assert_batch_matches_sequential(case: Case) -> Result<(), TestCaseError> {
+    let (circuit, probes, targets) = random_circuit(case.seed, case.layout);
+    let mut options = TranOptions::new(nanos(4.0), nanos(case.dt))
+        .with_strategy(case.strategy)
+        .with_backend(case.backend)
+        .with_integrator(case.integrator);
+    if case.from_zero {
         options = options.from_zero_state();
     }
 
     // Member m scales the drive current and nudges the supply rail; member 0
     // keeps the base circuit untouched to cover the no-override path.
-    let mut rng = PtRng::new(seed ^ 0x5EED_BA7C);
-    let scales: Vec<f64> = (0..k).map(|_| 0.5 + 1.2 * rng.unit_f64()).collect();
+    let mut rng = PtRng::new(case.seed ^ 0x5EED_BA7C);
+    let scales: Vec<f64> = (0..case.k).map(|_| 0.5 + 1.2 * rng.unit_f64()).collect();
     let members: Vec<BatchMember> = scales
         .iter()
         .enumerate()
@@ -124,6 +186,16 @@ fn assert_batch_matches_sequential(
     let batch = circuit
         .transient_batch(&options, &members, &probes)
         .expect("batched transient");
+    let telemetry = batch.telemetry();
+    if case.backend == SolverBackend::Banded {
+        prop_assert!(telemetry.banded, "forced-banded run fell back to dense");
+        let natural_kept = telemetry.natural_bandwidth <= telemetry.reordered_bandwidth;
+        prop_assert!(
+            natural_kept == (case.layout == Layout::Natural),
+            "layout {:?} kept the wrong ordering ({telemetry:?})",
+            case.layout
+        );
+    }
 
     for (m, &s) in scales.iter().enumerate() {
         let mut sequential = circuit.clone();
@@ -140,12 +212,31 @@ fn assert_batch_matches_sequential(
             let want = reference.voltage(probe);
             prop_assert!(
                 got == want,
-                "member {m} probe {probe:?} diverged from sequential \
-                 ({strategy:?}, {backend:?})"
+                "member {m} probe {probe:?} diverged from sequential ({case:?})"
             );
         }
+        let single = reference.telemetry();
+        prop_assert_eq!(telemetry.factorizations, single.factorizations);
+        prop_assert_eq!(telemetry.solves, single.solves * case.k);
+        prop_assert_eq!(telemetry.banded, single.banded);
     }
     Ok(())
+}
+
+fn integrator(trapezoidal: bool) -> Integrator {
+    if trapezoidal {
+        Integrator::Trapezoidal
+    } else {
+        Integrator::BackwardEuler
+    }
+}
+
+fn layout(scrambled: bool) -> Layout {
+    if scrambled {
+        Layout::Scrambled
+    } else {
+        Layout::Natural
+    }
 }
 
 proptest! {
@@ -154,36 +245,78 @@ proptest! {
     #[test]
     fn batch_matches_sequential_cached_lu(
         seed in 0u64..u64::MAX,
-        k in 1usize..6,
+        width in 0usize..4,
         from_zero in proptest::bool::ANY,
+        trapezoidal in proptest::bool::ANY,
+        scrambled in proptest::bool::ANY,
         dt_index in 0usize..2,
     ) {
-        let dt = [0.05, 0.023][dt_index];
-        assert_batch_matches_sequential(
-            seed, k, SolverStrategy::CachedLu, SolverBackend::Auto, from_zero, dt,
-        )?;
+        assert_batch_matches_sequential(Case {
+            seed,
+            k: WIDTHS[width],
+            strategy: SolverStrategy::CachedLu,
+            backend: SolverBackend::Auto,
+            integrator: integrator(trapezoidal),
+            layout: layout(scrambled),
+            from_zero,
+            dt: [0.05, 0.023][dt_index],
+        })?;
     }
 
     #[test]
     fn batch_matches_sequential_always_restamp(
         seed in 0u64..u64::MAX,
-        k in 1usize..5,
+        width in 0usize..4,
+        from_zero in proptest::bool::ANY,
+        trapezoidal in proptest::bool::ANY,
         dt_index in 0usize..2,
     ) {
-        let dt = [0.05, 0.011][dt_index];
-        assert_batch_matches_sequential(
-            seed, k, SolverStrategy::AlwaysRestamp, SolverBackend::Dense, true, dt,
-        )?;
+        assert_batch_matches_sequential(Case {
+            seed,
+            k: WIDTHS[width],
+            strategy: SolverStrategy::AlwaysRestamp,
+            backend: SolverBackend::Dense,
+            integrator: integrator(trapezoidal),
+            layout: Layout::Natural,
+            from_zero,
+            dt: [0.05, 0.011][dt_index],
+        })?;
     }
 
     #[test]
     fn batch_matches_sequential_banded(
         seed in 0u64..u64::MAX,
-        k in 2usize..5,
+        width in 0usize..4,
         from_zero in proptest::bool::ANY,
+        trapezoidal in proptest::bool::ANY,
+        scrambled in proptest::bool::ANY,
     ) {
-        assert_batch_matches_sequential(
-            seed, k, SolverStrategy::CachedLu, SolverBackend::Banded, from_zero, 0.05,
-        )?;
+        assert_batch_matches_sequential(Case {
+            seed,
+            k: WIDTHS[width],
+            strategy: SolverStrategy::CachedLu,
+            backend: SolverBackend::Banded,
+            integrator: integrator(trapezoidal),
+            layout: layout(scrambled),
+            from_zero,
+            dt: 0.05,
+        })?;
+    }
+}
+
+/// The two layouts really do exercise both banded orderings for every
+/// ladder length the generator draws (a property case only sees the
+/// lengths its seeds happen to pick).
+#[test]
+fn layouts_select_both_orderings() {
+    for seed in 0..64u64 {
+        for (layout, natural_wins) in [(Layout::Natural, true), (Layout::Scrambled, false)] {
+            let report = random_circuit(seed, layout).0.bandwidth_report();
+            assert_eq!(
+                report.natural <= report.reordered,
+                natural_wins,
+                "seed {seed} {layout:?}: {report:?}"
+            );
+        }
     }
 }
