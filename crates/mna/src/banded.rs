@@ -358,34 +358,39 @@ impl BandedLu {
         assert_eq!(x.len(), n * width, "solution buffer dimension mismatch");
         let kl = self.matrix.kl;
         let uw = self.matrix.kl + self.matrix.ku;
+        // Row updates run over whole width-long row slices, so the inner
+        // loops carry no bounds checks and vectorise; per member the
+        // operations and their order are those of the scalar kernel.
         // Apply the row interchanges and the unit-diagonal L factor.
         for k in 0..n {
             let p = self.ipiv[k];
+            let (done, rest) = x.split_at_mut((k + 1) * width);
+            let pivot = &mut done[k * width..];
             if p != k {
-                for m in 0..width {
-                    x.swap(k * width + m, p * width + m);
-                }
+                pivot.swap_with_slice(&mut rest[(p - k - 1) * width..(p - k) * width]);
             }
             let reach = kl.min(n - 1 - k);
-            for i in (k + 1)..=(k + reach) {
+            for (i, row) in (k + 1..).zip(rest.chunks_exact_mut(width).take(reach)) {
                 let factor = self.matrix.at(i, k);
-                for m in 0..width {
-                    x[i * width + m] -= factor * x[k * width + m];
+                for (entry, &above) in row.iter_mut().zip(&*pivot) {
+                    *entry -= factor * above;
                 }
             }
         }
         // Back-substitution against U (bandwidth kl + ku after fill).
         for k in (0..n).rev() {
             let jmax = (k + uw).min(n - 1);
-            for j in (k + 1)..=jmax {
+            let (head, solved) = x.split_at_mut((k + 1) * width);
+            let row = &mut head[k * width..];
+            for (j, below) in (k + 1..).zip(solved.chunks_exact(width).take(jmax - k)) {
                 let upper = self.matrix.at(k, j);
-                for m in 0..width {
-                    x[k * width + m] -= upper * x[j * width + m];
+                for (entry, &value) in row.iter_mut().zip(below) {
+                    *entry -= upper * value;
                 }
             }
             let diag = self.matrix.at(k, k);
-            for m in 0..width {
-                x[k * width + m] /= diag;
+            for entry in row {
+                *entry /= diag;
             }
         }
         Ok(())

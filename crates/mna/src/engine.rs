@@ -559,11 +559,27 @@ impl BatchTranResult {
     }
 }
 
-/// Per-capacitor dynamic state carried between transient steps.
-#[derive(Debug, Clone, Copy)]
-struct CapState {
-    v: f64,
-    i: f64,
+/// Capacitor state carried between transient steps, structure-of-arrays
+/// over `width` lanes: entry `cap·width + m` belongs to the `cap`-th
+/// capacitor (in element order) of lane `m`. A batch runs one lane per
+/// member; the sequential analyses run one lane.
+#[derive(Debug, Clone)]
+struct CapLanes {
+    width: usize,
+    /// Voltage across each capacitor.
+    v: Vec<f64>,
+    /// Current through each capacitor.
+    i: Vec<f64>,
+    /// `width` zeros: the lanes of the ground node.
+    ground: Vec<f64>,
+}
+
+impl CapLanes {
+    /// Overwrites this state with `source`'s, keeping the allocations.
+    fn copy_from(&mut self, source: &CapLanes) {
+        self.v.copy_from_slice(&source.v);
+        self.i.copy_from_slice(&source.i);
+    }
 }
 
 /// Where element stamps land. Dense stamps go straight to matrix
@@ -610,6 +626,8 @@ enum MatrixStore {
         /// Working system matrix (base copy + dynamic stamps).
         work: Matrix,
         lu: LuFactors,
+        /// Batched RHS scratch (`dim·k` entries).
+        scratch: Vec<f64>,
     },
     Banded {
         /// The pre-stamped static matrix portion (permuted).
@@ -621,6 +639,9 @@ enum MatrixStore {
         perm: Vec<usize>,
         /// `inv[system_row] = banded_row`.
         inv: Vec<usize>,
+        /// `true` when `perm` is the identity: solves then skip the
+        /// permuted copy.
+        natural: bool,
         /// Permuted RHS/solution scratch (`dim` entries; `dim·k` batched).
         scratch: Vec<f64>,
     },
@@ -651,6 +672,12 @@ impl MatrixStore {
         match self {
             MatrixStore::Dense { lu, .. } => lu.solve_into(rhs, x),
             MatrixStore::Banded {
+                lu, natural: true, ..
+            } => {
+                x.copy_from_slice(rhs);
+                lu.solve_in_place(x)
+            }
+            MatrixStore::Banded {
                 lu, inv, scratch, ..
             } => {
                 let n = inv.len();
@@ -667,17 +694,20 @@ impl MatrixStore {
         }
     }
 
-    /// Back-substitutes `width` right-hand sides in structure-of-arrays
-    /// layout (`rhs[row·width + m]`). Per member the floating-point
+    /// Back-substitutes `width` right-hand sides in place, in
+    /// structure-of-arrays layout: `x[row·width + m]` holds member `m`'s
+    /// RHS on entry and its solution on exit. Per member the floating-point
     /// operation sequence is identical to [`MatrixStore::solve`].
-    fn solve_multi(
-        &mut self,
-        rhs: &[f64],
-        x: &mut [f64],
-        width: usize,
-    ) -> Result<(), SingularMatrixError> {
+    fn solve_multi(&mut self, x: &mut [f64], width: usize) -> Result<(), SingularMatrixError> {
         match self {
-            MatrixStore::Dense { lu, .. } => lu.solve_multi_into(rhs, x, width),
+            MatrixStore::Dense { lu, scratch, .. } => {
+                scratch.clear();
+                scratch.extend_from_slice(x);
+                lu.solve_multi_into(scratch, x, width)
+            }
+            MatrixStore::Banded {
+                lu, natural: true, ..
+            } => lu.solve_multi_in_place(x, width),
             MatrixStore::Banded {
                 lu, inv, scratch, ..
             } => {
@@ -685,7 +715,7 @@ impl MatrixStore {
                 scratch.resize(n * width, 0.0);
                 for (old, &new) in inv.iter().enumerate() {
                     scratch[new * width..(new + 1) * width]
-                        .copy_from_slice(&rhs[old * width..(old + 1) * width]);
+                        .copy_from_slice(&x[old * width..(old + 1) * width]);
                 }
                 lu.solve_multi_in_place(&mut scratch[..n * width], width)?;
                 for (old, &new) in inv.iter().enumerate() {
@@ -786,7 +816,8 @@ impl Circuit {
             // Keep whichever ordering is narrower: RCM never loses by much,
             // but the bit-line emission helpers already produce ladders in
             // adjacent-node order, and the natural order costs no permute.
-            let (perm, inv) = if natural_bw <= reordered_bw {
+            let natural = natural_bw <= reordered_bw;
+            let (perm, inv) = if natural {
                 (identity.clone(), identity)
             } else {
                 (rcm, rcm_inv)
@@ -802,6 +833,7 @@ impl Circuit {
                 lu: BandedLu::workspace(dim, bandwidth, bandwidth),
                 perm,
                 inv,
+                natural,
                 scratch: vec![0.0; dim],
             }
         } else {
@@ -811,6 +843,7 @@ impl Circuit {
                 base,
                 work: Matrix::zeros(dim, dim),
                 lu: LuFactors::workspace(dim),
+                scratch: Vec::new(),
             }
         };
         let switch_count = self
@@ -880,7 +913,7 @@ impl Circuit {
             solution.copy_from_slice(&ws.x);
         }
 
-        let mut cap_states = self.initial_cap_states(&solution);
+        let mut caps = self.initial_cap_lanes(&solution, 1);
 
         let nodes = self.node_count();
         let mut traces: Vec<Vec<f64>> = vec![Vec::with_capacity(grid.len()); nodes];
@@ -922,9 +955,9 @@ impl Circuit {
             } else {
                 options.integrator
             };
-            self.solve_point_with(&mut ws, t, &solution, Some((&cap_states, h)), integrator)?;
+            self.solve_point_with(&mut ws, t, &solution, Some((&caps, h)), integrator)?;
             solution.copy_from_slice(&ws.x);
-            self.advance_cap_states(&solution, &mut cap_states, integrator, h);
+            self.advance_cap_lanes(&solution, &mut caps, integrator, h);
             record(&solution, &mut traces, &mut source_traces);
             previous_time = time;
         }
@@ -1025,37 +1058,29 @@ impl Circuit {
                 ));
             }
         }
-        let overrides = self.resolve_member_waves(members)?;
+        let waves = self.member_waves(members)?;
 
         let dim = self.dim();
         let k = members.len();
         let mut ws = self.workspace(options.strategy, options.backend);
+        // Lane-major state: `x_all[row·k + m]` takes each step's RHS and is
+        // solved in place, and the capacitor state is structure-of-arrays.
         let mut x_all = vec![0.0; dim * k];
-        let mut rhs_all = vec![0.0; dim * k];
-        let mut member_rhs = vec![0.0; dim];
-        let mut member_x = vec![0.0; dim];
-
-        // Per-member capacitor state, seeded from each member's own DC
-        // solution (or zero state), exactly as the sequential path does.
-        let mut cap_states: Vec<Vec<CapState>> = Vec::with_capacity(k);
+        let mut values = vec![0.0; k];
         if options.start_from_dc {
             self.solve_batch_point(
                 &mut ws,
-                &overrides,
+                &waves,
                 Seconds::ZERO,
                 None,
                 Integrator::BackwardEuler,
-                &mut rhs_all,
                 &mut x_all,
-                &mut member_rhs,
+                &mut values,
             )?;
         }
-        for m in 0..k {
-            for row in 0..dim {
-                member_x[row] = x_all[row * k + m];
-            }
-            cap_states.push(self.initial_cap_states(&member_x));
-        }
+        // Each member's capacitors start from its own DC solution (or zero
+        // state), exactly as the sequential path does.
+        let mut caps = self.initial_cap_lanes(&x_all, k);
 
         let mut traces: Vec<Vec<f64>> = vec![Vec::with_capacity(grid.len() * k); probes.len()];
         let record = |x_all: &[f64], traces: &mut Vec<Vec<f64>>| {
@@ -1089,20 +1114,14 @@ impl Circuit {
             };
             self.solve_batch_point(
                 &mut ws,
-                &overrides,
+                &waves,
                 t,
-                Some((&cap_states, h)),
+                Some((&caps, h)),
                 integrator,
-                &mut rhs_all,
                 &mut x_all,
-                &mut member_rhs,
+                &mut values,
             )?;
-            for (m, states) in cap_states.iter_mut().enumerate() {
-                for row in 0..dim {
-                    member_x[row] = x_all[row * k + m];
-                }
-                self.advance_cap_states(&member_x, states, integrator, h);
-            }
+            self.advance_cap_lanes(&x_all, &mut caps, integrator, h);
             record(&x_all, &mut traces);
             previous_time = time;
         }
@@ -1116,98 +1135,83 @@ impl Circuit {
         })
     }
 
-    /// Maps each member's source-id overrides onto element indices:
-    /// `overrides[m][element_index]` is the waveform member `m` uses for
-    /// that element, where `None` keeps the base waveform.
-    fn resolve_member_waves(
-        &self,
-        members: &[BatchMember],
-    ) -> Result<Vec<Vec<Option<Waveform>>>, AnalysisError> {
-        let mut isource_elements = Vec::new();
-        let mut vsource_elements = vec![None; self.vsource_count];
-        for (index, element) in self.elements.iter().enumerate() {
-            match element {
-                Element::CurrentSource { .. } => isource_elements.push(index),
-                Element::VoltageSource { branch, .. } => vsource_elements[*branch] = Some(index),
-                _ => {}
+    /// Every independent source's waveform lane: `waves[source·k + m]` is
+    /// the waveform member `m` drives the `source`-th source (in element
+    /// order) with — its override, or else the circuit's own waveform.
+    fn member_waves<'a>(
+        &'a self,
+        members: &'a [BatchMember],
+    ) -> Result<Vec<&'a Waveform>, AnalysisError> {
+        let k = members.len();
+        let mut waves = Vec::new();
+        let mut isources = Vec::new();
+        let mut vsources = vec![None; self.vsource_count];
+        for element in &self.elements {
+            let wave = match element {
+                Element::CurrentSource { wave, .. } => {
+                    isources.push(waves.len());
+                    wave
+                }
+                Element::VoltageSource { wave, branch, .. } => {
+                    vsources[*branch] = Some(waves.len());
+                    wave
+                }
+                _ => continue,
+            };
+            waves.extend(std::iter::repeat_n(wave, k));
+        }
+        for (m, member) in members.iter().enumerate() {
+            for (id, wave) in &member.current {
+                let lane = isources.get(id.0).ok_or_else(|| {
+                    AnalysisError::InvalidOptions(
+                        "current source id does not belong to this circuit".to_string(),
+                    )
+                })?;
+                waves[lane + m] = wave;
+            }
+            for (id, wave) in &member.voltage {
+                let lane = vsources.get(id.0).copied().flatten().ok_or_else(|| {
+                    AnalysisError::InvalidOptions(
+                        "source id does not name an independent voltage source of this circuit"
+                            .to_string(),
+                    )
+                })?;
+                waves[lane + m] = wave;
             }
         }
-        members
-            .iter()
-            .map(|member| {
-                let mut waves = vec![None; self.elements.len()];
-                for (id, wave) in &member.current {
-                    let slot = isource_elements.get(id.0).ok_or_else(|| {
-                        AnalysisError::InvalidOptions(
-                            "current source id does not belong to this circuit".to_string(),
-                        )
-                    })?;
-                    waves[*slot] = Some(wave.clone());
-                }
-                for (id, wave) in &member.voltage {
-                    let slot = vsource_elements
-                        .get(id.0)
-                        .copied()
-                        .flatten()
-                        .ok_or_else(|| {
-                            AnalysisError::InvalidOptions(
-                                "source id does not name an independent voltage source of \
-                                 this circuit"
-                                    .to_string(),
-                            )
-                        })?;
-                    waves[slot] = Some(wave.clone());
-                }
-                Ok(waves)
-            })
-            .collect()
+        Ok(waves)
     }
 
     /// Solves one linear analysis point for every batch member: one shared
-    /// matrix rebuild/refactor (when the reuse key misses), then k
-    /// right-hand sides back-substituted at once.
+    /// matrix rebuild/refactor (when the reuse key misses), then the k
+    /// right-hand sides stamped lane-major into `x_all` and
+    /// back-substituted there in place.
     #[allow(clippy::too_many_arguments)]
     fn solve_batch_point(
         &self,
         ws: &mut SolveWorkspace,
-        overrides: &[Vec<Option<Waveform>>],
+        waves: &[&Waveform],
         t: Seconds,
-        cap: Option<(&[Vec<CapState>], f64)>,
+        cap: Option<(&CapLanes, f64)>,
         integrator: Integrator,
-        rhs_all: &mut [f64],
         x_all: &mut [f64],
-        member_rhs: &mut [f64],
+        values: &mut [f64],
     ) -> Result<(), AnalysisError> {
-        let dim = self.dim();
-        let k = overrides.len();
         // The matrix is member-independent: waveform overrides only touch
         // the RHS, and the capacitor companion conductance depends on C and
         // h alone. Key handling is therefore identical to the sequential
-        // path, with member 0's states standing in for the rebuild (whose
-        // RHS by-product is discarded).
-        let member0_cap = cap.map(|(states, h)| (states[0].as_slice(), h));
-        if !self.lu_reusable(ws, t, member0_cap, integrator) {
+        // path; the rebuild stamps lane 0's history currents into `ws.rhs`,
+        // which is discarded.
+        if !self.lu_reusable(ws, t, cap, integrator) {
             ws.rhs.fill(0.0);
-            self.rebuild_matrix(ws, t, member0_cap, integrator);
-            self.refactor_keyed(ws, t, member0_cap, integrator)?;
+            self.rebuild_matrix(ws, t, cap, integrator);
+            self.refactor_keyed(ws, t, cap, integrator)?;
         }
-        for (m, waves) in overrides.iter().enumerate() {
-            member_rhs.fill(0.0);
-            self.stamp_rhs_with_overrides(
-                member_rhs,
-                waves,
-                t,
-                cap.map(|(states, h)| (states[m].as_slice(), h)),
-                integrator,
-            );
-            for row in 0..dim {
-                rhs_all[row * k + m] = member_rhs[row];
-            }
-        }
+        self.stamp_rhs_lanes(x_all, waves, t, cap, integrator, values);
         ws.store
-            .solve_multi(rhs_all, x_all, k)
+            .solve_multi(x_all, values.len())
             .map_err(|source| AnalysisError::Singular { source, time: t })?;
-        ws.telemetry.solves += k;
+        ws.telemetry.solves += values.len();
         Ok(())
     }
 
@@ -1273,9 +1277,9 @@ impl Circuit {
             )?;
             solution.copy_from_slice(&ws.x);
         }
-        let mut cap_states = self.initial_cap_states(&solution);
+        let mut caps = self.initial_cap_lanes(&solution, 1);
         // Step-doubling scratch buffers, reused across all attempts.
-        let mut half_states = cap_states.clone();
+        let mut half_caps = caps.clone();
         let mut full = vec![0.0; self.dim()];
         let mut mid = vec![0.0; self.dim()];
         let mut half = vec![0.0; self.dim()];
@@ -1327,32 +1331,27 @@ impl Circuit {
                 &mut ws,
                 t_full,
                 &solution,
-                Some((&cap_states, step)),
+                Some((&caps, step)),
                 Integrator::BackwardEuler,
             )?;
             full.copy_from_slice(&ws.x);
             // Two half steps on a copy of the capacitor state.
-            half_states.copy_from_slice(&cap_states);
+            half_caps.copy_from(&caps);
             let t_mid = Seconds::new(t + 0.5 * step);
             self.solve_point_with(
                 &mut ws,
                 t_mid,
                 &solution,
-                Some((&half_states, 0.5 * step)),
+                Some((&half_caps, 0.5 * step)),
                 Integrator::BackwardEuler,
             )?;
             mid.copy_from_slice(&ws.x);
-            self.advance_cap_states(
-                &mid,
-                &mut half_states,
-                Integrator::BackwardEuler,
-                0.5 * step,
-            );
+            self.advance_cap_lanes(&mid, &mut half_caps, Integrator::BackwardEuler, 0.5 * step);
             self.solve_point_with(
                 &mut ws,
                 t_full,
                 &mid,
-                Some((&half_states, 0.5 * step)),
+                Some((&half_caps, 0.5 * step)),
                 Integrator::BackwardEuler,
             )?;
             half.copy_from_slice(&ws.x);
@@ -1366,13 +1365,13 @@ impl Circuit {
                 // Accept: Richardson-extrapolate the voltages (2x_half −
                 // x_full kills the first-order error term), then advance
                 // the true capacitor state with the two half steps.
-                self.advance_cap_states(
+                self.advance_cap_lanes(
                     &half,
-                    &mut half_states,
+                    &mut half_caps,
                     Integrator::BackwardEuler,
                     0.5 * step,
                 );
-                std::mem::swap(&mut cap_states, &mut half_states);
+                std::mem::swap(&mut caps, &mut half_caps);
                 for ((slot, h_v), f_v) in solution.iter_mut().zip(&half).zip(&full) {
                     *slot = 2.0 * h_v - f_v;
                 }
@@ -1400,43 +1399,53 @@ impl Circuit {
         })
     }
 
-    fn initial_cap_states(&self, solution: &[f64]) -> Vec<CapState> {
-        self.elements
-            .iter()
-            .filter_map(|element| match element {
-                Element::Capacitor { a, b, ic, .. } => {
-                    let v = ic.unwrap_or_else(|| {
-                        let va = Self::node_row(*a).map_or(0.0, |row| solution[row]);
-                        let vb = Self::node_row(*b).map_or(0.0, |row| solution[row]);
-                        va - vb
-                    });
-                    Some(CapState { v, i: 0.0 })
+    /// The capacitor state at the start of a transient over `width` lanes
+    /// of the solution `x` (`x[row·width + m]`): each capacitor's initial
+    /// condition, or else its voltage in `x`, with no current.
+    fn initial_cap_lanes(&self, x: &[f64], width: usize) -> CapLanes {
+        let ground = vec![0.0; width];
+        let lane = |node: Node| {
+            Self::node_row(node).map_or(&ground[..], |row| &x[row * width..(row + 1) * width])
+        };
+        let mut v = Vec::new();
+        for element in &self.elements {
+            if let Element::Capacitor { a, b, ic, .. } = element {
+                match ic {
+                    Some(ic) => v.extend(std::iter::repeat_n(*ic, width)),
+                    None => v.extend(lane(*a).iter().zip(lane(*b)).map(|(va, vb)| va - vb)),
                 }
-                _ => None,
-            })
-            .collect()
+            }
+        }
+        let i = vec![0.0; v.len()];
+        CapLanes {
+            width,
+            v,
+            i,
+            ground,
+        }
     }
 
-    fn advance_cap_states(
-        &self,
-        solution: &[f64],
-        states: &mut [CapState],
-        integrator: Integrator,
-        h: f64,
-    ) {
-        let mut cap_index = 0;
+    /// Integrates every lane's capacitor state over a step of `h` that
+    /// ended at the solution `x` (`x[row·width + m]`).
+    fn advance_cap_lanes(&self, x: &[f64], caps: &mut CapLanes, integrator: Integrator, h: f64) {
+        let k = caps.width;
+        let ground: &[f64] = &caps.ground;
+        let lane =
+            |node: Node| Self::node_row(node).map_or(ground, |row| &x[row * k..(row + 1) * k]);
+        let mut states = caps.v.chunks_exact_mut(k).zip(caps.i.chunks_exact_mut(k));
         for element in &self.elements {
             if let Element::Capacitor { a, b, farads, .. } = element {
-                let va = Self::node_row(*a).map_or(0.0, |row| solution[row]);
-                let vb = Self::node_row(*b).map_or(0.0, |row| solution[row]);
-                let v_new = va - vb;
-                let state = &mut states[cap_index];
-                state.i = match integrator {
-                    Integrator::BackwardEuler => farads / h * (v_new - state.v),
-                    Integrator::Trapezoidal => 2.0 * farads / h * (v_new - state.v) - state.i,
-                };
-                state.v = v_new;
-                cap_index += 1;
+                let (v, i) = states.next().expect("one state lane per capacitor");
+                let g = companion_conductance(*farads, h, integrator);
+                let lanes = v.iter_mut().zip(i).zip(lane(*a).iter().zip(lane(*b)));
+                for ((v, i), (va, vb)) in lanes {
+                    let v_new = va - vb;
+                    *i = match integrator {
+                        Integrator::BackwardEuler => g * (v_new - *v),
+                        Integrator::Trapezoidal => g * (v_new - *v) - *i,
+                    };
+                    *v = v_new;
+                }
             }
         }
     }
@@ -1451,7 +1460,7 @@ impl Circuit {
         ws: &mut SolveWorkspace,
         t: Seconds,
         guess: &[f64],
-        cap: Option<(&[CapState], f64)>,
+        cap: Option<(&CapLanes, f64)>,
         integrator: Integrator,
     ) -> Result<(), AnalysisError> {
         ws.x.copy_from_slice(guess);
@@ -1526,7 +1535,7 @@ impl Circuit {
         &self,
         ws: &mut SolveWorkspace,
         t: Seconds,
-        cap: Option<(&[CapState], f64)>,
+        cap: Option<(&CapLanes, f64)>,
         integrator: Integrator,
     ) -> bool {
         let key_h = cap.map_or(u64::MAX, |(_, h)| h.to_bits());
@@ -1550,7 +1559,7 @@ impl Circuit {
         &self,
         ws: &mut SolveWorkspace,
         t: Seconds,
-        cap: Option<(&[CapState], f64)>,
+        cap: Option<(&CapLanes, f64)>,
         integrator: Integrator,
     ) -> Result<(), AnalysisError> {
         if let Err(source) = ws.store.refactor() {
@@ -1573,7 +1582,7 @@ impl Circuit {
         &self,
         ws: &mut SolveWorkspace,
         t: Seconds,
-        cap: Option<(&[CapState], f64)>,
+        cap: Option<(&CapLanes, f64)>,
         integrator: Integrator,
     ) {
         let SolveWorkspace {
@@ -1696,7 +1705,7 @@ impl Circuit {
         rhs: &mut [f64],
         x: &[f64],
         t: Seconds,
-        cap: Option<(&[CapState], f64)>,
+        cap: Option<(&CapLanes, f64)>,
         integrator: Integrator,
     ) {
         let voltage_of =
@@ -1717,9 +1726,10 @@ impl Circuit {
                     stamp_conductance(matrix, *a, *b, 1.0 / resistance);
                 }
                 Element::Capacitor { a, b, farads, .. } => {
-                    if let Some((states, h)) = cap {
-                        let (g_eq, i_hist) =
-                            cap_companion(*farads, h, states[cap_index], integrator);
+                    if let Some((caps, h)) = cap {
+                        let g_eq = companion_conductance(*farads, h, integrator);
+                        let lane0 = cap_index * caps.width;
+                        let i_hist = cap_history(g_eq, caps.v[lane0], caps.i[lane0], integrator);
                         stamp_conductance(matrix, *a, *b, g_eq);
                         // History current drives the cap towards its past
                         // voltage: inject into `a`, return from `b`.
@@ -1774,7 +1784,7 @@ impl Circuit {
         &self,
         rhs: &mut [f64],
         t: Seconds,
-        cap: Option<(&[CapState], f64)>,
+        cap: Option<(&CapLanes, f64)>,
         integrator: Integrator,
     ) {
         debug_assert!(!self.has_nonlinear(), "rhs-only stamping needs linearity");
@@ -1782,8 +1792,10 @@ impl Circuit {
         for element in &self.elements {
             match element {
                 Element::Capacitor { a, b, farads, .. } => {
-                    if let Some((states, h)) = cap {
-                        let (_, i_hist) = cap_companion(*farads, h, states[cap_index], integrator);
+                    if let Some((caps, h)) = cap {
+                        let g = companion_conductance(*farads, h, integrator);
+                        let lane0 = cap_index * caps.width;
+                        let i_hist = cap_history(g, caps.v[lane0], caps.i[lane0], integrator);
                         stamp_current_into(rhs, *a, *b, i_hist);
                     }
                     cap_index += 1;
@@ -1799,39 +1811,65 @@ impl Circuit {
         }
     }
 
-    /// [`Circuit::stamp_rhs_only`] with per-element waveform overrides (the
-    /// batched transient's member RHS). Contribution order and arithmetic
-    /// are identical to the sequential stamp, so a member's RHS matches the
-    /// RHS a rebuilt circuit with the same waveforms would produce, bit for
-    /// bit.
-    fn stamp_rhs_with_overrides(
+    /// [`Circuit::stamp_rhs_only`] for all `k` lanes of a batch at once:
+    /// zeroes `rhs` (`rhs[row·k + m]`) and walks the elements once, adding
+    /// each capacitor's history currents and each source's lane of
+    /// waveform values (`waves[source·k + m]`). Every entry gets its
+    /// contributions in element order with the sequential arithmetic, so
+    /// each lane is bit-identical to a sequential RHS. `values` is `k`
+    /// lanes of scratch.
+    fn stamp_rhs_lanes(
         &self,
         rhs: &mut [f64],
-        waves: &[Option<Waveform>],
+        waves: &[&Waveform],
         t: Seconds,
-        cap: Option<(&[CapState], f64)>,
+        cap: Option<(&CapLanes, f64)>,
         integrator: Integrator,
+        values: &mut [f64],
     ) {
         debug_assert!(!self.has_nonlinear(), "rhs-only stamping needs linearity");
+        let k = values.len();
+        rhs.fill(0.0);
+        let mut sources = waves.chunks_exact(k);
+        let mut source_values = |values: &mut [f64]| {
+            let lane = sources.next().expect("one waveform lane per source");
+            for (value, wave) in values.iter_mut().zip(lane) {
+                *value = wave.value_at(t);
+            }
+        };
         let mut cap_index = 0;
-        for (index, element) in self.elements.iter().enumerate() {
-            match element {
+        for element in &self.elements {
+            let (pos, neg) = match element {
                 Element::Capacitor { a, b, farads, .. } => {
-                    if let Some((states, h)) = cap {
-                        let (_, i_hist) = cap_companion(*farads, h, states[cap_index], integrator);
-                        stamp_current_into(rhs, *a, *b, i_hist);
-                    }
+                    let lanes = cap_index * k..(cap_index + 1) * k;
                     cap_index += 1;
+                    let Some((caps, h)) = cap else { continue };
+                    let g = companion_conductance(*farads, h, integrator);
+                    let states = caps.v[lanes.clone()].iter().zip(&caps.i[lanes]);
+                    for (value, (&v, &i)) in values.iter_mut().zip(states) {
+                        *value = cap_history(g, v, i, integrator);
+                    }
+                    (Self::node_row(*a), Self::node_row(*b))
                 }
-                Element::VoltageSource { wave, branch, .. } => {
-                    let wave = waves[index].as_ref().unwrap_or(wave);
-                    rhs[self.branch_row(*branch)] += wave.value_at(t);
+                Element::VoltageSource { branch, .. } => {
+                    source_values(values);
+                    (Some(self.branch_row(*branch)), None)
                 }
-                Element::CurrentSource { pos, neg, wave } => {
-                    let wave = waves[index].as_ref().unwrap_or(wave);
-                    stamp_current_into(rhs, *pos, *neg, wave.value_at(t));
+                Element::CurrentSource { pos, neg, .. } => {
+                    source_values(values);
+                    (Self::node_row(*pos), Self::node_row(*neg))
                 }
-                _ => {}
+                _ => continue,
+            };
+            if let Some(row) = pos {
+                for (entry, value) in rhs[row * k..(row + 1) * k].iter_mut().zip(&*values) {
+                    *entry += value;
+                }
+            }
+            if let Some(row) = neg {
+                for (entry, value) in rhs[row * k..(row + 1) * k].iter_mut().zip(&*values) {
+                    *entry -= value;
+                }
             }
         }
     }
@@ -1861,20 +1899,22 @@ fn stamp_current_into(rhs: &mut [f64], pos: Node, neg: Node, i: f64) {
     }
 }
 
-/// The capacitor companion model: equivalent conductance and history
-/// current for the given integrator. One shared implementation so the
-/// cached-LU RHS rebuild computes bit-identical history currents to the
-/// full stamp.
-fn cap_companion(farads: f64, h: f64, state: CapState, integrator: Integrator) -> (f64, f64) {
+/// The capacitor companion model's equivalent conductance for the given
+/// integrator. Every path that stamps, or integrates, a capacitor computes
+/// it here, so their history currents agree to the bit.
+fn companion_conductance(farads: f64, h: f64, integrator: Integrator) -> f64 {
     match integrator {
-        Integrator::BackwardEuler => {
-            let g = farads / h;
-            (g, g * state.v)
-        }
-        Integrator::Trapezoidal => {
-            let g = 2.0 * farads / h;
-            (g, g * state.v + state.i)
-        }
+        Integrator::BackwardEuler => farads / h,
+        Integrator::Trapezoidal => 2.0 * farads / h,
+    }
+}
+
+/// The companion model's history current for a capacitor at state
+/// `(v, i)` with companion conductance `g`.
+fn cap_history(g: f64, v: f64, i: f64, integrator: Integrator) -> f64 {
+    match integrator {
+        Integrator::BackwardEuler => g * v,
+        Integrator::Trapezoidal => g * v + i,
     }
 }
 
