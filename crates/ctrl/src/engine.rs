@@ -152,17 +152,16 @@ where
     if run >= jobs.len() {
         return jobs.iter_mut().for_each(serve);
     }
-    let panicked = crossbeam::scope(|scope| {
+    let panicked = std::thread::scope(|scope| {
         let serve = &serve;
         let workers: Vec<_> = jobs
             .chunks_mut(run)
-            .map(|run| scope.spawn(move |_| run.iter_mut().for_each(serve)))
+            .map(|run| scope.spawn(move || run.iter_mut().for_each(serve)))
             .collect();
         workers
             .into_iter()
             .fold(None, |first, worker| first.or(worker.join().err()))
-    })
-    .expect("every scoped worker was joined");
+    });
     if let Some(payload) = panicked {
         std::panic::resume_unwind(payload);
     }

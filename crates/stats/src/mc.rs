@@ -66,16 +66,16 @@ where
 
     let mut results: Vec<Option<T>> = (0..count).map(|_| None).collect();
     let chunk = count.div_ceil(threads);
-    // Join every worker inside the scope so a panic keeps its payload (the
-    // scope's own error only says that *some* thread panicked), then
-    // re-raise the first one on the calling thread.
-    let panicked = crossbeam::scope(|scope| {
+    // Join every worker inside the scope so a panic keeps its payload (an
+    // unjoined panicking thread would make the scope panic with a generic
+    // message), then re-raise the first one on the calling thread.
+    let panicked = std::thread::scope(|scope| {
         let workers: Vec<_> = results
             .chunks_mut(chunk)
             .enumerate()
             .map(|(worker, slice)| {
                 let fill = &fill;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let base = worker * chunk;
                     for (offset, slot) in slice.iter_mut().enumerate() {
                         *slot = Some(fill(base + offset));
@@ -86,8 +86,7 @@ where
         workers
             .into_iter()
             .fold(None, |first, worker| first.or(worker.join().err()))
-    })
-    .expect("every scoped worker was joined");
+    });
     if let Some(payload) = panicked {
         std::panic::resume_unwind(payload);
     }
