@@ -73,18 +73,6 @@ impl BandedMatrix {
         self.n
     }
 
-    /// Number of stored subdiagonals.
-    #[must_use]
-    pub fn lower_bandwidth(&self) -> usize {
-        self.kl
-    }
-
-    /// Number of structural superdiagonals (excluding pivoting fill).
-    #[must_use]
-    pub fn upper_bandwidth(&self) -> usize {
-        self.ku
-    }
-
     #[inline]
     fn stride(&self) -> usize {
         2 * self.kl + self.ku + 1
@@ -630,7 +618,5 @@ mod tests {
         assert_eq!(m.get(1, 3), 2.25);
         assert_eq!(m.get(3, 0), 0.0);
         assert_eq!(m.dim(), 4);
-        assert_eq!(m.lower_bandwidth(), 1);
-        assert_eq!(m.upper_bandwidth(), 2);
     }
 }

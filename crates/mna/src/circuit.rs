@@ -319,12 +319,6 @@ impl Circuit {
             .map(Node)
     }
 
-    /// Number of elements in the netlist.
-    #[must_use]
-    pub fn element_count(&self) -> usize {
-        self.elements.len()
-    }
-
     fn check_node(&self, node: Node) {
         assert!(
             node.0 < self.node_names.len(),

@@ -12,7 +12,7 @@
 
 use std::fmt;
 
-use stt_units::{Seconds, Volts};
+use stt_units::Seconds;
 
 use crate::banded::{BandedLu, BandedMatrix};
 use crate::circuit::{Circuit, CurrentSourceId, Element, MosfetParams, Node, SourceId};
@@ -296,12 +296,6 @@ impl DcResult {
     #[must_use]
     pub fn voltage(&self, node: Node) -> f64 {
         self.voltages[node.index()]
-    }
-
-    /// Voltage at `node` as a typed quantity.
-    #[must_use]
-    pub fn voltage_typed(&self, node: Node) -> Volts {
-        Volts::new(self.voltage(node))
     }
 
     /// Current through voltage source `id` (positive flowing from its `pos`
@@ -2058,7 +2052,7 @@ mod tests {
         // 2 V across 4 kΩ: 0.5 mA flows out of the + terminal, so the branch
         // current (pos → through source → neg) is −0.5 mA.
         assert!((op.source_current(source) + 0.5e-3).abs() < 1e-9);
-        assert!((op.voltage_typed(mid).get() - 1.5).abs() < 1e-6);
+        assert!((op.voltage(mid) - 1.5).abs() < 1e-6);
     }
 
     #[test]

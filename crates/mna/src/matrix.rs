@@ -115,22 +115,6 @@ impl Matrix {
         self[(row, col)] += value;
     }
 
-    /// Matrix–vector product `A·x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != cols`.
-    #[must_use]
-    pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "dimension mismatch in mul_vec");
-        (0..self.rows)
-            .map(|r| {
-                let row = &self.data[r * self.cols..(r + 1) * self.cols];
-                row.iter().zip(x).map(|(a, b)| a * b).sum()
-            })
-            .collect()
-    }
-
     /// Solves `A·x = b` by LU decomposition with partial pivoting.
     ///
     /// The matrix is left untouched (the factorisation works on a copy);
@@ -167,25 +151,6 @@ impl Matrix {
     ) -> Result<(), SingularMatrixError> {
         lu.refactor(self)?;
         lu.solve_into(b, x)
-    }
-
-    /// Condition estimate: ratio of the largest to smallest absolute pivot
-    /// of the LU factorisation. A crude but serviceable singularity warning
-    /// for stamped MNA systems.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SingularMatrixError`] if the matrix cannot be factored.
-    pub fn pivot_ratio(&self) -> Result<f64, SingularMatrixError> {
-        let lu = LuFactors::factor(self.clone())?;
-        let mut smallest = f64::INFINITY;
-        let mut largest = 0.0f64;
-        for k in 0..lu.matrix.rows {
-            let pivot = lu.matrix[(k, k)].abs();
-            smallest = smallest.min(pivot);
-            largest = largest.max(pivot);
-        }
-        Ok(largest / smallest)
     }
 }
 
@@ -427,6 +392,17 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Matrix–vector product `A·x`: the round-trip check of the solves.
+    fn mul_vec(a: &Matrix, x: &[f64]) -> Vec<f64> {
+        assert_eq!(x.len(), a.cols, "dimension mismatch in mul_vec");
+        (0..a.rows)
+            .map(|r| {
+                let row = &a.data[r * a.cols..(r + 1) * a.cols];
+                row.iter().zip(x).map(|(a, b)| a * b).sum()
+            })
+            .collect()
+    }
+
     #[test]
     fn solves_small_system() {
         let mut a = Matrix::zeros(3, 3);
@@ -497,7 +473,7 @@ mod tests {
         let lu = LuFactors::factor(a.clone()).expect("spd");
         for b in [[1.0, 0.0], [0.0, 1.0], [5.0, -2.0]] {
             let x = lu.solve(&b).expect("factored");
-            let recovered = a.mul_vec(&x);
+            let recovered = mul_vec(&a, &x);
             assert!((recovered[0] - b[0]).abs() < 1e-12);
             assert!((recovered[1] - b[1]).abs() < 1e-12);
         }
@@ -613,16 +589,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pivot_ratio_flags_ill_conditioning() {
-        let mut nice = Matrix::identity(3);
-        nice[(0, 0)] = 2.0;
-        assert!(nice.pivot_ratio().expect("ok") < 10.0);
-        let mut nasty = Matrix::identity(3);
-        nasty[(2, 2)] = 1e-12;
-        assert!(nasty.pivot_ratio().expect("ok") > 1e10);
-    }
-
     proptest! {
         #[test]
         fn prop_solve_then_multiply_round_trips(
@@ -639,7 +605,7 @@ mod tests {
                 a[(k, k)] += row_sum + 1.0;
             }
             let x = a.solve(&b).expect("diagonally dominant");
-            let recovered = a.mul_vec(&x);
+            let recovered = mul_vec(&a, &x);
             for (got, want) in recovered.iter().zip(&b) {
                 prop_assert!((got - want).abs() < 1e-8);
             }
@@ -662,7 +628,7 @@ mod tests {
             }
             let b = [1.0, 2.0, 3.0, 4.0];
             let x = a.solve(&b).expect("permutation");
-            let recovered = a.mul_vec(&x);
+            let recovered = mul_vec(&a, &x);
             for (got, want) in recovered.iter().zip(&b) {
                 prop_assert!((got - want).abs() < 1e-12);
             }
