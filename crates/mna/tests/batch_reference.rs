@@ -22,6 +22,7 @@ use stt_units::{Farads, Ohms, Seconds};
 /// The batch widths the properties draw from: a single lane, a width that
 /// is no multiple of a SIMD lane count, the campaign width, and one past it.
 const WIDTHS: [usize; 4] = [1, 7, 64, 65];
+const INTEGRATORS: [Integrator; 2] = [Integrator::BackwardEuler, Integrator::Trapezoidal];
 
 fn nanos(t: f64) -> Seconds {
     Seconds::from_nano(t)
@@ -223,22 +224,6 @@ fn assert_batch_matches_sequential(case: Case) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-fn integrator(trapezoidal: bool) -> Integrator {
-    if trapezoidal {
-        Integrator::Trapezoidal
-    } else {
-        Integrator::BackwardEuler
-    }
-}
-
-fn layout(scrambled: bool) -> Layout {
-    if scrambled {
-        Layout::Scrambled
-    } else {
-        Layout::Natural
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -247,8 +232,8 @@ proptest! {
         seed in 0u64..u64::MAX,
         width in 0usize..4,
         from_zero in proptest::bool::ANY,
-        trapezoidal in proptest::bool::ANY,
-        scrambled in proptest::bool::ANY,
+        integrator in 0usize..2,
+        layout in 0usize..2,
         dt_index in 0usize..2,
     ) {
         assert_batch_matches_sequential(Case {
@@ -256,8 +241,8 @@ proptest! {
             k: WIDTHS[width],
             strategy: SolverStrategy::CachedLu,
             backend: SolverBackend::Auto,
-            integrator: integrator(trapezoidal),
-            layout: layout(scrambled),
+            integrator: INTEGRATORS[integrator],
+            layout: [Layout::Natural, Layout::Scrambled][layout],
             from_zero,
             dt: [0.05, 0.023][dt_index],
         })?;
@@ -268,7 +253,7 @@ proptest! {
         seed in 0u64..u64::MAX,
         width in 0usize..4,
         from_zero in proptest::bool::ANY,
-        trapezoidal in proptest::bool::ANY,
+        integrator in 0usize..2,
         dt_index in 0usize..2,
     ) {
         assert_batch_matches_sequential(Case {
@@ -276,7 +261,7 @@ proptest! {
             k: WIDTHS[width],
             strategy: SolverStrategy::AlwaysRestamp,
             backend: SolverBackend::Dense,
-            integrator: integrator(trapezoidal),
+            integrator: INTEGRATORS[integrator],
             layout: Layout::Natural,
             from_zero,
             dt: [0.05, 0.011][dt_index],
@@ -288,35 +273,18 @@ proptest! {
         seed in 0u64..u64::MAX,
         width in 0usize..4,
         from_zero in proptest::bool::ANY,
-        trapezoidal in proptest::bool::ANY,
-        scrambled in proptest::bool::ANY,
+        integrator in 0usize..2,
+        layout in 0usize..2,
     ) {
         assert_batch_matches_sequential(Case {
             seed,
             k: WIDTHS[width],
             strategy: SolverStrategy::CachedLu,
             backend: SolverBackend::Banded,
-            integrator: integrator(trapezoidal),
-            layout: layout(scrambled),
+            integrator: INTEGRATORS[integrator],
+            layout: [Layout::Natural, Layout::Scrambled][layout],
             from_zero,
             dt: 0.05,
         })?;
-    }
-}
-
-/// The two layouts really do exercise both banded orderings for every
-/// ladder length the generator draws (a property case only sees the
-/// lengths its seeds happen to pick).
-#[test]
-fn layouts_select_both_orderings() {
-    for seed in 0..64u64 {
-        for (layout, natural_wins) in [(Layout::Natural, true), (Layout::Scrambled, false)] {
-            let report = random_circuit(seed, layout).0.bandwidth_report();
-            assert_eq!(
-                report.natural <= report.reordered,
-                natural_wins,
-                "seed {seed} {layout:?}: {report:?}"
-            );
-        }
     }
 }
