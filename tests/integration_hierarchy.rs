@@ -556,3 +556,157 @@ proptest! {
         prop_assert_eq!(serial.stored_state(), sharded.stored_state());
     }
 }
+
+/// What the channel loop's event order decides, read off one run: the
+/// makespan's bits; per channel, the bus wait's bits, the peak outstanding
+/// count and the throttled issues; per resident bank, a fingerprint of its
+/// queue telemetry (`{:?}` prints every float exactly).
+fn event_order_readings(run: &ChipRun) -> (u64, Vec<(u64, u64, u64)>, Vec<u64>) {
+    let channels = run
+        .telemetry
+        .channels
+        .iter()
+        .map(|c| {
+            (
+                c.bus_wait_ns.to_bits(),
+                c.max_outstanding,
+                c.source_throttled,
+            )
+        })
+        .collect();
+    let queues = run
+        .telemetry
+        .banks
+        .iter()
+        .map(|(_, bank)| fnv1a(format!("{:?}", bank.queue).as_bytes()))
+        .collect();
+    (run.makespan_ns.to_bits(), channels, queues)
+}
+
+/// Pins the order in which a channel pops its events where only the
+/// tie-breaking sequence number decides it. Conventional reads take a
+/// whole 9 ns and bursts arrive on integer nanoseconds at the banks of one
+/// group, so arrivals, bank-done and completion events meet on the same
+/// instants, both with a free bus (a transfer completes at its bank-done
+/// instant) and with the default 4 + 2 ns bus. Closed loops at windows 1,
+/// 3 and 16 cover the issue path and its throttling. Every value was
+/// recorded before the channel loop left its event heap.
+#[test]
+fn chip_event_order_is_pinned_under_ties() {
+    let topology = Topology::new(2, 1, 2, 2);
+    let mut bursts = Vec::new();
+    for i in 0..90usize {
+        for j in 0..=(i % 3) {
+            // Channel 1 takes the same banks' bursts at a faster cadence.
+            for (channel_base, cadence) in [(0, 2), (4, 3)] {
+                let bank = channel_base + (i + j) % 2;
+                let addr = Address::new((i + j) % 8, (3 * i + j) % 8);
+                let txn = if (i + j) % 7 == 0 {
+                    Transaction::write(bank, addr, i % 2 == 0)
+                } else {
+                    Transaction::read(bank, addr)
+                };
+                bursts.push(txn.at(3 * (i / cadence) as u64));
+            }
+        }
+    }
+    let trace = Trace::from_transactions(bursts);
+    let free_bus = BusTiming {
+        group_bus_ns: 0.0,
+        channel_bus_ns: 0.0,
+    };
+    let mut readings = Vec::new();
+    for bus in [free_bus, BusTiming::date2010()] {
+        let config = ChipConfig::small(SchemeKind::Conventional, topology)
+            .with_seed(51)
+            .with_bus(bus);
+        let run = Chip::new(config).run_trace(&trace, ShardDispatch::Serial);
+        assert_eq!(run.completed, trace.len() as u64);
+        readings.push(event_order_readings(&run));
+    }
+    for window in [1, 3, 16] {
+        let config = ChipConfig::small(SchemeKind::Conventional, topology).with_seed(52);
+        let source = ClosedLoopSource::read_mostly(250, window).with_mean_think_ns(2.0);
+        let run = Chip::new(config).run_closed_loop(&source, ShardDispatch::Serial);
+        assert_eq!(run.completed, 500);
+        readings.push(event_order_readings(&run));
+    }
+    type Readings = (u64, Vec<(u64, u64, u64)>, Vec<u64>);
+    let expected: [Readings; 5] = [
+        (
+            0x4088_1800_0000_0002,
+            vec![(0, 150, 0), (0, 161, 0)],
+            vec![
+                0x8ae5_ac53_60cb_6d13,
+                0xe653_38a4_a515_2439,
+                0x665d_0172_d5a8_ff1d,
+                0x2f14_ff42_9970_76fe,
+            ],
+        ),
+        (
+            0x4094_dc00_0000_0000,
+            vec![
+                (0x4045_0000_0000_0000, 163, 0),
+                (0x4045_0000_0000_0000, 169, 0),
+            ],
+            vec![
+                0x78a5_c005_d8cf_d9f1,
+                0x04c7_9507_b329_337c,
+                0x4908_e234_36aa_b174,
+                0xc6fa_5ddb_1387_77fb,
+            ],
+        ),
+        (
+            0x40b0_7408_7cab_0b49,
+            vec![(0, 1, 249), (0, 1, 248)],
+            vec![
+                0xc78c_214d_ae08_507d,
+                0x7b3e_fdf5_41ad_ece7,
+                0x66dc_d038_762e_da02,
+                0xb7bd_4ea0_def6_428e,
+                0x0312_c0fb_8614_902a,
+                0xd8a9_bb36_3b8e_da91,
+                0x8ccb_d192_c882_0588,
+                0xc24a_8dc4_a305_730a,
+            ],
+        ),
+        (
+            0x409e_7576_7986_889c,
+            vec![
+                (0x407f_6aad_d1f0_7f1c, 3, 213),
+                (0x407a_eb0c_10e3_15df, 3, 216),
+            ],
+            vec![
+                0x65ed_b2eb_9f4a_9d58,
+                0x5ce0_3758_af48_c7ca,
+                0x7544_5046_7315_4cc9,
+                0xf9ab_ddeb_2939_3a9d,
+                0xcf14_7472_5ad1_de55,
+                0x1021_26ef_a808_980c,
+                0xe576_e5a8_26ee_a71f,
+                0x1170_9850_0477_860a,
+            ],
+        ),
+        (
+            0x4098_7a1c_b9b1_398d,
+            vec![
+                (0x4099_9885_0be0_6b0e, 16, 196),
+                (0x4099_0721_1061_605a, 16, 182),
+            ],
+            vec![
+                0xbbad_0499_8a12_2585,
+                0x5888_5417_9ddf_71ff,
+                0xab3c_d1d1_a8c9_a6d4,
+                0x2d32_e809_4e44_484f,
+                0x5c7a_cb4c_09b2_2260,
+                0x8580_96f5_8003_1cf6,
+                0x60da_c366_d64e_fd9f,
+                0x5e02_a2b7_470d_67cd,
+            ],
+        ),
+    ];
+    assert_eq!(
+        readings, expected,
+        "the channel loop's event order moved (got {readings:#x?})"
+    );
+}
