@@ -4,6 +4,10 @@
 //! a current into the selected cell's bit-line (accounting for unselected
 //! leakage); writes drive a bidirectional current pulse through the cell
 //! using the stochastic switching model.
+//!
+//! The cells hold devices only. Every stored bit lives in the array's
+//! [`StatePlane`], packed 64 to a word, so a read that needs only the bit
+//! never loads the cell's device parameters.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -103,7 +107,97 @@ impl ArraySpec {
         Array {
             spec: self.clone(),
             cells,
+            states: StatePlane::new(self.capacity_bits()),
         }
+    }
+}
+
+/// The stored states of an array's cells, packed row-major: bit `c % 64`
+/// of word `c / 64` is cell `c`, set when the cell is anti-parallel ("1").
+/// Bits past the last cell stay 0.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct StatePlane {
+    words: Vec<u64>,
+    cells: usize,
+}
+
+impl StatePlane {
+    /// `cells` cells, all parallel ("0").
+    fn new(cells: usize) -> Self {
+        Self {
+            words: vec![0; cells.div_ceil(64)],
+            cells,
+        }
+    }
+
+    /// Number of cells.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.cells
+    }
+
+    /// `true` for a plane of no cells.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.cells == 0
+    }
+
+    /// The stored bit of row-major cell `cell`.
+    #[inline]
+    #[must_use]
+    pub fn get(&self, cell: usize) -> bool {
+        debug_assert!(cell < self.cells, "cell {cell} of {}", self.cells);
+        (self.words[cell / 64] >> (cell % 64)) & 1 == 1
+    }
+
+    /// The stored state of row-major cell `cell`.
+    #[inline]
+    #[must_use]
+    pub fn state(&self, cell: usize) -> ResistanceState {
+        ResistanceState::from_bit(self.get(cell))
+    }
+
+    /// Stores `bit` in row-major cell `cell`.
+    #[inline]
+    pub fn set(&mut self, cell: usize, bit: bool) {
+        debug_assert!(cell < self.cells, "cell {cell} of {}", self.cells);
+        let mask = 1u64 << (cell % 64);
+        if bit {
+            self.words[cell / 64] |= mask;
+        } else {
+            self.words[cell / 64] &= !mask;
+        }
+    }
+
+    /// The packed words.
+    #[must_use]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Cells whose bit differs from `other`, a row-major bit set packed
+    /// the same way; `other`'s bits past the last cell are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `other` has a different word count.
+    #[must_use]
+    pub fn count_differing(&self, other: &[u64]) -> u64 {
+        assert_eq!(other.len(), self.words.len(), "planes of different sizes");
+        let tail = match self.cells % 64 {
+            0 => u64::MAX,
+            used => (1 << used) - 1,
+        };
+        let last = self.words.len().saturating_sub(1);
+        self.words
+            .iter()
+            .zip(other)
+            .enumerate()
+            .map(|(w, (a, b))| {
+                let diff = a ^ b;
+                u64::from(if w == last { diff & tail } else { diff }.count_ones())
+            })
+            .sum()
     }
 }
 
@@ -111,8 +205,10 @@ impl ArraySpec {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Array {
     spec: ArraySpec,
-    /// Row-major cell storage.
+    /// Row-major cell storage: devices only.
     cells: Vec<Cell>,
+    /// Row-major stored states, the one home of every cell's bit.
+    states: StatePlane,
 }
 
 impl Array {
@@ -172,10 +268,28 @@ impl Array {
     }
 
     /// Mutable access to every cell, row-major: `Address::new(row, col)` is
-    /// cell `row * cols + col`. A caller walking a run of cells slices this
-    /// once instead of checking each address.
+    /// cell `row * cols + col`. Swapping a cell's device leaves its stored
+    /// bit alone.
     pub fn cells_mut(&mut self) -> &mut [Cell] {
         &mut self.cells
+    }
+
+    /// The stored states, row-major.
+    #[must_use]
+    pub fn states(&self) -> &StatePlane {
+        &self.states
+    }
+
+    /// Mutable access to the stored states, row-major (ideal writes).
+    pub fn states_mut(&mut self) -> &mut StatePlane {
+        &mut self.states
+    }
+
+    /// Every cell and the stored states together, row-major: a caller
+    /// walking a run of cells slices these once instead of checking each
+    /// address, and writes states while it reads devices.
+    pub fn cells_and_states_mut(&mut self) -> (&[Cell], &mut StatePlane) {
+        (&self.cells, &mut self.states)
     }
 
     /// Iterates over all addresses in row-major order.
@@ -191,7 +305,7 @@ impl Array {
     /// Panics if the address is out of range.
     #[must_use]
     pub fn read_state(&self, addr: Address) -> ResistanceState {
-        self.cell(addr).state()
+        self.states.state(self.index_of(addr))
     }
 
     /// Ideal write: sets the stored bit without switching dynamics. Use for
@@ -201,8 +315,8 @@ impl Array {
     ///
     /// Panics if the address is out of range.
     pub fn write_bit(&mut self, addr: Address, bit: bool) {
-        self.cell_mut(addr)
-            .set_state(ResistanceState::from_bit(bit));
+        let index = self.index_of(addr);
+        self.states.set(index, bit);
     }
 
     /// Physical write: drives the configured write pulse through the cell
@@ -217,10 +331,13 @@ impl Array {
         bit: bool,
         rng: &mut R,
     ) -> bool {
-        let current = self.spec.write_current;
-        let pulse = self.spec.write_pulse;
-        self.cell_mut(addr)
-            .write_with_pulse(ResistanceState::from_bit(bit), current, pulse, rng)
+        let index = self.index_of(addr);
+        let mut state = self.states.state(index);
+        let (current, pulse) = (self.spec.write_current, self.spec.write_pulse);
+        let target = ResistanceState::from_bit(bit);
+        let done = self.cells[index].write_with_pulse(&mut state, target, current, pulse, rng);
+        self.states.set(index, state.bit());
+        done
     }
 
     /// Write-verify: drive write pulses until the read-back state matches
@@ -248,9 +365,10 @@ impl Array {
 
     /// Fills the array with a pattern (`f(addr) -> bit`), ideally.
     pub fn fill_with<F: FnMut(Address) -> bool>(&mut self, mut pattern: F) {
-        let addresses: Vec<Address> = self.addresses().collect();
-        for addr in addresses {
-            self.write_bit(addr, pattern(addr));
+        let cols = self.spec.cols;
+        for index in 0..self.cells.len() {
+            let bit = pattern(Address::new(index / cols, index % cols));
+            self.states.set(index, bit);
         }
     }
 
@@ -262,8 +380,7 @@ impl Array {
     /// Panics if the address is out of range.
     #[must_use]
     pub fn bitline_voltage(&self, addr: Address, i_read: Amps) -> Volts {
-        let r_selected = self.cell(addr).series_resistance(i_read);
-        self.spec.bitline.loaded_voltage(i_read, r_selected)
+        self.bitline_voltage_for(addr, self.read_state(addr), i_read)
     }
 
     /// Like [`Array::bitline_voltage`] but for a hypothetical stored state —
@@ -281,13 +398,6 @@ impl Array {
     ) -> Volts {
         let r_selected = self.cell(addr).series_resistance_for(state, i_read);
         self.spec.bitline.loaded_voltage(i_read, r_selected)
-    }
-
-    /// Counts cells whose stored state matches `expected(addr)`.
-    pub fn count_matching<F: FnMut(Address) -> bool>(&self, mut expected: F) -> usize {
-        self.addresses()
-            .filter(|&addr| self.read_state(addr).bit() == expected(addr))
-            .count()
     }
 }
 
@@ -313,10 +423,9 @@ mod tests {
     fn checkerboard_pattern_round_trips() {
         let mut array = small_array(1);
         array.fill_with(|addr| (addr.row + addr.col) % 2 == 0);
-        assert_eq!(
-            array.count_matching(|addr| (addr.row + addr.col) % 2 == 0),
-            64
-        );
+        for addr in array.addresses() {
+            assert_eq!(array.read_state(addr).bit(), (addr.row + addr.col) % 2 == 0);
+        }
         assert!(array.read_state(Address::new(0, 0)).bit());
         assert!(!array.read_state(Address::new(0, 1)).bit());
     }
@@ -395,7 +504,9 @@ mod tests {
         let v_high = array.bitline_voltage(addr, i);
         assert!(v_high > v_low, "high state must produce the larger V_BL");
         // Leakage pulls both below the unloaded cell voltage.
-        let unloaded = array.cell(addr).bitline_voltage(i);
+        let unloaded = array
+            .cell(addr)
+            .bitline_voltage(ResistanceState::AntiParallel, i);
         assert!(v_high < unloaded);
         // Hypothetical-state probe agrees with actual-state reads.
         assert_eq!(

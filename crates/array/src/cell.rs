@@ -117,7 +117,6 @@ impl CellSpec {
         Cell {
             device: self.mtj.clone().into_device(),
             transistor: self.transistor,
-            state: ResistanceState::Parallel,
         }
     }
 
@@ -130,7 +129,6 @@ impl CellSpec {
         Cell {
             device,
             transistor: self.transistor.scaled(transistor_factor),
-            state: ResistanceState::Parallel,
         }
     }
 
@@ -141,35 +139,24 @@ impl CellSpec {
     }
 }
 
-/// One 1T1J cell instance: a (possibly varied) device plus its stored state.
+/// One 1T1J cell instance: a (possibly varied) device and its access
+/// transistor.
+///
+/// A cell describes hardware only. Its stored state lives with its owner:
+/// an [`Array`](crate::Array) keeps every cell's bit in one packed state
+/// plane, and a standalone analysis keeps its cell's [`ResistanceState`]
+/// beside it and passes it in.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Cell {
     device: MtjDevice,
     transistor: AccessTransistor,
-    state: ResistanceState,
 }
 
 impl Cell {
-    /// Creates a cell in the parallel ("0") state.
+    /// Creates a cell from a device and its access transistor.
     #[must_use]
     pub fn new(device: MtjDevice, transistor: AccessTransistor) -> Self {
-        Self {
-            device,
-            transistor,
-            state: ResistanceState::Parallel,
-        }
-    }
-
-    /// The stored resistance state.
-    #[must_use]
-    pub fn state(&self) -> ResistanceState {
-        self.state
-    }
-
-    /// Overwrites the stored state (ideal write; use
-    /// [`Cell::write_with_pulse`] for the stochastic model).
-    pub fn set_state(&mut self, state: ResistanceState) {
-        self.state = state;
+        Self { device, transistor }
     }
 
     /// The MTJ device.
@@ -184,62 +171,41 @@ impl Cell {
         &self.transistor
     }
 
-    /// Series resistance seen from the bit-line at read current `i` for the
-    /// *stored* state.
-    #[must_use]
-    pub fn series_resistance(&self, i: Amps) -> Ohms {
-        self.series_resistance_for(self.state, i)
-    }
-
-    /// Series resistance for an arbitrary state (used by analyses that
-    /// evaluate both).
+    /// Series resistance seen from the bit-line at read current `i` when
+    /// the cell holds `state`.
     #[must_use]
     pub fn series_resistance_for(&self, state: ResistanceState, i: Amps) -> Ohms {
         self.device.resistance(state, i) + self.transistor.resistance(i)
     }
 
-    /// Bit-line voltage produced by forcing `i` through the cell — Eq. (1).
+    /// Bit-line voltage produced by forcing `i` through the cell holding
+    /// `state` — Eq. (1).
     #[must_use]
-    pub fn bitline_voltage(&self, i: Amps) -> Volts {
-        i * self.series_resistance(i)
+    pub fn bitline_voltage(&self, state: ResistanceState, i: Amps) -> Volts {
+        i * self.series_resistance_for(state, i)
     }
 
-    /// Attempts a write with an explicit current pulse, using the device's
-    /// stochastic switching model. Returns `true` if the cell ends up in
-    /// `target` (already there, or switched).
+    /// Attempts a write of `target` into a cell holding `*state`, with an
+    /// explicit current pulse and the device's stochastic switching model.
+    /// A cell already in `target` draws nothing; otherwise one Bernoulli
+    /// trial decides whether `*state` switches. Returns `true` if the cell
+    /// ends up in `target`.
     pub fn write_with_pulse<R: Rng + ?Sized>(
-        &mut self,
+        &self,
+        state: &mut ResistanceState,
         target: ResistanceState,
         i: Amps,
         pulse: Seconds,
         rng: &mut R,
     ) -> bool {
-        if self.state == target {
+        if *state == target {
             return true;
         }
         let p = self.device.switching().switching_probability(i, pulse);
         if rng.gen_bool(p.clamp(0.0, 1.0)) {
-            self.state = target;
+            *state = target;
         }
-        self.state == target
-    }
-
-    /// Applies a read-disturb trial: with the device's disturb probability
-    /// at (`i`, `pulse`), the stored state flips. Returns `true` if the cell
-    /// was disturbed.
-    pub fn apply_read_disturb<R: Rng + ?Sized>(
-        &mut self,
-        i: Amps,
-        pulse: Seconds,
-        rng: &mut R,
-    ) -> bool {
-        let p = self.device.read_disturb_probability(i, pulse);
-        if rng.gen_bool(p.clamp(0.0, 1.0)) {
-            self.state = self.state.flipped();
-            true
-        } else {
-            false
-        }
+        *state == target
     }
 }
 
@@ -255,14 +221,14 @@ mod tests {
 
     #[test]
     fn bitline_voltage_matches_eq1() {
-        let mut cell = nominal();
+        let cell = nominal();
         let i = Amps::from_micro(200.0);
-        cell.set_state(ResistanceState::Parallel);
         // R_L(200µA) = 1425 Ω, R_T = 917 Ω ⇒ 200 µA × 2342 Ω = 468.4 mV.
-        assert!((cell.bitline_voltage(i).get() - 0.46840).abs() < 1e-9);
-        cell.set_state(ResistanceState::AntiParallel);
+        let low = cell.bitline_voltage(ResistanceState::Parallel, i);
+        assert!((low.get() - 0.46840).abs() < 1e-9);
         // R_H(200µA) = 2450 Ω ⇒ 673.4 mV.
-        assert!((cell.bitline_voltage(i).get() - 0.67340).abs() < 1e-9);
+        let high = cell.bitline_voltage(ResistanceState::AntiParallel, i);
+        assert!((high.get() - 0.67340).abs() < 1e-9);
     }
 
     #[test]
@@ -294,17 +260,9 @@ mod tests {
     }
 
     #[test]
-    fn ideal_write_sets_state() {
-        let mut cell = nominal();
-        cell.set_state(ResistanceState::AntiParallel);
-        assert!(cell.state().bit());
-        cell.set_state(ResistanceState::Parallel);
-        assert!(!cell.state().bit());
-    }
-
-    #[test]
     fn pulsed_write_at_full_current_always_switches() {
-        let mut cell = nominal();
+        let cell = nominal();
+        let mut state = ResistanceState::Parallel;
         let mut rng = StdRng::seed_from_u64(5);
         let pulse = Seconds::from_nano(4.0);
         let i_write = Amps::from_micro(600.0); // > 500 µA critical current
@@ -313,8 +271,8 @@ mod tests {
             ResistanceState::Parallel,
             ResistanceState::AntiParallel,
         ] {
-            assert!(cell.write_with_pulse(target, i_write, pulse, &mut rng));
-            assert_eq!(cell.state(), target);
+            assert!(cell.write_with_pulse(&mut state, target, i_write, pulse, &mut rng));
+            assert_eq!(state, target);
         }
     }
 
@@ -326,9 +284,10 @@ mod tests {
         let weak = Amps::from_micro(100.0);
         let mut switched = 0;
         for _ in 0..200 {
-            let mut cell = spec.nominal_cell();
-            cell.set_state(ResistanceState::Parallel);
-            if cell.write_with_pulse(ResistanceState::AntiParallel, weak, pulse, &mut rng) {
+            let cell = spec.nominal_cell();
+            let mut state = ResistanceState::Parallel;
+            let target = ResistanceState::AntiParallel;
+            if cell.write_with_pulse(&mut state, target, weak, pulse, &mut rng) {
                 switched += 1;
             }
         }
@@ -337,29 +296,25 @@ mod tests {
 
     #[test]
     fn read_disturb_is_rare_at_design_point() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let mut disturbed = 0;
-        for _ in 0..1000 {
-            let mut cell = nominal();
-            cell.set_state(ResistanceState::AntiParallel);
-            if cell.apply_read_disturb(Amps::from_micro(200.0), Seconds::from_nano(15.0), &mut rng)
-            {
-                disturbed += 1;
-            }
-        }
-        assert_eq!(disturbed, 0, "200 µA reads must be effectively safe");
+        let p = nominal()
+            .device()
+            .read_disturb_probability(Amps::from_micro(200.0), Seconds::from_nano(15.0));
+        assert!(p < 1e-6, "200 µA reads must be effectively safe: {p}");
     }
 
     #[test]
     fn write_to_current_state_is_a_no_op() {
-        let mut cell = nominal();
+        let cell = nominal();
         let mut rng = StdRng::seed_from_u64(2);
-        cell.set_state(ResistanceState::Parallel);
+        let untouched = rng.clone();
+        let mut state = ResistanceState::Parallel;
         assert!(cell.write_with_pulse(
+            &mut state,
             ResistanceState::Parallel,
             Amps::ZERO,
             Seconds::from_nano(4.0),
             &mut rng
         ));
+        assert_eq!(rng, untouched, "a write to the held state draws nothing");
     }
 }

@@ -8,7 +8,6 @@
 //! at that instant is what a nonvolatile memory keeps across the outage.
 
 use serde::{Deserialize, Serialize};
-use stt_mtj::ResistanceState;
 
 use crate::array::{Address, Array};
 
@@ -66,10 +65,7 @@ pub fn run_with_power_failure(
     steps: Vec<OperationStep<'_>>,
     failure: PowerFailure,
 ) -> PowerFailureOutcome {
-    let before: Vec<(Address, ResistanceState)> = array
-        .addresses()
-        .map(|addr| (addr, array.read_state(addr)))
-        .collect();
+    let before = array.states().clone();
     let steps_total = steps.len();
     let mut steps_completed = 0;
     for (index, step) in steps.into_iter().enumerate() {
@@ -79,11 +75,22 @@ pub fn run_with_power_failure(
         step(array);
         steps_completed += 1;
     }
-    let corrupted = before
-        .into_iter()
-        .filter(|&(addr, state)| array.read_state(addr) != state)
-        .map(|(addr, _)| addr)
-        .collect();
+    let cols = array.cols();
+    let mut corrupted = Vec::new();
+    for (w, (now, then)) in array
+        .states()
+        .words()
+        .iter()
+        .zip(before.words())
+        .enumerate()
+    {
+        let mut diff = now ^ then;
+        while diff != 0 {
+            let cell = w * 64 + diff.trailing_zeros() as usize;
+            diff &= diff - 1;
+            corrupted.push(Address::new(cell / cols, cell % cols));
+        }
+    }
     PowerFailureOutcome {
         steps_completed,
         steps_total,

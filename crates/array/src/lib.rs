@@ -11,7 +11,8 @@
 //!   analysis via [`stt_mna::RcLadder`]) and the leakage of the unselected
 //!   cells sharing the line.
 //! * [`mod@array`] — the addressable array: decode, read, write (with the STT
-//!   switching model), per-operation latency/energy accounting.
+//!   switching model), per-operation latency/energy accounting, and the
+//!   packed [`StatePlane`] that holds every cell's stored bit.
 //! * [`fault`] — power-failure injection: interrupt an operation sequence
 //!   mid-flight and see which cells lost their data (the paper's §I argument
 //!   against destructive self-reference).
@@ -43,7 +44,7 @@ pub mod fault;
 pub mod geometry;
 pub mod wordline;
 
-pub use array::{Address, Array, ArraySpec};
+pub use array::{Address, Array, ArraySpec, StatePlane};
 pub use bitline::BitlineSpec;
 pub use cell::{AccessTransistor, Cell, CellSpec};
 pub use cost::{OperationCost, Phase, PhaseKind};

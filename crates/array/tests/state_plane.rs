@@ -103,10 +103,7 @@ fn run(seed: u64, ops: &[u64]) -> Result<(), TestCaseError> {
             }
             3 => {
                 // Swap in a freshly sampled device; the stored bit stays.
-                let fresh = spec.cell.sample_cell(&mut StdRng::seed_from_u64(param));
-                let state = array.read_state(addr);
-                *array.cell_mut(addr) = fresh;
-                array.cell_mut(addr).set_state(state);
+                *array.cell_mut(addr) = spec.cell.sample_cell(&mut StdRng::seed_from_u64(param));
             }
             4 => {
                 array.fill_with(|addr| pattern_bit(addr, param));

@@ -40,9 +40,8 @@ fn bench_scheme_eval(c: &mut Criterion) {
     let scheme = NondestructiveScheme::new(design.nondestructive);
     c.bench_function("read/nondestructive", |b| {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut read_cell = cell.clone();
-        read_cell.set_state(ResistanceState::AntiParallel);
-        b.iter(|| std::hint::black_box(scheme.read(&read_cell, &mut rng)))
+        let stored = ResistanceState::AntiParallel;
+        b.iter(|| std::hint::black_box(scheme.read(&cell, stored, &mut rng)))
     });
 
     c.bench_function("optimize/beta_destructive", |b| {

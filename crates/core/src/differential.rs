@@ -26,7 +26,8 @@ use stt_units::{Amps, Volts};
 use crate::margins::{first_read_voltage, SenseMargins};
 
 /// A complementary cell pair: the junction holding the bit and the junction
-/// holding its complement.
+/// holding its complement. Like any [`Cell`], the pair describes devices
+/// only; the stored bit is passed to [`DifferentialScheme::differential`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ComplementaryPair {
     /// The junction storing the data value.
@@ -56,13 +57,6 @@ impl ComplementaryPair {
         );
         Self { data, complement }
     }
-
-    /// Writes a bit: the data junction takes the value, the complement its
-    /// inverse (ideal writes; endurance/energy accounting is the caller's).
-    pub fn write(&mut self, bit: bool) {
-        self.data.set_state(ResistanceState::from_bit(bit));
-        self.complement.set_state(ResistanceState::from_bit(!bit));
-    }
 }
 
 /// Differential sensing across a complementary pair: one read current into
@@ -86,13 +80,14 @@ impl DifferentialScheme {
         Self { i_read }
     }
 
-    /// The comparator differential for the pair's current contents:
-    /// positive means "1".
+    /// The comparator differential when the pair stores `bit` (the data
+    /// junction holds it, the complement its inverse): positive means "1".
     #[must_use]
-    pub fn differential(&self, pair: &ComplementaryPair) -> Volts {
-        let v_data = first_read_voltage(&pair.data, pair.data.state(), self.i_read);
-        let v_comp = first_read_voltage(&pair.complement, pair.complement.state(), self.i_read);
-        v_data - v_comp
+    pub fn differential(&self, pair: &ComplementaryPair, bit: bool) -> Volts {
+        let read = |cell: &Cell, bit: bool| {
+            first_read_voltage(cell, ResistanceState::from_bit(bit), self.i_read)
+        };
+        read(&pair.data, bit) - read(&pair.complement, !bit)
     }
 
     /// Sense margins of the pair for both stored values.
@@ -184,12 +179,10 @@ mod tests {
     fn read_follows_written_bit() {
         let spec = CellSpec::date2010_chip();
         let mut rng = StdRng::seed_from_u64(3);
-        let mut pair = ComplementaryPair::sample(&spec, 0.9, &mut rng);
+        let pair = ComplementaryPair::sample(&spec, 0.9, &mut rng);
         let scheme = scheme();
-        pair.write(true);
-        assert!(scheme.differential(&pair).get() > 0.0);
-        pair.write(false);
-        assert!(scheme.differential(&pair).get() < 0.0);
+        assert!(scheme.differential(&pair, true).get() > 0.0);
+        assert!(scheme.differential(&pair, false).get() < 0.0);
     }
 
     #[test]

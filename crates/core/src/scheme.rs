@@ -91,16 +91,20 @@ pub trait SenseScheme {
         signed_margin(self.margins(cell).for_state(state), state)
     }
 
-    /// Senses the stored state of `cell` with a sampled SA offset.
+    /// Senses `cell` holding `stored` with a sampled SA offset.
     ///
     /// This is the *analytic* read — the settled comparator differential
     /// plus offset. (For the full circuit-level read of the nondestructive
     /// scheme see [`crate::netlist::TransientRead`].)
-    fn read<R: Rng + ?Sized>(&self, cell: &Cell, rng: &mut R) -> ReadOutcome
+    fn read<R: Rng + ?Sized>(
+        &self,
+        cell: &Cell,
+        stored: ResistanceState,
+        rng: &mut R,
+    ) -> ReadOutcome
     where
         Self: Sized,
     {
-        let stored = cell.state();
         let differential = self.differential(cell, stored);
         let offset = self.amplifier().sample_offset(rng);
         let bit = self.amplifier().resolve(differential, offset);
@@ -210,10 +214,7 @@ impl DestructiveScheme {
         rng: &mut R,
     ) -> ReadOutcome {
         // Step 1: first read — V_BL1 sampled onto C1 (no state change).
-        let outcome = {
-            let cell = array.cell(addr);
-            self.read(cell, rng)
-        };
+        let outcome = self.read(array.cell(addr), array.read_state(addr), rng);
         // Step 2: erase — write "0" into the bit.
         array.write_bit_pulsed(addr, false, rng);
         // Step 3: second read + compare happen on the erased cell; the
@@ -284,7 +285,7 @@ impl NondestructiveScheme {
         addr: Address,
         rng: &mut R,
     ) -> ReadOutcome {
-        self.read(array.cell(addr), rng)
+        self.read(array.cell(addr), array.read_state(addr), rng)
     }
 }
 
@@ -326,28 +327,37 @@ mod tests {
 
     #[test]
     fn all_schemes_read_the_nominal_cell_correctly() {
-        let (mut cell, design) = setup();
+        let (cell, design) = setup();
         let mut rng = StdRng::seed_from_u64(1);
         let conventional = ConventionalScheme::new(design.conventional);
         let destructive = DestructiveScheme::new(design.destructive);
         let nondestructive = NondestructiveScheme::new(design.nondestructive);
         for bit in [false, true] {
-            cell.set_state(ResistanceState::from_bit(bit));
-            assert!(conventional.read(&cell, &mut rng).correct, "conv {bit}");
-            assert!(destructive.read(&cell, &mut rng).correct, "destr {bit}");
-            assert!(nondestructive.read(&cell, &mut rng).correct, "nondes {bit}");
+            let state = ResistanceState::from_bit(bit);
+            assert!(
+                conventional.read(&cell, state, &mut rng).correct,
+                "conv {bit}"
+            );
+            assert!(
+                destructive.read(&cell, state, &mut rng).correct,
+                "destr {bit}"
+            );
+            assert!(
+                nondestructive.read(&cell, state, &mut rng).correct,
+                "nondes {bit}"
+            );
         }
     }
 
     #[test]
     fn differential_signs_encode_the_bit() {
-        let (mut cell, design) = setup();
+        let (cell, design) = setup();
         let mut rng = StdRng::seed_from_u64(2);
         let scheme = NondestructiveScheme::new(design.nondestructive);
-        cell.set_state(ResistanceState::AntiParallel);
-        assert!(scheme.read(&cell, &mut rng).differential.get() > 0.0);
-        cell.set_state(ResistanceState::Parallel);
-        assert!(scheme.read(&cell, &mut rng).differential.get() < 0.0);
+        let high = scheme.read(&cell, ResistanceState::AntiParallel, &mut rng);
+        assert!(high.differential.get() > 0.0);
+        let low = scheme.read(&cell, ResistanceState::Parallel, &mut rng);
+        assert!(low.differential.get() < 0.0);
     }
 
     /// Nominal, ±30 % RA-varied and pinhole-collapsed cells: the last has
@@ -459,15 +469,17 @@ mod tests {
 
     #[test]
     fn huge_offset_can_flip_a_tight_read() {
-        let (mut cell, design) = setup();
+        let (cell, design) = setup();
         let mut rng = StdRng::seed_from_u64(5);
         // Pathological SA: offset sigma far above the nondestructive margin.
         let broken_sa = SenseAmplifier::new(Volts::from_milli(100.0), Volts::from_milli(8.0));
         let scheme = NondestructiveScheme::new(design.nondestructive).with_amplifier(broken_sa);
-        cell.set_state(ResistanceState::AntiParallel);
         let mut wrong = 0;
         for _ in 0..200 {
-            if !scheme.read(&cell, &mut rng).correct {
+            if !scheme
+                .read(&cell, ResistanceState::AntiParallel, &mut rng)
+                .correct
+            {
                 wrong += 1;
             }
         }

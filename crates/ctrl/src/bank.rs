@@ -248,15 +248,12 @@ impl Bank {
         let cells = spec.capacity_bits();
         let mut truth = vec![0; word_count(cells)];
         let cols = spec.cols;
-        // Row-major like `Array::addresses`, so the preload draw order (and
-        // every downstream stream) is unchanged — without materialising an
-        // address list per bank, which lazy chips build by the thousand.
-        for row in 0..spec.rows {
-            for col in 0..cols {
-                let bit = rng.gen_bool(0.5);
-                array.write_bit(Address::new(row, col), bit);
-                set_bit(&mut truth, row * cols + col, bit);
-            }
+        // Row-major, one draw per cell, straight into the state plane.
+        let states = array.states_mut();
+        for cell in 0..cells {
+            let bit = rng.gen_bool(0.5);
+            states.set(cell, bit);
+            set_bit(&mut truth, cell, bit);
         }
         let faults = config.faults.for_bank(index);
         for cell in &faults.stuck_cells {
@@ -265,8 +262,8 @@ impl Bank {
         }
         // Pinhole defects: swap the sampled device for one whose "high"
         // state is the low-state curve scaled by the residual TMR, keeping
-        // the sampled transistor and the preloaded state. No RNG is drawn,
-        // so a quiet plan leaves every stream untouched.
+        // the sampled transistor (the preloaded state stays in the plane).
+        // No RNG is drawn, so a quiet plan leaves every stream untouched.
         for defect in &faults.pinhole_cells {
             let mtj = &spec.cell.mtj;
             let low = mtj.resistance.r_low0();
@@ -281,10 +278,8 @@ impl Bank {
                 ),
                 switching: mtj.switching,
             };
-            let prior = array.cell(defect.addr).state();
             let transistor = *array.cell(defect.addr).transistor();
             *array.cell_mut(defect.addr) = Cell::new(collapsed.into_device(), transistor);
-            array.cell_mut(defect.addr).set_state(prior);
         }
         // Dynamic drift on this bank's slice of the plan, from the pinhole-
         // swapped array, so every defect drifts along with the healthy
@@ -971,9 +966,9 @@ impl Bank {
     /// Inverts the stored state of `cell` (row-major) behind the host's
     /// back.
     fn flip(&mut self, cell: usize) {
-        let addr = self.addr_of(cell);
-        let stored = self.array.read_state(addr).bit();
-        self.array.write_bit(addr, !stored);
+        let states = self.array.states_mut();
+        let stored = states.get(cell);
+        states.set(cell, !stored);
     }
 
     /// The bank's stored bits right now, row-major — the quantity the
@@ -981,22 +976,15 @@ impl Bank {
     /// replay.
     #[must_use]
     pub fn stored_bits(&self) -> Vec<bool> {
-        self.array
-            .addresses()
-            .map(|addr| self.array.read_state(addr).bit())
-            .collect()
+        let states = self.array.states();
+        (0..states.len()).map(|cell| states.get(cell)).collect()
     }
 
     /// Integrity audit: cells whose stored state disagrees with the host's
-    /// truth mirror right now.
+    /// truth mirror right now, a word at a time.
     #[must_use]
     pub fn audit_corrupted_bits(&self) -> u64 {
-        self.array
-            .addresses()
-            .filter(|&addr| {
-                self.array.read_state(addr).bit() != self.truth_bit(self.array.index_of(addr))
-            })
-            .count() as u64
+        self.array.states().count_differing(&self.truth)
     }
 
     /// Re-pins every stuck cell to its defect value (a stuck MTJ "accepts"
@@ -1063,12 +1051,11 @@ fn undrifted_spec(array: &Array, cell: usize) -> MtjSpec {
 }
 
 /// Swaps cell `cell`'s device (row-major) for `reference` drifted by
-/// `step`, keeping its stored state and sampled transistor.
+/// `step`, keeping its sampled transistor (the stored state stays in the
+/// plane).
 fn rebuild(array: &mut Array, cell: usize, reference: &MtjSpec, step: &DriftStep) {
     let cell = &mut array.cells_mut()[cell];
-    let (prior, transistor) = (cell.state(), *cell.transistor());
-    *cell = Cell::new(step.apply(reference).into_device(), transistor);
-    cell.set_state(prior);
+    *cell = Cell::new(step.apply(reference).into_device(), *cell.transistor());
 }
 
 /// Latency/energy of one programming pulse (decode + pulse + driver

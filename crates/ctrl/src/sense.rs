@@ -173,8 +173,10 @@ impl Scheme {
     /// attempt starts from (DESIGN.md §12), kept in `codes[k]`; the caller
     /// clears a cell's codes whenever its device, the scheme or `retry`
     /// changes. A read-only scheme under a short budget resolves a cell
-    /// inline when its code decides the first attempt confident; any other
-    /// cell goes on in an out-of-line retry chain.
+    /// inline when its code decides the first attempt confident, from the
+    /// array's state plane and `codes[k]` alone; any other cell goes on in
+    /// an out-of-line retry chain, the only place its device is read
+    /// besides a stale code's fill.
     ///
     /// # Panics
     ///
@@ -194,15 +196,21 @@ impl Scheme {
         assert!(retry.max_attempts > 0, "need at least one sense attempt");
         assert_eq!(codes.len(), cells.len(), "one set of settle codes per cell");
         let write = (array.spec().write_current, array.spec().write_pulse);
-        let cells = array.cells_mut()[cells].iter_mut().zip(codes).enumerate();
+        let start = cells.start;
+        let (devices, states) = array.cells_and_states_mut();
+        let cells = devices[cells].iter().zip(codes).enumerate();
         if self.is_destructive() || retry.max_attempts as usize > KEPT_ATTEMPTS {
             for (k, (cell, codes)) in cells {
-                each(k, self.chain(retry, write, cell, rng, codes, work, None));
+                let mut stored = states.state(start + k);
+                let chain = self.chain(retry, write, cell, &mut stored, rng, codes, work, None);
+                states.set(start + k, stored.bit());
+                each(k, chain);
             }
             return;
         }
         for (k, (cell, codes)) in cells {
-            let (pair, state) = (*codes, usize::from(cell.state().bit()));
+            let (pair, bit) = (*codes, states.get(start + k));
+            let state = usize::from(bit);
             let mut code = pair.get(state);
             if code == STALE {
                 code = self.fill(retry, codes, state, self.differential(cell, state), work);
@@ -217,7 +225,18 @@ impl Scheme {
                     confident,
                 }
             } else {
-                self.chain(retry, write, cell, rng, codes, work, Some((u1, u2)))
+                // A read-only chain leaves the stored state as it found it.
+                let mut stored = ResistanceState::from_bit(bit);
+                self.chain(
+                    retry,
+                    write,
+                    cell,
+                    &mut stored,
+                    rng,
+                    codes,
+                    work,
+                    Some((u1, u2)),
+                )
             };
             each(k, resolution);
         }
@@ -234,13 +253,13 @@ impl Scheme {
     ///
     /// Panics if the address is out of range.
     pub fn sense_readonly(&self, array: &Array, addr: Address, rng: &mut StdRng) -> Sensed {
-        self.sense_cell(array.cell(addr), rng)
+        self.sense_cell(array.cell(addr), array.read_state(addr), rng)
     }
 
-    /// The analytic sense, [`SenseScheme::read`] with the sampled offset
-    /// kept in `observed`: the retry policy judges the comparator's input.
-    fn sense_cell(&self, cell: &Cell, rng: &mut StdRng) -> Sensed {
-        let stored = cell.state();
+    /// The analytic sense of `cell` holding `stored`, [`SenseScheme::read`]
+    /// with the sampled offset kept in `observed`: the retry policy judges
+    /// the comparator's input.
+    fn sense_cell(&self, cell: &Cell, stored: ResistanceState, rng: &mut StdRng) -> Sensed {
         let differential = Volts::new(self.differential(cell, usize::from(stored.bit())));
         let offset = self.amplifier().sample_offset(rng);
         let bit = self.amplifier().resolve(differential, offset);
@@ -270,9 +289,10 @@ impl Scheme {
         .get()
     }
 
-    /// One cell's read out of the span loop, `first` holding the uniforms
-    /// the loop drew for its first attempt, if it drew them; `write` is
-    /// the array's write current and pulse, for a destructive write-back.
+    /// One read of `cell` holding `*stored`, out of the span loop, `first`
+    /// holding the uniforms the loop drew for its first attempt, if it
+    /// drew them; `write` is the array's write current and pulse, for a
+    /// destructive write-back, which leaves its result in `*stored`.
     ///
     /// Each attempt takes the code of the state it starts from (a
     /// destructive write-back can flip it) and draws `(u1, u2)` as
@@ -289,7 +309,8 @@ impl Scheme {
         &self,
         retry: &RetryPolicy,
         write: (Amps, Seconds),
-        cell: &mut Cell,
+        cell: &Cell,
+        stored: &mut ResistanceState,
         rng: &mut StdRng,
         codes: &mut SettleCodes,
         work: &mut SenseWork,
@@ -299,8 +320,8 @@ impl Scheme {
         let guard = retry.guard_band.get();
         if retry.max_attempts as usize > KEPT_ATTEMPTS {
             let resolution = retry.resolve(|| {
-                let sensed = self.sense_cell(cell, rng);
-                self.write_back(write, cell, sensed.bit, rng);
+                let sensed = self.sense_cell(cell, *stored, rng);
+                self.write_back(write, cell, stored, sensed.bit, rng);
                 sensed
             });
             work.attempts += u64::from(resolution.attempts);
@@ -316,7 +337,7 @@ impl Scheme {
         let mut kept = [(0, 0.0, 0.0); KEPT_ATTEMPTS];
         let mut all_decided = true;
         for attempt in 1..=retry.max_attempts {
-            let state = usize::from(cell.state().bit());
+            let state = usize::from(stored.bit());
             let mut code = codes.get(state);
             if code == STALE {
                 code = self.fill(retry, codes, state, differential(cell, state), work);
@@ -331,7 +352,7 @@ impl Scheme {
                 let observed = observed(differential(cell, state), sigma, u1, u2);
                 (observed > 0.0, observed.abs() >= guard)
             };
-            self.write_back(write, cell, bit, rng);
+            self.write_back(write, cell, stored, bit, rng);
             if confident {
                 return ReadResolution {
                     bit,
@@ -374,12 +395,20 @@ impl Scheme {
         code
     }
 
-    /// A destructive scheme's erase and write-back of the sensed `bit`.
-    fn write_back(&self, write: (Amps, Seconds), cell: &mut Cell, bit: bool, rng: &mut StdRng) {
+    /// A destructive scheme's erase and write-back of the sensed `bit` into
+    /// `cell` holding `*stored`.
+    fn write_back(
+        &self,
+        write: (Amps, Seconds),
+        cell: &Cell,
+        stored: &mut ResistanceState,
+        bit: bool,
+        rng: &mut StdRng,
+    ) {
         if self.is_destructive() {
             let (current, pulse) = write;
-            cell.write_with_pulse(ResistanceState::Parallel, current, pulse, rng);
-            cell.write_with_pulse(ResistanceState::from_bit(bit), current, pulse, rng);
+            cell.write_with_pulse(stored, ResistanceState::Parallel, current, pulse, rng);
+            cell.write_with_pulse(stored, ResistanceState::from_bit(bit), current, pulse, rng);
         }
     }
 }

@@ -20,7 +20,7 @@ fn main() {
     // The calibrated typical device: R_L(0) = 1525 Ω, R_H(0) = 3050 Ω,
     // ΔR_Hmax = 600 Ω ≫ ΔR_Lmax = 100 Ω, R_T = 917 Ω.
     let spec = CellSpec::date2010_chip();
-    let mut cell = spec.nominal_cell();
+    let cell = spec.nominal_cell();
     println!(
         "device: R_L(0) = {}, R_H(0) = {}, TMR(0) = {:.0} %",
         cell.device().r_low(Amps::ZERO),
@@ -42,11 +42,11 @@ fn main() {
 
     let mut rng = StdRng::seed_from_u64(2010);
     for bit in [false, true] {
-        cell.set_state(ResistanceState::from_bit(bit));
+        let stored = ResistanceState::from_bit(bit);
         println!("\nstored bit: {}", u8::from(bit));
-        let conv = conventional.read(&cell, &mut rng);
-        let dest = destructive.read(&cell, &mut rng);
-        let nond = nondestructive.read(&cell, &mut rng);
+        let conv = conventional.read(&cell, stored, &mut rng);
+        let dest = destructive.read(&cell, stored, &mut rng);
+        let nond = nondestructive.read(&cell, stored, &mut rng);
         println!(
             "  conventional     → {} (differential {})",
             u8::from(conv.bit),

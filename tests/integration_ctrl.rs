@@ -26,7 +26,7 @@ use stt_ctrl::{
     ReadResolution, RetryPolicy, Scheme, SenseWork, Sensed, SettleCodes, Trace, Transaction,
     Workload,
 };
-use stt_mtj::{MtjSpec, ResistanceCurve, ResistanceState};
+use stt_mtj::{MtjSpec, ResistanceCurve};
 use stt_sense::{
     ConventionalScheme, DesignPoint, DestructiveScheme, NondestructiveScheme, SchemeKind,
     SenseAmplifier, SenseScheme,
@@ -338,9 +338,8 @@ fn span_array(seed: u64, hot: bool) -> Array {
             switching: *cell.device().switching(),
         };
         let drifted = plan.drifted_spec(&base, key);
-        let (transistor, state) = (*cell.transistor(), cell.state());
+        let transistor = *cell.transistor();
         *array.cell_mut(addr) = Cell::new(drifted.into_device(), transistor);
-        array.cell_mut(addr).set_state(state);
     }
     array
 }
@@ -450,9 +449,10 @@ fn scheme_with(kind: SchemeKind, amplifier: SenseAmplifier) -> Scheme {
     }
 }
 
-/// The settled comparator differential `scheme` sees on `cell`.
-fn differential_of(scheme: &Scheme, cell: &Cell) -> f64 {
-    let state = cell.state();
+/// The settled comparator differential `scheme` sees on the cell at
+/// `addr`, holding its stored state.
+fn differential_of(scheme: &Scheme, array: &Array, addr: Address) -> f64 {
+    let (cell, state) = (array.cell(addr), array.read_state(addr));
     match scheme {
         Scheme::Conventional(s) => s.differential(cell, state),
         Scheme::Destructive(s) => s.differential(cell, state),
@@ -490,7 +490,6 @@ fn oracle_arrays() -> [Array; 2] {
         };
         let drifted = plan.drifted_spec(&base, key);
         *hot.cell_mut(addr) = Cell::new(drifted.into_device(), *cell.transistor());
-        hot.cell_mut(addr).set_state(cell.state());
     }
     [array, hot]
 }
@@ -568,7 +567,7 @@ proptest! {
         let amplifier = oracle_amplifiers()[amplifier_index];
         let scheme = scheme_with(SchemeKind::ALL[kind_index], amplifier);
         let addr = Address::new(cell_index / 8, cell_index % 8);
-        let d = differential_of(&scheme, array.cell(addr));
+        let d = differential_of(&scheme, array, addr);
         let bands = oracle_guard_bands(d, amplifier.offset_sigma().get());
         let retry = RetryPolicy {
             guard_band: Volts::new(bands[band_index % bands.len()]),
@@ -621,11 +620,9 @@ fn scheme_resolve_matches_the_reference_through_each_branch() {
     let addr = Address::new(2, 5);
     let nominal = CellSpec::date2010_chip().nominal_cell();
     *array.cell_mut(addr) = nominal;
-    array
-        .cell_mut(addr)
-        .set_state(ResistanceState::AntiParallel);
+    array.write_bit(addr, true);
     let auto_zero = scheme_with(SchemeKind::Nondestructive, SenseAmplifier::auto_zero());
-    let d = differential_of(&auto_zero, array.cell(addr));
+    let d = differential_of(&auto_zero, &array, addr);
     assert!(d > 5e-3, "nominal nondestructive differential {d}");
     let retry = |guard: f64| RetryPolicy {
         guard_band: Volts::new(guard),
@@ -704,7 +701,7 @@ fn scheme_resolve_matches_the_reference_through_each_branch() {
     // mis-sense and the write-back flips the cell mid-chain, so each
     // attempt must re-derive d from the state the last one left.
     let destructive = scheme_with(SchemeKind::Destructive, SenseAmplifier::auto_zero());
-    let d = differential_of(&destructive, array.cell(addr));
+    let d = differential_of(&destructive, &array, addr);
     let wide = scheme_with(
         SchemeKind::Destructive,
         SenseAmplifier::new(Volts::new(d.abs()), Volts::ZERO),

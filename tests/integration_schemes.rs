@@ -40,7 +40,11 @@ fn full_array_readout_with_all_three_schemes() {
         let outcome = nondestructive.execute(&array, addr, &mut rng);
         assert_eq!(outcome.bit, expected, "nondestructive misread at {addr}");
         // Conventional read (may legitimately fail on outlier cells).
-        if conventional.read(array.cell(addr), &mut rng).bit != expected {
+        if conventional
+            .read(array.cell(addr), array.read_state(addr), &mut rng)
+            .bit
+            != expected
+        {
             conventional_errors += 1;
         }
         // Destructive read mutates and must restore.
@@ -73,12 +77,11 @@ fn sensing_works_on_all_three_resistance_models() {
     ];
     let mut rng = StdRng::seed_from_u64(3);
     for (index, device) in devices.into_iter().enumerate() {
-        let mut cell = Cell::new(device, transistor);
+        let cell = Cell::new(device, transistor);
         let design = NondestructiveDesign::optimize(&cell, Amps::from_micro(200.0), 0.5);
         let scheme = NondestructiveScheme::new(design);
         for bit in [false, true] {
-            cell.set_state(ResistanceState::from_bit(bit));
-            let outcome = scheme.read(&cell, &mut rng);
+            let outcome = scheme.read(&cell, ResistanceState::from_bit(bit), &mut rng);
             assert!(outcome.correct, "model {index} misread bit {bit}");
         }
         let margins = scheme.margins(&cell);
@@ -98,15 +101,15 @@ fn beta_derived_on_one_model_transfers_to_the_others() {
     let transistor = *spec.nominal_cell().transistor();
     let linear_cell = Cell::new(MtjSpec::date2010_typical().into_device(), transistor);
     let design = NondestructiveDesign::optimize(&linear_cell, Amps::from_micro(200.0), 0.5);
-    let mut physical_cell = Cell::new(
+    let physical_cell = Cell::new(
         MtjSpec::date2010_typical().into_physical_device(),
         transistor,
     );
     let mut rng = StdRng::seed_from_u64(4);
     let scheme = NondestructiveScheme::new(design);
     for bit in [false, true] {
-        physical_cell.set_state(ResistanceState::from_bit(bit));
-        assert!(scheme.read(&physical_cell, &mut rng).correct);
+        let stored = ResistanceState::from_bit(bit);
+        assert!(scheme.read(&physical_cell, stored, &mut rng).correct);
     }
 }
 
@@ -169,7 +172,7 @@ fn delta_rt_windows_scale_with_margin() {
 
 #[test]
 fn perturbed_reads_fail_exactly_outside_the_window() {
-    let (mut cell, design) = nominal();
+    let (cell, design) = nominal();
     let window = allowable_delta_rt_nondestructive(&cell, &design.nondestructive);
     let scheme = NondestructiveScheme::new(design.nondestructive)
         .with_amplifier(stt_sense::SenseAmplifier::ideal());
@@ -195,11 +198,10 @@ fn perturbed_reads_fail_exactly_outside_the_window() {
             } else {
                 ResistanceState::Parallel
             };
-            cell.set_state(failing_state);
             // Reconstruct the read with the perturbation by checking margin
             // sign (the scheme API reads unperturbed cells).
             assert!(margins.for_state(failing_state).get() < 0.0);
-            let _ = scheme.read(&cell, &mut rng);
+            let _ = scheme.read(&cell, failing_state, &mut rng);
         }
     }
 }
