@@ -66,15 +66,6 @@ impl BitlineSpec {
         i_read * Ohms::new(parallel)
     }
 
-    /// Relative error the leakage introduces versus the ideal (unloaded)
-    /// bit-line voltage — how much of the read current the unselected cells
-    /// steal.
-    #[must_use]
-    pub fn leakage_error(&self, r_selected: Ohms) -> f64 {
-        let shunt = self.unselected_shunt();
-        r_selected.get() / (r_selected.get() + shunt.get())
-    }
-
     /// The distributed-RC ladder of the bare line (driver at node 0, the
     /// sensing tap at the far end).
     #[must_use]
@@ -151,15 +142,6 @@ mod tests {
         let spec = BitlineSpec::date2010_chip();
         let expected = 50e6 / 127.0;
         assert!((spec.unselected_shunt().get() - expected).abs() < 1e-6);
-    }
-
-    #[test]
-    fn leakage_error_is_small_but_nonzero() {
-        let spec = BitlineSpec::date2010_chip();
-        // Selected path ≈ 3.4 kΩ against a ≈ 394 kΩ shunt: < 1 % error.
-        let error = spec.leakage_error(Ohms::new(3367.0));
-        assert!(error > 0.0);
-        assert!(error < 0.01, "leakage error {error}");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-use stt_units::{Amps, Joules, Seconds, Volts, Watts};
+use stt_units::{Amps, Joules, Seconds, Volts};
 
 /// What a phase does (for reporting; the arithmetic only uses the numbers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -125,12 +125,6 @@ impl OperationCost {
         self.phases.iter().map(Phase::energy).sum()
     }
 
-    /// Average power over the operation.
-    #[must_use]
-    pub fn average_power(&self) -> Watts {
-        self.energy() / self.latency()
-    }
-
     /// Summed duration of phases of the given kind.
     #[must_use]
     pub fn time_in(&self, kind: PhaseKind) -> Seconds {
@@ -215,7 +209,6 @@ mod tests {
         let expected = 1.2 * (94e-6 + 200e-6) * 5e-9;
         assert!((read_energy - expected).abs() < 1e-20);
         assert!(op.energy() > op.energy_in(PhaseKind::Read));
-        assert!(op.average_power().get() > 0.0);
     }
 
     #[test]

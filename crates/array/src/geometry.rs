@@ -80,13 +80,6 @@ impl CellGeometry {
         let array_um2 = self.cell_area_um2() * bits as f64;
         array_um2 * (1.0 + self.periphery_overhead) * 1e-6
     }
-
-    /// Storage density in Mbit/mm² (macro-level, periphery included).
-    #[must_use]
-    pub fn density_mbit_per_mm2(&self) -> f64 {
-        let bits_per_mm2 = 1.0 / (self.cell_area_um2() * (1.0 + self.periphery_overhead) * 1e-6);
-        bits_per_mm2 / 1e6
-    }
 }
 
 #[cfg(test)]
@@ -112,17 +105,7 @@ mod tests {
     fn complementary_cell_halves_the_density() {
         let single = CellGeometry::date2010_1t1j();
         let double = CellGeometry::date2010_2t2mtj();
-        let ratio = single.density_mbit_per_mm2() / double.density_mbit_per_mm2();
-        assert!((ratio - 2.0).abs() < 1e-9);
         assert!((double.macro_area_mm2(16384) / single.macro_area_mm2(16384) - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn density_is_megabit_class_at_130nm() {
-        // ~1.1 Mbit/mm² for a 40 F² cell at 130 nm with 30 % periphery —
-        // the right order for the era's embedded memory macros.
-        let density = CellGeometry::date2010_1t1j().density_mbit_per_mm2();
-        assert!((0.5..3.0).contains(&density), "density {density}");
     }
 
     #[test]
