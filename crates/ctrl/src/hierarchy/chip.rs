@@ -2,9 +2,9 @@
 //! channels × ranks × bank groups × banks topology.
 //!
 //! Structurally this is the scheduler frontend lifted one level: each
-//! *channel* runs its own discrete-event loop (own [`EventQueue`], own
-//! lanes, own bus bookkeeping, own traffic source stream), and channels
-//! share **nothing** — which is exactly the property that lets
+//! *channel* runs its own discrete-event loop (own event slots, own lanes,
+//! own bus bookkeeping, own traffic source stream), and channels share
+//! **nothing** — which is exactly the property that lets
 //! [`ShardDispatch::Sharded`] put one worker thread on each channel and
 //! still produce results **bit-identical** to [`ShardDispatch::Serial`].
 //! Within a channel, the levels below it exist as *shared resources*:
@@ -13,6 +13,13 @@
 //! queues for its buses before the data is really delivered (the
 //! serialization delay that makes cheap reads buy bus headroom at scale).
 //! Each bank's lane serves its queue first-come, first-served.
+//!
+//! A channel never has more than one pending source event (the next trace
+//! arrival or closed-loop issue) and one pending event per bank (its array
+//! access finishing, or its transfer completing), so its loop keeps one
+//! [`SlotKey`] per slot and pops the least by scanning them, in exactly the
+//! order an [`EventQueue`](crate::sched::EventQueue) would: by time, ties
+//! by scheduling order.
 //!
 //! Banks are materialised **lazily**: a multi-GB address space is fully
 //! addressable through the topology, but a bank allocates its array, truth
@@ -33,7 +40,7 @@ use crate::engine::{on_workers, ControllerConfig};
 use crate::faults::{DriftPlan, FaultPlan};
 use crate::reliability::EccMode;
 use crate::retry::RetryPolicy;
-use crate::sched::event::EventQueue;
+use crate::sched::event::SlotKey;
 use crate::sched::policy::Policy;
 use crate::sched::queue::{Lane, Queued};
 use crate::telemetry::{BankTelemetry, ChannelTelemetry, QueueTelemetry};
@@ -287,10 +294,11 @@ impl ChipRun {
 
 /// Per-channel persistent state.
 struct ChannelState {
-    /// Resident banks, keyed by global bank index.
-    banks: BTreeMap<usize, Bank>,
-    /// Accumulated per-bank queueing counters (same keys as `banks`).
-    queues: BTreeMap<usize, QueueTelemetry>,
+    /// Resident banks, indexed by local bank (global index less the
+    /// channel's first); `None` until traffic first touches a bank.
+    banks: Vec<Option<Box<Bank>>>,
+    /// Accumulated per-bank queueing counters, indexed like `banks`.
+    queues: Vec<Option<QueueTelemetry>>,
     /// Accumulated channel engine counters.
     stats: ChannelTelemetry,
     /// Makespan of the most recent run (nanoseconds).
@@ -300,10 +308,10 @@ struct ChannelState {
 }
 
 impl ChannelState {
-    fn new() -> Self {
+    fn new(banks: usize) -> Self {
         Self {
-            banks: BTreeMap::new(),
-            queues: BTreeMap::new(),
+            banks: (0..banks).map(|_| None).collect(),
+            queues: vec![None; banks],
             stats: ChannelTelemetry::default(),
             last_end_ns: 0.0,
             last_completed: 0,
@@ -358,8 +366,9 @@ impl Chip {
     pub fn new(config: ChipConfig) -> Self {
         config.bus.validate();
         let bank_config = config.bank_config();
+        let per_channel = config.topology.banks_per_channel();
         let channels = (0..config.topology.channels)
-            .map(|_| ChannelState::new())
+            .map(|_| ChannelState::new(per_channel))
             .collect();
         Self {
             config,
@@ -377,7 +386,26 @@ impl Chip {
     /// Number of banks currently resident (materialised by traffic).
     #[must_use]
     pub fn resident_banks(&self) -> usize {
-        self.channels.iter().map(|c| c.banks.len()).sum()
+        self.resident().count()
+    }
+
+    /// Every resident bank with its global index and its accumulated
+    /// queueing counters, in global bank order.
+    fn resident(&self) -> impl Iterator<Item = (usize, &Bank, Option<&QueueTelemetry>)> + '_ {
+        let per_channel = self.config.topology.banks_per_channel();
+        self.channels
+            .iter()
+            .enumerate()
+            .flat_map(move |(channel, state)| {
+                let slots = state.banks.iter().zip(&state.queues).enumerate();
+                slots.filter_map(move |(local, (bank, queue))| {
+                    Some((
+                        channel * per_channel + local,
+                        bank.as_deref()?,
+                        queue.as_ref(),
+                    ))
+                })
+            })
     }
 
     /// The stored bits of every resident bank, keyed by global bank index
@@ -385,14 +413,8 @@ impl Chip {
     /// property compares.
     #[must_use]
     pub fn stored_state(&self) -> Vec<(usize, Vec<bool>)> {
-        self.channels
-            .iter()
-            .flat_map(|channel| {
-                channel
-                    .banks
-                    .iter()
-                    .map(|(&index, bank)| (index, bank.stored_bits()))
-            })
+        self.resident()
+            .map(|(index, bank, _)| (index, bank.stored_bits()))
             .collect()
     }
 
@@ -400,16 +422,13 @@ impl Chip {
     #[must_use]
     pub fn telemetry(&self) -> ChipTelemetry {
         let banks = self
-            .channels
-            .iter()
-            .flat_map(|channel| {
-                channel.banks.iter().map(|(&index, bank)| {
-                    let mut telemetry = bank.telemetry().clone();
-                    if let Some(queue) = channel.queues.get(&index) {
-                        telemetry.queue = queue.clone();
-                    }
-                    (self.config.topology.coord(index), telemetry)
-                })
+            .resident()
+            .map(|(index, bank, queue)| {
+                let mut telemetry = bank.telemetry().clone();
+                if let Some(queue) = queue {
+                    telemetry.queue = queue.clone();
+                }
+                (self.config.topology.coord(index), telemetry)
             })
             .collect();
         ChipTelemetry {
@@ -417,10 +436,8 @@ impl Chip {
             banks,
             channels: self.channels.iter().map(|c| c.stats.clone()).collect(),
             audit_corrupted_bits: self
-                .channels
-                .iter()
-                .flat_map(|c| c.banks.values())
-                .map(Bank::audit_corrupted_bits)
+                .resident()
+                .map(|(_, bank, _)| bank.audit_corrupted_bits())
                 .sum(),
         }
     }
@@ -500,28 +517,27 @@ impl Chip {
     }
 }
 
-/// What one channel's event loop reacts to.
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    /// The next open-loop trace transaction arrives.
-    Arrive,
-    /// The closed-loop source attempts to issue.
-    Issue,
-    /// A bank's array access finished; the transfer now claims its buses.
-    BankDone { bank: usize },
-    /// The transfer crossed both buses; the transaction is complete and the
-    /// bank is free.
-    Complete { bank: usize },
-}
-
 /// Everything one channel's event loop owns while it runs.
 struct ChannelSim<'a> {
     config: &'a ChipConfig,
     bank_config: &'a ControllerConfig,
     geometry: Geometry,
     channel: usize,
-    lanes: BTreeMap<usize, Lane>,
-    events: EventQueue<Event>,
+    /// Global index of the channel's first bank.
+    first_bank: usize,
+    /// Per-run lanes, indexed by local bank; `None` until first offered.
+    lanes: Vec<Option<Lane>>,
+    /// Each local bank's bus slot in `group_bus_free`.
+    group_of: Vec<usize>,
+    /// The pending source event: the next trace arrival or closed-loop
+    /// issue.
+    source: SlotKey,
+    /// Each local bank's pending event: its array access finishing, or,
+    /// while `on_bus`, its transfer completing.
+    slots: Vec<SlotKey>,
+    on_bus: Vec<bool>,
+    /// Sequence number of the next scheduled event.
+    next_seq: u64,
     stats: ChannelTelemetry,
     /// Bus-free times: one per (rank, group) pair, plus the channel bus.
     group_bus_free: Vec<f64>,
@@ -534,15 +550,25 @@ struct ChannelSim<'a> {
 
 impl<'a> ChannelSim<'a> {
     fn new(config: &'a ChipConfig, bank_config: &'a ControllerConfig, channel: usize) -> Self {
+        let topology = config.topology;
+        let per_channel = topology.banks_per_channel();
         Self {
             config,
             bank_config,
             geometry: config.geometry(),
             channel,
-            lanes: BTreeMap::new(),
-            events: EventQueue::new(),
+            first_bank: channel * per_channel,
+            lanes: (0..per_channel).map(|_| None).collect(),
+            // Local banks run rank-major, then group, then bank.
+            group_of: (0..per_channel)
+                .map(|local| local / topology.banks)
+                .collect(),
+            source: SlotKey::IDLE,
+            slots: vec![SlotKey::IDLE; per_channel],
+            on_bus: vec![false; per_channel],
+            next_seq: 0,
             stats: ChannelTelemetry::default(),
-            group_bus_free: vec![0.0; config.topology.ranks * config.topology.groups],
+            group_bus_free: vec![0.0; topology.ranks * topology.groups],
             channel_bus_free: 0.0,
             outstanding: 0,
             max_outstanding: 0,
@@ -551,11 +577,29 @@ impl<'a> ChannelSim<'a> {
         }
     }
 
+    /// The next sequence number, taken where an event heap would schedule.
+    fn seq(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq - 1
+    }
+
+    /// Schedules the source's next event at `time_ns`.
+    fn schedule_source(&mut self, time_ns: f64) {
+        self.source = SlotKey::new(time_ns, self.seq());
+    }
+
+    /// Schedules local bank `local`'s next event at `time_ns`: its
+    /// transfer completing when `on_bus`, else its access finishing.
+    fn schedule_bank(&mut self, local: usize, time_ns: f64, on_bus: bool) {
+        self.slots[local] = SlotKey::new(time_ns, self.seq());
+        self.on_bus[local] = on_bus;
+    }
+
     /// Offers one transaction to its bank at `now`: materialises the bank
     /// if this is its first touch, then serves or queues.
     fn offer(
         &mut self,
-        banks: &mut BTreeMap<usize, Bank>,
+        banks: &mut [Option<Box<Bank>>],
         txn: Transaction,
         trace_index: usize,
         now: f64,
@@ -565,34 +609,30 @@ impl<'a> ChannelSim<'a> {
             self.channel,
             "transaction crossed channels"
         );
+        let local = txn.bank - self.first_bank;
         self.stats.issued += 1;
         self.outstanding += 1;
         self.max_outstanding = self.max_outstanding.max(self.outstanding as u64);
-        let bank = banks
-            .entry(txn.bank)
-            .or_insert_with(|| Bank::new(txn.bank, self.bank_config));
-        let lane = self
-            .lanes
-            .entry(txn.bank)
-            .or_insert_with(|| Lane::with_capacity_hint(usize::MAX, 0));
+        let bank =
+            banks[local].get_or_insert_with(|| Box::new(Bank::new(txn.bank, self.bank_config)));
+        let lane = self.lanes[local].get_or_insert_with(|| Lane::with_capacity_hint(usize::MAX, 0));
         let queued = Queued {
             txn,
             trace_index,
             arrival_ns: now,
             admit_ns: now,
         };
-        if let Some(done) = lane.admit(bank, queued, now) {
-            self.events
-                .schedule(done, Event::BankDone { bank: txn.bank });
+        let done = lane.admit(bank, queued, now);
+        if let Some(done) = done {
+            self.schedule_bank(local, done, false);
         }
     }
 
     /// A finished array access claims its group and channel buses: the
     /// transfer starts when both are free, holds both for the full burst,
     /// and completes the transaction when it ends.
-    fn claim_buses(&mut self, bank: usize, now: f64) {
-        let coord = self.config.topology.coord(bank);
-        let group_slot = coord.rank * self.config.topology.groups + coord.group;
+    fn claim_buses(&mut self, local: usize, now: f64) {
+        let group_slot = self.group_of[local];
         let start = now
             .max(self.group_bus_free[group_slot])
             .max(self.channel_bus_free);
@@ -602,31 +642,37 @@ impl<'a> ChannelSim<'a> {
         self.stats.bus_busy_ns += burst_ns;
         self.group_bus_free[group_slot] = done;
         self.channel_bus_free = done;
-        self.events.schedule(done, Event::Complete { bank });
+        self.schedule_bank(local, done, true);
     }
 
     /// Retires the completed transaction and starts the bank's next one.
-    fn complete(&mut self, banks: &mut BTreeMap<usize, Bank>, bank: usize, now: f64) {
-        let lane = self.lanes.get_mut(&bank).expect("completion without lane");
+    fn complete(&mut self, banks: &mut [Option<Box<Bank>>], local: usize, now: f64) {
+        let lane = self.lanes[local].as_mut().expect("completion without lane");
         lane.retire(now);
         self.stats.completed += 1;
         self.completed += 1;
         self.outstanding -= 1;
         self.end_ns = self.end_ns.max(now);
-        let bank_state = banks.get_mut(&bank).expect("completion without bank");
-        if let Some(done) = lane.try_dispatch(bank_state, Policy::Fcfs, now) {
-            self.events.schedule(done, Event::BankDone { bank });
+        let bank = banks[local].as_mut().expect("completion without bank");
+        let done = lane.try_dispatch(bank, Policy::Fcfs, now);
+        if let Some(done) = done {
+            self.schedule_bank(local, done, false);
         }
     }
 
     /// Flushes per-lane occupancy integrals and folds this run's counters
     /// into the channel's persistent state.
     fn finish(mut self, state: &mut ChannelState) {
-        for (index, lane) in &mut self.lanes {
+        for (lane, queue) in self.lanes.iter_mut().zip(&mut state.queues) {
+            let Some(lane) = lane else {
+                continue;
+            };
             debug_assert!(lane.queue.is_empty() && lane.in_service.is_none());
             lane.flush_occupancy(self.end_ns);
             lane.stats.horizon_ns = self.end_ns;
-            state.queues.entry(*index).or_default().merge(&lane.stats);
+            queue
+                .get_or_insert_with(QueueTelemetry::default)
+                .merge(&lane.stats);
         }
         self.stats.max_outstanding = self.max_outstanding;
         self.stats.horizon_ns = self.end_ns;
@@ -658,26 +704,34 @@ fn run_channel(
     let mut throttled = false;
 
     if let Some((_, first)) = trace.first() {
-        sim.events.schedule(first.arrival_ns as f64, Event::Arrive);
+        sim.schedule_source(first.arrival_ns as f64);
     }
     if source.is_some_and(|s| s.ops_per_channel > 0) {
-        sim.events.schedule(0.0, Event::Issue);
+        sim.schedule_source(0.0);
     }
 
-    while let Some((now, event)) = sim.events.pop() {
-        match event {
-            Event::Arrive => {
+    loop {
+        let (bank, next) = SlotKey::earliest(sim.source, &sim.slots);
+        if next == SlotKey::IDLE {
+            break;
+        }
+        let now = next.time_ns();
+        match bank {
+            // The next open-loop trace transaction arrives.
+            None if source.is_none() => {
+                sim.source = SlotKey::IDLE;
                 let (trace_index, txn) = trace[cursor];
                 cursor += 1;
                 sim.offer(banks, txn, trace_index, now);
                 if let Some((_, next)) = trace.get(cursor) {
                     // Arrivals are pre-sorted; the max() only guards float
                     // identity for equal timestamps.
-                    sim.events
-                        .schedule((next.arrival_ns as f64).max(now), Event::Arrive);
+                    sim.schedule_source((next.arrival_ns as f64).max(now));
                 }
             }
-            Event::Issue => {
+            // The closed-loop source attempts to issue.
+            None => {
+                sim.source = SlotKey::IDLE;
                 let source = source.expect("issue event without a source");
                 let rng = source_rng.as_mut().expect("issue event without a stream");
                 if sim.outstanding >= source.window {
@@ -691,20 +745,26 @@ fn run_channel(
                 sim.offer(banks, txn, issued, now);
                 issued += 1;
                 if issued < source.ops_per_channel {
-                    sim.events
-                        .schedule(now + source.next_think_ns(rng), Event::Issue);
+                    sim.schedule_source(now + source.next_think_ns(rng));
                 }
             }
-            Event::BankDone { bank } => sim.claim_buses(bank, now),
-            Event::Complete { bank } => {
-                sim.complete(banks, bank, now);
+            // A bank's array access finished; the transfer now claims its
+            // buses.
+            Some(local) if !sim.on_bus[local] => {
+                sim.slots[local] = SlotKey::IDLE;
+                sim.claim_buses(local, now);
+            }
+            // The transfer crossed both buses; the transaction is complete
+            // and the bank is free.
+            Some(local) => {
+                sim.slots[local] = SlotKey::IDLE;
+                sim.complete(banks, local, now);
                 if throttled {
                     let source = source.expect("throttled without a source");
                     if issued < source.ops_per_channel {
                         throttled = false;
                         let rng = source_rng.as_mut().expect("throttled without a stream");
-                        sim.events
-                            .schedule(now + source.next_think_ns(rng), Event::Issue);
+                        sim.schedule_source(now + source.next_think_ns(rng));
                     }
                 }
             }

@@ -14,6 +14,12 @@
 //! unique, so no two entries compare equal and the pop order is a function
 //! of the keys alone. Once the frontend has reserved the run's worst-case
 //! event count up front, scheduling and popping never allocate.
+//!
+//! A loop that keeps at most one pending event per slot (a source, each
+//! bank) needs no heap at all: it holds one [`SlotKey`] per slot, assigns
+//! `seq` where it would have called [`EventQueue::schedule`], and pops the
+//! least key with [`SlotKey::earliest`], in exactly the heap's order. The
+//! frontend's fast path and the chip's channel loop both run that way.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -51,6 +57,55 @@ impl<E> PartialEq for Scheduled<E> {
 }
 
 impl<E> Eq for Scheduled<E> {}
+
+/// One slot's pending event in a heap-free loop: its instant and the
+/// sequence number the equivalent [`EventQueue`] entry would carry.
+///
+/// Packed as `(time_ns.to_bits() << 64) | seq`: every instant such a loop
+/// schedules is non-negative and non-NaN, and over those floats IEEE-754
+/// bit order equals numeric order — so a single `u128` compare reproduces
+/// the heap's `(time, seq)` lexicographic pop order branchlessly. An idle
+/// slot holds [`SlotKey::IDLE`], above every pending key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct SlotKey {
+    key: u128,
+}
+
+impl SlotKey {
+    /// No pending event: after every key a loop schedules.
+    pub(crate) const IDLE: Self = Self { key: u128::MAX };
+
+    /// An event at `time_ns`, scheduled `seq`-th.
+    #[inline]
+    pub(crate) fn new(time_ns: f64, seq: u64) -> Self {
+        debug_assert!(time_ns >= 0.0, "event instants are non-negative");
+        Self {
+            key: (u128::from(time_ns.to_bits()) << 64) | u128::from(seq),
+        }
+    }
+
+    /// The event's instant.
+    #[inline]
+    pub(crate) fn time_ns(self) -> f64 {
+        #[allow(clippy::cast_possible_truncation)]
+        f64::from_bits((self.key >> 64) as u64)
+    }
+
+    /// The least of `source` and `slots`: `None` for `source`, else the
+    /// index of the slot; ties cannot happen, since `seq` is unique.
+    #[inline]
+    pub(crate) fn earliest(source: Self, slots: &[Self]) -> (Option<usize>, Self) {
+        let mut found = None;
+        let mut best = source;
+        for (index, &slot) in slots.iter().enumerate() {
+            if slot < best {
+                found = Some(index);
+                best = slot;
+            }
+        }
+        (found, best)
+    }
+}
 
 /// A min-heap of timestamped events with deterministic tie-breaking.
 ///
@@ -224,6 +279,53 @@ mod tests {
                     seq += 1;
                 }
                 prop_assert_eq!(queue.len(), reference.len());
+            }
+        }
+
+        /// The heap-free loop against the heap: a source and four bank
+        /// slots, each holding at most one pending [`SlotKey`], popped by
+        /// [`SlotKey::earliest`]. Each op pops (`word % 3 == 0`) or
+        /// schedules into one slot, if it is idle, at one of four instants,
+        /// so ties dominate; both sides must pop the same slot at the same
+        /// instant every time.
+        #[test]
+        fn prop_slot_scan_pops_in_heap_order(
+            ops in proptest::collection::vec(0u64..u64::MAX, 0..200),
+        ) {
+            const TIMES: [f64; 4] = [0.0, 1.5, 3.0, 4.5];
+            const SOURCE: usize = 4;
+            let mut queue = EventQueue::new();
+            let mut source = SlotKey::IDLE;
+            let mut slots = [SlotKey::IDLE; 4];
+            let mut seq = 0u64;
+            for word in ops {
+                if word % 3 == 0 {
+                    let (found, key) = SlotKey::earliest(source, &slots);
+                    let popped = queue.pop().map(|(t, slot)| (t.to_bits(), slot));
+                    if key == SlotKey::IDLE {
+                        prop_assert_eq!(popped, None);
+                        continue;
+                    }
+                    match found {
+                        Some(slot) => slots[slot] = SlotKey::IDLE,
+                        None => source = SlotKey::IDLE,
+                    }
+                    let slot = found.unwrap_or(SOURCE);
+                    prop_assert_eq!(popped, Some((key.time_ns().to_bits(), slot)));
+                } else {
+                    let slot = (word >> 8) as usize % 5;
+                    let time = TIMES[(word >> 16) as usize % 4];
+                    let pending = if slot == SOURCE {
+                        &mut source
+                    } else {
+                        &mut slots[slot]
+                    };
+                    if *pending == SlotKey::IDLE {
+                        *pending = SlotKey::new(time, seq);
+                        seq += 1;
+                        queue.schedule(time, slot);
+                    }
+                }
             }
         }
     }

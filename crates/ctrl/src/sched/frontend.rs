@@ -30,7 +30,7 @@ use crate::reliability::ScrubConfig;
 use crate::telemetry::{QueueTelemetry, SojournStats, Telemetry};
 use crate::txn::{Op, Transaction, TxnSource};
 
-use super::event::EventQueue;
+use super::event::{EventQueue, SlotKey};
 #[cfg(doc)]
 use super::policy::PriorityClass;
 use super::policy::{Daemon, Policy};
@@ -738,7 +738,7 @@ impl Frontend {
                     start_ns: 0.0,
                 })
                 .collect();
-            let mut slots = vec![CompletionSlot::idle(); bank_count];
+            let mut slots = vec![SlotKey::IDLE; bank_count];
             let dispatch = if n >= PARALLEL_SERVICE_MIN_TXNS {
                 Dispatch::Parallel
             } else {
@@ -1021,37 +1021,6 @@ const FAST_PATH_MAX_BANKS: usize = 16;
 /// allocation-free.
 const PARALLEL_SERVICE_MIN_TXNS: usize = 16_384;
 
-/// One bank's pending completion in the fast path: the instant service
-/// finishes, plus the sequence number the equivalent heap event would have
-/// carried (the tie-breaker that keeps pop order bit-compatible with the
-/// general loop).
-///
-/// Packed as `(time_ns.to_bits() << 64) | seq`: every instant the loop
-/// schedules is non-negative and non-NaN, and over those floats IEEE-754
-/// bit order equals numeric order — so a single `u128` compare reproduces
-/// the heap's `(time, seq)` lexicographic pop order branchlessly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct CompletionSlot {
-    key: u128,
-}
-
-impl CompletionSlot {
-    fn new(time_ns: f64, seq: u64) -> Self {
-        debug_assert!(time_ns >= 0.0, "event instants are non-negative");
-        Self {
-            key: (u128::from(time_ns.to_bits()) << 64) | u128::from(seq),
-        }
-    }
-
-    fn idle() -> Self {
-        Self::new(f64::INFINITY, u64::MAX)
-    }
-
-    fn time_ns(self) -> f64 {
-        f64::from_bits((self.key >> 64) as u64)
-    }
-}
-
 /// Fast-path per-bank timing state: cursors into the bank-major offer
 /// lists. `offered[started..admitted]` is the bank's waiting queue and,
 /// while its completion slot is non-idle, `offered[started - 1]` is in
@@ -1095,7 +1064,7 @@ fn fcfs_unbounded_loop<S: TxnSource + ?Sized>(
     service: &[f64],
     lanes: &mut [Lane],
     fast: &mut [FastLane],
-    slots: &mut [CompletionSlot],
+    slots: &mut [SlotKey],
     completions: &mut CompletionLog,
 ) -> f64 {
     let Some(&first) = order.first() else {
@@ -1107,97 +1076,93 @@ fn fcfs_unbounded_loop<S: TxnSource + ?Sized>(
     // cached so the handler does not decode it a second time.
     let mut arr_index = first as usize;
     let mut arr_txn = trace.get(arr_index);
-    let mut arr_slot = CompletionSlot::new(arr_txn.arrival_ns as f64, 0);
+    let mut arr_slot = SlotKey::new(arr_txn.arrival_ns as f64, 0);
     let mut next_seq = 1u64;
     let mut cursor = 1usize;
     loop {
         // Earliest pending event by (time, seq) — the heap's exact pop
         // order, found by scanning one arrival and ≤ bank_count slots.
-        let mut bank = usize::MAX;
-        let mut best = arr_slot;
-        for (b, slot) in slots.iter().enumerate() {
-            if *slot < best {
-                bank = b;
-                best = *slot;
-            }
-        }
-        if best == CompletionSlot::idle() {
+        let (bank, best) = SlotKey::earliest(arr_slot, slots);
+        if best == SlotKey::IDLE {
             break;
         }
         let now = best.time_ns();
         // Events pop in time order, so the horizon only ever advances.
         end_ns = now;
-        if bank == usize::MAX {
-            // Fresh arrival (Event::Arrive with fresh = true). Offer order
-            // is sorted, so it pops at its own stamp: admit_ns = arrival.
-            debug_assert_eq!(now, arr_txn.arrival_ns as f64);
-            let b = arr_txn.bank;
-            let lane = &mut lanes[b];
-            let fl = &mut fast[b];
-            debug_assert_eq!(offered[fl.admitted] as usize, arr_index);
-            lane.stats.admitted += 1;
-            // Slot idle ⟺ the bank is not serving (fast-path invariant),
-            // and the slot is already hot from the scan above.
-            if slots[b] == CompletionSlot::idle() && fl.started == fl.admitted {
-                // Idle bank, empty queue: straight into service.
-                lane.stats.wait_ns.push(0.0);
-                slots[b] = CompletionSlot::new(now + service[fl.admitted], next_seq);
-                fl.admitted += 1;
-                fl.started += 1;
-                fl.start_ns = now;
-                next_seq += 1;
-            } else {
-                // `Lane::admit` at the queue tail: same counter and
-                // depth-integral updates.
+        match bank {
+            None => {
+                // Fresh arrival (Event::Arrive with fresh = true). Offer order
+                // is sorted, so it pops at its own stamp: admit_ns = arrival.
+                debug_assert_eq!(now, arr_txn.arrival_ns as f64);
+                let b = arr_txn.bank;
+                let lane = &mut lanes[b];
+                let fl = &mut fast[b];
+                debug_assert_eq!(offered[fl.admitted] as usize, arr_index);
+                lane.stats.admitted += 1;
+                // Slot idle ⟺ the bank is not serving (fast-path invariant),
+                // and the slot is already hot from the scan above.
+                if slots[b] == SlotKey::IDLE && fl.started == fl.admitted {
+                    // Idle bank, empty queue: straight into service.
+                    lane.stats.wait_ns.push(0.0);
+                    slots[b] = SlotKey::new(now + service[fl.admitted], next_seq);
+                    fl.admitted += 1;
+                    fl.started += 1;
+                    fl.start_ns = now;
+                    next_seq += 1;
+                } else {
+                    // `Lane::admit` at the queue tail: same counter and
+                    // depth-integral updates.
+                    let waiting = (fl.admitted - fl.started) as f64;
+                    lane.stats.depth_time_ns += waiting * (now - lane.last_change_ns);
+                    lane.last_change_ns = now;
+                    fl.admitted += 1;
+                    let depth = (fl.admitted - fl.started) as u64;
+                    lane.stats.max_depth = lane.stats.max_depth.max(depth);
+                }
+                // schedule_fresh: offer the next trace transaction (its stamp
+                // is ≥ now, so the general loop's `max(now)` floor is a no-op).
+                if let Some(&next) = order.get(cursor) {
+                    cursor += 1;
+                    arr_index = next as usize;
+                    arr_txn = trace.get(arr_index);
+                    arr_slot = SlotKey::new(arr_txn.arrival_ns as f64, next_seq);
+                    next_seq += 1;
+                } else {
+                    arr_slot = SlotKey::IDLE;
+                }
+            }
+            Some(bank) => {
+                // Event::Complete.
+                slots[bank] = SlotKey::IDLE;
+                let lane = &mut lanes[bank];
+                let fl = &mut fast[bank];
+                let trace_index = offered[fl.started - 1] as usize;
+                let txn = trace.get(trace_index);
+                let arrival_ns = txn.arrival_ns as f64;
+                lane.stats.completed += 1;
+                lane.stats.sojourn.observe(now - arrival_ns);
+                completions.push(Completion {
+                    trace_index,
+                    bank,
+                    op: txn.op,
+                    arrival_ns,
+                    admit_ns: arrival_ns,
+                    start_ns: fl.start_ns,
+                    complete_ns: now,
+                });
+                // try_dispatch under FCFS: the head is the choice.
                 let waiting = (fl.admitted - fl.started) as f64;
                 lane.stats.depth_time_ns += waiting * (now - lane.last_change_ns);
                 lane.last_change_ns = now;
-                fl.admitted += 1;
-                let depth = (fl.admitted - fl.started) as u64;
-                lane.stats.max_depth = lane.stats.max_depth.max(depth);
-            }
-            // schedule_fresh: offer the next trace transaction (its stamp
-            // is ≥ now, so the general loop's `max(now)` floor is a no-op).
-            if let Some(&next) = order.get(cursor) {
-                cursor += 1;
-                arr_index = next as usize;
-                arr_txn = trace.get(arr_index);
-                arr_slot = CompletionSlot::new(arr_txn.arrival_ns as f64, next_seq);
-                next_seq += 1;
-            } else {
-                arr_slot = CompletionSlot::idle();
-            }
-        } else {
-            // Event::Complete.
-            slots[bank] = CompletionSlot::idle();
-            let lane = &mut lanes[bank];
-            let fl = &mut fast[bank];
-            let trace_index = offered[fl.started - 1] as usize;
-            let txn = trace.get(trace_index);
-            let arrival_ns = txn.arrival_ns as f64;
-            lane.stats.completed += 1;
-            lane.stats.sojourn.observe(now - arrival_ns);
-            completions.push(Completion {
-                trace_index,
-                bank,
-                op: txn.op,
-                arrival_ns,
-                admit_ns: arrival_ns,
-                start_ns: fl.start_ns,
-                complete_ns: now,
-            });
-            // try_dispatch under FCFS: the head is the choice.
-            let waiting = (fl.admitted - fl.started) as f64;
-            lane.stats.depth_time_ns += waiting * (now - lane.last_change_ns);
-            lane.last_change_ns = now;
-            if fl.started < fl.admitted {
-                let head = offered[fl.started] as usize;
-                let admit_ns = trace.get(head).arrival_ns as f64;
-                lane.stats.wait_ns.push(now - admit_ns);
-                slots[bank] = CompletionSlot::new(now + service[fl.started], next_seq);
-                fl.started += 1;
-                fl.start_ns = now;
-                next_seq += 1;
+                if fl.started < fl.admitted {
+                    let head = offered[fl.started] as usize;
+                    let admit_ns = trace.get(head).arrival_ns as f64;
+                    lane.stats.wait_ns.push(now - admit_ns);
+                    slots[bank] = SlotKey::new(now + service[fl.started], next_seq);
+                    fl.started += 1;
+                    fl.start_ns = now;
+                    next_seq += 1;
+                }
             }
         }
     }
