@@ -158,9 +158,13 @@ impl StatePlane {
     }
 
     /// Stores `bit` in row-major cell `cell`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell` is past the last cell.
     #[inline]
     pub fn set(&mut self, cell: usize, bit: bool) {
-        debug_assert!(cell < self.cells, "cell {cell} of {}", self.cells);
+        assert!(cell < self.cells, "cell {cell} of {}", self.cells);
         let mask = 1u64 << (cell % 64);
         if bit {
             self.words[cell / 64] |= mask;
@@ -513,6 +517,29 @@ mod tests {
             array.bitline_voltage_for(addr, ResistanceState::AntiParallel, i),
             v_high
         );
+    }
+
+    #[test]
+    fn state_plane_counts_differences_within_its_cells() {
+        // 100 cells: one full word and 36 cells of a second.
+        let mut plane = StatePlane::new(100);
+        for cell in [0, 63, 64, 99] {
+            plane.set(cell, true);
+        }
+        assert_eq!(plane.words(), &[1 | 1 << 63, 1 | 1 << 35]);
+        assert_eq!(plane.count_differing(&[0, 0]), 4);
+        // The other set's bits past cell 99 are not cells, so not counted.
+        assert_eq!(
+            plane.count_differing(&[1 | 1 << 63, 1 | 1 << 35 | 1 << 36 | 1 << 63]),
+            0
+        );
+        assert_eq!(plane.count_differing(&[1, 0]), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "cell 100 of 100")]
+    fn state_plane_rejects_bits_past_its_cells() {
+        StatePlane::new(100).set(100, true);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! A channel never has more than one pending source event (the next trace
 //! arrival or closed-loop issue) and one pending event per bank (its array
 //! access finishing, or its transfer completing), so its loop keeps one
-//! [`SlotKey`] per slot and pops the least by scanning them, in exactly the
+//! `SlotKey` per slot and pops the least by scanning them, in exactly the
 //! order an [`EventQueue`](crate::sched::EventQueue) would: by time, ties
 //! by scheduling order.
 //!

@@ -16,9 +16,9 @@
 //! event count up front, scheduling and popping never allocate.
 //!
 //! A loop that keeps at most one pending event per slot (a source, each
-//! bank) needs no heap at all: it holds one [`SlotKey`] per slot, assigns
+//! bank) needs no heap at all: it holds one `SlotKey` per slot, assigns
 //! `seq` where it would have called [`EventQueue::schedule`], and pops the
-//! least key with [`SlotKey::earliest`], in exactly the heap's order. The
+//! least key with `SlotKey::earliest`, in exactly the heap's order. The
 //! frontend's fast path and the chip's channel loop both run that way.
 
 use std::cmp::Ordering;
@@ -87,7 +87,6 @@ impl SlotKey {
     /// The event's instant.
     #[inline]
     pub(crate) fn time_ns(self) -> f64 {
-        #[allow(clippy::cast_possible_truncation)]
         f64::from_bits((self.key >> 64) as u64)
     }
 
