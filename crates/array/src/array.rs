@@ -10,7 +10,6 @@
 //! never loads the cell's device parameters.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use stt_mtj::ResistanceState;
 use stt_units::{Amps, Seconds, Volts};
 
@@ -18,7 +17,7 @@ use crate::bitline::BitlineSpec;
 use crate::cell::{Cell, CellSpec};
 
 /// A (row, column) cell address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Address {
     /// Word-line index.
     pub row: usize,
@@ -41,7 +40,7 @@ impl std::fmt::Display for Address {
 }
 
 /// Recipe for a full array.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArraySpec {
     /// Rows (cells per bit-line).
     pub rows: usize,
@@ -115,7 +114,7 @@ impl ArraySpec {
 /// The stored states of an array's cells, packed row-major: bit `c % 64`
 /// of word `c / 64` is cell `c`, set when the cell is anti-parallel ("1").
 /// Bits past the last cell stay 0.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatePlane {
     words: Vec<u64>,
     cells: usize,
@@ -206,7 +205,7 @@ impl StatePlane {
 }
 
 /// A sampled, stateful array instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Array {
     spec: ArraySpec,
     /// Row-major cell storage: devices only.

@@ -8,12 +8,11 @@
 //! the paper argues the two self-reference schemes load it differently
 //! (sample caps C1/C2 on the line vs a high-impedance divider).
 
-use serde::{Deserialize, Serialize};
 use stt_mna::{Circuit, Node, RcLadder};
 use stt_units::{Amps, Farads, Ohms, Seconds, Volts};
 
 /// Electrical description of one bit-line.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BitlineSpec {
     /// Cells sharing the line (the paper: 128).
     pub cells_per_bitline: usize,

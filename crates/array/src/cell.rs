@@ -6,7 +6,6 @@
 //! `V_BL = I_R · (R_MTJ(state, I_R) + R_T(I_R))` — Eq. (1) of the paper.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use stt_mtj::{MtjDevice, MtjSpec, ResistanceState, SampledMtj, VariationModel};
 use stt_units::{Amps, Ohms, Seconds, Volts};
 
@@ -16,7 +15,7 @@ use stt_units::{Amps, Ohms, Seconds, Volts};
 /// between the two read currents (`R_T1` vs `R_T2`, the ΔR_T of the
 /// robustness analysis). That shift is modelled as a linear current
 /// coefficient; per-bit variation as a relative σ on the nominal value.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccessTransistor {
     r_nominal: Ohms,
     /// Resistance increase per ampere of drain current (Ω/A): captures the
@@ -84,7 +83,7 @@ impl AccessTransistor {
 
 /// Nominal recipe for a cell population: device spec + transistor +
 /// variation models.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellSpec {
     /// Nominal MTJ device.
     pub mtj: MtjSpec,
@@ -146,7 +145,7 @@ impl CellSpec {
 /// an [`Array`](crate::Array) keeps every cell's bit in one packed state
 /// plane, and a standalone analysis keeps its cell's [`ResistanceState`]
 /// beside it and passes it in.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
     device: MtjDevice,
     transistor: AccessTransistor,

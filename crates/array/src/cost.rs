@@ -9,11 +9,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use stt_units::{Amps, Joules, Seconds, Volts};
 
 /// What a phase does (for reporting; the arithmetic only uses the numbers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PhaseKind {
     /// Row/column decode and word-line assertion.
     Decode,
@@ -41,7 +40,7 @@ impl fmt::Display for PhaseKind {
 }
 
 /// One timed phase of a memory operation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Phase {
     /// What the phase is.
     pub kind: PhaseKind,
@@ -90,7 +89,7 @@ impl Phase {
 }
 
 /// The rolled-up cost of an operation (a sequence of phases).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperationCost {
     phases: Vec<Phase>,
 }

@@ -7,15 +7,13 @@
 //! [`PowerFailure`] cuts it off after a chosen step. Whatever the cells hold
 //! at that instant is what a nonvolatile memory keeps across the outage.
 
-use serde::{Deserialize, Serialize};
-
 use crate::array::{Address, Array};
 
 /// When, within a multi-step operation, the power is cut.
 ///
 /// Steps are indexed from 0; a failure `after_step = k` means steps
 /// `0..=k` completed and everything later was lost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PowerFailure {
     /// Index of the last step that completed before the outage.
     pub after_step: usize,
@@ -30,7 +28,7 @@ impl PowerFailure {
 }
 
 /// The result of running an interruptible operation against an array.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PowerFailureOutcome {
     /// Steps that executed before the cut.
     pub steps_completed: usize,

@@ -7,10 +7,8 @@
 //! divider. This module converts cell counts into mm² through the standard
 //! `F²` (feature-size-squared) density metric.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry of a memory cell in a given process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellGeometry {
     /// Process feature size in nanometres.
     pub feature_nm: f64,

@@ -11,12 +11,11 @@
 //!   late — the WL Elmore delay must fit inside the decode slot of
 //!   `ChipTiming` or the first read would sample a half-selected cell.
 
-use serde::{Deserialize, Serialize};
 use stt_mna::RcLadder;
 use stt_units::{Farads, Ohms, Seconds};
 
 /// Electrical description of one word-line and its decoder.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WordlineSpec {
     /// Cells (columns) driven by the line.
     pub cells_per_wordline: usize,

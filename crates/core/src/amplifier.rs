@@ -13,11 +13,10 @@
 //!   self-reference paths (residual σ ≈ 0.3 mV, usable threshold 1 mV).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use stt_units::Volts;
 
 /// A thresholded comparator with Gaussian input-referred offset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SenseAmplifier {
     offset_sigma: Volts,
     usable_threshold: Volts,

@@ -25,12 +25,11 @@
 //! why the self-reference sensing paths can resolve single-digit-mV margins
 //! that a plain latch comparator (8 mV usable threshold) cannot.
 
-use serde::{Deserialize, Serialize};
 use stt_mna::{AnalysisError, Circuit, Node, SwitchSchedule, TranOptions, Waveform};
 use stt_units::{Farads, Ohms, Seconds, Volts};
 
 /// Configuration of the auto-zero comparator netlist.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoZeroNetlist {
     /// Open-loop gain of the preamp.
     pub gain: f64,
@@ -166,7 +165,7 @@ impl Default for AutoZeroNetlist {
 }
 
 /// Outcome of one auto-zero compare.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoZeroOutcome {
     /// Amplifier output at the latch instant.
     pub output: Volts,

@@ -13,7 +13,6 @@
 //! sense amplifier in each scheme's path (plain latch for the shared
 //! reference, auto-zero for the self-reference paths — §V of the paper).
 
-use serde::{Deserialize, Serialize};
 use stt_array::ArraySpec;
 use stt_stats::{run_trials, Summary, YieldCount};
 use stt_units::{Amps, Volts};
@@ -25,7 +24,7 @@ use crate::noise::read_noise_sigma;
 use crate::scheme::SchemeKind;
 
 /// Per-bit margins under the three schemes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BitMargins {
     /// Conventional (shared-reference) sensing.
     pub conventional: SenseMargins,
@@ -48,7 +47,7 @@ impl BitMargins {
 }
 
 /// Aggregated outcome of one scheme over the whole chip.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchemeTally {
     /// Which scheme.
     pub kind: SchemeKind,
@@ -86,7 +85,7 @@ impl SchemeTally {
 /// let result = experiment.run();
 /// assert_eq!(result.tally(SchemeKind::Nondestructive).yields.failures(), 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipExperiment {
     /// The chip being simulated.
     pub array: ArraySpec,
@@ -264,7 +263,7 @@ impl ChipExperiment {
 
 /// Result of the *operational* chip readout (see
 /// [`ChipExperiment::run_operational`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperationalResult {
     /// Per-scheme misread tallies (pass = both stored values read back
     /// correctly through the sampled comparator).
@@ -290,7 +289,7 @@ impl OperationalResult {
 }
 
 /// The full Fig. 11 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipResult {
     /// The designs the chip was evaluated at.
     pub design: DesignPoint,

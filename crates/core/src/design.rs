@@ -10,7 +10,6 @@
 //! the physical and tabulated resistance models where no closed form
 //! exists.
 
-use serde::{Deserialize, Serialize};
 use stt_array::Cell;
 use stt_mtj::ResistanceState;
 use stt_units::{Amps, Volts};
@@ -19,7 +18,7 @@ use crate::margins::{first_read_voltage, Perturbations};
 
 /// Conventional (shared-reference) sensing design: one read current and the
 /// chip-wide reference voltage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConventionalDesign {
     /// The read current.
     pub i_read: Amps,
@@ -75,7 +74,7 @@ impl ConventionalDesign {
 
 /// Conventional (destructive) self-reference design — Jeong et al., JSSC
 /// 2003, the paper's §II-C baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DestructiveDesign {
     /// First read current (on the stored value).
     pub i_r1: Amps,
@@ -117,7 +116,7 @@ impl DestructiveDesign {
 }
 
 /// The paper's nondestructive self-reference design (§III).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NondestructiveDesign {
     /// First read current.
     pub i_r1: Amps,
@@ -225,7 +224,7 @@ impl NondestructiveDesign {
 
 /// The three designs for one chip, derived from the same cell and current
 /// budget.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignPoint {
     /// Shared-reference sensing.
     pub conventional: ConventionalDesign,

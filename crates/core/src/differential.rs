@@ -18,7 +18,6 @@
 //!   variation — at low ρ (sloppy layout) the advantage erodes.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use stt_array::{Cell, CellSpec};
 use stt_mtj::ResistanceState;
 use stt_units::{Amps, Volts};
@@ -28,7 +27,7 @@ use crate::margins::{first_read_voltage, SenseMargins};
 /// A complementary cell pair: the junction holding the bit and the junction
 /// holding its complement. Like any [`Cell`], the pair describes devices
 /// only; the stored bit is passed to [`DifferentialScheme::differential`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComplementaryPair {
     /// The junction storing the data value.
     pub data: Cell,
@@ -61,7 +60,7 @@ impl ComplementaryPair {
 
 /// Differential sensing across a complementary pair: one read current into
 /// each bit-line, compare the two bit-line voltages directly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DifferentialScheme {
     /// The read current applied to both halves.
     pub i_read: Amps,
@@ -107,7 +106,7 @@ impl DifferentialScheme {
 
 /// Summary of a differential-baseline Monte Carlo (mirrors the Fig. 11
 /// tallies for the other schemes, plus the costs the extra junction buys).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DifferentialResult {
     /// Pair correlation used.
     pub rho: f64,

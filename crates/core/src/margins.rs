@@ -20,7 +20,6 @@
 //! the second read (Eqs. 18/19), and the divider deviation `Δr` scales α
 //! (Eq. 20).
 
-use serde::{Deserialize, Serialize};
 use stt_array::Cell;
 use stt_mtj::ResistanceState;
 use stt_units::{Amps, Ohms, Volts};
@@ -28,7 +27,7 @@ use stt_units::{Amps, Ohms, Volts};
 use crate::design::{ConventionalDesign, DestructiveDesign, NondestructiveDesign};
 
 /// The two per-bit sense margins (positive = read correctly, with slack).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SenseMargins {
     /// Margin when the stored value is "0" (parallel / low resistance).
     pub margin0: Volts,
@@ -67,7 +66,7 @@ impl SenseMargins {
 }
 
 /// Disturbances applied to the nominal sensing conditions (§IV).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Perturbations {
     /// Shift of the access-transistor resistance seen by the *second* read:
     /// the paper's `ΔR_T = R_T2 − R_T1` (Figs. 7, Eqs. 18/19). May be

@@ -11,7 +11,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use stt_array::Cell;
 use stt_mna::{
     AnalysisError, Circuit, DeviceLaw, MosfetParams, Node, SwitchSchedule, TranOptions, TranResult,
@@ -85,7 +84,7 @@ impl DeviceLaw for MtjLaw {
 }
 
 /// Configuration of the Fig. 5 transient read.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransientRead {
     /// The nondestructive design point being exercised.
     pub design: NondestructiveDesign,
@@ -407,7 +406,7 @@ struct Fig5Nodes {
 /// erased (parallel) state at `I_R2`, sampling `V_BL2` onto C2 — **which
 /// loads the bit-line**, the §V RC penalty — while C1 holds its phase-A
 /// value via a capacitor initial condition.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DestructiveTransientRead {
     /// The destructive design point.
     pub design: crate::design::DestructiveDesign,
@@ -573,7 +572,7 @@ struct PhaseOutcome {
 }
 
 /// Outcome of the Fig. 3 two-phase destructive transient read.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DestructiveTransientResult {
     /// `V_BL1` sampled on C1 (stored state at `I_R1`).
     pub v_c1: Volts,

@@ -13,7 +13,6 @@
 //! bits that no longer hold their original value.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use stt_array::{fault, Address, Array, ArraySpec, PhaseKind, PowerFailure};
 use stt_stats::YieldCount;
 use stt_units::Seconds;
@@ -23,7 +22,7 @@ use crate::scheme::SchemeKind;
 use crate::timing::ChipTiming;
 
 /// Configuration of the power-loss experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerLossExperiment {
     /// The chip the reads run against.
     pub array: ArraySpec,
@@ -130,7 +129,7 @@ impl PowerLossExperiment {
 }
 
 /// Outcome of the power-loss experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerLossResult {
     /// Interrupted reads per scheme.
     pub trials: usize,

@@ -18,7 +18,6 @@
 //! across reads at the per-read rate, giving the
 //! [`ReliabilityBudget::expected_reads_to_disturb`] figure.
 
-use serde::{Deserialize, Serialize};
 use stt_array::{Cell, PhaseKind};
 use stt_units::Seconds;
 
@@ -30,7 +29,7 @@ use crate::timing::ChipTiming;
 pub const PAPER_ENDURANCE_CYCLES: f64 = 1e15;
 
 /// The per-read reliability budget of one scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReliabilityBudget {
     /// Which scheme.
     pub kind: SchemeKind,

@@ -14,7 +14,6 @@
 //! trades markedly tighter tolerances (≈ ±130 Ω vs ±468 Ω on ΔR_T, a
 //! ±5 % divider window) for its speed and nonvolatility.
 
-use serde::{Deserialize, Serialize};
 use stt_array::Cell;
 use stt_units::{Amps, Ohms};
 
@@ -23,7 +22,7 @@ use crate::margins::{Perturbations, SenseMargins};
 
 /// A closed interval of a swept design/disturbance variable over which both
 /// sense margins are positive.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ValidRange {
     /// Lower edge (margin for "0" crosses zero here).
     pub low: f64,
@@ -47,7 +46,7 @@ impl ValidRange {
 
 /// One point of the Fig. 6 sweep: margins of both self-reference schemes at
 /// a given current ratio β (with `I_R2 = I_max` held fixed).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BetaSweepPoint {
     /// The swept current ratio.
     pub beta: f64,
@@ -150,7 +149,7 @@ pub fn valid_beta_nondestructive(cell: &Cell, i_max: Amps, alpha: f64) -> ValidR
 
 /// One point of the Fig. 7 sweep: margins of both self-reference schemes at
 /// a given transistor-resistance shift.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeltaRtSweepPoint {
     /// The swept `ΔR_T = R_T2 − R_T1`.
     pub delta_r_t: Ohms,
@@ -208,7 +207,7 @@ pub fn allowable_delta_rt_nondestructive(cell: &Cell, design: &NondestructiveDes
 
 /// One point of the Fig. 8 sweep: nondestructive margins at a divider
 /// deviation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlphaDeviationSweepPoint {
     /// The swept relative deviation `Δr` (e.g. `−0.05` = −5 %).
     pub deviation: f64,
@@ -251,7 +250,7 @@ pub fn allowable_alpha_deviation(cell: &Cell, design: &NondestructiveDesign) -> 
 }
 
 /// The Table II robustness summary for one cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RobustnessSummary {
     /// Valid β range, destructive scheme.
     pub destructive_beta: ValidRange,
@@ -295,7 +294,7 @@ pub fn robustness_summary(cell: &Cell, i_max: Amps, alpha: f64) -> RobustnessSum
 }
 
 /// One point of the α-choice ablation (DESIGN.md §10).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlphaChoicePoint {
     /// The divider ratio under evaluation.
     pub alpha: f64,

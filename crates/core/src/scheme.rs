@@ -11,7 +11,6 @@
 //!   nonvolatile throughout.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use stt_array::{Address, Array, Cell};
 use stt_mtj::ResistanceState;
 use stt_units::Volts;
@@ -22,7 +21,7 @@ use crate::margins::{Perturbations, SenseMargins};
 
 /// Which of the three schemes a value refers to (used by timing/energy and
 /// reporting code).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchemeKind {
     /// Shared-reference sensing.
     Conventional,
@@ -54,7 +53,7 @@ impl std::fmt::Display for SchemeKind {
 }
 
 /// The result of sensing one bit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReadOutcome {
     /// The bit the sense amplifier latched.
     pub bit: bool,
@@ -126,7 +125,7 @@ fn signed_margin(margin: Volts, state: ResistanceState) -> Volts {
 }
 
 /// Conventional shared-reference sensing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConventionalScheme {
     /// The design point (read current + reference voltage).
     pub design: ConventionalDesign,
@@ -176,7 +175,7 @@ impl SenseScheme for ConventionalScheme {
 
 /// Conventional destructive self-reference (read / erase / read / compare /
 /// write back).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DestructiveScheme {
     /// The design point (the two read currents).
     pub design: DestructiveDesign,
@@ -249,7 +248,7 @@ impl SenseScheme for DestructiveScheme {
 }
 
 /// The paper's nondestructive self-reference scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NondestructiveScheme {
     /// The design point (two read currents + divider ratio).
     pub design: NondestructiveDesign,

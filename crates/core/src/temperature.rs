@@ -14,7 +14,6 @@
 //! the equal margin at the fixed room-temperature budget *and* at the
 //! temperature-derated budget.
 
-use serde::{Deserialize, Serialize};
 use stt_array::{Cell, CellSpec};
 use stt_mtj::ThermalModel;
 use stt_units::{Amps, Seconds, Volts};
@@ -23,7 +22,7 @@ use crate::design::NondestructiveDesign;
 use crate::margins::Perturbations;
 
 /// One temperature point of the sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TemperaturePoint {
     /// Die temperature (K).
     pub t_kelvin: f64,
@@ -42,7 +41,7 @@ pub struct TemperaturePoint {
 }
 
 /// Configuration of the temperature sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TemperatureSweep {
     /// Read exposure per operation used for the disturb constraint.
     pub read_duration: Seconds,

@@ -10,7 +10,6 @@
 //! after sensing, and its second read is slower because C2 loads the
 //! bit-line (§V, the Elmore-delay argument).
 
-use serde::{Deserialize, Serialize};
 use stt_array::{OperationCost, Phase, PhaseKind};
 use stt_units::{Amps, Seconds, Volts};
 
@@ -18,7 +17,7 @@ use crate::design::DesignPoint;
 use crate::scheme::SchemeKind;
 
 /// Chip-level timing and supply parameters (TSMC 0.13 µm-class defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipTiming {
     /// Core supply.
     pub vdd: Volts,
@@ -280,7 +279,7 @@ fn placeholder_design() -> DesignPoint {
 }
 
 /// The logic level of a control signal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SignalLevel {
     /// Asserted.
     High,
@@ -289,7 +288,7 @@ pub enum SignalLevel {
 }
 
 /// One digital control signal: a name plus the windows in which it is high.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ControlSignal {
     /// Signal name (WL, SLT1, …).
     pub name: String,
@@ -315,7 +314,7 @@ impl ControlSignal {
 
 /// A Fig. 9-style timing diagram: several control signals over one
 /// operation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ControlTimeline {
     /// Operation length.
     pub total: Seconds,

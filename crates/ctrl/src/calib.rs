@@ -36,10 +36,8 @@
 //! checks and bursts only run in lane-idle gaps and never delay or reorder
 //! demand traffic.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration for the per-bank calibration daemon.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibConfig {
     /// Trip threshold: recalibrate when
     /// `(misreads + unconfident reads) / reads` since the previous check

@@ -8,7 +8,6 @@
 //! returns **equal** [`Telemetry`] either way, which the test suite asserts
 //! outright.
 
-use serde::{Deserialize, Serialize};
 use stt_array::ArraySpec;
 use stt_sense::SchemeKind;
 
@@ -21,7 +20,7 @@ use crate::txn::TxnSource;
 use crate::workload::Footprint;
 
 /// How [`Controller::run`] drives its banks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dispatch {
     /// One bank after another, on the calling thread.
     Serial,
@@ -168,7 +167,7 @@ where
 }
 
 /// Everything needed to build a controller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ControllerConfig {
     /// Number of banks.
     pub banks: usize,
@@ -185,11 +184,9 @@ pub struct ControllerConfig {
     pub seed: u64,
     /// Error-correction layer over bank reads (defaults to none, the seed
     /// behaviour: every misread is silent).
-    #[serde(default)]
     pub ecc: EccMode,
     /// Dynamic thermal/aging drift applied on each bank's busy clock
     /// (defaults to quiet: no drift, bit-identical to pre-drift builds).
-    #[serde(default)]
     pub drift: DriftPlan,
 }
 

@@ -28,14 +28,13 @@
 //!   free layer; each cell of a read word flips with a fixed probability per
 //!   read. Unlike retention this only hits words traffic actually touches.
 
-use serde::{Deserialize, Serialize};
 use stt_array::Address;
 use stt_mtj::{LinearRolloff, MtjSpec, ThermalFactors, ThermalModel, T_REFERENCE};
 
 use crate::reliability::WORD_BITS;
 
 /// A stuck-at defect on one cell of one bank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StuckCell {
     /// Bank index.
     pub bank: usize,
@@ -48,7 +47,7 @@ pub struct StuckCell {
 /// A write transition fault (WTF) on one cell: the write pulse in one
 /// direction silently fails, so the cell keeps its old value while the
 /// controller believes the write succeeded (Wu et al. §IV-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransitionFault {
     /// Bank index.
     pub bank: usize,
@@ -61,7 +60,7 @@ pub struct TransitionFault {
 }
 
 /// Which intra-word coupling mechanism a [`CouplingFault`] models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CouplingKind {
     /// State coupling fault (CFst): whenever a write leaves the aggressor
     /// holding `aggressor_value`, the victim is forced to `victim_value`.
@@ -86,7 +85,7 @@ pub enum CouplingKind {
 /// An intra-word coupling defect between two bit positions of one ECC word
 /// (adjacent physical columns share write-line return paths; a short couples
 /// an aggressor cell's write to its neighbour).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CouplingFault {
     /// Bank index.
     pub bank: usize,
@@ -107,7 +106,7 @@ pub struct CouplingFault {
 /// low state. Every sensing scheme reads the cell as "0" regardless of what
 /// was written — electrically a stuck-at-0 with a healthy-looking write
 /// path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PinholeCell {
     /// Bank index.
     pub bank: usize,
@@ -118,7 +117,7 @@ pub struct PinholeCell {
 /// A backhopping defect: the write pulse succeeds, but the free layer hops
 /// back to the opposite state with probability `prob` before the next
 /// access — a probabilistic write fault no single March pass can cover.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BackhopCell {
     /// Bank index.
     pub bank: usize,
@@ -129,7 +128,7 @@ pub struct BackhopCell {
 }
 
 /// What to inject while serving a trace.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// Cut power mid-sequence on every Nth read of each bank
     /// (`None` = never). The count is per bank, so the plan is independent
@@ -141,23 +140,17 @@ pub struct FaultPlan {
     /// time (`None` = perfect retention). Real rates are astronomically
     /// small; campaign values are accelerated so failures appear within a
     /// trace, like a bake test.
-    #[serde(default)]
     pub retention_rate_per_ns: Option<f64>,
     /// Probability that one read flips each sensed cell of the victim word
     /// (`None` = no read disturb).
-    #[serde(default)]
     pub read_disturb_prob: Option<f64>,
     /// Write transition faults (per-direction silent write failures).
-    #[serde(default)]
     pub transition_faults: Vec<TransitionFault>,
     /// Intra-word coupling defects (CFst / CFds).
-    #[serde(default)]
     pub coupling_faults: Vec<CouplingFault>,
     /// Pinhole (TMR-collapse) defects.
-    #[serde(default)]
     pub pinhole_cells: Vec<PinholeCell>,
     /// Backhopping defects (probabilistic post-write flip-back).
-    #[serde(default)]
     pub backhop_cells: Vec<BackhopCell>,
 }
 
@@ -354,7 +347,7 @@ const ROLLOFF_TC_PER_K: f64 = 0.01;
 /// trapezoid on the bank's **busy clock** (accumulated service time, not
 /// wall time), so serial, parallel and event-driven dispatch observe the
 /// identical temperature history and stay bit-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalTransient {
     /// Bank index the hot spot lands on.
     pub bank: usize,
@@ -471,22 +464,15 @@ impl DriftStep {
 /// Temperature is quantised to 2 K [`DriftKey`] steps. Rebuilding a bank's
 /// cells for a new key draws **no RNG**, so enabling drift never perturbs
 /// sense or write randomness.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DriftPlan {
     /// Ambient die temperature (K). Default 300 K (the calibration point).
-    #[serde(default = "default_ambient_k")]
     pub ambient_k: f64,
     /// Per-bank thermal excursions.
-    #[serde(default)]
     pub transients: Vec<ThermalTransient>,
     /// MgO aging rate: the high-state roll-off decays as
     /// `exp(−rate · busy_ns)` (`None` = no aging).
-    #[serde(default)]
     pub aging_rate_per_ns: Option<f64>,
-}
-
-fn default_ambient_k() -> f64 {
-    T_REFERENCE
 }
 
 impl Default for DriftPlan {
@@ -502,7 +488,7 @@ impl DriftPlan {
     #[must_use]
     pub fn quiet() -> Self {
         Self {
-            ambient_k: default_ambient_k(),
+            ambient_k: T_REFERENCE,
             transients: Vec::new(),
             aging_rate_per_ns: None,
         }

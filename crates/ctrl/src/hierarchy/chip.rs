@@ -31,7 +31,6 @@
 use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use stt_array::ArraySpec;
 use stt_sense::SchemeKind;
 
@@ -50,7 +49,7 @@ use super::source::ClosedLoopSource;
 use super::topology::{BankCoord, Geometry, Topology};
 
 /// Data-bus timing for the shared levels of the hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BusTiming {
     /// Time a completed access occupies its bank group's data bus
     /// (nanoseconds).
@@ -86,7 +85,7 @@ impl BusTiming {
 }
 
 /// How [`Chip::run_closed_loop`] / [`Chip::run_trace`] drive the channels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardDispatch {
     /// Channels served one after another on the calling thread.
     Serial,
@@ -99,7 +98,7 @@ pub enum ShardDispatch {
 /// the hierarchy is not part of it: a chip serves physical transactions,
 /// and the interleave is chosen when a trace is generated (see
 /// [`Workload::generate_physical`](crate::Workload::generate_physical)).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipConfig {
     /// The hierarchy's level counts.
     pub topology: Topology,
@@ -115,7 +114,6 @@ pub struct ChipConfig {
     /// Master seed; global bank `k` derives its streams from `(seed, k)`.
     pub seed: u64,
     /// Error-correction layer over bank reads.
-    #[serde(default)]
     pub ecc: EccMode,
     /// Shared-bus timing.
     pub bus: BusTiming,
@@ -200,7 +198,7 @@ impl ChipConfig {
 
 /// Hierarchy-wide telemetry: every *resident* (materialised) bank with its
 /// coordinate, per-channel engine counters, and the integrity audit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipTelemetry {
     /// The topology the chip ran.
     pub topology: Topology,

@@ -10,7 +10,6 @@
 //! alias the same cell — which the integration suite property-tests over
 //! random geometries.
 
-use serde::{Deserialize, Serialize};
 use stt_array::Address;
 
 use super::topology::{Geometry, PhysAddr};
@@ -24,7 +23,7 @@ use super::topology::{Geometry, PhysAddr};
 /// * `encode(geometry, decode(geometry, linear)) == linear`;
 /// * `decode` never yields the same [`PhysAddr`] for two distinct linear
 ///   addresses (which follows from the first law plus range preservation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InterleavePolicy {
     /// Bank-major filling: linear address `a` lives in global bank
     /// `a / cells_per_bank` at row-major offset `a % cells_per_bank`.

@@ -21,7 +21,6 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use stt_array::Address;
 
 use crate::txn::Transaction;
@@ -33,7 +32,7 @@ use super::topology::Geometry;
 const SOURCE_STREAM: u64 = 0x434c_4f53_4544_4c50;
 
 /// A per-channel window-limited traffic source.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClosedLoopSource {
     /// Transactions each channel's source issues before retiring.
     pub ops_per_channel: usize,

@@ -18,14 +18,13 @@
 
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
 use stt_array::Address;
 
 /// Counts per level of the chip hierarchy.
 ///
 /// Every level count must be at least 1; the [`Topology::new`] constructor
 /// and the `CxRxGxB` parser both enforce it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Topology {
     /// Independent channels (the sharding grain: channels share nothing).
     pub channels: usize,
@@ -241,7 +240,7 @@ impl FromStr for Topology {
 }
 
 /// The coordinate of one bank within a [`Topology`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BankCoord {
     /// Channel index (`0..channels`).
     pub channel: usize,
@@ -266,7 +265,7 @@ pub struct PhysAddr {
 /// linear address space an
 /// [`InterleavePolicy`](crate::hierarchy::InterleavePolicy) maps into
 /// physical locations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Geometry {
     /// Structural counts per hierarchy level.
     pub topology: Topology,

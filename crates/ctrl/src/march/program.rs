@@ -9,10 +9,8 @@
 //! n-cell array — the figure of merit test engineers quote (March C– is
 //! "a 10n test").
 
-use serde::{Deserialize, Serialize};
-
 /// One March operation applied to the current cell of an element walk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MarchOp {
     /// Read the cell and compare against the expected bit; a mismatch marks
     /// the cell as failing.
@@ -22,7 +20,7 @@ pub enum MarchOp {
 }
 
 /// The address order of one element's walk over the cell array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AddressOrder {
     /// Ascending row-major (`⇑`).
     Up,
@@ -34,7 +32,7 @@ pub enum AddressOrder {
 
 /// One March element: an address order and the operations applied to each
 /// cell of the walk.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MarchElement {
     /// Walk direction over the cell array.
     pub order: AddressOrder,
@@ -43,7 +41,7 @@ pub struct MarchElement {
 }
 
 /// A complete March algorithm as a sequence of elements.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MarchProgram {
     /// Human-readable algorithm name (`"March C-"`).
     pub name: &'static str,
@@ -53,7 +51,7 @@ pub struct MarchProgram {
 
 /// One lowered March operation: element `element` of the program applies
 /// `op` to row-major cell `cell`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MarchStep {
     /// Row-major cell index within the bank.
     pub cell: u32,
@@ -72,7 +70,7 @@ pub struct MarchStep {
 /// can't: inter-word coupling faults need neighbouring cells to hold
 /// *opposite* values while the aggressor toggles, which a checkerboard
 /// provides by construction.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DataBackground {
     /// All-zeros base pattern — the textbook lowering.
     #[default]
@@ -121,7 +119,7 @@ impl DataBackground {
 
 /// Which March algorithm to run — the `Copy` handle configuration structs
 /// carry; [`MarchAlgorithm::program`] builds the full description.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MarchAlgorithm {
     /// March C–: `{⇕(w0); ⇑(r0,w1); ⇑(r1,w0); ⇓(r0,w1); ⇓(r1,w0); ⇕(r0)}`,
     /// the classic 10n test. Detects all stuck-at and transition faults and

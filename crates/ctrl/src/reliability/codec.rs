@@ -22,8 +22,6 @@
 //! codec is cheap enough to sit on every word read the controller serves
 //! (see the `reliability_codec` bench).
 
-use serde::{Deserialize, Serialize};
-
 /// Data bits per codeword.
 pub const DATA_BITS: u32 = 64;
 /// Check bits per codeword: 7 Hamming bits plus the overall-parity bit.
@@ -113,7 +111,7 @@ pub fn encode(data: u64) -> u8 {
 }
 
 /// What [`decode`] concluded about one received codeword.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeKind {
     /// Syndrome and overall parity agree: no error observed.
     Clean,
@@ -145,7 +143,7 @@ impl DecodeKind {
 }
 
 /// A decoded word: the data to deliver plus the codec's verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Decoded {
     /// The delivered data: corrected when the verdict is a data CE, the
     /// received data unchanged otherwise (including uncorrectable words,

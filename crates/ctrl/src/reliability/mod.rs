@@ -33,8 +33,6 @@ pub mod campaign;
 pub mod codec;
 pub mod scrub;
 
-use serde::{Deserialize, Serialize};
-
 pub use campaign::{run_campaign, CampaignConfig, CampaignRow, FaultIntensity, Protection};
 pub use scrub::{ScrubConfig, ScrubCursor};
 
@@ -42,7 +40,7 @@ pub use scrub::{ScrubConfig, ScrubCursor};
 pub const WORD_BITS: usize = codec::DATA_BITS as usize;
 
 /// Whether a controller protects its words with ECC.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum EccMode {
     /// No coding: every misread is silent data loss (the seed behaviour).
     #[default]

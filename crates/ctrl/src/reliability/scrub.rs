@@ -17,10 +17,8 @@
 //! demand reads would have seen — the bit-identity property the
 //! reliability integration suite asserts.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of the background scrub daemon.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScrubConfig {
     /// Target gap between two scrub word-reads on one bank (nanoseconds).
     /// The daemon is best-effort: a tick that finds the bank busy or demand
@@ -46,7 +44,7 @@ impl ScrubConfig {
 }
 
 /// Round-robin word cursor for one bank's scrub walk.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScrubCursor {
     next: usize,
     words: usize,

@@ -13,13 +13,12 @@
 //! an already-confident read — a property the integration suite checks with
 //! a proptest.
 
-use serde::{Deserialize, Serialize};
 use stt_units::Volts;
 
 use crate::sense::Sensed;
 
 /// When to accept a sense and when to try again.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Minimum `|observed|` for an attempt to be accepted outright.
     pub guard_band: Volts,
@@ -86,7 +85,7 @@ impl Default for RetryPolicy {
 }
 
 /// The controller's verdict on one read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadResolution {
     /// The bit delivered to the host.
     pub bit: bool,

@@ -19,8 +19,6 @@
 //! That identity is asserted by the integration suite the same way the
 //! `Serial ≡ Parallel` dispatch property already is.
 
-use serde::{Deserialize, Serialize};
-
 use crate::alloc_probe;
 use crate::bank::Bank;
 use crate::calib::CalibConfig;
@@ -37,7 +35,7 @@ use super::policy::{Daemon, Policy};
 use super::queue::{Lane, ParkedRetry, Queued};
 
 /// What admission does when a transaction's bank queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Backpressure {
     /// Block the arrival stream until the queue frees a slot (a blocking
     /// host interface: later arrivals are pushed back in time too).
@@ -62,18 +60,16 @@ pub enum Backpressure {
 /// newly arrived demand transaction is served. The full test re-runs on
 /// every `run` call; verdicts accumulate in each bank's
 /// [`MarchTelemetry`](crate::telemetry::MarchTelemetry).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MarchConfig {
     /// Which March algorithm to run.
     pub algorithm: MarchAlgorithm,
     /// Data background the notation's `0`/`1` is lowered against
     /// (defaults to [`DataBackground::Solid`], the textbook lowering).
-    #[serde(default)]
     pub background: DataBackground,
     /// Raw-array test mode: March reads bypass the SECDED codec and
     /// observe the bare cell, so single-cell defects the codec would
     /// absorb are caught at every protection level. No effect without ECC.
-    #[serde(default)]
     pub raw: bool,
 }
 
@@ -105,7 +101,7 @@ impl MarchConfig {
 }
 
 /// Configuration of the scheduler frontend.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrontendConfig {
     /// Per-bank waiting-queue capacity (`usize::MAX` for unbounded).
     pub queue_depth: usize,
@@ -117,26 +113,22 @@ pub struct FrontendConfig {
     /// [`PriorityClass::Background`] traffic source offering one word-scrub
     /// per bank per interval, served only in lane-idle gaps. Requires the
     /// wrapped controller to run with ECC.
-    #[serde(default)]
     pub scrub: Option<ScrubConfig>,
     /// March manufacturing-test traffic source (see [`MarchConfig`]): a
     /// [`PriorityClass::Test`] citizen between demand and the background
     /// daemons.
-    #[serde(default)]
     pub march: Option<MarchConfig>,
     /// Per-bank calibration daemon (see [`CalibConfig`]): a periodic
     /// [`PriorityClass::Background`] check of each bank's misread /
     /// retry-exhaustion rate; a tripped check runs a reference-read burst
     /// and β refit in a lane-idle gap, never delaying or reordering demand.
     /// The only mount of the daemon: a bank never checks itself.
-    #[serde(default)]
     pub calib: Option<CalibConfig>,
     /// Retain raw per-completion sojourn samples
     /// ([`SojournStats::Exact`]) instead of the default fixed-memory
     /// streaming quantile estimators. Exact mode grows telemetry by one
     /// `f64` per completion; use it for tests and sweeps that assert on
     /// exact order-statistic quantiles.
-    #[serde(default)]
     pub exact_sojourn: bool,
 }
 

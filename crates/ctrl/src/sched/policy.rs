@@ -18,8 +18,6 @@
 //!   anti-starvation answer, bounding how far behind its peers a retried
 //!   transaction can fall.
 
-use serde::{Deserialize, Serialize};
-
 use super::queue::BankQueue;
 
 /// The traffic classes a bank lane arbitrates between.
@@ -35,7 +33,7 @@ use super::queue::BankQueue;
 /// when neither demand nor test work waits — an in-progress operation of
 /// any class finishes (the service stage is not interruptible, like a real
 /// array access), but no lower-class one starts while a higher class waits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PriorityClass {
     /// Host reads and writes.
     Demand,
@@ -69,7 +67,7 @@ impl Daemon {
 }
 
 /// How a bank picks the next transaction to serve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
     /// First come, first served (admission order).
     Fcfs,

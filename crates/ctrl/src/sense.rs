@@ -9,7 +9,6 @@
 use std::ops::Range;
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use stt_array::{Address, Array, Cell};
 use stt_mtj::ResistanceState;
 use stt_sense::{
@@ -55,7 +54,7 @@ const POSITIVE: u32 = 1 << 31;
 const NEVER: u32 = 0x3fc0_0000;
 
 /// One sensing attempt, with the quantity the retry policy judges.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sensed {
     /// The bit the comparator latched.
     pub bit: bool,
@@ -77,7 +76,7 @@ impl Sensed {
 }
 
 /// A run-time-selected sensing scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Scheme {
     /// Shared-reference sensing.
     Conventional(ConventionalScheme),

@@ -5,7 +5,6 @@
 //! — serial or parallel, any thread count — produce **equal** telemetry.
 //! The engine's determinism test leans on the `PartialEq` here.
 
-use serde::{Deserialize, Serialize};
 use stt_stats::{quantile, Histogram, P2Quantile, Summary};
 use stt_units::{Joules, Seconds};
 
@@ -42,7 +41,7 @@ pub const STREAMING_STRIDE: u64 = 8;
 // boxing it would buy nothing but a pointer chase on the per-completion
 // observe path.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SojournStats {
     /// Fixed-memory streaming estimators (the default).
     Streaming {
@@ -245,7 +244,7 @@ const LATENCY_BINS: usize = 50;
 /// the trace) to its completion, so it includes admission stalls, queueing
 /// delay and service; waiting time is measured from admission into the bank
 /// queue to the start of service.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct QueueTelemetry {
     /// Transactions admitted into the bank queue (or started directly).
     pub admitted: u64,
@@ -273,19 +272,15 @@ pub struct QueueTelemetry {
     pub wait_ns: Summary,
     /// Columnar sojourn-time statistics: fixed-memory streaming quantiles by
     /// default, raw samples when the run opted into exact mode.
-    #[serde(default)]
     pub sojourn: SojournStats,
     /// Scrub ticks that found the bank busy or demand waiting and yielded
     /// (background priority: demand always preempts at arbitration).
-    #[serde(default)]
     pub scrub_deferred: u64,
     /// March-test dispatch attempts that found the bank busy or demand
     /// waiting and yielded (test priority: below demand, above scrub).
-    #[serde(default)]
     pub march_deferred: u64,
     /// Calibration-daemon ticks that found the bank busy or higher-class
     /// work waiting and yielded (background priority, like scrub).
-    #[serde(default)]
     pub calib_deferred: u64,
 }
 
@@ -356,7 +351,7 @@ impl QueueTelemetry {
 pub const ERROR_LOG_CAP: usize = 64;
 
 /// What kind of ECC event an [`EccEvent`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EccEventKind {
     /// A demand read corrected a single-bit error.
     DemandCe,
@@ -371,7 +366,7 @@ pub enum EccEventKind {
 }
 
 /// One entry of a bank's error-address log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EccEvent {
     /// ECC word index within the bank.
     pub word: u32,
@@ -388,7 +383,7 @@ pub struct EccEvent {
 /// silent_errors`. *Silent* means the codec reported clean-or-corrected
 /// but the delivered word still disagreed with the host's truth mirror —
 /// the residue (≥3-bit flips, miscorrections) that survives SECDED.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EccTelemetry {
     /// Demand reads whose word decoded clean and matched the truth mirror.
     pub clean_reads: u64,
@@ -414,7 +409,6 @@ pub struct EccTelemetry {
     /// work into it would make scrubbing accelerate the decay it repairs —
     /// and give protection levels mismatched fault exposure at matched
     /// traffic.
-    #[serde(default)]
     pub scrub_busy_time: Seconds,
     /// ECC words in this bank (coverage-gauge denominator; 0 = ECC off).
     pub words_total: u64,
@@ -484,7 +478,7 @@ impl EccTelemetry {
 
 /// One entry of a bank's March-test fail log: a read element whose
 /// delivered bit disagreed with the value the algorithm expected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MarchFail {
     /// Row-major cell index within the bank.
     pub cell: u32,
@@ -502,7 +496,7 @@ pub struct MarchFail {
 /// [`Bank`](crate::bank) serves each March read through the configured
 /// scheme (and ECC word path when enabled), so a mismatch here is a fault
 /// the production read path actually delivered to the tester.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MarchTelemetry {
     /// March operations executed (reads + writes).
     pub ops: u64,
@@ -563,7 +557,7 @@ impl MarchTelemetry {
 /// [`CalibConfig`](crate::calib::CalibConfig) is active (all zero
 /// otherwise). The trip → burst → refit protocol is documented in
 /// [`calib`](crate::calib) and DESIGN.md §15.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CalibTelemetry {
     /// Trip-condition evaluations that crossed the threshold.
     pub trips: u64,
@@ -599,7 +593,7 @@ impl CalibTelemetry {
 }
 
 /// Counters for one bank.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BankTelemetry {
     /// Reads served (including those aborted by a power cut).
     pub reads: u64,
@@ -621,23 +615,18 @@ pub struct BankTelemetry {
     pub corrupted_bits: u64,
     /// Cells flipped by retention failures (time-dependent decay between
     /// accesses, see [`FaultPlan::retention_rate_per_ns`](crate::FaultPlan)).
-    #[serde(default)]
     pub retention_flips: u64,
     /// Cells flipped by read disturb (per-read victim-word flips, see
     /// [`FaultPlan::read_disturb_prob`](crate::FaultPlan)).
-    #[serde(default)]
     pub read_disturb_flips: u64,
     /// Writes silently swallowed by a write transition fault (see
     /// [`TransitionFault`](crate::TransitionFault)).
-    #[serde(default)]
     pub write_transition_faults: u64,
     /// Completed writes undone by a backhopping flip (see
     /// [`BackhopCell`](crate::BackhopCell)).
-    #[serde(default)]
     pub backhop_flips: u64,
     /// Victim-cell overwrites triggered by intra-word coupling defects (see
     /// [`CouplingFault`](crate::CouplingFault)).
-    #[serde(default)]
     pub coupling_triggers: u64,
     /// Completed-read latency in nanoseconds (retries included).
     pub read_latency_ns: Summary,
@@ -654,15 +643,12 @@ pub struct BankTelemetry {
     /// ECC and scrub counters, filled only under
     /// [`EccMode::Secded`](crate::reliability::EccMode) (all zero when ECC
     /// is off).
-    #[serde(default)]
     pub ecc: EccTelemetry,
     /// March-test verdicts, filled only while a March program runs against
     /// this bank (all zero otherwise).
-    #[serde(default)]
     pub march: MarchTelemetry,
     /// Calibration-daemon counters, filled only when a calibration config
     /// is active (all zero otherwise).
-    #[serde(default)]
     pub calib: CalibTelemetry,
 }
 
@@ -750,7 +736,7 @@ impl Default for BankTelemetry {
 /// Engine counters for one hierarchy channel, filled by the
 /// [`hierarchy`](crate::hierarchy) chip engine: source activity, shared-bus
 /// contention and outstanding-window behaviour that no single bank can see.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ChannelTelemetry {
     /// Transactions the channel's source issued (or was offered).
     pub issued: u64,
@@ -819,7 +805,7 @@ pub fn rollup_by<'a, K: Ord>(
 
 /// Telemetry for a full controller run: per-bank breakdown plus the final
 /// integrity audit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Telemetry {
     /// One entry per bank, in bank order.
     pub banks: Vec<BankTelemetry>,

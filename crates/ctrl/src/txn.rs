@@ -26,11 +26,10 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use stt_array::Address;
 
 /// What a transaction asks the controller to do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Sense the stored bit and return it.
     Read,
@@ -47,7 +46,7 @@ impl Op {
 }
 
 /// One memory transaction: an operation against one cell of one bank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Transaction {
     /// Target bank index (`0..banks`).
     pub bank: usize,
@@ -92,7 +91,7 @@ impl Transaction {
 }
 
 /// A replayable, ordered stream of transactions.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     transactions: Vec<Transaction>,
 }

@@ -14,7 +14,6 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use stt_array::Address;
 
 use crate::hierarchy::{Geometry, InterleavePolicy};
@@ -30,7 +29,7 @@ use crate::txn::{Trace, Transaction};
 const MAX_ZIPF_RANKS: usize = 1 << 16;
 
 /// The shape of the address space a workload targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Footprint {
     /// Number of banks.
     pub banks: usize,
@@ -58,7 +57,7 @@ impl Footprint {
 }
 
 /// A synthetic traffic pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Workload {
     /// Uniformly random cells, `read_fraction` of transactions are reads.
     Uniform {

@@ -8,7 +8,6 @@
 //! and capacitance (one segment per cell pitch) with optional extra taps,
 //! and computes the Elmore delay seen at the far end.
 
-use serde::{Deserialize, Serialize};
 use stt_units::{Farads, Ohms, Seconds};
 
 /// A uniform RC ladder with optional extra capacitive loads at given taps.
@@ -32,7 +31,7 @@ use stt_units::{Farads, Ohms, Seconds};
 ///     .elmore_delay();
 /// assert!(loaded > bare);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RcLadder {
     /// Per-segment series resistance (node k → k+1).
     segment_resistance: Vec<f64>,

@@ -1,6 +1,5 @@
 //! Time-dependent source values: DC, pulse trains and piecewise-linear.
 
-use serde::{Deserialize, Serialize};
 use stt_units::Seconds;
 
 /// The value of an independent source as a function of time.
@@ -20,7 +19,7 @@ use stt_units::Seconds;
 /// assert_eq!(wl.value_at(Seconds::from_nano(3.0)), 1.2);
 /// assert_eq!(wl.value_at(Seconds::from_nano(8.0)), 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Waveform {
     /// Constant value.
     Dc(f64),

@@ -8,14 +8,13 @@
 //! sweep.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use stt_units::{Amps, Ohms};
 
 use crate::model::ResistanceModel;
 use crate::ResistanceState;
 
 /// One sample of a static R–I sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IvPoint {
     /// Sensing current (signed; negative is the opposite read polarity).
     pub current: Amps,
@@ -26,7 +25,7 @@ pub struct IvPoint {
 }
 
 /// A full static R–I sweep, as plotted in the paper's Fig. 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IvSweep {
     points: Vec<IvPoint>,
 }
@@ -102,7 +101,7 @@ impl<'a> IntoIterator for &'a IvSweep {
 ///     - analytic.resistance(ResistanceState::AntiParallel, i)).abs();
 /// assert!(err.get() < 1e-9); // linear model is reproduced exactly
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TabulatedCurve {
     /// `(|I|, R)` samples for the high state, ascending in current.
     high: Vec<(Amps, Ohms)>,

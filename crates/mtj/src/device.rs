@@ -6,7 +6,6 @@
 //! consume, carrying whichever [`ResistanceCurve`] variant an experiment
 //! selects (linear, physical, or tabulated).
 
-use serde::{Deserialize, Serialize};
 use stt_units::{Amps, Ohms, Seconds};
 
 use crate::curve::TabulatedCurve;
@@ -30,7 +29,7 @@ use crate::ResistanceState;
 ///     1525.0
 /// );
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MtjSpec {
     /// Linear roll-off calibration (the paper's native abstraction).
     pub resistance: LinearRolloff,
@@ -105,7 +104,7 @@ impl MtjSpec {
 /// *stateless* — the stored [`ResistanceState`] lives in the memory cell
 /// that owns the junction, so a single `MtjDevice` can be shared by
 /// analyses that evaluate both states.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MtjDevice {
     curve: ResistanceCurve,
     switching: SwitchingModel,

@@ -56,14 +56,12 @@ pub use switching::{SwitchingModel, WritePolarity};
 pub use thermal::{ThermalFactors, ThermalModel, T_REFERENCE};
 pub use variation::{OxideSensitivity, SampledMtj, VariationModel};
 
-use serde::{Deserialize, Serialize};
-
 /// The two stable magnetisation configurations of an MTJ.
 ///
 /// In the paper's convention (Fig. 1) the parallel configuration is the low
 /// resistance state and stores a logical "0"; anti-parallel is the high
 /// resistance state and stores a logical "1".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResistanceState {
     /// Free and reference layer magnetisations aligned: low resistance, "0".
     Parallel,

@@ -19,10 +19,8 @@
 //!   extrapolation.
 //!
 //! All three implement [`ResistanceModel`], and [`ResistanceCurve`] is a
-//! closed enum over them so device structs stay `Clone + Serialize` without
-//! boxing.
+//! closed enum over them so device structs stay `Clone` without boxing.
 
-use serde::{Deserialize, Serialize};
 use stt_units::{Amps, Ohms, Volts};
 
 use crate::curve::TabulatedCurve;
@@ -78,7 +76,7 @@ pub trait ResistanceModel {
 /// let r_h2 = model.resistance(ResistanceState::AntiParallel, Amps::from_micro(200.0));
 /// assert_eq!(r_h2, Ohms::new(2450.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearRolloff {
     r_low0: Ohms,
     r_high0: Ohms,
@@ -216,7 +214,7 @@ impl ResistanceModel for LinearRolloff {
 /// endpoints match a [`LinearRolloff`] calibration (same `R(0)` and the same
 /// `R(I_max)` per state), so the two models can be ablated against each
 /// other.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConductanceModel {
     r_low0: Ohms,
     r_high0: Ohms,
@@ -326,9 +324,9 @@ impl ResistanceModel for ConductanceModel {
 
 /// Closed enum over the available resistance models.
 ///
-/// Keeps device types `Clone + Serialize` without trait objects; dispatch
+/// Keeps device types `Clone` without trait objects; dispatch
 /// is a two-arm match, negligible next to the arithmetic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ResistanceCurve {
     /// The paper's linear roll-off abstraction.
     Linear(LinearRolloff),

@@ -10,7 +10,6 @@
 //! current *disturbs* (unintentionally switches) the stored state — the
 //! constraint that defines `I_max` in the sensing schemes.
 
-use serde::{Deserialize, Serialize};
 use stt_units::{Amps, Seconds};
 
 use crate::ResistanceState;
@@ -20,7 +19,7 @@ use crate::ResistanceState;
 /// Per the paper's Fig. 1/2 convention, a positive voltage on the free-layer
 /// side (point B) switches anti-parallel → parallel (write "0"), and the
 /// opposite polarity switches parallel → anti-parallel (write "1").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WritePolarity {
     /// Current polarity that drives the junction to the parallel (low) state.
     SetParallel,
@@ -85,7 +84,7 @@ impl WritePolarity {
 /// let p = model.switching_probability(Amps::from_micro(200.0), Seconds::from_nano(5.0));
 /// assert!(p < 1e-6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchingModel {
     i_c0: Amps,
     delta: f64,

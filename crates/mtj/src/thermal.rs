@@ -19,7 +19,6 @@
 //! * `Δ(T) = Δ(T_ref)·T_ref/T` (temperature-independent barrier energy);
 //! * `I_c0(T)` falls linearly with the saturation-magnetisation softening.
 
-use serde::{Deserialize, Serialize};
 use stt_units::Ohms;
 
 use crate::device::MtjSpec;
@@ -46,7 +45,7 @@ pub const T_REFERENCE: f64 = 300.0;
 /// };
 /// assert!(tmr(&hot) < tmr(&cold));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalModel {
     /// Bloch spin-wave coefficient `a_sw` (K^−3/2).
     bloch_coefficient: f64,

@@ -14,7 +14,6 @@
 //! statement.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::model::LinearRolloff;
 
@@ -41,7 +40,7 @@ pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// // Thinner barrier lowers resistance.
 /// assert!(mgo.resistance_factor(-0.1) < 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OxideSensitivity {
     /// Characteristic decay length λ in ångström.
     lambda_angstrom: f64,
@@ -91,7 +90,7 @@ impl OxideSensitivity {
 }
 
 /// Per-bit multiplicative variation factors drawn for one MTJ.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampledMtj {
     /// Common-mode (resistance–area) factor applied to both states.
     pub ra_factor: f64,
@@ -129,7 +128,7 @@ impl SampledMtj {
 /// let sample = model.sample(&mut rng);
 /// assert!(sample.ra_factor > 0.0 && sample.tmr_factor > 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VariationModel {
     sigma_ra: f64,
     sigma_tmr: f64,

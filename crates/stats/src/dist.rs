@@ -6,7 +6,6 @@
 //! against closed-form predictions.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Draws a standard normal deviate via the Box–Muller transform.
 ///
@@ -155,7 +154,7 @@ fn erfc(x: f64) -> f64 {
 /// let x = dist.sample(&mut rng);
 /// assert!(x.is_finite());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Normal {
     mean: f64,
     sigma: f64,
@@ -219,7 +218,7 @@ impl Normal {
 /// The natural model for MTJ resistance spread — tunnel resistance is
 /// exponential in barrier thickness, so Gaussian thickness noise produces a
 /// lognormal resistance factor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogNormal {
     log: Normal,
 }
@@ -266,7 +265,7 @@ impl LogNormal {
 }
 
 /// Uniform distribution on `[low, high)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Uniform {
     low: f64,
     high: f64,

@@ -21,8 +21,6 @@
 //!   identical streams produce bit-identical estimators, so equality
 //!   comparisons between deterministic replays remain valid.
 
-use serde::{Deserialize, Serialize};
-
 /// Streaming estimator for one quantile `q` in five f64 markers (P²).
 ///
 /// ```
@@ -35,7 +33,7 @@ use serde::{Deserialize, Serialize};
 /// let est = p50.estimate().unwrap();
 /// assert!((est - 500.0).abs() < 25.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct P2Quantile {
     q: f64,
     count: u64,

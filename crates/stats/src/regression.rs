@@ -4,8 +4,6 @@
 //! R–I sweeps — the quantity whose high/low-state asymmetry drives the
 //! nondestructive self-reference scheme.
 
-use serde::{Deserialize, Serialize};
-
 /// An ordinary least-squares fit `y ≈ slope·x + intercept`.
 ///
 /// # Examples
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((fit.intercept - 1.0).abs() < 1e-12);
 /// assert!((fit.r_squared - 1.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {
     /// Fitted slope.
     pub slope: f64,

@@ -1,7 +1,5 @@
 //! Streaming summaries, order statistics and histograms.
 
-use serde::{Deserialize, Serialize};
-
 /// Streaming univariate summary using Welford's online algorithm.
 ///
 /// Collects count, mean, variance, min and max in one pass without storing
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((summary.mean() - 2.5).abs() < 1e-12);
 /// assert!((summary.std_dev() - 1.2909944487358056).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Summary {
     count: u64,
     mean: f64,
@@ -167,7 +165,7 @@ pub fn quantile(values: &[f64], q: f64) -> f64 {
 ///
 /// Out-of-range observations are counted in saturating edge bins so no data
 /// is silently dropped.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     low: f64,
     high: f64,

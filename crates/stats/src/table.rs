@@ -7,8 +7,6 @@
 use std::fmt::{self, Write as _};
 use std::io;
 
-use serde::{Deserialize, Serialize};
-
 /// A simple rectangular table: a header plus string rows.
 ///
 /// # Examples
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(text.contains("2.13"));
 /// assert_eq!(table.to_csv(), "beta,SM0 (mV),SM1 (mV)\n2.13,9.31,9.31\n");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,

@@ -4,8 +4,6 @@
 //! correctly by each scheme, and is a "≈1 %" failure rate statistically
 //! distinguishable from zero?
 
-use serde::{Deserialize, Serialize};
-
 /// A tally of pass/fail outcomes.
 ///
 /// # Examples
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(tally.failures(), 1);
 /// assert!((tally.failure_rate() - 0.01).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct YieldCount {
     passes: u64,
     failures: u64,
@@ -148,7 +146,7 @@ impl FromIterator<bool> for YieldCount {
 }
 
 /// A two-sided Wilson score interval on a proportion.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WilsonInterval {
     /// Lower bound (clamped to 0).
     pub low: f64,

@@ -32,8 +32,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Formats a value with an engineering (power-of-1000) SI prefix.
 ///
 /// Used by the `Display` impls of every unit in this crate so that a
@@ -70,8 +68,7 @@ fn engineering(f: &mut fmt::Formatter<'_>, value: f64, symbol: &str) -> fmt::Res
 macro_rules! unit {
     ($(#[$doc:meta])* $name:ident, $symbol:literal) => {
         $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-        #[serde(transparent)]
+        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
         pub struct $name(f64);
 
         impl $name {
@@ -425,20 +422,6 @@ mod tests {
             .into_iter()
             .sum();
         assert_eq!(total, Ohms::new(600.0));
-    }
-
-    #[test]
-    fn serde_round_trip_is_transparent() {
-        let resistance = Ohms::new(2500.0);
-        let json = serde_json_lite(resistance.get());
-        assert_eq!(json, "2500");
-    }
-
-    /// Minimal check that `#[serde(transparent)]` keeps the representation a
-    /// bare number, without pulling in a JSON crate: format mirrors what any
-    /// serde data format would receive.
-    fn serde_json_lite(value: f64) -> String {
-        format!("{value}")
     }
 
     proptest! {
