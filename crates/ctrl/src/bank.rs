@@ -373,12 +373,6 @@ impl Bank {
         self.work
     }
 
-    /// `true` when this bank runs with the SECDED layer.
-    #[must_use]
-    pub fn has_ecc(&self) -> bool {
-        self.ecc.is_some()
-    }
-
     /// Serves one transaction, injecting the faults this bank was built
     /// with.
     ///
@@ -1105,7 +1099,7 @@ mod tests {
         for kind in SchemeKind::ALL {
             let bank = small_bank(kind, &FaultPlan::none());
             assert_eq!(bank.audit_corrupted_bits(), 0, "{kind}");
-            assert!(!bank.has_ecc());
+            assert!(bank.ecc.is_none());
         }
     }
 
@@ -1183,7 +1177,7 @@ mod tests {
         let addr = Address::new(3, 3);
         let faults = FaultPlan::none().with_stuck_cell(0, addr, false);
         let mut bank = small_ecc_bank(SchemeKind::Nondestructive, &faults);
-        assert!(bank.has_ecc());
+        assert!(bank.ecc.is_some());
         bank.execute(&Transaction::write(0, addr, true));
         bank.execute(&Transaction::read(0, addr));
         let ecc = &bank.telemetry().ecc;

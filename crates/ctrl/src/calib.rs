@@ -36,7 +36,8 @@
 //! checks and bursts only run in lane-idle gaps and never delay or reorder
 //! demand traffic.
 
-/// Configuration for the per-bank calibration daemon.
+/// Configuration for the per-bank calibration daemon, validated when
+/// [`Frontend::new`](crate::Frontend::new) mounts it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibConfig {
     /// Trip threshold: recalibrate when
@@ -61,51 +62,6 @@ impl CalibConfig {
         }
     }
 
-    /// Sets the trip rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not in `(0, 1]`.
-    #[must_use]
-    pub fn with_trip_rate(mut self, rate: f64) -> Self {
-        assert!(
-            rate.is_finite() && rate > 0.0 && rate <= 1.0,
-            "trip rate must be in (0, 1], got {rate}"
-        );
-        self.trip_rate = rate;
-        self
-    }
-
-    /// Sets the burst length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `burst_reads` is zero.
-    #[must_use]
-    pub fn with_burst_reads(mut self, burst_reads: u32) -> Self {
-        assert!(
-            burst_reads > 0,
-            "a calibration burst needs at least one read"
-        );
-        self.burst_reads = burst_reads;
-        self
-    }
-
-    /// Sets the frontend daemon period.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval_ns` is not finite and positive.
-    #[must_use]
-    pub fn with_interval_ns(mut self, interval_ns: f64) -> Self {
-        assert!(
-            interval_ns.is_finite() && interval_ns > 0.0,
-            "calibration interval must be positive, got {interval_ns}"
-        );
-        self.interval_ns = interval_ns;
-        self
-    }
-
     /// `true` when `errors` bad reads over `reads` demand reads meet the
     /// trip threshold.
     #[must_use]
@@ -123,6 +79,8 @@ impl CalibConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Controller, ControllerConfig, Frontend, FrontendConfig};
+    use stt_sense::SchemeKind;
 
     #[test]
     fn baseline_trips_on_one_error_per_window() {
@@ -133,33 +91,39 @@ mod tests {
         assert!(!config.trips(0, 0), "no reads, no trip");
     }
 
-    #[test]
-    fn builders_apply_and_validate() {
-        let config = CalibConfig::date2010()
-            .with_trip_rate(0.5)
-            .with_burst_reads(8)
-            .with_interval_ns(1000.0);
-        assert!(!config.trips(1, 128));
-        assert!(config.trips(64, 128));
-        assert_eq!(config.burst_reads, 8);
-        assert!((config.interval_ns - 1000.0).abs() < f64::EPSILON);
+    /// Mounts `calib` on a one-bank frontend, which validates it.
+    fn mount(calib: CalibConfig) {
+        let config = ControllerConfig::small(SchemeKind::Nondestructive, 1);
+        let _ = Frontend::new(
+            Controller::new(config),
+            FrontendConfig::fcfs_unbounded().with_calib(calib),
+        );
     }
 
     #[test]
     #[should_panic(expected = "trip rate")]
     fn trip_rate_must_be_a_probability() {
-        let _ = CalibConfig::date2010().with_trip_rate(0.0);
+        mount(CalibConfig {
+            trip_rate: 0.0,
+            ..CalibConfig::date2010()
+        });
     }
 
     #[test]
     #[should_panic(expected = "at least one read")]
     fn burst_must_be_nonempty() {
-        let _ = CalibConfig::date2010().with_burst_reads(0);
+        mount(CalibConfig {
+            burst_reads: 0,
+            ..CalibConfig::date2010()
+        });
     }
 
     #[test]
     #[should_panic(expected = "interval must be positive")]
     fn interval_must_be_positive() {
-        let _ = CalibConfig::date2010().with_interval_ns(0.0);
+        mount(CalibConfig {
+            interval_ns: 0.0,
+            ..CalibConfig::date2010()
+        });
     }
 }

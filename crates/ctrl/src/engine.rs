@@ -185,7 +185,7 @@ pub struct ControllerConfig {
     /// Error-correction layer over bank reads (defaults to none, the seed
     /// behaviour: every misread is silent).
     pub ecc: EccMode,
-    /// Dynamic thermal/aging drift applied on each bank's busy clock
+    /// Dynamic thermal drift applied on each bank's busy clock
     /// (defaults to quiet: no drift, bit-identical to pre-drift builds).
     pub drift: DriftPlan,
 }

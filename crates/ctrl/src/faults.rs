@@ -330,11 +330,6 @@ pub const DRIFT_T_MIN: f64 = 200.0;
 /// of the range [`ThermalModel`]'s coefficients are validated over.
 pub const DRIFT_T_MAX: f64 = 500.0;
 
-/// Aging quantisation: the MgO-aging exponent advances in steps of this
-/// size, so a bank rebuilds its cells only when the accumulated aging has
-/// moved by a full percent — not on every access.
-const AGE_EXPONENT_STEP: f64 = 0.01;
-
 /// Temperature quantisation step (K) of a [`DriftKey`].
 const TEMP_STEP_K: f64 = 2.0;
 
@@ -365,8 +360,7 @@ pub struct ThermalTransient {
 
 impl ThermalTransient {
     /// Temperature offset above ambient (K) at busy-clock time `busy_ns`.
-    #[must_use]
-    pub fn offset_at(&self, busy_ns: f64) -> f64 {
+    fn offset_at(&self, busy_ns: f64) -> f64 {
         let t = busy_ns - self.start_ns;
         if t < 0.0 {
             return 0.0;
@@ -386,20 +380,18 @@ impl ThermalTransient {
     }
 }
 
-/// Quantised drift state of one bank: the temperature step and aging step
-/// its cells were last rebuilt at. Banks compare keys, not raw clocks, so
-/// an access only pays for a cell-array rebuild when the drift has moved a
-/// full quantum (2 K of temperature or one percent of aging exponent).
+/// Quantised drift state of one bank: the temperature step its cells were
+/// last rebuilt at. Banks compare keys, not raw clocks, so an access only
+/// pays for a cell-array rebuild when the temperature has moved a full
+/// 2 K quantum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DriftKey {
     temp_step: i32,
-    age_step: i32,
 }
 
 impl DriftKey {
     /// The dequantised die temperature this key represents (K).
-    #[must_use]
-    pub fn temperature_k(&self) -> f64 {
+    fn temperature_k(self) -> f64 {
         (f64::from(self.temp_step) * TEMP_STEP_K).clamp(DRIFT_T_MIN, DRIFT_T_MAX)
     }
 
@@ -407,17 +399,15 @@ impl DriftKey {
     /// depends on the key alone, evaluated once per key change.
     pub(crate) fn step(self) -> DriftStep {
         let t = self.temperature_k();
-        let heating = 1.0 / (1.0 + ROLLOFF_TC_PER_K * (t - T_REFERENCE).max(0.0));
-        let aging = (-f64::from(self.age_step) * AGE_EXPONENT_STEP).exp();
         DriftStep {
             thermal: ThermalModel::date2010_mgo().factors_at(t),
-            rolloff: (heating * aging).clamp(0.05, 1.0),
+            rolloff: 1.0 / (1.0 + ROLLOFF_TC_PER_K * (t - T_REFERENCE).max(0.0)),
         }
     }
 }
 
 /// One [`DriftKey`]'s factors: the thermal model's temperature factors and
-/// the combined heating × aging roll-off flattening. [`Self::apply`] is the
+/// the heating roll-off flattening. [`Self::apply`] is the
 /// per-cell half of [`DriftPlan::drifted_spec`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct DriftStep {
@@ -444,22 +434,17 @@ impl DriftStep {
     }
 }
 
-/// Dynamic thermal/aging drift: how each bank's device physics evolves
-/// while a trace runs (DESIGN.md §15).
+/// Dynamic thermal drift: how each bank's device physics evolves while a
+/// trace runs (DESIGN.md §15).
 ///
-/// Two mechanisms, both driven by the bank **busy clock** so replay is
-/// deterministic and dispatch-order independent:
-///
-/// * **Thermal transients** — PWL trapezoid excursions
-///   ([`ThermalTransient`]) superimposed on a configurable ambient. The
-///   drifted spec follows [`ThermalModel::date2010_mgo`]'s
-///   [`spec_at`](ThermalModel::spec_at) *plus* an extra high-state roll-off
-///   flattening `1/(1 + 0.01·ΔT)` above the 300 K calibration point
-///   (ΔT in kelvin): heating degrades the bias roll-off contrast the
-///   nondestructive scheme's β was designed against, which is what makes a
-///   static β genuinely misread mid-trace.
-/// * **MgO aging** — an exponential decay of the high-state roll-off with
-///   accumulated busy time, modelling barrier wear-out.
+/// PWL trapezoid excursions ([`ThermalTransient`]) superimpose on a
+/// configurable ambient, driven by the bank **busy clock** so replay is
+/// deterministic and dispatch-order independent. The drifted spec follows
+/// [`ThermalModel::date2010_mgo`]'s [`spec_at`](ThermalModel::spec_at)
+/// *plus* an extra high-state roll-off flattening `1/(1 + 0.01·ΔT)` above
+/// the 300 K calibration point (ΔT in kelvin): heating degrades the bias
+/// roll-off contrast the nondestructive scheme's β was designed against,
+/// which is what makes a static β genuinely misread mid-trace.
 ///
 /// Temperature is quantised to 2 K [`DriftKey`] steps. Rebuilding a bank's
 /// cells for a new key draws **no RNG**, so enabling drift never perturbs
@@ -470,9 +455,6 @@ pub struct DriftPlan {
     pub ambient_k: f64,
     /// Per-bank thermal excursions.
     pub transients: Vec<ThermalTransient>,
-    /// MgO aging rate: the high-state roll-off decays as
-    /// `exp(−rate · busy_ns)` (`None` = no aging).
-    pub aging_rate_per_ns: Option<f64>,
 }
 
 impl Default for DriftPlan {
@@ -482,26 +464,23 @@ impl Default for DriftPlan {
 }
 
 impl DriftPlan {
-    /// No drift: ambient at the 300 K calibration point, no transients, no
-    /// aging. A quiet plan is guaranteed to never touch a bank's cells, so
+    /// No drift: ambient at the 300 K calibration point and no transients.
+    /// A quiet plan is guaranteed to never touch a bank's cells, so
     /// runs stay bit-identical to builds that predate the drift layer.
     #[must_use]
     pub fn quiet() -> Self {
         Self {
             ambient_k: T_REFERENCE,
             transients: Vec::new(),
-            aging_rate_per_ns: None,
         }
     }
 
     /// `true` when this plan can never drift a device: ambient sits exactly
-    /// at the calibration temperature, and there are no transients and no
-    /// aging. Banks skip all drift bookkeeping for quiet plans.
+    /// at the calibration temperature and there are no transients. Banks
+    /// skip all drift bookkeeping for quiet plans.
     #[must_use]
     pub fn is_quiet(&self) -> bool {
-        self.ambient_k == T_REFERENCE
-            && self.transients.is_empty()
-            && self.aging_rate_per_ns.is_none()
+        self.ambient_k == T_REFERENCE && self.transients.is_empty()
     }
 
     /// Sets the ambient die temperature.
@@ -543,25 +522,9 @@ impl DriftPlan {
         self
     }
 
-    /// Sets the MgO aging rate (roll-off decay per nanosecond of busy time).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not finite and positive.
-    #[must_use]
-    pub fn with_aging_rate(mut self, rate: f64) -> Self {
-        assert!(
-            rate.is_finite() && rate > 0.0,
-            "aging rate must be positive, got {rate}"
-        );
-        self.aging_rate_per_ns = Some(rate);
-        self
-    }
-
     /// The die temperature of `bank` at busy-clock time `busy_ns`, clamped
     /// to the model's validated range.
-    #[must_use]
-    pub fn temperature_at(&self, bank: usize, busy_ns: f64) -> f64 {
+    fn temperature_at(&self, bank: usize, busy_ns: f64) -> f64 {
         let offset: f64 = self
             .transients
             .iter()
@@ -577,29 +540,21 @@ impl DriftPlan {
         let temp = self.temperature_at(bank, busy_ns);
         #[allow(clippy::cast_possible_truncation)]
         let temp_step = (temp / TEMP_STEP_K).round() as i32;
-        let exponent = self.aging_rate_per_ns.map_or(0.0, |rate| rate * busy_ns);
-        #[allow(clippy::cast_possible_truncation)]
-        let age_step = (exponent / AGE_EXPONENT_STEP).floor() as i32;
-        DriftKey {
-            temp_step,
-            age_step,
-        }
+        DriftKey { temp_step }
     }
 
     /// The drifted device spec at drift state `key`, derived from the
     /// undrifted `reference` spec: [`ThermalModel::date2010_mgo`]'s
     /// [`spec_at`](ThermalModel::spec_at) at the key's temperature, with the
     /// high-state roll-off additionally flattened by heating
-    /// (`1/(1 + 0.01·ΔT)` above 300 K) and aging
-    /// (`exp(−age exponent)`). The combined flattening is floored at 5 % so
-    /// the spec stays physical.
+    /// (`1/(1 + 0.01·ΔT)` above 300 K).
     #[must_use]
     pub fn drifted_spec(&self, reference: &MtjSpec, key: DriftKey) -> MtjSpec {
         key.step().apply(reference)
     }
 
-    /// The slice of this plan that bank `bank` is built with: the ambient,
-    /// the aging rate, and only the transients on that bank, in plan order.
+    /// The slice of this plan that bank `bank` is built with: the ambient
+    /// and only the transients on that bank, in plan order.
     pub(crate) fn for_bank(&self, bank: usize) -> Self {
         Self {
             ambient_k: self.ambient_k,
@@ -609,15 +564,14 @@ impl DriftPlan {
                 .filter(|t| t.bank == bank)
                 .copied()
                 .collect(),
-            aging_rate_per_ns: self.aging_rate_per_ns,
         }
     }
 
     /// `true` when no bank's key ever moves under this plan: it has no
-    /// transients and no aging. A bank whose slice has a constant key
-    /// applies it once at construction.
+    /// transients. A bank whose slice has a constant key applies it once at
+    /// construction.
     pub(crate) fn has_constant_key(&self) -> bool {
-        self.transients.is_empty() && self.aging_rate_per_ns.is_none()
+        self.transients.is_empty()
     }
 }
 
@@ -764,7 +718,6 @@ mod tests {
             assert!(DriftPlan::quiet().is_quiet());
             assert!(!DriftPlan::quiet().with_ambient(320.0).is_quiet());
             assert!(!DriftPlan::quiet().with_transient(hotspot(100.0)).is_quiet());
-            assert!(!DriftPlan::quiet().with_aging_rate(1e-6).is_quiet());
         }
 
         #[test]
@@ -787,7 +740,6 @@ mod tests {
                 }
             }
             assert_eq!(plan.for_bank(0).transients.len(), 2);
-            assert!(!plan.with_aging_rate(1e-6).for_bank(2).has_constant_key());
         }
 
         #[test]
@@ -851,10 +803,11 @@ mod tests {
             assert_eq!(plan.key_at(0, 1000.0), plan.key_at(0, 1004.0));
             assert_ne!(cold, plan.key_at(0, 2000.0), "plateau is a new key");
             assert_eq!(cold, plan.key_at(1, 2000.0), "other banks unaffected");
-
-            let aging = DriftPlan::quiet().with_aging_rate(1e-5);
-            assert_eq!(aging.key_at(0, 0.0), aging.key_at(0, 999.0));
-            assert_ne!(aging.key_at(0, 0.0), aging.key_at(0, 1001.0));
+            // The model has no aging term: busy time alone, however long,
+            // never moves a key.
+            assert_eq!(cold, plan.key_at(0, 1e15));
+            let hot = DriftPlan::quiet().with_ambient(360.0);
+            assert_eq!(hot.key_at(0, 0.0), hot.key_at(0, 1e15));
         }
 
         #[test]
@@ -879,23 +832,6 @@ mod tests {
                     .abs()
                     .get()
                     < 1e-9
-            );
-        }
-
-        #[test]
-        fn aging_decays_the_rolloff_monotonically() {
-            use stt_mtj::MtjSpec;
-            let reference = MtjSpec::date2010_typical();
-            let plan = DriftPlan::quiet().with_aging_rate(1e-5);
-            let fresh = plan.drifted_spec(&reference, plan.key_at(0, 0.0));
-            let worn = plan.drifted_spec(&reference, plan.key_at(0, 5e4));
-            let dead = plan.drifted_spec(&reference, plan.key_at(0, 1e9));
-            assert!(worn.resistance.dr_high_max() < fresh.resistance.dr_high_max());
-            assert!(
-                (dead.resistance.dr_high_max().get() - 0.05 * fresh.resistance.dr_high_max().get())
-                    .abs()
-                    < 1e-9,
-                "flattening floors at 5 %"
             );
         }
 

@@ -232,13 +232,6 @@ impl CampaignConfig {
         self
     }
 
-    /// Overrides the bank topology.
-    #[must_use]
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
-        self
-    }
-
     /// Overrides the master seed.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
@@ -404,10 +397,10 @@ mod tests {
     #[test]
     fn campaign_topology_sets_the_swept_bank_count() {
         let mut config = CampaignConfig::date2010()
-            .with_topology(Topology::new(2, 1, 2, 1))
             .with_ops(150)
             .with_schemes(vec![SchemeKind::Nondestructive])
             .with_intensities(vec![FaultIntensity::ladder().swap_remove(0)]);
+        config.topology = Topology::new(2, 1, 2, 1);
         config.spec = ArraySpec::small_test_array();
         let plan =
             config.intensities[0].plan(config.topology.total_banks(), &config.spec, config.seed);

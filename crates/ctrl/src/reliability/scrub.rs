@@ -62,12 +62,6 @@ impl ScrubCursor {
         Self { next: 0, words }
     }
 
-    /// The word the next scrub scan will visit.
-    #[must_use]
-    pub fn peek(&self) -> usize {
-        self.next
-    }
-
     /// Returns the word to scan and advances; the second element is `true`
     /// when the walk wrapped (a full pass completed).
     pub fn advance(&mut self) -> (usize, bool) {
@@ -87,7 +81,6 @@ mod tests {
         assert_eq!(cursor.advance(), (0, false));
         assert_eq!(cursor.advance(), (1, false));
         assert_eq!(cursor.advance(), (2, true));
-        assert_eq!(cursor.peek(), 0);
         assert_eq!(cursor.advance(), (0, false));
     }
 

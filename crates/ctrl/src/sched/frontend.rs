@@ -219,6 +219,11 @@ impl FrontendConfig {
         }
         if let Some(calib) = self.calib {
             assert!(
+                calib.trip_rate > 0.0 && calib.trip_rate <= 1.0,
+                "calibration trip rate must be in (0, 1], got {}",
+                calib.trip_rate
+            );
+            assert!(
                 calib.burst_reads > 0,
                 "a calibration burst needs at least one read"
             );
@@ -272,12 +277,6 @@ impl Completion {
     #[must_use]
     pub fn wait_ns(&self) -> f64 {
         self.start_ns - self.admit_ns
-    }
-
-    /// Pure service time.
-    #[must_use]
-    pub fn service_ns(&self) -> f64 {
-        self.complete_ns - self.start_ns
     }
 }
 

@@ -299,8 +299,7 @@ impl QueueTelemetry {
     /// when nothing completed. Exact in exact-sample mode; in the default
     /// streaming mode this serves the nearest tracked quantile (see
     /// [`SojournStats::quantile`]).
-    #[must_use]
-    pub fn sojourn_quantile(&self, q: f64) -> Option<f64> {
+    fn sojourn_quantile(&self, q: f64) -> Option<f64> {
         self.sojourn.quantile(q)
     }
 

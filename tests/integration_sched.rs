@@ -14,7 +14,7 @@
 //! 4. **The paper's system-level argument** — at the same offered load the
 //!    destructive scheme's restore-inflated 25 ns read queues harder than
 //!    the nondestructive scheme's 14 ns read.
-//! 5. **Drift preserves the anchor** — thermal/aging drift on the busy
+//! 5. **Drift preserves the anchor** — thermal drift on the busy
 //!    clock stays bit-identical across serial replay, parallel dispatch and
 //!    the frontend (checked as a proptest over transient shapes).
 
