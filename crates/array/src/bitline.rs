@@ -8,7 +8,7 @@
 //! the paper argues the two self-reference schemes load it differently
 //! (sample caps C1/C2 on the line vs a high-impedance divider).
 
-use stt_mna::{Circuit, Node, RcLadder};
+use stt_mna::RcLadder;
 use stt_units::{Amps, Farads, Ohms, Seconds, Volts};
 
 /// Electrical description of one bit-line.
@@ -46,8 +46,7 @@ impl BitlineSpec {
     ///
     /// Panics if the line has fewer than two cells (no unselected shunt
     /// exists).
-    #[must_use]
-    pub fn unselected_shunt(&self) -> Ohms {
+    fn unselected_shunt(&self) -> Ohms {
         assert!(
             self.cells_per_bitline >= 2,
             "leakage shunt needs at least one unselected cell"
@@ -90,33 +89,6 @@ impl BitlineSpec {
         self.ladder()
             .with_tap_capacitance(self.cells_per_bitline, load)
             .elmore_delay()
-    }
-
-    /// Emits the line's distributed RC into an MNA circuit as `segments`
-    /// lumped sections between `near` and the returned far-end node,
-    /// preserving the line's total resistance and capacitance.
-    ///
-    /// Nodes are created in ladder order, so consecutive system rows are
-    /// electrically adjacent: the stamped matrix is tridiagonal along the
-    /// line and the banded solver backend
-    /// ([`SolverBackend::Auto`](stt_mna::SolverBackend)) engages without
-    /// relying on the RCM reordering to untangle the netlist.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `segments == 0`.
-    pub fn emit_ladder_into(&self, circuit: &mut Circuit, near: Node, segments: usize) -> Node {
-        assert!(segments > 0, "need at least one ladder segment");
-        let r_segment = Ohms::new(self.total_resistance().get() / segments as f64);
-        let c_segment = Farads::new(self.total_capacitance().get() / segments as f64);
-        let mut previous = near;
-        for segment in 0..segments {
-            let node = circuit.node(&format!("bl_seg_{segment}"));
-            circuit.resistor(previous, node, r_segment);
-            circuit.capacitor(node, Node::GROUND, c_segment);
-            previous = node;
-        }
-        previous
     }
 
     /// Total line capacitance (for settling-time estimates).
@@ -170,38 +142,6 @@ mod tests {
         let spec = BitlineSpec::date2010_chip();
         assert_eq!(spec.total_resistance(), Ohms::new(256.0));
         assert!((spec.total_capacitance().get() - 192e-15).abs() < 1e-27);
-    }
-
-    #[test]
-    fn emitted_ladder_matches_lumped_dc_and_keeps_bandwidth_low() {
-        use stt_mna::Waveform;
-        let spec = BitlineSpec::date2010_chip();
-        let mut circuit = Circuit::new();
-        let near = circuit.node("near");
-        let far = spec.emit_ladder_into(&mut circuit, near, 32);
-        circuit.current_source(near, Node::GROUND, Waveform::Dc(200e-6));
-        circuit.resistor(far, Node::GROUND, Ohms::new(3367.0));
-        // DC: all 200 µA flows through the full 256 Ω line into the cell.
-        let op = circuit
-            .dc_operating_point(stt_units::Seconds::ZERO)
-            .expect("linear");
-        let expected_far = 200e-6 * 3367.0;
-        let expected_near = expected_far + 200e-6 * 256.0;
-        assert!((op.voltage(far) - expected_far).abs() < 1e-6 * expected_far);
-        assert!((op.voltage(near) - expected_near).abs() < 1e-6 * expected_near);
-        // Ladder-order emission keeps the natural bandwidth at 1: the
-        // banded backend needs no reordering to engage.
-        let report = circuit.bandwidth_report();
-        assert_eq!(report.natural, 1, "{report}");
-    }
-
-    #[test]
-    #[should_panic(expected = "ladder segment")]
-    fn emit_ladder_rejects_zero_segments() {
-        let spec = BitlineSpec::date2010_chip();
-        let mut circuit = Circuit::new();
-        let near = circuit.node("near");
-        let _ = spec.emit_ladder_into(&mut circuit, near, 0);
     }
 
     #[test]

@@ -61,8 +61,7 @@ impl CellGeometry {
     }
 
     /// Area of one cell in square micrometres.
-    #[must_use]
-    pub fn cell_area_um2(&self) -> f64 {
+    fn cell_area_um2(&self) -> f64 {
         let feature_um = self.feature_nm * 1e-3;
         self.cell_area_f2 * feature_um * feature_um
     }

@@ -70,8 +70,7 @@ impl WordlineSpec {
 
     /// Elmore delay from the driver input to the *far* cell's gate,
     /// including the driver resistance charging the whole line.
-    #[must_use]
-    pub fn wordline_delay(&self) -> Seconds {
+    fn wordline_delay(&self) -> Seconds {
         let ladder = self.ladder();
         let wire = ladder.elmore_delay();
         // The driver sees every capacitance on the line through its own
@@ -86,8 +85,7 @@ impl WordlineSpec {
     /// # Panics
     ///
     /// Panics if `rows < 2` or the fan-in is less than 2.
-    #[must_use]
-    pub fn decoder_stages(&self, rows: usize) -> usize {
+    fn decoder_stages(&self, rows: usize) -> usize {
         assert!(rows >= 2, "a decoder needs at least two rows");
         assert!(
             self.decoder_fan_in >= 2,

@@ -156,8 +156,7 @@ impl Fig5CampaignResult {
     }
 
     /// Streaming summary of the sensed differential margins.
-    #[must_use]
-    pub fn margin_summary(&self) -> Summary {
+    fn margin_summary(&self) -> Summary {
         let mut summary = Summary::new();
         for trial in &self.outcomes {
             summary.push(trial.margin);

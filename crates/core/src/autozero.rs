@@ -74,16 +74,6 @@ impl AutoZeroNetlist {
         self
     }
 
-    /// The analytic residual input-referred offset after cancellation.
-    ///
-    /// During auto-zero node `b` settles to `−A·V_os/(A−1)`, so the compare
-    /// phase sees `Δv − V_os/(A−1)`: the residual term is the original
-    /// offset *negated* and attenuated by `A − 1`.
-    #[must_use]
-    pub fn residual_offset(&self) -> Volts {
-        -(self.offset / (self.gain - 1.0))
-    }
-
     /// Runs the two-phase compare: auto-zero against `v_minus`, then
     /// compare `v_plus` against it.
     ///
@@ -210,7 +200,10 @@ mod tests {
     fn residual_matches_analytic_prediction() {
         let sa = AutoZeroNetlist::new().with_offset(Volts::from_milli(10.0));
         let measured = sa.measured_residual().expect("transient");
-        let predicted = sa.residual_offset();
+        // During auto-zero node `b` settles to `−A·V_os/(A−1)`, so the
+        // compare phase sees `Δv − V_os/(A−1)`: the residual is the offset
+        // negated and attenuated by `A − 1`.
+        let predicted = -(sa.offset / (sa.gain - 1.0));
         assert!(
             (measured.get() - predicted.get()).abs() < 3e-6,
             "measured {measured} vs predicted {predicted}"

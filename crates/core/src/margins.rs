@@ -111,13 +111,7 @@ pub fn first_read_voltage(cell: &Cell, state: ResistanceState, i_r1: Amps) -> Vo
 
 /// `V_BL` for the second read, including the ΔR_T perturbation:
 /// `I_R2 · (R(state, I_R2) + R_T(I_R2) + ΔR_T)`.
-#[must_use]
-pub fn second_read_voltage(
-    cell: &Cell,
-    state: ResistanceState,
-    i_r2: Amps,
-    delta_r_t: Ohms,
-) -> Volts {
+fn second_read_voltage(cell: &Cell, state: ResistanceState, i_r2: Amps, delta_r_t: Ohms) -> Volts {
     i_r2 * (cell.series_resistance_for(state, i_r2) + delta_r_t)
 }
 

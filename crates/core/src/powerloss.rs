@@ -109,8 +109,7 @@ impl PowerLossExperiment {
     /// The wall-clock window during which an outage loses data: from the
     /// start of the erase pulse to the end of write-back (zero for schemes
     /// that never write).
-    #[must_use]
-    pub fn vulnerable_window(&self, kind: SchemeKind) -> Seconds {
+    fn vulnerable_window(&self, kind: SchemeKind) -> Seconds {
         let nominal = self.array.cell.nominal_cell();
         let design = DesignPoint::date2010(&nominal);
         let cost = self.timing.read_cost(kind, &design);

@@ -79,31 +79,6 @@ impl ChipTiming {
         }
     }
 
-    /// Returns a copy with the decode slot derived from an actual
-    /// word-line/decoder model for an array of `rows` word-lines — tying
-    /// the phase budget to the interconnect physics instead of a constant.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use stt_array::WordlineSpec;
-    /// use stt_sense::ChipTiming;
-    ///
-    /// let timing = ChipTiming::date2010()
-    ///     .with_decoded_wordline(&WordlineSpec::date2010_chip(), 128);
-    /// // The modelled decode is faster than the conservative 1 ns slot.
-    /// assert!(timing.decode < ChipTiming::date2010().decode);
-    /// ```
-    #[must_use]
-    pub fn with_decoded_wordline(
-        mut self,
-        wordline: &stt_array::WordlineSpec,
-        rows: usize,
-    ) -> Self {
-        self.decode = wordline.decode_time(rows);
-        self
-    }
-
     /// The phase sequence (latency + energy) of one read under `kind`.
     #[must_use]
     pub fn read_cost(&self, kind: SchemeKind, design: &DesignPoint) -> OperationCost {
@@ -298,8 +273,7 @@ pub struct ControlSignal {
 
 impl ControlSignal {
     /// The signal level at time `t`.
-    #[must_use]
-    pub fn level_at(&self, t: Seconds) -> SignalLevel {
+    fn level_at(&self, t: Seconds) -> SignalLevel {
         if self
             .windows
             .iter()
@@ -378,8 +352,10 @@ mod tests {
 
     #[test]
     fn decoded_wordline_fits_and_shortens_the_budget() {
-        let modelled = ChipTiming::date2010()
-            .with_decoded_wordline(&stt_array::WordlineSpec::date2010_chip(), 128);
+        let modelled = ChipTiming {
+            decode: stt_array::WordlineSpec::date2010_chip().decode_time(128),
+            ..ChipTiming::date2010()
+        };
         assert!(modelled.decode.get() > 0.3e-9);
         assert!(modelled.decode.get() < 1e-9);
         // The overall read shortens accordingly but stays ≈14 ns-class.

@@ -41,12 +41,6 @@ pub struct AcResult {
 }
 
 impl AcResult {
-    /// The swept frequencies (Hz).
-    #[must_use]
-    pub fn frequencies(&self) -> &[f64] {
-        &self.frequencies
-    }
-
     /// The phasor of `node` at sweep point `index`.
     ///
     /// # Panics

@@ -173,8 +173,7 @@ impl SwitchSchedule {
 
     /// The event times at which the state changes (used by the transient
     /// engine to align time steps with switching instants).
-    #[must_use]
-    pub fn event_times(&self) -> Vec<Seconds> {
+    fn event_times(&self) -> Vec<Seconds> {
         self.events.iter().map(|(time, _)| *time).collect()
     }
 }
@@ -298,16 +297,6 @@ impl Circuit {
     #[must_use]
     pub fn node_count(&self) -> usize {
         self.node_names.len()
-    }
-
-    /// The name a node was created with.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node does not belong to this circuit.
-    #[must_use]
-    pub fn node_name(&self, node: Node) -> &str {
-        &self.node_names[node.0]
     }
 
     /// Looks a node up by name.
@@ -532,102 +521,6 @@ impl Circuit {
         SourceId(branch)
     }
 
-    /// Renders the netlist in a SPICE-like textual form, one element per
-    /// line — the first thing to reach for when a simulation misbehaves.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use stt_mna::{Circuit, Node, Waveform};
-    /// use stt_units::Ohms;
-    ///
-    /// let mut circuit = Circuit::new();
-    /// let a = circuit.node("bl");
-    /// circuit.voltage_source(a, Node::GROUND, Waveform::Dc(1.2));
-    /// circuit.resistor(a, Node::GROUND, Ohms::from_kilo(1.0));
-    /// let listing = circuit.to_netlist_string();
-    /// assert!(listing.contains("V0 bl gnd"));
-    /// assert!(listing.contains("R1 bl gnd 1000"));
-    /// ```
-    #[must_use]
-    pub fn to_netlist_string(&self) -> String {
-        use std::fmt::Write as _;
-        let name = |node: Node| self.node_names[node.0].clone();
-        let mut out = String::new();
-        for (index, element) in self.elements.iter().enumerate() {
-            match element {
-                Element::Resistor { a, b, ohms } => {
-                    let _ = writeln!(out, "R{index} {} {} {ohms}", name(*a), name(*b));
-                }
-                Element::Capacitor { a, b, farads, ic } => {
-                    let _ = write!(out, "C{index} {} {} {farads:e}", name(*a), name(*b));
-                    if let Some(ic) = ic {
-                        let _ = write!(out, " IC={ic}");
-                    }
-                    out.push('\n');
-                }
-                Element::VoltageSource { pos, neg, wave, .. } => {
-                    let _ = writeln!(out, "V{index} {} {} {wave:?}", name(*pos), name(*neg));
-                }
-                Element::CurrentSource { pos, neg, wave } => {
-                    let _ = writeln!(out, "I{index} {} {} {wave:?}", name(*pos), name(*neg));
-                }
-                Element::Switch {
-                    a,
-                    b,
-                    r_on,
-                    r_off,
-                    schedule,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "S{index} {} {} Ron={r_on} Roff={r_off} events={}",
-                        name(*a),
-                        name(*b),
-                        schedule.event_times().len()
-                    );
-                }
-                Element::Mosfet {
-                    drain,
-                    gate,
-                    source,
-                    params,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "M{index} {} {} {} NMOS Vt={} K={:e}",
-                        name(*drain),
-                        name(*gate),
-                        name(*source),
-                        params.vt,
-                        params.k
-                    );
-                }
-                Element::Nonlinear { a, b, law } => {
-                    let _ = writeln!(out, "N{index} {} {} {law:?}", name(*a), name(*b));
-                }
-                Element::Vcvs {
-                    out_pos,
-                    out_neg,
-                    in_pos,
-                    in_neg,
-                    gain,
-                    ..
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "E{index} {} {} {} {} gain={gain}",
-                        name(*out_pos),
-                        name(*out_neg),
-                        name(*in_pos),
-                        name(*in_neg)
-                    );
-                }
-            }
-        }
-        out
-    }
-
     /// All switch event times, sorted and deduplicated — the transient
     /// engine aligns its step grid to these.
     #[must_use]
@@ -832,7 +725,7 @@ mod tests {
         let bl = circuit.node("bl");
         let c1 = circuit.node("c1_top");
         assert_eq!(circuit.node_count(), 3);
-        assert_eq!(circuit.node_name(bl), "bl");
+        assert_eq!(circuit.find_node("bl"), Some(bl));
         assert_eq!(circuit.find_node("c1_top"), Some(c1));
         assert_eq!(circuit.find_node("gnd"), Some(Node::GROUND));
         assert_eq!(circuit.find_node("missing"), None);
@@ -902,54 +795,6 @@ mod tests {
             vec![nanos(1.0), nanos(4.0), nanos(6.0)],
             "sorted and deduplicated"
         );
-    }
-
-    #[test]
-    fn netlist_listing_covers_every_element_kind() {
-        use crate::waveform::Waveform;
-        use std::sync::Arc;
-        use stt_units::Farads;
-
-        #[derive(Debug)]
-        struct Linear;
-        impl DeviceLaw for Linear {
-            fn current(&self, v: f64) -> f64 {
-                v * 1e-3
-            }
-            fn conductance(&self, _v: f64) -> f64 {
-                1e-3
-            }
-        }
-
-        let mut circuit = Circuit::new();
-        let a = circuit.node("a");
-        let b = circuit.node("b");
-        circuit.voltage_source(a, Node::GROUND, Waveform::Dc(1.0));
-        circuit.resistor(a, b, Ohms::new(42.0));
-        circuit.capacitor_with_ic(b, Node::GROUND, Farads::from_pico(1.0), 0.3);
-        circuit.current_source(a, b, Waveform::Dc(1e-6));
-        circuit.switch(
-            a,
-            b,
-            Ohms::new(10.0),
-            Ohms::from_mega(1.0),
-            SwitchSchedule::closed_during(nanos(1.0), nanos(2.0)),
-        );
-        circuit.mosfet(a, b, Node::GROUND, MosfetParams::new(0.4, 1e-3, 0.0));
-        circuit.nonlinear(a, b, std::sync::Arc::new(Linear));
-        circuit.vcvs(b, Node::GROUND, a, Node::GROUND, 10.0);
-        let _ = Arc::new(());
-
-        let listing = circuit.to_netlist_string();
-        assert_eq!(listing.lines().count(), 8);
-        for prefix in ["V0", "R1", "C2", "I3", "S4", "M5", "N6", "E7"] {
-            assert!(
-                listing.lines().any(|line| line.starts_with(prefix)),
-                "missing {prefix} in:\n{listing}"
-            );
-        }
-        assert!(listing.contains("IC=0.3"));
-        assert!(listing.contains("gain=10"));
     }
 
     #[test]
@@ -1052,10 +897,21 @@ mod tests {
         let second = circuit.current_source(a, b, Waveform::Dc(2e-6));
         circuit.set_voltage_source_wave(vsrc, Waveform::Dc(2.5));
         circuit.set_current_source_wave(second, Waveform::Dc(9e-6));
-        let listing = circuit.to_netlist_string();
-        assert!(listing.contains("Dc(2.5)"), "{listing}");
-        assert!(listing.contains("Dc(9e-6)"), "{listing}");
-        assert!(listing.contains("Dc(1e-6)"), "first source untouched");
+        let waves: Vec<String> = circuit
+            .elements
+            .iter()
+            .filter_map(|element| match element {
+                Element::VoltageSource { wave, .. } | Element::CurrentSource { wave, .. } => {
+                    Some(format!("{wave:?}"))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            waves,
+            ["Dc(2.5)", "Dc(1e-6)", "Dc(9e-6)"],
+            "first source untouched"
+        );
     }
 
     #[test]

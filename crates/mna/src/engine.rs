@@ -317,8 +317,6 @@ pub struct TranResult {
     times: Vec<f64>,
     /// `traces[node][step]`.
     traces: Vec<Vec<f64>>,
-    /// `source_traces[source][step]`.
-    source_traces: Vec<Vec<f64>>,
     /// Solver telemetry (excluded from equality).
     telemetry: TranTelemetry,
 }
@@ -328,9 +326,7 @@ pub struct TranResult {
 /// how much work the strategy/backend spent computing it.
 impl PartialEq for TranResult {
     fn eq(&self, other: &Self) -> bool {
-        self.times == other.times
-            && self.traces == other.traces
-            && self.source_traces == other.source_traces
+        self.times == other.times && self.traces == other.traces
     }
 }
 
@@ -356,16 +352,6 @@ impl TranResult {
     #[must_use]
     pub fn voltage(&self, node: Node) -> &[f64] {
         &self.traces[node.index()]
-    }
-
-    /// The branch-current trace of voltage source `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id does not belong to the analysed circuit.
-    #[must_use]
-    pub fn source_current(&self, id: SourceId) -> &[f64] {
-        &self.source_traces[id.0]
     }
 
     /// Linear interpolation of `node`'s voltage at an arbitrary time.
@@ -911,18 +897,13 @@ impl Circuit {
 
         let nodes = self.node_count();
         let mut traces: Vec<Vec<f64>> = vec![Vec::with_capacity(grid.len()); nodes];
-        let mut source_traces: Vec<Vec<f64>> =
-            vec![Vec::with_capacity(grid.len()); self.vsource_count];
-        let record = |x: &[f64], traces: &mut Vec<Vec<f64>>, source_traces: &mut Vec<Vec<f64>>| {
+        let record = |x: &[f64], traces: &mut Vec<Vec<f64>>| {
             traces[0].push(0.0);
             for index in 1..nodes {
                 traces[index].push(x[index - 1]);
             }
-            for branch in 0..self.vsource_count {
-                source_traces[branch].push(x[(nodes - 1) + branch]);
-            }
         };
-        record(&solution, &mut traces, &mut source_traces);
+        record(&solution, &mut traces);
 
         let dt = options.dt.get();
         let mut previous_time = grid[0];
@@ -952,14 +933,13 @@ impl Circuit {
             self.solve_point_with(&mut ws, t, &solution, Some((&caps, h)), integrator)?;
             solution.copy_from_slice(&ws.x);
             self.advance_cap_lanes(&solution, &mut caps, integrator, h);
-            record(&solution, &mut traces, &mut source_traces);
+            record(&solution, &mut traces);
             previous_time = time;
         }
 
         Ok(TranResult {
             times: grid,
             traces,
-            source_traces,
             telemetry: ws.telemetry,
         })
     }
@@ -1281,17 +1261,13 @@ impl Circuit {
         let nodes = self.node_count();
         let mut times = vec![0.0];
         let mut traces: Vec<Vec<f64>> = vec![Vec::new(); nodes];
-        let mut source_traces: Vec<Vec<f64>> = vec![Vec::new(); self.vsource_count];
-        let record = |x: &[f64], traces: &mut Vec<Vec<f64>>, source_traces: &mut Vec<Vec<f64>>| {
+        let record = |x: &[f64], traces: &mut Vec<Vec<f64>>| {
             traces[0].push(0.0);
             for index in 1..nodes {
                 traces[index].push(x[index - 1]);
             }
-            for branch in 0..self.vsource_count {
-                source_traces[branch].push(x[(nodes - 1) + branch]);
-            }
         };
-        record(&solution, &mut traces, &mut source_traces);
+        record(&solution, &mut traces);
 
         let voltage_entries = self.node_count() - 1;
         let mut t = 0.0;
@@ -1371,7 +1347,7 @@ impl Circuit {
                 }
                 t += step;
                 times.push(t);
-                record(&solution, &mut traces, &mut source_traces);
+                record(&solution, &mut traces);
                 // Grow/shrink for the next step (first-order controller).
                 let factor = if error > 0.0 {
                     (0.8 * (options.lte_tolerance / error).sqrt()).clamp(0.2, 2.0)
@@ -1388,7 +1364,6 @@ impl Circuit {
         Ok(TranResult {
             times,
             traces,
-            source_traces,
             telemetry: ws.telemetry,
         })
     }

@@ -77,9 +77,10 @@ impl WritePolarity {
 /// use stt_units::{Amps, Seconds};
 ///
 /// let model = SwitchingModel::date2010_typical();
-/// // ~500 µA switching current at a 4 ns pulse, as the paper states.
-/// let i_c = model.critical_current(Seconds::from_nano(4.0));
-/// assert!((i_c.get() - 500e-6).abs() < 1e-9);
+/// // Just above the paper's ~500 µA switching current, a 4 ns write pulse
+/// // switches deterministically.
+/// let p = model.switching_probability(Amps::from_micro(510.0), Seconds::from_nano(4.0));
+/// assert_eq!(p, 1.0);
 /// // Reading at 200 µA (40 %) for 5 ns disturbs with negligible probability.
 /// let p = model.switching_probability(Amps::from_micro(200.0), Seconds::from_nano(5.0));
 /// assert!(p < 1e-6);
@@ -165,8 +166,7 @@ impl SwitchingModel {
     /// # Panics
     ///
     /// Panics if `pulse` is non-positive.
-    #[must_use]
-    pub fn critical_current(&self, pulse: Seconds) -> Amps {
+    fn critical_current(&self, pulse: Seconds) -> Amps {
         assert!(pulse.get() > 0.0, "pulse width must be positive");
         let thermal = (pulse / self.tau0).ln() / self.delta;
         let dynamic = self.tau_dynamic / pulse;

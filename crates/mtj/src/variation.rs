@@ -54,8 +54,7 @@ impl OxideSensitivity {
     ///
     /// Panics if `delta_angstrom` is zero or `factor` is not positive and
     /// different from 1 (no sensitivity could be inferred).
-    #[must_use]
-    pub fn from_measurement(delta_angstrom: f64, factor: f64) -> Self {
+    fn from_measurement(delta_angstrom: f64, factor: f64) -> Self {
         assert!(delta_angstrom != 0.0, "thickness change must be nonzero");
         assert!(
             factor > 0.0 && factor != 1.0,

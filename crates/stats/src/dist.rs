@@ -48,14 +48,14 @@ pub fn box_muller(u1: f64, u2: f64) -> f64 {
 /// Stegun 7.1.26-style rational approximation (absolute error < 1.5 × 10⁻⁷,
 /// ample for yield cross-checks).
 #[must_use]
-pub fn normal_cdf(z: f64) -> f64 {
+pub(crate) fn normal_cdf(z: f64) -> f64 {
     0.5 * erfc(-z / std::f64::consts::SQRT_2)
 }
 
 /// The standard normal quantile function Φ⁻¹(p).
 ///
 /// Acklam's rational approximation refined with one Newton step against
-/// [`normal_cdf`]; relative error below 10⁻⁹ over `(0, 1)`.
+/// Φ (`normal_cdf`); relative error below 10⁻⁹ over `(0, 1)`.
 ///
 /// # Panics
 ///
@@ -236,13 +236,6 @@ impl LogNormal {
         }
     }
 
-    /// A unit-median lognormal (`mu = 0`) with the given σ — the shape used
-    /// for multiplicative process-variation factors.
-    #[must_use]
-    pub fn unit_median(sigma: f64) -> Self {
-        Self::new(0.0, sigma)
-    }
-
     /// Draws one sample (always positive).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         self.log.sample(rng).exp()
@@ -354,7 +347,7 @@ mod tests {
 
     #[test]
     fn lognormal_median_and_positivity() {
-        let dist = LogNormal::unit_median(0.1);
+        let dist = LogNormal::new(0.0, 0.1);
         assert!((dist.median() - 1.0).abs() < 1e-12);
         let mut rng = StdRng::seed_from_u64(3);
         let mut below = 0usize;
@@ -375,7 +368,7 @@ mod tests {
 
     #[test]
     fn lognormal_cdf_at_median_is_half() {
-        let dist = LogNormal::unit_median(0.25);
+        let dist = LogNormal::new(0.0, 0.25);
         assert!((dist.cdf(1.0) - 0.5).abs() < 1e-6);
         assert_eq!(dist.cdf(0.0), 0.0);
         assert_eq!(dist.cdf(-1.0), 0.0);

@@ -68,12 +68,6 @@ impl LinearFit {
             r_squared,
         }
     }
-
-    /// Evaluates the fitted line at `x`.
-    #[must_use]
-    pub fn predict(&self, x: f64) -> f64 {
-        self.slope * x + self.intercept
-    }
 }
 
 /// Pearson correlation coefficient of paired observations.
@@ -129,7 +123,6 @@ mod tests {
         assert!((fit.slope + 3.5).abs() < 1e-12);
         assert!((fit.intercept - 2.0).abs() < 1e-12);
         assert!((fit.r_squared - 1.0).abs() < 1e-12);
-        assert!((fit.predict(20.0) + 68.0).abs() < 1e-10);
     }
 
     #[test]

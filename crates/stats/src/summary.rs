@@ -252,19 +252,6 @@ impl Histogram {
         self.underflow += other.underflow;
         self.overflow += other.overflow;
     }
-
-    /// The `(low, high)` edges of bin `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    #[must_use]
-    pub fn bin_edges(&self, index: usize) -> (f64, f64) {
-        assert!(index < self.counts.len(), "bin index out of range");
-        let width = (self.high - self.low) / self.counts.len() as f64;
-        let left = self.low + width * index as f64;
-        (left, left + width)
-    }
 }
 
 impl Extend<f64> for Histogram {
@@ -344,13 +331,13 @@ mod tests {
     #[test]
     fn histogram_bins_and_edges() {
         let mut hist = Histogram::new(0.0, 10.0, 5);
+        // Five 2-wide bins: 2.5 lands in [2, 4) and 9.99 in [8, 10), while
+        // the high edge 10.0 is already overflow.
         hist.extend([0.5, 1.0, 2.5, 9.99, -1.0, 10.0, 25.0]);
         assert_eq!(hist.counts(), &[2, 1, 0, 0, 1]);
         assert_eq!(hist.underflow(), 1);
         assert_eq!(hist.overflow(), 2);
         assert_eq!(hist.total(), 7);
-        assert_eq!(hist.bin_edges(0), (0.0, 2.0));
-        assert_eq!(hist.bin_edges(4), (8.0, 10.0));
     }
 
     #[test]

@@ -70,18 +70,6 @@ impl YieldCount {
         }
     }
 
-    /// Fraction of passing outcomes (the yield).
-    ///
-    /// Returns `NaN` when empty.
-    #[must_use]
-    pub fn yield_rate(&self) -> f64 {
-        if self.total() == 0 {
-            f64::NAN
-        } else {
-            self.passes as f64 / self.total() as f64
-        }
-    }
-
     /// Wilson score interval for the failure rate at the given two-sided
     /// confidence level.
     ///
@@ -174,7 +162,6 @@ mod tests {
         assert_eq!(tally.failures(), 1);
         assert_eq!(tally.total(), 4);
         assert!((tally.failure_rate() - 0.25).abs() < 1e-12);
-        assert!((tally.yield_rate() - 0.75).abs() < 1e-12);
     }
 
     #[test]
