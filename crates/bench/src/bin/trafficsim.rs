@@ -803,26 +803,32 @@ fn march_sweep(ops_per_config: usize) -> Table {
 /// parses CSV and writes binary, anything else parses binary and writes
 /// CSV. Both formats round-trip losslessly (asserted by the integration
 /// proptests), so converting is safe to do in either direction repeatedly.
-fn convert(input: &str, output: &str) {
-    let trace = if input.ends_with(".csv") {
-        let text =
-            std::fs::read_to_string(input).unwrap_or_else(|error| panic!("read {input}: {error}"));
-        Trace::from_csv(&text).unwrap_or_else(|error| panic!("parse {input}: {error}"))
+/// Returns the number of transactions converted, or a message naming the
+/// file that could not be read, parsed or written.
+fn convert(input: &str, output: &str) -> Result<usize, String> {
+    let from_csv = input.ends_with(".csv");
+    let read_error = |error: std::io::Error| format!("read {input}: {error}");
+    let trace = if from_csv {
+        let text = std::fs::read_to_string(input).map_err(read_error)?;
+        Trace::from_csv(&text).map_err(|error| format!("parse {input}: {error}"))?
     } else {
-        let bytes = std::fs::read(input).unwrap_or_else(|error| panic!("read {input}: {error}"));
-        Trace::from_binary(&bytes).unwrap_or_else(|error| panic!("parse {input}: {error}"))
+        let bytes = std::fs::read(input).map_err(read_error)?;
+        Trace::from_binary(&bytes).map_err(|error| format!("parse {input}: {error}"))?
     };
-    if input.ends_with(".csv") {
-        std::fs::write(output, trace.to_binary())
-            .unwrap_or_else(|error| panic!("write {output}: {error}"));
+    let bytes = if from_csv {
+        trace.to_binary()
     } else {
-        std::fs::write(output, trace.to_csv())
-            .unwrap_or_else(|error| panic!("write {output}: {error}"));
-    }
-    println!(
-        "converted {input} -> {output} ({} transactions)",
-        trace.len()
-    );
+        trace.to_csv().into_bytes()
+    };
+    std::fs::write(output, bytes).map_err(|error| format!("write {output}: {error}"))?;
+    Ok(trace.len())
+}
+
+/// Prints `error` and the usage line to stderr, then exits with status 2.
+fn exit_with_usage(error: &str) -> ! {
+    eprintln!("{error}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
 }
 
 /// One-line synopsis printed alongside parse errors.
@@ -932,14 +938,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = match parse_args(&args) {
-        Ok(cli) => cli,
-        Err(error) => {
-            eprintln!("{error}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let cli = parse_args(&args).unwrap_or_else(|error| exit_with_usage(&error));
     let Cli {
         ops,
         csv_dir,
@@ -953,7 +952,10 @@ fn main() {
             return;
         }
         Mode::Convert { input, output } => {
-            convert(&input, &output);
+            match convert(&input, &output) {
+                Ok(count) => println!("converted {input} -> {output} ({count} transactions)"),
+                Err(error) => exit_with_usage(&error),
+            }
             return;
         }
         Mode::Topology => {
@@ -1096,7 +1098,36 @@ mod tests {
         assert!(parse(&["--ops", "0"]).is_err());
         assert!(parse(&["--csv"]).is_err());
         assert!(parse(&["--geometry", "not-a-geometry"]).is_err());
+        assert!(parse(&["--geometry", "4294967296x4294967296x2x1"]).is_err());
         assert!(parse(&["--convert", "only-one-path"]).is_err());
         assert!(parse(&["--frobnicate"]).is_err());
+    }
+
+    #[test]
+    fn convert_reports_bad_inputs_instead_of_panicking() {
+        let dir = std::env::temp_dir().join(format!("trafficsim-convert-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+        let output = path("out.bin");
+
+        let error = convert(&path("missing.csv"), &output).unwrap_err();
+        assert!(error.starts_with("read "), "{error}");
+
+        for (name, text) in [
+            ("malformed.csv", "0,1,2,X,9\n"),
+            ("wide.csv", "4294967296,1,2,R,\n"),
+        ] {
+            std::fs::write(path(name), text).unwrap();
+            let error = convert(&path(name), &output).unwrap_err();
+            assert!(error.starts_with("parse "), "{error}");
+        }
+        std::fs::write(path("garbage.bin"), b"not a trace").unwrap();
+        let error = convert(&path("garbage.bin"), &path("out.csv")).unwrap_err();
+        assert!(error.starts_with("parse "), "{error}");
+
+        std::fs::write(path("good.csv"), "0,1,2,W,1\n3,4,5,R,\n").unwrap();
+        assert_eq!(convert(&path("good.csv"), &output), Ok(2));
+        assert_eq!(convert(&output, &path("back.csv")), Ok(2));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -22,8 +22,9 @@ use stt_array::Address;
 
 /// Counts per level of the chip hierarchy.
 ///
-/// Every level count must be at least 1; the [`Topology::new`] constructor
-/// and the `CxRxGxB` parser both enforce it.
+/// Every level count must be at least 1, and their product (the total bank
+/// count) must fit a `usize`; the [`Topology::new`] constructor and the
+/// `CxRxGxB` parser both enforce it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Topology {
     /// Independent channels (the sharding grain: channels share nothing).
@@ -41,7 +42,8 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if any level count is zero.
+    /// Panics if any level count is zero or the total bank count overflows
+    /// `usize`.
     #[must_use]
     pub fn new(channels: usize, ranks: usize, groups: usize, banks: usize) -> Self {
         let topology = Self {
@@ -72,6 +74,10 @@ impl Topology {
         assert!(
             self.channels > 0 && self.ranks > 0 && self.groups > 0 && self.banks > 0,
             "every topology level needs at least one member, got {self}"
+        );
+        assert!(
+            checked_total(&[self.channels, self.ranks, self.groups, self.banks]).is_some(),
+            "topology {self} has more banks than a usize can count"
         );
     }
 
@@ -174,6 +180,9 @@ pub enum GeometryParseErrorKind {
         /// Which level was zero.
         level: &'static str,
     },
+    /// Every count parsed, but their product (the total bank count)
+    /// overflows `usize`.
+    TotalOverflow,
 }
 
 impl GeometryParseErrorKind {
@@ -182,7 +191,9 @@ impl GeometryParseErrorKind {
     #[must_use]
     pub fn level(&self) -> Option<&'static str> {
         match self {
-            GeometryParseErrorKind::FieldCount { .. } => None,
+            GeometryParseErrorKind::FieldCount { .. } | GeometryParseErrorKind::TotalOverflow => {
+                None
+            }
             GeometryParseErrorKind::BadCount { level, .. }
             | GeometryParseErrorKind::ZeroCount { level } => Some(level),
         }
@@ -201,6 +212,9 @@ impl std::fmt::Display for GeometryParseError {
             }
             GeometryParseErrorKind::ZeroCount { level } => {
                 write!(f, "{level} count must be at least 1")
+            }
+            GeometryParseErrorKind::TotalOverflow => {
+                write!(f, "total bank count overflows usize")
             }
         }
     }
@@ -235,8 +249,18 @@ impl FromStr for Topology {
             }
             *slot = value;
         }
+        if checked_total(&counts).is_none() {
+            return Err(err(GeometryParseErrorKind::TotalOverflow));
+        }
         Ok(Topology::new(counts[0], counts[1], counts[2], counts[3]))
     }
+}
+
+/// The product of the level counts, or `None` when it overflows `usize`.
+fn checked_total(counts: &[usize; 4]) -> Option<usize> {
+    counts
+        .iter()
+        .try_fold(1usize, |total, &count| total.checked_mul(count))
 }
 
 /// The coordinate of one bank within a [`Topology`].
@@ -371,6 +395,20 @@ mod tests {
             error.to_string(),
             "geometry: groups count must be at least 1"
         );
+
+        let error = "4294967296x4294967296x2x1".parse::<Topology>().unwrap_err();
+        assert_eq!(error.kind, GeometryParseErrorKind::TotalOverflow);
+        assert_eq!(error.kind.level(), None);
+        assert_eq!(
+            error.to_string(),
+            "geometry: total bank count overflows usize"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "more banks than a usize can count")]
+    fn overflowing_topologies_are_rejected() {
+        let _ = Topology::new(usize::MAX, 2, 1, 1);
     }
 
     #[test]

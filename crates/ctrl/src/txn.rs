@@ -271,6 +271,7 @@ impl Trace {
     /// line is accepted and skipped; blank lines are ignored. Both formats
     /// are accepted — five fields per record (untimed; arrival defaults to
     /// zero) or six (`arrival_ns` last) — and may be mixed line by line.
+    /// Bank, row and column must fit the binary format's 32-bit words.
     ///
     /// # Errors
     ///
@@ -292,12 +293,15 @@ impl Trace {
                 return Err(err(TraceParseErrorKind::FieldCount { got: fields.len() }));
             }
             let parse = |field: &str, column: &'static str| {
-                field.parse::<usize>().map_err(|_| {
-                    err(TraceParseErrorKind::BadNumber {
-                        column,
-                        value: field.to_string(),
+                field
+                    .parse::<u32>()
+                    .map(|value| value as usize)
+                    .map_err(|_| {
+                        err(TraceParseErrorKind::BadNumber {
+                            column,
+                            value: field.to_string(),
+                        })
                     })
-                })
             };
             let bank = parse(fields[0], "bank")?;
             let addr = Address::new(parse(fields[1], "row")?, parse(fields[2], "col")?);
@@ -539,8 +543,7 @@ impl<'a> TraceView<'a> {
     }
 
     /// Copies the view into an owned [`Trace`].
-    #[must_use]
-    pub fn to_trace(&self) -> Trace {
+    fn to_trace(self) -> Trace {
         Trace::from_transactions(self.iter().collect())
     }
 }
@@ -741,6 +744,9 @@ mod tests {
             ("x,1,2,R,\n", "bank", "x"),
             ("0,♞,2,R,\n", "row", "♞"),
             ("0,1,-3,W,1\n", "col", "-3"),
+            // Wider than the binary format's 32-bit words.
+            ("4294967296,1,2,R,\n", "bank", "4294967296"),
+            ("0,1,4294967296,R,\n", "col", "4294967296"),
         ] {
             let error = Trace::from_csv(record).unwrap_err();
             assert_eq!(

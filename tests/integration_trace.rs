@@ -10,6 +10,10 @@
 //! 3. **Zero-copy parity** — replaying through a borrowed [`TraceView`] is
 //!    bit-identical to replaying the owned [`Trace`], on the serial engine
 //!    and the scheduler frontend alike, with and without injected faults.
+//! 4. **Parsers never panic** — fuzzed CSV text, binary buffers and
+//!    `CxRxGxB` geometry strings each yield a value or a typed error, and
+//!    a value never panics later (a parsed trace encodes, a parsed
+//!    topology counts its banks).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -17,7 +21,7 @@ use rand::{Rng, SeedableRng};
 use stt_array::Address;
 use stt_ctrl::txn::{TRACE_HEADER_BYTES, TRACE_RECORD_BYTES};
 use stt_ctrl::{
-    Controller, ControllerConfig, Dispatch, FaultPlan, Frontend, FrontendConfig, Trace,
+    Controller, ControllerConfig, Dispatch, FaultPlan, Frontend, FrontendConfig, Topology, Trace,
     TraceBinaryError, TraceView, Transaction, TxnSource, Workload,
 };
 use stt_sense::SchemeKind;
@@ -237,4 +241,129 @@ fn frontend_replay_from_view_is_bit_identical() {
         "parity run should exercise reads"
     );
     assert_eq!(owned_run.completions.len(), trace.len());
+}
+
+/// Characters the CSV fuzzer draws from: the dialect's own alphabet plus
+/// whitespace, signs, exponent and decimal marks, and a multi-byte char.
+const CSV_ALPHABET: &[char] = &[
+    '0', '1', '2', '4', '7', '9', ',', ',', ',', 'R', 'W', '\n', '\r', ' ', '-', '+', 'e', '.', '♞',
+];
+
+/// Parses `text` as a CSV trace; a trace that parses must also encode and
+/// decode through the binary format (every field fits its 32-bit words).
+fn csv_parses_cleanly(text: &str) {
+    if let Ok(trace) = Trace::from_csv(text) {
+        assert_eq!(
+            Trace::from_binary(&trace.to_binary()).as_ref(),
+            Ok(&trace),
+            "{text:?}"
+        );
+    }
+}
+
+/// Decodes `bytes` zero-copy and owned: both must return the same records
+/// or the same typed error.
+fn binary_parses_cleanly(bytes: &[u8]) {
+    let owned = Trace::from_binary(bytes).map(|trace| trace.transactions().to_vec());
+    let viewed = TraceView::new(bytes).map(|view| view.iter().collect::<Vec<_>>());
+    assert_eq!(owned, viewed, "{bytes:?}");
+}
+
+/// One `CxRxGxB` field: zero, a small count, a padded count, a count near
+/// 2^61 (so products of two overflow), or text that is not a count.
+fn geometry_field(pick: u64) -> String {
+    match pick % 6 {
+        0 => String::from("0"),
+        1 => ((pick >> 8) % 64 + 1).to_string(),
+        2 => format!(" {} ", (pick >> 8) % 16 + 1),
+        3 | 4 => (pick >> 3).to_string(),
+        _ => ["", "-1", "two", "1e3", "+4", "18446744073709551616"][(pick >> 8) as usize % 6]
+            .to_string(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn csv_parser_survives_arbitrary_text(
+        picks in proptest::collection::vec(0usize..CSV_ALPHABET.len() + 3, 0..96),
+        codepoints in proptest::collection::vec(0u32..0x11_0000, 96),
+    ) {
+        // Picks past the alphabet draw an arbitrary Unicode scalar.
+        let text: String = picks
+            .iter()
+            .zip(&codepoints)
+            .map(|(&pick, &code)| {
+                CSV_ALPHABET
+                    .get(pick)
+                    .copied()
+                    .unwrap_or_else(|| char::from_u32(code).unwrap_or(char::REPLACEMENT_CHARACTER))
+            })
+            .collect();
+        csv_parses_cleanly(&text);
+    }
+
+    #[test]
+    fn csv_parser_survives_mutated_records(
+        seed in 0u64..1_000_000,
+        edits in proptest::collection::vec(0u64..u64::MAX, 1..6),
+    ) {
+        let mut bytes = arbitrary_trace(6, seed, seed % 2 == 0).to_csv().into_bytes();
+        for edit in edits {
+            let at = (edit % bytes.len() as u64) as usize;
+            let byte = (edit >> 40) as u8;
+            match (edit >> 32) % 3 {
+                0 => bytes[at] = byte,
+                1 => {
+                    bytes.remove(at);
+                    if bytes.is_empty() {
+                        break;
+                    }
+                }
+                _ => bytes.insert(at, b"0123456789,RW-\n"[usize::from(byte) % 15]),
+            }
+        }
+        csv_parses_cleanly(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn binary_parsers_survive_arbitrary_bytes(
+        keep in 0usize..TRACE_HEADER_BYTES + 1,
+        tail in proptest::collection::vec(0u16..256, 0..160),
+    ) {
+        // A prefix of a valid header (possibly none) gets past the magic
+        // and version checks often enough to reach the body checks.
+        let mut bytes = valid_binary();
+        bytes.truncate(keep);
+        bytes.extend(tail.iter().map(|&byte| byte as u8));
+        binary_parses_cleanly(&bytes);
+    }
+
+    #[test]
+    fn binary_parsers_survive_bit_flips(
+        seed in 0u64..1_000_000,
+        flips in proptest::collection::vec(0u64..u64::MAX, 1..5),
+    ) {
+        let mut bytes = arbitrary_trace(5, seed, seed % 2 == 0).to_binary();
+        for flip in flips {
+            let bit = flip % (bytes.len() as u64 * 8);
+            bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
+        }
+        binary_parses_cleanly(&bytes);
+    }
+
+    #[test]
+    fn topology_parser_only_accepts_countable_chips(
+        fields in proptest::collection::vec(0u64..u64::MAX, 4),
+        upper in proptest::bool::ANY,
+    ) {
+        let separator = if upper { "X" } else { "x" };
+        let text = fields.iter().map(|&pick| geometry_field(pick)).collect::<Vec<_>>().join(separator);
+        if let Ok(topology) = text.parse::<Topology>() {
+            let last = topology.total_banks() - 1;
+            prop_assert_eq!(topology.flatten(topology.coord(last)), last);
+            prop_assert_eq!(topology.to_string().parse::<Topology>(), Ok(topology));
+        }
+    }
 }
