@@ -15,17 +15,20 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+# The workspace steps run --locked: a Cargo.lock that no longer matches
+# the manifests (say, after a vendored crate leaves) fails here instead of
+# being rewritten quietly.
+echo "==> cargo clippy --locked --workspace --all-targets -- -D warnings"
+cargo clippy --locked --workspace --all-targets -- -D warnings
 
 # The reliability acceptance gate first, under its own banner: SECDED
 # codec properties, the graceful-degradation campaign and scrub's
 # repair/bit-identity guarantees (also part of the full suite below).
-echo "==> cargo test -q -p stt-ctrl --test integration_reliability"
-cargo test -q -p stt-ctrl --test integration_reliability
+echo "==> cargo test --locked -q -p stt-ctrl --test integration_reliability"
+cargo test --locked -q -p stt-ctrl --test integration_reliability
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test --locked -q"
+cargo test --locked -q
 
 # The benchmark is a package of its own (perfbench/), built against the
 # crates' public APIs: building and self-testing it here makes an API
@@ -74,12 +77,12 @@ done
 # Documentation gate over the repo's own crates (vendored stand-ins are
 # exempt — they mirror upstream APIs we don't own).
 echo "==> cargo doc --no-deps (warnings denied)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet \
+RUSTDOCFLAGS="-D warnings" cargo doc --locked --no-deps --quiet \
     -p stt-units -p stt-mtj -p stt-mna -p stt-stats \
     -p stt-array -p stt-sense -p stt-ctrl -p stt-bench
 
-echo "==> cargo bench --no-run"
-cargo bench --no-run
+echo "==> cargo bench --locked --no-run"
+cargo bench --locked --no-run
 
 # Throughput smoke gate: the FCFS event loop must not fall off a cliff
 # versus the committed baseline (BENCH_MNA.json, written by
