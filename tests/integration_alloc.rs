@@ -60,7 +60,7 @@ fn trace(config: &ControllerConfig, gap_ns: f64) -> Trace {
 fn the_event_loop_does_not_allocate() {
     let config = ControllerConfig::small(SchemeKind::Nondestructive, BANKS);
     // ~0.9 of the nondestructive service rate: queues build, so policy
-    // choice and heap churn run constantly.
+    // choice and event churn run constantly.
     let loaded = trace(&config, 14.0 / 0.9 / BANKS as f64);
     // 2 ns mean gaps, ~7x over the service rate: every bounded queue stays
     // full and its backpressure path fires constantly.

@@ -99,12 +99,18 @@ fn fast_path_matches_the_general_event_loop_exactly() {
     // FCFS at unbounded depth with no scrub runs the specialised
     // cursor-and-slots loop; the same config plus a scrub daemon whose
     // first tick lands ~31 years into the run is forced onto the general
-    // heap loop while remaining behaviourally inert (demand drains long
+    // loop while remaining behaviourally inert (demand drains long
     // before the tick, which then dies without rescheduling). The two
     // runs must agree bit-for-bit: stored state, telemetry, completion
     // log, makespan.
-    for kind in [SchemeKind::Destructive, SchemeKind::Nondestructive] {
-        let config = ControllerConfig::small(kind, 4)
+    // The 24-bank input is wider than any benchmark loop: the fast path
+    // serves every bank count.
+    for (kind, banks) in [
+        (SchemeKind::Destructive, 4),
+        (SchemeKind::Nondestructive, 4),
+        (SchemeKind::Nondestructive, 24),
+    ] {
+        let config = ControllerConfig::small(kind, banks)
             .with_seed(58)
             .with_ecc(EccMode::Secded);
         let trace = timed_trace(
@@ -128,11 +134,11 @@ fn fast_path_matches_the_general_event_loop_exactly() {
         assert_eq!(
             fast.controller().stored_state(),
             general.controller().stored_state(),
-            "{kind}: both loop flavours must store the same bits"
+            "{kind}, {banks} banks: both loop flavours must store the same bits"
         );
         assert_eq!(
             fast_run, general_run,
-            "{kind}: telemetry, completions and makespan must be bit-identical"
+            "{kind}, {banks} banks: telemetry, completions and makespan must be bit-identical"
         );
     }
 }
@@ -141,7 +147,7 @@ fn fast_path_matches_the_general_event_loop_exactly() {
 fn fast_path_matches_the_general_event_loop_on_ties_and_unsorted_arrivals() {
     // Two traces the monotone 4 ns one above cannot exercise. At a 0.4 ns
     // mean gap most arrivals share a nanosecond, so banks start together
-    // and their completions tie, and only the heap's sequence order
+    // and their completions tie, and only the events' sequence order
     // decides which pops first. Reversing the arrival stamps within
     // chunks of 7 makes the trace non-monotone, so both loops take the
     // offer-order sort.
@@ -366,17 +372,19 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Pins the interleaving of all three background classes against demand
-/// under every backpressure mode.
+/// under every policy and backpressure mode.
 ///
-/// A SECDED controller with a standing hot-spot on bank 0 runs read
-/// priority at depth 4 with scrub, raw March C− and the frontend
-/// calibration daemon mounted together. Bursts of 48 transactions 3 ns
-/// apart overload the queues (stall, retry and drop all fire); the quiet
-/// gaps between bursts are where test, scrub and calibration work runs.
+/// A SECDED controller with a standing hot-spot on bank 0 runs each policy
+/// at depth 4 with scrub, raw March C− and the frontend calibration daemon
+/// mounted together. Bursts of 48 transactions 3 ns apart overload the
+/// queues (stall, retry and drop all fire); the quiet gaps between bursts
+/// are where test, scrub and calibration work runs.
 /// The fingerprint covers the whole [`SchedRun`](stt_ctrl::SchedRun) —
 /// telemetry, completion log, makespan — plus the final stored bits. It
 /// moves only with an intended change to simulated results; a refactor of
-/// the scheduler must leave every value below untouched.
+/// the scheduler must leave every value below untouched. Without retries
+/// admission order is arrival order, so oldest-first serves exactly as
+/// FCFS does and their stall and drop pins coincide.
 #[test]
 fn cross_class_interleaving_is_pinned_under_every_backpressure_mode() {
     let config = ControllerConfig::small(SchemeKind::Nondestructive, 2)
@@ -399,21 +407,34 @@ fn cross_class_interleaving_is_pinned_under_every_backpressure_mode() {
             .map(|(i, txn)| txn.at((i / 48) as u64 * 4_000 + (i % 48) as u64 * 3))
             .collect(),
     );
-    let modes = [
-        (Backpressure::Stall, 0x4d35_b8e8_12c7_3407),
+    let read_priority = Policy::ReadPriority {
+        write_high_water: 4,
+    };
+    let retry = Backpressure::Retry { delay_ns: 25.0 };
+    let pins = [
+        (Policy::Fcfs, Backpressure::Stall, 0x3c3b_0a15_c830_dce0),
+        (Policy::Fcfs, retry, 0x34fe_46a9_53a7_5d0c),
+        (Policy::Fcfs, Backpressure::Drop, 0x5599_2dc3_fd66_ae33),
+        (read_priority, Backpressure::Stall, 0x4d35_b8e8_12c7_3407),
+        (read_priority, retry, 0x632e_e5d5_36c6_b389),
+        (read_priority, Backpressure::Drop, 0x50cd_ad02_9e40_60ef),
         (
-            Backpressure::Retry { delay_ns: 25.0 },
-            0x632e_e5d5_36c6_b389,
+            Policy::OldestFirst,
+            Backpressure::Stall,
+            0x3c3b_0a15_c830_dce0,
         ),
-        (Backpressure::Drop, 0x50cd_ad02_9e40_60ef),
+        (Policy::OldestFirst, retry, 0x7853_541a_288e_f2fe),
+        (
+            Policy::OldestFirst,
+            Backpressure::Drop,
+            0x5599_2dc3_fd66_ae33,
+        ),
     ];
-    for (backpressure, expected) in modes {
+    for (policy, backpressure, expected) in pins {
         let mut frontend = Frontend::new(
             Controller::new(config.clone()),
             FrontendConfig::fcfs_unbounded()
-                .with_policy(Policy::ReadPriority {
-                    write_high_water: 4,
-                })
+                .with_policy(policy)
                 .with_queue_depth(4)
                 .with_backpressure(backpressure)
                 .with_scrub(ScrubConfig::every_ns(150.0))
@@ -425,19 +446,19 @@ fn cross_class_interleaving_is_pinned_under_every_backpressure_mode() {
         let queue = &aggregate.queue;
         assert!(
             queue.stalls + queue.retried_admissions + queue.dropped > 0,
-            "{backpressure:?}: the bursts must overload the queues"
+            "{policy:?} under {backpressure:?}: the bursts must overload the queues"
         );
         assert!(
             aggregate.ecc.scrub_words_scanned > 0
                 && aggregate.march.ops > 0
                 && aggregate.calib.bursts > 0,
-            "{backpressure:?}: every background class must run"
+            "{policy:?} under {backpressure:?}: every background class must run"
         );
         let fingerprint =
             fnv1a(format!("{run:?}{:?}", frontend.controller().stored_state()).as_bytes());
         assert_eq!(
             fingerprint, expected,
-            "{backpressure:?}: simulated results moved (got {fingerprint:#018x})"
+            "{policy:?} under {backpressure:?}: simulated results moved (got {fingerprint:#018x})"
         );
     }
 }
