@@ -16,10 +16,9 @@
 //!
 //! A channel never has more than one pending source event (the next trace
 //! arrival or closed-loop issue) and one pending event per bank (its array
-//! access finishing, or its transfer completing), so its loop keeps one
-//! `SlotKey` per slot and pops the least by scanning them, in exactly the
-//! order an [`EventQueue`](crate::sched::EventQueue) would: by time, ties
-//! by scheduling order.
+//! access finishing, or its transfer completing), so its loop runs on the
+//! scheduler's event slots: the source slot plus one slot per local bank,
+//! popped by time, ties by scheduling order.
 //!
 //! Banks are materialised **lazily**: a multi-GB address space is fully
 //! addressable through the topology, but a bank allocates its array, truth
@@ -39,7 +38,7 @@ use crate::engine::{on_workers, ControllerConfig};
 use crate::faults::{DriftPlan, FaultPlan};
 use crate::reliability::EccMode;
 use crate::retry::RetryPolicy;
-use crate::sched::event::SlotKey;
+use crate::sched::event::{Due, EventSlots};
 use crate::sched::policy::Policy;
 use crate::sched::queue::{Lane, Queued};
 use crate::telemetry::{BankTelemetry, ChannelTelemetry, QueueTelemetry};
@@ -527,15 +526,11 @@ struct ChannelSim<'a> {
     lanes: Vec<Option<Lane>>,
     /// Each local bank's bus slot in `group_bus_free`.
     group_of: Vec<usize>,
-    /// The pending source event: the next trace arrival or closed-loop
-    /// issue.
-    source: SlotKey,
-    /// Each local bank's pending event: its array access finishing, or,
-    /// while `on_bus`, its transfer completing.
-    slots: Vec<SlotKey>,
+    /// The source slot holds the next trace arrival or closed-loop issue;
+    /// slot `local` holds that bank's array access finishing, or, while
+    /// `on_bus`, its transfer completing.
+    events: EventSlots,
     on_bus: Vec<bool>,
-    /// Sequence number of the next scheduled event.
-    next_seq: u64,
     stats: ChannelTelemetry,
     /// Bus-free times: one per (rank, group) pair, plus the channel bus.
     group_bus_free: Vec<f64>,
@@ -561,10 +556,8 @@ impl<'a> ChannelSim<'a> {
             group_of: (0..per_channel)
                 .map(|local| local / topology.banks)
                 .collect(),
-            source: SlotKey::IDLE,
-            slots: vec![SlotKey::IDLE; per_channel],
+            events: EventSlots::new(per_channel, 0),
             on_bus: vec![false; per_channel],
-            next_seq: 0,
             stats: ChannelTelemetry::default(),
             group_bus_free: vec![0.0; topology.ranks * topology.groups],
             channel_bus_free: 0.0,
@@ -575,21 +568,10 @@ impl<'a> ChannelSim<'a> {
         }
     }
 
-    /// The next sequence number, taken where an event heap would schedule.
-    fn seq(&mut self) -> u64 {
-        self.next_seq += 1;
-        self.next_seq - 1
-    }
-
-    /// Schedules the source's next event at `time_ns`.
-    fn schedule_source(&mut self, time_ns: f64) {
-        self.source = SlotKey::new(time_ns, self.seq());
-    }
-
     /// Schedules local bank `local`'s next event at `time_ns`: its
     /// transfer completing when `on_bus`, else its access finishing.
     fn schedule_bank(&mut self, local: usize, time_ns: f64, on_bus: bool) {
-        self.slots[local] = SlotKey::new(time_ns, self.seq());
+        self.events.schedule(local, time_ns);
         self.on_bus[local] = on_bus;
     }
 
@@ -702,34 +684,28 @@ fn run_channel(
     let mut throttled = false;
 
     if let Some((_, first)) = trace.first() {
-        sim.schedule_source(first.arrival_ns as f64);
+        sim.events.schedule_source(first.arrival_ns as f64);
     }
     if source.is_some_and(|s| s.ops_per_channel > 0) {
-        sim.schedule_source(0.0);
+        sim.events.schedule_source(0.0);
     }
 
-    loop {
-        let (bank, next) = SlotKey::earliest(sim.source, &sim.slots);
-        if next == SlotKey::IDLE {
-            break;
-        }
-        let now = next.time_ns();
-        match bank {
+    while let Some((now, due)) = sim.events.pop() {
+        match due {
             // The next open-loop trace transaction arrives.
-            None if source.is_none() => {
-                sim.source = SlotKey::IDLE;
+            Due::Source if source.is_none() => {
                 let (trace_index, txn) = trace[cursor];
                 cursor += 1;
                 sim.offer(banks, txn, trace_index, now);
                 if let Some((_, next)) = trace.get(cursor) {
                     // Arrivals are pre-sorted; the max() only guards float
                     // identity for equal timestamps.
-                    sim.schedule_source((next.arrival_ns as f64).max(now));
+                    sim.events
+                        .schedule_source((next.arrival_ns as f64).max(now));
                 }
             }
             // The closed-loop source attempts to issue.
-            None => {
-                sim.source = SlotKey::IDLE;
+            Due::Source => {
                 let source = source.expect("issue event without a source");
                 let rng = source_rng.as_mut().expect("issue event without a stream");
                 if sim.outstanding >= source.window {
@@ -743,29 +719,26 @@ fn run_channel(
                 sim.offer(banks, txn, issued, now);
                 issued += 1;
                 if issued < source.ops_per_channel {
-                    sim.schedule_source(now + source.next_think_ns(rng));
+                    sim.events.schedule_source(now + source.next_think_ns(rng));
                 }
             }
             // A bank's array access finished; the transfer now claims its
             // buses.
-            Some(local) if !sim.on_bus[local] => {
-                sim.slots[local] = SlotKey::IDLE;
-                sim.claim_buses(local, now);
-            }
+            Due::Slot(local) if !sim.on_bus[local] => sim.claim_buses(local, now),
             // The transfer crossed both buses; the transaction is complete
             // and the bank is free.
-            Some(local) => {
-                sim.slots[local] = SlotKey::IDLE;
+            Due::Slot(local) => {
                 sim.complete(banks, local, now);
                 if throttled {
                     let source = source.expect("throttled without a source");
                     if issued < source.ops_per_channel {
                         throttled = false;
                         let rng = source_rng.as_mut().expect("throttled without a stream");
-                        sim.schedule_source(now + source.next_think_ns(rng));
+                        sim.events.schedule_source(now + source.next_think_ns(rng));
                     }
                 }
             }
+            Due::Extra(_) => unreachable!("a channel schedules no extra events"),
         }
     }
     sim.finish(state);

@@ -28,7 +28,7 @@ use crate::reliability::ScrubConfig;
 use crate::telemetry::{QueueTelemetry, SojournStats, Telemetry};
 use crate::txn::{Op, Transaction, TxnSource};
 
-use super::event::{EventQueue, SlotKey};
+use super::event::{Due, EventSlots};
 #[cfg(doc)]
 use super::policy::PriorityClass;
 use super::policy::{Daemon, Policy};
@@ -434,22 +434,27 @@ impl SchedRun {
     }
 }
 
-/// What the event loop reacts to.
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    /// A transaction is offered to its bank (fresh from the trace, or a
-    /// re-offer under [`Backpressure::Retry`]).
-    Arrive { trace_index: usize, fresh: bool },
-    /// A bank finished serving its in-flight demand transaction.
-    Complete { bank: usize },
-    /// `daemon` offers `bank` one operation: a periodic scrub or
-    /// calibration tick, or the March source's next test op. Served only
-    /// when the lane is idle and the policy arbitrates the daemon's
-    /// [`PriorityClass`]; deferred (and counted) otherwise. A calibration
-    /// check that does not trip is free and leaves the lane idle.
-    Offer { bank: usize, daemon: Daemon },
-    /// A bank finished the background operation occupying its lane.
-    BackgroundDone { bank: usize },
+/// Event slots per bank in the general loop: the lane's completion
+/// (demand or background) at offset 0, then one offer slot per daemon. A
+/// daemon's offer gives the bank one operation — a periodic scrub or
+/// calibration tick, or the March source's next test op — served only when
+/// the lane is idle and the policy arbitrates the daemon's
+/// [`PriorityClass`], deferred (and counted) otherwise. A calibration check
+/// that does not trip is free and leaves the lane idle.
+const BANK_SLOTS: usize = 4;
+
+/// The daemons in declaration order, so `DAEMONS[daemon as usize]` is
+/// `daemon`; the offer slot of `DAEMONS[i]` sits at offset `1 + i`.
+const DAEMONS: [Daemon; 3] = [Daemon::Scrub, Daemon::March, Daemon::Calib];
+
+/// `bank`'s completion slot in the general loop.
+fn completion_slot(bank: usize) -> usize {
+    bank * BANK_SLOTS
+}
+
+/// `bank`'s offer slot for `daemon` in the general loop.
+fn offer_slot(bank: usize, daemon: Daemon) -> usize {
+    bank * BANK_SLOTS + 1 + daemon as usize
 }
 
 /// Run state of the March traffic source: one lowered schedule shared by
@@ -460,9 +465,6 @@ struct MarchSource {
     steps: Vec<MarchStep>,
     /// Next step index per bank.
     cursor: Vec<usize>,
-    /// Whether a March [`Event::Offer`] for the bank is already in the
-    /// heap (at most one per bank, like a periodic daemon's tick).
-    kicked: Vec<bool>,
     /// Steps not yet executed across all banks; the periodic daemons stay
     /// alive — and the event loop keeps running — while this is non-zero.
     remaining: usize,
@@ -492,7 +494,6 @@ impl MarchSource {
         Self {
             remaining: steps.len() * bank_count,
             cursor: vec![0; bank_count],
-            kicked: vec![false; bank_count],
             steps,
             raw: config.is_some_and(|march| march.raw),
         }
@@ -510,22 +511,21 @@ impl MarchSource {
 /// finds the lane re-occupied (demand won arbitration at this completion)
 /// counts as one deferral.
 fn kick_march(
-    march: &mut MarchSource,
+    march: &MarchSource,
     lane: &mut Lane,
-    events: &mut EventQueue<Event>,
+    events: &mut EventSlots,
     bank: usize,
     now: f64,
 ) {
-    if !march.waiting(bank) || march.kicked[bank] {
+    let slot = offer_slot(bank, Daemon::March);
+    if !march.waiting(bank) || events.is_pending(slot) {
         return;
     }
     if lane.busy() {
         lane.stats.march_deferred += 1;
         return;
     }
-    march.kicked[bank] = true;
-    let daemon = Daemon::March;
-    events.schedule(now, Event::Offer { bank, daemon });
+    events.schedule(slot, now);
 }
 
 /// An admission blocked on a full queue under [`Backpressure::Stall`].
@@ -632,7 +632,7 @@ impl Frontend {
     /// The simulated clock restarts at zero for each call; accumulated
     /// telemetry (including queueing horizons) sums across calls.
     ///
-    /// All working storage (event heap, lane queues, completion columns,
+    /// All working storage (event slots, lane queues, completion columns,
     /// retry waitlists; on the FCFS fast path the bank-major offer lists
     /// and service times) is preallocated from the trace length before the
     /// event loop starts, so the fault-free steady state performs no heap
@@ -683,16 +683,14 @@ impl Frontend {
         // can never fire, banks never interact and each bank serves exactly
         // its own transactions in offer order. The fast path therefore runs
         // every `Bank::execute` up front, one bank at a time, and then
-        // replays only the timing: a sorted-arrival cursor merged against
-        // one pending-completion slot per bank, in the heap's exact
-        // `(time, seq)` pop order — see DESIGN.md §12. The bank-count gate
-        // bounds the per-event completion-slot scan.
+        // replays only the timing: a sorted-arrival cursor in the source
+        // slot merged against one pending-completion slot per bank, in the
+        // general loop's exact `(time, seq)` pop order — see DESIGN.md §12.
         let fast_path = matches!(policy, Policy::Fcfs)
             && queue_depth == usize::MAX
             && scrub.is_none()
             && march.is_none()
-            && calib.is_none()
-            && bank_count <= FAST_PATH_MAX_BANKS;
+            && calib.is_none();
         // Lane queues sized to the deepest each can get this run (a lane
         // can only ever hold its own bank's transactions); the retry
         // waitlist can hold every one of them in the worst case. The fast
@@ -729,7 +727,7 @@ impl Frontend {
                     start_ns: 0.0,
                 })
                 .collect();
-            let mut slots = vec![SlotKey::IDLE; bank_count];
+            let mut events = EventSlots::new(bank_count, 0);
             let dispatch = if n >= PARALLEL_SERVICE_MIN_TXNS {
                 Dispatch::Parallel
             } else {
@@ -760,19 +758,18 @@ impl Frontend {
                 &service,
                 &mut lanes,
                 &mut fast,
-                &mut slots,
+                &mut events,
                 &mut completions,
             );
             let steady_state_allocs = alloc_probe::count() - allocs_before;
             return self.finish_run(lanes, completions, end_ns, steady_state_allocs);
         }
 
-        // In flight at any instant: one fresh arrival, per bank one
-        // completion (demand or background) + one March offer + one tick
-        // per periodic daemon, plus at most one re-offer per parked
-        // transaction.
-        let mut events: EventQueue<Event> =
-            EventQueue::with_capacity(if retrying { n } else { 0 } + 4 * bank_count + 4);
+        // Pending at any instant: one fresh arrival in the source slot; per
+        // bank one completion (demand or background), one March offer and
+        // one tick per periodic daemon in its `BANK_SLOTS` slots; and one
+        // extra re-offer per parked transaction at most.
+        let mut events = EventSlots::new(BANK_SLOTS * bank_count, if retrying { n } else { 0 });
         let mut cursor = 0usize;
         let mut stalled: Option<StalledAdmission> = None;
         // Demand transactions not yet completed or dropped. The periodic
@@ -784,22 +781,28 @@ impl Frontend {
 
         schedule_fresh(&mut events, &order, trace, &mut cursor, 0.0);
         for (bank, lane) in lanes.iter_mut().enumerate() {
-            kick_march(&mut march, lane, &mut events, bank, 0.0);
+            kick_march(&march, lane, &mut events, bank, 0.0);
         }
         for daemon in [Daemon::Scrub, Daemon::Calib] {
             if let Some(interval_ns) = config.period(daemon) {
                 if unfinished > 0 || march.remaining > 0 {
                     for bank in 0..bank_count {
-                        events.schedule(interval_ns, Event::Offer { bank, daemon });
+                        events.schedule(offer_slot(bank, daemon), interval_ns);
                     }
                 }
             }
         }
 
         let allocs_before = alloc_probe::count();
-        while let Some((now, event)) = events.pop() {
-            match event {
-                Event::Arrive { trace_index, fresh } => {
+        while let Some((now, due)) = events.pop() {
+            match due {
+                // A transaction is offered to its bank: fresh from the trace
+                // in the source slot, or a retry's re-offer.
+                Due::Source | Due::Extra(_) => {
+                    let (trace_index, fresh) = match due {
+                        Due::Extra(trace_index) => (trace_index as usize, false),
+                        _ => (order[cursor - 1] as usize, true),
+                    };
                     end_ns = end_ns.max(now);
                     let txn = trace.get(trace_index);
                     let lane = &mut lanes[txn.bank];
@@ -838,17 +841,20 @@ impl Frontend {
                     } else {
                         let queued = queued(txn, trace_index, now);
                         if let Some(done) = lane.admit(&mut banks[txn.bank], queued, now) {
-                            events.schedule(done, Event::Complete { bank: txn.bank });
+                            events.schedule(completion_slot(txn.bank), done);
                         }
                     }
                     if advance_stream {
                         schedule_fresh(&mut events, &order, trace, &mut cursor, now);
                     }
                 }
-                Event::Complete { bank } | Event::BackgroundDone { bank } => {
+                // A bank finished the demand or background work occupying
+                // its lane.
+                Due::Slot(slot) if slot % BANK_SLOTS == 0 => {
+                    let bank = slot / BANK_SLOTS;
                     end_ns = end_ns.max(now);
                     let lane = &mut lanes[bank];
-                    if let Event::Complete { .. } = event {
+                    if lane.background.take().is_none() {
                         let served = lane.retire(now);
                         unfinished -= 1;
                         completions.push(Completion {
@@ -860,9 +866,6 @@ impl Frontend {
                             start_ns: served.start_ns,
                             complete_ns: now,
                         });
-                    } else {
-                        let occupant = lane.background.take();
-                        debug_assert!(occupant.is_some(), "background completion without work");
                     }
                     // Every completion shares this tail: the lane just went
                     // idle, so serve the next demand, re-offer a parked
@@ -870,7 +873,7 @@ impl Frontend {
                     // source.
                     let bank_state = &mut banks[bank];
                     if let Some(done) = lane.try_dispatch(bank_state, policy, now) {
-                        events.schedule(done, Event::Complete { bank });
+                        events.schedule(slot, done);
                     }
                     wake_parked(lane, &mut events, backpressure, now);
                     // Dispatch freed a slot (or the queue was empty): a
@@ -882,18 +885,20 @@ impl Frontend {
                             lane.stats.stall_time_ns += now - blocked.offered_ns;
                             let queued = queued(txn, blocked.trace_index, now);
                             if let Some(done) = lane.admit(bank_state, queued, now) {
-                                events.schedule(done, Event::Complete { bank });
+                                events.schedule(slot, done);
                             }
                             // The host unblocks: resume the arrival stream,
                             // no earlier than now.
                             schedule_fresh(&mut events, &order, trace, &mut cursor, now);
                         }
                     }
-                    kick_march(&mut march, lane, &mut events, bank, now);
+                    kick_march(&march, lane, &mut events, bank, now);
                 }
-                Event::Offer { bank, daemon } => {
+                // A daemon offers the bank one operation.
+                Due::Slot(slot) => {
+                    let bank = slot / BANK_SLOTS;
+                    let daemon = DAEMONS[slot % BANK_SLOTS - 1];
                     if daemon == Daemon::March {
-                        march.kicked[bank] = false;
                         if !march.waiting(bank) {
                             continue;
                         }
@@ -924,10 +929,10 @@ impl Frontend {
                         serve_daemon(daemon, &mut banks[bank], &mut march, calib)
                     {
                         lane.background = Some(daemon);
-                        events.schedule(now + service_ns, Event::BackgroundDone { bank });
+                        events.schedule(completion_slot(bank), now + service_ns);
                     }
                     if let Some(interval_ns) = config.period(daemon) {
-                        events.schedule(now + interval_ns, Event::Offer { bank, daemon });
+                        events.schedule(slot, now + interval_ns);
                     }
                 }
             }
@@ -974,10 +979,11 @@ impl Frontend {
     }
 }
 
-/// Schedules the next not-yet-offered trace transaction, no earlier than
-/// `floor_ns` (a stall pushes later arrivals back in time).
+/// Schedules the next not-yet-offered trace transaction in the source
+/// slot, no earlier than `floor_ns` (a stall pushes later arrivals back in
+/// time). Its index is `order[cursor - 1]` while it is pending.
 fn schedule_fresh<S: TxnSource + ?Sized>(
-    events: &mut EventQueue<Event>,
+    events: &mut EventSlots,
     order: &[u32],
     trace: &S,
     cursor: &mut usize,
@@ -985,22 +991,9 @@ fn schedule_fresh<S: TxnSource + ?Sized>(
 ) {
     if let Some(&next) = order.get(*cursor) {
         *cursor += 1;
-        let next = next as usize;
-        let time_ns = (trace.get(next).arrival_ns as f64).max(floor_ns);
-        events.schedule(
-            time_ns,
-            Event::Arrive {
-                trace_index: next,
-                fresh: true,
-            },
-        );
+        events.schedule_source((trace.get(next as usize).arrival_ns as f64).max(floor_ns));
     }
 }
-
-/// Widest controller the FCFS-unbounded fast path serves: each event pops
-/// via a linear scan of the per-bank completion slots, so the scan must
-/// stay trivially cheap. Wider controllers fall back to the event heap.
-const FAST_PATH_MAX_BANKS: usize = 16;
 
 /// Shortest trace whose fast-path service pass runs on parallel workers.
 /// Measured on a 2-core host: a scoped spawn plus join of 2 workers costs
@@ -1031,10 +1024,9 @@ struct FastLane {
 /// Under FCFS at unbounded depth with no background daemon, backpressure
 /// can never fire and the only event kinds are fresh arrivals — already
 /// sorted in `order` — and bank completions, of which at most one per bank
-/// is pending. The heap therefore collapses to a cursor over `order`
-/// merged against `bank_count` completion slots by `(time, seq)`, with
-/// sequence numbers assigned at exactly the points the general loop calls
-/// `EventQueue::schedule`. Pop order, per-lane telemetry, completion-log
+/// is pending. `events` therefore holds just the source slot and one
+/// completion slot per bank, scheduled at exactly the points where the
+/// general loop schedules. Pop order, per-lane telemetry, completion-log
 /// order and bank state are bit-identical to the general loop — the
 /// integration suite asserts it by replaying the same traces down both
 /// paths. Returns the run horizon.
@@ -1055,35 +1047,27 @@ fn fcfs_unbounded_loop<S: TxnSource + ?Sized>(
     service: &[f64],
     lanes: &mut [Lane],
     fast: &mut [FastLane],
-    slots: &mut [SlotKey],
+    events: &mut EventSlots,
     completions: &mut CompletionLog,
 ) -> f64 {
     let Some(&first) = order.first() else {
         return 0.0;
     };
     let mut end_ns = 0.0f64;
-    // The one pending fresh arrival (mirrors `schedule_fresh`); idle (time
-    // = INFINITY) once the trace is exhausted. The transaction itself is
-    // cached so the handler does not decode it a second time.
+    // The pending fresh arrival in the source slot (mirrors
+    // `schedule_fresh`). The transaction itself is cached so the handler
+    // does not decode it a second time.
     let mut arr_index = first as usize;
     let mut arr_txn = trace.get(arr_index);
-    let mut arr_slot = SlotKey::new(arr_txn.arrival_ns as f64, 0);
-    let mut next_seq = 1u64;
+    events.schedule_source(arr_txn.arrival_ns as f64);
     let mut cursor = 1usize;
-    loop {
-        // Earliest pending event by (time, seq) — the heap's exact pop
-        // order, found by scanning one arrival and ≤ bank_count slots.
-        let (bank, best) = SlotKey::earliest(arr_slot, slots);
-        if best == SlotKey::IDLE {
-            break;
-        }
-        let now = best.time_ns();
+    while let Some((now, due)) = events.pop() {
         // Events pop in time order, so the horizon only ever advances.
         end_ns = now;
-        match bank {
-            None => {
-                // Fresh arrival (Event::Arrive with fresh = true). Offer order
-                // is sorted, so it pops at its own stamp: admit_ns = arrival.
+        match due {
+            Due::Source => {
+                // Fresh arrival. Offer order is sorted, so it pops at its
+                // own stamp: admit_ns = arrival.
                 debug_assert_eq!(now, arr_txn.arrival_ns as f64);
                 let b = arr_txn.bank;
                 let lane = &mut lanes[b];
@@ -1091,15 +1075,14 @@ fn fcfs_unbounded_loop<S: TxnSource + ?Sized>(
                 debug_assert_eq!(offered[fl.admitted] as usize, arr_index);
                 lane.stats.admitted += 1;
                 // Slot idle ⟺ the bank is not serving (fast-path invariant),
-                // and the slot is already hot from the scan above.
-                if slots[b] == SlotKey::IDLE && fl.started == fl.admitted {
+                // and the slot is already hot from the scan in `pop`.
+                if !events.is_pending(b) && fl.started == fl.admitted {
                     // Idle bank, empty queue: straight into service.
                     lane.stats.wait_ns.push(0.0);
-                    slots[b] = SlotKey::new(now + service[fl.admitted], next_seq);
+                    events.schedule(b, now + service[fl.admitted]);
                     fl.admitted += 1;
                     fl.started += 1;
                     fl.start_ns = now;
-                    next_seq += 1;
                 } else {
                     // `Lane::admit` at the queue tail: same counter and
                     // depth-integral updates.
@@ -1116,15 +1099,11 @@ fn fcfs_unbounded_loop<S: TxnSource + ?Sized>(
                     cursor += 1;
                     arr_index = next as usize;
                     arr_txn = trace.get(arr_index);
-                    arr_slot = SlotKey::new(arr_txn.arrival_ns as f64, next_seq);
-                    next_seq += 1;
-                } else {
-                    arr_slot = SlotKey::IDLE;
+                    events.schedule_source(arr_txn.arrival_ns as f64);
                 }
             }
-            Some(bank) => {
-                // Event::Complete.
-                slots[bank] = SlotKey::IDLE;
+            Due::Slot(bank) => {
+                // A bank completes.
                 let lane = &mut lanes[bank];
                 let fl = &mut fast[bank];
                 let trace_index = offered[fl.started - 1] as usize;
@@ -1149,12 +1128,12 @@ fn fcfs_unbounded_loop<S: TxnSource + ?Sized>(
                     let head = offered[fl.started] as usize;
                     let admit_ns = trace.get(head).arrival_ns as f64;
                     lane.stats.wait_ns.push(now - admit_ns);
-                    slots[bank] = SlotKey::new(now + service[fl.started], next_seq);
+                    events.schedule(bank, now + service[fl.started]);
                     fl.started += 1;
                     fl.start_ns = now;
-                    next_seq += 1;
                 }
             }
+            Due::Extra(_) => unreachable!("the fast path schedules no extra events"),
         }
     }
     end_ns
@@ -1168,12 +1147,7 @@ fn fcfs_unbounded_loop<S: TxnSource + ?Sized>(
 /// failed: their count is reconstructed arithmetically and the re-offer
 /// lands on the first grid point at or after `now`. If a fresh arrival
 /// steals the slot first, the re-offer parks again at the back of the FIFO.
-fn wake_parked(
-    lane: &mut Lane,
-    events: &mut EventQueue<Event>,
-    backpressure: Backpressure,
-    now: f64,
-) {
+fn wake_parked(lane: &mut Lane, events: &mut EventSlots, backpressure: Backpressure, now: f64) {
     let Backpressure::Retry { delay_ns } = backpressure else {
         return;
     };
@@ -1190,13 +1164,7 @@ fn wake_parked(
         lane.stats.retried_admissions += skipped as u64;
         next_poll += skipped * delay_ns;
     }
-    events.schedule(
-        next_poll,
-        Event::Arrive {
-            trace_index: parked.trace_index as usize,
-            fresh: false,
-        },
-    );
+    events.schedule_extra(next_poll, parked.trace_index);
 }
 
 /// A trace transaction entering its lane at `now`.

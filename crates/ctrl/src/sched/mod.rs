@@ -12,9 +12,10 @@
 //! This module supplies the missing piece as a classic discrete-event
 //! simulation:
 //!
-//! * [`EventQueue`] — a deterministic min-heap of timestamped events over
-//!   std's `BinaryHeap` (insertion-order tie-breaking, NaN-free by
-//!   construction).
+//! * `event` — the deterministic event core: a source slot, a fixed set of
+//!   per-bank event slots and the one sequence counter, popped in exact
+//!   `(time, insertion order)` order by a linear scan. The frontend's loops
+//!   and the chip's channel loops all run on it.
 //! * [`BankQueue`] — bounded per-bank admission queues over a `VecDeque`
 //!   that encode the per-address ordering rule every policy must obey.
 //! * [`Policy`] — pluggable dispatch: FCFS, read-priority with write
@@ -37,12 +38,11 @@
 //! stored state, same audit counters — while additionally reporting sojourn
 //! quantiles, occupancy and backpressure counts.
 
-pub mod event;
+pub(crate) mod event;
 pub mod frontend;
 pub mod policy;
 pub mod queue;
 
-pub use event::EventQueue;
 pub use frontend::{
     Backpressure, Completion, CompletionIter, CompletionLog, Frontend, FrontendConfig, MarchConfig,
     SchedRun,
