@@ -90,18 +90,6 @@ impl BitlineSpec {
             .with_tap_capacitance(self.cells_per_bitline, load)
             .elmore_delay()
     }
-
-    /// Total line capacitance (for settling-time estimates).
-    #[must_use]
-    pub fn total_capacitance(&self) -> Farads {
-        self.segment_capacitance * self.cells_per_bitline as f64
-    }
-
-    /// Total line resistance.
-    #[must_use]
-    pub fn total_resistance(&self) -> Ohms {
-        self.segment_resistance * self.cells_per_bitline as f64
-    }
 }
 
 #[cfg(test)]
@@ -135,13 +123,6 @@ mod tests {
         // The C1/C2 load dominates the wire: 50 fF × 256 Ω = 12.8 ps extra.
         let extra = (loaded - bare).get();
         assert!((extra - 50e-15 * 256.0).abs() < 1e-18);
-    }
-
-    #[test]
-    fn totals_scale_with_cell_count() {
-        let spec = BitlineSpec::date2010_chip();
-        assert_eq!(spec.total_resistance(), Ohms::new(256.0));
-        assert!((spec.total_capacitance().get() - 192e-15).abs() < 1e-27);
     }
 
     #[test]

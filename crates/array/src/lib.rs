@@ -42,7 +42,6 @@ pub mod cell;
 pub mod cost;
 pub mod fault;
 pub mod geometry;
-pub mod wordline;
 
 pub use array::{Address, Array, ArraySpec, StatePlane};
 pub use bitline::BitlineSpec;
@@ -50,4 +49,3 @@ pub use cell::{AccessTransistor, Cell, CellSpec};
 pub use cost::{OperationCost, Phase, PhaseKind};
 pub use fault::{run_with_power_failure, OperationStep, PowerFailure, PowerFailureOutcome};
 pub use geometry::CellGeometry;
-pub use wordline::WordlineSpec;
