@@ -53,7 +53,7 @@ pub(crate) enum Due {
 /// A source slot, a fixed number of event slots holding at most one
 /// pending event each, a list of extra events, and the one sequence
 /// counter they all draw from.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct EventSlots {
     source: SlotKey,
     slots: Vec<SlotKey>,
@@ -192,8 +192,8 @@ mod tests {
     impl<E> Eq for Scheduled<E> {}
 
     /// The reference model: a min-heap of timestamped events that breaks
-    /// ties by insertion order — what every loop ran on before
-    /// [`EventSlots`].
+    /// ties by insertion order, with no bound on pending events per
+    /// source.
     struct EventQueue<E> {
         heap: BinaryHeap<Scheduled<E>>,
         seq: u64,
