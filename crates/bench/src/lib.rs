@@ -12,8 +12,8 @@
 //! cargo run --release -p stt-bench --bin repro -- all
 //! ```
 //!
-//! Performance benches (criterion) live under `benches/`:
-//! `cargo bench -p stt-bench`.
+//! Speed is measured by `perfbench/`, a package of its own that builds
+//! against this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

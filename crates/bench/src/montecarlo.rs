@@ -50,10 +50,10 @@ pub fn fig5_read_current() -> Waveform {
 /// preserved), returning the circuit, the read-current driver id, and the
 /// probe nodes.
 ///
-/// This is the same topology as the `transient/fig5_linear_read` criterion
-/// bench: PWL read current 50 µA (I_R1 phase, 2–12 ns) then 100 µA
-/// (I_R2 phase, 12–22 ns), the 1T1J cell lumped to 3.3 kΩ, C1 = 25 fF
-/// switched onto the line during phase 1 and a 10 MΩ + 10 MΩ divider
+/// This is the circuit perfbench's `fig5-mc` workload solves: PWL read
+/// current 50 µA (I_R1 phase, 2–12 ns) then 100 µA (I_R2 phase,
+/// 12–22 ns), the 1T1J cell lumped to 3.3 kΩ, C1 = 25 fF switched onto
+/// the line during phase 1 and a 10 MΩ + 10 MΩ divider
 /// switched on during phase 2. Ladder nodes are created in line order, so
 /// the matrix is narrow-banded and [`SolverBackend::Auto`] picks the banded
 /// backend once the line is long enough.
@@ -272,8 +272,8 @@ impl Fig5Campaign {
 
 /// The `fig5mc` repro experiment: margin statistics of the batched Fig. 5
 /// variation campaign plus the factorization-amortization ledger (the
-/// `factorization_amortization=` field is machine-parsed by `bench.sh` /
-/// `check.sh`).
+/// `factorization_amortization=` field is machine-parsed by
+/// `scripts/check.sh`).
 #[must_use]
 pub fn fig5_mc() -> (Table, String) {
     let campaign = Fig5Campaign::default();

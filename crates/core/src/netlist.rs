@@ -534,31 +534,6 @@ mod tests {
         design.margins(&adapted, &crate::margins::Perturbations::NONE)
     }
 
-    /// The Fig. 5 read on the adaptive-step transient engine instead of the
-    /// fixed 10 ps grid: the differential sampled just before read 2 ends,
-    /// plus the number of time points the engine took.
-    fn run_adaptive(
-        reader: &TransientRead,
-        cell: &Cell,
-        state: ResistanceState,
-        lte_tolerance: f64,
-    ) -> (Volts, usize) {
-        let timing = &reader.timing;
-        let t_read2_end = timing.decode + timing.read_settle * 2.0;
-        let total = t_read2_end + timing.sense + timing.latch;
-        let (circuit, nodes) = reader.build_circuit(cell, state);
-        let options = stt_mna::AdaptiveTranOptions::new(total, reader.dt, Seconds::from_nano(0.5))
-            .with_tolerance(lte_tolerance)
-            .from_zero_state();
-        let tran = circuit
-            .transient_adaptive(&options)
-            .expect("adaptive converges");
-        let t_sample = t_read2_end - Seconds::from_pico(50.0);
-        let differential =
-            tran.voltage_at(nodes.c1_top, t_sample) - tran.voltage_at(nodes.v_bo, t_sample);
-        (Volts::new(differential), tran.len())
-    }
-
     /// −3 dB corner of `V_BO` mid-read-2: the Fig. 5 netlist biased with
     /// SLT2 closed and `I_R2` flowing (the MTJ linearised at its operating
     /// point), driven by a unit AC current into the bit-line.
@@ -656,25 +631,6 @@ mod tests {
             "stored-0 differential {} vs analytic {}",
             low.differential,
             analytic.margin0
-        );
-    }
-
-    #[test]
-    fn adaptive_read_matches_fixed_step_with_far_fewer_points() {
-        let (cell, design) = setup();
-        let reader = TransientRead::new(design);
-        let fixed = reader
-            .run(&cell, ResistanceState::AntiParallel)
-            .expect("fixed converges");
-        let (differential, points) =
-            run_adaptive(&reader, &cell, ResistanceState::AntiParallel, 5e-5);
-        assert_eq!(fixed.bit, differential.get() > 0.0);
-        let drift = (fixed.differential - differential).abs();
-        assert!(drift.get() < 0.5e-3, "differential drift {drift}");
-        assert!(
-            points * 2 < fixed.tran.len(),
-            "adaptive {points} points vs fixed {}",
-            fixed.tran.len()
         );
     }
 

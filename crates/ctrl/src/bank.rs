@@ -1634,7 +1634,7 @@ mod tests {
     /// move only with an intended change to simulated results.
     #[test]
     fn read_datapaths_are_pinned_under_soft_errors() {
-        use crate::march::MarchAlgorithm;
+        use crate::march::{DataBackground, MarchAlgorithm};
         use rand::SeedableRng;
 
         let faults = FaultPlan::none()
@@ -1644,7 +1644,10 @@ mod tests {
             .with_read_disturb(0.02);
         // March C− over the first row: 80 steps a pass, so the run below
         // completes a decoded pass and most of a raw one.
-        let march = MarchAlgorithm::CMinus.program().lower(8);
+        let march =
+            MarchAlgorithm::CMinus
+                .program()
+                .lower_with_background(8, 1, DataBackground::Solid);
         let pins = [
             (
                 SchemeKind::Conventional,
@@ -1725,7 +1728,7 @@ mod tests {
     /// results.
     #[test]
     fn drifting_calibrated_banks_are_pinned() {
-        use crate::march::MarchAlgorithm;
+        use crate::march::{DataBackground, MarchAlgorithm};
         use rand::SeedableRng;
 
         let drift = DriftPlan::quiet()
@@ -1745,7 +1748,10 @@ mod tests {
         spec.rows = 16;
         spec.cols = 10;
         spec.bitline.cells_per_bitline = 16;
-        let march = MarchAlgorithm::CMinus.program().lower(160);
+        let march =
+            MarchAlgorithm::CMinus
+                .program()
+                .lower_with_background(160, 1, DataBackground::Solid);
         let calib = CalibConfig::date2010();
         let pins = [
             (SchemeKind::Conventional, 0, 0x3f26_7ab6_caa9_e24f),
@@ -1808,7 +1814,7 @@ mod tests {
     /// intended change to the work a bank does.
     #[test]
     fn drifting_ecc_bank_work_is_pinned() {
-        use crate::march::MarchAlgorithm;
+        use crate::march::{DataBackground, MarchAlgorithm};
         use rand::SeedableRng;
 
         let drift = DriftPlan::quiet().with_transient(ThermalTransient {
@@ -1826,7 +1832,10 @@ mod tests {
         spec.rows = 16;
         spec.cols = 10;
         spec.bitline.cells_per_bitline = 16;
-        let march = MarchAlgorithm::CMinus.program().lower(160);
+        let march =
+            MarchAlgorithm::CMinus
+                .program()
+                .lower_with_background(160, 1, DataBackground::Solid);
         let calib = CalibConfig::date2010();
         let work = |attempts, exact, fills, cell_rebuilds, key_changes| BankWork {
             sense: SenseWork {

@@ -210,22 +210,17 @@ impl MarchProgram {
         self.elements.iter().map(|e| e.ops.len()).sum()
     }
 
-    /// Lowers the program to a flat per-cell schedule over `cells` cells.
+    /// Lowers the program onto a data background: a flat per-cell schedule
+    /// over `cells` cells in which every `0`/`1` in the notation is
+    /// reinterpreted as "background value of the cell" / "its complement",
+    /// i.e. each step's bit is XORed with [`DataBackground::bit`]. A
+    /// [`DataBackground::Solid`] lowering is the textbook one, whatever
+    /// `cols`.
     ///
     /// Each element expands to its full walk before the next element
     /// starts — the March contract — and `Any` orders lower ascending, so
-    /// the schedule is a pure function of `(program, cells)` and identical
+    /// the schedule is a pure function of its arguments and identical
     /// across serial and sharded dispatch.
-    #[must_use]
-    pub fn lower(&self, cells: u32) -> Vec<MarchStep> {
-        self.lower_with_background(cells, 1, DataBackground::Solid)
-    }
-
-    /// Lowers the program onto a data background: every `0`/`1` in the
-    /// notation is reinterpreted as "background value of the cell" / "its
-    /// complement", i.e. each step's bit is XORed with
-    /// [`DataBackground::bit`]. A [`DataBackground::Solid`] lowering equals
-    /// [`MarchProgram::lower`] exactly.
     ///
     /// # Panics
     ///
@@ -269,24 +264,28 @@ impl MarchProgram {
 mod tests {
     use super::*;
 
+    fn solid(program: &MarchProgram, cells: u32) -> Vec<MarchStep> {
+        program.lower_with_background(cells, 1, DataBackground::Solid)
+    }
+
     #[test]
     fn march_c_minus_is_a_10n_test() {
         let program = march_c_minus();
         assert_eq!(program.ops_per_cell(), 10);
-        assert_eq!(program.lower(64).len(), 640);
+        assert_eq!(solid(&program, 64).len(), 640);
     }
 
     #[test]
     fn march_ss_is_a_22n_test() {
         let program = march_ss();
         assert_eq!(program.ops_per_cell(), 22);
-        assert_eq!(program.lower(10).len(), 220);
+        assert_eq!(solid(&program, 10).len(), 220);
     }
 
     #[test]
     fn lowering_expands_each_element_fully_before_the_next() {
         let program = march_c_minus();
-        let steps = program.lower(4);
+        let steps = solid(&program, 4);
         // Element 0 (⇕ w0) covers cells 0..4 ascending first.
         assert_eq!(steps[0].cell, 0);
         assert_eq!(steps[3].cell, 3);
@@ -328,10 +327,16 @@ mod tests {
     #[test]
     fn solid_background_lowering_is_the_textbook_lowering() {
         let program = march_c_minus();
-        assert_eq!(
-            program.lower(64),
-            program.lower_with_background(64, 8, DataBackground::Solid)
-        );
+        let steps = program.lower_with_background(64, 8, DataBackground::Solid);
+        assert_eq!(steps, solid(&program, 64));
+        // Solid XORs nothing: each cell sees the ops as the notation writes them.
+        let cell_ops: Vec<MarchOp> = steps.iter().filter(|s| s.cell == 5).map(|s| s.op).collect();
+        let textbook: Vec<MarchOp> = program
+            .elements
+            .iter()
+            .flat_map(|e| e.ops.clone())
+            .collect();
+        assert_eq!(cell_ops, textbook);
     }
 
     #[test]

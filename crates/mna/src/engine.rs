@@ -213,78 +213,11 @@ impl TranOptions {
     }
 }
 
-/// Options for the adaptive-step transient
-/// ([`Circuit::transient_adaptive`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveTranOptions {
-    /// End time of the simulation (starts at 0).
-    pub t_stop: Seconds,
-    /// Smallest allowed step (also the resolution of switch-event landing).
-    pub dt_min: Seconds,
-    /// Largest allowed step.
-    pub dt_max: Seconds,
-    /// Per-step local-truncation-error tolerance on node voltages (volts).
-    pub lte_tolerance: f64,
-    /// Start from the DC operating point at `t = 0` (otherwise zero state).
-    pub start_from_dc: bool,
-    /// Matrix/factorization management (default: the cached fast path).
-    pub strategy: SolverStrategy,
-    /// Linear-algebra backend (default: automatic per-circuit choice).
-    pub backend: SolverBackend,
-}
-
-impl AdaptiveTranOptions {
-    /// Creates adaptive options with a 1 µV error tolerance, starting from
-    /// DC.
-    #[must_use]
-    pub fn new(t_stop: Seconds, dt_min: Seconds, dt_max: Seconds) -> Self {
-        Self {
-            t_stop,
-            dt_min,
-            dt_max,
-            lte_tolerance: 1e-6,
-            start_from_dc: true,
-            strategy: SolverStrategy::default(),
-            backend: SolverBackend::default(),
-        }
-    }
-
-    /// Sets the per-step voltage error tolerance.
-    #[must_use]
-    pub fn with_tolerance(mut self, lte_tolerance: f64) -> Self {
-        self.lte_tolerance = lte_tolerance;
-        self
-    }
-
-    /// Starts from an all-zero state instead of the DC operating point.
-    #[must_use]
-    pub fn from_zero_state(mut self) -> Self {
-        self.start_from_dc = false;
-        self
-    }
-
-    /// Selects the solver strategy (see [`SolverStrategy`]).
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: SolverStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Selects the linear-algebra backend (see [`SolverBackend`]).
-    #[must_use]
-    pub fn with_backend(mut self, backend: SolverBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-}
-
 /// Result of a DC operating-point analysis.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DcResult {
     /// Node voltages indexed by node index (ground included as 0.0).
     voltages: Vec<f64>,
-    /// Branch currents per voltage source.
-    source_currents: Vec<f64>,
 }
 
 impl DcResult {
@@ -296,17 +229,6 @@ impl DcResult {
     #[must_use]
     pub fn voltage(&self, node: Node) -> f64 {
         self.voltages[node.index()]
-    }
-
-    /// Current through voltage source `id` (positive flowing from its `pos`
-    /// terminal through the source to `neg`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id does not belong to the analysed circuit.
-    #[must_use]
-    pub fn source_current(&self, id: SourceId) -> f64 {
-        self.source_currents[id.0]
     }
 }
 
@@ -543,7 +465,7 @@ impl BatchTranResult {
 /// over `width` lanes: entry `cap·width + m` belongs to the `cap`-th
 /// capacitor (in element order) of lane `m`. A batch runs one lane per
 /// member; the sequential analyses run one lane.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct CapLanes {
     width: usize,
     /// Voltage across each capacitor.
@@ -552,14 +474,6 @@ struct CapLanes {
     i: Vec<f64>,
     /// `width` zeros: the lanes of the ground node.
     ground: Vec<f64>,
-}
-
-impl CapLanes {
-    /// Overwrites this state with `source`'s, keeping the allocations.
-    fn copy_from(&mut self, source: &CapLanes) {
-        self.v.copy_from_slice(&source.v);
-        self.i.copy_from_slice(&source.i);
-    }
 }
 
 /// Where element stamps land. Dense stamps go straight to matrix
@@ -710,7 +624,7 @@ impl MatrixStore {
 
 /// Reusable buffers for one analysis run: the matrix store (working matrix
 /// plus LU with its reuse key), RHS, and Newton iterate. Created once per
-/// `transient`/`transient_adaptive`/`dc_operating_point` call and threaded
+/// `transient`/`dc_operating_point` call and threaded
 /// through every solve, eliminating all per-step heap allocation.
 #[derive(Debug)]
 pub(crate) struct SolveWorkspace {
@@ -858,13 +772,7 @@ impl Circuit {
         let nodes = self.node_count();
         let mut voltages = vec![0.0; nodes];
         voltages[1..nodes].copy_from_slice(&solution[..(nodes - 1)]);
-        let source_currents = (0..self.vsource_count)
-            .map(|branch| solution[self.branch_row(branch)])
-            .collect();
-        DcResult {
-            voltages,
-            source_currents,
-        }
+        DcResult { voltages }
     }
 
     /// Runs a transient analysis.
@@ -1187,185 +1095,6 @@ impl Circuit {
             .map_err(|source| AnalysisError::Singular { source, time: t })?;
         ws.telemetry.solves += values.len();
         Ok(())
-    }
-
-    /// Runs an adaptive-step transient with step-doubling local-truncation
-    /// error control (backward Euler throughout — robust across switch
-    /// events, with Richardson extrapolation recovering second-order
-    /// accuracy on the accepted states).
-    ///
-    /// Each candidate step of size `h` is computed twice: once directly and
-    /// once as two half steps. The difference estimates the local error; a
-    /// step is accepted when it is below `options.lte_tolerance`, and the
-    /// step size follows the usual `(tol/err)^½` controller within
-    /// `[dt_min, dt_max]`. Steps never straddle a switch event or `t_stop`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalysisError`] on invalid options, singular systems or
-    /// Newton non-convergence at any attempted point.
-    pub fn transient_adaptive(
-        &self,
-        options: &AdaptiveTranOptions,
-    ) -> Result<TranResult, AnalysisError> {
-        if options.t_stop.get() <= 0.0 {
-            return Err(AnalysisError::InvalidOptions(
-                "t_stop must be positive".to_string(),
-            ));
-        }
-        if options.dt_min.get() <= 0.0
-            || options.dt_min > options.dt_max
-            || options.dt_max > options.t_stop
-        {
-            return Err(AnalysisError::InvalidOptions(
-                "need 0 < dt_min ≤ dt_max ≤ t_stop".to_string(),
-            ));
-        }
-        if options.lte_tolerance <= 0.0 {
-            return Err(AnalysisError::InvalidOptions(
-                "lte_tolerance must be positive".to_string(),
-            ));
-        }
-
-        // Breakpoints the stepper must land on exactly.
-        let mut breakpoints: Vec<f64> = self
-            .switch_event_times()
-            .into_iter()
-            .map(Seconds::get)
-            .filter(|&event| event > 0.0 && event < options.t_stop.get())
-            .collect();
-        breakpoints.push(options.t_stop.get());
-        breakpoints.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-        breakpoints.dedup_by(|a, b| (*a - *b).abs() < 1e-18);
-
-        // Initial state (same policy as the fixed-step transient).
-        let mut ws = self.workspace(options.strategy, options.backend);
-        let mut solution = vec![0.0; self.dim()];
-        if options.start_from_dc {
-            self.solve_point_with(
-                &mut ws,
-                Seconds::ZERO,
-                &solution,
-                None,
-                Integrator::BackwardEuler,
-            )?;
-            solution.copy_from_slice(&ws.x);
-        }
-        let mut caps = self.initial_cap_lanes(&solution, 1);
-        // Step-doubling scratch buffers, reused across all attempts.
-        let mut half_caps = caps.clone();
-        let mut full = vec![0.0; self.dim()];
-        let mut mid = vec![0.0; self.dim()];
-        let mut half = vec![0.0; self.dim()];
-
-        let nodes = self.node_count();
-        let mut times = vec![0.0];
-        let mut traces: Vec<Vec<f64>> = vec![Vec::new(); nodes];
-        let record = |x: &[f64], traces: &mut Vec<Vec<f64>>| {
-            traces[0].push(0.0);
-            for index in 1..nodes {
-                traces[index].push(x[index - 1]);
-            }
-        };
-        record(&solution, &mut traces);
-
-        let voltage_entries = self.node_count() - 1;
-        let mut t = 0.0;
-        let mut h = options.dt_min.max(options.dt_max * 0.01).get();
-        let mut next_breakpoint = 0usize;
-        // Generous cap: dt_min bounds the step count, ×8 for rejections.
-        let max_iterations = (options.t_stop.get() / options.dt_min.get()).ceil() as usize * 8;
-        let mut guard = 0usize;
-        while t < options.t_stop.get() - 1e-18 {
-            guard += 1;
-            if guard > max_iterations {
-                return Err(AnalysisError::NonConvergent {
-                    time: Seconds::new(t),
-                    residual: f64::INFINITY,
-                });
-            }
-            // Clip the step to the next breakpoint.
-            while breakpoints[next_breakpoint] <= t + 1e-18 {
-                next_breakpoint += 1;
-            }
-            let limit = breakpoints[next_breakpoint];
-            let mut step = h.min(limit - t);
-            // Avoid leaving a sliver below dt_min before the breakpoint.
-            if limit - (t + step) < options.dt_min.get() * 0.5 {
-                step = limit - t;
-            }
-
-            // Full step.
-            let t_full = Seconds::new(t + step);
-            self.solve_point_with(
-                &mut ws,
-                t_full,
-                &solution,
-                Some((&caps, step)),
-                Integrator::BackwardEuler,
-            )?;
-            full.copy_from_slice(&ws.x);
-            // Two half steps on a copy of the capacitor state.
-            half_caps.copy_from(&caps);
-            let t_mid = Seconds::new(t + 0.5 * step);
-            self.solve_point_with(
-                &mut ws,
-                t_mid,
-                &solution,
-                Some((&half_caps, 0.5 * step)),
-                Integrator::BackwardEuler,
-            )?;
-            mid.copy_from_slice(&ws.x);
-            self.advance_cap_lanes(&mid, &mut half_caps, Integrator::BackwardEuler, 0.5 * step);
-            self.solve_point_with(
-                &mut ws,
-                t_full,
-                &mid,
-                Some((&half_caps, 0.5 * step)),
-                Integrator::BackwardEuler,
-            )?;
-            half.copy_from_slice(&ws.x);
-
-            let mut error = 0.0f64;
-            for index in 0..voltage_entries {
-                error = error.max((full[index] - half[index]).abs());
-            }
-
-            if error <= options.lte_tolerance || step <= options.dt_min.get() * (1.0 + 1e-9) {
-                // Accept: Richardson-extrapolate the voltages (2x_half −
-                // x_full kills the first-order error term), then advance
-                // the true capacitor state with the two half steps.
-                self.advance_cap_lanes(
-                    &half,
-                    &mut half_caps,
-                    Integrator::BackwardEuler,
-                    0.5 * step,
-                );
-                std::mem::swap(&mut caps, &mut half_caps);
-                for ((slot, h_v), f_v) in solution.iter_mut().zip(&half).zip(&full) {
-                    *slot = 2.0 * h_v - f_v;
-                }
-                t += step;
-                times.push(t);
-                record(&solution, &mut traces);
-                // Grow/shrink for the next step (first-order controller).
-                let factor = if error > 0.0 {
-                    (0.8 * (options.lte_tolerance / error).sqrt()).clamp(0.2, 2.0)
-                } else {
-                    2.0
-                };
-                h = (step * factor).clamp(options.dt_min.get(), options.dt_max.get());
-            } else {
-                // Reject and retry with half the step.
-                h = (0.5 * step).max(options.dt_min.get());
-            }
-        }
-
-        Ok(TranResult {
-            times,
-            traces,
-            telemetry: ws.telemetry,
-        })
     }
 
     /// The capacitor state at the start of a transient over `width` lanes
@@ -2018,16 +1747,12 @@ mod tests {
         let mut circuit = Circuit::new();
         let top = circuit.node("top");
         let mid = circuit.node("mid");
-        let source = circuit.voltage_source(top, Node::GROUND, Waveform::Dc(2.0));
+        circuit.voltage_source(top, Node::GROUND, Waveform::Dc(2.0));
         circuit.resistor(top, mid, Ohms::from_kilo(1.0));
         circuit.resistor(mid, Node::GROUND, Ohms::from_kilo(3.0));
         let op = circuit.dc_operating_point(Seconds::ZERO).expect("linear");
         assert!((op.voltage(mid) - 1.5).abs() < 1e-6, "GMIN leak stays tiny");
         assert_eq!(op.voltage(Node::GROUND), 0.0);
-        // 2 V across 4 kΩ: 0.5 mA flows out of the + terminal, so the branch
-        // current (pos → through source → neg) is −0.5 mA.
-        assert!((op.source_current(source) + 0.5e-3).abs() < 1e-9);
-        assert!((op.voltage(mid) - 1.5).abs() < 1e-6);
     }
 
     #[test]
@@ -2176,14 +1901,14 @@ mod tests {
         let gate = circuit.node("gate");
         let supply = circuit.node("vdd");
         circuit.voltage_source(gate, Node::GROUND, Waveform::Dc(1.0));
-        let vdd = circuit.voltage_source(supply, Node::GROUND, Waveform::Dc(1.8));
+        circuit.voltage_source(supply, Node::GROUND, Waveform::Dc(1.8));
         circuit.resistor(supply, drain, Ohms::new(100.0));
         let params = MosfetParams::new(0.4, 1e-3, 0.0);
         circuit.mosfet(drain, gate, Node::GROUND, params);
         let op = circuit.dc_operating_point(Seconds::ZERO).expect("newton");
         // Vov = 0.6; Id = k/2·Vov² = 180 µA; drop over 100 Ω = 18 mV, so
         // Vds = 1.782 V ≫ Vov: saturation confirmed.
-        let i_d = -op.source_current(vdd);
+        let i_d = (op.voltage(supply) - op.voltage(drain)) / 100.0;
         assert!((i_d - 180e-6).abs() < 1e-6, "drain current {i_d}");
         assert!((op.voltage(drain) - 1.782).abs() < 1e-3);
     }
@@ -2347,20 +2072,6 @@ mod tests {
     }
 
     #[test]
-    fn vcvs_output_branch_current_is_reported() {
-        let mut circuit = Circuit::new();
-        let in_p = circuit.node("in_p");
-        let out = circuit.node("out");
-        circuit.voltage_source(in_p, Node::GROUND, Waveform::Dc(1.0));
-        let amp = circuit.vcvs(out, Node::GROUND, in_p, Node::GROUND, 2.0);
-        circuit.resistor(out, Node::GROUND, Ohms::from_kilo(1.0));
-        let op = circuit.dc_operating_point(Seconds::ZERO).expect("vcvs");
-        // 2 V across 1 kΩ: the VCVS sources 2 mA, so its branch current
-        // (pos → through source) is −2 mA.
-        assert!((op.source_current(amp) + 2e-3).abs() < 1e-9);
-    }
-
-    #[test]
     fn vcvs_in_unity_feedback_follows() {
         // out = A(in − out) ⇒ out = in·A/(1+A): the auto-zero idiom.
         let mut circuit = Circuit::new();
@@ -2413,179 +2124,6 @@ mod tests {
         assert!((early - 0.2).abs() < 0.02, "early {early}");
         let late = result.voltage_at(top, nanos(5.0));
         assert!(late > 0.95, "late {late}");
-    }
-
-    #[test]
-    fn adaptive_rc_matches_analytic() {
-        let mut circuit = Circuit::new();
-        let input = circuit.node("in");
-        let output = circuit.node("out");
-        circuit.voltage_source(input, Node::GROUND, Waveform::Dc(1.0));
-        circuit.resistor(input, output, Ohms::from_kilo(1.0));
-        circuit.capacitor(output, Node::GROUND, Farads::from_pico(1.0));
-        let options = AdaptiveTranOptions::new(nanos(5.0), nanos(0.001), nanos(0.5))
-            .with_tolerance(1e-5)
-            .from_zero_state();
-        let result = circuit.transient_adaptive(&options).expect("adaptive");
-        for t_ns in [0.3, 1.0, 2.5, 4.5] {
-            let simulated = result.voltage_at(output, nanos(t_ns));
-            let analytic = 1.0 - (-t_ns).exp();
-            // Interpolation between the (coarse) accepted points dominates
-            // the probe error, not the integration itself.
-            assert!(
-                (simulated - analytic).abs() < 2e-3,
-                "at {t_ns} ns: {simulated} vs {analytic}"
-            );
-        }
-        // The step controller must have grown past the initial step: far
-        // fewer points than a fixed fine grid would need for this accuracy.
-        assert!(
-            result.len() < 400,
-            "adaptive run took {} points; expected growth to coarse steps",
-            result.len()
-        );
-        assert!(
-            (result.times().last().copied().expect("points") - 5e-9).abs() < 1e-18,
-            "must end exactly at t_stop"
-        );
-    }
-
-    #[test]
-    fn adaptive_concentrates_points_where_the_signal_moves() {
-        // An RC driven by a late pulse: the stepper should spend its points
-        // around the edges, not on the flat 20 ns head.
-        let mut circuit = Circuit::new();
-        let input = circuit.node("in");
-        let output = circuit.node("out");
-        circuit.voltage_source(
-            input,
-            Node::GROUND,
-            Waveform::pulse(0.0, 1.0, nanos(20.0), nanos(0.5), nanos(0.5), nanos(5.0)),
-        );
-        circuit.resistor(input, output, Ohms::from_kilo(1.0));
-        circuit.capacitor(output, Node::GROUND, Farads::from_pico(1.0));
-        let options = AdaptiveTranOptions::new(nanos(40.0), nanos(0.002), nanos(2.0))
-            .with_tolerance(1e-5)
-            .from_zero_state();
-        let result = circuit.transient_adaptive(&options).expect("adaptive");
-        let head_points = result.times().iter().filter(|&&t| t < 19e-9).count();
-        let edge_points = result
-            .times()
-            .iter()
-            .filter(|&&t| (20e-9..27e-9).contains(&t))
-            .count();
-        assert!(
-            edge_points > 2 * head_points,
-            "edges {edge_points} vs head {head_points}"
-        );
-        // Accuracy on the plateau: v(25 ns) = 1 − e^{−4.5} after the ramp
-        // ends at 20.5 ns (τ = 1 ns).
-        let plateau = result.voltage_at(output, nanos(25.0));
-        let analytic = 1.0 - (-4.5f64).exp();
-        assert!(
-            (plateau - analytic).abs() < 5e-3,
-            "plateau {plateau} vs {analytic}"
-        );
-    }
-
-    #[test]
-    fn adaptive_lands_on_switch_events() {
-        let mut circuit = Circuit::new();
-        let bl = circuit.node("bl");
-        let hold = circuit.node("hold");
-        circuit.current_source(bl, Node::GROUND, Waveform::Dc(100e-6));
-        circuit.resistor(bl, Node::GROUND, Ohms::from_kilo(3.0));
-        circuit.switch(
-            bl,
-            hold,
-            Ohms::new(200.0),
-            Ohms::from_mega(1000.0),
-            SwitchSchedule::closed_during(Seconds::new(1.7321e-9), nanos(6.0)),
-        );
-        circuit.capacitor(hold, Node::GROUND, Farads::from_femto(25.0));
-        let options = AdaptiveTranOptions::new(nanos(10.0), nanos(0.002), nanos(1.0))
-            .with_tolerance(1e-5)
-            .from_zero_state();
-        let result = circuit.transient_adaptive(&options).expect("adaptive");
-        assert!(
-            result
-                .times()
-                .iter()
-                .any(|&t| (t - 1.7321e-9).abs() < 1e-15),
-            "must land exactly on the switch closing time"
-        );
-        // And the sample-hold still works.
-        let held = result.voltage_at(hold, nanos(10.0));
-        assert!((held - 0.3).abs() < 1e-3, "held {held}");
-    }
-
-    #[test]
-    fn adaptive_agrees_with_fixed_step() {
-        let build = || {
-            let mut circuit = Circuit::new();
-            let input = circuit.node("in");
-            let output = circuit.node("out");
-            circuit.voltage_source(
-                input,
-                Node::GROUND,
-                Waveform::pwl(vec![
-                    (Seconds::ZERO, 0.0),
-                    (nanos(1.0), 0.8),
-                    (nanos(3.0), 0.2),
-                    (nanos(6.0), 1.0),
-                ]),
-            );
-            circuit.resistor(input, output, Ohms::from_kilo(2.0));
-            circuit.capacitor(output, Node::GROUND, Farads::from_pico(0.5));
-            (circuit, output)
-        };
-        let (circuit, out) = build();
-        let fixed = circuit
-            .transient(&TranOptions::new(nanos(8.0), nanos(0.001)).from_zero_state())
-            .expect("fixed");
-        let (circuit, _) = build();
-        let adaptive = circuit
-            .transient_adaptive(
-                &AdaptiveTranOptions::new(nanos(8.0), nanos(0.001), nanos(0.5))
-                    .with_tolerance(1e-6)
-                    .from_zero_state(),
-            )
-            .expect("adaptive");
-        for t_ns in [0.5, 2.0, 4.0, 7.5] {
-            let a = adaptive.voltage_at(out, nanos(t_ns));
-            let f = fixed.voltage_at(out, nanos(t_ns));
-            assert!(
-                (a - f).abs() < 1e-3,
-                "at {t_ns} ns: adaptive {a} vs fixed {f}"
-            );
-        }
-        assert!(
-            adaptive.len() < fixed.len() / 2,
-            "adaptive {} points vs fixed {}",
-            adaptive.len(),
-            fixed.len()
-        );
-    }
-
-    #[test]
-    fn adaptive_rejects_bad_options() {
-        let mut circuit = Circuit::new();
-        let a = circuit.node("a");
-        circuit.resistor(a, Node::GROUND, Ohms::new(1.0));
-        let err = circuit
-            .transient_adaptive(&AdaptiveTranOptions::new(
-                nanos(1.0),
-                nanos(2.0),
-                nanos(0.5),
-            ))
-            .expect_err("dt_min > dt_max");
-        assert!(matches!(err, AnalysisError::InvalidOptions(_)));
-        let err = circuit
-            .transient_adaptive(
-                &AdaptiveTranOptions::new(nanos(1.0), nanos(0.01), nanos(0.5)).with_tolerance(-1.0),
-            )
-            .expect_err("negative tolerance");
-        assert!(err.to_string().contains("lte_tolerance"));
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub use circuit::{
 };
 pub use elmore::RcLadder;
 pub use engine::{
-    AdaptiveTranOptions, AnalysisError, BatchMember, BatchTranResult, DcResult, Integrator,
-    SolverBackend, SolverStrategy, TranOptions, TranResult, TranTelemetry,
+    AnalysisError, BatchMember, BatchTranResult, DcResult, Integrator, SolverBackend,
+    SolverStrategy, TranOptions, TranResult, TranTelemetry,
 };
 pub use waveform::Waveform;

@@ -8,7 +8,6 @@
 
 use stt_units::{Amps, Ohms, Seconds};
 
-use crate::curve::TabulatedCurve;
 use crate::model::{ConductanceModel, LinearRolloff, ResistanceCurve, ResistanceModel};
 use crate::switching::SwitchingModel;
 use crate::variation::SampledMtj;
@@ -73,17 +72,6 @@ impl MtjSpec {
     pub fn into_physical_device(self) -> MtjDevice {
         MtjDevice {
             curve: ResistanceCurve::Conductance(ConductanceModel::fit_linear(&self.resistance)),
-            switching: self.switching,
-        }
-    }
-
-    /// Builds the runtime device from a measured-style table sampled off the
-    /// linear calibration with `samples + 1` points up to `I_max`.
-    #[must_use]
-    pub fn into_tabulated_device(self, samples: usize) -> MtjDevice {
-        let table = TabulatedCurve::from_model(&self.resistance, self.resistance.i_max(), samples);
-        MtjDevice {
-            curve: ResistanceCurve::Tabulated(table),
             switching: self.switching,
         }
     }
@@ -166,6 +154,7 @@ impl MtjDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::curve::TabulatedCurve;
 
     #[test]
     fn spec_round_trips_into_linear_device() {
@@ -180,7 +169,8 @@ mod tests {
         let spec = MtjSpec::date2010_typical();
         let linear = spec.clone().into_device();
         let physical = spec.clone().into_physical_device();
-        let tabulated = spec.clone().into_tabulated_device(64);
+        let table = TabulatedCurve::from_model(&spec.resistance, spec.resistance.i_max(), 64);
+        let tabulated = MtjDevice::new(table, spec.switching);
         for i in [Amps::ZERO, Amps::from_micro(200.0)] {
             for state in [ResistanceState::Parallel, ResistanceState::AntiParallel] {
                 let r_lin = linear.resistance(state, i);

@@ -52,7 +52,7 @@ pub use curve::{IvPoint, IvSweep, TabulatedCurve};
 pub use device::{MtjDevice, MtjSpec};
 pub use fit::{fit_from_curve, fit_from_sweep, fit_linear_rolloff, FitRolloffError, RolloffFit};
 pub use model::{ConductanceModel, LinearRolloff, ResistanceCurve, ResistanceModel};
-pub use switching::{SwitchingModel, WritePolarity};
+pub use switching::SwitchingModel;
 pub use thermal::{ThermalFactors, ThermalModel, T_REFERENCE};
 pub use variation::{OxideSensitivity, SampledMtj, VariationModel};
 

@@ -12,41 +12,6 @@
 
 use stt_units::{Amps, Seconds};
 
-use crate::ResistanceState;
-
-/// Direction of the write current through the MTJ stack.
-///
-/// Per the paper's Fig. 1/2 convention, a positive voltage on the free-layer
-/// side (point B) switches anti-parallel → parallel (write "0"), and the
-/// opposite polarity switches parallel → anti-parallel (write "1").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WritePolarity {
-    /// Current polarity that drives the junction to the parallel (low) state.
-    SetParallel,
-    /// Current polarity that drives the junction to the anti-parallel (high) state.
-    SetAntiParallel,
-}
-
-impl WritePolarity {
-    /// The polarity needed to program `target`.
-    #[must_use]
-    pub fn for_state(target: ResistanceState) -> Self {
-        match target {
-            ResistanceState::Parallel => WritePolarity::SetParallel,
-            ResistanceState::AntiParallel => WritePolarity::SetAntiParallel,
-        }
-    }
-
-    /// The state this polarity programs.
-    #[must_use]
-    pub fn target_state(self) -> ResistanceState {
-        match self {
-            WritePolarity::SetParallel => ResistanceState::Parallel,
-            WritePolarity::SetAntiParallel => ResistanceState::AntiParallel,
-        }
-    }
-}
-
 /// Thermal-activation / precessional STT switching model.
 ///
 /// The critical current combines the two classic contributions in one smooth
@@ -262,13 +227,6 @@ impl SwitchingModel {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn polarity_round_trips_through_state() {
-        for state in [ResistanceState::Parallel, ResistanceState::AntiParallel] {
-            assert_eq!(WritePolarity::for_state(state).target_state(), state);
-        }
-    }
 
     #[test]
     fn typical_matches_paper_anchor_point() {

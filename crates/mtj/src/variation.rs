@@ -34,11 +34,10 @@ pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// ```
 /// use stt_mtj::OxideSensitivity;
 ///
-/// // The paper's anchor: +0.1 Å of MgO → ×1.08 resistance.
+/// // The paper's anchor: +0.1 Å of MgO → ×1.08 resistance, so a 0.1 Å
+/// // thickness spread is a lognormal resistance σ of ln 1.08.
 /// let mgo = OxideSensitivity::date2010_mgo();
-/// assert!((mgo.resistance_factor(0.1) - 1.08).abs() < 1e-12);
-/// // Thinner barrier lowers resistance.
-/// assert!(mgo.resistance_factor(-0.1) < 1.0);
+/// assert!((mgo.lognormal_sigma(0.1) - 1.08f64.ln()).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OxideSensitivity {
@@ -69,13 +68,6 @@ impl OxideSensitivity {
     #[must_use]
     pub fn date2010_mgo() -> Self {
         Self::from_measurement(0.1, 1.08)
-    }
-
-    /// Multiplicative resistance factor for a thickness change of
-    /// `delta_angstrom`.
-    #[must_use]
-    pub fn resistance_factor(&self, delta_angstrom: f64) -> f64 {
-        (delta_angstrom / self.lambda_angstrom).exp()
     }
 
     /// The lognormal σ of the resistance factor induced by a Gaussian
@@ -242,14 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn oxide_anchor_point_round_trips() {
-        let mgo = OxideSensitivity::date2010_mgo();
-        assert!((mgo.resistance_factor(0.1) - 1.08).abs() < 1e-12);
-        assert!((mgo.resistance_factor(0.2) - 1.08f64.powi(2)).abs() < 1e-12);
-        assert!((mgo.resistance_factor(0.0) - 1.0).abs() < 1e-15);
-    }
-
-    #[test]
     fn oxide_sigma_conversion_is_linear_in_thickness() {
         let mgo = OxideSensitivity::date2010_mgo();
         let one = mgo.lognormal_sigma(0.1);
@@ -376,13 +360,6 @@ mod tests {
                 device.resistance(ResistanceState::AntiParallel, i)
                     > device.resistance(ResistanceState::Parallel, i)
             );
-        }
-
-        #[test]
-        fn prop_oxide_factor_monotone(d1 in -1.0f64..1.0, d2 in -1.0f64..1.0) {
-            let mgo = OxideSensitivity::date2010_mgo();
-            let (thin, thick) = if d1 <= d2 { (d1, d2) } else { (d2, d1) };
-            prop_assert!(mgo.resistance_factor(thin) <= mgo.resistance_factor(thick));
         }
     }
 }

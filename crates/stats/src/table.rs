@@ -66,14 +66,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Appends a row of numbers formatted with `precision` decimal places.
-    pub fn push_numeric_row<I>(&mut self, row: I, precision: usize)
-    where
-        I: IntoIterator<Item = f64>,
-    {
-        self.push_row(row.into_iter().map(|x| format!("{x:.precision$}")));
-    }
-
     /// Number of data rows.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -209,16 +201,6 @@ mod tests {
         assert!(csv.contains("\"has,comma\""));
         assert!(csv.contains("\"has\"\"quote\""));
         assert!(csv.contains("\"multi\nline\""));
-    }
-
-    #[test]
-    fn numeric_rows_respect_precision() {
-        let mut table = Table::new(["x", "y"]);
-        table.push_numeric_row([1.23456, 2.0], 2);
-        assert_eq!(
-            table.rows()[0],
-            vec!["1.23".to_string(), "2.00".to_string()]
-        );
     }
 
     #[test]

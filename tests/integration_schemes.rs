@@ -8,7 +8,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stt_array::{Address, ArraySpec, Cell, CellSpec};
-use stt_mtj::{MtjSpec, ResistanceState};
+use stt_mtj::{MtjDevice, MtjSpec, ResistanceState, TabulatedCurve};
 use stt_sense::robustness::{allowable_delta_rt_destructive, allowable_delta_rt_nondestructive};
 use stt_sense::{
     ConventionalScheme, DesignPoint, DestructiveScheme, NondestructiveDesign, NondestructiveScheme,
@@ -70,10 +70,12 @@ fn sensing_works_on_all_three_resistance_models() {
     // scheme is model-agnostic as long as the roll-off asymmetry holds.
     let spec = CellSpec::date2010_chip();
     let transistor = *spec.nominal_cell().transistor();
+    let typical = MtjSpec::date2010_typical();
+    let table = TabulatedCurve::from_model(&typical.resistance, typical.resistance.i_max(), 64);
     let devices = [
-        MtjSpec::date2010_typical().into_device(),
-        MtjSpec::date2010_typical().into_physical_device(),
-        MtjSpec::date2010_typical().into_tabulated_device(64),
+        typical.clone().into_device(),
+        typical.clone().into_physical_device(),
+        MtjDevice::new(table, typical.switching),
     ];
     let mut rng = StdRng::seed_from_u64(3);
     for (index, device) in devices.into_iter().enumerate() {
