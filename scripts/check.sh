@@ -181,4 +181,26 @@ cargo run --release -q -p stt-bench --bin trafficsim -- \
     --load-sweep --ops 1000 --csv "$smoke_dir" > /dev/null
 test -s "$smoke_dir/load_sweep.csv"
 
+# The smoke CSVs are deterministic, so each must hash to its pin: a change
+# that moves a column, its order or its formatting fails here. A pin moves
+# only in a commit that changes the model on purpose, and that commit says
+# why.
+echo "==> trafficsim smoke CSV pins (sha256)"
+for pin in \
+    traffic.csv:3d669c1d8abfc9ac34532a808f22389c41ee43636a0f956fae58ded9d7524a4a \
+    topology_sweep.csv:c9efe523e61410fe4beab975d8ae7319608f294adffc2bd5a7c8600b26abee51 \
+    march_sweep.csv:df3b8357db51e78affa073dc5a2c75dba53408ee7a9ced44f996c037d6aefe0c \
+    thermal_sweep.csv:838dfa91ce766087682944cd8c75876e2f9b8cd954e44d570d724d17e60a26a7 \
+    reliability_sweep.csv:7ef1411d44852564e5b8ab33773e09040d8d081b37b5d9754d4aba1b56787908 \
+    load_sweep.csv:1bb4c6d4edfe5c5e6017c4046f164d8f4846efb877f28bfc859bd63ecbb6e4a6; do
+    file="${pin%%:*}"
+    expected="${pin##*:}"
+    actual="$(sha256sum "$smoke_dir/$file" | cut -d' ' -f1)"
+    if [ "$actual" != "$expected" ]; then
+        echo "    FAIL: $file sha256: expected $expected, actual $actual"
+        exit 1
+    fi
+    echo "    $file: $actual"
+done
+
 echo "all checks passed"
