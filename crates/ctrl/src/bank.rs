@@ -309,7 +309,7 @@ impl Bank {
             }
         });
         let nominal = spec.cell.nominal_cell();
-        let mut telemetry = BankTelemetry::new();
+        let mut telemetry = BankTelemetry::default();
         let ecc = config.ecc.is_enabled().then(|| {
             let words = word_count(spec.capacity_bits());
             telemetry.ecc.words_total = words as u64;

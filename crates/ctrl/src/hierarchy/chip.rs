@@ -224,15 +224,7 @@ impl ChipTelemetry {
     /// counters.
     #[must_use]
     pub fn aggregate(&self) -> BankTelemetry {
-        let mut banks = self.banks.iter();
-        let mut total = banks
-            .next()
-            .map(|(_, telemetry)| telemetry.clone())
-            .unwrap_or_default();
-        for (_, bank) in banks {
-            total.merge(bank);
-        }
-        total
+        crate::telemetry::aggregate(self.banks.iter().map(|(_, telemetry)| telemetry))
     }
 
     /// Per-channel roll-up of the resident banks' counters.
@@ -536,9 +528,7 @@ struct ChannelSim<'a> {
     group_bus_free: Vec<f64>,
     channel_bus_free: f64,
     outstanding: usize,
-    max_outstanding: u64,
     end_ns: f64,
-    completed: u64,
 }
 
 impl<'a> ChannelSim<'a> {
@@ -562,9 +552,7 @@ impl<'a> ChannelSim<'a> {
             group_bus_free: vec![0.0; topology.ranks * topology.groups],
             channel_bus_free: 0.0,
             outstanding: 0,
-            max_outstanding: 0,
             end_ns: 0.0,
-            completed: 0,
         }
     }
 
@@ -592,7 +580,7 @@ impl<'a> ChannelSim<'a> {
         let local = txn.bank - self.first_bank;
         self.stats.issued += 1;
         self.outstanding += 1;
-        self.max_outstanding = self.max_outstanding.max(self.outstanding as u64);
+        self.stats.max_outstanding = self.stats.max_outstanding.max(self.outstanding as u64);
         let bank =
             banks[local].get_or_insert_with(|| Box::new(Bank::new(txn.bank, self.bank_config)));
         let lane = self.lanes[local].get_or_insert_with(|| Lane::with_capacity_hint(usize::MAX, 0));
@@ -630,7 +618,6 @@ impl<'a> ChannelSim<'a> {
         let lane = self.lanes[local].as_mut().expect("completion without lane");
         lane.retire(now);
         self.stats.completed += 1;
-        self.completed += 1;
         self.outstanding -= 1;
         self.end_ns = self.end_ns.max(now);
         let bank = banks[local].as_mut().expect("completion without bank");
@@ -654,11 +641,10 @@ impl<'a> ChannelSim<'a> {
                 .get_or_insert_with(QueueTelemetry::default)
                 .merge(&lane.stats);
         }
-        self.stats.max_outstanding = self.max_outstanding;
         self.stats.horizon_ns = self.end_ns;
         state.stats.merge(&self.stats);
         state.last_end_ns = self.end_ns;
-        state.last_completed = self.completed;
+        state.last_completed = self.stats.completed;
     }
 }
 

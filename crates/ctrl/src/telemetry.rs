@@ -236,52 +236,112 @@ const LATENCY_HIGH_NS: f64 = 100.0;
 /// Number of read-latency histogram bins: 2 ns each.
 const LATENCY_BINS: usize = 50;
 
-/// Queueing counters for one bank, filled only by the event-driven
-/// [`sched`](crate::sched) frontend (serial replay has no queues, so these
-/// stay zero there).
+/// Declares a telemetry struct once, as a field table. Each entry gives
+/// the field's doc comment, name and type, an optional initial value
+/// (`= expr`, else `Default::default()`) and its merge rule:
 ///
-/// Sojourn time is measured from a transaction's *arrival* (its timestamp in
-/// the trace) to its completion, so it includes admission stalls, queueing
-/// delay and service; waiting time is measured from admission into the bank
-/// queue to the start of service.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct QueueTelemetry {
-    /// Transactions admitted into the bank queue (or started directly).
-    pub admitted: u64,
-    /// Transactions served to completion.
-    pub completed: u64,
-    /// Transactions dropped on a full queue under
-    /// [`Backpressure::Drop`](crate::sched::Backpressure).
-    pub dropped: u64,
-    /// Admissions that stalled on a full queue under
-    /// [`Backpressure::Stall`](crate::sched::Backpressure).
-    pub stalls: u64,
-    /// Total time admission spent stalled (nanoseconds).
-    pub stall_time_ns: f64,
-    /// Re-offered admissions under
-    /// [`Backpressure::Retry`](crate::sched::Backpressure).
-    pub retried_admissions: u64,
-    /// Largest waiting-queue depth ever observed.
-    pub max_depth: u64,
-    /// Time integral of waiting-queue depth (nanoseconds × entries); divide
-    /// by [`QueueTelemetry::horizon_ns`] for the time-averaged occupancy.
-    pub depth_time_ns: f64,
-    /// Observed horizon (nanoseconds) over which the depth integral ran.
-    pub horizon_ns: f64,
-    /// Waiting time from admission to start of service (nanoseconds).
-    pub wait_ns: Summary,
-    /// Columnar sojourn-time statistics: fixed-memory streaming quantiles by
-    /// default, raw samples when the run opted into exact mode.
-    pub sojourn: SojournStats,
-    /// Scrub ticks that found the bank busy or demand waiting and yielded
-    /// (background priority: demand always preempts at arbitration).
-    pub scrub_deferred: u64,
-    /// March-test dispatch attempts that found the bank busy or demand
-    /// waiting and yielded (test priority: below demand, above scrub).
-    pub march_deferred: u64,
-    /// Calibration-daemon ticks that found the bank busy or higher-class
-    /// work waiting and yielded (background priority, like scrub).
-    pub calib_deferred: u64,
+/// - `sum` adds the other side's value;
+/// - `max` keeps the larger value;
+/// - `merge` calls the field's own `merge` (statistics, nested telemetry);
+/// - `by_hand` leaves the field to the struct's hand-written fold, named
+///   after the table as `by_hand: path;` and run after the table's rules.
+///
+/// The table generates the struct (every field public, in table order, so
+/// the table also fixes the `Debug` text), its `Default` and its `merge`.
+macro_rules! telemetry_table {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $(
+                $(#[$field_meta:meta])*
+                $field:ident: $ty:ty $(= $init:expr)? => $rule:ident,
+            )*
+        }
+        $(by_hand: $fold:path;)?
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct $name {
+            $(
+                $(#[$field_meta])*
+                pub $field: $ty,
+            )*
+        }
+
+        impl Default for $name {
+            fn default() -> Self {
+                Self {
+                    $($field: telemetry_table!(@init $($init)?),)*
+                }
+            }
+        }
+
+        impl $name {
+            /// Folds another value into this one, each field by its rule in
+            /// the telemetry table.
+            pub fn merge(&mut self, other: &$name) {
+                $(telemetry_table!(@merge $rule, self.$field, other.$field);)*
+                $($fold(self, other);)?
+            }
+        }
+    };
+    (@init) => { Default::default() };
+    (@init $init:expr) => { $init };
+    (@merge sum, $mine:expr, $theirs:expr) => { $mine += $theirs };
+    (@merge max, $mine:expr, $theirs:expr) => { $mine = $mine.max($theirs) };
+    (@merge merge, $mine:expr, $theirs:expr) => { $mine.merge(&$theirs) };
+    (@merge by_hand, $mine:expr, $theirs:expr) => {};
+}
+
+telemetry_table! {
+    /// Queueing counters for one bank, filled only by the event-driven
+    /// [`sched`](crate::sched) frontend (serial replay has no queues, so these
+    /// stay zero there).
+    ///
+    /// Sojourn time is measured from a transaction's *arrival* (its timestamp in
+    /// the trace) to its completion, so it includes admission stalls, queueing
+    /// delay and service; waiting time is measured from admission into the bank
+    /// queue to the start of service. Depth integrals and horizons add under
+    /// `merge`, so the merged [`Self::mean_depth`] is the per-bank average
+    /// occupancy.
+    pub struct QueueTelemetry {
+        /// Transactions admitted into the bank queue (or started directly).
+        admitted: u64 => sum,
+        /// Transactions served to completion.
+        completed: u64 => sum,
+        /// Transactions dropped on a full queue under
+        /// [`Backpressure::Drop`](crate::sched::Backpressure).
+        dropped: u64 => sum,
+        /// Admissions that stalled on a full queue under
+        /// [`Backpressure::Stall`](crate::sched::Backpressure).
+        stalls: u64 => sum,
+        /// Total time admission spent stalled (nanoseconds).
+        stall_time_ns: f64 => sum,
+        /// Re-offered admissions under
+        /// [`Backpressure::Retry`](crate::sched::Backpressure).
+        retried_admissions: u64 => sum,
+        /// Largest waiting-queue depth ever observed.
+        max_depth: u64 => max,
+        /// Time integral of waiting-queue depth (nanoseconds × entries); divide
+        /// by [`QueueTelemetry::horizon_ns`] for the time-averaged occupancy.
+        depth_time_ns: f64 => sum,
+        /// Observed horizon (nanoseconds) over which the depth integral ran.
+        horizon_ns: f64 => sum,
+        /// Waiting time from admission to start of service (nanoseconds).
+        wait_ns: Summary => merge,
+        /// Columnar sojourn-time statistics: fixed-memory streaming quantiles by
+        /// default, raw samples when the run opted into exact mode.
+        sojourn: SojournStats => merge,
+        /// Scrub ticks that found the bank busy or demand waiting and yielded
+        /// (background priority: demand always preempts at arbitration).
+        scrub_deferred: u64 => sum,
+        /// March-test dispatch attempts that found the bank busy or demand
+        /// waiting and yielded (test priority: below demand, above scrub).
+        march_deferred: u64 => sum,
+        /// Calibration-daemon ticks that found the bank busy or higher-class
+        /// work waiting and yielded (background priority, like scrub).
+        calib_deferred: u64 => sum,
+    }
 }
 
 impl QueueTelemetry {
@@ -322,32 +382,20 @@ impl QueueTelemetry {
     pub fn sojourn_p99(&self) -> f64 {
         self.sojourn_quantile(0.99).unwrap_or(0.0)
     }
-
-    /// Folds another bank's queueing counters into this one. Depth
-    /// integrals and horizons add, so the merged [`Self::mean_depth`] is the
-    /// per-bank average occupancy.
-    pub fn merge(&mut self, other: &QueueTelemetry) {
-        self.admitted += other.admitted;
-        self.completed += other.completed;
-        self.dropped += other.dropped;
-        self.stalls += other.stalls;
-        self.stall_time_ns += other.stall_time_ns;
-        self.retried_admissions += other.retried_admissions;
-        self.max_depth = self.max_depth.max(other.max_depth);
-        self.depth_time_ns += other.depth_time_ns;
-        self.horizon_ns += other.horizon_ns;
-        self.wait_ns.merge(&other.wait_ns);
-        self.sojourn.merge(&other.sojourn);
-        self.scrub_deferred += other.scrub_deferred;
-        self.march_deferred += other.march_deferred;
-        self.calib_deferred += other.calib_deferred;
-    }
 }
 
 /// Cap on per-bank error-address log entries; overflow is counted in
 /// [`EccTelemetry::error_log_dropped`] so heavy fault campaigns stay
 /// bounded in memory without losing the totals.
 pub const ERROR_LOG_CAP: usize = 64;
+
+/// Appends `entries` to `log` while it holds fewer than [`ERROR_LOG_CAP`]
+/// entries, and returns how many did not fit.
+fn append_capped<T: Copy>(log: &mut Vec<T>, entries: &[T]) -> u64 {
+    let taken = ERROR_LOG_CAP.saturating_sub(log.len()).min(entries.len());
+    log.extend_from_slice(&entries[..taken]);
+    (entries.len() - taken) as u64
+}
 
 /// What kind of ECC event an [`EccEvent`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -373,48 +421,57 @@ pub struct EccEvent {
     pub kind: EccEventKind,
 }
 
-/// ECC and scrub counters for one bank, filled only when the controller
-/// runs with [`EccMode::Secded`](crate::reliability::EccMode) (all zero
-/// otherwise, exactly like the queueing section under serial replay).
-///
-/// Demand-read classifications are mutually exclusive and sum to the
-/// ECC-served read count: `clean_reads + corrected_ce + detected_ue +
-/// silent_errors`. *Silent* means the codec reported clean-or-corrected
-/// but the delivered word still disagreed with the host's truth mirror —
-/// the residue (≥3-bit flips, miscorrections) that survives SECDED.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct EccTelemetry {
-    /// Demand reads whose word decoded clean and matched the truth mirror.
-    pub clean_reads: u64,
-    /// Demand reads whose single-bit error was corrected to the truth.
-    pub corrected_ce: u64,
-    /// Demand reads whose word decoded uncorrectable (host is warned).
-    pub detected_ue: u64,
-    /// Demand reads the codec passed but whose delivered word was wrong.
-    pub silent_errors: u64,
-    /// Words scanned by the background scrub daemon.
-    pub scrub_words_scanned: u64,
-    /// Scrub scans that corrected a CE.
-    pub scrub_ce_corrected: u64,
-    /// Scrub scans that found an uncorrectable word.
-    pub scrub_ue_found: u64,
-    /// Cells the scrub physically rewrote (repairs of persistent damage).
-    pub scrub_cells_rewritten: u64,
-    /// Completed full scrub passes over the bank.
-    pub scrub_passes: u64,
-    /// Bank-occupancy time spent scrubbing (senses and repair writes).
-    /// Deliberately separate from [`BankTelemetry::busy_time`]: demand
-    /// busy time doubles as the retention-failure clock, and folding scrub
-    /// work into it would make scrubbing accelerate the decay it repairs —
-    /// and give protection levels mismatched fault exposure at matched
-    /// traffic.
-    pub scrub_busy_time: Seconds,
-    /// ECC words in this bank (coverage-gauge denominator; 0 = ECC off).
-    pub words_total: u64,
-    /// Error-address log, capped at [`ERROR_LOG_CAP`] entries per bank.
-    pub error_log: Vec<EccEvent>,
-    /// Events that no longer fit in the log.
-    pub error_log_dropped: u64,
+telemetry_table! {
+    /// ECC and scrub counters for one bank, filled only when the controller
+    /// runs with [`EccMode::Secded`](crate::reliability::EccMode) (all zero
+    /// otherwise, exactly like the queueing section under serial replay).
+    ///
+    /// Demand-read classifications are mutually exclusive and sum to the
+    /// ECC-served read count: `clean_reads + corrected_ce + detected_ue +
+    /// silent_errors`. *Silent* means the codec reported clean-or-corrected
+    /// but the delivered word still disagreed with the host's truth mirror —
+    /// the residue (≥3-bit flips, miscorrections) that survives SECDED.
+    pub struct EccTelemetry {
+        /// Demand reads whose word decoded clean and matched the truth mirror.
+        clean_reads: u64 => sum,
+        /// Demand reads whose single-bit error was corrected to the truth.
+        corrected_ce: u64 => sum,
+        /// Demand reads whose word decoded uncorrectable (host is warned).
+        detected_ue: u64 => sum,
+        /// Demand reads the codec passed but whose delivered word was wrong.
+        silent_errors: u64 => sum,
+        /// Words scanned by the background scrub daemon.
+        scrub_words_scanned: u64 => sum,
+        /// Scrub scans that corrected a CE.
+        scrub_ce_corrected: u64 => sum,
+        /// Scrub scans that found an uncorrectable word.
+        scrub_ue_found: u64 => sum,
+        /// Cells the scrub physically rewrote (repairs of persistent damage).
+        scrub_cells_rewritten: u64 => sum,
+        /// Completed full scrub passes over the bank.
+        scrub_passes: u64 => sum,
+        /// Bank-occupancy time spent scrubbing (senses and repair writes).
+        /// Deliberately separate from [`BankTelemetry::busy_time`]: demand
+        /// busy time doubles as the retention-failure clock, and folding scrub
+        /// work into it would make scrubbing accelerate the decay it repairs —
+        /// and give protection levels mismatched fault exposure at matched
+        /// traffic.
+        scrub_busy_time: Seconds => sum,
+        /// ECC words in this bank (coverage-gauge denominator; 0 = ECC off).
+        words_total: u64 => sum,
+        /// Error-address log, capped at [`ERROR_LOG_CAP`] entries per bank.
+        error_log: Vec<EccEvent> => by_hand,
+        /// Events that no longer fit in the log.
+        error_log_dropped: u64 => by_hand,
+    }
+    by_hand: merge_error_log;
+}
+
+/// [`EccTelemetry::merge`]'s hand-written part: the other log's entries
+/// fill the capped log, and whatever does not fit counts as dropped.
+fn merge_error_log(this: &mut EccTelemetry, other: &EccTelemetry) {
+    this.error_log_dropped +=
+        other.error_log_dropped + append_capped(&mut this.error_log, &other.error_log);
 }
 
 impl EccTelemetry {
@@ -445,33 +502,11 @@ impl EccTelemetry {
 
     /// Appends an event to the log, honouring the cap.
     pub fn log_event(&mut self, word: usize, kind: EccEventKind) {
-        if self.error_log.len() < ERROR_LOG_CAP {
-            self.error_log.push(EccEvent {
-                word: word as u32,
-                kind,
-            });
-        } else {
-            self.error_log_dropped += 1;
-        }
-    }
-
-    /// Folds another bank's ECC counters into this one.
-    pub fn merge(&mut self, other: &EccTelemetry) {
-        self.clean_reads += other.clean_reads;
-        self.corrected_ce += other.corrected_ce;
-        self.detected_ue += other.detected_ue;
-        self.silent_errors += other.silent_errors;
-        self.scrub_words_scanned += other.scrub_words_scanned;
-        self.scrub_ce_corrected += other.scrub_ce_corrected;
-        self.scrub_ue_found += other.scrub_ue_found;
-        self.scrub_cells_rewritten += other.scrub_cells_rewritten;
-        self.scrub_passes += other.scrub_passes;
-        self.scrub_busy_time += other.scrub_busy_time;
-        self.words_total += other.words_total;
-        let room = ERROR_LOG_CAP.saturating_sub(self.error_log.len());
-        let taken = room.min(other.error_log.len());
-        self.error_log.extend_from_slice(&other.error_log[..taken]);
-        self.error_log_dropped += other.error_log_dropped + (other.error_log.len() - taken) as u64;
+        let event = EccEvent {
+            word: word as u32,
+            kind,
+        };
+        self.error_log_dropped += append_capped(&mut self.error_log, &[event]);
     }
 }
 
@@ -489,34 +524,45 @@ pub struct MarchFail {
     pub got: bool,
 }
 
-/// March-test verdicts for one bank, filled only while a
-/// [`MarchProgram`](crate::march::MarchProgram) runs against it (all zero
-/// otherwise). Every verdict comes from the real sensing path —
-/// [`Bank`](crate::bank) serves each March read through the configured
-/// scheme (and ECC word path when enabled), so a mismatch here is a fault
-/// the production read path actually delivered to the tester.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MarchTelemetry {
-    /// March operations executed (reads + writes).
-    pub ops: u64,
-    /// March read operations executed.
-    pub reads: u64,
-    /// March write operations executed.
-    pub writes: u64,
-    /// Read elements whose delivered bit disagreed with the expectation.
-    pub mismatches: u64,
-    /// Distinct cells (row-major indices) with at least one mismatch — the
-    /// tester's fail bitmap, deduplicated.
-    pub failing_cells: std::collections::BTreeSet<u32>,
-    /// Per-mismatch detail log, capped at [`ERROR_LOG_CAP`] entries.
-    pub fail_log: Vec<MarchFail>,
-    /// Mismatches that no longer fit in the log.
-    pub fail_log_dropped: u64,
-    /// Bank-occupancy time spent on March operations. Separate from
-    /// [`BankTelemetry::busy_time`] for the same reason scrub time is: the
-    /// demand busy clock doubles as the retention-decay clock, and test
-    /// traffic must not accelerate the decay it is screening for.
-    pub busy_time: Seconds,
+telemetry_table! {
+    /// March-test verdicts for one bank, filled only while a
+    /// [`MarchProgram`](crate::march::MarchProgram) runs against it (all zero
+    /// otherwise). Every verdict comes from the real sensing path —
+    /// [`Bank`](crate::bank) serves each March read through the configured
+    /// scheme (and ECC word path when enabled), so a mismatch here is a fault
+    /// the production read path actually delivered to the tester.
+    pub struct MarchTelemetry {
+        /// March operations executed (reads + writes).
+        ops: u64 => sum,
+        /// March read operations executed.
+        reads: u64 => sum,
+        /// March write operations executed.
+        writes: u64 => sum,
+        /// Read elements whose delivered bit disagreed with the expectation.
+        mismatches: u64 => sum,
+        /// Distinct cells (row-major indices) with at least one mismatch — the
+        /// tester's fail bitmap, deduplicated.
+        failing_cells: std::collections::BTreeSet<u32> => by_hand,
+        /// Per-mismatch detail log, capped at [`ERROR_LOG_CAP`] entries.
+        fail_log: Vec<MarchFail> => by_hand,
+        /// Mismatches that no longer fit in the log.
+        fail_log_dropped: u64 => by_hand,
+        /// Bank-occupancy time spent on March operations. Separate from
+        /// [`BankTelemetry::busy_time`] for the same reason scrub time is: the
+        /// demand busy clock doubles as the retention-decay clock, and test
+        /// traffic must not accelerate the decay it is screening for.
+        busy_time: Seconds => sum,
+    }
+    by_hand: merge_fail_log;
+}
+
+/// [`MarchTelemetry::merge`]'s hand-written part: the fail bitmaps unite,
+/// and the fail log fills like the ECC error log.
+fn merge_fail_log(this: &mut MarchTelemetry, other: &MarchTelemetry) {
+    this.failing_cells
+        .extend(other.failing_cells.iter().copied());
+    this.fail_log_dropped +=
+        other.fail_log_dropped + append_capped(&mut this.fail_log, &other.fail_log);
 }
 
 impl MarchTelemetry {
@@ -524,195 +570,119 @@ impl MarchTelemetry {
     pub fn record_mismatch(&mut self, cell: u32, element: u8, expected: bool, got: bool) {
         self.mismatches += 1;
         self.failing_cells.insert(cell);
-        if self.fail_log.len() < ERROR_LOG_CAP {
-            self.fail_log.push(MarchFail {
-                cell,
-                element,
-                expected,
-                got,
-            });
-        } else {
-            self.fail_log_dropped += 1;
-        }
-    }
-
-    /// Folds another bank's March verdicts into this one.
-    pub fn merge(&mut self, other: &MarchTelemetry) {
-        self.ops += other.ops;
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.mismatches += other.mismatches;
-        self.failing_cells
-            .extend(other.failing_cells.iter().copied());
-        let room = ERROR_LOG_CAP.saturating_sub(self.fail_log.len());
-        let taken = room.min(other.fail_log.len());
-        self.fail_log.extend_from_slice(&other.fail_log[..taken]);
-        self.fail_log_dropped += other.fail_log_dropped + (other.fail_log.len() - taken) as u64;
-        self.busy_time += other.busy_time;
+        let fail = MarchFail {
+            cell,
+            element,
+            expected,
+            got,
+        };
+        self.fail_log_dropped += append_capped(&mut self.fail_log, &[fail]);
     }
 }
 
-/// Calibration-daemon counters for one bank, filled only when a
-/// [`CalibConfig`](crate::calib::CalibConfig) is active (all zero
-/// otherwise). The trip → burst → refit protocol is documented in
-/// [`calib`](crate::calib) and DESIGN.md §15.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CalibTelemetry {
-    /// Trip-condition evaluations that crossed the threshold.
-    pub trips: u64,
-    /// Calibration bursts issued (one per trip that reached the bank).
-    pub bursts: u64,
-    /// Reference-cell senses performed across all bursts.
-    pub burst_reads: u64,
-    /// β refits that swapped a new operating point into the read path.
-    pub refits: u64,
-    /// The β the bank's sensing scheme currently runs at (0 until the
-    /// first refit reports one; self-referenced schemes only).
-    pub last_beta: f64,
-    /// Bank-occupancy time spent on calibration bursts. Separate from
-    /// [`BankTelemetry::busy_time`] for the same reason scrub and March
-    /// time are: the demand busy clock doubles as the retention-decay and
-    /// drift clock, and maintenance traffic must not accelerate the drift
-    /// it compensates for.
-    pub busy_time: Seconds,
+telemetry_table! {
+    /// Calibration-daemon counters for one bank, filled only when a
+    /// [`CalibConfig`](crate::calib::CalibConfig) is active (all zero
+    /// otherwise). The trip → burst → refit protocol is documented in
+    /// [`calib`](crate::calib) and DESIGN.md §15.
+    pub struct CalibTelemetry {
+        /// Trip-condition evaluations that crossed the threshold.
+        trips: u64 => sum,
+        /// Calibration bursts issued (one per trip that reached the bank).
+        bursts: u64 => sum,
+        /// Reference-cell senses performed across all bursts.
+        burst_reads: u64 => sum,
+        /// β refits that swapped a new operating point into the read path.
+        refits: u64 => sum,
+        /// The β the bank's sensing scheme currently runs at (0 until the
+        /// first refit reports one; self-referenced schemes only).
+        last_beta: f64 => by_hand,
+        /// Bank-occupancy time spent on calibration bursts. Separate from
+        /// [`BankTelemetry::busy_time`] for the same reason scrub and March
+        /// time are: the demand busy clock doubles as the retention-decay and
+        /// drift clock, and maintenance traffic must not accelerate the drift
+        /// it compensates for.
+        busy_time: Seconds => sum,
+    }
+    by_hand: merge_last_beta;
 }
 
-impl CalibTelemetry {
-    /// Folds another bank's calibration counters into this one.
-    pub fn merge(&mut self, other: &CalibTelemetry) {
-        self.trips += other.trips;
-        self.bursts += other.bursts;
-        self.burst_reads += other.burst_reads;
-        self.refits += other.refits;
-        if other.refits > 0 {
-            self.last_beta = other.last_beta;
-        }
-        self.busy_time += other.busy_time;
+/// [`CalibTelemetry::merge`]'s hand-written part: the other side's β wins
+/// only if it was ever refitted.
+fn merge_last_beta(this: &mut CalibTelemetry, other: &CalibTelemetry) {
+    if other.refits > 0 {
+        this.last_beta = other.last_beta;
     }
 }
 
-/// Counters for one bank.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BankTelemetry {
-    /// Reads served (including those aborted by a power cut).
-    pub reads: u64,
-    /// Writes served.
-    pub writes: u64,
-    /// Extra sense attempts beyond the first, across all reads.
-    pub read_retries: u64,
-    /// Reads resolved by the fallback (no attempt cleared the guard band).
-    pub unconfident_reads: u64,
-    /// Reads whose delivered bit disagreed with the host's last write.
-    pub misreads: u64,
-    /// Extra programming pulses beyond the first, across all writes.
-    pub write_retries: u64,
-    /// Writes whose cell never switched within the pulse budget.
-    pub write_failures: u64,
-    /// Power cuts injected mid-read.
-    pub power_cuts: u64,
-    /// Cells whose stored state a power cut changed.
-    pub corrupted_bits: u64,
-    /// Cells flipped by retention failures (time-dependent decay between
-    /// accesses, see [`FaultPlan::retention_rate_per_ns`](crate::FaultPlan)).
-    pub retention_flips: u64,
-    /// Cells flipped by read disturb (per-read victim-word flips, see
-    /// [`FaultPlan::read_disturb_prob`](crate::FaultPlan)).
-    pub read_disturb_flips: u64,
-    /// Writes silently swallowed by a write transition fault (see
-    /// [`TransitionFault`](crate::TransitionFault)).
-    pub write_transition_faults: u64,
-    /// Completed writes undone by a backhopping flip (see
-    /// [`BackhopCell`](crate::BackhopCell)).
-    pub backhop_flips: u64,
-    /// Victim-cell overwrites triggered by intra-word coupling defects (see
-    /// [`CouplingFault`](crate::CouplingFault)).
-    pub coupling_triggers: u64,
-    /// Completed-read latency in nanoseconds (retries included).
-    pub read_latency_ns: Summary,
-    /// Completed-read latency histogram (nanoseconds); out-of-range samples
-    /// are counted in its explicit underflow/overflow buckets.
-    pub read_latency_hist: Histogram,
-    /// Total busy time across served transactions.
-    pub busy_time: Seconds,
-    /// Total energy across served transactions.
-    pub energy: Joules,
-    /// Queueing counters, filled by the [`sched`](crate::sched) frontend
-    /// (all zero under serial replay).
-    pub queue: QueueTelemetry,
-    /// ECC and scrub counters, filled only under
-    /// [`EccMode::Secded`](crate::reliability::EccMode) (all zero when ECC
-    /// is off).
-    pub ecc: EccTelemetry,
-    /// March-test verdicts, filled only while a March program runs against
-    /// this bank (all zero otherwise).
-    pub march: MarchTelemetry,
-    /// Calibration-daemon counters, filled only when a calibration config
-    /// is active (all zero otherwise).
-    pub calib: CalibTelemetry,
+telemetry_table! {
+    /// Counters for one bank.
+    pub struct BankTelemetry {
+        /// Reads served (including those aborted by a power cut).
+        reads: u64 => sum,
+        /// Writes served.
+        writes: u64 => sum,
+        /// Extra sense attempts beyond the first, across all reads.
+        read_retries: u64 => sum,
+        /// Reads resolved by the fallback (no attempt cleared the guard band).
+        unconfident_reads: u64 => sum,
+        /// Reads whose delivered bit disagreed with the host's last write.
+        misreads: u64 => sum,
+        /// Extra programming pulses beyond the first, across all writes.
+        write_retries: u64 => sum,
+        /// Writes whose cell never switched within the pulse budget.
+        write_failures: u64 => sum,
+        /// Power cuts injected mid-read.
+        power_cuts: u64 => sum,
+        /// Cells whose stored state a power cut changed.
+        corrupted_bits: u64 => sum,
+        /// Cells flipped by retention failures (time-dependent decay between
+        /// accesses, see [`FaultPlan::retention_rate_per_ns`](crate::FaultPlan)).
+        retention_flips: u64 => sum,
+        /// Cells flipped by read disturb (per-read victim-word flips, see
+        /// [`FaultPlan::read_disturb_prob`](crate::FaultPlan)).
+        read_disturb_flips: u64 => sum,
+        /// Writes silently swallowed by a write transition fault (see
+        /// [`TransitionFault`](crate::TransitionFault)).
+        write_transition_faults: u64 => sum,
+        /// Completed writes undone by a backhopping flip (see
+        /// [`BackhopCell`](crate::BackhopCell)).
+        backhop_flips: u64 => sum,
+        /// Victim-cell overwrites triggered by intra-word coupling defects (see
+        /// [`CouplingFault`](crate::CouplingFault)).
+        coupling_triggers: u64 => sum,
+        /// Completed-read latency in nanoseconds (retries included).
+        read_latency_ns: Summary = Summary::new() => merge,
+        /// Completed-read latency histogram over 0–100 ns in 2 ns bins;
+        /// out-of-range samples are counted in its explicit
+        /// underflow/overflow buckets.
+        read_latency_hist: Histogram = Histogram::new(0.0, LATENCY_HIGH_NS, LATENCY_BINS) => merge,
+        /// Total busy time across served transactions.
+        busy_time: Seconds => sum,
+        /// Total energy across served transactions.
+        energy: Joules => sum,
+        /// Queueing counters, filled by the [`sched`](crate::sched) frontend
+        /// (all zero under serial replay).
+        queue: QueueTelemetry => merge,
+        /// ECC and scrub counters, filled only under
+        /// [`EccMode::Secded`](crate::reliability::EccMode) (all zero when ECC
+        /// is off).
+        ecc: EccTelemetry => merge,
+        /// March-test verdicts, filled only while a March program runs against
+        /// this bank (all zero otherwise).
+        march: MarchTelemetry => merge,
+        /// Calibration-daemon counters, filled only when a calibration config
+        /// is active (all zero otherwise).
+        calib: CalibTelemetry => merge,
+    }
 }
 
 impl BankTelemetry {
-    /// Fresh, all-zero telemetry, with the read-latency histogram over
-    /// 0–100 ns in 2 ns bins.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            reads: 0,
-            writes: 0,
-            read_retries: 0,
-            unconfident_reads: 0,
-            misreads: 0,
-            write_retries: 0,
-            write_failures: 0,
-            power_cuts: 0,
-            corrupted_bits: 0,
-            retention_flips: 0,
-            read_disturb_flips: 0,
-            write_transition_faults: 0,
-            backhop_flips: 0,
-            coupling_triggers: 0,
-            read_latency_ns: Summary::new(),
-            read_latency_hist: Histogram::new(0.0, LATENCY_HIGH_NS, LATENCY_BINS),
-            busy_time: Seconds::ZERO,
-            energy: Joules::ZERO,
-            queue: QueueTelemetry::default(),
-            ecc: EccTelemetry::default(),
-            march: MarchTelemetry::default(),
-            calib: CalibTelemetry::default(),
-        }
-    }
-
     /// Records one completed read's total latency.
     pub fn record_read_latency(&mut self, latency: Seconds) {
         let nanos = latency.get() * 1e9;
         self.read_latency_ns.push(nanos);
         self.read_latency_hist.push(nanos);
-    }
-
-    /// Folds another bank's counters into this one.
-    pub fn merge(&mut self, other: &BankTelemetry) {
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.read_retries += other.read_retries;
-        self.unconfident_reads += other.unconfident_reads;
-        self.misreads += other.misreads;
-        self.write_retries += other.write_retries;
-        self.write_failures += other.write_failures;
-        self.power_cuts += other.power_cuts;
-        self.corrupted_bits += other.corrupted_bits;
-        self.retention_flips += other.retention_flips;
-        self.read_disturb_flips += other.read_disturb_flips;
-        self.write_transition_faults += other.write_transition_faults;
-        self.backhop_flips += other.backhop_flips;
-        self.coupling_triggers += other.coupling_triggers;
-        self.read_latency_ns.merge(&other.read_latency_ns);
-        self.read_latency_hist.merge(&other.read_latency_hist);
-        self.busy_time += other.busy_time;
-        self.energy += other.energy;
-        self.queue.merge(&other.queue);
-        self.ecc.merge(&other.ecc);
-        self.march.merge(&other.march);
-        self.calib.merge(&other.calib);
     }
 
     /// Misread rate over served reads (0 when no reads ran).
@@ -726,48 +696,32 @@ impl BankTelemetry {
     }
 }
 
-impl Default for BankTelemetry {
-    fn default() -> Self {
-        Self::new()
+telemetry_table! {
+    /// Engine counters for one hierarchy channel, filled by the
+    /// [`hierarchy`](crate::hierarchy) chip engine: source activity, shared-bus
+    /// contention and outstanding-window behaviour that no single bank can see.
+    pub struct ChannelTelemetry {
+        /// Transactions the channel's source issued (or was offered).
+        issued: u64 => sum,
+        /// Transactions served to completion (data transferred off-chip).
+        completed: u64 => sum,
+        /// Closed-loop issue attempts gated by a full outstanding window — the
+        /// backpressure signal that makes the source's rate *react* to load.
+        source_throttled: u64 => sum,
+        /// Largest number of simultaneously outstanding transactions observed.
+        max_outstanding: u64 => max,
+        /// Total time completed transfers waited for a busy group or channel
+        /// bus (nanoseconds) — the serialization cost the hierarchy exists to
+        /// expose.
+        bus_wait_ns: f64 => sum,
+        /// Total time the channel's buses spent transferring (nanoseconds).
+        bus_busy_ns: f64 => sum,
+        /// Observed horizon (nanoseconds) of the channel's event loop.
+        horizon_ns: f64 => sum,
     }
-}
-
-/// Engine counters for one hierarchy channel, filled by the
-/// [`hierarchy`](crate::hierarchy) chip engine: source activity, shared-bus
-/// contention and outstanding-window behaviour that no single bank can see.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ChannelTelemetry {
-    /// Transactions the channel's source issued (or was offered).
-    pub issued: u64,
-    /// Transactions served to completion (data transferred off-chip).
-    pub completed: u64,
-    /// Closed-loop issue attempts gated by a full outstanding window — the
-    /// backpressure signal that makes the source's rate *react* to load.
-    pub source_throttled: u64,
-    /// Largest number of simultaneously outstanding transactions observed.
-    pub max_outstanding: u64,
-    /// Total time completed transfers waited for a busy group or channel
-    /// bus (nanoseconds) — the serialization cost the hierarchy exists to
-    /// expose.
-    pub bus_wait_ns: f64,
-    /// Total time the channel's buses spent transferring (nanoseconds).
-    pub bus_busy_ns: f64,
-    /// Observed horizon (nanoseconds) of the channel's event loop.
-    pub horizon_ns: f64,
 }
 
 impl ChannelTelemetry {
-    /// Folds another channel's counters into this one.
-    pub fn merge(&mut self, other: &ChannelTelemetry) {
-        self.issued += other.issued;
-        self.completed += other.completed;
-        self.source_throttled += other.source_throttled;
-        self.max_outstanding = self.max_outstanding.max(other.max_outstanding);
-        self.bus_wait_ns += other.bus_wait_ns;
-        self.bus_busy_ns += other.bus_busy_ns;
-        self.horizon_ns += other.horizon_ns;
-    }
-
     /// Mean bus wait per completed transfer (0 when nothing completed).
     #[must_use]
     pub fn mean_bus_wait_ns(&self) -> f64 {
@@ -783,7 +737,8 @@ impl ChannelTelemetry {
 /// merged per key (bank group, rank, channel — any projection of a bank's
 /// coordinate), in key order, so the result is deterministic. This is the
 /// one aggregation primitive behind every bank → group → rank → channel →
-/// chip roll-up the hierarchy reports.
+/// chip roll-up the hierarchy reports: the first entry of a key is cloned,
+/// the rest merge into it in order.
 pub fn rollup_by<'a, K: Ord>(
     entries: impl IntoIterator<Item = (K, &'a BankTelemetry)>,
 ) -> std::collections::BTreeMap<K, BankTelemetry> {
@@ -802,6 +757,15 @@ pub fn rollup_by<'a, K: Ord>(
     levels
 }
 
+/// Merges every bank into one set of counters, in iteration order: the
+/// [`rollup_by`] fold under a single key (all-default telemetry when
+/// there are no banks).
+pub(crate) fn aggregate<'a>(banks: impl IntoIterator<Item = &'a BankTelemetry>) -> BankTelemetry {
+    rollup_by(banks.into_iter().map(|bank| ((), bank)))
+        .remove(&())
+        .unwrap_or_default()
+}
+
 /// Telemetry for a full controller run: per-bank breakdown plus the final
 /// integrity audit.
 #[derive(Debug, Clone, PartialEq)]
@@ -818,12 +782,7 @@ impl Telemetry {
     /// is deterministic).
     #[must_use]
     pub fn aggregate(&self) -> BankTelemetry {
-        let mut banks = self.banks.iter();
-        let mut total = banks.next().cloned().unwrap_or_default();
-        for bank in banks {
-            total.merge(bank);
-        }
-        total
+        aggregate(&self.banks)
     }
 
     /// Total transactions served.
@@ -836,11 +795,16 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn telemetry_with(reads: u64, misreads: u64) -> BankTelemetry {
-        let mut t = BankTelemetry::new();
-        t.reads = reads;
-        t.misreads = misreads;
+        let mut t = BankTelemetry {
+            reads,
+            misreads,
+            ..BankTelemetry::default()
+        };
         for i in 0..reads {
             t.record_read_latency(Seconds::from_nano(14.0 + i as f64));
         }
@@ -873,7 +837,7 @@ mod tests {
 
     #[test]
     fn misread_rate_handles_empty() {
-        assert_eq!(BankTelemetry::new().misread_rate(), 0.0);
+        assert_eq!(BankTelemetry::default().misread_rate(), 0.0);
         assert!((telemetry_with(10, 1).misread_rate() - 0.1).abs() < 1e-12);
     }
 
@@ -881,7 +845,7 @@ mod tests {
     fn queueing_scale_latencies_land_in_the_overflow_bucket() {
         // Sojourn-scale samples lie past the 100 ns ceiling: they must stay
         // visible in the overflow count, not vanish into the top bin.
-        let mut telemetry = BankTelemetry::new();
+        let mut telemetry = BankTelemetry::default();
         for latency_ns in [40.0, 250.0, 900.0] {
             telemetry.record_read_latency(Seconds::from_nano(latency_ns));
         }
@@ -1030,5 +994,301 @@ mod tests {
         c.merge(&b);
         assert_eq!(c.error_log, b.error_log);
         assert_eq!(c.error_log_dropped, 0);
+    }
+
+    // Random telemetry for the merge property: every counter non-zero, every
+    // statistic non-empty, every log non-empty, all bounded so sums cannot
+    // overflow.
+
+    fn count(rng: &mut StdRng) -> u64 {
+        rng.gen_range(1..1_000_000)
+    }
+
+    fn amount(rng: &mut StdRng) -> f64 {
+        rng.gen_range(1.0..1e6)
+    }
+
+    fn seconds(rng: &mut StdRng) -> Seconds {
+        Seconds::new(rng.gen_range(1e-9..1e-3))
+    }
+
+    fn summary(rng: &mut StdRng) -> Summary {
+        let n = rng.gen_range(1..20);
+        (0..n).map(|_| amount(rng)).collect()
+    }
+
+    fn log<T>(rng: &mut StdRng, entry: impl Fn(&mut StdRng) -> T) -> Vec<T> {
+        let n = rng.gen_range(1..ERROR_LOG_CAP + 1);
+        (0..n).map(|_| entry(rng)).collect()
+    }
+
+    fn queue(rng: &mut StdRng) -> QueueTelemetry {
+        let mut sojourn = SojournStats::streaming();
+        for _ in 0..rng.gen_range(1..100) {
+            sojourn.observe(amount(rng));
+        }
+        QueueTelemetry {
+            admitted: count(rng),
+            completed: count(rng),
+            dropped: count(rng),
+            stalls: count(rng),
+            stall_time_ns: amount(rng),
+            retried_admissions: count(rng),
+            max_depth: count(rng),
+            depth_time_ns: amount(rng),
+            horizon_ns: amount(rng),
+            wait_ns: summary(rng),
+            sojourn,
+            scrub_deferred: count(rng),
+            march_deferred: count(rng),
+            calib_deferred: count(rng),
+        }
+    }
+
+    fn ecc(rng: &mut StdRng) -> EccTelemetry {
+        EccTelemetry {
+            clean_reads: count(rng),
+            corrected_ce: count(rng),
+            detected_ue: count(rng),
+            silent_errors: count(rng),
+            scrub_words_scanned: count(rng),
+            scrub_ce_corrected: count(rng),
+            scrub_ue_found: count(rng),
+            scrub_cells_rewritten: count(rng),
+            scrub_passes: count(rng),
+            scrub_busy_time: seconds(rng),
+            words_total: count(rng),
+            error_log: log(rng, |rng| EccEvent {
+                word: rng.gen(),
+                kind: EccEventKind::ScrubCe,
+            }),
+            error_log_dropped: count(rng),
+        }
+    }
+
+    fn march(rng: &mut StdRng) -> MarchTelemetry {
+        MarchTelemetry {
+            ops: count(rng),
+            reads: count(rng),
+            writes: count(rng),
+            mismatches: count(rng),
+            failing_cells: log(rng, |rng| rng.gen_range(0..256)).into_iter().collect(),
+            fail_log: log(rng, |rng| MarchFail {
+                cell: rng.gen(),
+                element: rng.gen(),
+                expected: rng.gen(),
+                got: rng.gen(),
+            }),
+            fail_log_dropped: count(rng),
+            busy_time: seconds(rng),
+        }
+    }
+
+    fn calib(rng: &mut StdRng) -> CalibTelemetry {
+        CalibTelemetry {
+            trips: count(rng),
+            bursts: count(rng),
+            burst_reads: count(rng),
+            refits: count(rng),
+            last_beta: amount(rng),
+            busy_time: seconds(rng),
+        }
+    }
+
+    fn bank(rng: &mut StdRng) -> BankTelemetry {
+        let mut read_latency_hist = Histogram::new(0.0, LATENCY_HIGH_NS, LATENCY_BINS);
+        for _ in 0..rng.gen_range(1..100) {
+            read_latency_hist.push(rng.gen_range(0.0..2.0 * LATENCY_HIGH_NS));
+        }
+        BankTelemetry {
+            reads: count(rng),
+            writes: count(rng),
+            read_retries: count(rng),
+            unconfident_reads: count(rng),
+            misreads: count(rng),
+            write_retries: count(rng),
+            write_failures: count(rng),
+            power_cuts: count(rng),
+            corrupted_bits: count(rng),
+            retention_flips: count(rng),
+            read_disturb_flips: count(rng),
+            write_transition_faults: count(rng),
+            backhop_flips: count(rng),
+            coupling_triggers: count(rng),
+            read_latency_ns: summary(rng),
+            read_latency_hist,
+            busy_time: seconds(rng),
+            energy: Joules::new(rng.gen_range(1e-15..1e-9)),
+            queue: queue(rng),
+            ecc: ecc(rng),
+            march: march(rng),
+            calib: calib(rng),
+        }
+    }
+
+    fn channel(rng: &mut StdRng) -> ChannelTelemetry {
+        ChannelTelemetry {
+            issued: count(rng),
+            completed: count(rng),
+            source_throttled: count(rng),
+            max_outstanding: count(rng),
+            bus_wait_ns: amount(rng),
+            bus_busy_ns: amount(rng),
+            horizon_ns: amount(rng),
+        }
+    }
+
+    // The merge rules, written out field by field: the reference the
+    // telemetry table is checked against.
+
+    fn merged<T: Clone>(a: &T, b: &T, merge: fn(&mut T, &T)) -> T {
+        let mut out = a.clone();
+        merge(&mut out, b);
+        out
+    }
+
+    /// `a`'s entries, then `b`'s while fewer than the cap are kept, and how
+    /// many of `b`'s did not fit.
+    fn capped<T: Copy>(a: &[T], b: &[T]) -> (Vec<T>, u64) {
+        let all: Vec<T> = a.iter().chain(b).copied().collect();
+        let kept = all.len().min(ERROR_LOG_CAP);
+        (all[..kept].to_vec(), (all.len() - kept) as u64)
+    }
+
+    fn queue_rule(a: &QueueTelemetry, b: &QueueTelemetry) -> QueueTelemetry {
+        QueueTelemetry {
+            admitted: a.admitted + b.admitted,
+            completed: a.completed + b.completed,
+            dropped: a.dropped + b.dropped,
+            stalls: a.stalls + b.stalls,
+            stall_time_ns: a.stall_time_ns + b.stall_time_ns,
+            retried_admissions: a.retried_admissions + b.retried_admissions,
+            max_depth: a.max_depth.max(b.max_depth),
+            depth_time_ns: a.depth_time_ns + b.depth_time_ns,
+            horizon_ns: a.horizon_ns + b.horizon_ns,
+            wait_ns: merged(&a.wait_ns, &b.wait_ns, Summary::merge),
+            sojourn: merged(&a.sojourn, &b.sojourn, SojournStats::merge),
+            scrub_deferred: a.scrub_deferred + b.scrub_deferred,
+            march_deferred: a.march_deferred + b.march_deferred,
+            calib_deferred: a.calib_deferred + b.calib_deferred,
+        }
+    }
+
+    fn ecc_rule(a: &EccTelemetry, b: &EccTelemetry) -> EccTelemetry {
+        let (error_log, overflow) = capped(&a.error_log, &b.error_log);
+        EccTelemetry {
+            clean_reads: a.clean_reads + b.clean_reads,
+            corrected_ce: a.corrected_ce + b.corrected_ce,
+            detected_ue: a.detected_ue + b.detected_ue,
+            silent_errors: a.silent_errors + b.silent_errors,
+            scrub_words_scanned: a.scrub_words_scanned + b.scrub_words_scanned,
+            scrub_ce_corrected: a.scrub_ce_corrected + b.scrub_ce_corrected,
+            scrub_ue_found: a.scrub_ue_found + b.scrub_ue_found,
+            scrub_cells_rewritten: a.scrub_cells_rewritten + b.scrub_cells_rewritten,
+            scrub_passes: a.scrub_passes + b.scrub_passes,
+            scrub_busy_time: a.scrub_busy_time + b.scrub_busy_time,
+            words_total: a.words_total + b.words_total,
+            error_log,
+            error_log_dropped: a.error_log_dropped + b.error_log_dropped + overflow,
+        }
+    }
+
+    fn march_rule(a: &MarchTelemetry, b: &MarchTelemetry) -> MarchTelemetry {
+        let (fail_log, overflow) = capped(&a.fail_log, &b.fail_log);
+        MarchTelemetry {
+            ops: a.ops + b.ops,
+            reads: a.reads + b.reads,
+            writes: a.writes + b.writes,
+            mismatches: a.mismatches + b.mismatches,
+            failing_cells: a.failing_cells.union(&b.failing_cells).copied().collect(),
+            fail_log,
+            fail_log_dropped: a.fail_log_dropped + b.fail_log_dropped + overflow,
+            busy_time: a.busy_time + b.busy_time,
+        }
+    }
+
+    fn calib_rule(a: &CalibTelemetry, b: &CalibTelemetry) -> CalibTelemetry {
+        CalibTelemetry {
+            trips: a.trips + b.trips,
+            bursts: a.bursts + b.bursts,
+            burst_reads: a.burst_reads + b.burst_reads,
+            refits: a.refits + b.refits,
+            last_beta: if b.refits > 0 {
+                b.last_beta
+            } else {
+                a.last_beta
+            },
+            busy_time: a.busy_time + b.busy_time,
+        }
+    }
+
+    fn bank_rule(a: &BankTelemetry, b: &BankTelemetry) -> BankTelemetry {
+        BankTelemetry {
+            reads: a.reads + b.reads,
+            writes: a.writes + b.writes,
+            read_retries: a.read_retries + b.read_retries,
+            unconfident_reads: a.unconfident_reads + b.unconfident_reads,
+            misreads: a.misreads + b.misreads,
+            write_retries: a.write_retries + b.write_retries,
+            write_failures: a.write_failures + b.write_failures,
+            power_cuts: a.power_cuts + b.power_cuts,
+            corrupted_bits: a.corrupted_bits + b.corrupted_bits,
+            retention_flips: a.retention_flips + b.retention_flips,
+            read_disturb_flips: a.read_disturb_flips + b.read_disturb_flips,
+            write_transition_faults: a.write_transition_faults + b.write_transition_faults,
+            backhop_flips: a.backhop_flips + b.backhop_flips,
+            coupling_triggers: a.coupling_triggers + b.coupling_triggers,
+            read_latency_ns: merged(&a.read_latency_ns, &b.read_latency_ns, Summary::merge),
+            read_latency_hist: merged(&a.read_latency_hist, &b.read_latency_hist, Histogram::merge),
+            busy_time: a.busy_time + b.busy_time,
+            energy: a.energy + b.energy,
+            queue: queue_rule(&a.queue, &b.queue),
+            ecc: ecc_rule(&a.ecc, &b.ecc),
+            march: march_rule(&a.march, &b.march),
+            calib: calib_rule(&a.calib, &b.calib),
+        }
+    }
+
+    fn channel_rule(a: &ChannelTelemetry, b: &ChannelTelemetry) -> ChannelTelemetry {
+        ChannelTelemetry {
+            issued: a.issued + b.issued,
+            completed: a.completed + b.completed,
+            source_throttled: a.source_throttled + b.source_throttled,
+            max_outstanding: a.max_outstanding.max(b.max_outstanding),
+            bus_wait_ns: a.bus_wait_ns + b.bus_wait_ns,
+            bus_busy_ns: a.bus_busy_ns + b.bus_busy_ns,
+            horizon_ns: a.horizon_ns + b.horizon_ns,
+        }
+    }
+
+    /// Draws two values, merges them, and compares with the written-out rule.
+    fn check<T: Clone + PartialEq + std::fmt::Debug>(
+        rng: &mut StdRng,
+        draw: fn(&mut StdRng) -> T,
+        merge: fn(&mut T, &T),
+        rule: fn(&T, &T) -> T,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let (a, b) = (draw(rng), draw(rng));
+        prop_assert_eq!(merged(&a, &b, merge), rule(&a, &b));
+        Ok(())
+    }
+
+    proptest! {
+        /// Each table-generated `merge` folds every field by the rule the
+        /// reference above writes out by hand.
+        #[test]
+        fn prop_merge_follows_each_fields_rule(seed in 0..u64::MAX) {
+            let rng = &mut StdRng::seed_from_u64(seed);
+            check(rng, queue, QueueTelemetry::merge, queue_rule)?;
+            check(rng, ecc, EccTelemetry::merge, ecc_rule)?;
+            check(rng, march, MarchTelemetry::merge, march_rule)?;
+            check(rng, calib, CalibTelemetry::merge, calib_rule)?;
+            check(rng, bank, BankTelemetry::merge, bank_rule)?;
+            check(rng, channel, ChannelTelemetry::merge, channel_rule)?;
+            // A side that never refitted leaves the merged β alone.
+            let (a, mut b) = (calib(rng), calib(rng));
+            b.refits = 0;
+            prop_assert_eq!(merged(&a, &b, CalibTelemetry::merge), calib_rule(&a, &b));
+        }
     }
 }
