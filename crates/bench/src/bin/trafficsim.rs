@@ -68,7 +68,7 @@ use stt_ctrl::{
     run_campaign, run_escape_campaign, CalibConfig, CampaignConfig, ChannelTelemetry, Chip,
     ChipConfig, ClosedLoopSource, Controller, ControllerConfig, Dispatch, DriftPlan, Frontend,
     FrontendConfig, InterleavePolicy, MarchCampaignConfig, Policy, Protection, QueueTelemetry,
-    ShardDispatch, Telemetry, ThermalTransient, Topology, Trace, Workload,
+    ShardDispatch, ThermalTransient, Topology, Trace, Workload,
 };
 use stt_sense::SchemeKind;
 use stt_stats::Table;
@@ -120,30 +120,7 @@ fn scheme_label(kind: SchemeKind) -> &'static str {
 }
 
 fn sweep(ops_per_config: usize) -> Table {
-    let mut table = Table::new([
-        "scheme",
-        "workload",
-        "banks",
-        "transactions",
-        "reads",
-        "writes",
-        "read_retries",
-        "unconfident_reads",
-        "misreads",
-        "misread_rate",
-        "write_retries",
-        "write_failures",
-        "audit_corrupted_bits",
-        "ecc_ce",
-        "ecc_ue",
-        "ecc_silent",
-        "scrub_coverage",
-        "mean_read_ns",
-        "max_read_ns",
-        "read_hist_overflow",
-        "busy_us",
-        "energy_nj",
-    ]);
+    let mut table = Table::default();
     let mut total_transactions = 0u64;
     for kind in SchemeKind::ALL {
         for workload in Workload::ALL {
@@ -163,8 +140,34 @@ fn sweep(ops_per_config: usize) -> Table {
                     workload.name()
                 );
                 total_transactions += parallel.transactions();
-                push_row(&mut table, kind, workload, banks, &parallel);
                 let totals = parallel.aggregate();
+                let (ecc, latency) = (&totals.ecc, &totals.read_latency_ns);
+                let audit = parallel.audit_corrupted_bits;
+                let overflow = totals.read_latency_hist.overflow();
+                table.push_named_row([
+                    ("scheme", scheme_label(kind).to_string()),
+                    ("workload", workload.name().to_string()),
+                    ("banks", banks.to_string()),
+                    ("transactions", parallel.transactions().to_string()),
+                    ("reads", totals.reads.to_string()),
+                    ("writes", totals.writes.to_string()),
+                    ("read_retries", totals.read_retries.to_string()),
+                    ("unconfident_reads", totals.unconfident_reads.to_string()),
+                    ("misreads", totals.misreads.to_string()),
+                    ("misread_rate", format!("{:.6}", totals.misread_rate())),
+                    ("write_retries", totals.write_retries.to_string()),
+                    ("write_failures", totals.write_failures.to_string()),
+                    ("audit_corrupted_bits", audit.to_string()),
+                    ("ecc_ce", ecc.corrected_ce.to_string()),
+                    ("ecc_ue", ecc.detected_ue.to_string()),
+                    ("ecc_silent", ecc.silent_errors.to_string()),
+                    ("scrub_coverage", format!("{:.3}", ecc.scrub_coverage())),
+                    ("mean_read_ns", format!("{:.2}", latency.mean())),
+                    ("max_read_ns", format!("{:.2}", latency.max())),
+                    ("read_hist_overflow", overflow.to_string()),
+                    ("busy_us", format!("{:.3}", totals.busy_time.get() * 1e6)),
+                    ("energy_nj", format!("{:.3}", totals.energy.get() * 1e9)),
+                ]);
                 println!(
                     "{:<15} {:<12} {banks} bank(s): {} txns, {} misreads, \
                      mean read {:.1} ns  [serial == parallel ✓]",
@@ -172,7 +175,7 @@ fn sweep(ops_per_config: usize) -> Table {
                     workload.name(),
                     parallel.transactions(),
                     totals.misreads,
-                    totals.read_latency_ns.mean()
+                    latency.mean()
                 );
             }
         }
@@ -189,40 +192,6 @@ fn sweep(ops_per_config: usize) -> Table {
     table
 }
 
-fn push_row(
-    table: &mut Table,
-    kind: SchemeKind,
-    workload: Workload,
-    banks: usize,
-    telemetry: &Telemetry,
-) {
-    let totals = telemetry.aggregate();
-    table.push_row([
-        scheme_label(kind).to_string(),
-        workload.name().to_string(),
-        banks.to_string(),
-        telemetry.transactions().to_string(),
-        totals.reads.to_string(),
-        totals.writes.to_string(),
-        totals.read_retries.to_string(),
-        totals.unconfident_reads.to_string(),
-        totals.misreads.to_string(),
-        format!("{:.6}", totals.misread_rate()),
-        totals.write_retries.to_string(),
-        totals.write_failures.to_string(),
-        telemetry.audit_corrupted_bits.to_string(),
-        totals.ecc.corrected_ce.to_string(),
-        totals.ecc.detected_ue.to_string(),
-        totals.ecc.silent_errors.to_string(),
-        format!("{:.3}", totals.ecc.scrub_coverage()),
-        format!("{:.2}", totals.read_latency_ns.mean()),
-        format!("{:.2}", totals.read_latency_ns.max()),
-        totals.read_latency_hist.overflow().to_string(),
-        format!("{:.3}", totals.busy_time.get() * 1e6),
-        format!("{:.3}", totals.energy.get() * 1e9),
-    ]);
-}
-
 /// Drives the scheduler frontend over offered load × scheme and records
 /// achieved throughput, sojourn quantiles and queue occupancy per point.
 ///
@@ -233,24 +202,7 @@ fn push_row(
 /// and its tail sojourn must be the worst of the three, which the sweep
 /// asserts (for full-size runs).
 fn load_sweep(ops_per_config: usize) -> Table {
-    let mut table = Table::new([
-        "scheme",
-        "policy",
-        "banks",
-        "load",
-        "offered_gap_ns",
-        "transactions",
-        "completed",
-        "stalls",
-        "achieved_mops",
-        "sojourn_p50_ns",
-        "sojourn_p95_ns",
-        "sojourn_p99_ns",
-        "mean_wait_ns",
-        "mean_depth",
-        "max_depth",
-        "read_hist_overflow",
-    ]);
+    let mut table = Table::default();
     let policy = Policy::Fcfs;
     let mut p99_at = std::collections::HashMap::new();
     for kind in SchemeKind::ALL {
@@ -276,31 +228,31 @@ fn load_sweep(ops_per_config: usize) -> Table {
             let totals = run.telemetry.aggregate();
             let queue = &totals.queue;
             assert_eq!(queue.completed, ops_per_config as u64);
-            p99_at.insert((kind, load.to_bits()), queue.sojourn_p99());
+            let (mops, p99) = (run.ops_per_second() * 1e-6, queue.sojourn_p99());
+            let overflow = totals.read_latency_hist.overflow();
+            p99_at.insert((kind, load.to_bits()), p99);
             println!(
-                "{:<15} load {load:.2}: {} txns, achieved {:.1} Mops, p99 sojourn {:.0} ns",
+                "{:<15} load {load:.2}: {} txns, achieved {mops:.1} Mops, p99 sojourn {p99:.0} ns",
                 scheme_label(kind),
                 run.completions.len(),
-                run.ops_per_second() * 1e-6,
-                queue.sojourn_p99()
             );
-            table.push_row([
-                scheme_label(kind).to_string(),
-                policy.name().to_string(),
-                LOAD_SWEEP_BANKS.to_string(),
-                format!("{load:.2}"),
-                format!("{gap_ns:.3}"),
-                ops_per_config.to_string(),
-                queue.completed.to_string(),
-                queue.stalls.to_string(),
-                format!("{:.3}", run.ops_per_second() * 1e-6),
-                format!("{:.1}", queue.sojourn_p50()),
-                format!("{:.1}", queue.sojourn_p95()),
-                format!("{:.1}", queue.sojourn_p99()),
-                format!("{:.1}", queue.wait_ns.mean()),
-                format!("{:.3}", queue.mean_depth()),
-                queue.max_depth.to_string(),
-                totals.read_latency_hist.overflow().to_string(),
+            table.push_named_row([
+                ("scheme", scheme_label(kind).to_string()),
+                ("policy", policy.name().to_string()),
+                ("banks", LOAD_SWEEP_BANKS.to_string()),
+                ("load", format!("{load:.2}")),
+                ("offered_gap_ns", format!("{gap_ns:.3}")),
+                ("transactions", ops_per_config.to_string()),
+                ("completed", queue.completed.to_string()),
+                ("stalls", queue.stalls.to_string()),
+                ("achieved_mops", format!("{mops:.3}")),
+                ("sojourn_p50_ns", format!("{:.1}", queue.sojourn_p50())),
+                ("sojourn_p95_ns", format!("{:.1}", queue.sojourn_p95())),
+                ("sojourn_p99_ns", format!("{p99:.1}")),
+                ("mean_wait_ns", format!("{:.1}", queue.wait_ns.mean())),
+                ("mean_depth", format!("{:.3}", queue.mean_depth())),
+                ("max_depth", queue.max_depth.to_string()),
+                ("read_hist_overflow", overflow.to_string()),
             ]);
         }
     }
@@ -337,20 +289,7 @@ fn load_sweep(ops_per_config: usize) -> Table {
 /// enough that SECDED's single-error budget cannot beat the raw single-cell
 /// baseline — an honest finding the CSV reports rather than a regression.
 fn reliability_sweep(ops_per_config: usize) -> Table {
-    let mut table = Table::new([
-        "scheme",
-        "intensity",
-        "protection",
-        "reads",
-        "misreads",
-        "corrected_ce",
-        "detected_ue",
-        "silent_errors",
-        "hazard_rate",
-        "scrub_coverage",
-        "scrub_cells_rewritten",
-        "audit_corrupted_bits",
-    ]);
+    let mut table = Table::default();
     let config = CampaignConfig::date2010().with_ops(ops_per_config);
     let rows = run_campaign(&config);
     let hazard_of = |scheme: SchemeKind, intensity: &str, protection: Protection| {
@@ -374,19 +313,22 @@ fn reliability_sweep(ops_per_config: usize) -> Table {
             row.hazard_rate,
             row.scrub_coverage,
         );
-        table.push_row([
-            scheme_label(row.scheme).to_string(),
-            row.intensity.clone(),
-            row.protection.name().to_string(),
-            row.reads.to_string(),
-            row.misreads.to_string(),
-            row.corrected_ce.to_string(),
-            row.detected_ue.to_string(),
-            row.silent_errors.to_string(),
-            format!("{:.6}", row.hazard_rate),
-            format!("{:.3}", row.scrub_coverage),
-            row.scrub_cells_rewritten.to_string(),
-            row.audit_corrupted_bits.to_string(),
+        table.push_named_row([
+            ("scheme", scheme_label(row.scheme).to_string()),
+            ("intensity", row.intensity.clone()),
+            ("protection", row.protection.name().to_string()),
+            ("reads", row.reads.to_string()),
+            ("misreads", row.misreads.to_string()),
+            ("corrected_ce", row.corrected_ce.to_string()),
+            ("detected_ue", row.detected_ue.to_string()),
+            ("silent_errors", row.silent_errors.to_string()),
+            ("hazard_rate", format!("{:.6}", row.hazard_rate)),
+            ("scrub_coverage", format!("{:.3}", row.scrub_coverage)),
+            (
+                "scrub_cells_rewritten",
+                row.scrub_cells_rewritten.to_string(),
+            ),
+            ("audit_corrupted_bits", row.audit_corrupted_bits.to_string()),
         ]);
     }
     if ops_per_config >= DEFAULT_OPS {
@@ -430,20 +372,7 @@ fn reliability_sweep(ops_per_config: usize) -> Table {
 /// sharded-dispatch determinism proof. A sparse Zipf replay over a 256-bank
 /// chip then demonstrates lazy materialisation: only touched banks allocate.
 fn topology_sweep(ops_per_channel: usize, topology: Topology) -> Table {
-    let mut table = Table::new([
-        "scheme",
-        "geometry",
-        "window",
-        "issued",
-        "completed",
-        "achieved_mops",
-        "sojourn_p50_ns",
-        "sojourn_p99_ns",
-        "mean_bus_wait_ns",
-        "source_throttled",
-        "max_outstanding",
-        "resident_banks",
-    ]);
+    let mut table = Table::default();
     for kind in SchemeKind::ALL {
         let mut unloaded_p99 = None;
         let mut knee = None;
@@ -480,27 +409,26 @@ fn topology_sweep(ops_per_channel: usize, topology: Topology) -> Table {
                 channels.merge(channel);
             }
             let throttled = channels.source_throttled;
+            let (mops, p50) = (run.ops_per_second() * 1e-6, totals.queue.sojourn_p50());
+            let bus_wait = channels.mean_bus_wait_ns();
             println!(
-                "{:<15} window {window:>2}: {:.1} Mops, p50 {:.0} ns, p99 {:.0} ns, \
+                "{:<15} window {window:>2}: {mops:.1} Mops, p50 {p50:.0} ns, p99 {p99:.0} ns, \
                  throttled {throttled}  [serial == sharded ✓]",
                 scheme_label(kind),
-                run.ops_per_second() * 1e-6,
-                totals.queue.sojourn_p50(),
-                p99,
             );
-            table.push_row([
-                scheme_label(kind).to_string(),
-                topology.to_string(),
-                window.to_string(),
-                channels.issued.to_string(),
-                run.completed.to_string(),
-                format!("{:.3}", run.ops_per_second() * 1e-6),
-                format!("{:.1}", totals.queue.sojourn_p50()),
-                format!("{:.1}", p99),
-                format!("{:.2}", channels.mean_bus_wait_ns()),
-                throttled.to_string(),
-                channels.max_outstanding.to_string(),
-                run.telemetry.resident_banks().to_string(),
+            table.push_named_row([
+                ("scheme", scheme_label(kind).to_string()),
+                ("geometry", topology.to_string()),
+                ("window", window.to_string()),
+                ("issued", channels.issued.to_string()),
+                ("completed", run.completed.to_string()),
+                ("achieved_mops", format!("{mops:.3}")),
+                ("sojourn_p50_ns", format!("{p50:.1}")),
+                ("sojourn_p99_ns", format!("{p99:.1}")),
+                ("mean_bus_wait_ns", format!("{bus_wait:.2}")),
+                ("source_throttled", throttled.to_string()),
+                ("max_outstanding", channels.max_outstanding.to_string()),
+                ("resident_banks", run.telemetry.resident_banks().to_string()),
             ]);
         }
         match knee {
@@ -575,23 +503,7 @@ fn topology_sweep(ops_per_channel: usize, topology: Topology) -> Table {
 /// of baseline (or the trip-latency floor — the daemon only observes an
 /// excursion at its next check in an idle gap).
 fn thermal_sweep(ops_per_config: usize) -> Table {
-    let mut table = Table::new([
-        "arm",
-        "bank",
-        "reads",
-        "writes",
-        "misreads",
-        "misread_rate",
-        "unconfident_reads",
-        "read_retries",
-        "calib_trips",
-        "calib_bursts",
-        "calib_burst_reads",
-        "calib_refits",
-        "calib_last_beta",
-        "calib_busy_us",
-        "busy_us",
-    ]);
+    let mut table = Table::default();
     let kind = SchemeKind::Nondestructive;
     let hot = DriftPlan::quiet().with_transient(ThermalTransient {
         bank: 0,
@@ -648,6 +560,8 @@ fn thermal_sweep(ops_per_config: usize) -> Table {
                 rate_of.insert(arm, rate);
                 reads_of.insert(arm, telemetry.reads);
             }
+            let daemon = &telemetry.calib;
+            let daemon_us = daemon.busy_time.get() * 1e6;
             println!(
                 "{arm:<16} bank {bank}: {:>5} reads, {:>5} misreads (rate {:.4}), \
                  {:>5} retry-exhausted, {} trips / {} refits, beta {:.4}{checked}",
@@ -655,26 +569,26 @@ fn thermal_sweep(ops_per_config: usize) -> Table {
                 telemetry.misreads,
                 rate,
                 telemetry.unconfident_reads,
-                telemetry.calib.trips,
-                telemetry.calib.refits,
-                telemetry.calib.last_beta,
+                daemon.trips,
+                daemon.refits,
+                daemon.last_beta,
             );
-            table.push_row([
-                arm.to_string(),
-                bank.to_string(),
-                telemetry.reads.to_string(),
-                telemetry.writes.to_string(),
-                telemetry.misreads.to_string(),
-                format!("{rate:.6}"),
-                telemetry.unconfident_reads.to_string(),
-                telemetry.read_retries.to_string(),
-                telemetry.calib.trips.to_string(),
-                telemetry.calib.bursts.to_string(),
-                telemetry.calib.burst_reads.to_string(),
-                telemetry.calib.refits.to_string(),
-                format!("{:.4}", telemetry.calib.last_beta),
-                format!("{:.3}", telemetry.calib.busy_time.get() * 1e6),
-                format!("{:.3}", telemetry.busy_time.get() * 1e6),
+            table.push_named_row([
+                ("arm", arm.to_string()),
+                ("bank", bank.to_string()),
+                ("reads", telemetry.reads.to_string()),
+                ("writes", telemetry.writes.to_string()),
+                ("misreads", telemetry.misreads.to_string()),
+                ("misread_rate", format!("{rate:.6}")),
+                ("unconfident_reads", telemetry.unconfident_reads.to_string()),
+                ("read_retries", telemetry.read_retries.to_string()),
+                ("calib_trips", daemon.trips.to_string()),
+                ("calib_bursts", daemon.bursts.to_string()),
+                ("calib_burst_reads", daemon.burst_reads.to_string()),
+                ("calib_refits", daemon.refits.to_string()),
+                ("calib_last_beta", format!("{:.4}", daemon.last_beta)),
+                ("calib_busy_us", format!("{daemon_us:.3}")),
+                ("busy_us", format!("{:.3}", telemetry.busy_time.get() * 1e6)),
             ]);
         }
         if calib.is_some() {
@@ -739,22 +653,7 @@ fn march_sweep(ops_per_config: usize) -> Table {
     if ops_per_config < DEFAULT_OPS {
         config = config.with_schemes(vec![SchemeKind::Nondestructive]);
     }
-    let mut table = Table::new([
-        "class",
-        "scheme",
-        "protection",
-        "algorithm",
-        "raw",
-        "background",
-        "planted",
-        "detected",
-        "detection_rate",
-        "escape_rate",
-        "mismatches",
-        "march_ops",
-        "ops_per_bit",
-        "test_time_ns",
-    ]);
+    let mut table = Table::default();
     let rows = run_escape_campaign(&config);
     for row in &rows {
         println!(
@@ -772,21 +671,21 @@ fn march_sweep(ops_per_config: usize) -> Table {
             row.ops_per_bit,
             row.test_time_ns,
         );
-        table.push_row([
-            row.class.name().to_string(),
-            scheme_label(row.scheme).to_string(),
-            row.protection.name().to_string(),
-            row.algorithm.name().to_string(),
-            row.raw.to_string(),
-            row.background.name().to_string(),
-            row.planted.to_string(),
-            row.detected.to_string(),
-            format!("{:.4}", row.detection_rate),
-            format!("{:.4}", row.escape_rate),
-            row.mismatches.to_string(),
-            row.march_ops.to_string(),
-            format!("{:.1}", row.ops_per_bit),
-            format!("{:.1}", row.test_time_ns),
+        table.push_named_row([
+            ("class", row.class.name().to_string()),
+            ("scheme", scheme_label(row.scheme).to_string()),
+            ("protection", row.protection.name().to_string()),
+            ("algorithm", row.algorithm.name().to_string()),
+            ("raw", row.raw.to_string()),
+            ("background", row.background.name().to_string()),
+            ("planted", row.planted.to_string()),
+            ("detected", row.detected.to_string()),
+            ("detection_rate", format!("{:.4}", row.detection_rate)),
+            ("escape_rate", format!("{:.4}", row.escape_rate)),
+            ("mismatches", row.mismatches.to_string()),
+            ("march_ops", row.march_ops.to_string()),
+            ("ops_per_bit", format!("{:.1}", row.ops_per_bit)),
+            ("test_time_ns", format!("{:.1}", row.test_time_ns)),
         ]);
     }
     println!(

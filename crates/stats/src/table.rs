@@ -20,8 +20,13 @@ use std::io;
 /// assert!(text.contains("beta"));
 /// assert!(text.contains("2.13"));
 /// assert_eq!(table.to_csv(), "beta,SM0 (mV),SM1 (mV)\n2.13,9.31,9.31\n");
+///
+/// // Or name each value's column beside it; the first row sets the header.
+/// let mut named = Table::default();
+/// named.push_named_row([("beta", "2.13"), ("SM0 (mV)", "9.31"), ("SM1 (mV)", "9.31")]);
+/// assert_eq!(named, table);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
@@ -64,6 +69,39 @@ impl Table {
             "row width must match header width"
         );
         self.rows.push(row);
+    }
+
+    /// Appends a row given as `(column, value)` pairs. On a table with no
+    /// columns yet ([`Table::default`]) the row's names become the header;
+    /// after that every row must name the header's columns, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a column name differs from the header's, if the row's
+    /// width differs from the header's, or if the row sets an empty header.
+    pub fn push_named_row<I, N, S>(&mut self, row: I)
+    where
+        I: IntoIterator<Item = (N, S)>,
+        N: AsRef<str>,
+        S: Into<String>,
+    {
+        let sets_header = self.header.is_empty();
+        let mut values = Vec::with_capacity(self.header.len());
+        for (index, (name, value)) in row.into_iter().enumerate() {
+            let name = name.as_ref();
+            if sets_header {
+                self.header.push(name.to_owned());
+            } else {
+                assert_eq!(
+                    self.header.get(index).map(String::as_str),
+                    Some(name),
+                    "row column {index} must match the header"
+                );
+            }
+            values.push(value.into());
+        }
+        assert!(!self.header.is_empty(), "a table needs at least one column");
+        self.push_row(values);
     }
 
     /// Number of data rows.
@@ -159,7 +197,7 @@ impl fmt::Display for Table {
         };
         render(&mut line, &self.header);
         writeln!(f, "{}", line.trim_end())?;
-        let rule_width = widths.iter().sum::<usize>() + 2 * (widths.len() - 1);
+        let rule_width = widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1);
         let mut rule = String::new();
         for _ in 0..rule_width {
             rule.write_char('-')?;
@@ -217,6 +255,30 @@ mod tests {
     fn rejects_ragged_rows() {
         let mut table = Table::new(["a", "b"]);
         table.push_row(["just one"]);
+    }
+
+    #[test]
+    fn named_rows_set_and_then_match_the_header() {
+        let mut table = Table::default();
+        table.push_named_row([("a", "1"), ("b", "2")]);
+        table.push_named_row([("a", String::from("3")), ("b", String::from("4"))]);
+        assert_eq!(table.to_csv(), "a,b\n1,2\n3,4\n");
+    }
+
+    #[test]
+    #[should_panic(expected = "row column 1 must match the header")]
+    fn rejects_a_named_row_with_other_columns() {
+        let mut table = Table::default();
+        table.push_named_row([("a", "1"), ("b", "2")]);
+        table.push_named_row([("a", "3"), ("c", "4")]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row width")]
+    fn rejects_a_named_row_missing_a_column() {
+        let mut table = Table::default();
+        table.push_named_row([("a", "1"), ("b", "2")]);
+        table.push_named_row([("a", "3")]);
     }
 
     #[test]
