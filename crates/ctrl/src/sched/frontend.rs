@@ -417,8 +417,8 @@ pub struct SchedRun {
     /// [`alloc_probe`] — on the FCFS fast path, the bank-major service
     /// pass included (and with it, above the parallel cutoff, a fixed
     /// amount per worker spawned). Always 0 unless the process installed a counting
-    /// allocator (the `sched_frontend` bench does, and asserts 0 for the
-    /// fault-free hot path).
+    /// allocator (`tests/integration_alloc.rs::the_event_loop_does_not_allocate`
+    /// does, and asserts 0 for every policy and backpressure mode).
     pub steady_state_allocs: u64,
 }
 
@@ -1001,8 +1001,9 @@ fn schedule_fresh<S: TxnSource + ?Sized>(
 /// costs about 250 ns per transaction. Two workers halve the pass, so
 /// they break even near 700 transactions; at 16,384 the pass's ~4 ms
 /// dwarfs the spawn on slower hosts and cheaper banks too. Shorter traces
-/// (the 2,000-op `sched_frontend` bench among them) stay serial and
-/// allocation-free.
+/// (the 2,000-op traces of
+/// `tests/integration_alloc.rs::the_event_loop_does_not_allocate` among
+/// them) stay serial and allocation-free.
 const PARALLEL_SERVICE_MIN_TXNS: usize = 16_384;
 
 /// Fast-path per-bank timing state: cursors into the bank-major offer
