@@ -115,10 +115,15 @@ awk -v value="$over_serial" -v floor=0.5 'BEGIN {
 # Batched Monte-Carlo smoke: the fig5mc campaign must run, spot-check its
 # batched waveforms against sequential references (asserted inside the
 # experiment), and amortize at least 5 times fewer LU factorizations than
-# a sequential campaign.
+# a sequential campaign. Its stdout is deterministic, so it must also hash
+# to its pin: the statistics table and the "N factorizations batched vs M
+# sequential" line move only in a commit that changes the model on purpose.
 echo "==> batched Monte-Carlo smoke (repro fig5mc)"
-amortization="$(cargo run --release -q -p stt-bench --bin repro -- fig5mc \
-    | grep -o 'factorization_amortization=[0-9.]*' | cut -d= -f2)"
+smoke_dir="$(mktemp -d)"
+trap 'rm -rf "$smoke_dir"' EXIT
+cargo run --release -q -p stt-bench --bin repro -- fig5mc > "$smoke_dir/fig5mc.txt"
+amortization="$(grep -o 'factorization_amortization=[0-9.]*' "$smoke_dir/fig5mc.txt" \
+    | cut -d= -f2)"
 awk -v value="$amortization" -v floor=5.0 'BEGIN {
     if (value + 0 < floor) {
         printf "    FAIL: batch amortization %.1f below floor %.1f\n", value, floor
@@ -126,14 +131,19 @@ awk -v value="$amortization" -v floor=5.0 'BEGIN {
     }
     printf "    factorization amortization %.1fx (floor %.1f) ok\n", value, floor
 }'
+expected=195d6dfce6d0a58165eb4c821493bd8779711fe3c5ecd0cb083a3777804d69c1
+actual="$(sha256sum "$smoke_dir/fig5mc.txt" | cut -d' ' -f1)"
+if [ "$actual" != "$expected" ]; then
+    echo "    FAIL: repro fig5mc stdout sha256: expected $expected, actual $actual"
+    exit 1
+fi
+echo "    repro fig5mc stdout: $actual"
 
 # Fast end-to-end smoke of the full-chip hierarchy: a small topology sweep
 # that asserts sharded == serial at every point, asserts that the lazy
 # sparse chip materialises exactly the banks its replay touches, and, at
 # 1000 ops, arms the knee assertion (about 1.5 s).
 echo "==> trafficsim --topology-sweep smoke"
-smoke_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir"' EXIT
 cargo run --release -q -p stt-bench --bin trafficsim -- \
     --topology-sweep --ops 1000 --geometry 2x1x2x2 --csv "$smoke_dir" > /dev/null
 test -s "$smoke_dir/topology_sweep.csv"
