@@ -116,6 +116,11 @@ pub struct Fig5Trial {
 }
 
 /// The Fig. 5 read-current variation campaign, batched.
+///
+/// Each batch records only the two probes it reads out, V_C1 and V_BO
+/// ([`Fig5Probes::bl`] is not recorded). The first trial is also run
+/// sequentially: that run is the bit-identity spot check and supplies the
+/// per-run factorization count of [`Fig5CampaignResult`].
 #[derive(Debug, Clone, Copy)]
 pub struct Fig5Campaign {
     /// Number of Monte-Carlo trials.
@@ -140,8 +145,10 @@ pub struct Fig5CampaignResult {
     pub outcomes: Vec<Fig5Trial>,
     /// Total LU factorizations across all batched runs.
     pub batched_factorizations: usize,
-    /// Factorizations a sequential campaign would have performed
-    /// (trials × per-run factorizations, measured on a reference run).
+    /// Factorizations a sequential campaign would have performed: trials ×
+    /// the factorizations of the first trial's sequential spot-check run.
+    /// Every trial walks the same LU key sequence (the scale moves only the
+    /// right-hand side), so that one run stands for all of them.
     pub sequential_factorizations: usize,
     /// Telemetry of one batched run (dimension, bandwidth, backend).
     pub telemetry: TranTelemetry,
@@ -182,13 +189,14 @@ impl Fig5Campaign {
     /// Runs the campaign: `trials` read-current scales drawn from
     /// Normal(1, σ), simulated `batch` at a time through
     /// [`Circuit::transient_batch`], with per-trial determinism independent
-    /// of the batch width.
+    /// of the batch width. Trial 0 is re-simulated sequentially once, as the
+    /// spot check and the per-run factorization count.
     ///
     /// # Panics
     ///
-    /// Panics if a batched waveform diverges from its sequential reference
-    /// (the bit-identity spot check) or an analysis fails on this known-good
-    /// netlist.
+    /// Panics if `trials == 0`, if trial 0's batched V_BO waveform diverges
+    /// from its sequential run (the bit-identity spot check), or if an
+    /// analysis fails on this known-good netlist.
     #[must_use]
     pub fn run(&self) -> Fig5CampaignResult {
         let (circuit, driver, probes) = fig5_linear_circuit(self.segments);
@@ -200,16 +208,12 @@ impl Fig5Campaign {
         let t_c1 = Seconds::from_nano(12.0);
         let t_bo = Seconds::from_nano(27.0);
 
-        // Reference sequential run: its factorization count × trials is
-        // what the campaign would cost without batching, and its nominal
-        // waveform must be reproduced bit-for-bit by a scale-1 member.
-        let reference = circuit.transient(&options).expect("fig5 reference");
-        let per_run = reference.telemetry().factorizations;
-
         struct BatchSlice {
             trial: Fig5Trial,
             factorizations: usize,
             telemetry: Option<TranTelemetry>,
+            /// The sequential spot run's factorizations (first batch only).
+            per_run: Option<usize>,
         }
         let slices = run_trial_batches(self.trials, self.batch, self.seed, |rngs, start| {
             let scales: Vec<f64> = rngs.iter_mut().map(|rng| variation.sample(rng)).collect();
@@ -217,13 +221,16 @@ impl Fig5Campaign {
                 .iter()
                 .map(|&s| BatchMember::new().current_wave(driver, base.scaled(s)))
                 .collect();
-            let probe_list = [probes.bl, probes.c1_top, probes.v_bo];
+            // Only the probes read out below are recorded.
             let batch = circuit
-                .transient_batch(&options, &members, &probe_list)
+                .transient_batch(&options, &members, &[probes.c1_top, probes.v_bo])
                 .expect("fig5 batched transient");
-            if start == 0 {
-                // Bit-identity spot check: member 0 of the first batch
-                // against a sequential run with the same scaled waveform.
+            // Bit-identity spot check: member 0 of the first batch against a
+            // sequential run with the same scaled waveform. Its factorization
+            // count × trials is what the campaign would cost without
+            // batching: the amplitude moves only the right-hand side, so
+            // every run walks the same LU key sequence.
+            let per_run = (start == 0).then(|| {
                 let mut spot = circuit.clone();
                 spot.set_current_source_wave(driver, base.scaled(scales[0]));
                 let sequential = spot.transient(&options).expect("fig5 sequential spot");
@@ -231,7 +238,8 @@ impl Fig5Campaign {
                     batch.voltage(0, probes.v_bo) == sequential.voltage(probes.v_bo),
                     "batched member diverged from sequential reference"
                 );
-            }
+                sequential.telemetry().factorizations
+            });
             let telemetry = batch.telemetry();
             scales
                 .iter()
@@ -251,6 +259,7 @@ impl Fig5Campaign {
                         // exactly once.
                         factorizations: if k == 0 { telemetry.factorizations } else { 0 },
                         telemetry: (k == 0).then_some(telemetry),
+                        per_run,
                     }
                 })
                 .collect()
@@ -261,6 +270,9 @@ impl Fig5Campaign {
             .iter()
             .find_map(|s| s.telemetry)
             .expect("at least one batch ran");
+        let per_run = slices[0]
+            .per_run
+            .expect("the first batch ran the spot check");
         Fig5CampaignResult {
             outcomes: slices.into_iter().map(|s| s.trial).collect(),
             batched_factorizations,

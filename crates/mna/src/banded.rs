@@ -5,8 +5,11 @@
 //! reordering (see [`Circuit::bandwidth_report`](crate::Circuit::bandwidth_report))
 //! every matrix entry lives within a few diagonals of the main one. A dense
 //! LU pays O(n³) to factor and O(n²) to back-substitute regardless; the
-//! banded storage here factors in O(n·b²) and solves in O(n·b), which is
-//! what lets thousand-segment bit-lines simulate interactively.
+//! banded storage here factors in O(n·b²) and solves in at most O(n·b),
+//! which is what lets thousand-segment bit-lines simulate interactively.
+//! The solves stop each column at its last nonzero factor entry (see
+//! [`BandedLu`]), so a ladder whose band is mostly fill headroom pays only
+//! for the entries it really has.
 //!
 //! Storage follows LAPACK's band convention (`dgbtrf`): column-major, with
 //! entry `(i, j)` at `data[j·stride + (i − j + kl + ku)]`. Partial pivoting
@@ -171,15 +174,27 @@ impl BandedMatrix {
 /// reusable across right-hand sides — the banded counterpart of
 /// [`LuFactors`](crate::matrix::LuFactors).
 ///
-/// Factor cost is O(n·kl·(kl + ku)), each solve O(n·(kl + ku)). The pivot
-/// acceptance threshold and the [`SingularMatrixError::column`] semantics
-/// are identical to the dense path (pinned by the shared error-contract
-/// test), so backends can be swapped without changing failure reporting.
+/// Factor cost is O(n·kl·(kl + ku)). Each factorisation records, per
+/// elimination column `k`, how far column `k` of L and row `k` of U reach
+/// before only exact zeros remain, and the solves stop there, so a solve
+/// costs O(Σ reach) ≤ O(n·(kl + kl + ku)). A term cut off that way is
+/// `e -= 0·v` with `v` finite, which leaves `e` unchanged unless `e` is −0
+/// and the product −0 (where it would yield +0): the same terms the dense
+/// LU runs for every zero of the full matrix. The pivot acceptance threshold
+/// and the [`SingularMatrixError::column`] semantics are identical to the
+/// dense path (pinned by the shared error-contract test), so backends can
+/// be swapped without changing failure reporting.
 #[derive(Debug, Clone)]
 pub struct BandedLu {
     matrix: BandedMatrix,
     /// `ipiv[k]` = row swapped into position `k` at elimination step `k`.
     ipiv: Vec<usize>,
+    /// `lower[k]`: rows below the diagonal that column `k` of L reaches,
+    /// up to its last nonzero multiplier (`≤ kl`).
+    lower: Vec<usize>,
+    /// `upper[k]`: columns right of the diagonal that row `k` of U
+    /// reaches, up to its last nonzero entry (`≤ kl + ku`).
+    upper: Vec<usize>,
 }
 
 impl BandedLu {
@@ -195,6 +210,8 @@ impl BandedLu {
         let mut lu = Self {
             matrix,
             ipiv: (0..n).collect(),
+            lower: vec![0; n],
+            upper: vec![0; n],
         };
         lu.factor_in_place()?;
         Ok(lu)
@@ -212,6 +229,8 @@ impl BandedLu {
         Self {
             matrix: BandedMatrix::zeros(n, kl, ku),
             ipiv: (0..n).collect(),
+            lower: vec![0; n],
+            upper: vec![0; n],
         }
     }
 
@@ -275,6 +294,16 @@ impl BandedLu {
                     self.matrix.set(i, j, updated);
                 }
             }
+            // Column k of L and row k of U are final from here on: later
+            // steps only swap and update rows below k.
+            self.lower[k] = (1..=reach)
+                .rev()
+                .find(|&d| self.matrix.at(k + d, k) != 0.0)
+                .unwrap_or(0);
+            self.upper[k] = (1..=jmax - k)
+                .rev()
+                .find(|&d| self.matrix.at(k, k + d) != 0.0)
+                .unwrap_or(0);
         }
         Ok(())
     }
@@ -297,23 +326,19 @@ impl BandedLu {
         // width loop, which costs real time in the transient hot path.
         let n = self.matrix.n;
         assert_eq!(x.len(), n, "solution buffer dimension mismatch");
-        let kl = self.matrix.kl;
-        let uw = self.matrix.kl + self.matrix.ku;
         // Apply the row interchanges and the unit-diagonal L factor.
         for k in 0..n {
             let p = self.ipiv[k];
             if p != k {
                 x.swap(k, p);
             }
-            let reach = kl.min(n - 1 - k);
-            for i in (k + 1)..=(k + reach) {
+            for i in (k + 1)..=(k + self.lower[k]) {
                 x[i] -= self.matrix.at(i, k) * x[k];
             }
         }
-        // Back-substitution against U (bandwidth kl + ku after fill).
+        // Back-substitution against U, each row up to its last nonzero.
         for k in (0..n).rev() {
-            let jmax = (k + uw).min(n - 1);
-            for j in (k + 1)..=jmax {
+            for j in (k + 1)..=(k + self.upper[k]) {
                 x[k] -= self.matrix.at(k, j) * x[j];
             }
             x[k] /= self.matrix.at(k, k);
@@ -344,8 +369,6 @@ impl BandedLu {
         let n = self.matrix.n;
         assert!(width > 0, "need at least one right-hand side");
         assert_eq!(x.len(), n * width, "solution buffer dimension mismatch");
-        let kl = self.matrix.kl;
-        let uw = self.matrix.kl + self.matrix.ku;
         // Row updates run over whole width-long row slices, so the inner
         // loops carry no bounds checks and vectorise; per member the
         // operations and their order are those of the scalar kernel.
@@ -357,7 +380,7 @@ impl BandedLu {
             if p != k {
                 pivot.swap_with_slice(&mut rest[(p - k - 1) * width..(p - k) * width]);
             }
-            let reach = kl.min(n - 1 - k);
+            let reach = self.lower[k];
             for (i, row) in (k + 1..).zip(rest.chunks_exact_mut(width).take(reach)) {
                 let factor = self.matrix.at(i, k);
                 for (entry, &above) in row.iter_mut().zip(&*pivot) {
@@ -365,12 +388,11 @@ impl BandedLu {
                 }
             }
         }
-        // Back-substitution against U (bandwidth kl + ku after fill).
+        // Back-substitution against U, each row up to its last nonzero.
         for k in (0..n).rev() {
-            let jmax = (k + uw).min(n - 1);
             let (head, solved) = x.split_at_mut((k + 1) * width);
             let row = &mut head[k * width..];
-            for (j, below) in (k + 1..).zip(solved.chunks_exact(width).take(jmax - k)) {
+            for (j, below) in (k + 1..).zip(solved.chunks_exact(width).take(self.upper[k])) {
                 let upper = self.matrix.at(k, j);
                 for (entry, &value) in row.iter_mut().zip(below) {
                     *entry -= upper * value;
@@ -389,8 +411,10 @@ impl BandedLu {
 mod tests {
     use super::*;
     use crate::matrix::LuFactors;
+    use crate::{Circuit, Integrator, Node, SwitchSchedule, Waveform};
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
+    use stt_units::{Farads, Ohms, Seconds};
 
     /// Deterministic pseudo-random values in `[-1, 1)` (splitmix64 bits).
     fn noise(seed: &mut u64) -> f64 {
@@ -595,6 +619,129 @@ mod tests {
         let banded_err = BandedLu::factor(m).expect_err("singular");
         assert_eq!(banded_err, dense_err);
         assert_eq!(banded_err.column, 2);
+    }
+
+    /// The linear Fig. 5 read line (`stt_bench::montecarlo::fig5_linear_circuit`
+    /// at 32 segments, its read current held at DC, which the matrix does
+    /// not see): a current driver into a 32-segment RC bit line that ends in
+    /// the lumped cell, C1 switched onto the line during 2–12 ns and the
+    /// 10 MΩ + 10 MΩ divider during 12–27 ns. Nodes in line order, so
+    /// the banded backend keeps the natural order: driver, bl0..bl31,
+    /// c1_top, div_top, v_bo.
+    fn fig5_line() -> Circuit {
+        let segments = 32;
+        let mut circuit = Circuit::new();
+        let driver = circuit.node("driver");
+        circuit.current_source(driver, Node::GROUND, Waveform::Dc(50e-6));
+        let mut bl = driver;
+        for k in 0..segments {
+            let next = circuit.node(&format!("bl{k}"));
+            circuit.resistor(bl, next, Ohms::new(640.0 / segments as f64));
+            circuit.capacitor(
+                next,
+                Node::GROUND,
+                Farads::from_femto(192.0 / segments as f64),
+            );
+            bl = next;
+        }
+        circuit.resistor(bl, Node::GROUND, Ohms::from_kilo(3.3));
+        let c1_top = circuit.node("c1_top");
+        let during = |from: f64, to: f64| {
+            SwitchSchedule::closed_during(Seconds::from_nano(from), Seconds::from_nano(to))
+        };
+        let (r_on, r_off) = (Ohms::new(200.0), Ohms::from_mega(2000.0));
+        circuit.switch(bl, c1_top, r_on, r_off, during(2.0, 12.0));
+        circuit.capacitor(c1_top, Node::GROUND, Farads::from_femto(25.0));
+        let div_top = circuit.node("div_top");
+        let v_bo = circuit.node("v_bo");
+        circuit.switch(bl, div_top, r_on, r_off, during(12.0, 27.0));
+        circuit.resistor(div_top, v_bo, Ohms::from_mega(10.0));
+        circuit.resistor(v_bo, Node::GROUND, Ohms::from_mega(10.0));
+        circuit
+    }
+
+    /// Overwrites every stored factor entry past its column's recorded
+    /// reach with NaN: a solve that reads past a reach then returns NaN.
+    fn poison_past_reaches(lu: &mut BandedLu) {
+        let n = lu.matrix.n;
+        let (kl, uw) = (lu.matrix.kl, lu.matrix.kl + lu.matrix.ku);
+        for k in 0..n {
+            for d in lu.lower[k] + 1..=kl.min(n - 1 - k) {
+                lu.matrix.set(k + d, k, f64::NAN);
+            }
+            for d in lu.upper[k] + 1..=uw.min(n - 1 - k) {
+                lu.matrix.set(k, k + d, f64::NAN);
+            }
+        }
+    }
+
+    /// Solves `lu` and its poisoned copy, scalar and at widths 1, 3 and 64,
+    /// and requires the same bits from both: the solves read nothing past
+    /// the recorded reaches.
+    fn assert_solves_stop_at_reaches(lu: &BandedLu, seed: &mut u64) {
+        let n = lu.matrix.n;
+        let mut poisoned = lu.clone();
+        poison_past_reaches(&mut poisoned);
+        let b: Vec<f64> = (0..n).map(|_| noise(seed)).collect();
+        let (mut want, mut got) = (b.clone(), b);
+        lu.solve_in_place(&mut want).expect("factored");
+        poisoned.solve_in_place(&mut got).expect("factored");
+        assert!(want.iter().all(|v| v.is_finite()));
+        assert_eq!(got, want, "the scalar solve read past a reach");
+        for width in [1, 3, 64] {
+            let b: Vec<f64> = (0..n * width).map(|_| noise(seed)).collect();
+            let (mut want, mut got) = (b.clone(), b);
+            lu.solve_multi_in_place(&mut want, width).expect("factored");
+            poisoned
+                .solve_multi_in_place(&mut got, width)
+                .expect("factored");
+            assert_eq!(got, want, "the width-{width} solve read past a reach");
+        }
+    }
+
+    /// The solve work of the Fig. 5 line, pinned as a count: in every
+    /// switch phase and under both integrators, column k of L and row k of
+    /// U reach one entry past the diagonal everywhere outside the
+    /// switch/divider tail. The band is kl = ku = 2 wide (the two switches
+    /// leave bl31), so the full-band loops would run 2 and 4 entries.
+    #[test]
+    fn fig5_line_reaches_are_pinned() {
+        let circuit = fig5_line();
+        // Columns 0..=31 (driver, bl0..bl30) reach 1. bl31 reaches both
+        // switches; eliminating it fills (c1_top, div_top), which then
+        // reach 1 as does div_top → v_bo; v_bo ends the matrix.
+        let mut reaches = vec![1; 32];
+        reaches.extend([2, 1, 1, 0]);
+        let mut seed = 11u64;
+        for t in [1.0, 7.0, 20.0, 29.0] {
+            for integrator in [Integrator::BackwardEuler, Integrator::Trapezoidal] {
+                let matrix = circuit.banded_step_matrix(Seconds::from_nano(t), 50e-12, integrator);
+                assert_eq!((matrix.n, matrix.kl, matrix.ku), (36, 2, 2));
+                let lu = BandedLu::factor(matrix).expect("nonsingular");
+                assert!(lu.ipiv.iter().enumerate().all(|(k, &p)| p == k));
+                assert_eq!(lu.lower, reaches, "L reaches at {t} ns, {integrator:?}");
+                assert_eq!(lu.upper, reaches, "U reaches at {t} ns, {integrator:?}");
+                assert_solves_stop_at_reaches(&lu, &mut seed);
+            }
+        }
+    }
+
+    /// A full random band keeps its whole width: L reaches `kl` and, once
+    /// a pivot swap brings up a row from the bottom of the band, U reaches
+    /// `kl + ku`.
+    #[test]
+    fn full_bands_reach_their_width() {
+        let mut seed = 5u64;
+        for (kl, ku) in [(1, 1), (2, 1), (1, 3), (3, 2)] {
+            let n = 40;
+            let lu = BandedLu::factor(pivoting_banded(n, kl, ku, &mut seed)).expect("nonsingular");
+            for k in 0..n {
+                assert_eq!(lu.lower[k], kl.min(n - 1 - k), "column {k}");
+                assert!(lu.upper[k] <= (kl + ku).min(n - 1 - k), "row {k}");
+            }
+            assert_eq!(lu.upper.iter().max(), Some(&(kl + ku)));
+            assert_solves_stop_at_reaches(&lu, &mut seed);
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use stt_units::Seconds;
 use crate::banded::{BandedLu, BandedMatrix};
 use crate::circuit::{Circuit, CurrentSourceId, Element, MosfetParams, Node, SourceId};
 use crate::matrix::{LuFactors, Matrix, SingularMatrixError};
-use crate::waveform::Waveform;
+use crate::waveform::{PwlPoint, Waveform};
 
 /// Leak conductance to ground on every node (siemens).
 pub(crate) const GMIN: f64 = 1e-12;
@@ -458,6 +458,41 @@ impl BatchTranResult {
         let (t0, t1) = (self.times[upper - 1], self.times[upper]);
         let (v0, v1) = (sample(upper - 1), sample(upper));
         v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+    }
+}
+
+/// One independent source's waveform lanes in a batch, one per member.
+#[derive(Debug)]
+enum SourceLanes<'a> {
+    /// Every lane is a PWL whose knot times are bit-equal to lane 0's: one
+    /// segment search per step ([`PwlPoint`]) serves all of them. Holds
+    /// each lane's knots.
+    SharedKnots(Vec<&'a [(Seconds, f64)]>),
+    /// Any other mix: each lane evaluates its own waveform.
+    Each(Vec<&'a Waveform>),
+}
+
+impl<'a> SourceLanes<'a> {
+    fn new(lanes: &[&'a Waveform]) -> Self {
+        let knots: Option<Vec<&'a [(Seconds, f64)]>> = lanes
+            .iter()
+            .map(|wave| match wave {
+                Waveform::Pwl(knots) => Some(knots.as_slice()),
+                _ => None,
+            })
+            .collect();
+        let same_times = |a: &[(Seconds, f64)], b: &[(Seconds, f64)]| {
+            a.len() == b.len()
+                && a.iter()
+                    .zip(b)
+                    .all(|((ta, _), (tb, _))| ta.get().to_bits() == tb.get().to_bits())
+        };
+        match knots {
+            Some(knots) if knots.iter().all(|lane| same_times(lane, knots[0])) => {
+                SourceLanes::SharedKnots(knots)
+            }
+            _ => SourceLanes::Each(lanes.to_vec()),
+        }
     }
 }
 
@@ -1017,13 +1052,13 @@ impl Circuit {
         })
     }
 
-    /// Every independent source's waveform lane: `waves[source·k + m]` is
-    /// the waveform member `m` drives the `source`-th source (in element
-    /// order) with — its override, or else the circuit's own waveform.
+    /// Every independent source's waveform lanes, in element order: lane
+    /// `m` of the `source`-th entry is the waveform member `m` drives that
+    /// source with — its override, or else the circuit's own waveform.
     fn member_waves<'a>(
         &'a self,
         members: &'a [BatchMember],
-    ) -> Result<Vec<&'a Waveform>, AnalysisError> {
+    ) -> Result<Vec<SourceLanes<'a>>, AnalysisError> {
         let k = members.len();
         let mut waves = Vec::new();
         let mut isources = Vec::new();
@@ -1061,7 +1096,7 @@ impl Circuit {
                 waves[lane + m] = wave;
             }
         }
-        Ok(waves)
+        Ok(waves.chunks_exact(k).map(SourceLanes::new).collect())
     }
 
     /// Solves one linear analysis point for every batch member: one shared
@@ -1072,7 +1107,7 @@ impl Circuit {
     fn solve_batch_point(
         &self,
         ws: &mut SolveWorkspace,
-        waves: &[&Waveform],
+        waves: &[SourceLanes],
         t: Seconds,
         cap: Option<(&CapLanes, f64)>,
         integrator: Integrator,
@@ -1512,14 +1547,14 @@ impl Circuit {
     /// [`Circuit::stamp_rhs_only`] for all `k` lanes of a batch at once:
     /// zeroes `rhs` (`rhs[row·k + m]`) and walks the elements once, adding
     /// each capacitor's history currents and each source's lane of
-    /// waveform values (`waves[source·k + m]`). Every entry gets its
+    /// waveform values (`waves[source]`). Every entry gets its
     /// contributions in element order with the sequential arithmetic, so
     /// each lane is bit-identical to a sequential RHS. `values` is `k`
     /// lanes of scratch.
     fn stamp_rhs_lanes(
         &self,
         rhs: &mut [f64],
-        waves: &[&Waveform],
+        waves: &[SourceLanes],
         t: Seconds,
         cap: Option<(&CapLanes, f64)>,
         integrator: Integrator,
@@ -1528,11 +1563,21 @@ impl Circuit {
         debug_assert!(!self.has_nonlinear(), "rhs-only stamping needs linearity");
         let k = values.len();
         rhs.fill(0.0);
-        let mut sources = waves.chunks_exact(k);
-        let mut source_values = |values: &mut [f64]| {
-            let lane = sources.next().expect("one waveform lane per source");
-            for (value, wave) in values.iter_mut().zip(lane) {
-                *value = wave.value_at(t);
+        let mut sources = waves.iter();
+        let mut source_values = |values: &mut [f64]| match sources
+            .next()
+            .expect("one set of waveform lanes per source")
+        {
+            SourceLanes::SharedKnots(lanes) => {
+                let point = PwlPoint::locate(lanes[0], t);
+                for (value, knots) in values.iter_mut().zip(lanes) {
+                    *value = point.value(knots);
+                }
+            }
+            SourceLanes::Each(lanes) => {
+                for (value, wave) in values.iter_mut().zip(lanes) {
+                    *value = wave.value_at(t);
+                }
             }
         };
         let mut cap_index = 0;
@@ -1569,6 +1614,27 @@ impl Circuit {
                     *entry -= value;
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+impl Circuit {
+    /// The banded system matrix, in the banded backend's row order, that a
+    /// transient step of `h` ending at `t` factors: the banded unit tests'
+    /// handle on a real circuit's band.
+    pub(crate) fn banded_step_matrix(
+        &self,
+        t: Seconds,
+        h: f64,
+        integrator: Integrator,
+    ) -> BandedMatrix {
+        let mut ws = self.workspace(SolverStrategy::CachedLu, SolverBackend::Banded);
+        let caps = self.initial_cap_lanes(&ws.x, 1);
+        self.rebuild_matrix(&mut ws, t, Some((&caps, h)), integrator);
+        match ws.store {
+            MatrixStore::Banded { work, .. } => work,
+            MatrixStore::Dense { .. } => unreachable!("the banded backend was forced"),
         }
     }
 }

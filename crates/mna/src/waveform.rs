@@ -123,18 +123,7 @@ impl Waveform {
                     top + (base - top) * (t - fall_start) / (fall_end - fall_start)
                 }
             }
-            Waveform::Pwl(knots) => {
-                if t <= knots[0].0 {
-                    return knots[0].1;
-                }
-                if t >= knots[knots.len() - 1].0 {
-                    return knots[knots.len() - 1].1;
-                }
-                let upper = knots.partition_point(|(time, _)| *time < t);
-                let (t0, v0) = knots[upper - 1];
-                let (t1, v1) = knots[upper];
-                v0 + (v1 - v0) * ((t - t0) / (t1 - t0))
-            }
+            Waveform::Pwl(knots) => PwlPoint::locate(knots, t).value(knots),
         }
     }
 
@@ -182,6 +171,50 @@ impl Waveform {
                     .map(|&(time, value)| (time, value * factor))
                     .collect(),
             ),
+        }
+    }
+}
+
+/// Where a time falls on a PWL's knot times: everything
+/// [`Waveform::value_at`] derives from the times alone. Any PWL with
+/// bit-equal knot times reads the same point, so a batch whose lanes share
+/// their knot times searches the segment once per step
+/// ([`PwlPoint::value`] is then exactly `value_at`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum PwlPoint {
+    /// Clamped to the value of this knot (before the first, after the last).
+    Knot(usize),
+    /// Inside the segment ending at knot `upper`, at `frac = (t − t0)/(t1 − t0)`.
+    Between { upper: usize, frac: f64 },
+}
+
+impl PwlPoint {
+    /// Locates `t` on `knots` (at least two, strictly ascending times).
+    pub(crate) fn locate(knots: &[(Seconds, f64)], t: Seconds) -> Self {
+        if t <= knots[0].0 {
+            return PwlPoint::Knot(0);
+        }
+        if t >= knots[knots.len() - 1].0 {
+            return PwlPoint::Knot(knots.len() - 1);
+        }
+        let upper = knots.partition_point(|(time, _)| *time < t);
+        let (t0, t1) = (knots[upper - 1].0, knots[upper].0);
+        PwlPoint::Between {
+            upper,
+            frac: (t - t0) / (t1 - t0),
+        }
+    }
+
+    /// The value of `knots` at this point; `knots` must have the knot
+    /// times this point was located on.
+    #[inline]
+    pub(crate) fn value(self, knots: &[(Seconds, f64)]) -> f64 {
+        match self {
+            PwlPoint::Knot(index) => knots[index].1,
+            PwlPoint::Between { upper, frac } => {
+                let (v0, v1) = (knots[upper - 1].1, knots[upper].1);
+                v0 + (v1 - v0) * frac
+            }
         }
     }
 }

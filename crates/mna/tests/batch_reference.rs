@@ -10,12 +10,18 @@
 //! sequence is the same in either path. The batch must also do the same
 //! work: the sequential run's factorizations once, its solves once per
 //! member.
+//!
+//! A batch whose lanes of one source are all PWLs on bit-equal knot times
+//! locates each step on those knots once for every lane; mixed lanes
+//! (other knot times, DC, pulses) evaluate their own waveforms. Both paths
+//! are held to the same bit-identity, on steps that land exactly on a knot
+//! and steps outside the knot range.
 
 use proptest::prelude::*;
 use proptest::test_runner::{PtRng, TestCaseError};
 use stt_mna::{
     BatchMember, Circuit, CurrentSourceId, Integrator, Node, SolverBackend, SolverStrategy,
-    SourceId, SwitchSchedule, TranOptions, Waveform,
+    SourceId, SwitchSchedule, TranOptions, TranTelemetry, Waveform,
 };
 use stt_units::{Farads, Ohms, Seconds};
 
@@ -152,10 +158,58 @@ struct Case {
     dt: f64,
 }
 
-/// Runs the batch and the k sequential references and asserts exact
-/// equality of every probed sample, plus the batch's work counts: the
-/// sequential factorizations once for the whole batch, and the sequential
-/// solves once per member.
+/// Runs `overrides` as one batch and as sequential references, member `m`
+/// driving the circuit with its `(drive, supply)` waveforms or, for `None`,
+/// the base circuit untouched. Asserts exact equality of every probed
+/// sample, plus the batch's work counts: the sequential factorizations once
+/// for the whole batch, and the sequential solves once per member.
+fn assert_members_match_sequential(
+    circuit: &Circuit,
+    probes: &[Node],
+    targets: &Targets,
+    options: &TranOptions,
+    overrides: &[Option<(Waveform, Waveform)>],
+) -> Result<TranTelemetry, TestCaseError> {
+    let members: Vec<BatchMember> = overrides
+        .iter()
+        .map(|wave| match wave {
+            None => BatchMember::new(),
+            Some((drive, supply)) => BatchMember::new()
+                .current_wave(targets.driver, drive.clone())
+                .voltage_wave(targets.supply, supply.clone()),
+        })
+        .collect();
+    let batch = circuit
+        .transient_batch(options, &members, probes)
+        .expect("batched transient");
+    let telemetry = batch.telemetry();
+    for (m, wave) in overrides.iter().enumerate() {
+        let mut sequential = circuit.clone();
+        if let Some((drive, supply)) = wave {
+            sequential.set_current_source_wave(targets.driver, drive.clone());
+            sequential.set_voltage_source_wave(targets.supply, supply.clone());
+        }
+        let reference = sequential.transient(options).expect("sequential transient");
+        prop_assert_eq!(batch.times(), reference.times());
+        for &probe in probes {
+            let got = batch.voltage(m, probe);
+            let want = reference.voltage(probe);
+            prop_assert!(
+                got == want,
+                "member {m} probe {probe:?} diverged from sequential ({wave:?})"
+            );
+        }
+        let single = reference.telemetry();
+        prop_assert_eq!(telemetry.factorizations, single.factorizations);
+        prop_assert_eq!(telemetry.solves, single.solves * overrides.len());
+        prop_assert_eq!(telemetry.banded, single.banded);
+    }
+    Ok(telemetry)
+}
+
+/// Scales the drive current and nudges the supply rail per member (member
+/// 0 keeps the base circuit, to cover the no-override path), and checks
+/// the batch against its sequential references.
 fn assert_batch_matches_sequential(case: Case) -> Result<(), TestCaseError> {
     let (circuit, probes, targets) = random_circuit(case.seed, case.layout);
     let mut options = TranOptions::new(nanos(4.0), nanos(case.dt))
@@ -166,28 +220,20 @@ fn assert_batch_matches_sequential(case: Case) -> Result<(), TestCaseError> {
         options = options.from_zero_state();
     }
 
-    // Member m scales the drive current and nudges the supply rail; member 0
-    // keeps the base circuit untouched to cover the no-override path.
     let mut rng = PtRng::new(case.seed ^ 0x5EED_BA7C);
-    let scales: Vec<f64> = (0..case.k).map(|_| 0.5 + 1.2 * rng.unit_f64()).collect();
-    let members: Vec<BatchMember> = scales
-        .iter()
-        .enumerate()
-        .map(|(m, &s)| {
-            if m == 0 {
-                BatchMember::new()
-            } else {
-                BatchMember::new()
-                    .current_wave(targets.driver, targets.base_drive.scaled(s))
-                    .voltage_wave(targets.supply, targets.base_supply.scaled(2.0 - s))
-            }
+    let overrides: Vec<Option<(Waveform, Waveform)>> = (0..case.k)
+        .map(|m| {
+            let s = 0.5 + 1.2 * rng.unit_f64();
+            (m != 0).then(|| {
+                (
+                    targets.base_drive.scaled(s),
+                    targets.base_supply.scaled(2.0 - s),
+                )
+            })
         })
         .collect();
-
-    let batch = circuit
-        .transient_batch(&options, &members, &probes)
-        .expect("batched transient");
-    let telemetry = batch.telemetry();
+    let telemetry =
+        assert_members_match_sequential(&circuit, &probes, &targets, &options, &overrides)?;
     if case.backend == SolverBackend::Banded {
         prop_assert!(telemetry.banded, "forced-banded run fell back to dense");
         let natural_kept = telemetry.natural_bandwidth <= telemetry.reordered_bandwidth;
@@ -197,35 +243,107 @@ fn assert_batch_matches_sequential(case: Case) -> Result<(), TestCaseError> {
             case.layout
         );
     }
-
-    for (m, &s) in scales.iter().enumerate() {
-        let mut sequential = circuit.clone();
-        if m != 0 {
-            sequential.set_current_source_wave(targets.driver, targets.base_drive.scaled(s));
-            sequential.set_voltage_source_wave(targets.supply, targets.base_supply.scaled(2.0 - s));
-        }
-        let reference = sequential
-            .transient(&options)
-            .expect("sequential transient");
-        prop_assert_eq!(batch.times(), reference.times());
-        for &probe in &probes {
-            let got = batch.voltage(m, probe);
-            let want = reference.voltage(probe);
-            prop_assert!(
-                got == want,
-                "member {m} probe {probe:?} diverged from sequential ({case:?})"
-            );
-        }
-        let single = reference.telemetry();
-        prop_assert_eq!(telemetry.factorizations, single.factorizations);
-        prop_assert_eq!(telemetry.solves, single.solves * case.k);
-        prop_assert_eq!(telemetry.banded, single.banded);
-    }
     Ok(())
+}
+
+/// How a PWL-lane batch mixes its lanes (the same mix for both sources).
+#[derive(Debug, Clone, Copy)]
+enum LaneMix {
+    /// Every lane a PWL on the shared knot times.
+    SharedKnots,
+    /// Lanes cycle through a shared-knot PWL, a PWL on other knot times, a
+    /// DC level and a pulse.
+    Mixed,
+    /// Every lane a PWL, alternating between the two sets of knot times.
+    TwoKnotSets,
+    /// Shared knot times except the last lane, one of whose knots sits one
+    /// ulp later.
+    OneUlpOff,
+}
+
+const LANE_MIXES: [LaneMix; 4] = [
+    LaneMix::SharedKnots,
+    LaneMix::Mixed,
+    LaneMix::TwoKnotSets,
+    LaneMix::OneUlpOff,
+];
+
+/// Member `m`'s waveform of one source under `mix`, with values around
+/// `level`. `grid` is the transient's time grid: knots land exactly on some
+/// of its points and between others, and the first and last knots leave
+/// steps before and after the knot range.
+fn lane_wave(
+    mix: LaneMix,
+    m: usize,
+    k: usize,
+    grid: &[f64],
+    level: f64,
+    rng: &mut PtRng,
+) -> Waveform {
+    let at = |step: usize| Seconds::new(grid[step]);
+    let between = |step: usize| Seconds::new(0.5 * (grid[step] + grid[step + 1]));
+    let last = grid.len() - 1;
+    let shared = [
+        at(4),
+        between(9),
+        at(20),
+        at(last / 2),
+        between(last - 12),
+        at(last - 6),
+    ];
+    let other = [between(2), at(15), at(last / 3), at(last - 20)];
+    let mut value = || level * (0.5 + rng.unit_f64());
+    let pwl = |times: &[Seconds], value: &mut dyn FnMut() -> f64| {
+        Waveform::pwl(times.iter().map(|&time| (time, value())).collect())
+    };
+    let kind = match mix {
+        LaneMix::SharedKnots => 0,
+        LaneMix::Mixed => m % 4,
+        LaneMix::TwoKnotSets => m % 2,
+        LaneMix::OneUlpOff if m + 1 == k && k > 1 => 4,
+        LaneMix::OneUlpOff => 0,
+    };
+    match kind {
+        0 => pwl(&shared, &mut value),
+        1 => pwl(&other, &mut value),
+        2 => Waveform::Dc(value()),
+        3 => Waveform::pulse(0.0, value(), nanos(0.3), nanos(0.1), nanos(0.2), nanos(1.5)),
+        _ => {
+            let mut times = shared;
+            times[2] = Seconds::new(f64::from_bits(times[2].get().to_bits() + 1));
+            pwl(&times, &mut value)
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn batch_matches_sequential_on_pwl_lanes(
+        seed in 0u64..u64::MAX,
+        width in 0usize..4,
+        integrator in 0usize..2,
+        backend in 0usize..2,
+    ) {
+        let (circuit, probes, targets) = random_circuit(seed, Layout::Natural);
+        let options = TranOptions::new(nanos(4.0), nanos(0.05))
+            .with_backend([SolverBackend::Dense, SolverBackend::Banded][backend])
+            .with_integrator(INTEGRATORS[integrator]);
+        let grid = circuit.transient(&options).expect("base transient").times().to_vec();
+        let k = WIDTHS[width];
+        let mut rng = PtRng::new(seed ^ 0x0B1_7AB5);
+        for mix in LANE_MIXES {
+            let overrides: Vec<Option<(Waveform, Waveform)>> = (0..k)
+                .map(|m| {
+                    let drive = lane_wave(mix, m, k, &grid, 80e-6, &mut rng);
+                    let supply = lane_wave(mix, m, k, &grid, 1.0, &mut rng);
+                    Some((drive, supply))
+                })
+                .collect();
+            assert_members_match_sequential(&circuit, &probes, &targets, &options, &overrides)?;
+        }
+    }
 
     #[test]
     fn batch_matches_sequential_cached_lu(
