@@ -380,8 +380,7 @@ impl BandedLu {
             if p != k {
                 pivot.swap_with_slice(&mut rest[(p - k - 1) * width..(p - k) * width]);
             }
-            let reach = self.lower[k];
-            for (i, row) in (k + 1..).zip(rest.chunks_exact_mut(width).take(reach)) {
+            for (i, row) in (k + 1..).zip(rest.chunks_exact_mut(width).take(self.lower[k])) {
                 let factor = self.matrix.at(i, k);
                 for (entry, &above) in row.iter_mut().zip(&*pivot) {
                     *entry -= factor * above;
