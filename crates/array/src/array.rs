@@ -375,19 +375,9 @@ impl Array {
         }
     }
 
-    /// Bit-line voltage for a read of `addr` at `i_read`, including the
-    /// unselected-cell leakage shunt on that column.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the address is out of range.
-    #[must_use]
-    pub fn bitline_voltage(&self, addr: Address, i_read: Amps) -> Volts {
-        self.bitline_voltage_for(addr, self.read_state(addr), i_read)
-    }
-
-    /// Like [`Array::bitline_voltage`] but for a hypothetical stored state —
-    /// the sensing analyses need both branches of Eq. (1).
+    /// Bit-line voltage for a read of `addr` at `i_read` with the cell
+    /// holding `state`, including the unselected-cell leakage shunt on that
+    /// column — the sensing analyses need both branches of Eq. (1).
     ///
     /// # Panics
     ///
@@ -502,20 +492,15 @@ mod tests {
         let addr = Address::new(3, 5);
         let i = Amps::from_micro(200.0);
         array.write_bit(addr, false);
-        let v_low = array.bitline_voltage(addr, i);
+        let v_low = array.bitline_voltage_for(addr, array.read_state(addr), i);
         array.write_bit(addr, true);
-        let v_high = array.bitline_voltage(addr, i);
+        let v_high = array.bitline_voltage_for(addr, array.read_state(addr), i);
         assert!(v_high > v_low, "high state must produce the larger V_BL");
-        // Leakage pulls both below the unloaded cell voltage.
-        let unloaded = array
+        // Leakage pulls both below the unloaded cell voltage, Eq. (1).
+        let unloaded = i * array
             .cell(addr)
-            .bitline_voltage(ResistanceState::AntiParallel, i);
+            .series_resistance_for(ResistanceState::AntiParallel, i);
         assert!(v_high < unloaded);
-        // Hypothetical-state probe agrees with actual-state reads.
-        assert_eq!(
-            array.bitline_voltage_for(addr, ResistanceState::AntiParallel, i),
-            v_high
-        );
     }
 
     #[test]

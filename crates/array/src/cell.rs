@@ -6,8 +6,8 @@
 //! `V_BL = I_R · (R_MTJ(state, I_R) + R_T(I_R))` — Eq. (1) of the paper.
 
 use rand::Rng;
-use stt_mtj::{MtjDevice, MtjSpec, ResistanceState, SampledMtj, VariationModel};
-use stt_units::{Amps, Ohms, Seconds, Volts};
+use stt_mtj::{MtjDevice, MtjSpec, ResistanceState, VariationModel};
+use stt_units::{Amps, Ohms, Seconds};
 
 /// The NMOS access transistor, reduced to its linear-region resistance.
 ///
@@ -130,12 +130,6 @@ impl CellSpec {
             transistor: self.transistor.scaled(transistor_factor),
         }
     }
-
-    /// Samples only the MTJ variation factors (cheaper than a full cell when
-    /// an analysis just needs resistance scalings).
-    pub fn sample_factors<R: Rng + ?Sized>(&self, rng: &mut R) -> SampledMtj {
-        self.mtj_variation.sample(rng)
-    }
 }
 
 /// One 1T1J cell instance: a (possibly varied) device and its access
@@ -177,13 +171,6 @@ impl Cell {
         self.device.resistance(state, i) + self.transistor.resistance(i)
     }
 
-    /// Bit-line voltage produced by forcing `i` through the cell holding
-    /// `state` — Eq. (1).
-    #[must_use]
-    pub fn bitline_voltage(&self, state: ResistanceState, i: Amps) -> Volts {
-        i * self.series_resistance_for(state, i)
-    }
-
     /// Attempts a write of `target` into a cell holding `*state`, with an
     /// explicit current pulse and the device's stochastic switching model.
     /// A cell already in `target` draws nothing; otherwise one Bernoulli
@@ -223,10 +210,10 @@ mod tests {
         let cell = nominal();
         let i = Amps::from_micro(200.0);
         // R_L(200µA) = 1425 Ω, R_T = 917 Ω ⇒ 200 µA × 2342 Ω = 468.4 mV.
-        let low = cell.bitline_voltage(ResistanceState::Parallel, i);
+        let low = i * cell.series_resistance_for(ResistanceState::Parallel, i);
         assert!((low.get() - 0.46840).abs() < 1e-9);
         // R_H(200µA) = 2450 Ω ⇒ 673.4 mV.
-        let high = cell.bitline_voltage(ResistanceState::AntiParallel, i);
+        let high = i * cell.series_resistance_for(ResistanceState::AntiParallel, i);
         assert!((high.get() - 0.67340).abs() < 1e-9);
     }
 

@@ -29,7 +29,7 @@
 //! let addr = Address::new(3, 17);
 //! array.write_bit(addr, true);
 //! assert_eq!(array.read_state(addr).bit(), true);
-//! let v_bl = array.bitline_voltage(addr, Amps::from_micro(200.0));
+//! let v_bl = array.bitline_voltage_for(addr, array.read_state(addr), Amps::from_micro(200.0));
 //! assert!(v_bl.get() > 0.3); // high state: > I·(R_L + R_T)
 //! ```
 

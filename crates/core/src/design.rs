@@ -31,7 +31,7 @@ impl ConventionalDesign {
     /// *nominal* cell's two bit-line voltages — the best a shared reference
     /// can do without per-bit knowledge.
     #[must_use]
-    pub fn midpoint(nominal_cell: &Cell, i_read: Amps) -> Self {
+    fn midpoint(nominal_cell: &Cell, i_read: Amps) -> Self {
         let v_high = first_read_voltage(nominal_cell, ResistanceState::AntiParallel, i_read);
         let v_low = first_read_voltage(nominal_cell, ResistanceState::Parallel, i_read);
         Self {
@@ -344,7 +344,7 @@ mod tests {
         let die_shift = 1.3;
         let cells: Vec<Cell> = (0..512)
             .map(|_| {
-                let factors = spec.sample_factors(&mut rng);
+                let factors = spec.mtj_variation.sample(&mut rng);
                 let shifted = stt_mtj::SampledMtj {
                     ra_factor: factors.ra_factor * die_shift,
                     tmr_factor: factors.tmr_factor,

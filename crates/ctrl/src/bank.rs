@@ -45,15 +45,11 @@
 //! codes are cleared when it is rebuilt, and every code when a refit
 //! changes the scheme.
 
-use std::cell::RefCell;
 use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use stt_array::{
-    run_with_power_failure, AccessTransistor, Address, Array, Cell, OperationCost, OperationStep,
-    Phase, PhaseKind, PowerFailure,
-};
+use stt_array::{AccessTransistor, Address, Array, Cell, OperationCost, Phase, PhaseKind};
 use stt_mtj::{LinearRolloff, MtjSpec, ResistanceCurve};
 use stt_sense::{ChipTiming, DesignPoint, SchemeKind};
 
@@ -520,40 +516,30 @@ impl Bank {
         self.telemetry.energy += self.read_cost.energy() * sense.attempts as f64;
     }
 
-    /// A read interrupted by a power cut. The scheme's sequence is built as
-    /// separate steps and cut at the scheme's most vulnerable point: for
-    /// the destructive scheme that is after the erase (the §I window), for
-    /// the read-only schemes any point — no step mutates state either way.
+    /// A read interrupted by a power cut after its first state-mutating
+    /// step, the scheme's most vulnerable point: for the destructive scheme
+    /// that is after the erase (the §I window), so a stored 1 is lost
+    /// whenever the erase pulse switches it; the read-only schemes never
+    /// mutate the cell.
+    /// The cut falls before any write-back, so the sensed bit is never
+    /// used, but the sense still runs for its draw on the demand stream.
     /// The aborted read delivers no bit and charges no latency: the rail is
     /// down.
     fn serve_read_with_power_cut(&mut self, addr: Address) {
         self.telemetry.power_cuts += 1;
         let cell = self.array.index_of(addr);
         self.refresh(cell..cell + 1);
-        let scheme = self.scheme;
-        let sensed = scheme.sense_readonly(&self.array, addr, &mut self.streams.demand);
-        let rng = RefCell::new(&mut self.streams.demand);
-        let steps: Vec<OperationStep<'_>> = if scheme.is_destructive() {
-            vec![
-                Box::new(|_a: &mut Array| {}), // read 1: V_BL1 onto C1
-                Box::new(|a: &mut Array| {
-                    a.write_bit_pulsed(addr, false, &mut **rng.borrow_mut());
-                }),
-                Box::new(|_a: &mut Array| {}), // read 2 + compare
-                Box::new(|a: &mut Array| {
-                    a.write_bit_pulsed(addr, sensed.bit, &mut **rng.borrow_mut());
-                }),
-            ]
-        } else {
-            // Two sampling phases and the sense — none touches the cell.
-            vec![
-                Box::new(|_a: &mut Array| {}),
-                Box::new(|_a: &mut Array| {}),
-                Box::new(|_a: &mut Array| {}),
-            ]
-        };
-        let outcome = run_with_power_failure(&mut self.array, steps, PowerFailure::after_step(1));
-        self.telemetry.corrupted_bits += outcome.corrupted.len() as u64;
+        let _ = self
+            .scheme
+            .sense_readonly(&self.array, addr, &mut self.streams.demand);
+        if self.scheme.is_destructive() {
+            let before = self.array.read_state(addr);
+            self.array
+                .write_bit_pulsed(addr, false, &mut self.streams.demand);
+            if self.array.read_state(addr) != before {
+                self.telemetry.corrupted_bits += 1;
+            }
+        }
         self.snap_stuck_cells();
     }
 

@@ -128,42 +128,9 @@ pub(crate) fn serve_banks<F>(
         return jobs.for_each(|(bank, indices, service)| serve(bank, indices, service));
     }
     let mut jobs: Vec<_> = jobs.collect();
-    on_workers(&mut jobs, workers, |(bank, indices, service)| {
+    stt_stats::on_workers(&mut jobs, workers, |(bank, indices, service)| {
         serve(bank, indices, service);
     });
-}
-
-/// Runs `serve` on every job, on at most `workers` scoped workers that
-/// each take a run of consecutive jobs; one worker serves in place,
-/// without spawning. The one spawn site of the crate's bank and channel
-/// dispatch.
-///
-/// # Panics
-///
-/// Joins every worker, then re-raises the first panicking one's payload,
-/// so a worker's own message reaches the caller.
-pub(crate) fn on_workers<T, F>(jobs: &mut [T], workers: usize, serve: F)
-where
-    T: Send,
-    F: Fn(&mut T) + Sync,
-{
-    let run = jobs.len().div_ceil(workers.max(1));
-    if run >= jobs.len() {
-        return jobs.iter_mut().for_each(serve);
-    }
-    let panicked = std::thread::scope(|scope| {
-        let serve = &serve;
-        let workers: Vec<_> = jobs
-            .chunks_mut(run)
-            .map(|run| scope.spawn(move || run.iter_mut().for_each(serve)))
-            .collect();
-        workers
-            .into_iter()
-            .fold(None, |first, worker| first.or(worker.join().err()))
-    });
-    if let Some(payload) = panicked {
-        std::panic::resume_unwind(payload);
-    }
 }
 
 /// Everything needed to build a controller.

@@ -2,10 +2,10 @@
 //!
 //! Two fault families, both reusing the array crate's machinery:
 //!
-//! * **Power cuts** — every Nth read on a bank is interrupted mid-sequence
-//!   via [`stt_array::run_with_power_failure`]. For the destructive scheme
-//!   the cut lands in the §I vulnerability window (after the erase, before
-//!   the write-back), so stored data is physically lost; conventional and
+//! * **Power cuts** — every Nth read on a bank is interrupted mid-sequence.
+//!   For the destructive scheme the cut lands in the §I vulnerability
+//!   window (after the erase, before the write-back), so stored data is
+//!   physically lost; conventional and
 //!   nondestructive reads have no state-mutating steps and shrug the cut
 //!   off. This is the paper's core reliability argument, driven by traffic
 //!   instead of a standalone experiment.

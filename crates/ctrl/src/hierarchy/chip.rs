@@ -34,7 +34,7 @@ use stt_array::ArraySpec;
 use stt_sense::SchemeKind;
 
 use crate::bank::Bank;
-use crate::engine::{on_workers, ControllerConfig};
+use crate::engine::ControllerConfig;
 use crate::faults::{DriftPlan, FaultPlan};
 use crate::reliability::EccMode;
 use crate::retry::RetryPolicy;
@@ -491,7 +491,7 @@ impl Chip {
             ShardDispatch::Sharded => work.len(),
         };
         let mut jobs: Vec<_> = self.channels.iter_mut().zip(work).enumerate().collect();
-        on_workers(&mut jobs, workers, |(channel, (state, work))| {
+        stt_stats::on_workers(&mut jobs, workers, |(channel, (state, work))| {
             run_channel(config, bank_config, *channel, work, state);
         });
         ChipRun {
@@ -546,7 +546,7 @@ impl<'a> ChannelSim<'a> {
             group_of: (0..per_channel)
                 .map(|local| local / topology.banks)
                 .collect(),
-            events: EventSlots::new(per_channel, 0),
+            events: EventSlots::new(per_channel),
             on_bus: vec![false; per_channel],
             stats: ChannelTelemetry::default(),
             group_bus_free: vec![0.0; topology.ranks * topology.groups],
@@ -724,7 +724,6 @@ fn run_channel(
                     }
                 }
             }
-            Due::Extra(_) => unreachable!("a channel schedules no extra events"),
         }
     }
     sim.finish(state);

@@ -38,15 +38,6 @@ impl RetryPolicy {
         }
     }
 
-    /// A policy that senses exactly once and accepts whatever it saw.
-    #[must_use]
-    pub fn no_retry() -> Self {
-        Self {
-            guard_band: Volts::ZERO,
-            max_attempts: 1,
-        }
-    }
-
     /// Resolves one read by calling `sense` up to [`Self::max_attempts`]
     /// times. `sense` is invoked once per attempt, in order, and **not at
     /// all** after a confident attempt.
@@ -96,14 +87,6 @@ pub struct ReadResolution {
     pub confident: bool,
 }
 
-impl ReadResolution {
-    /// Retries beyond the first attempt.
-    #[must_use]
-    pub fn retries(&self) -> u32 {
-        self.attempts - 1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,7 +131,7 @@ mod tests {
         assert_eq!(calls, 3);
         assert!(resolution.confident);
         assert!(resolution.bit);
-        assert_eq!(resolution.retries(), 2);
+        assert_eq!(resolution.attempts, 3);
     }
 
     #[test]
@@ -170,7 +153,11 @@ mod tests {
 
     #[test]
     fn no_retry_accepts_anything() {
-        let policy = RetryPolicy::no_retry();
+        // One attempt, no guard band: whatever it senses is accepted.
+        let policy = RetryPolicy {
+            guard_band: Volts::ZERO,
+            max_attempts: 1,
+        };
         let resolution = policy.resolve(|| sensed(0.001));
         assert_eq!(resolution.attempts, 1);
         assert!(resolution.confident);

@@ -10,11 +10,9 @@
 //! No loop needs a heap for that. Each keeps at most one pending event per
 //! source of events — its traffic source, and per bank a fixed set of slots
 //! — so [`EventSlots`] holds one packed key per slot and pops the least by
-//! a linear scan. The one source with several pending events, the re-offers
-//! of [`Backpressure::Retry`](super::Backpressure::Retry), goes in a
-//! preallocated list scanned the same way. `EventSlots` hands out every
-//! `seq` itself, in scheduling order, so its pop order is exactly that of a
-//! min-heap over `(time, seq)`; the tests check it against one.
+//! a linear scan. `EventSlots` hands out every `seq` itself, in scheduling
+//! order, so its pop order is exactly that of a min-heap over
+//! `(time, seq)`; the tests check it against one.
 
 /// One pending event: its instant and its scheduling sequence number.
 ///
@@ -46,29 +44,23 @@ pub(crate) enum Due {
     Source,
     /// The event in slot `index`.
     Slot(usize),
-    /// An extra event, with the payload it was scheduled with.
-    Extra(u32),
 }
 
 /// A source slot, a fixed number of event slots holding at most one
-/// pending event each, a list of extra events, and the one sequence
-/// counter they all draw from.
+/// pending event each, and the one sequence counter they all draw from.
 #[derive(Debug)]
 pub(crate) struct EventSlots {
     source: SlotKey,
     slots: Vec<SlotKey>,
-    extras: Vec<(SlotKey, u32)>,
     next_seq: u64,
 }
 
 impl EventSlots {
-    /// `slots` idle slots, an idle source and room for `extras` pending
-    /// extra events before the list has to grow.
-    pub(crate) fn new(slots: usize, extras: usize) -> Self {
+    /// `slots` idle slots and an idle source.
+    pub(crate) fn new(slots: usize) -> Self {
         Self {
             source: SlotKey::IDLE,
             slots: vec![SlotKey::IDLE; slots],
-            extras: Vec::with_capacity(extras),
             next_seq: 0,
         }
     }
@@ -103,12 +95,6 @@ impl EventSlots {
         self.slots[index] = self.key(time_ns);
     }
 
-    /// Schedules an extra event carrying `payload` at `time_ns`.
-    pub(crate) fn schedule_extra(&mut self, time_ns: f64, payload: u32) {
-        let key = self.key(time_ns);
-        self.extras.push((key, payload));
-    }
-
     /// `true` while slot `index` holds a pending event.
     #[inline]
     pub(crate) fn is_pending(&self, index: usize) -> bool {
@@ -127,20 +113,11 @@ impl EventSlots {
                 best = key;
             }
         }
-        let mut extra = None;
-        for (index, &(key, _)) in self.extras.iter().enumerate() {
-            if key < best {
-                extra = Some(index);
-                best = key;
-            }
-        }
         if best == SlotKey::IDLE {
             return None;
         }
         // `seq` is unique, so the least key is unique too.
-        let due = if let Some(index) = extra {
-            Due::Extra(self.extras.swap_remove(index).1)
-        } else if let Some(index) = slot {
+        let due = if let Some(index) = slot {
             self.slots[index] = SlotKey::IDLE;
             Due::Slot(index)
         } else {
@@ -227,48 +204,52 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut events = EventSlots::new(2, 0);
+        let mut events = EventSlots::new(4);
         assert_eq!(events.pop(), None);
         events.schedule(1, 5.0);
-        events.schedule_extra(1.0, 10);
+        events.schedule(3, 1.0);
         events.schedule_source(3.0);
         events.schedule(0, 2.0);
-        events.schedule_extra(4.0, 40);
-        assert!(events.is_pending(0) && events.is_pending(1));
+        events.schedule(2, 4.0);
+        assert!((0..4).all(|slot| events.is_pending(slot)));
         assert_eq!(
             drain(&mut events),
             vec![
-                (1.0, Due::Extra(10)),
+                (1.0, Due::Slot(3)),
                 (2.0, Due::Slot(0)),
                 (3.0, Due::Source),
-                (4.0, Due::Extra(40)),
+                (4.0, Due::Slot(2)),
                 (5.0, Due::Slot(1)),
             ]
         );
-        assert!(!events.is_pending(0) && !events.is_pending(1));
+        assert!((0..4).all(|slot| !events.is_pending(slot)));
     }
 
     #[test]
     fn ties_pop_in_scheduling_order() {
-        let mut events = EventSlots::new(50, 100);
-        for label in 0..100u32 {
-            events.schedule_extra(7.0, label);
-            if label % 2 == 1 {
-                events.schedule((label / 2) as usize, 7.0);
-            }
+        // Slots scheduled in reverse index order, with the source in the
+        // middle: ties pop by `seq`, never by slot index.
+        let mut events = EventSlots::new(100);
+        for slot in (50..100).rev() {
+            events.schedule(slot, 7.0);
         }
-        let expected: Vec<_> = (0..100u32)
-            .flat_map(|label| {
-                let slot = (label % 2 == 1).then_some((7.0, Due::Slot((label / 2) as usize)));
-                std::iter::once((7.0, Due::Extra(label))).chain(slot)
-            })
+        events.schedule_source(7.0);
+        for slot in (0..50).rev() {
+            events.schedule(slot, 7.0);
+        }
+        let expected: Vec<_> = (50..100)
+            .rev()
+            .map(Due::Slot)
+            .chain(std::iter::once(Due::Source))
+            .chain((0..50).rev().map(Due::Slot))
+            .map(|due| (7.0, due))
             .collect();
         assert_eq!(drain(&mut events), expected);
     }
 
     #[test]
     fn interleaved_schedule_and_pop_keeps_order() {
-        let mut events = EventSlots::new(2, 0);
+        let mut events = EventSlots::new(2);
         events.schedule(0, 10.0);
         events.schedule(1, 30.0);
         assert_eq!(events.pop(), Some((10.0, Due::Slot(0))));
@@ -282,21 +263,27 @@ mod tests {
 
     #[test]
     fn reserved_queue_does_not_regrow_within_capacity() {
-        let mut events = EventSlots::new(4, 64);
-        let cap = events.extras.capacity();
-        for round in 0..10 {
-            for i in 0..64u32 {
-                events.schedule_extra(f64::from(i % 7), round * 64 + i);
+        // The slots are the whole store: rounds of scheduling every slot and
+        // draining them never touch the allocator.
+        let mut events = EventSlots::new(64);
+        let (pointer, cap) = (events.slots.as_ptr(), events.slots.capacity());
+        for round in 0..10u32 {
+            events.schedule_source(f64::from(round));
+            for slot in 0..64u32 {
+                events.schedule(slot as usize, f64::from((round + slot) % 7));
             }
-            while events.pop().is_some() {}
+            assert_eq!(drain(&mut events).len(), 65);
         }
-        assert_eq!(events.extras.capacity(), cap);
+        assert_eq!(
+            (events.slots.as_ptr(), events.slots.capacity()),
+            (pointer, cap)
+        );
     }
 
     #[test]
     #[should_panic(expected = "timestamps must be numbers")]
     fn nan_timestamps_are_rejected() {
-        EventSlots::new(0, 0).schedule_source(f64::NAN);
+        EventSlots::new(0).schedule_source(f64::NAN);
     }
 
     proptest! {
@@ -337,12 +324,11 @@ mod tests {
 
         /// [`EventSlots`] against the reference heap, in the general
         /// frontend loop's layout: a source plus four slots per bank at 1
-        /// to 40 banks, each holding at most one pending event, and any
-        /// number of pending extras (the retry re-offers). Each op pops
-        /// (`word % 4 == 0`), schedules an extra (`word % 4 == 1`), or
-        /// schedules the source or a slot if it is idle, at one of four
-        /// instants, so ties dominate; both sides must pop the same event
-        /// at the same instant every time, and drain equally at the end.
+        /// to 40 banks, each holding at most one pending event. Each op
+        /// pops (`word % 3 == 0`) or schedules the source or a slot if it
+        /// is idle, at one of four instants, so ties dominate; both sides
+        /// must pop the same event at the same instant every time, and
+        /// drain equally at the end.
         #[test]
         fn prop_slot_scan_pops_in_heap_order(
             banks in 1usize..41,
@@ -351,38 +337,30 @@ mod tests {
             const TIMES: [f64; 4] = [0.0, 1.5, 3.0, 4.5];
             let slots = 4 * banks;
             let mut queue = EventQueue::new();
-            let mut events = EventSlots::new(slots, 0);
+            let mut events = EventSlots::new(slots);
             let mut source_pending = false;
             for word in ops {
                 let time = TIMES[(word >> 40) as usize % 4];
-                match word % 4 {
-                    0 => {
-                        let popped = events.pop();
-                        if matches!(popped, Some((_, Due::Source))) {
-                            source_pending = false;
-                        }
-                        prop_assert_eq!(
-                            popped.map(|(t, due)| (t.to_bits(), due)),
-                            queue.pop().map(|(t, due)| (t.to_bits(), due))
-                        );
+                if word % 3 == 0 {
+                    let popped = events.pop();
+                    if matches!(popped, Some((_, Due::Source))) {
+                        source_pending = false;
                     }
-                    1 => {
-                        let payload = (word >> 8) as u32;
-                        events.schedule_extra(time, payload);
-                        queue.schedule(time, Due::Extra(payload));
-                    }
-                    _ => {
-                        let slot = (word >> 8) as usize % (slots + 1);
-                        if slot == slots {
-                            if !source_pending {
-                                source_pending = true;
-                                events.schedule_source(time);
-                                queue.schedule(time, Due::Source);
-                            }
-                        } else if !events.is_pending(slot) {
-                            events.schedule(slot, time);
-                            queue.schedule(time, Due::Slot(slot));
+                    prop_assert_eq!(
+                        popped.map(|(t, due)| (t.to_bits(), due)),
+                        queue.pop().map(|(t, due)| (t.to_bits(), due))
+                    );
+                } else {
+                    let slot = (word >> 8) as usize % (slots + 1);
+                    if slot == slots {
+                        if !source_pending {
+                            source_pending = true;
+                            events.schedule_source(time);
+                            queue.schedule(time, Due::Source);
                         }
+                    } else if !events.is_pending(slot) {
+                        events.schedule(slot, time);
+                        queue.schedule(time, Due::Slot(slot));
                     }
                 }
             }

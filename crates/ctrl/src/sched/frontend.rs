@@ -2,10 +2,10 @@
 //!
 //! [`Frontend`] wraps a [`Controller`] and replaces its zero-queueing
 //! serial replay with a discrete-event loop: transactions are *offered* at
-//! their arrival timestamps, admitted into bounded per-bank queues (or
-//! backpressured when full), dispatched by a scheduling [`Policy`], and
-//! completed out of order across banks while per-address ordering is
-//! preserved within each bank. The service stage is the exact same
+//! their arrival timestamps, admitted into bounded per-bank queues (a full
+//! queue stalls the arrival stream), dispatched by a scheduling
+//! [`Policy`], and completed out of order across banks while per-address
+//! ordering is preserved within each bank. The service stage is the exact same
 //! [`Bank`] logic serial replay uses — the frontend only
 //! decides *when* and *in which order* `Bank::execute` runs — which is what
 //! makes the anchor property hold:
@@ -32,22 +32,17 @@ use super::event::{Due, EventSlots};
 #[cfg(doc)]
 use super::policy::PriorityClass;
 use super::policy::{Daemon, Policy};
-use super::queue::{Lane, ParkedRetry, Queued};
+use super::queue::{Lane, Queued};
 
-/// What admission does when a transaction's bank queue is full.
+/// What admission does when a transaction's bank queue is full. Stalling
+/// is the only behaviour: the type and
+/// [`FrontendConfig::with_backpressure`] remain because the benchmark
+/// package names them, and leave with its next change.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Backpressure {
     /// Block the arrival stream until the queue frees a slot (a blocking
     /// host interface: later arrivals are pushed back in time too).
     Stall,
-    /// Discard the transaction and count it in the telemetry.
-    Drop,
-    /// Re-offer the transaction after a fixed delay (a polling host);
-    /// later arrivals are *not* blocked behind it.
-    Retry {
-        /// How long the caller waits before re-offering (nanoseconds).
-        delay_ns: f64,
-    },
 }
 
 /// Configuration of the March manufacturing-test traffic source.
@@ -107,7 +102,7 @@ pub struct FrontendConfig {
     pub queue_depth: usize,
     /// Dispatch policy.
     pub policy: Policy,
-    /// What to do when a bank queue is full.
+    /// What to do when a bank queue is full (always a stall).
     pub backpressure: Backpressure,
     /// Background scrub daemon (see [`ScrubConfig`]): a
     /// [`PriorityClass::Background`] traffic source offering one word-scrub
@@ -191,7 +186,8 @@ impl FrontendConfig {
         self
     }
 
-    /// Overrides the backpressure behaviour.
+    /// Sets the backpressure behaviour; [`Backpressure::Stall`] is both the
+    /// default and the only one.
     #[must_use]
     pub fn with_backpressure(mut self, backpressure: Backpressure) -> Self {
         self.backpressure = backpressure;
@@ -203,12 +199,6 @@ impl FrontendConfig {
             self.queue_depth > 0,
             "queue depth must be at least 1 (got 0)"
         );
-        if let Backpressure::Retry { delay_ns } = self.backpressure {
-            assert!(
-                delay_ns.is_finite() && delay_ns > 0.0,
-                "retry delay must be positive, got {delay_ns}"
-            );
-        }
         for (daemon, name) in [(Daemon::Scrub, "scrub"), (Daemon::Calib, "calibration")] {
             if let Some(interval_ns) = self.period(daemon) {
                 assert!(
@@ -258,7 +248,7 @@ pub struct Completion {
     pub op: Op,
     /// Original arrival timestamp (nanoseconds).
     pub arrival_ns: f64,
-    /// When it entered the bank queue (≥ arrival under stalls/retries).
+    /// When it entered the bank queue (≥ arrival under stalls).
     pub admit_ns: f64,
     /// When the bank started serving it.
     pub start_ns: f64,
@@ -418,7 +408,7 @@ pub struct SchedRun {
     /// pass included (and with it, above the parallel cutoff, a fixed
     /// amount per worker spawned). Always 0 unless the process installed a counting
     /// allocator (`tests/integration_alloc.rs::the_event_loop_does_not_allocate`
-    /// does, and asserts 0 for every policy and backpressure mode).
+    /// does, and asserts 0 for both policies, with and without stalls).
     pub steady_state_allocs: u64,
 }
 
@@ -528,7 +518,7 @@ fn kick_march(
     events.schedule(slot, now);
 }
 
-/// An admission blocked on a full queue under [`Backpressure::Stall`].
+/// An admission blocked on a full queue.
 #[derive(Debug, Clone, Copy)]
 struct StalledAdmission {
     trace_index: usize,
@@ -580,10 +570,10 @@ impl Frontend {
     /// # Panics
     ///
     /// Panics if the configuration is invalid (zero queue depth,
-    /// non-positive retry delay, non-positive scrub or calibration
-    /// interval, a calibration burst of zero reads), if scrub is enabled on
-    /// a controller without ECC (scrub re-reads words through the codec;
-    /// without check bits there is nothing to correct).
+    /// non-positive scrub or calibration interval, a calibration burst of
+    /// zero reads), if scrub is enabled on a controller without ECC (scrub
+    /// re-reads words through the codec; without check bits there is
+    /// nothing to correct).
     #[must_use]
     pub fn new(controller: Controller, config: FrontendConfig) -> Self {
         config.validate();
@@ -632,10 +622,10 @@ impl Frontend {
     /// The simulated clock restarts at zero for each call; accumulated
     /// telemetry (including queueing horizons) sums across calls.
     ///
-    /// All working storage (event slots, lane queues, completion columns,
-    /// retry waitlists; on the FCFS fast path the bank-major offer lists
-    /// and service times) is preallocated from the trace length before the
-    /// event loop starts, so the fault-free steady state performs no heap
+    /// All working storage (event slots, lane queues, completion columns;
+    /// on the FCFS fast path the bank-major offer lists and service times)
+    /// is preallocated from the trace length before the event loop
+    /// starts, so the fault-free steady state performs no heap
     /// allocation — [`SchedRun::steady_state_allocs`] reports what a
     /// counting allocator observed inside the loop (and the fast path's
     /// service pass), when one is installed. The one exception: a fast-path
@@ -651,7 +641,7 @@ impl Frontend {
         let FrontendConfig {
             queue_depth,
             policy,
-            backpressure,
+            backpressure: _,
             scrub,
             march,
             calib,
@@ -692,11 +682,9 @@ impl Frontend {
             && march.is_none()
             && calib.is_none();
         // Lane queues sized to the deepest each can get this run (a lane
-        // can only ever hold its own bank's transactions); the retry
-        // waitlist can hold every one of them in the worst case. The fast
-        // path queues by cursor into its per-bank lists, so its lane queues
-        // stay unallocated.
-        let retrying = matches!(backpressure, Backpressure::Retry { .. });
+        // can only ever hold its own bank's transactions). The fast path
+        // queues by cursor into its per-bank lists, so its lane queues stay
+        // unallocated.
         let mut lanes: Vec<Lane> = bank_load
             .iter()
             .map(|&load| {
@@ -704,9 +692,6 @@ impl Frontend {
                 let mut lane = Lane::with_capacity_hint(queue_depth, hint);
                 if exact_sojourn {
                     lane.stats.sojourn = SojournStats::exact();
-                }
-                if retrying {
-                    lane.parked.reserve(load);
                 }
                 lane
             })
@@ -727,7 +712,7 @@ impl Frontend {
                     start_ns: 0.0,
                 })
                 .collect();
-            let mut events = EventSlots::new(bank_count, 0);
+            let mut events = EventSlots::new(bank_count);
             let dispatch = if n >= PARALLEL_SERVICE_MIN_TXNS {
                 Dispatch::Parallel
             } else {
@@ -767,15 +752,14 @@ impl Frontend {
 
         // Pending at any instant: one fresh arrival in the source slot; per
         // bank one completion (demand or background), one March offer and
-        // one tick per periodic daemon in its `BANK_SLOTS` slots; and one
-        // extra re-offer per parked transaction at most.
-        let mut events = EventSlots::new(BANK_SLOTS * bank_count, if retrying { n } else { 0 });
+        // one tick per periodic daemon in its `BANK_SLOTS` slots.
+        let mut events = EventSlots::new(BANK_SLOTS * bank_count);
         let mut cursor = 0usize;
         let mut stalled: Option<StalledAdmission> = None;
-        // Demand transactions not yet completed or dropped. The periodic
-        // daemons' ticks reschedule themselves only while this (or the
-        // March backlog) is non-zero, so the event loop terminates as soon
-        // as demand and test traffic drain.
+        // Demand transactions not yet completed. The periodic daemons'
+        // ticks reschedule themselves only while this (or the March
+        // backlog) is non-zero, so the event loop terminates as soon as
+        // demand and test traffic drain.
         let mut unfinished = n;
         let mut march = MarchSource::new(march, capacity_bits, cols, bank_count);
 
@@ -796,55 +780,26 @@ impl Frontend {
         let allocs_before = alloc_probe::count();
         while let Some((now, due)) = events.pop() {
             match due {
-                // A transaction is offered to its bank: fresh from the trace
-                // in the source slot, or a retry's re-offer.
-                Due::Source | Due::Extra(_) => {
-                    let (trace_index, fresh) = match due {
-                        Due::Extra(trace_index) => (trace_index as usize, false),
-                        _ => (order[cursor - 1] as usize, true),
-                    };
+                // The source slot offers the next trace transaction to its
+                // bank.
+                Due::Source => {
+                    let trace_index = order[cursor - 1] as usize;
                     end_ns = end_ns.max(now);
                     let txn = trace.get(trace_index);
                     let lane = &mut lanes[txn.bank];
-                    let mut advance_stream = fresh;
                     if lane.queue.is_full() {
-                        match backpressure {
-                            Backpressure::Drop => {
-                                lane.stats.dropped += 1;
-                                unfinished -= 1;
-                            }
-                            Backpressure::Retry { delay_ns } => {
-                                // Park off-queue instead of re-enqueueing a
-                                // poll event: the transaction waits in lane
-                                // FIFO order and is re-offered on its
-                                // original polling grid when a slot frees
-                                // (see wake_parked). This failed poll counts
-                                // now; skipped ones are reconstructed
-                                // arithmetically at wake time.
-                                lane.stats.retried_admissions += 1;
-                                lane.parked.push_back(ParkedRetry {
-                                    trace_index: trace_index as u32,
-                                    next_poll_ns: now + delay_ns,
-                                });
-                            }
-                            Backpressure::Stall => {
-                                lane.stats.stalls += 1;
-                                stalled = Some(StalledAdmission {
-                                    trace_index,
-                                    offered_ns: now,
-                                });
-                                // A stalled admission blocks the host: no
-                                // further fresh arrivals until it lands.
-                                advance_stream = false;
-                            }
-                        }
+                        // A stalled admission blocks the host: no further
+                        // fresh arrivals until it lands.
+                        lane.stats.stalls += 1;
+                        stalled = Some(StalledAdmission {
+                            trace_index,
+                            offered_ns: now,
+                        });
                     } else {
                         let queued = queued(txn, trace_index, now);
                         if let Some(done) = lane.admit(&mut banks[txn.bank], queued, now) {
                             events.schedule(completion_slot(txn.bank), done);
                         }
-                    }
-                    if advance_stream {
                         schedule_fresh(&mut events, &order, trace, &mut cursor, now);
                     }
                 }
@@ -868,14 +823,12 @@ impl Frontend {
                         });
                     }
                     // Every completion shares this tail: the lane just went
-                    // idle, so serve the next demand, re-offer a parked
-                    // retry, land a stalled admission and re-kick the March
-                    // source.
+                    // idle, so serve the next demand, land a stalled
+                    // admission and re-kick the March source.
                     let bank_state = &mut banks[bank];
                     if let Some(done) = lane.try_dispatch(bank_state, policy, now) {
                         events.schedule(slot, done);
                     }
-                    wake_parked(lane, &mut events, backpressure, now);
                     // Dispatch freed a slot (or the queue was empty): a
                     // stalled admission targeting this bank can land now.
                     if let Some(blocked) = stalled {
@@ -904,8 +857,8 @@ impl Frontend {
                         }
                     } else if unfinished == 0 && march.remaining == 0 {
                         // The periodic daemons die with the demand and test
-                        // streams: no reschedule once everything completed
-                        // or dropped, so the loop drains. (An idle tick
+                        // streams: no reschedule once everything completed,
+                        // so the loop drains. (An idle tick
                         // also leaves the makespan alone.)
                         continue;
                     }
@@ -963,7 +916,6 @@ impl Frontend {
     ) -> SchedRun {
         for lane in &mut lanes {
             debug_assert!(lane.queue.is_empty() && !lane.busy());
-            debug_assert!(lane.parked.is_empty(), "drained loop left parked retries");
             lane.flush_occupancy(end_ns);
             lane.stats.horizon_ns = end_ns;
         }
@@ -1134,38 +1086,9 @@ fn fcfs_unbounded_loop<S: TxnSource + ?Sized>(
                     fl.start_ns = now;
                 }
             }
-            Due::Extra(_) => unreachable!("the fast path schedules no extra events"),
         }
     }
     end_ns
-}
-
-/// Re-offers the lane's oldest parked retry if a queue slot is now free.
-///
-/// A parked transaction polls on the grid `p0, p0 + d, p0 + 2d, …` fixed
-/// when it parked. The queue stayed full at every grid point before `now`
-/// (this function runs at every queue-shrink instant), so those polls all
-/// failed: their count is reconstructed arithmetically and the re-offer
-/// lands on the first grid point at or after `now`. If a fresh arrival
-/// steals the slot first, the re-offer parks again at the back of the FIFO.
-fn wake_parked(lane: &mut Lane, events: &mut EventSlots, backpressure: Backpressure, now: f64) {
-    let Backpressure::Retry { delay_ns } = backpressure else {
-        return;
-    };
-    if lane.queue.is_full() {
-        return;
-    }
-    let Some(parked) = lane.parked.pop_front() else {
-        return;
-    };
-    let mut next_poll = parked.next_poll_ns;
-    if now > next_poll {
-        // Grid points in [next_poll, now) all polled a full queue.
-        let skipped = ((now - next_poll) / delay_ns).ceil();
-        lane.stats.retried_admissions += skipped as u64;
-        next_poll += skipped * delay_ns;
-    }
-    events.schedule_extra(next_poll, parked.trace_index);
 }
 
 /// A trace transaction entering its lane at `now`.
@@ -1247,7 +1170,7 @@ mod tests {
         let queue = run.telemetry.aggregate().queue;
         assert_eq!(queue.completed, 600);
         assert_eq!(queue.admitted, 600);
-        assert_eq!(queue.dropped + queue.stalls + queue.retried_admissions, 0);
+        assert_eq!(queue.stalls, 0);
         assert!(run.makespan_ns > 0.0);
         assert!(run.ops_per_second() > 0.0);
     }
@@ -1285,19 +1208,6 @@ mod tests {
     }
 
     #[test]
-    fn drop_backpressure_bounds_the_queue_and_counts_losses() {
-        let config = FrontendConfig::fcfs_unbounded()
-            .with_queue_depth(4)
-            .with_backpressure(Backpressure::Drop);
-        // Offered load far beyond service rate (~14 ns reads, 1 ns gaps).
-        let run = frontend_run(config, 1.0);
-        let queue = run.telemetry.aggregate().queue;
-        assert!(queue.dropped > 0, "saturation must drop");
-        assert!(queue.max_depth <= 4);
-        assert_eq!(queue.completed + queue.dropped, 600);
-    }
-
-    #[test]
     fn stall_backpressure_completes_everything_late() {
         let config = FrontendConfig::fcfs_unbounded()
             .with_queue_depth(4)
@@ -1307,18 +1217,6 @@ mod tests {
         assert_eq!(queue.completed, 600, "stalling loses nothing");
         assert!(queue.stalls > 0);
         assert!(queue.stall_time_ns > 0.0);
-        assert!(queue.max_depth <= 4);
-    }
-
-    #[test]
-    fn retry_backpressure_completes_everything_with_reoffers() {
-        let config = FrontendConfig::fcfs_unbounded()
-            .with_queue_depth(4)
-            .with_backpressure(Backpressure::Retry { delay_ns: 50.0 });
-        let run = frontend_run(config, 1.0);
-        let queue = run.telemetry.aggregate().queue;
-        assert_eq!(queue.completed, 600, "retrying loses nothing");
-        assert!(queue.retried_admissions > 0);
         assert!(queue.max_depth <= 4);
     }
 
@@ -1537,17 +1435,6 @@ mod tests {
         assert!(
             aggregate.queue.scrub_deferred > 0,
             "back-to-back test ops leave scrub no gap"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "retry delay")]
-    fn non_positive_retry_delay_is_rejected() {
-        let config = ControllerConfig::small(SchemeKind::Nondestructive, 1);
-        let _ = Frontend::new(
-            Controller::new(config),
-            FrontendConfig::fcfs_unbounded()
-                .with_backpressure(Backpressure::Retry { delay_ns: 0.0 }),
         );
     }
 

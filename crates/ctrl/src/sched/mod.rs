@@ -18,12 +18,12 @@
 //!   and the chip's channel loops all run on it.
 //! * [`BankQueue`] — bounded per-bank admission queues over a `VecDeque`
 //!   that encode the per-address ordering rule every policy must obey.
-//! * [`Policy`] — pluggable dispatch: FCFS, read-priority with write
-//!   draining, oldest-first anti-starvation — plus the [`PriorityClass`]
-//!   arbitration hook among demand, test and background traffic.
+//! * [`Policy`] — pluggable dispatch: FCFS or read-priority with write
+//!   draining — plus the [`PriorityClass`] arbitration hook among demand,
+//!   test and background traffic.
 //! * [`Frontend`] — the engine tying them together over a
-//!   [`Controller`](crate::Controller), with [`Backpressure`] (stall, drop,
-//!   retry) when queues fill, up to three background daemons sharing one
+//!   [`Controller`](crate::Controller), stalling admission when a queue
+//!   fills, with up to three background daemons sharing one
 //!   offer-and-complete path — scrub
 //!   ([`ScrubConfig`](crate::reliability::ScrubConfig)) repairing
 //!   correctable errors in lane-idle gaps, a March manufacturing-test

@@ -2,8 +2,8 @@
 //!
 //! Every policy chooses among the queue's *eligible* entries (see
 //! [`BankQueue::eligible`]), so per-address ordering is preserved no matter
-//! how aggressive the reordering is. Three policies cover the classic
-//! controller trade-offs:
+//! how aggressive the reordering is. Two policies cover the classic
+//! controller trade-off:
 //!
 //! * [`Policy::Fcfs`] — strict admission order. With an unbounded queue
 //!   this reproduces serial replay bit-for-bit (the frontend's anchor
@@ -12,11 +12,6 @@
 //!   latency play for read-mostly traffic; queued writes are *drained* in
 //!   batch once they pile past a high-water mark (hysteresis: drain runs
 //!   until the write queue empties), so writes cannot starve.
-//! * [`Policy::OldestFirst`] — serve the eligible entry with the earliest
-//!   *original arrival*. Under retrying admission a transaction can re-enter
-//!   the queue long after it first arrived; oldest-first is the
-//!   anti-starvation answer, bounding how far behind its peers a retried
-//!   transaction can fall.
 
 use super::queue::BankQueue;
 
@@ -77,8 +72,6 @@ pub enum Policy {
         /// Queued-write count that triggers a write drain.
         write_high_water: usize,
     },
-    /// Serve the eligible entry with the earliest original arrival time.
-    OldestFirst,
 }
 
 impl Policy {
@@ -88,7 +81,6 @@ impl Policy {
         match self {
             Policy::Fcfs => "fcfs",
             Policy::ReadPriority { .. } => "read-priority",
-            Policy::OldestFirst => "oldest-first",
         }
     }
 
@@ -118,12 +110,6 @@ impl Policy {
         match *self {
             // The head of the queue is always eligible.
             Policy::Fcfs => Some(0),
-            Policy::OldestFirst => queue.eligible().min_by(|&a, &b| {
-                let (qa, qb) = (queue.entry(a), queue.entry(b));
-                qa.arrival_ns
-                    .total_cmp(&qb.arrival_ns)
-                    .then(qa.trace_index.cmp(&qb.trace_index))
-            }),
             Policy::ReadPriority { write_high_water } => {
                 let writes = queue.queued_writes();
                 if writes >= write_high_water.max(1) {
@@ -223,21 +209,9 @@ mod tests {
     }
 
     #[test]
-    fn oldest_first_picks_earliest_arrival_not_queue_position() {
-        // A retried admission sits at the tail with an old arrival stamp.
-        let mut queue = queue_of(vec![
-            queued(5, 50.0, Transaction::read(0, Address::new(0, 0))),
-            queued(6, 60.0, Transaction::read(0, Address::new(0, 1))),
-            queued(1, 10.0, Transaction::read(0, Address::new(0, 2))),
-        ]);
-        assert_eq!(Policy::OldestFirst.choose(&mut queue), Some(2));
-    }
-
-    #[test]
     fn arbitration_is_demand_work_conserving() {
         for policy in [
             Policy::Fcfs,
-            Policy::OldestFirst,
             Policy::ReadPriority {
                 write_high_water: 4,
             },
@@ -266,6 +240,5 @@ mod tests {
             .name(),
             "read-priority"
         );
-        assert_eq!(Policy::OldestFirst.name(), "oldest-first");
     }
 }

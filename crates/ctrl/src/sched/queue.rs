@@ -30,7 +30,7 @@ pub struct Queued {
     /// Its index in the original trace (stable identity for tests/logs).
     pub trace_index: usize,
     /// Original arrival timestamp (nanoseconds) — the clock sojourn time is
-    /// measured from, even when admission stalled or retried.
+    /// measured from, even when admission stalled.
     pub arrival_ns: f64,
     /// When the transaction entered this queue (nanoseconds).
     pub admit_ns: f64,
@@ -165,18 +165,6 @@ pub(crate) struct InService {
     pub(crate) start_ns: f64,
 }
 
-/// A transaction parked by [`Backpressure::Retry`](super::Backpressure)
-/// after its poll found the queue full: it waits off-queue (FIFO per lane)
-/// until a slot frees, then re-enters on its original polling grid. See
-/// DESIGN.md §12 — parking replaces the old poll-event churn, with the
-/// skipped polls reconstructed arithmetically.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ParkedRetry {
-    pub(crate) trace_index: u32,
-    /// The next instant on the transaction's `delay_ns` polling grid.
-    pub(crate) next_poll_ns: f64,
-}
-
 /// Per-bank run state shared by the scheduler frontend and the hierarchy
 /// chip engine: the waiting queue, what occupies the service stage and this
 /// run's queueing counters. The frontend keys lanes by bank index in a flat
@@ -193,8 +181,6 @@ pub(crate) struct Lane {
     pub(crate) background: Option<Daemon>,
     pub(crate) last_change_ns: f64,
     pub(crate) stats: QueueTelemetry,
-    /// Retry-backpressure waitlist (empty except under `Retry`).
-    pub(crate) parked: VecDeque<ParkedRetry>,
 }
 
 impl Lane {
@@ -205,7 +191,6 @@ impl Lane {
             background: None,
             last_change_ns: 0.0,
             stats: QueueTelemetry::default(),
-            parked: VecDeque::new(),
         }
     }
 

@@ -244,9 +244,8 @@ impl Scheme {
     /// The sense step alone, with no state mutation even for the
     /// destructive scheme.
     ///
-    /// The fault injector needs this to build the destructive sequence as
-    /// *separate* interruptible steps (sense, erase, write back) for
-    /// [`stt_array::run_with_power_failure`].
+    /// The power-cut read needs this: it senses, then runs the destructive
+    /// scheme's erase on its own, and the cut falls before the write-back.
     ///
     /// # Panics
     ///

@@ -41,16 +41,6 @@ pub struct AcResult {
 }
 
 impl AcResult {
-    /// The phasor of `node` at sweep point `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    #[must_use]
-    pub fn phasor(&self, node: Node, index: usize) -> Complex {
-        self.phasors[index][node.index()]
-    }
-
     /// The magnitude response of `node` across the sweep.
     #[must_use]
     pub fn magnitude(&self, node: Node) -> Vec<f64> {
@@ -356,7 +346,7 @@ mod tests {
         let result = circuit
             .ac_sweep(source, &[f_c], Seconds::ZERO)
             .expect("single point");
-        let phase = result.phasor(output, 0).phase().to_degrees();
+        let phase = result.phasors[0][output.index()].phase().to_degrees();
         assert!((phase + 45.0).abs() < 1.0, "phase {phase}°");
     }
 
@@ -390,7 +380,7 @@ mod tests {
             .ac_sweep(source, &[1e6, 1e9], Seconds::ZERO)
             .expect("sweep");
         for index in 0..2 {
-            let phasor = result.phasor(out, index);
+            let phasor = result.phasors[index][out.index()];
             assert!((phasor.re - 42.0).abs() < 1e-9);
             assert!(phasor.im.abs() < 1e-9);
         }
@@ -466,7 +456,7 @@ mod tests {
         let (mut vc, a, b) = build();
         let source = vc.voltage_source(a, Node::GROUND, crate::waveform::Waveform::Dc(0.0));
         let v = vc.ac_sweep(source, &[1e6], Seconds::ZERO).expect("v");
-        let gain_v = v.phasor(b, 0).magnitude() / v.phasor(a, 0).magnitude();
+        let gain_v = v.phasors[0][b.index()].magnitude() / v.phasors[0][a.index()].magnitude();
         // Current drive into node a.
         let (ic, a2, b2) = build();
         let i = ic
@@ -479,7 +469,7 @@ mod tests {
                 Seconds::ZERO,
             )
             .expect("i");
-        let gain_i = i.phasor(b2, 0).magnitude() / i.phasor(a2, 0).magnitude();
+        let gain_i = i.phasors[0][b2.index()].magnitude() / i.phasors[0][a2.index()].magnitude();
         assert!((gain_v - 0.5).abs() < 1e-9);
         assert!(
             (gain_v - gain_i).abs() < 1e-9,

@@ -2,7 +2,7 @@
 //!
 //! The paper's distributed bit-lines (Figs. 5/10) stamp as
 //! tridiagonal-plus-bordered systems: after a reverse Cuthill–McKee
-//! reordering (see [`Circuit::bandwidth_report`](crate::Circuit::bandwidth_report))
+//! reordering (see `Circuit::bandwidth_report`)
 //! every matrix entry lives within a few diagonals of the main one. A dense
 //! LU pays O(n³) to factor and O(n²) to back-substitute regardless; the
 //! banded storage here factors in O(n·b²) and solves in at most O(n·b),

@@ -124,15 +124,6 @@ pub struct SwitchSchedule {
 }
 
 impl SwitchSchedule {
-    /// A switch that never changes state.
-    #[must_use]
-    pub fn always(state: bool) -> Self {
-        Self {
-            initial: state,
-            events: Vec::new(),
-        }
-    }
-
     /// A switch with an initial state and a list of `(time, state)` events.
     ///
     /// # Panics
@@ -663,7 +654,7 @@ impl Circuit {
     /// [`SolverBackend::Auto`](crate::SolverBackend)'s backend choice, and
     /// part of the circuit's `Debug` output.
     #[must_use]
-    pub fn bandwidth_report(&self) -> BandwidthReport {
+    fn bandwidth_report(&self) -> BandwidthReport {
         let adjacency = self.system_adjacency();
         let dim = adjacency.len();
         if dim == 0 {
@@ -690,9 +681,9 @@ impl Circuit {
 }
 
 /// Matrix bandwidth of a circuit's MNA system before and after reverse
-/// Cuthill–McKee reordering (see [`Circuit::bandwidth_report`]).
+/// Cuthill–McKee reordering (see `Circuit::bandwidth_report`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BandwidthReport {
+pub(crate) struct BandwidthReport {
     /// System dimension (non-ground nodes + source branches).
     pub dim: usize,
     /// Bandwidth in netlist construction order.

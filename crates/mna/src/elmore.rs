@@ -107,18 +107,6 @@ impl RcLadder {
             .sum();
         Seconds::new(delay)
     }
-
-    /// Total series resistance of the ladder.
-    #[must_use]
-    pub fn total_resistance(&self) -> Ohms {
-        Ohms::new(self.segment_resistance.iter().sum())
-    }
-
-    /// Total shunt capacitance of the ladder (including taps).
-    #[must_use]
-    pub fn total_capacitance(&self) -> Farads {
-        Farads::new(self.node_capacitance.iter().sum())
-    }
 }
 
 #[cfg(test)]
@@ -152,7 +140,7 @@ mod tests {
             .clone()
             .with_tap_capacitance(10, extra)
             .elmore_delay();
-        let expected_increase = ladder.total_resistance() * extra;
+        let expected_increase = Ohms::new(100.0) * extra;
         assert!(((loaded - bare).get() - expected_increase.get()).abs() < 1e-24);
     }
 
@@ -174,8 +162,8 @@ mod tests {
     fn totals() {
         let ladder = RcLadder::uniform(4, Ohms::new(5.0), Farads::from_femto(2.0))
             .with_tap_capacitance(4, Farads::from_femto(10.0));
-        assert_eq!(ladder.total_resistance(), Ohms::new(20.0));
-        assert!((ladder.total_capacitance().get() - 18e-15).abs() < 1e-27);
+        assert_eq!(ladder.segment_resistance.iter().sum::<f64>(), 20.0);
+        assert!((ladder.node_capacitance.iter().sum::<f64>() - 18e-15).abs() < 1e-27);
         assert_eq!(ladder.segments(), 4);
     }
 

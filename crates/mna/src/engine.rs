@@ -1682,8 +1682,6 @@ fn cap_history(g: f64, v: f64, i: f64, integrator: Integrator) -> f64 {
     }
 }
 
-/// Stamps a level-1 NMOS linearised around the iterate voltages.
-#[allow(clippy::too_many_arguments)]
 /// The small-signal linearisation of a level-1 NMOS around a bias point:
 /// the effective (possibly swapped) drain/source orientation, the drain
 /// current, and the `gm`/`gds` conductances.
@@ -1748,6 +1746,7 @@ pub(crate) fn mosfet_linearisation(
     }
 }
 
+/// Stamps a level-1 NMOS linearised around the iterate voltages.
 #[allow(clippy::too_many_arguments)]
 fn stamp_mosfet<M: StampTarget>(
     matrix: &mut M,

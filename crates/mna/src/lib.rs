@@ -59,8 +59,7 @@ pub mod waveform;
 pub use ac::{log_frequency_grid, AcResult, AcStimulus};
 pub use banded::{BandedLu, BandedMatrix};
 pub use circuit::{
-    BandwidthReport, Circuit, CurrentSourceId, DeviceLaw, MosfetParams, Node, SourceId,
-    SwitchSchedule,
+    Circuit, CurrentSourceId, DeviceLaw, MosfetParams, Node, SourceId, SwitchSchedule,
 };
 pub use elmore::RcLadder;
 pub use engine::{

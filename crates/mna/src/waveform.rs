@@ -126,20 +126,6 @@ impl Waveform {
             Waveform::Pwl(knots) => PwlPoint::locate(knots, t).value(knots),
         }
     }
-
-    /// The largest absolute value the waveform ever takes (used for scaling
-    /// convergence tolerances).
-    #[must_use]
-    pub fn peak(&self) -> f64 {
-        match self {
-            Waveform::Dc(value) => value.abs(),
-            Waveform::Pulse { base, top, .. } => base.abs().max(top.abs()),
-            Waveform::Pwl(knots) => knots
-                .iter()
-                .map(|(_, value)| value.abs())
-                .fold(0.0, f64::max),
-        }
-    }
 }
 
 impl Waveform {
@@ -239,7 +225,6 @@ mod tests {
         let w = Waveform::Dc(1.5);
         assert_eq!(w.value_at(Seconds::ZERO), 1.5);
         assert_eq!(w.value_at(nanos(100.0)), 1.5);
-        assert_eq!(w.peak(), 1.5);
     }
 
     #[test]
@@ -250,13 +235,12 @@ mod tests {
         assert_eq!(w.value_at(nanos(4.0)), 2.0); // plateau
         assert!((w.value_at(nanos(7.0)) - 1.0).abs() < 1e-12); // mid-fall
         assert_eq!(w.value_at(nanos(9.0)), 0.0); // after
-        assert_eq!(w.peak(), 2.0);
     }
 
     #[test]
     fn pulse_with_negative_top_peaks_correctly() {
         let w = Waveform::pulse(0.0, -3.0, nanos(0.0), nanos(1.0), nanos(1.0), nanos(1.0));
-        assert_eq!(w.peak(), 3.0);
+        assert_eq!(w.value_at(nanos(0.5)), -1.5); // mid-rise
         assert_eq!(w.value_at(nanos(1.5)), -3.0);
     }
 
@@ -271,7 +255,6 @@ mod tests {
         assert!((w.value_at(nanos(2.0)) - 2.0).abs() < 1e-12); // first segment midpoint
         assert!((w.value_at(nanos(4.0)) - 3.0).abs() < 1e-12); // second segment midpoint
         assert_eq!(w.value_at(nanos(9.0)), 2.0); // clamp after
-        assert_eq!(w.peak(), 4.0);
     }
 
     #[test]

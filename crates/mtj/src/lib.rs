@@ -85,15 +85,6 @@ impl ResistanceState {
             ResistanceState::Parallel
         }
     }
-
-    /// Returns the opposite state.
-    #[must_use]
-    pub fn flipped(self) -> Self {
-        match self {
-            ResistanceState::Parallel => ResistanceState::AntiParallel,
-            ResistanceState::AntiParallel => ResistanceState::Parallel,
-        }
-    }
 }
 
 impl std::fmt::Display for ResistanceState {
@@ -118,14 +109,6 @@ mod tests {
             ResistanceState::AntiParallel
         );
         assert_eq!(ResistanceState::from_bit(false), ResistanceState::Parallel);
-    }
-
-    #[test]
-    fn flipping_is_an_involution() {
-        for state in [ResistanceState::Parallel, ResistanceState::AntiParallel] {
-            assert_eq!(state.flipped().flipped(), state);
-            assert_ne!(state.flipped(), state);
-        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub fn box_muller(u1: f64, u2: f64) -> f64 {
 /// Stegun 7.1.26-style rational approximation (absolute error < 1.5 × 10⁻⁷,
 /// ample for yield cross-checks).
 #[must_use]
-pub(crate) fn normal_cdf(z: f64) -> f64 {
+fn normal_cdf(z: f64) -> f64 {
     0.5 * erfc(-z / std::f64::consts::SQRT_2)
 }
 
@@ -193,15 +193,6 @@ impl Normal {
         self.mean + self.sigma * standard_normal(rng)
     }
 
-    /// `P(X ≤ x)` for this distribution.
-    #[must_use]
-    pub fn cdf(&self, x: f64) -> f64 {
-        if self.sigma == 0.0 {
-            return if x >= self.mean { 1.0 } else { 0.0 };
-        }
-        normal_cdf((x - self.mean) / self.sigma)
-    }
-
     /// The value below which a fraction `p` of the mass lies.
     ///
     /// # Panics
@@ -239,15 +230,6 @@ impl LogNormal {
     /// Draws one sample (always positive).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         self.log.sample(rng).exp()
-    }
-
-    /// `P(X ≤ x)`.
-    #[must_use]
-    pub fn cdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            return 0.0;
-        }
-        self.log.cdf(x.ln())
     }
 
     /// The distribution median, `exp(mu)`.
@@ -341,8 +323,6 @@ mod tests {
         let dist = Normal::new(2.0, 0.0);
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(dist.sample(&mut rng), 2.0);
-        assert_eq!(dist.cdf(1.999), 0.0);
-        assert_eq!(dist.cdf(2.0), 1.0);
     }
 
     #[test]
@@ -364,14 +344,6 @@ mod tests {
             (fraction_below_median - 0.5).abs() < 0.02,
             "median split {fraction_below_median}"
         );
-    }
-
-    #[test]
-    fn lognormal_cdf_at_median_is_half() {
-        let dist = LogNormal::new(0.0, 0.25);
-        assert!((dist.cdf(1.0) - 0.5).abs() < 1e-6);
-        assert_eq!(dist.cdf(0.0), 0.0);
-        assert_eq!(dist.cdf(-1.0), 0.0);
     }
 
     #[test]

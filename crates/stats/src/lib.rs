@@ -32,7 +32,7 @@ pub mod table;
 pub mod yields;
 
 pub use dist::{LogNormal, Normal, Uniform};
-pub use mc::{fill_indexed, run_trial_batches, run_trials, trial_rng};
+pub use mc::{fill_indexed, on_workers, run_trial_batches, run_trials, trial_rng};
 pub use p2::P2Quantile;
 pub use regression::{pearson, LinearFit};
 pub use summary::{quantile, Histogram, Summary};

@@ -41,9 +41,9 @@ where
 /// Computes `fill(index)` for every index in `0..count` across scoped worker
 /// threads, returning the results in index order.
 ///
-/// This is the scoped-thread fan-out behind [`run_trials`]; it is exposed so
-/// other crates (the chip experiment's per-bit tally, the traffic engine's
-/// bank dispatch) can parallelise index-addressed loops the same way.
+/// This is the fan-out behind [`run_trials`]; it is exposed so other crates
+/// (the chip experiment's per-bit tally, the traffic engine's bank
+/// construction) can parallelise index-addressed loops the same way.
 /// Results are a pure function of `index`, so the output is identical for
 /// any thread count or scheduling.
 ///
@@ -56,32 +56,42 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(count.max(1));
-    if threads <= 1 || count <= 1 {
-        return (0..count).map(&fill).collect();
-    }
+    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let mut slots: Vec<(usize, Option<T>)> = (0..count).map(|index| (index, None)).collect();
+    on_workers(&mut slots, threads, |(index, slot)| {
+        *slot = Some(fill(*index))
+    });
+    slots
+        .into_iter()
+        .map(|(_, slot)| slot.expect("every slot filled"))
+        .collect()
+}
 
-    let mut results: Vec<Option<T>> = (0..count).map(|_| None).collect();
-    let chunk = count.div_ceil(threads);
-    // Join every worker inside the scope so a panic keeps its payload (an
-    // unjoined panicking thread would make the scope panic with a generic
-    // message), then re-raise the first one on the calling thread.
+/// Runs `serve` on every job, on at most `workers` scoped workers that each
+/// take a run of `ceil(jobs.len() / workers)` consecutive jobs; one worker
+/// serves in place, without spawning or allocating. The one spawn site of
+/// the workspace's fan-outs: [`fill_indexed`], and the traffic engine's
+/// bank and channel dispatch.
+///
+/// # Panics
+///
+/// Joins every worker, then re-raises the first panicking one's payload, so
+/// a worker's own message reaches the caller. (An unjoined panicking thread
+/// would make the scope panic with a generic message instead.)
+pub fn on_workers<T, F>(jobs: &mut [T], workers: usize, serve: F)
+where
+    T: Send,
+    F: Fn(&mut T) + Sync,
+{
+    let run = jobs.len().div_ceil(workers.max(1));
+    if run >= jobs.len() {
+        return jobs.iter_mut().for_each(serve);
+    }
     let panicked = std::thread::scope(|scope| {
-        let workers: Vec<_> = results
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(worker, slice)| {
-                let fill = &fill;
-                scope.spawn(move || {
-                    let base = worker * chunk;
-                    for (offset, slot) in slice.iter_mut().enumerate() {
-                        *slot = Some(fill(base + offset));
-                    }
-                })
-            })
+        let serve = &serve;
+        let workers: Vec<_> = jobs
+            .chunks_mut(run)
+            .map(|run| scope.spawn(move || run.iter_mut().for_each(serve)))
             .collect();
         workers
             .into_iter()
@@ -90,10 +100,6 @@ where
     if let Some(payload) = panicked {
         std::panic::resume_unwind(payload);
     }
-    results
-        .into_iter()
-        .map(|slot| slot.expect("every slot filled"))
-        .collect()
 }
 
 /// Runs `count` trials in batches of up to `batch` at a time, in parallel

@@ -75,7 +75,7 @@ impl Summary {
     ///
     /// Returns `NaN` with fewer than two observations.
     #[must_use]
-    pub fn variance(&self) -> f64 {
+    fn variance(&self) -> f64 {
         if self.count < 2 {
             f64::NAN
         } else {
@@ -215,12 +215,6 @@ impl Histogram {
         &self.counts
     }
 
-    /// Observations below the range.
-    #[must_use]
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
     /// Observations at or above the range's upper edge.
     #[must_use]
     pub fn overflow(&self) -> u64 {
@@ -335,7 +329,7 @@ mod tests {
         // the high edge 10.0 is already overflow.
         hist.extend([0.5, 1.0, 2.5, 9.99, -1.0, 10.0, 25.0]);
         assert_eq!(hist.counts(), &[2, 1, 0, 0, 1]);
-        assert_eq!(hist.underflow(), 1);
+        assert_eq!(hist.underflow, 1);
         assert_eq!(hist.overflow(), 2);
         assert_eq!(hist.total(), 7);
     }

@@ -21,6 +21,12 @@ cargo fmt --check
 echo "==> cargo clippy --locked --workspace --all-targets -- -D warnings"
 cargo clippy --locked --workspace --all-targets -- -D warnings
 
+# Every library function without a library caller must be allow-listed
+# API that perfbench, the examples or the tests consume, so dead code
+# cannot come back unnoticed (see scripts/census.sh).
+echo "==> scripts/census.sh (caller-less library functions)"
+scripts/census.sh
+
 # The reliability acceptance gate first, under its own banner: SECDED
 # codec properties, the graceful-degradation campaign and scrub's
 # repair/bit-identity guarantees (also part of the full suite below).

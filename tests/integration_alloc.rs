@@ -5,8 +5,8 @@
 //! in `SchedRun::steady_state_allocs` how many allocations a counting
 //! allocator saw inside the loop. This binary installs such an allocator,
 //! wired to `stt_ctrl::alloc_probe`, and asserts the count is zero for
-//! every dispatch policy at unbounded depth and every backpressure mode at
-//! depth 8. The traces stay under the fast path's 16,384-transaction
+//! both dispatch policies, at unbounded depth and stalling at depth 8.
+//! The traces stay under the fast path's 16,384-transaction
 //! parallel threshold, so no service worker is spawned.
 //!
 //! The allocator counts every thread of the process, so this binary holds
@@ -17,9 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use stt_ctrl::{
-    Backpressure, Controller, ControllerConfig, Frontend, FrontendConfig, Policy, Trace, Workload,
-};
+use stt_ctrl::{Controller, ControllerConfig, Frontend, FrontendConfig, Policy, Trace, Workload};
 use stt_sense::SchemeKind;
 
 /// The system allocator with an allocation counter bolted on: every
@@ -63,7 +61,7 @@ fn the_event_loop_does_not_allocate() {
     // choice and event churn run constantly.
     let loaded = trace(&config, 14.0 / 0.9 / BANKS as f64);
     // 2 ns mean gaps, ~7x over the service rate: every bounded queue stays
-    // full and its backpressure path fires constantly.
+    // full and admission stalls constantly.
     let saturating = trace(&config, 2.0);
     let unbounded = FrontendConfig::fcfs_unbounded();
     let cases = [
@@ -75,30 +73,14 @@ fn the_event_loop_does_not_allocate() {
             }),
             &loaded,
         ),
+        ("fcfs-stall", unbounded.with_queue_depth(8), &saturating),
         (
-            "oldest-first",
-            unbounded.with_policy(Policy::OldestFirst),
-            &loaded,
-        ),
-        (
-            "stall",
+            "read-priority-stall",
             unbounded
-                .with_queue_depth(8)
-                .with_backpressure(Backpressure::Stall),
-            &saturating,
-        ),
-        (
-            "drop",
-            unbounded
-                .with_queue_depth(8)
-                .with_backpressure(Backpressure::Drop),
-            &saturating,
-        ),
-        (
-            "retry",
-            unbounded
-                .with_queue_depth(8)
-                .with_backpressure(Backpressure::Retry { delay_ns: 50.0 }),
+                .with_policy(Policy::ReadPriority {
+                    write_high_water: 8,
+                })
+                .with_queue_depth(8),
             &saturating,
         ),
     ];

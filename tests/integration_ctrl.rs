@@ -351,7 +351,7 @@ proptest! {
     /// read through the span entry over settle codes carried from span to
     /// span, under every scheme, amplifier (σ = 0 among them), guard band
     /// (0 and `RetryPolicy::date2010`'s among them) and attempt budget
-    /// (`no_retry`'s, `date2010`'s and one past the attempts the read path
+    /// (a single attempt, `date2010`'s and one past the attempts the read path
     /// keeps for a fallback). Each cell resolves as the reference does,
     /// `RetryPolicy::resolve` over `Scheme::sense_once`, leaving the RNG and
     /// the array where it leaves them; and the codes and work equal those
