@@ -145,6 +145,53 @@ if [ "$actual" != "$expected" ]; then
 fi
 echo "    repro fig5mc stdout: $actual"
 
+# Every paper table and figure is deterministic, so each CSV that
+# `repro all --csv` writes must hash to its pin. This covers the
+# sequential transients (the Fig. 5 read, the auto-zero SA, the
+# destructive read) as well as the batched campaign. The CSV files are
+# pinned, not stdout, because stdout prints the output directory. A pin
+# moves only in a commit that changes the model on purpose, and that
+# commit says why.
+echo "==> repro all CSV pins (sha256)"
+repro_dir="$smoke_dir/repro"
+cargo run --release -q -p stt-bench --bin repro -- all --csv "$repro_dir" > /dev/null
+for pin in \
+    alphasweep.csv:85fae0cf1315bc7f37c918caab344fe0a80aaa5445f1ac0276bcbd63360eded0 \
+    azsa.csv:302693739b4d570403a84f174c8b1327d0c1324e219baf5e5b9b451c471a3c92 \
+    differential.csv:cf37559331b2157afb9a3b614f3eb4d29326da88265ee62f2762483c3d8597ef \
+    elmore.csv:3e51b451e481a098e7b9717efb3938b6dabe6a9613fddd62d550f1bd32427327 \
+    fig10.csv:ff9d54d64711e01b1da5031ee4ab4b0f44985b4ccb20b889c0c0f18219003885 \
+    fig11.csv:17f0e1b3caf9d823337235974ddc91c4e9e3cbeb1785dee3dc196f7af70356e6 \
+    fig2.csv:523bd84e9e3a754da602a1c5dcdda9329664341fd5cc1dbf07104adf17da92c8 \
+    fig4.csv:a76c4737e3021f86c70fbbdf66e299770edc4cc76277e92f21402e90fe3d3231 \
+    fig5mc.csv:e7a5356c771dceeb3329cc9912edfd9278486c3e7b5bd838ae3301d0ee624438 \
+    fig6.csv:73909575ebe0270538c68c94884135668ed76114b0eed45f13cb2901b5927eaf \
+    fig7.csv:b990dab8deffab8339fa270fcce5ee0671c3b96c47dac66e11536126b15ffda8 \
+    fig8.csv:ce62090c854107ecead5626ed4211c8e0d9b3804919696abef184de1e83d65c0 \
+    imax.csv:50e790cebd56747bd9b422599407a9466a707918647d1edba0c0d987b1e91b8f \
+    latency.csv:db6d09147f68eeebadf21382bb35f6335ebfb1a68bf54c90ce11eef65ce3be47 \
+    powerloss.csv:e5b3948f50cf555b5c7f3bf2eee125a8055d12fb1b1b586fe8e7df6faa6eca54 \
+    reliability.csv:baa62010f70e5a011de945cce0067650a37e72196dd8c256ee8423ce80f11dcd \
+    retention.csv:a1813e9d262850de5d1ceb78dc1cc604a6b5a5467a2e5fd65e9d9785f0fdf43f \
+    table1.csv:98584cf26332d95a90471e47a612158de3551fa1e4af26ea7933dbff9d5bb5b5 \
+    table2.csv:f7b32f78be0e6387599a9951f8507cb09d6c5f497ad36a7ddf5a1bb37b0b2139 \
+    temperature.csv:30d72a3e15531387efa5df3e55f581538acc9a1a649015f6359b74b5cd648946 \
+    yieldsweep.csv:86f645cfbc7e96af7f4a0104ab769eb36f774773bc7bab5ee3c92c03484cadcd; do
+    file="${pin%%:*}"
+    expected="${pin##*:}"
+    actual="$(sha256sum "$repro_dir/$file" | cut -d' ' -f1)"
+    if [ "$actual" != "$expected" ]; then
+        echo "    FAIL: repro $file sha256: expected $expected, actual $actual"
+        exit 1
+    fi
+    echo "    $file: $actual"
+done
+csv_count="$(find "$repro_dir" -name '*.csv' | wc -l)"
+if [ "$csv_count" -ne 21 ]; then
+    echo "    FAIL: repro all wrote $csv_count CSVs, 21 are pinned"
+    exit 1
+fi
+
 # Fast end-to-end smoke of the full-chip hierarchy: a small topology sweep
 # that asserts sharded == serial at every point, asserts that the lazy
 # sparse chip materialises exactly the banks its replay touches, and, at
