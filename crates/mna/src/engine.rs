@@ -496,19 +496,99 @@ impl<'a> SourceLanes<'a> {
     }
 }
 
-/// Capacitor state carried between transient steps, structure-of-arrays
-/// over `width` lanes: entry `cap·width + m` belongs to the `cap`-th
-/// capacitor (in element order) of lane `m`. A batch runs one lane per
-/// member; the sequential analyses run one lane.
+/// Capacitor state carried between transient steps over `width` lanes. A
+/// batch runs one lane per member; the sequential analyses run one lane.
+///
+/// No capacitor voltage is stored: after step n a capacitor's voltage is,
+/// bit for bit, the `x_n[a] − x_n[b]` of that step's solution, so each step
+/// derives its companions' history from the previous solution instead
+/// ([`cap_voltages`]). Only the trapezoidal rule's history needs more: the
+/// current through each capacitor at the end of the previous step.
 #[derive(Debug)]
 struct CapLanes {
-    width: usize,
-    /// Voltage across each capacitor.
-    v: Vec<f64>,
-    /// Current through each capacitor.
-    i: Vec<f64>,
     /// `width` zeros: the lanes of the ground node.
     ground: Vec<f64>,
+    /// Current through each capacitor at the end of the last step,
+    /// structure-of-arrays: entry `cap·width + m` belongs to the `cap`-th
+    /// capacitor (in element order) of lane `m`. Empty when the run
+    /// integrates with backward Euler throughout, whose history reads no
+    /// current.
+    i: Vec<f64>,
+}
+
+/// One transient step's capacitor companions: they integrate over `h` from
+/// the previous solution `x_prev` (`x_prev[row·width + m]`).
+#[derive(Debug, Clone, Copy)]
+struct CapStep<'a> {
+    h: f64,
+    x_prev: &'a [f64],
+    /// `true` on a run's first step: a capacitor with an initial condition
+    /// starts from it instead of from `x_prev`.
+    first: bool,
+}
+
+impl<'a> CapStep<'a> {
+    /// Lane by lane, the voltage the capacitor `a`–`b` (initial condition
+    /// `ic`, if any) starts this step from.
+    fn start_voltages(
+        self,
+        ground: &'a [f64],
+        a: Node,
+        b: Node,
+        ic: Option<f64>,
+    ) -> impl Iterator<Item = f64> + 'a {
+        cap_voltages(self.x_prev, ground, a, b, ic.filter(|_| self.first))
+    }
+}
+
+/// Lane by lane, `ic` if it is `Some`, or else the voltage across the
+/// capacitor `a`–`b` in the solution `x` (`x[row·width + m]` with `width =
+/// ground.len()`), with `ground` standing in for a grounded end's lanes.
+/// Every capacitor voltage a transient integrates from is computed here.
+fn cap_voltages<'a>(
+    x: &'a [f64],
+    ground: &'a [f64],
+    a: Node,
+    b: Node,
+    ic: Option<f64>,
+) -> impl Iterator<Item = f64> + 'a {
+    let width = ground.len();
+    let lane = |node: Node| {
+        Circuit::node_row(node).map_or(ground, |row| &x[row * width..(row + 1) * width])
+    };
+    lane(a)
+        .iter()
+        .zip(lane(b))
+        .map(move |(va, vb)| ic.unwrap_or(va - vb))
+}
+
+impl CapLanes {
+    /// Writes the history currents of the `cap`-th capacitor (`a`–`b`,
+    /// initial condition `ic`, companion conductance `g`) over `step` into
+    /// `out`, one per lane; a shorter `out` takes the first lanes.
+    fn history_into(
+        &self,
+        out: &mut [f64],
+        cap: usize,
+        (a, b, ic): (Node, Node, Option<f64>),
+        step: CapStep,
+        g: f64,
+        integrator: Integrator,
+    ) {
+        let v = step.start_voltages(&self.ground, a, b, ic);
+        if self.i.is_empty() {
+            debug_assert_eq!(integrator, Integrator::BackwardEuler);
+            for (out, v) in out.iter_mut().zip(v) {
+                *out = cap_history(g, v, 0.0, integrator);
+            }
+        } else {
+            let width = self.ground.len();
+            let currents = &self.i[cap * width..(cap + 1) * width];
+            for ((out, v), &i) in out.iter_mut().zip(v).zip(currents) {
+                *out = cap_history(g, v, i, integrator);
+            }
+        }
+    }
 }
 
 /// Where element stamps land. Dense stamps go straight to matrix
@@ -836,7 +916,7 @@ impl Circuit {
             solution.copy_from_slice(&ws.x);
         }
 
-        let mut caps = self.initial_cap_lanes(&solution, 1);
+        let mut caps = self.cap_lanes(1, options.integrator);
 
         let nodes = self.node_count();
         let mut traces: Vec<Vec<f64>> = vec![Vec::with_capacity(grid.len()); nodes];
@@ -873,9 +953,14 @@ impl Circuit {
             } else {
                 options.integrator
             };
-            self.solve_point_with(&mut ws, t, &solution, Some((&caps, h)), integrator)?;
+            let cap = CapStep {
+                h,
+                x_prev: &solution,
+                first: step == 0,
+            };
+            self.solve_point_with(&mut ws, t, &solution, Some((&caps, cap)), integrator)?;
+            self.advance_cap_currents(&mut caps, cap, &ws.x, integrator);
             solution.copy_from_slice(&ws.x);
-            self.advance_cap_lanes(&solution, &mut caps, integrator, h);
             record(&solution, &mut traces);
             previous_time = time;
         }
@@ -980,9 +1065,13 @@ impl Circuit {
         let dim = self.dim();
         let k = members.len();
         let mut ws = self.workspace(options.strategy, options.backend);
-        // Lane-major state: `x_all[row·k + m]` takes each step's RHS and is
-        // solved in place, and the capacitor state is structure-of-arrays.
-        let mut x_all = vec![0.0; dim * k];
+        // Two lane-major solutions, `x[row·k + m]`: `x_prev` holds the last
+        // step's, which the capacitor companions integrate from, and `x_next`
+        // takes the next step's RHS and is solved in place. They swap after
+        // each step, so each member's capacitors start from its own DC
+        // solution (or zero state), exactly as the sequential path does.
+        let mut x_prev = vec![0.0; dim * k];
+        let mut x_next = vec![0.0; dim * k];
         let mut values = vec![0.0; k];
         if options.start_from_dc {
             self.solve_batch_point(
@@ -991,13 +1080,11 @@ impl Circuit {
                 Seconds::ZERO,
                 None,
                 Integrator::BackwardEuler,
-                &mut x_all,
+                &mut x_prev,
                 &mut values,
             )?;
         }
-        // Each member's capacitors start from its own DC solution (or zero
-        // state), exactly as the sequential path does.
-        let mut caps = self.initial_cap_lanes(&x_all, k);
+        let mut caps = self.cap_lanes(k, options.integrator);
 
         let mut traces: Vec<Vec<f64>> = vec![Vec::with_capacity(grid.len() * k); probes.len()];
         let record = |x_all: &[f64], traces: &mut Vec<Vec<f64>>| {
@@ -1008,7 +1095,7 @@ impl Circuit {
                 }
             }
         };
-        record(&x_all, &mut traces);
+        record(&x_prev, &mut traces);
 
         let dt = options.dt.get();
         let mut previous_time = grid[0];
@@ -1029,17 +1116,23 @@ impl Circuit {
             } else {
                 options.integrator
             };
+            let cap = CapStep {
+                h,
+                x_prev: &x_prev,
+                first: step == 0,
+            };
             self.solve_batch_point(
                 &mut ws,
                 &waves,
                 t,
-                Some((&caps, h)),
+                Some((&caps, cap)),
                 integrator,
-                &mut x_all,
+                &mut x_next,
                 &mut values,
             )?;
-            self.advance_cap_lanes(&x_all, &mut caps, integrator, h);
-            record(&x_all, &mut traces);
+            self.advance_cap_currents(&mut caps, cap, &x_next, integrator);
+            record(&x_next, &mut traces);
+            std::mem::swap(&mut x_prev, &mut x_next);
             previous_time = time;
         }
 
@@ -1109,7 +1202,7 @@ impl Circuit {
         ws: &mut SolveWorkspace,
         waves: &[SourceLanes],
         t: Seconds,
-        cap: Option<(&CapLanes, f64)>,
+        cap: Option<(&CapLanes, CapStep)>,
         integrator: Integrator,
         x_all: &mut [f64],
         values: &mut [f64],
@@ -1132,52 +1225,47 @@ impl Circuit {
         Ok(())
     }
 
-    /// The capacitor state at the start of a transient over `width` lanes
-    /// of the solution `x` (`x[row·width + m]`): each capacitor's initial
-    /// condition, or else its voltage in `x`, with no current.
-    fn initial_cap_lanes(&self, x: &[f64], width: usize) -> CapLanes {
-        let ground = vec![0.0; width];
-        let lane = |node: Node| {
-            Self::node_row(node).map_or(&ground[..], |row| &x[row * width..(row + 1) * width])
+    /// The capacitor state at the start of a transient over `width` lanes:
+    /// zero current lanes when `integrator` is trapezoidal, none otherwise.
+    fn cap_lanes(&self, width: usize, integrator: Integrator) -> CapLanes {
+        let is_cap = |element: &&Element| matches!(element, Element::Capacitor { .. });
+        let currents = match integrator {
+            Integrator::BackwardEuler => 0,
+            Integrator::Trapezoidal => width * self.elements.iter().filter(is_cap).count(),
         };
-        let mut v = Vec::new();
-        for element in &self.elements {
-            if let Element::Capacitor { a, b, ic, .. } = element {
-                match ic {
-                    Some(ic) => v.extend(std::iter::repeat_n(*ic, width)),
-                    None => v.extend(lane(*a).iter().zip(lane(*b)).map(|(va, vb)| va - vb)),
-                }
-            }
-        }
-        let i = vec![0.0; v.len()];
         CapLanes {
-            width,
-            v,
-            i,
-            ground,
+            ground: vec![0.0; width],
+            i: vec![0.0; currents],
         }
     }
 
-    /// Integrates every lane's capacitor state over a step of `h` that
-    /// ended at the solution `x` (`x[row·width + m]`).
-    fn advance_cap_lanes(&self, x: &[f64], caps: &mut CapLanes, integrator: Integrator, h: f64) {
-        let k = caps.width;
-        let ground: &[f64] = &caps.ground;
-        let lane =
-            |node: Node| Self::node_row(node).map_or(ground, |row| &x[row * k..(row + 1) * k]);
-        let mut states = caps.v.chunks_exact_mut(k).zip(caps.i.chunks_exact_mut(k));
+    /// Advances every lane's capacitor currents over `step`, which ended at
+    /// the solution `x` (`x[row·width + m]`), so it must run before the
+    /// next step overwrites `step.x_prev`. A run without current lanes
+    /// (backward Euler throughout) returns at once.
+    fn advance_cap_currents(
+        &self,
+        caps: &mut CapLanes,
+        step: CapStep,
+        x: &[f64],
+        integrator: Integrator,
+    ) {
+        let CapLanes { ground, i } = caps;
+        if i.is_empty() {
+            return;
+        }
+        let mut lanes = i.chunks_exact_mut(ground.len());
         for element in &self.elements {
-            if let Element::Capacitor { a, b, farads, .. } = element {
-                let (v, i) = states.next().expect("one state lane per capacitor");
-                let g = companion_conductance(*farads, h, integrator);
-                let lanes = v.iter_mut().zip(i).zip(lane(*a).iter().zip(lane(*b)));
-                for ((v, i), (va, vb)) in lanes {
-                    let v_new = va - vb;
+            if let Element::Capacitor { a, b, farads, ic } = element {
+                let i = lanes.next().expect("one current lane per capacitor");
+                let g = companion_conductance(*farads, step.h, integrator);
+                let v_old = step.start_voltages(ground, *a, *b, *ic);
+                let v_new = cap_voltages(x, ground, *a, *b, None);
+                for ((i, v_old), v_new) in i.iter_mut().zip(v_old).zip(v_new) {
                     *i = match integrator {
-                        Integrator::BackwardEuler => g * (v_new - *v),
-                        Integrator::Trapezoidal => g * (v_new - *v) - *i,
+                        Integrator::BackwardEuler => g * (v_new - v_old),
+                        Integrator::Trapezoidal => g * (v_new - v_old) - *i,
                     };
-                    *v = v_new;
                 }
             }
         }
@@ -1186,14 +1274,14 @@ impl Circuit {
     /// Solves one (possibly nonlinear) analysis point into the workspace:
     /// on success `ws.x` holds the solution.
     ///
-    /// `cap` is `Some((states, h))` during transient steps and `None` for DC
+    /// `cap` is `Some((state, step))` during transient steps and `None` for DC
     /// (capacitors open).
     fn solve_point_with(
         &self,
         ws: &mut SolveWorkspace,
         t: Seconds,
         guess: &[f64],
-        cap: Option<(&CapLanes, f64)>,
+        cap: Option<(&CapLanes, CapStep)>,
         integrator: Integrator,
     ) -> Result<(), AnalysisError> {
         ws.x.copy_from_slice(guess);
@@ -1268,10 +1356,10 @@ impl Circuit {
         &self,
         ws: &mut SolveWorkspace,
         t: Seconds,
-        cap: Option<(&CapLanes, f64)>,
+        cap: Option<(&CapLanes, CapStep)>,
         integrator: Integrator,
     ) -> bool {
-        let key_h = cap.map_or(u64::MAX, |(_, h)| h.to_bits());
+        let key_h = cap.map_or(u64::MAX, |(_, step)| step.h.to_bits());
         let mut switch_index = 0;
         for element in &self.elements {
             if let Element::Switch { schedule, .. } = element {
@@ -1292,7 +1380,7 @@ impl Circuit {
         &self,
         ws: &mut SolveWorkspace,
         t: Seconds,
-        cap: Option<(&CapLanes, f64)>,
+        cap: Option<(&CapLanes, CapStep)>,
         integrator: Integrator,
     ) -> Result<(), AnalysisError> {
         if let Err(source) = ws.store.refactor() {
@@ -1301,7 +1389,7 @@ impl Circuit {
         }
         ws.telemetry.factorizations += 1;
         ws.lu_valid = true;
-        ws.key_h = cap.map_or(u64::MAX, |(_, h)| h.to_bits());
+        ws.key_h = cap.map_or(u64::MAX, |(_, step)| step.h.to_bits());
         ws.key_integrator = integrator;
         ws.key_switches.copy_from_slice(&ws.cur_switches);
         Ok(())
@@ -1315,7 +1403,7 @@ impl Circuit {
         &self,
         ws: &mut SolveWorkspace,
         t: Seconds,
-        cap: Option<(&CapLanes, f64)>,
+        cap: Option<(&CapLanes, CapStep)>,
         integrator: Integrator,
     ) {
         let SolveWorkspace {
@@ -1438,7 +1526,7 @@ impl Circuit {
         rhs: &mut [f64],
         x: &[f64],
         t: Seconds,
-        cap: Option<(&CapLanes, f64)>,
+        cap: Option<(&CapLanes, CapStep)>,
         integrator: Integrator,
     ) {
         let voltage_of =
@@ -1458,15 +1546,16 @@ impl Circuit {
                     let resistance = if schedule.state_at(t) { *r_on } else { *r_off };
                     stamp_conductance(matrix, *a, *b, 1.0 / resistance);
                 }
-                Element::Capacitor { a, b, farads, .. } => {
-                    if let Some((caps, h)) = cap {
-                        let g_eq = companion_conductance(*farads, h, integrator);
-                        let lane0 = cap_index * caps.width;
-                        let i_hist = cap_history(g_eq, caps.v[lane0], caps.i[lane0], integrator);
+                Element::Capacitor { a, b, farads, ic } => {
+                    if let Some((caps, step)) = cap {
+                        let g_eq = companion_conductance(*farads, step.h, integrator);
+                        let mut i_hist = [0.0];
+                        let element = (*a, *b, *ic);
+                        caps.history_into(&mut i_hist, cap_index, element, step, g_eq, integrator);
                         stamp_conductance(matrix, *a, *b, g_eq);
                         // History current drives the cap towards its past
                         // voltage: inject into `a`, return from `b`.
-                        stamp_current_into(rhs, *a, *b, i_hist);
+                        stamp_current_into(rhs, *a, *b, i_hist[0]);
                     }
                     cap_index += 1;
                 }
@@ -1517,19 +1606,20 @@ impl Circuit {
         &self,
         rhs: &mut [f64],
         t: Seconds,
-        cap: Option<(&CapLanes, f64)>,
+        cap: Option<(&CapLanes, CapStep)>,
         integrator: Integrator,
     ) {
         debug_assert!(!self.has_nonlinear(), "rhs-only stamping needs linearity");
         let mut cap_index = 0;
         for element in &self.elements {
             match element {
-                Element::Capacitor { a, b, farads, .. } => {
-                    if let Some((caps, h)) = cap {
-                        let g = companion_conductance(*farads, h, integrator);
-                        let lane0 = cap_index * caps.width;
-                        let i_hist = cap_history(g, caps.v[lane0], caps.i[lane0], integrator);
-                        stamp_current_into(rhs, *a, *b, i_hist);
+                Element::Capacitor { a, b, farads, ic } => {
+                    if let Some((caps, step)) = cap {
+                        let g = companion_conductance(*farads, step.h, integrator);
+                        let mut i_hist = [0.0];
+                        let element = (*a, *b, *ic);
+                        caps.history_into(&mut i_hist, cap_index, element, step, g, integrator);
+                        stamp_current_into(rhs, *a, *b, i_hist[0]);
                     }
                     cap_index += 1;
                 }
@@ -1556,7 +1646,7 @@ impl Circuit {
         rhs: &mut [f64],
         waves: &[SourceLanes],
         t: Seconds,
-        cap: Option<(&CapLanes, f64)>,
+        cap: Option<(&CapLanes, CapStep)>,
         integrator: Integrator,
         values: &mut [f64],
     ) {
@@ -1583,15 +1673,12 @@ impl Circuit {
         let mut cap_index = 0;
         for element in &self.elements {
             let (pos, neg) = match element {
-                Element::Capacitor { a, b, farads, .. } => {
-                    let lanes = cap_index * k..(cap_index + 1) * k;
+                Element::Capacitor { a, b, farads, ic } => {
+                    let index = cap_index;
                     cap_index += 1;
-                    let Some((caps, h)) = cap else { continue };
-                    let g = companion_conductance(*farads, h, integrator);
-                    let states = caps.v[lanes.clone()].iter().zip(&caps.i[lanes]);
-                    for (value, (&v, &i)) in values.iter_mut().zip(states) {
-                        *value = cap_history(g, v, i, integrator);
-                    }
+                    let Some((caps, step)) = cap else { continue };
+                    let g = companion_conductance(*farads, step.h, integrator);
+                    caps.history_into(values, index, (*a, *b, *ic), step, g, integrator);
                     (Self::node_row(*a), Self::node_row(*b))
                 }
                 Element::VoltageSource { branch, .. } => {
@@ -1630,8 +1717,14 @@ impl Circuit {
         integrator: Integrator,
     ) -> BandedMatrix {
         let mut ws = self.workspace(SolverStrategy::CachedLu, SolverBackend::Banded);
-        let caps = self.initial_cap_lanes(&ws.x, 1);
-        self.rebuild_matrix(&mut ws, t, Some((&caps, h)), integrator);
+        let caps = self.cap_lanes(1, integrator);
+        let x_prev = vec![0.0; self.dim()];
+        let step = CapStep {
+            h,
+            x_prev: &x_prev,
+            first: false,
+        };
+        self.rebuild_matrix(&mut ws, t, Some((&caps, step)), integrator);
         match ws.store {
             MatrixStore::Banded { work, .. } => work,
             MatrixStore::Dense { .. } => unreachable!("the banded backend was forced"),
@@ -2406,6 +2499,272 @@ mod tests {
             16 * single.telemetry().solves,
             "every member still back-substitutes each step"
         );
+    }
+
+    /// Capacitor state as the engine once stored it between steps: each
+    /// capacitor's voltage and current, one lane.
+    struct StoredCaps {
+        v: Vec<f64>,
+        i: Vec<f64>,
+    }
+
+    /// The stored state at the start of a transient from the solution `x`:
+    /// each capacitor's initial condition, or else its voltage in `x`, with
+    /// no current.
+    fn initial_stored_caps(circuit: &Circuit, x: &[f64]) -> StoredCaps {
+        let voltage = |node: Node| Circuit::node_row(node).map_or(0.0, |row| x[row]);
+        let v: Vec<f64> = circuit
+            .elements
+            .iter()
+            .filter_map(|element| match element {
+                Element::Capacitor { a, b, ic, .. } => {
+                    Some(ic.unwrap_or_else(|| voltage(*a) - voltage(*b)))
+                }
+                _ => None,
+            })
+            .collect();
+        let i = vec![0.0; v.len()];
+        StoredCaps { v, i }
+    }
+
+    /// Integrates the stored state over a step of `h` that ended at `x`.
+    fn advance_stored_caps(
+        circuit: &Circuit,
+        x: &[f64],
+        caps: &mut StoredCaps,
+        integrator: Integrator,
+        h: f64,
+    ) {
+        let voltage = |node: Node| Circuit::node_row(node).map_or(0.0, |row| x[row]);
+        let mut states = caps.v.iter_mut().zip(caps.i.iter_mut());
+        for element in &circuit.elements {
+            if let Element::Capacitor { a, b, farads, .. } = element {
+                let (v, i) = states.next().expect("one state per capacitor");
+                let g = companion_conductance(*farads, h, integrator);
+                let v_new = voltage(*a) - voltage(*b);
+                *i = match integrator {
+                    Integrator::BackwardEuler => g * (v_new - *v),
+                    Integrator::Trapezoidal => g * (v_new - *v) - *i,
+                };
+                *v = v_new;
+            }
+        }
+    }
+
+    /// The naive reference for the capacitor rule: a transient of a linear
+    /// circuit that stores each capacitor's `(v, i)` and stamps its history
+    /// from that state, restamping the dense matrix and refactoring at
+    /// every step. Same grid, step sizes, startup rule and per-entry
+    /// accumulation order as [`Circuit::transient`] on the dense backend.
+    fn transient_stored_state(circuit: &Circuit, options: &TranOptions) -> TranResult {
+        let grid = circuit.tran_grid(options).expect("valid options");
+        let mut ws = circuit.workspace(SolverStrategy::AlwaysRestamp, SolverBackend::Dense);
+        let mut solution = vec![0.0; circuit.dim()];
+        if options.start_from_dc {
+            circuit
+                .solve_point_with(
+                    &mut ws,
+                    Seconds::ZERO,
+                    &solution,
+                    None,
+                    Integrator::BackwardEuler,
+                )
+                .expect("dc start");
+            solution.copy_from_slice(&ws.x);
+        }
+        let mut caps = initial_stored_caps(circuit, &solution);
+        let nodes = circuit.node_count();
+        let mut traces: Vec<Vec<f64>> = vec![Vec::new(); nodes];
+        let record = |x: &[f64], traces: &mut Vec<Vec<f64>>| {
+            traces[0].push(0.0);
+            for index in 1..nodes {
+                traces[index].push(x[index - 1]);
+            }
+        };
+        record(&solution, &mut traces);
+        let dt = options.dt.get();
+        for (step, pair) in grid.windows(2).enumerate() {
+            let h_raw = pair[1] - pair[0];
+            let h = if (h_raw - dt).abs() <= 1e-9 * dt {
+                dt
+            } else {
+                h_raw
+            };
+            let t = Seconds::new(pair[1]);
+            let integrator = if step == 0 {
+                Integrator::BackwardEuler
+            } else {
+                options.integrator
+            };
+            let MatrixStore::Dense { work, .. } = &mut ws.store else {
+                unreachable!("the dense backend was forced")
+            };
+            work.clear();
+            circuit.stamp_static(work);
+            let rhs = &mut ws.rhs;
+            rhs.fill(0.0);
+            let mut cap_index = 0;
+            for element in &circuit.elements {
+                match element {
+                    Element::Resistor { .. } | Element::Vcvs { .. } => {}
+                    Element::Switch {
+                        a,
+                        b,
+                        r_on,
+                        r_off,
+                        schedule,
+                    } => {
+                        let resistance = if schedule.state_at(t) { *r_on } else { *r_off };
+                        stamp_conductance(work, *a, *b, 1.0 / resistance);
+                    }
+                    Element::Capacitor { a, b, farads, .. } => {
+                        let g = companion_conductance(*farads, h, integrator);
+                        let (v, i) = (caps.v[cap_index], caps.i[cap_index]);
+                        stamp_conductance(work, *a, *b, g);
+                        stamp_current_into(rhs, *a, *b, cap_history(g, v, i, integrator));
+                        cap_index += 1;
+                    }
+                    Element::VoltageSource { wave, branch, .. } => {
+                        rhs[circuit.branch_row(*branch)] += wave.value_at(t);
+                    }
+                    Element::CurrentSource { pos, neg, wave } => {
+                        stamp_current_into(rhs, *pos, *neg, wave.value_at(t));
+                    }
+                    Element::Mosfet { .. } | Element::Nonlinear { .. } => {
+                        unreachable!("the reference integrates linear circuits")
+                    }
+                }
+            }
+            ws.store.refactor().expect("nonsingular step");
+            ws.store
+                .solve(&ws.rhs, &mut ws.x)
+                .expect("nonsingular step");
+            solution.copy_from_slice(&ws.x);
+            advance_stored_caps(circuit, &solution, &mut caps, integrator, h);
+            record(&solution, &mut traces);
+        }
+        TranResult {
+            times: grid,
+            traces,
+            telemetry: ws.telemetry,
+        }
+    }
+
+    /// A linear read circuit with every kind of capacitor: grounded caps
+    /// declared either end first, a floating cap across a ladder segment,
+    /// and a switched hold cap with `hold_ic` (if any) as its initial
+    /// condition. A supply rail through a resistor and a VCVS buffer gives
+    /// the system both kinds of branch row, and the switch events make the
+    /// grid's step sizes (and so each step's companion conductances) vary.
+    fn mixed_cap_circuit(hold_ic: Option<f64>) -> (Circuit, CurrentSourceId, Vec<Node>) {
+        let mut circuit = Circuit::new();
+        let bl = circuit.node("bl");
+        let mid = circuit.node("mid");
+        let far = circuit.node("far");
+        let hold = circuit.node("hold");
+        let rail = circuit.node("rail");
+        let amp = circuit.node("amp");
+        let driver = circuit.current_source(
+            bl,
+            Node::GROUND,
+            Waveform::pulse(0.0, 80e-6, nanos(0.3), nanos(0.1), nanos(0.1), nanos(2.0)),
+        );
+        circuit.resistor(bl, mid, Ohms::new(60.0));
+        circuit.capacitor(mid, Node::GROUND, Farads::from_femto(8.0));
+        circuit.resistor(mid, far, Ohms::new(90.0));
+        circuit.capacitor(Node::GROUND, far, Farads::from_femto(12.0));
+        circuit.capacitor(bl, far, Farads::from_femto(3.0));
+        circuit.resistor(far, Node::GROUND, Ohms::from_kilo(3.0));
+        circuit.switch(
+            far,
+            hold,
+            Ohms::new(250.0),
+            Ohms::from_mega(1_000.0),
+            SwitchSchedule::closed_during(nanos(1.13), nanos(2.37)),
+        );
+        match hold_ic {
+            Some(ic) => circuit.capacitor_with_ic(hold, Node::GROUND, Farads::from_femto(30.0), ic),
+            None => circuit.capacitor(hold, Node::GROUND, Farads::from_femto(30.0)),
+        }
+        circuit.voltage_source(rail, Node::GROUND, Waveform::Dc(0.9));
+        circuit.vcvs(amp, Node::GROUND, rail, Node::GROUND, 0.5);
+        circuit.resistor(amp, hold, Ohms::from_mega(5.0));
+        (circuit, driver, vec![bl, mid, far, hold, amp])
+    }
+
+    fn assert_bits_equal(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: sample count");
+        for (step, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: step {step} ({g} vs {w})");
+        }
+    }
+
+    #[test]
+    fn derived_capacitor_voltages_match_the_stored_state_reference() {
+        let scales = [1.0, 0.7, 1.3];
+        for hold_ic in [None, Some(0.15)] {
+            for integrator in [Integrator::BackwardEuler, Integrator::Trapezoidal] {
+                for from_zero in [false, true] {
+                    for dt in [0.05, 0.023] {
+                        let case =
+                            format!("ic {hold_ic:?}, {integrator:?}, zero {from_zero}, dt {dt}");
+                        let mut options = TranOptions::new(nanos(3.0), nanos(dt))
+                            .with_integrator(integrator)
+                            .with_backend(SolverBackend::Dense);
+                        if from_zero {
+                            options = options.from_zero_state();
+                        }
+                        let (circuit, driver, probes) = mixed_cap_circuit(hold_ic);
+                        let base = Waveform::pulse(
+                            0.0,
+                            80e-6,
+                            nanos(0.3),
+                            nanos(0.1),
+                            nanos(0.1),
+                            nanos(2.0),
+                        );
+                        let members: Vec<BatchMember> = scales
+                            .iter()
+                            .map(|&s| BatchMember::new().current_wave(driver, base.scaled(s)))
+                            .collect();
+                        let batch = circuit
+                            .transient_batch(&options, &members, &probes)
+                            .expect("batch");
+                        for (m, &s) in scales.iter().enumerate() {
+                            let mut member = circuit.clone();
+                            member.set_current_source_wave(driver, base.scaled(s));
+                            let reference = transient_stored_state(&member, &options);
+                            for strategy in
+                                [SolverStrategy::CachedLu, SolverStrategy::AlwaysRestamp]
+                            {
+                                let run = member
+                                    .transient(&options.clone().with_strategy(strategy))
+                                    .expect("transient");
+                                assert_eq!(run.times(), reference.times(), "{case}: grid");
+                                for &probe in &probes {
+                                    let what =
+                                        format!("{case}, member {m}, {strategy:?}, {probe:?}");
+                                    assert_bits_equal(
+                                        run.voltage(probe),
+                                        reference.voltage(probe),
+                                        &what,
+                                    );
+                                }
+                            }
+                            assert_eq!(batch.times(), reference.times(), "{case}: batch grid");
+                            for &probe in &probes {
+                                let what = format!("{case}, batch member {m}, {probe:?}");
+                                assert_bits_equal(
+                                    &batch.voltage(m, probe),
+                                    reference.voltage(probe),
+                                    &what,
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

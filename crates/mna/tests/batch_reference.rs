@@ -56,12 +56,14 @@ enum Layout {
 }
 
 /// A random linear read circuit: a pulsed current driver into a short
-/// bit-line ladder, and a switched hold capacitor with an initial condition
-/// (so the cached-LU key changes mid-run) biased from a DC supply rail
-/// through a VCVS buffer and a resistor (so both kinds of branch row are in
-/// the system). The ladder carries one floating capacitor across two of
-/// its segments and one grounded capacitor declared ground-first. Returns
-/// the circuit, its probe nodes, and the two override targets.
+/// bit-line ladder, and a switched hold capacitor (so the cached-LU key
+/// changes mid-run) biased from a DC supply rail through a VCVS buffer and
+/// a resistor (so both kinds of branch row are in the system). The ladder
+/// carries one floating capacitor across two of its segments and one
+/// grounded capacitor declared ground-first. Whether the hold capacitor has
+/// an initial condition is drawn, so cases cover circuits with none (the
+/// Fig. 5 campaign's shape) and circuits that mix both kinds. Returns the
+/// circuit, its probe nodes, and the two override targets.
 ///
 /// In the natural layout the netlist order has bandwidth 2, and the
 /// floating capacitor closes a triangle, so no ordering is narrower.
@@ -125,12 +127,13 @@ fn random_circuit(seed: u64, layout: Layout) -> (Circuit, Vec<Node>, Targets) {
         Ohms::from_mega(pick(100.0, 2_000.0)),
         SwitchSchedule::closed_during(nanos(t_close), nanos(t_close + pick(0.5, 1.2))),
     );
-    circuit.capacitor_with_ic(
-        hold,
-        Node::GROUND,
-        Farads::from_femto(pick(10.0, 50.0)),
-        pick(-0.2, 0.2),
-    );
+    let hold_farads = Farads::from_femto(pick(10.0, 50.0));
+    let hold_ic = pick(-0.2, 0.2);
+    if pick(0.0, 1.0) < 0.5 {
+        circuit.capacitor_with_ic(hold, Node::GROUND, hold_farads, hold_ic);
+    } else {
+        circuit.capacitor(hold, Node::GROUND, hold_farads);
+    }
     // Branch rows follow the nodes: the VCVS's first, then the supply's.
     circuit.vcvs(amp, Node::GROUND, rail, Node::GROUND, pick(0.2, 0.8));
     circuit.resistor(amp, hold, Ohms::from_mega(pick(1.0, 20.0)));

@@ -10,7 +10,7 @@
 //!    and queue bounds, two transactions touching the same cell complete in
 //!    admission order (checked as a proptest).
 //! 3. **Backpressure engages under saturation** — offered load beyond the
-//!    service rate must stall (or drop), never silently grow state.
+//!    service rate must stall admission, never silently grow state.
 //! 4. **The paper's system-level argument** — at the same offered load the
 //!    destructive scheme's restore-inflated 25 ns read queues harder than
 //!    the nondestructive scheme's 14 ns read.
