@@ -2501,7 +2501,7 @@ mod tests {
         );
     }
 
-    /// Capacitor state as the engine once stored it between steps: each
+    /// The reference's capacitor state, stored between steps: each
     /// capacitor's voltage and current, one lane.
     struct StoredCaps {
         v: Vec<f64>,
