@@ -14,12 +14,12 @@
 //!   all                                everything, in order
 //! ```
 
-use std::io::Write as _;
-use std::path::Path;
+use std::path::PathBuf;
 
 use stt_bench::{extras, figures, montecarlo, tables};
 use stt_stats::Table;
 
+#[derive(Debug)]
 struct Experiment {
     id: &'static str,
     title: &'static str,
@@ -157,49 +157,64 @@ const EXPERIMENTS: &[Experiment] = &[
     },
 ];
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut csv_dir: Option<String> = None;
-    let mut wanted: Vec<String> = Vec::new();
-    let mut iter = args.into_iter();
+/// A parsed command line: the experiments to run, in order, and the
+/// directory to write their tables into as CSV, if any.
+#[derive(Debug)]
+struct Cli {
+    experiments: Vec<&'static Experiment>,
+    csv_dir: Option<PathBuf>,
+}
+
+/// Parses the command line. Every experiment id is resolved here, so a
+/// command line naming an unknown one fails before any experiment runs.
+fn parse_args(args: &[String]) -> Result<Cli, String> {
+    let mut csv_dir = None;
+    let mut wanted: Vec<&str> = Vec::new();
+    let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         if arg == "--csv" {
-            csv_dir = iter.next();
-            if csv_dir.is_none() {
-                eprintln!("--csv needs a directory argument");
-                std::process::exit(2);
-            }
+            let dir = iter.next().ok_or("--csv needs a directory argument")?;
+            csv_dir = Some(PathBuf::from(dir));
         } else {
             wanted.push(arg);
         }
     }
     if wanted.is_empty() {
-        usage();
-        std::process::exit(2);
+        return Err(String::from("no experiment given"));
     }
+    let mut experiments = Vec::new();
+    for &id in wanted.iter().filter(|&&id| id != "all") {
+        let experiment = EXPERIMENTS
+            .iter()
+            .find(|e| e.id == id)
+            .ok_or_else(|| format!("unknown experiment: {id}"))?;
+        experiments.push(experiment);
+    }
+    if wanted.contains(&"all") {
+        experiments = EXPERIMENTS.iter().collect();
+    }
+    Ok(Cli {
+        experiments,
+        csv_dir,
+    })
+}
 
-    let ids: Vec<&str> = if wanted.iter().any(|w| w == "all") {
-        EXPERIMENTS.iter().map(|e| e.id).collect()
-    } else {
-        wanted.iter().map(String::as_str).collect()
-    };
-
-    for id in ids {
-        let Some(experiment) = EXPERIMENTS.iter().find(|e| e.id == id) else {
-            eprintln!("unknown experiment: {id}\n");
-            usage();
-            std::process::exit(2);
-        };
+/// Runs the experiments in order, printing each and writing its table
+/// into the CSV directory, which is created before the first runs.
+fn run(cli: &Cli) -> Result<(), String> {
+    if let Some(dir) = &cli.csv_dir {
+        std::fs::create_dir_all(dir)
+            .map_err(|error| format!("create csv directory {}: {error}", dir.display()))?;
+    }
+    for experiment in &cli.experiments {
         println!("════ {} ════\n", experiment.title);
         let (table, annotation) = (experiment.run)();
         if let Some(table) = &table {
             println!("{table}");
-            if let Some(dir) = &csv_dir {
-                let path = Path::new(dir).join(format!("{}.csv", experiment.id));
-                std::fs::create_dir_all(dir).expect("create csv directory");
-                let mut file = std::fs::File::create(&path).expect("create csv file");
-                file.write_all(table.to_csv().as_bytes())
-                    .expect("write csv");
+            if let Some(dir) = &cli.csv_dir {
+                let path = dir.join(format!("{}.csv", experiment.id));
+                std::fs::write(&path, table.to_csv())
+                    .map_err(|error| format!("write {}: {error}", path.display()))?;
                 println!("(csv written to {})", path.display());
             }
         }
@@ -207,6 +222,20 @@ fn main() {
             println!("{annotation}");
         }
         println!();
+    }
+    Ok(())
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cli = parse_args(&args).unwrap_or_else(|error| {
+        eprintln!("{error}\n");
+        usage();
+        std::process::exit(2);
+    });
+    if let Err(error) = run(&cli) {
+        eprintln!("{error}");
+        std::process::exit(1);
     }
 }
 
@@ -217,4 +246,56 @@ fn usage() {
         eprintln!("  {:<10}  {}", experiment.id, experiment.title);
     }
     eprintln!("  {:<10}  run every experiment in order", "all");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        parse_args(&owned)
+    }
+
+    fn ids(cli: &Cli) -> Vec<&'static str> {
+        cli.experiments.iter().map(|e| e.id).collect()
+    }
+
+    #[test]
+    fn experiments_resolve_in_command_line_order() {
+        let cli = parse(&["fig9", "--csv", "out", "table1"]).unwrap();
+        assert_eq!(ids(&cli), ["fig9", "table1"]);
+        assert_eq!(cli.csv_dir, Some(PathBuf::from("out")));
+        assert_eq!(parse(&["table2"]).unwrap().csv_dir, None);
+
+        let all = parse(&["all"]).unwrap();
+        assert_eq!(all.experiments.len(), EXPERIMENTS.len());
+        assert_eq!(ids(&parse(&["table1", "all"]).unwrap()), ids(&all));
+    }
+
+    #[test]
+    fn bad_command_lines_fail_before_any_experiment_runs() {
+        let error = parse(&["table1", "bogus"]).unwrap_err();
+        assert_eq!(error, "unknown experiment: bogus");
+        assert!(parse(&["all", "bogus"]).is_err());
+        assert!(parse(&[]).is_err());
+        assert!(parse(&["--csv", "out"]).is_err());
+        assert!(parse(&["table1", "--csv"]).is_err());
+    }
+
+    #[test]
+    fn an_uncreatable_csv_directory_is_an_error_not_a_panic() {
+        let root = std::env::temp_dir().join(format!("repro-csv-{}", std::process::id()));
+        std::fs::create_dir_all(&root).unwrap();
+        let file = root.join("regular-file");
+        std::fs::write(&file, "not a directory").unwrap();
+        let cli = Cli {
+            experiments: vec![&EXPERIMENTS[0]],
+            csv_dir: Some(file.join("csv")),
+        };
+        let error = run(&cli).unwrap_err();
+        assert!(error.starts_with("create csv directory "), "{error}");
+        assert!(!file.join("csv").exists());
+        std::fs::remove_dir_all(&root).unwrap();
+    }
 }
