@@ -4,8 +4,7 @@
 //! read under device variation. On the linear Fig. 5 netlist every trial
 //! shares the same MNA matrix — variation in the forced read current only
 //! moves the right-hand side — so a batch of k trials needs one LU
-//! factorization per (switch-state, step-size, integrator) key instead of
-//! k of them. This module is that campaign, rewritten on top of
+//! factorization per (switch-state, step-size) key instead of k of them. This module is that campaign, rewritten on top of
 //! [`Circuit::transient_batch`] + [`stt_stats::run_trial_batches`]: the
 //! per-trial RNG streams are the exact streams a sequential
 //! [`stt_stats::run_trials`] campaign would use, and each batch member's

@@ -278,8 +278,10 @@ struct Fig5Nodes {
 /// outside Fig. 3's sensing path; its time and energy are accounted by
 /// [`ChipTiming`]). Phase B re-runs the bit-line with the cell pinned to the
 /// erased (parallel) state at `I_R2`, sampling `V_BL2` onto C2 — **which
-/// loads the bit-line**, the §V RC penalty — while C1 holds its phase-A
-/// value via a capacitor initial condition.
+/// loads the bit-line**, the §V RC penalty. Each phase is its own
+/// zero-state transient: C1 is off the line in phase B, so it is not
+/// simulated there, and the `V_BL1` it holds is phase A's sampled voltage,
+/// carried to the comparison as a number.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DestructiveTransientRead {
     /// The destructive design point.
@@ -329,9 +331,8 @@ impl DestructiveTransientRead {
     }
 
     /// One sampling phase: force `i_read` into the bit-line with the cell
-    /// in `state`, close the sampling switch onto a cap (optionally
-    /// pre-charged), and return the sampled voltage plus the bit-line's
-    /// 99 %-settling time.
+    /// in `state`, close the sampling switch onto an empty cap, and return
+    /// the sampled voltage plus the bit-line's 99 %-settling time.
     fn sampling_phase(
         &self,
         cell: &Cell,

@@ -174,7 +174,7 @@ impl Circuit {
                         };
                         stamp_admittance(&mut matrix, *a, *b, Complex::real(1.0 / resistance));
                     }
-                    Element::Capacitor { a, b, farads, .. } => {
+                    Element::Capacitor { a, b, farads } => {
                         stamp_admittance(&mut matrix, *a, *b, Complex::imaginary(omega * farads));
                     }
                     Element::VoltageSource {

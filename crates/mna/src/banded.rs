@@ -410,7 +410,7 @@ impl BandedLu {
 mod tests {
     use super::*;
     use crate::matrix::LuFactors;
-    use crate::{Circuit, Integrator, Node, SwitchSchedule, Waveform};
+    use crate::{Circuit, Node, SwitchSchedule, Waveform};
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
     use stt_units::{Farads, Ohms, Seconds};
@@ -699,10 +699,10 @@ mod tests {
     }
 
     /// The solve work of the Fig. 5 line, pinned as a count: in every
-    /// switch phase and under both integrators, column k of L and row k of
-    /// U reach one entry past the diagonal everywhere outside the
-    /// switch/divider tail. The band is kl = ku = 2 wide (the two switches
-    /// leave bl31), so the full-band loops would run 2 and 4 entries.
+    /// switch phase, column k of L and row k of U reach one entry past the
+    /// diagonal everywhere outside the switch/divider tail. The band is
+    /// kl = ku = 2 wide (the two switches leave bl31), so the full-band
+    /// loops would run 2 and 4 entries.
     #[test]
     fn fig5_line_reaches_are_pinned() {
         let circuit = fig5_line();
@@ -713,15 +713,13 @@ mod tests {
         reaches.extend([2, 1, 1, 0]);
         let mut seed = 11u64;
         for t in [1.0, 7.0, 20.0, 29.0] {
-            for integrator in [Integrator::BackwardEuler, Integrator::Trapezoidal] {
-                let matrix = circuit.banded_step_matrix(Seconds::from_nano(t), 50e-12, integrator);
-                assert_eq!((matrix.n, matrix.kl, matrix.ku), (36, 2, 2));
-                let lu = BandedLu::factor(matrix).expect("nonsingular");
-                assert!(lu.ipiv.iter().enumerate().all(|(k, &p)| p == k));
-                assert_eq!(lu.lower, reaches, "L reaches at {t} ns, {integrator:?}");
-                assert_eq!(lu.upper, reaches, "U reaches at {t} ns, {integrator:?}");
-                assert_solves_stop_at_reaches(&lu, &mut seed);
-            }
+            let matrix = circuit.banded_step_matrix(Seconds::from_nano(t), 50e-12);
+            assert_eq!((matrix.n, matrix.kl, matrix.ku), (36, 2, 2));
+            let lu = BandedLu::factor(matrix).expect("nonsingular");
+            assert!(lu.ipiv.iter().enumerate().all(|(k, &p)| p == k));
+            assert_eq!(lu.lower, reaches, "L reaches at {t} ns");
+            assert_eq!(lu.upper, reaches, "U reaches at {t} ns");
+            assert_solves_stop_at_reaches(&lu, &mut seed);
         }
     }
 

@@ -181,9 +181,6 @@ pub(crate) enum Element {
         a: Node,
         b: Node,
         farads: f64,
-        /// Forced initial voltage `v(a) − v(b)` at `t = 0`, overriding
-        /// whatever the chosen initial-state policy would produce.
-        ic: Option<f64>,
     },
     VoltageSource {
         pos: Node,
@@ -335,28 +332,6 @@ impl Circuit {
             a,
             b,
             farads: farads.get(),
-            ic: None,
-        });
-    }
-
-    /// Adds a capacitor with a forced initial voltage `v(a) − v(b)` at
-    /// `t = 0` (like SPICE's `.IC` with `UIC`): the transient starts from
-    /// this capacitor state regardless of the initial-state policy. Used to
-    /// chain multi-phase analyses — e.g. carrying the sampled `V_BL1` on C1
-    /// into the second phase of a destructive self-reference read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacitance is non-positive or a node is foreign.
-    pub fn capacitor_with_ic(&mut self, a: Node, b: Node, farads: Farads, ic: f64) {
-        self.check_node(a);
-        self.check_node(b);
-        assert!(farads.get() > 0.0, "capacitance must be positive");
-        self.elements.push(Element::Capacitor {
-            a,
-            b,
-            farads: farads.get(),
-            ic: Some(ic),
         });
     }
 
@@ -411,27 +386,6 @@ impl Circuit {
             }
         }
         panic!("current source id does not belong to this circuit");
-    }
-
-    /// Replaces the waveform of voltage source `id` in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id does not name an independent voltage source of this
-    /// circuit (VCVS branches share the id space but have no waveform).
-    pub fn set_voltage_source_wave(&mut self, id: SourceId, wave: Waveform) {
-        for element in &mut self.elements {
-            if let Element::VoltageSource {
-                branch, wave: slot, ..
-            } = element
-            {
-                if *branch == id.0 {
-                    *slot = wave;
-                    return;
-                }
-            }
-        }
-        panic!("source id does not name an independent voltage source of this circuit");
     }
 
     /// Adds a scheduled ideal switch with the given on/off resistances.
@@ -882,11 +836,10 @@ mod tests {
         use crate::waveform::Waveform;
         let mut circuit = Circuit::new();
         let a = circuit.node("a");
-        let vsrc = circuit.voltage_source(a, Node::GROUND, Waveform::Dc(1.0));
+        circuit.voltage_source(a, Node::GROUND, Waveform::Dc(1.0));
         let b = circuit.node("b");
         let _first = circuit.current_source(b, Node::GROUND, Waveform::Dc(1e-6));
         let second = circuit.current_source(a, b, Waveform::Dc(2e-6));
-        circuit.set_voltage_source_wave(vsrc, Waveform::Dc(2.5));
         circuit.set_current_source_wave(second, Waveform::Dc(9e-6));
         let waves: Vec<String> = circuit
             .elements
@@ -900,7 +853,7 @@ mod tests {
             .collect();
         assert_eq!(
             waves,
-            ["Dc(2.5)", "Dc(1e-6)", "Dc(9e-6)"],
+            ["Dc(1.0)", "Dc(1e-6)", "Dc(9e-6)"],
             "first source untouched"
         );
     }
@@ -911,16 +864,5 @@ mod tests {
         use crate::waveform::Waveform;
         let mut circuit = Circuit::new();
         circuit.set_current_source_wave(CurrentSourceId(0), Waveform::Dc(1.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "independent voltage source")]
-    fn vcvs_id_has_no_waveform() {
-        use crate::waveform::Waveform;
-        let mut circuit = Circuit::new();
-        let a = circuit.node("a");
-        let b = circuit.node("b");
-        let amp = circuit.vcvs(b, Node::GROUND, a, Node::GROUND, 2.0);
-        circuit.set_voltage_source_wave(amp, Waveform::Dc(1.0));
     }
 }

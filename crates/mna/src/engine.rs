@@ -3,8 +3,8 @@
 //! Formulation: unknowns are the non-ground node voltages plus one branch
 //! current per voltage source. Linear elements stamp conductances; nonlinear
 //! elements (MOSFETs, [`DeviceLaw`](crate::circuit::DeviceLaw) two-terminals) are linearised around the
-//! current Newton iterate; capacitors become companion models (backward
-//! Euler or trapezoidal) during transient analysis and are open in DC.
+//! current Newton iterate; capacitors become backward-Euler companion
+//! models during transient analysis and are open in DC.
 //!
 //! A `GMIN` conductance from every node to ground keeps systems with
 //! momentarily floating nodes (open switches feeding sample capacitors —
@@ -15,7 +15,7 @@ use std::fmt;
 use stt_units::Seconds;
 
 use crate::banded::{BandedLu, BandedMatrix};
-use crate::circuit::{Circuit, CurrentSourceId, Element, MosfetParams, Node, SourceId};
+use crate::circuit::{Circuit, CurrentSourceId, Element, MosfetParams, Node};
 use crate::matrix::{LuFactors, Matrix, SingularMatrixError};
 use crate::waveform::{PwlPoint, Waveform};
 
@@ -77,17 +77,6 @@ impl std::error::Error for AnalysisError {
     }
 }
 
-/// Integration method for capacitor companions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Integrator {
-    /// First-order implicit; strongly damped, robust across switch events.
-    #[default]
-    BackwardEuler,
-    /// Second-order implicit; more accurate on smooth intervals but can ring
-    /// on hard discontinuities.
-    Trapezoidal,
-}
-
 /// How the analyses manage the system matrix and its LU factorization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverStrategy {
@@ -95,7 +84,7 @@ pub enum SolverStrategy {
     /// base matrix once per analysis, each rebuild copies that base and
     /// restamps only the dynamic elements, and for linear circuits the LU
     /// factorization is reused across every step whose matrix is unchanged
-    /// (same switch states, step size, and integrator) — O(n²) per step
+    /// (same switch states and step size) — O(n²) per step
     /// instead of O(n³).
     #[default]
     CachedLu,
@@ -160,8 +149,6 @@ pub struct TranOptions {
     /// Uniform base time step (switch events are inserted additionally,
     /// and a final short step covers any remainder before `t_stop`).
     pub dt: Seconds,
-    /// Capacitor integration method.
-    pub integrator: Integrator,
     /// Start from the DC operating point at `t = 0` (otherwise zero state).
     pub start_from_dc: bool,
     /// Matrix/factorization management (default: the cached fast path).
@@ -171,24 +158,17 @@ pub struct TranOptions {
 }
 
 impl TranOptions {
-    /// Creates options with the default integrator, starting from DC.
+    /// Creates options that start from DC, with the default strategy and
+    /// backend.
     #[must_use]
     pub fn new(t_stop: Seconds, dt: Seconds) -> Self {
         Self {
             t_stop,
             dt,
-            integrator: Integrator::default(),
             start_from_dc: true,
             strategy: SolverStrategy::default(),
             backend: SolverBackend::default(),
         }
-    }
-
-    /// Selects the integration method.
-    #[must_use]
-    pub fn with_integrator(mut self, integrator: Integrator) -> Self {
-        self.integrator = integrator;
-        self
     }
 
     /// Starts from an all-zero state instead of the DC operating point.
@@ -335,9 +315,9 @@ impl TranResult {
     }
 }
 
-/// One member of a [`Circuit::transient_batch`] run: a set of per-source
-/// waveform overrides applied on top of the base circuit. Sources not
-/// overridden keep their base waveform.
+/// One member of a [`Circuit::transient_batch`] run: a set of
+/// current-source waveform overrides applied on top of the base circuit.
+/// Sources not overridden keep their base waveform.
 ///
 /// Monte-Carlo campaigns fold per-trial device variation into the drive
 /// waveforms (for linear circuits, scaling the read current is exactly
@@ -347,8 +327,6 @@ impl TranResult {
 pub struct BatchMember {
     /// Current-source overrides, `(id, waveform)`.
     current: Vec<(CurrentSourceId, Waveform)>,
-    /// Independent-voltage-source overrides, `(id, waveform)`.
-    voltage: Vec<(SourceId, Waveform)>,
 }
 
 impl BatchMember {
@@ -362,13 +340,6 @@ impl BatchMember {
     #[must_use]
     pub fn current_wave(mut self, id: CurrentSourceId, wave: Waveform) -> Self {
         self.current.push((id, wave));
-        self
-    }
-
-    /// Overrides the waveform of voltage source `id` for this member.
-    #[must_use]
-    pub fn voltage_wave(mut self, id: SourceId, wave: Waveform) -> Self {
-        self.voltage.push((id, wave));
         self
     }
 }
@@ -496,99 +467,59 @@ impl<'a> SourceLanes<'a> {
     }
 }
 
-/// Capacitor state carried between transient steps over `width` lanes. A
-/// batch runs one lane per member; the sequential analyses run one lane.
+/// One transient step's capacitor companions over `width = ground.len()`
+/// lanes (a batch runs one lane per member; the sequential analyses run
+/// one): each integrates over `h` from the previous solution `x_prev`
+/// (`x_prev[row·width + m]`).
 ///
-/// No capacitor voltage is stored: after step n a capacitor's voltage is,
-/// bit for bit, the `x_n[a] − x_n[b]` of that step's solution, so each step
-/// derives its companions' history from the previous solution instead
-/// ([`cap_voltages`]). Only the trapezoidal rule's history needs more: the
-/// current through each capacitor at the end of the previous step.
-#[derive(Debug)]
-struct CapLanes {
-    /// `width` zeros: the lanes of the ground node.
-    ground: Vec<f64>,
-    /// Current through each capacitor at the end of the last step,
-    /// structure-of-arrays: entry `cap·width + m` belongs to the `cap`-th
-    /// capacitor (in element order) of lane `m`. Empty when the run
-    /// integrates with backward Euler throughout, whose history reads no
-    /// current.
-    i: Vec<f64>,
-}
-
-/// One transient step's capacitor companions: they integrate over `h` from
-/// the previous solution `x_prev` (`x_prev[row·width + m]`).
+/// No capacitor voltage is stored: after a step a capacitor's voltage is,
+/// bit for bit, the `x[a] − x[b]` of that step's solution, so each step
+/// derives its companions' history from the previous solution instead.
 #[derive(Debug, Clone, Copy)]
 struct CapStep<'a> {
     h: f64,
     x_prev: &'a [f64],
-    /// `true` on a run's first step: a capacitor with an initial condition
-    /// starts from it instead of from `x_prev`.
-    first: bool,
-}
-
-impl<'a> CapStep<'a> {
-    /// Lane by lane, the voltage the capacitor `a`–`b` (initial condition
-    /// `ic`, if any) starts this step from.
-    fn start_voltages(
-        self,
-        ground: &'a [f64],
-        a: Node,
-        b: Node,
-        ic: Option<f64>,
-    ) -> impl Iterator<Item = f64> + 'a {
-        cap_voltages(self.x_prev, ground, a, b, ic.filter(|_| self.first))
-    }
-}
-
-/// Lane by lane, `ic` if it is `Some`, or else the voltage across the
-/// capacitor `a`–`b` in the solution `x` (`x[row·width + m]` with `width =
-/// ground.len()`), with `ground` standing in for a grounded end's lanes.
-/// Every capacitor voltage a transient integrates from is computed here.
-fn cap_voltages<'a>(
-    x: &'a [f64],
+    /// `width` zeros: the lanes of the ground node.
     ground: &'a [f64],
-    a: Node,
-    b: Node,
-    ic: Option<f64>,
-) -> impl Iterator<Item = f64> + 'a {
-    let width = ground.len();
-    let lane = |node: Node| {
-        Circuit::node_row(node).map_or(ground, |row| &x[row * width..(row + 1) * width])
-    };
-    lane(a)
-        .iter()
-        .zip(lane(b))
-        .map(move |(va, vb)| ic.unwrap_or(va - vb))
 }
 
-impl CapLanes {
-    /// Writes the history currents of the `cap`-th capacitor (`a`–`b`,
-    /// initial condition `ic`, companion conductance `g`) over `step` into
-    /// `out`, one per lane; a shorter `out` takes the first lanes.
-    fn history_into(
-        &self,
-        out: &mut [f64],
-        cap: usize,
-        (a, b, ic): (Node, Node, Option<f64>),
-        step: CapStep,
-        g: f64,
-        integrator: Integrator,
-    ) {
-        let v = step.start_voltages(&self.ground, a, b, ic);
-        if self.i.is_empty() {
-            debug_assert_eq!(integrator, Integrator::BackwardEuler);
-            for (out, v) in out.iter_mut().zip(v) {
-                *out = cap_history(g, v, 0.0, integrator);
-            }
-        } else {
-            let width = self.ground.len();
-            let currents = &self.i[cap * width..(cap + 1) * width];
-            for ((out, v), &i) in out.iter_mut().zip(v).zip(currents) {
-                *out = cap_history(g, v, i, integrator);
-            }
+impl CapStep<'_> {
+    /// Writes the history currents `g·(x_prev[a] − x_prev[b])` of the
+    /// capacitor `a`–`b` with companion conductance `g = farads / h` into
+    /// `out`, one per lane; a shorter `out` takes the first lanes. Every
+    /// path that stamps a capacitor computes its history here, so their
+    /// right-hand sides agree to the bit.
+    fn history_into(self, out: &mut [f64], a: Node, b: Node, g: f64) {
+        let width = self.ground.len();
+        let lane = |node: Node| {
+            Circuit::node_row(node).map_or(self.ground, |row| {
+                &self.x_prev[row * width..(row + 1) * width]
+            })
+        };
+        for ((out, va), vb) in out.iter_mut().zip(lane(a)).zip(lane(b)) {
+            *out = g * (va - vb);
         }
     }
+}
+
+/// The steps of a transient over `grid`: each step's end time `t` and its
+/// size `h`. Grid times are k·dt, so consecutive differences wobble by a
+/// few ULPs around `dt`; those snap onto `dt` exactly. The intended
+/// uniform step is the more faithful `h`, and a stable bit pattern is what
+/// lets the cached-LU fast path recognise uniform steps. Every transient
+/// steps through here, so all of them integrate the identical `h`
+/// sequence.
+fn tran_steps(grid: &[f64], dt: f64) -> impl Iterator<Item = (Seconds, f64)> + '_ {
+    grid.windows(2).map(move |pair| {
+        let h_raw = pair[1] - pair[0];
+        let h = if (h_raw - dt).abs() <= 1e-9 * dt {
+            dt
+        } else {
+            h_raw
+        };
+        debug_assert!(h > 0.0);
+        (Seconds::new(pair[1]), h)
+    })
 }
 
 /// Where element stamps land. Dense stamps go straight to matrix
@@ -757,9 +688,8 @@ pub(crate) struct SolveWorkspace {
     /// and the key below still describe the stamped matrix.
     lu_valid: bool,
     /// Reuse key: companion-model step size (`h.to_bits()`, `u64::MAX` for
-    /// DC where capacitors are open), integrator, and per-switch states.
+    /// DC where capacitors are open) and per-switch states.
     key_h: u64,
-    key_integrator: Integrator,
     key_switches: Vec<bool>,
     /// Scratch for the current switch states (compared against the key).
     cur_switches: Vec<bool>,
@@ -797,7 +727,7 @@ impl Circuit {
     pub fn dc_operating_point(&self, t: Seconds) -> Result<DcResult, AnalysisError> {
         let mut ws = self.workspace(SolverStrategy::CachedLu, SolverBackend::Auto);
         let guess = vec![0.0; self.dim()];
-        self.solve_point_with(&mut ws, t, &guess, None, Integrator::BackwardEuler)?;
+        self.solve_point_with(&mut ws, t, &guess, None)?;
         Ok(self.package_dc(&ws.x))
     }
 
@@ -868,7 +798,6 @@ impl Circuit {
             next: vec![0.0; dim],
             lu_valid: false,
             key_h: 0,
-            key_integrator: Integrator::BackwardEuler,
             key_switches: vec![false; switch_count],
             cur_switches: vec![false; switch_count],
             reuse: strategy == SolverStrategy::CachedLu,
@@ -906,17 +835,9 @@ impl Circuit {
         let mut ws = self.workspace(options.strategy, options.backend);
         let mut solution = vec![0.0; self.dim()];
         if options.start_from_dc {
-            self.solve_point_with(
-                &mut ws,
-                Seconds::ZERO,
-                &solution,
-                None,
-                Integrator::BackwardEuler,
-            )?;
+            self.solve_point_with(&mut ws, Seconds::ZERO, &solution, None)?;
             solution.copy_from_slice(&ws.x);
         }
-
-        let mut caps = self.cap_lanes(1, options.integrator);
 
         let nodes = self.node_count();
         let mut traces: Vec<Vec<f64>> = vec![Vec::with_capacity(grid.len()); nodes];
@@ -928,41 +849,15 @@ impl Circuit {
         };
         record(&solution, &mut traces);
 
-        let dt = options.dt.get();
-        let mut previous_time = grid[0];
-        for (step, &time) in grid[1..].iter().enumerate() {
-            // Grid times are k·dt, so consecutive differences wobble by a
-            // few ULPs around `dt`. Snap those onto `dt` exactly: the
-            // intended uniform step is the more faithful `h`, and a stable
-            // bit pattern is what lets the cached-LU fast path recognise
-            // uniform steps. (Applied before the solve, so the
-            // always-restamp reference integrates with the identical `h`.)
-            let h_raw = time - previous_time;
-            let h = if (h_raw - dt).abs() <= 1e-9 * dt {
-                dt
-            } else {
-                h_raw
-            };
-            debug_assert!(h > 0.0);
-            let t = Seconds::new(time);
-            // Trapezoidal needs a consistent capacitor-current history; the
-            // initial state does not provide one, so the first step always
-            // integrates with backward Euler (the classic startup rule).
-            let integrator = if step == 0 {
-                Integrator::BackwardEuler
-            } else {
-                options.integrator
-            };
+        for (t, h) in tran_steps(&grid, options.dt.get()) {
             let cap = CapStep {
                 h,
                 x_prev: &solution,
-                first: step == 0,
+                ground: &[0.0],
             };
-            self.solve_point_with(&mut ws, t, &solution, Some((&caps, cap)), integrator)?;
-            self.advance_cap_currents(&mut caps, cap, &ws.x, integrator);
+            self.solve_point_with(&mut ws, t, &solution, Some(cap))?;
             solution.copy_from_slice(&ws.x);
             record(&solution, &mut traces);
-            previous_time = time;
         }
 
         Ok(TranResult {
@@ -978,18 +873,18 @@ impl Circuit {
     /// deduplicated. Shared by [`Circuit::transient`] and
     /// [`Circuit::transient_batch`] so both integrate identical grids.
     fn tran_grid(&self, options: &TranOptions) -> Result<Vec<f64>, AnalysisError> {
-        if options.t_stop.get() <= 0.0 {
+        let (t_stop, dt) = (options.t_stop.get(), options.dt.get());
+        if !(t_stop.is_finite() && t_stop > 0.0) {
             return Err(AnalysisError::InvalidOptions(
-                "t_stop must be positive".to_string(),
+                "t_stop must be positive and finite".to_string(),
             ));
         }
-        if options.dt.get() <= 0.0 || options.dt > options.t_stop {
+        // Also false for a NaN `dt`; a finite `t_stop` bounds an infinite one.
+        if !(dt > 0.0 && dt <= t_stop) {
             return Err(AnalysisError::InvalidOptions(
                 "dt must be positive and no larger than t_stop".to_string(),
             ));
         }
-        let dt = options.dt.get();
-        let t_stop = options.t_stop.get();
         let ratio = t_stop / dt;
         // Snap to a whole step count when `t_stop` is an (FP-wise almost
         // exact) multiple of `dt`, so no sliver step is produced.
@@ -1016,13 +911,13 @@ impl Circuit {
     }
 
     /// Runs `members.len()` transients of this (linear) circuit at once,
-    /// each member differing only in independent-source waveforms, and
+    /// each member differing only in current-source waveforms, and
     /// records the voltages of `probes`.
     ///
     /// All members share the time grid, the stamp plan, and — because
     /// source waveforms only touch the right-hand side — every LU
     /// factorization: under [`SolverStrategy::CachedLu`] one factorization
-    /// per distinct (switch-state, step-size, integrator) key serves the
+    /// per distinct (switch-state, step-size) key serves the
     /// entire batch, and each step back-substitutes the k right-hand sides
     /// in structure-of-arrays layout. Per member the result is
     /// bit-identical to a sequential [`Circuit::transient`] of a circuit
@@ -1079,12 +974,11 @@ impl Circuit {
                 &waves,
                 Seconds::ZERO,
                 None,
-                Integrator::BackwardEuler,
                 &mut x_prev,
                 &mut values,
             )?;
         }
-        let mut caps = self.cap_lanes(k, options.integrator);
+        let ground = vec![0.0; k];
 
         let mut traces: Vec<Vec<f64>> = vec![Vec::with_capacity(grid.len() * k); probes.len()];
         let record = |x_all: &[f64], traces: &mut Vec<Vec<f64>>| {
@@ -1097,43 +991,15 @@ impl Circuit {
         };
         record(&x_prev, &mut traces);
 
-        let dt = options.dt.get();
-        let mut previous_time = grid[0];
-        for (step, &time) in grid[1..].iter().enumerate() {
-            // Same step-size snap and first-step-BE startup rule as
-            // `transient` — bit-identity depends on integrating with the
-            // identical `h` sequence.
-            let h_raw = time - previous_time;
-            let h = if (h_raw - dt).abs() <= 1e-9 * dt {
-                dt
-            } else {
-                h_raw
-            };
-            debug_assert!(h > 0.0);
-            let t = Seconds::new(time);
-            let integrator = if step == 0 {
-                Integrator::BackwardEuler
-            } else {
-                options.integrator
-            };
+        for (t, h) in tran_steps(&grid, options.dt.get()) {
             let cap = CapStep {
                 h,
                 x_prev: &x_prev,
-                first: step == 0,
+                ground: &ground,
             };
-            self.solve_batch_point(
-                &mut ws,
-                &waves,
-                t,
-                Some((&caps, cap)),
-                integrator,
-                &mut x_next,
-                &mut values,
-            )?;
-            self.advance_cap_currents(&mut caps, cap, &x_next, integrator);
+            self.solve_batch_point(&mut ws, &waves, t, Some(cap), &mut x_next, &mut values)?;
             record(&x_next, &mut traces);
             std::mem::swap(&mut x_prev, &mut x_next);
-            previous_time = time;
         }
 
         Ok(BatchTranResult {
@@ -1147,7 +1013,8 @@ impl Circuit {
 
     /// Every independent source's waveform lanes, in element order: lane
     /// `m` of the `source`-th entry is the waveform member `m` drives that
-    /// source with — its override, or else the circuit's own waveform.
+    /// source with — its override (current sources only), or else the
+    /// circuit's own waveform.
     fn member_waves<'a>(
         &'a self,
         members: &'a [BatchMember],
@@ -1155,17 +1022,13 @@ impl Circuit {
         let k = members.len();
         let mut waves = Vec::new();
         let mut isources = Vec::new();
-        let mut vsources = vec![None; self.vsource_count];
         for element in &self.elements {
             let wave = match element {
                 Element::CurrentSource { wave, .. } => {
                     isources.push(waves.len());
                     wave
                 }
-                Element::VoltageSource { wave, branch, .. } => {
-                    vsources[*branch] = Some(waves.len());
-                    wave
-                }
+                Element::VoltageSource { wave, .. } => wave,
                 _ => continue,
             };
             waves.extend(std::iter::repeat_n(wave, k));
@@ -1179,15 +1042,6 @@ impl Circuit {
                 })?;
                 waves[lane + m] = wave;
             }
-            for (id, wave) in &member.voltage {
-                let lane = vsources.get(id.0).copied().flatten().ok_or_else(|| {
-                    AnalysisError::InvalidOptions(
-                        "source id does not name an independent voltage source of this circuit"
-                            .to_string(),
-                    )
-                })?;
-                waves[lane + m] = wave;
-            }
         }
         Ok(waves.chunks_exact(k).map(SourceLanes::new).collect())
     }
@@ -1196,14 +1050,12 @@ impl Circuit {
     /// matrix rebuild/refactor (when the reuse key misses), then the k
     /// right-hand sides stamped lane-major into `x_all` and
     /// back-substituted there in place.
-    #[allow(clippy::too_many_arguments)]
     fn solve_batch_point(
         &self,
         ws: &mut SolveWorkspace,
         waves: &[SourceLanes],
         t: Seconds,
-        cap: Option<(&CapLanes, CapStep)>,
-        integrator: Integrator,
+        cap: Option<CapStep>,
         x_all: &mut [f64],
         values: &mut [f64],
     ) -> Result<(), AnalysisError> {
@@ -1212,12 +1064,12 @@ impl Circuit {
         // h alone. Key handling is therefore identical to the sequential
         // path; the rebuild stamps lane 0's history currents into `ws.rhs`,
         // which is discarded.
-        if !self.lu_reusable(ws, t, cap, integrator) {
+        if !self.lu_reusable(ws, t, cap) {
             ws.rhs.fill(0.0);
-            self.rebuild_matrix(ws, t, cap, integrator);
-            self.refactor_keyed(ws, t, cap, integrator)?;
+            self.rebuild_matrix(ws, t, cap);
+            self.refactor_keyed(ws, t, cap)?;
         }
-        self.stamp_rhs_lanes(x_all, waves, t, cap, integrator, values);
+        self.stamp_rhs_lanes(x_all, waves, t, cap, values);
         ws.store
             .solve_multi(x_all, values.len())
             .map_err(|source| AnalysisError::Singular { source, time: t })?;
@@ -1225,80 +1077,33 @@ impl Circuit {
         Ok(())
     }
 
-    /// The capacitor state at the start of a transient over `width` lanes:
-    /// zero current lanes when `integrator` is trapezoidal, none otherwise.
-    fn cap_lanes(&self, width: usize, integrator: Integrator) -> CapLanes {
-        let is_cap = |element: &&Element| matches!(element, Element::Capacitor { .. });
-        let currents = match integrator {
-            Integrator::BackwardEuler => 0,
-            Integrator::Trapezoidal => width * self.elements.iter().filter(is_cap).count(),
-        };
-        CapLanes {
-            ground: vec![0.0; width],
-            i: vec![0.0; currents],
-        }
-    }
-
-    /// Advances every lane's capacitor currents over `step`, which ended at
-    /// the solution `x` (`x[row·width + m]`), so it must run before the
-    /// next step overwrites `step.x_prev`. A run without current lanes
-    /// (backward Euler throughout) returns at once.
-    fn advance_cap_currents(
-        &self,
-        caps: &mut CapLanes,
-        step: CapStep,
-        x: &[f64],
-        integrator: Integrator,
-    ) {
-        let CapLanes { ground, i } = caps;
-        if i.is_empty() {
-            return;
-        }
-        let mut lanes = i.chunks_exact_mut(ground.len());
-        for element in &self.elements {
-            if let Element::Capacitor { a, b, farads, ic } = element {
-                let i = lanes.next().expect("one current lane per capacitor");
-                let g = companion_conductance(*farads, step.h, integrator);
-                let v_old = step.start_voltages(ground, *a, *b, *ic);
-                let v_new = cap_voltages(x, ground, *a, *b, None);
-                for ((i, v_old), v_new) in i.iter_mut().zip(v_old).zip(v_new) {
-                    *i = match integrator {
-                        Integrator::BackwardEuler => g * (v_new - v_old),
-                        Integrator::Trapezoidal => g * (v_new - v_old) - *i,
-                    };
-                }
-            }
-        }
-    }
-
     /// Solves one (possibly nonlinear) analysis point into the workspace:
     /// on success `ws.x` holds the solution.
     ///
-    /// `cap` is `Some((state, step))` during transient steps and `None` for DC
+    /// `cap` is `Some(step)` during transient steps and `None` for DC
     /// (capacitors open).
     fn solve_point_with(
         &self,
         ws: &mut SolveWorkspace,
         t: Seconds,
         guess: &[f64],
-        cap: Option<(&CapLanes, CapStep)>,
-        integrator: Integrator,
+        cap: Option<CapStep>,
     ) -> Result<(), AnalysisError> {
         ws.x.copy_from_slice(guess);
 
         if !ws.nonlinear {
             // A linear system needs exactly one solve — and when nothing
             // matrix-affecting changed since the previous solve (same
-            // switch states, companion step size, and integrator), the
-            // cached factorization still holds: rebuild only the RHS and
+            // switch states and companion step size), the cached
+            // factorization still holds: rebuild only the RHS and
             // back-substitute, O(n²) instead of O(n³).
-            let reusable = self.lu_reusable(ws, t, cap, integrator);
+            let reusable = self.lu_reusable(ws, t, cap);
             ws.rhs.fill(0.0);
             if reusable {
-                self.stamp_rhs_only(&mut ws.rhs, t, cap, integrator);
+                self.stamp_rhs_only(&mut ws.rhs, t, cap);
             } else {
-                self.rebuild_matrix(ws, t, cap, integrator);
-                self.refactor_keyed(ws, t, cap, integrator)?;
+                self.rebuild_matrix(ws, t, cap);
+                self.refactor_keyed(ws, t, cap)?;
             }
             ws.store
                 .solve(&ws.rhs, &mut ws.x)
@@ -1312,7 +1117,7 @@ impl Circuit {
         let mut residual = f64::INFINITY;
         for _iteration in 0..MAX_NEWTON {
             ws.rhs.fill(0.0);
-            self.rebuild_matrix(ws, t, cap, integrator);
+            self.rebuild_matrix(ws, t, cap);
             if let Err(source) = ws.store.refactor() {
                 return Err(AnalysisError::Singular { source, time: t });
             }
@@ -1351,15 +1156,9 @@ impl Circuit {
     }
 
     /// Checks whether the cached factorisation still describes the matrix
-    /// at `(t, h, integrator)`, refreshing `ws.cur_switches` along the way.
-    fn lu_reusable(
-        &self,
-        ws: &mut SolveWorkspace,
-        t: Seconds,
-        cap: Option<(&CapLanes, CapStep)>,
-        integrator: Integrator,
-    ) -> bool {
-        let key_h = cap.map_or(u64::MAX, |(_, step)| step.h.to_bits());
+    /// at `(t, h)`, refreshing `ws.cur_switches` along the way.
+    fn lu_reusable(&self, ws: &mut SolveWorkspace, t: Seconds, cap: Option<CapStep>) -> bool {
+        let key_h = cap.map_or(u64::MAX, |step| step.h.to_bits());
         let mut switch_index = 0;
         for element in &self.elements {
             if let Element::Switch { schedule, .. } = element {
@@ -1367,11 +1166,7 @@ impl Circuit {
                 switch_index += 1;
             }
         }
-        ws.reuse
-            && ws.lu_valid
-            && ws.key_h == key_h
-            && ws.key_integrator == integrator
-            && ws.key_switches == ws.cur_switches
+        ws.reuse && ws.lu_valid && ws.key_h == key_h && ws.key_switches == ws.cur_switches
     }
 
     /// Refactors the (already rebuilt) working matrix, counting it in the
@@ -1380,8 +1175,7 @@ impl Circuit {
         &self,
         ws: &mut SolveWorkspace,
         t: Seconds,
-        cap: Option<(&CapLanes, CapStep)>,
-        integrator: Integrator,
+        cap: Option<CapStep>,
     ) -> Result<(), AnalysisError> {
         if let Err(source) = ws.store.refactor() {
             ws.lu_valid = false;
@@ -1389,8 +1183,7 @@ impl Circuit {
         }
         ws.telemetry.factorizations += 1;
         ws.lu_valid = true;
-        ws.key_h = cap.map_or(u64::MAX, |(_, step)| step.h.to_bits());
-        ws.key_integrator = integrator;
+        ws.key_h = cap.map_or(u64::MAX, |step| step.h.to_bits());
         ws.key_switches.copy_from_slice(&ws.cur_switches);
         Ok(())
     }
@@ -1399,13 +1192,7 @@ impl Circuit {
     /// copies the pre-stamped static base — or restamps it from scratch
     /// under [`SolverStrategy::AlwaysRestamp`] — then stamps the dynamic
     /// elements on top. Expects `ws.rhs` already zeroed.
-    fn rebuild_matrix(
-        &self,
-        ws: &mut SolveWorkspace,
-        t: Seconds,
-        cap: Option<(&CapLanes, CapStep)>,
-        integrator: Integrator,
-    ) {
+    fn rebuild_matrix(&self, ws: &mut SolveWorkspace, t: Seconds, cap: Option<CapStep>) {
         let SolveWorkspace {
             store,
             rhs,
@@ -1421,7 +1208,7 @@ impl Circuit {
                     work.clear();
                     self.stamp_static(work);
                 }
-                self.stamp_dynamic(work, rhs, x, t, cap, integrator);
+                self.stamp_dynamic(work, rhs, x, t, cap);
             }
             MatrixStore::Banded {
                 base, work, inv, ..
@@ -1438,7 +1225,7 @@ impl Circuit {
                     self.stamp_static(&mut target);
                 }
                 let mut target = PermutedBanded { matrix: work, inv };
-                self.stamp_dynamic(&mut target, rhs, x, t, cap, integrator);
+                self.stamp_dynamic(&mut target, rhs, x, t, cap);
             }
         }
     }
@@ -1526,13 +1313,11 @@ impl Circuit {
         rhs: &mut [f64],
         x: &[f64],
         t: Seconds,
-        cap: Option<(&CapLanes, CapStep)>,
-        integrator: Integrator,
+        cap: Option<CapStep>,
     ) {
         let voltage_of =
             |node: Node, x: &[f64]| -> f64 { Self::node_row(node).map_or(0.0, |row| x[row]) };
 
-        let mut cap_index = 0;
         for element in &self.elements {
             match element {
                 Element::Resistor { .. } | Element::Vcvs { .. } => {}
@@ -1546,18 +1331,16 @@ impl Circuit {
                     let resistance = if schedule.state_at(t) { *r_on } else { *r_off };
                     stamp_conductance(matrix, *a, *b, 1.0 / resistance);
                 }
-                Element::Capacitor { a, b, farads, ic } => {
-                    if let Some((caps, step)) = cap {
-                        let g_eq = companion_conductance(*farads, step.h, integrator);
+                Element::Capacitor { a, b, farads } => {
+                    if let Some(step) = cap {
+                        let g_eq = farads / step.h;
                         let mut i_hist = [0.0];
-                        let element = (*a, *b, *ic);
-                        caps.history_into(&mut i_hist, cap_index, element, step, g_eq, integrator);
+                        step.history_into(&mut i_hist, *a, *b, g_eq);
                         stamp_conductance(matrix, *a, *b, g_eq);
                         // History current drives the cap towards its past
                         // voltage: inject into `a`, return from `b`.
                         stamp_current_into(rhs, *a, *b, i_hist[0]);
                     }
-                    cap_index += 1;
                 }
                 Element::VoltageSource { wave, branch, .. } => {
                     rhs[self.branch_row(*branch)] += wave.value_at(t);
@@ -1602,26 +1385,16 @@ impl Circuit {
     /// elements, whose RHS contribution would need the matrix rebuilt too);
     /// contribution order matches [`Circuit::stamp_dynamic`] exactly so the
     /// RHS is bit-identical to a full rebuild.
-    fn stamp_rhs_only(
-        &self,
-        rhs: &mut [f64],
-        t: Seconds,
-        cap: Option<(&CapLanes, CapStep)>,
-        integrator: Integrator,
-    ) {
+    fn stamp_rhs_only(&self, rhs: &mut [f64], t: Seconds, cap: Option<CapStep>) {
         debug_assert!(!self.has_nonlinear(), "rhs-only stamping needs linearity");
-        let mut cap_index = 0;
         for element in &self.elements {
             match element {
-                Element::Capacitor { a, b, farads, ic } => {
-                    if let Some((caps, step)) = cap {
-                        let g = companion_conductance(*farads, step.h, integrator);
+                Element::Capacitor { a, b, farads } => {
+                    if let Some(step) = cap {
                         let mut i_hist = [0.0];
-                        let element = (*a, *b, *ic);
-                        caps.history_into(&mut i_hist, cap_index, element, step, g, integrator);
+                        step.history_into(&mut i_hist, *a, *b, farads / step.h);
                         stamp_current_into(rhs, *a, *b, i_hist[0]);
                     }
-                    cap_index += 1;
                 }
                 Element::VoltageSource { wave, branch, .. } => {
                     rhs[self.branch_row(*branch)] += wave.value_at(t);
@@ -1646,8 +1419,7 @@ impl Circuit {
         rhs: &mut [f64],
         waves: &[SourceLanes],
         t: Seconds,
-        cap: Option<(&CapLanes, CapStep)>,
-        integrator: Integrator,
+        cap: Option<CapStep>,
         values: &mut [f64],
     ) {
         debug_assert!(!self.has_nonlinear(), "rhs-only stamping needs linearity");
@@ -1670,15 +1442,11 @@ impl Circuit {
                 }
             }
         };
-        let mut cap_index = 0;
         for element in &self.elements {
             let (pos, neg) = match element {
-                Element::Capacitor { a, b, farads, ic } => {
-                    let index = cap_index;
-                    cap_index += 1;
-                    let Some((caps, step)) = cap else { continue };
-                    let g = companion_conductance(*farads, step.h, integrator);
-                    caps.history_into(values, index, (*a, *b, *ic), step, g, integrator);
+                Element::Capacitor { a, b, farads } => {
+                    let Some(step) = cap else { continue };
+                    step.history_into(values, *a, *b, farads / step.h);
                     (Self::node_row(*a), Self::node_row(*b))
                 }
                 Element::VoltageSource { branch, .. } => {
@@ -1710,21 +1478,15 @@ impl Circuit {
     /// The banded system matrix, in the banded backend's row order, that a
     /// transient step of `h` ending at `t` factors: the banded unit tests'
     /// handle on a real circuit's band.
-    pub(crate) fn banded_step_matrix(
-        &self,
-        t: Seconds,
-        h: f64,
-        integrator: Integrator,
-    ) -> BandedMatrix {
+    pub(crate) fn banded_step_matrix(&self, t: Seconds, h: f64) -> BandedMatrix {
         let mut ws = self.workspace(SolverStrategy::CachedLu, SolverBackend::Banded);
-        let caps = self.cap_lanes(1, integrator);
         let x_prev = vec![0.0; self.dim()];
         let step = CapStep {
             h,
             x_prev: &x_prev,
-            first: false,
+            ground: &[0.0],
         };
-        self.rebuild_matrix(&mut ws, t, Some((&caps, step)), integrator);
+        self.rebuild_matrix(&mut ws, t, Some(step));
         match ws.store {
             MatrixStore::Banded { work, .. } => work,
             MatrixStore::Dense { .. } => unreachable!("the banded backend was forced"),
@@ -1753,25 +1515,6 @@ fn stamp_current_into(rhs: &mut [f64], pos: Node, neg: Node, i: f64) {
     }
     if let Some(row) = Circuit::node_row(neg) {
         rhs[row] -= i;
-    }
-}
-
-/// The capacitor companion model's equivalent conductance for the given
-/// integrator. Every path that stamps, or integrates, a capacitor computes
-/// it here, so their history currents agree to the bit.
-fn companion_conductance(farads: f64, h: f64, integrator: Integrator) -> f64 {
-    match integrator {
-        Integrator::BackwardEuler => farads / h,
-        Integrator::Trapezoidal => 2.0 * farads / h,
-    }
-}
-
-/// The companion model's history current for a capacitor at state
-/// `(v, i)` with companion conductance `g`.
-fn cap_history(g: f64, v: f64, i: f64, integrator: Integrator) -> f64 {
-    match integrator {
-        Integrator::BackwardEuler => g * v,
-        Integrator::Trapezoidal => g * v + i,
     }
 }
 
@@ -1969,42 +1712,6 @@ mod tests {
     }
 
     #[test]
-    fn trapezoidal_is_more_accurate_than_backward_euler() {
-        // Smooth problem: RC charging from zero state towards a DC source.
-        // v(t) = 1 − e^{−t/τ}; both integrators see no discontinuity, so
-        // trapezoidal's second order must beat backward Euler's first.
-        let build = || {
-            let mut circuit = Circuit::new();
-            let input = circuit.node("in");
-            let output = circuit.node("out");
-            circuit.voltage_source(input, Node::GROUND, Waveform::Dc(1.0));
-            circuit.resistor(input, output, Ohms::from_kilo(1.0));
-            circuit.capacitor(output, Node::GROUND, Farads::from_pico(1.0));
-            (circuit, output)
-        };
-        let coarse = nanos(0.1); // 10 steps per time constant
-        let (circuit, out) = build();
-        let be = circuit
-            .transient(&TranOptions::new(nanos(3.0), coarse).from_zero_state())
-            .expect("be");
-        let (circuit, _) = build();
-        let trap = circuit
-            .transient(
-                &TranOptions::new(nanos(3.0), coarse)
-                    .with_integrator(Integrator::Trapezoidal)
-                    .from_zero_state(),
-            )
-            .expect("trap");
-        let analytic = |t_ns: f64| 1.0 - (-t_ns).exp();
-        let be_err = (be.voltage_at(out, nanos(1.0)) - analytic(1.0)).abs();
-        let trap_err = (trap.voltage_at(out, nanos(1.0)) - analytic(1.0)).abs();
-        assert!(
-            trap_err < be_err / 5.0,
-            "trap {trap_err} should clearly beat BE {be_err}"
-        );
-    }
-
-    #[test]
     fn switch_samples_voltage_onto_capacitor() {
         // The core sample-and-hold idiom of the paper's sensing circuits.
         let mut circuit = Circuit::new();
@@ -2189,6 +1896,26 @@ mod tests {
             .transient(&TranOptions::new(nanos(1.0), nanos(2.0)))
             .expect_err("dt > t_stop");
         assert!(err.to_string().contains("dt"));
+        // Non-finite times fail the same way, in both analyses.
+        let nan = Seconds::new(f64::NAN);
+        let inf = Seconds::new(f64::INFINITY);
+        for (t_stop, dt) in [
+            (nanos(5.0), nan),
+            (nan, nanos(1.0)),
+            (nan, nan),
+            (inf, nanos(1.0)),
+            (nanos(5.0), inf),
+            (inf, inf),
+        ] {
+            let options = TranOptions::new(t_stop, dt).from_zero_state();
+            let case = format!("t_stop {t_stop:?}, dt {dt:?}");
+            let err = circuit.transient(&options).expect_err(&case);
+            assert!(matches!(err, AnalysisError::InvalidOptions(_)), "{case}");
+            let err = circuit
+                .transient_batch(&options, &[BatchMember::new()], &[a])
+                .expect_err(&case);
+            assert!(matches!(err, AnalysisError::InvalidOptions(_)), "{case}");
+        }
     }
 
     #[test]
@@ -2240,48 +1967,6 @@ mod tests {
         let op = circuit.dc_operating_point(Seconds::ZERO).expect("follower");
         let expected = 0.7 * 1000.0 / 1001.0;
         assert!((op.voltage(out) - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn capacitor_initial_condition_is_honoured() {
-        // A pre-charged cap discharging through a resistor: v(t) = v0·e^{−t/τ}.
-        let mut circuit = Circuit::new();
-        let top = circuit.node("top");
-        circuit.capacitor_with_ic(top, Node::GROUND, Farads::from_pico(1.0), 1.0);
-        circuit.resistor(top, Node::GROUND, Ohms::from_kilo(1.0));
-        let result = circuit
-            .transient(&TranOptions::new(nanos(3.0), nanos(0.005)).from_zero_state())
-            .expect("transient");
-        for t_ns in [0.5, 1.0, 2.0] {
-            let simulated = result.voltage_at(top, nanos(t_ns));
-            let analytic = (-t_ns).exp();
-            assert!(
-                (simulated - analytic).abs() < 0.01,
-                "at {t_ns} ns: {simulated} vs {analytic}"
-            );
-        }
-    }
-
-    #[test]
-    fn capacitor_ic_overrides_dc_start() {
-        // Even when the transient starts from the DC operating point, an
-        // explicit IC wins (SPICE UIC semantics): the node must start at the
-        // forced value, not the DC solution.
-        let mut circuit = Circuit::new();
-        let top = circuit.node("top");
-        let supply = circuit.node("vdd");
-        circuit.voltage_source(supply, Node::GROUND, Waveform::Dc(1.0));
-        circuit.resistor(supply, top, Ohms::from_kilo(1.0));
-        circuit.capacitor_with_ic(top, Node::GROUND, Farads::from_pico(1.0), 0.2);
-        let result = circuit
-            .transient(&TranOptions::new(nanos(5.0), nanos(0.005)))
-            .expect("transient");
-        // The first step after t=0 must be near 0.2 V (the IC), then charge
-        // towards 1 V.
-        let early = result.voltage_at(top, nanos(0.02));
-        assert!((early - 0.2).abs() < 0.02, "early {early}");
-        let late = result.voltage_at(top, nanos(5.0));
-        assert!(late > 0.95, "late {late}");
     }
 
     #[test]
@@ -2501,78 +2186,37 @@ mod tests {
         );
     }
 
-    /// The reference's capacitor state, stored between steps: each
-    /// capacitor's voltage and current, one lane.
-    struct StoredCaps {
-        v: Vec<f64>,
-        i: Vec<f64>,
-    }
-
-    /// The stored state at the start of a transient from the solution `x`:
-    /// each capacitor's initial condition, or else its voltage in `x`, with
-    /// no current.
-    fn initial_stored_caps(circuit: &Circuit, x: &[f64]) -> StoredCaps {
+    /// Each capacitor's voltage `v(a) − v(b)` in the solution `x`, in
+    /// element order: the state the reference stores between steps.
+    fn stored_cap_voltages(circuit: &Circuit, x: &[f64]) -> Vec<f64> {
         let voltage = |node: Node| Circuit::node_row(node).map_or(0.0, |row| x[row]);
-        let v: Vec<f64> = circuit
+        circuit
             .elements
             .iter()
             .filter_map(|element| match element {
-                Element::Capacitor { a, b, ic, .. } => {
-                    Some(ic.unwrap_or_else(|| voltage(*a) - voltage(*b)))
-                }
+                Element::Capacitor { a, b, .. } => Some(voltage(*a) - voltage(*b)),
                 _ => None,
             })
-            .collect();
-        let i = vec![0.0; v.len()];
-        StoredCaps { v, i }
-    }
-
-    /// Integrates the stored state over a step of `h` that ended at `x`.
-    fn advance_stored_caps(
-        circuit: &Circuit,
-        x: &[f64],
-        caps: &mut StoredCaps,
-        integrator: Integrator,
-        h: f64,
-    ) {
-        let voltage = |node: Node| Circuit::node_row(node).map_or(0.0, |row| x[row]);
-        let mut states = caps.v.iter_mut().zip(caps.i.iter_mut());
-        for element in &circuit.elements {
-            if let Element::Capacitor { a, b, farads, .. } = element {
-                let (v, i) = states.next().expect("one state per capacitor");
-                let g = companion_conductance(*farads, h, integrator);
-                let v_new = voltage(*a) - voltage(*b);
-                *i = match integrator {
-                    Integrator::BackwardEuler => g * (v_new - *v),
-                    Integrator::Trapezoidal => g * (v_new - *v) - *i,
-                };
-                *v = v_new;
-            }
-        }
+            .collect()
     }
 
     /// The naive reference for the capacitor rule: a transient of a linear
-    /// circuit that stores each capacitor's `(v, i)` and stamps its history
-    /// from that state, restamping the dense matrix and refactoring at
-    /// every step. Same grid, step sizes, startup rule and per-entry
-    /// accumulation order as [`Circuit::transient`] on the dense backend.
+    /// circuit that stores each capacitor's voltage after every step and
+    /// stamps its history from that stored value, restamping the dense
+    /// matrix and refactoring at every step. Same grid, step sizes and
+    /// per-entry accumulation order as [`Circuit::transient`] on the dense
+    /// backend.
     fn transient_stored_state(circuit: &Circuit, options: &TranOptions) -> TranResult {
         let grid = circuit.tran_grid(options).expect("valid options");
         let mut ws = circuit.workspace(SolverStrategy::AlwaysRestamp, SolverBackend::Dense);
         let mut solution = vec![0.0; circuit.dim()];
         if options.start_from_dc {
             circuit
-                .solve_point_with(
-                    &mut ws,
-                    Seconds::ZERO,
-                    &solution,
-                    None,
-                    Integrator::BackwardEuler,
-                )
+                .solve_point_with(&mut ws, Seconds::ZERO, &solution, None)
                 .expect("dc start");
             solution.copy_from_slice(&ws.x);
         }
-        let mut caps = initial_stored_caps(circuit, &solution);
+        let mut stored = stored_cap_voltages(circuit, &solution);
         let nodes = circuit.node_count();
         let mut traces: Vec<Vec<f64>> = vec![Vec::new(); nodes];
         let record = |x: &[f64], traces: &mut Vec<Vec<f64>>| {
@@ -2582,20 +2226,7 @@ mod tests {
             }
         };
         record(&solution, &mut traces);
-        let dt = options.dt.get();
-        for (step, pair) in grid.windows(2).enumerate() {
-            let h_raw = pair[1] - pair[0];
-            let h = if (h_raw - dt).abs() <= 1e-9 * dt {
-                dt
-            } else {
-                h_raw
-            };
-            let t = Seconds::new(pair[1]);
-            let integrator = if step == 0 {
-                Integrator::BackwardEuler
-            } else {
-                options.integrator
-            };
+        for (t, h) in tran_steps(&grid, options.dt.get()) {
             let MatrixStore::Dense { work, .. } = &mut ws.store else {
                 unreachable!("the dense backend was forced")
             };
@@ -2603,7 +2234,7 @@ mod tests {
             circuit.stamp_static(work);
             let rhs = &mut ws.rhs;
             rhs.fill(0.0);
-            let mut cap_index = 0;
+            let mut stored_v = stored.iter();
             for element in &circuit.elements {
                 match element {
                     Element::Resistor { .. } | Element::Vcvs { .. } => {}
@@ -2617,12 +2248,11 @@ mod tests {
                         let resistance = if schedule.state_at(t) { *r_on } else { *r_off };
                         stamp_conductance(work, *a, *b, 1.0 / resistance);
                     }
-                    Element::Capacitor { a, b, farads, .. } => {
-                        let g = companion_conductance(*farads, h, integrator);
-                        let (v, i) = (caps.v[cap_index], caps.i[cap_index]);
+                    Element::Capacitor { a, b, farads } => {
+                        let g = farads / h;
+                        let v = stored_v.next().expect("one stored voltage per capacitor");
                         stamp_conductance(work, *a, *b, g);
-                        stamp_current_into(rhs, *a, *b, cap_history(g, v, i, integrator));
-                        cap_index += 1;
+                        stamp_current_into(rhs, *a, *b, g * v);
                     }
                     Element::VoltageSource { wave, branch, .. } => {
                         rhs[circuit.branch_row(*branch)] += wave.value_at(t);
@@ -2640,7 +2270,7 @@ mod tests {
                 .solve(&ws.rhs, &mut ws.x)
                 .expect("nonsingular step");
             solution.copy_from_slice(&ws.x);
-            advance_stored_caps(circuit, &solution, &mut caps, integrator, h);
+            stored = stored_cap_voltages(circuit, &solution);
             record(&solution, &mut traces);
         }
         TranResult {
@@ -2652,11 +2282,10 @@ mod tests {
 
     /// A linear read circuit with every kind of capacitor: grounded caps
     /// declared either end first, a floating cap across a ladder segment,
-    /// and a switched hold cap with `hold_ic` (if any) as its initial
-    /// condition. A supply rail through a resistor and a VCVS buffer gives
+    /// and a switched hold cap. A supply rail through a resistor and a VCVS buffer gives
     /// the system both kinds of branch row, and the switch events make the
     /// grid's step sizes (and so each step's companion conductances) vary.
-    fn mixed_cap_circuit(hold_ic: Option<f64>) -> (Circuit, CurrentSourceId, Vec<Node>) {
+    fn mixed_cap_circuit() -> (Circuit, CurrentSourceId, Vec<Node>) {
         let mut circuit = Circuit::new();
         let bl = circuit.node("bl");
         let mid = circuit.node("mid");
@@ -2682,10 +2311,7 @@ mod tests {
             Ohms::from_mega(1_000.0),
             SwitchSchedule::closed_during(nanos(1.13), nanos(2.37)),
         );
-        match hold_ic {
-            Some(ic) => circuit.capacitor_with_ic(hold, Node::GROUND, Farads::from_femto(30.0), ic),
-            None => circuit.capacitor(hold, Node::GROUND, Farads::from_femto(30.0)),
-        }
+        circuit.capacitor(hold, Node::GROUND, Farads::from_femto(30.0));
         circuit.voltage_source(rail, Node::GROUND, Waveform::Dc(0.9));
         circuit.vcvs(amp, Node::GROUND, rail, Node::GROUND, 0.5);
         circuit.resistor(amp, hold, Ohms::from_mega(5.0));
@@ -2702,65 +2328,46 @@ mod tests {
     #[test]
     fn derived_capacitor_voltages_match_the_stored_state_reference() {
         let scales = [1.0, 0.7, 1.3];
-        for hold_ic in [None, Some(0.15)] {
-            for integrator in [Integrator::BackwardEuler, Integrator::Trapezoidal] {
-                for from_zero in [false, true] {
-                    for dt in [0.05, 0.023] {
-                        let case =
-                            format!("ic {hold_ic:?}, {integrator:?}, zero {from_zero}, dt {dt}");
-                        let mut options = TranOptions::new(nanos(3.0), nanos(dt))
-                            .with_integrator(integrator)
-                            .with_backend(SolverBackend::Dense);
-                        if from_zero {
-                            options = options.from_zero_state();
+        for from_zero in [false, true] {
+            for dt in [0.05, 0.023] {
+                let case = format!("zero {from_zero}, dt {dt}");
+                let mut options =
+                    TranOptions::new(nanos(3.0), nanos(dt)).with_backend(SolverBackend::Dense);
+                if from_zero {
+                    options = options.from_zero_state();
+                }
+                let (circuit, driver, probes) = mixed_cap_circuit();
+                let base =
+                    Waveform::pulse(0.0, 80e-6, nanos(0.3), nanos(0.1), nanos(0.1), nanos(2.0));
+                let members: Vec<BatchMember> = scales
+                    .iter()
+                    .map(|&s| BatchMember::new().current_wave(driver, base.scaled(s)))
+                    .collect();
+                let batch = circuit
+                    .transient_batch(&options, &members, &probes)
+                    .expect("batch");
+                for (m, &s) in scales.iter().enumerate() {
+                    let mut member = circuit.clone();
+                    member.set_current_source_wave(driver, base.scaled(s));
+                    let reference = transient_stored_state(&member, &options);
+                    for strategy in [SolverStrategy::CachedLu, SolverStrategy::AlwaysRestamp] {
+                        let run = member
+                            .transient(&options.clone().with_strategy(strategy))
+                            .expect("transient");
+                        assert_eq!(run.times(), reference.times(), "{case}: grid");
+                        for &probe in &probes {
+                            let what = format!("{case}, member {m}, {strategy:?}, {probe:?}");
+                            assert_bits_equal(run.voltage(probe), reference.voltage(probe), &what);
                         }
-                        let (circuit, driver, probes) = mixed_cap_circuit(hold_ic);
-                        let base = Waveform::pulse(
-                            0.0,
-                            80e-6,
-                            nanos(0.3),
-                            nanos(0.1),
-                            nanos(0.1),
-                            nanos(2.0),
+                    }
+                    assert_eq!(batch.times(), reference.times(), "{case}: batch grid");
+                    for &probe in &probes {
+                        let what = format!("{case}, batch member {m}, {probe:?}");
+                        assert_bits_equal(
+                            &batch.voltage(m, probe),
+                            reference.voltage(probe),
+                            &what,
                         );
-                        let members: Vec<BatchMember> = scales
-                            .iter()
-                            .map(|&s| BatchMember::new().current_wave(driver, base.scaled(s)))
-                            .collect();
-                        let batch = circuit
-                            .transient_batch(&options, &members, &probes)
-                            .expect("batch");
-                        for (m, &s) in scales.iter().enumerate() {
-                            let mut member = circuit.clone();
-                            member.set_current_source_wave(driver, base.scaled(s));
-                            let reference = transient_stored_state(&member, &options);
-                            for strategy in
-                                [SolverStrategy::CachedLu, SolverStrategy::AlwaysRestamp]
-                            {
-                                let run = member
-                                    .transient(&options.clone().with_strategy(strategy))
-                                    .expect("transient");
-                                assert_eq!(run.times(), reference.times(), "{case}: grid");
-                                for &probe in &probes {
-                                    let what =
-                                        format!("{case}, member {m}, {strategy:?}, {probe:?}");
-                                    assert_bits_equal(
-                                        run.voltage(probe),
-                                        reference.voltage(probe),
-                                        &what,
-                                    );
-                                }
-                            }
-                            assert_eq!(batch.times(), reference.times(), "{case}: batch grid");
-                            for &probe in &probes {
-                                let what = format!("{case}, batch member {m}, {probe:?}");
-                                assert_bits_equal(
-                                    &batch.voltage(m, probe),
-                                    reference.voltage(probe),
-                                    &what,
-                                );
-                            }
-                        }
                     }
                 }
             }

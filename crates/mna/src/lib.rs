@@ -13,8 +13,11 @@
 //!   switches, level-1 MOSFETs, and arbitrary two-terminal nonlinear devices
 //!   via the [`DeviceLaw`] trait (used for bias-dependent MTJs).
 //! * **Analyses** — DC operating point (Newton–Raphson with damping) and
-//!   fixed-step transient (backward Euler or trapezoidal companions), with
-//!   the step grid aligned to switch events.
+//!   fixed-step transient (backward-Euler capacitor companions, from the DC
+//!   operating point or from zero state), with the step grid aligned to
+//!   switch events. [`Circuit::transient_batch`] runs k members of a
+//!   linear circuit, each with its own current-source waveforms, sharing
+//!   every LU factorization.
 //! * **Interconnect** — [`RcLadder`] Elmore-delay evaluation for distributed
 //!   bit-lines.
 //!
@@ -63,7 +66,7 @@ pub use circuit::{
 };
 pub use elmore::RcLadder;
 pub use engine::{
-    AnalysisError, BatchMember, BatchTranResult, DcResult, Integrator, SolverBackend,
-    SolverStrategy, TranOptions, TranResult, TranTelemetry,
+    AnalysisError, BatchMember, BatchTranResult, DcResult, SolverBackend, SolverStrategy,
+    TranOptions, TranResult, TranTelemetry,
 };
 pub use waveform::Waveform;

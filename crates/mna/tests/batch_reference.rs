@@ -3,45 +3,44 @@
 //! `transient_batch` must be a pure performance transform: for every batch
 //! member the recorded waveform is **bit-identical** (exact `f64` equality,
 //! not a tolerance) to a sequential [`Circuit::transient`] of the same
-//! circuit with that member's waveform overrides applied in place. The
-//! property holds for both solver strategies (the cached-LU fast path and
-//! the `AlwaysRestamp` reference), both integrators, both matrix backends
-//! and both banded orderings, because the per-member floating-point op
-//! sequence is the same in either path. The batch must also do the same
-//! work: the sequential run's factorizations once, its solves once per
-//! member.
+//! circuit with that member's current-source overrides applied in place.
+//! The property holds for both solver strategies (the cached-LU fast path
+//! and the `AlwaysRestamp` reference), both start policies, both matrix
+//! backends and both banded orderings, because the per-member
+//! floating-point op sequence is the same in either path. The batch must
+//! also do the same work: the sequential run's factorizations once, its
+//! solves once per member.
 //!
 //! A batch whose lanes of one source are all PWLs on bit-equal knot times
 //! locates each step on those knots once for every lane; mixed lanes
 //! (other knot times, DC, pulses) evaluate their own waveforms. Both paths
 //! are held to the same bit-identity, on steps that land exactly on a knot
-//! and steps outside the knot range.
+//! and steps outside the knot range. The drive's lanes take every mix; the
+//! supply rail, which no member overrides, is drawn as a DC level or a PWL,
+//! so a voltage branch row runs the shared-knot path too.
 
 use proptest::prelude::*;
 use proptest::test_runner::{PtRng, TestCaseError};
 use stt_mna::{
-    BatchMember, Circuit, CurrentSourceId, Integrator, Node, SolverBackend, SolverStrategy,
-    SourceId, SwitchSchedule, TranOptions, TranTelemetry, Waveform,
+    BatchMember, Circuit, CurrentSourceId, Node, SolverBackend, SolverStrategy, SwitchSchedule,
+    TranOptions, TranTelemetry, Waveform,
 };
 use stt_units::{Farads, Ohms, Seconds};
 
 /// The batch widths the properties draw from: a single lane, a width that
 /// is no multiple of a SIMD lane count, the campaign width, and one past it.
 const WIDTHS: [usize; 4] = [1, 7, 64, 65];
-const INTEGRATORS: [Integrator; 2] = [Integrator::BackwardEuler, Integrator::Trapezoidal];
 
 fn nanos(t: f64) -> Seconds {
     Seconds::from_nano(t)
 }
 
-/// The batch override targets of a random circuit: the driver / supply
-/// element ids and their base waveforms (kept here because `Circuit` has no
-/// waveform getter — members derive their overrides from these).
+/// The batch override target of a random circuit: the driver's id and its
+/// base waveform (kept here because `Circuit` has no waveform getter —
+/// members derive their overrides from it).
 struct Targets {
     driver: CurrentSourceId,
-    supply: SourceId,
     base_drive: Waveform,
-    base_supply: Waveform,
 }
 
 /// How the random circuit declares its nodes, which decides the ordering
@@ -57,13 +56,12 @@ enum Layout {
 
 /// A random linear read circuit: a pulsed current driver into a short
 /// bit-line ladder, and a switched hold capacitor (so the cached-LU key
-/// changes mid-run) biased from a DC supply rail through a VCVS buffer and
-/// a resistor (so both kinds of branch row are in the system). The ladder
-/// carries one floating capacitor across two of its segments and one
-/// grounded capacitor declared ground-first. Whether the hold capacitor has
-/// an initial condition is drawn, so cases cover circuits with none (the
-/// Fig. 5 campaign's shape) and circuits that mix both kinds. Returns the
-/// circuit, its probe nodes, and the two override targets.
+/// changes mid-run) biased from a supply rail through a VCVS buffer and a
+/// resistor (so both kinds of branch row are in the system). The rail is
+/// drawn as a DC level or as a PWL, which every batch lane shares. The
+/// ladder carries one floating capacitor across two of its segments and
+/// one grounded capacitor declared ground-first. Returns the circuit, its
+/// probe nodes, and the override target.
 ///
 /// In the natural layout the netlist order has bandwidth 2, and the
 /// floating capacitor closes a triangle, so no ordering is narrower.
@@ -102,7 +100,16 @@ fn random_circuit(seed: u64, layout: Layout) -> (Circuit, Vec<Node>, Targets) {
         nanos(0.1),
         nanos(pick(1.5, 2.5)),
     );
-    let base_supply = Waveform::Dc(pick(0.8, 1.2));
+    let supply = if pick(0.0, 1.0) < 0.5 {
+        Waveform::Dc(pick(0.8, 1.2))
+    } else {
+        Waveform::pwl(vec![
+            (Seconds::ZERO, pick(0.8, 1.2)),
+            (nanos(pick(0.5, 1.5)), pick(0.8, 1.2)),
+            (nanos(pick(2.0, 3.0)), pick(0.8, 1.2)),
+            (nanos(3.5), pick(0.8, 1.2)),
+        ])
+    };
     let driver = circuit.current_source(bl, Node::GROUND, base_drive.clone());
 
     let mut previous = bl;
@@ -127,24 +134,13 @@ fn random_circuit(seed: u64, layout: Layout) -> (Circuit, Vec<Node>, Targets) {
         Ohms::from_mega(pick(100.0, 2_000.0)),
         SwitchSchedule::closed_during(nanos(t_close), nanos(t_close + pick(0.5, 1.2))),
     );
-    let hold_farads = Farads::from_femto(pick(10.0, 50.0));
-    let hold_ic = pick(-0.2, 0.2);
-    if pick(0.0, 1.0) < 0.5 {
-        circuit.capacitor_with_ic(hold, Node::GROUND, hold_farads, hold_ic);
-    } else {
-        circuit.capacitor(hold, Node::GROUND, hold_farads);
-    }
+    circuit.capacitor(hold, Node::GROUND, Farads::from_femto(pick(10.0, 50.0)));
     // Branch rows follow the nodes: the VCVS's first, then the supply's.
     circuit.vcvs(amp, Node::GROUND, rail, Node::GROUND, pick(0.2, 0.8));
     circuit.resistor(amp, hold, Ohms::from_mega(pick(1.0, 20.0)));
-    let supply = circuit.voltage_source(rail, Node::GROUND, base_supply.clone());
+    circuit.voltage_source(rail, Node::GROUND, supply);
 
-    let targets = Targets {
-        driver,
-        supply,
-        base_drive,
-        base_supply,
-    };
+    let targets = Targets { driver, base_drive };
     (circuit, vec![bl, previous, hold, amp], targets)
 }
 
@@ -155,14 +151,13 @@ struct Case {
     k: usize,
     strategy: SolverStrategy,
     backend: SolverBackend,
-    integrator: Integrator,
     layout: Layout,
     from_zero: bool,
     dt: f64,
 }
 
 /// Runs `overrides` as one batch and as sequential references, member `m`
-/// driving the circuit with its `(drive, supply)` waveforms or, for `None`,
+/// driving the circuit with its drive waveform or, for `None`,
 /// the base circuit untouched. Asserts exact equality of every probed
 /// sample, plus the batch's work counts: the sequential factorizations once
 /// for the whole batch, and the sequential solves once per member.
@@ -171,15 +166,13 @@ fn assert_members_match_sequential(
     probes: &[Node],
     targets: &Targets,
     options: &TranOptions,
-    overrides: &[Option<(Waveform, Waveform)>],
+    overrides: &[Option<Waveform>],
 ) -> Result<TranTelemetry, TestCaseError> {
     let members: Vec<BatchMember> = overrides
         .iter()
         .map(|wave| match wave {
             None => BatchMember::new(),
-            Some((drive, supply)) => BatchMember::new()
-                .current_wave(targets.driver, drive.clone())
-                .voltage_wave(targets.supply, supply.clone()),
+            Some(drive) => BatchMember::new().current_wave(targets.driver, drive.clone()),
         })
         .collect();
     let batch = circuit
@@ -188,9 +181,8 @@ fn assert_members_match_sequential(
     let telemetry = batch.telemetry();
     for (m, wave) in overrides.iter().enumerate() {
         let mut sequential = circuit.clone();
-        if let Some((drive, supply)) = wave {
+        if let Some(drive) = wave {
             sequential.set_current_source_wave(targets.driver, drive.clone());
-            sequential.set_voltage_source_wave(targets.supply, supply.clone());
         }
         let reference = sequential.transient(options).expect("sequential transient");
         prop_assert_eq!(batch.times(), reference.times());
@@ -210,29 +202,23 @@ fn assert_members_match_sequential(
     Ok(telemetry)
 }
 
-/// Scales the drive current and nudges the supply rail per member (member
-/// 0 keeps the base circuit, to cover the no-override path), and checks
-/// the batch against its sequential references.
+/// Scales the drive current per member (member 0 keeps the base circuit,
+/// to cover the no-override path), and checks the batch against its
+/// sequential references.
 fn assert_batch_matches_sequential(case: Case) -> Result<(), TestCaseError> {
     let (circuit, probes, targets) = random_circuit(case.seed, case.layout);
     let mut options = TranOptions::new(nanos(4.0), nanos(case.dt))
         .with_strategy(case.strategy)
-        .with_backend(case.backend)
-        .with_integrator(case.integrator);
+        .with_backend(case.backend);
     if case.from_zero {
         options = options.from_zero_state();
     }
 
     let mut rng = PtRng::new(case.seed ^ 0x5EED_BA7C);
-    let overrides: Vec<Option<(Waveform, Waveform)>> = (0..case.k)
+    let overrides: Vec<Option<Waveform>> = (0..case.k)
         .map(|m| {
             let s = 0.5 + 1.2 * rng.unit_f64();
-            (m != 0).then(|| {
-                (
-                    targets.base_drive.scaled(s),
-                    targets.base_supply.scaled(2.0 - s),
-                )
-            })
+            (m != 0).then(|| targets.base_drive.scaled(s))
         })
         .collect();
     let telemetry =
@@ -249,7 +235,7 @@ fn assert_batch_matches_sequential(case: Case) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// How a PWL-lane batch mixes its lanes (the same mix for both sources).
+/// How a PWL-lane batch mixes its drive lanes.
 #[derive(Debug, Clone, Copy)]
 enum LaneMix {
     /// Every lane a PWL on the shared knot times.
@@ -271,7 +257,7 @@ const LANE_MIXES: [LaneMix; 4] = [
     LaneMix::OneUlpOff,
 ];
 
-/// Member `m`'s waveform of one source under `mix`, with values around
+/// Member `m`'s drive waveform under `mix`, with values around
 /// `level`. `grid` is the transient's time grid: knots land exactly on some
 /// of its points and between others, and the first and last knots leave
 /// steps before and after the knot range.
@@ -326,23 +312,17 @@ proptest! {
     fn batch_matches_sequential_on_pwl_lanes(
         seed in 0u64..u64::MAX,
         width in 0usize..4,
-        integrator in 0usize..2,
         backend in 0usize..2,
     ) {
         let (circuit, probes, targets) = random_circuit(seed, Layout::Natural);
         let options = TranOptions::new(nanos(4.0), nanos(0.05))
-            .with_backend([SolverBackend::Dense, SolverBackend::Banded][backend])
-            .with_integrator(INTEGRATORS[integrator]);
+            .with_backend([SolverBackend::Dense, SolverBackend::Banded][backend]);
         let grid = circuit.transient(&options).expect("base transient").times().to_vec();
         let k = WIDTHS[width];
         let mut rng = PtRng::new(seed ^ 0x0B1_7AB5);
         for mix in LANE_MIXES {
-            let overrides: Vec<Option<(Waveform, Waveform)>> = (0..k)
-                .map(|m| {
-                    let drive = lane_wave(mix, m, k, &grid, 80e-6, &mut rng);
-                    let supply = lane_wave(mix, m, k, &grid, 1.0, &mut rng);
-                    Some((drive, supply))
-                })
+            let overrides: Vec<Option<Waveform>> = (0..k)
+                .map(|m| Some(lane_wave(mix, m, k, &grid, 80e-6, &mut rng)))
                 .collect();
             assert_members_match_sequential(&circuit, &probes, &targets, &options, &overrides)?;
         }
@@ -353,7 +333,6 @@ proptest! {
         seed in 0u64..u64::MAX,
         width in 0usize..4,
         from_zero in proptest::bool::ANY,
-        integrator in 0usize..2,
         layout in 0usize..2,
         dt_index in 0usize..2,
     ) {
@@ -362,7 +341,6 @@ proptest! {
             k: WIDTHS[width],
             strategy: SolverStrategy::CachedLu,
             backend: SolverBackend::Auto,
-            integrator: INTEGRATORS[integrator],
             layout: [Layout::Natural, Layout::Scrambled][layout],
             from_zero,
             dt: [0.05, 0.023][dt_index],
@@ -374,7 +352,6 @@ proptest! {
         seed in 0u64..u64::MAX,
         width in 0usize..4,
         from_zero in proptest::bool::ANY,
-        integrator in 0usize..2,
         dt_index in 0usize..2,
     ) {
         assert_batch_matches_sequential(Case {
@@ -382,7 +359,6 @@ proptest! {
             k: WIDTHS[width],
             strategy: SolverStrategy::AlwaysRestamp,
             backend: SolverBackend::Dense,
-            integrator: INTEGRATORS[integrator],
             layout: Layout::Natural,
             from_zero,
             dt: [0.05, 0.011][dt_index],
@@ -394,7 +370,6 @@ proptest! {
         seed in 0u64..u64::MAX,
         width in 0usize..4,
         from_zero in proptest::bool::ANY,
-        integrator in 0usize..2,
         layout in 0usize..2,
     ) {
         assert_batch_matches_sequential(Case {
@@ -402,7 +377,6 @@ proptest! {
             k: WIDTHS[width],
             strategy: SolverStrategy::CachedLu,
             backend: SolverBackend::Banded,
-            integrator: INTEGRATORS[integrator],
             layout: [Layout::Natural, Layout::Scrambled][layout],
             from_zero,
             dt: 0.05,

@@ -12,9 +12,7 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::PtRng;
-use stt_mna::{
-    Circuit, Integrator, MosfetParams, Node, SolverStrategy, SwitchSchedule, TranOptions, Waveform,
-};
+use stt_mna::{Circuit, MosfetParams, Node, SolverStrategy, SwitchSchedule, TranOptions, Waveform};
 use stt_units::{Farads, Ohms, Seconds};
 
 fn nanos(t: f64) -> Seconds {
@@ -51,12 +49,7 @@ fn random_circuit(seed: u64, with_mosfet: bool) -> Circuit {
     circuit.resistor(bl, mid, Ohms::new(pick(100.0, 5_000.0)));
     circuit.resistor(mid, Node::GROUND, Ohms::new(pick(1_000.0, 20_000.0)));
     circuit.capacitor(bl, Node::GROUND, Farads::from_femto(pick(50.0, 400.0)));
-    circuit.capacitor_with_ic(
-        mid,
-        Node::GROUND,
-        Farads::from_femto(pick(10.0, 100.0)),
-        pick(0.0, 0.3),
-    );
+    circuit.capacitor(mid, Node::GROUND, Farads::from_femto(pick(10.0, 100.0)));
 
     // Sampling switches with schedules deliberately off any uniform grid,
     // so both LU-invalidation (toggle steps) and reuse (between toggles)
@@ -112,14 +105,11 @@ fn run(
     with_mosfet: bool,
     dt: Seconds,
     t_stop: Seconds,
-    integrator: Integrator,
     from_zero: bool,
     strategy: SolverStrategy,
 ) -> stt_mna::TranResult {
     let circuit = random_circuit(seed, with_mosfet);
-    let mut options = TranOptions::new(t_stop, dt)
-        .with_integrator(integrator)
-        .with_strategy(strategy);
+    let mut options = TranOptions::new(t_stop, dt).with_strategy(strategy);
     if from_zero {
         options = options.from_zero_state();
     }
@@ -133,48 +123,22 @@ proptest! {
     fn linear_fast_path_is_bit_identical(
         seed in 0u64..u64::MAX,
         dt_index in 0usize..3,
-        trapezoidal in proptest::bool::ANY,
         from_zero in proptest::bool::ANY,
     ) {
         // Step sizes include non-divisors of t_stop so the final short
         // step (a different `h`, hence an LU invalidation) is covered.
         let dt = [nanos(0.05), nanos(0.023), nanos(0.011)][dt_index];
-        let integrator = if trapezoidal {
-            Integrator::Trapezoidal
-        } else {
-            Integrator::BackwardEuler
-        };
-        let fast = run(
-            seed, false, dt, nanos(5.0), integrator, from_zero,
-            SolverStrategy::CachedLu,
-        );
-        let reference = run(
-            seed, false, dt, nanos(5.0), integrator, from_zero,
-            SolverStrategy::AlwaysRestamp,
-        );
+        let fast = run(seed, false, dt, nanos(5.0), from_zero, SolverStrategy::CachedLu);
+        let reference = run(seed, false, dt, nanos(5.0), from_zero, SolverStrategy::AlwaysRestamp);
         prop_assert!(fast == reference, "waveforms diverged for seed {seed}");
     }
 
     #[test]
-    fn newton_path_is_bit_identical(
-        seed in 0u64..u64::MAX,
-        trapezoidal in proptest::bool::ANY,
-    ) {
+    fn newton_path_is_bit_identical(seed in 0u64..u64::MAX) {
         // MOSFET circuits take the Newton branch: the base-matrix copy must
         // still reproduce the restamp reference exactly at every iterate.
-        let integrator = if trapezoidal {
-            Integrator::Trapezoidal
-        } else {
-            Integrator::BackwardEuler
-        };
-        let fast = run(
-            seed, true, nanos(0.02), nanos(4.0), integrator, true,
-            SolverStrategy::CachedLu,
-        );
-        let reference = run(
-            seed, true, nanos(0.02), nanos(4.0), integrator, true,
-            SolverStrategy::AlwaysRestamp,
-        );
+        let fast = run(seed, true, nanos(0.02), nanos(4.0), true, SolverStrategy::CachedLu);
+        let reference = run(seed, true, nanos(0.02), nanos(4.0), true, SolverStrategy::AlwaysRestamp);
         prop_assert!(fast == reference, "waveforms diverged for seed {seed}");
     }
 }
