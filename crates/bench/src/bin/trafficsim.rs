@@ -71,7 +71,7 @@ use stt_ctrl::{
     ShardDispatch, ThermalTransient, Topology, Trace, Workload,
 };
 use stt_sense::SchemeKind;
-use stt_stats::Table;
+use stt_stats::{quantile, Table};
 
 /// Banks swept per scheme/workload.
 const BANK_COUNTS: [usize; 3] = [1, 4, 8];
@@ -216,19 +216,19 @@ fn load_sweep(ops_per_config: usize) -> Table {
                     &mut StdRng::seed_from_u64(SEED ^ load.to_bits()),
                 )
                 .with_poisson_arrivals(gap_ns, &mut StdRng::seed_from_u64(SEED + 77));
-            // The sweep asserts on tail quantiles, so it pays for exact
-            // per-completion samples instead of the streaming estimators.
             let mut frontend = Frontend::new(
                 Controller::new(config),
-                FrontendConfig::fcfs_unbounded()
-                    .with_policy(policy)
-                    .with_exact_sojourn(),
+                FrontendConfig::fcfs_unbounded().with_policy(policy),
             );
             let run = frontend.run(&trace);
             let totals = run.telemetry.aggregate();
             let queue = &totals.queue;
             assert_eq!(queue.completed, ops_per_config as u64);
-            let (mops, p99) = (run.ops_per_second() * 1e-6, queue.sojourn_p99());
+            // The sweep asserts on tail quantiles, so it takes exact order
+            // statistics from the completion log, not the streaming
+            // estimates in the telemetry.
+            let sojourn: Vec<f64> = run.completions.iter().map(|c| c.sojourn_ns()).collect();
+            let (mops, p99) = (run.ops_per_second() * 1e-6, quantile(&sojourn, 0.99));
             let overflow = totals.read_latency_hist.overflow();
             p99_at.insert((kind, load.to_bits()), p99);
             println!(
@@ -246,8 +246,8 @@ fn load_sweep(ops_per_config: usize) -> Table {
                 ("completed", queue.completed.to_string()),
                 ("stalls", queue.stalls.to_string()),
                 ("achieved_mops", format!("{mops:.3}")),
-                ("sojourn_p50_ns", format!("{:.1}", queue.sojourn_p50())),
-                ("sojourn_p95_ns", format!("{:.1}", queue.sojourn_p95())),
+                ("sojourn_p50_ns", format!("{:.1}", quantile(&sojourn, 0.50))),
+                ("sojourn_p95_ns", format!("{:.1}", quantile(&sojourn, 0.95))),
                 ("sojourn_p99_ns", format!("{p99:.1}")),
                 ("mean_wait_ns", format!("{:.1}", queue.wait_ns.mean())),
                 ("mean_depth", format!("{:.3}", queue.mean_depth())),
@@ -838,24 +838,37 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = parse_args(&args).unwrap_or_else(|error| exit_with_usage(&error));
+    if let Err(error) = run(cli) {
+        eprintln!("{error}");
+        std::process::exit(1);
+    }
+}
+
+/// Runs the selected mode. A sweep creates the CSV directory before it
+/// starts, so an unusable `--csv` fails at once, not after the sweep.
+fn run(cli: Cli) -> Result<(), String> {
     let Cli {
         ops,
         csv_dir,
         topology,
         mode,
     } = cli;
+    if !matches!(mode, Mode::Help | Mode::Convert { .. }) {
+        std::fs::create_dir_all(&csv_dir)
+            .map_err(|error| format!("create csv directory {csv_dir}: {error}"))?;
+    }
 
     let (table, file_name) = match mode {
         Mode::Help => {
             println!("{HELP}");
-            return;
+            return Ok(());
         }
         Mode::Convert { input, output } => {
             match convert(&input, &output) {
                 Ok(count) => println!("converted {input} -> {output} ({count} transactions)"),
                 Err(error) => exit_with_usage(&error),
             }
-            return;
+            return Ok(());
         }
         Mode::Topology => {
             println!(
@@ -914,12 +927,15 @@ fn main() {
         }
     };
 
-    std::fs::create_dir_all(&csv_dir).expect("create results directory");
     let path = Path::new(&csv_dir).join(file_name);
-    let mut file = std::fs::File::create(&path).expect("create CSV file");
-    table.write_csv(&mut file).expect("write CSV");
-    file.flush().expect("flush CSV");
+    std::fs::File::create(&path)
+        .and_then(|mut file| {
+            table.write_csv(&mut file)?;
+            file.flush()
+        })
+        .map_err(|error| format!("write {}: {error}", path.display()))?;
     println!("wrote {}", path.display());
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1028,5 +1044,24 @@ mod tests {
         assert_eq!(convert(&path("good.csv"), &output), Ok(2));
         assert_eq!(convert(&output, &path("back.csv")), Ok(2));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_uncreatable_csv_directory_is_an_error_not_a_panic() {
+        let root = std::env::temp_dir().join(format!("trafficsim-csv-{}", std::process::id()));
+        std::fs::create_dir_all(&root).unwrap();
+        let file = root.join("regular-file");
+        std::fs::write(&file, "not a directory").unwrap();
+        let csv_dir = file.join("csv");
+        let cli = Cli {
+            ops: 10,
+            csv_dir: csv_dir.display().to_string(),
+            topology: Topology::date2010(),
+            mode: Mode::Load,
+        };
+        let error = run(cli).unwrap_err();
+        assert!(error.starts_with("create csv directory "), "{error}");
+        assert!(!csv_dir.exists());
+        std::fs::remove_dir_all(&root).unwrap();
     }
 }

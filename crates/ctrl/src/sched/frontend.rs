@@ -25,7 +25,7 @@ use crate::calib::CalibConfig;
 use crate::engine::{census, serve_banks, BankLists, Controller, Dispatch};
 use crate::march::{DataBackground, MarchAlgorithm, MarchStep};
 use crate::reliability::ScrubConfig;
-use crate::telemetry::{QueueTelemetry, SojournStats, Telemetry};
+use crate::telemetry::{QueueTelemetry, Telemetry};
 use crate::txn::{Op, Transaction, TxnSource};
 
 use super::event::{Due, EventSlots};
@@ -96,6 +96,11 @@ impl MarchConfig {
 }
 
 /// Configuration of the scheduler frontend.
+///
+/// No setting changes what the run measures: every run keeps fixed-memory
+/// streaming sojourn quantiles in its telemetry (see
+/// [`SojournStats`](crate::SojournStats)) and every completion in
+/// [`SchedRun::completions`], from which exact order statistics follow.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrontendConfig {
     /// Per-bank waiting-queue capacity (`usize::MAX` for unbounded).
@@ -119,12 +124,6 @@ pub struct FrontendConfig {
     /// and β refit in a lane-idle gap, never delaying or reordering demand.
     /// The only mount of the daemon: a bank never checks itself.
     pub calib: Option<CalibConfig>,
-    /// Retain raw per-completion sojourn samples
-    /// ([`SojournStats::Exact`]) instead of the default fixed-memory
-    /// streaming quantile estimators. Exact mode grows telemetry by one
-    /// `f64` per completion; use it for tests and sweeps that assert on
-    /// exact order-statistic quantiles.
-    pub exact_sojourn: bool,
 }
 
 impl FrontendConfig {
@@ -139,16 +138,7 @@ impl FrontendConfig {
             scrub: None,
             march: None,
             calib: None,
-            exact_sojourn: false,
         }
-    }
-
-    /// Opts into exact per-completion sojourn samples (see
-    /// [`FrontendConfig::exact_sojourn`]).
-    #[must_use]
-    pub fn with_exact_sojourn(mut self) -> Self {
-        self.exact_sojourn = true;
-        self
     }
 
     /// Enables the background scrub daemon.
@@ -645,7 +635,6 @@ impl Frontend {
             scrub,
             march,
             calib,
-            exact_sojourn,
         } = config;
         let bank_count = self.controller.config().banks;
         let capacity_bits = self.controller.config().spec.capacity_bits();
@@ -689,11 +678,7 @@ impl Frontend {
             .iter()
             .map(|&load| {
                 let hint = if fast_path { 0 } else { queue_depth.min(load) };
-                let mut lane = Lane::with_capacity_hint(queue_depth, hint);
-                if exact_sojourn {
-                    lane.stats.sojourn = SojournStats::exact();
-                }
-                lane
+                Lane::with_capacity_hint(queue_depth, hint)
             })
             .collect();
         let mut completions = CompletionLog::with_capacity(n);

@@ -139,28 +139,6 @@ impl Scheme {
         sensed
     }
 
-    /// Resolves one read of `addr` through `retry`: a one-cell
-    /// [`Self::resolve_span`] over fresh settle codes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `retry.max_attempts` is zero or the address is out of
-    /// range.
-    pub fn resolve(
-        &self,
-        retry: &RetryPolicy,
-        array: &mut Array,
-        addr: Address,
-        rng: &mut StdRng,
-    ) -> ReadResolution {
-        let (cell, mut read) = (array.index_of(addr), None);
-        let (codes, work) = (&mut [SettleCodes::default()], &mut SenseWork::default());
-        self.resolve_span(retry, array, cell..cell + 1, rng, codes, work, |_, r| {
-            read = Some(r)
-        });
-        read.expect("a one-cell span resolves its cell")
-    }
-
     /// The bank's read path: resolves one read of each cell of `cells`
     /// (row-major in `array`) through `retry`, in order, and hands the
     /// span's `k`-th cell to `each(k, resolution)`.

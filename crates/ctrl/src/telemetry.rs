@@ -5,7 +5,7 @@
 //! — serial or parallel, any thread count — produce **equal** telemetry.
 //! The engine's determinism test leans on the `PartialEq` here.
 
-use stt_stats::{quantile, Histogram, P2Quantile, Summary};
+use stt_stats::{Histogram, P2Quantile, Summary};
 use stt_units::{Joules, Seconds};
 
 /// How many leading samples streaming mode folds into the P² estimators
@@ -19,31 +19,29 @@ pub const STREAMING_STRIDE: u64 = 8;
 /// Sojourn-time statistics for one bank queue — columnar accumulators, not
 /// per-transaction rows.
 ///
-/// The default [`SojournStats::Streaming`] mode estimates p50/p95/p99 with
-/// three fixed-memory P² estimators, so telemetry stays O(1) per bank no
-/// matter how many transactions flow through — the raw-speed contract of
-/// DESIGN.md §12. Folding a sample into all three estimators costs ~50 ns
-/// on the reference host — alone more than the frontend's whole per-txn
-/// overhead budget — so streaming mode feeds them on a deterministic
-/// schedule instead of per sample: the first [`STREAMING_WARMUP`] samples
-/// of a stream are folded at full rate, after which every
-/// [`STREAMING_STRIDE`]-th sample is folded and the rest are only counted.
-/// Systematic (fixed-stride) subsampling of a stationary stream is an
-/// unbiased quantile estimate; the added error shrinks with stream length
-/// and is documented in DESIGN.md §12. [`SojournStats::Exact`] retains
-/// every sample for true order-statistic quantiles; tests and sweeps that
-/// assert on exact sample quantiles opt in via
-/// [`FrontendConfig::with_exact_sojourn`](crate::sched::FrontendConfig).
+/// Three fixed-memory P² estimators track p50/p95/p99, so telemetry stays
+/// O(1) per bank no matter how many transactions flow through — the
+/// raw-speed contract of DESIGN.md §12. Folding a sample into all three
+/// estimators costs ~50 ns on the reference host — alone more than the
+/// frontend's whole per-txn overhead budget — so they are fed on a
+/// deterministic schedule instead of per sample: the first
+/// [`STREAMING_WARMUP`] samples of a stream are folded at full rate, after
+/// which every [`STREAMING_STRIDE`]-th sample is folded and the rest are
+/// only counted. Systematic (fixed-stride) subsampling of a stationary
+/// stream is an unbiased quantile estimate; the added error shrinks with
+/// stream length and is documented in DESIGN.md §12. Exact order
+/// statistics come from the run's completion log instead:
+/// [`stt_stats::quantile`] over
+/// [`Completion::sojourn_ns`](crate::sched::Completion::sojourn_ns) of each
+/// row of [`SchedRun::completions`](crate::sched::SchedRun::completions).
 ///
-/// Both modes are pure functions of the observation sequence, so
-/// deterministic replays still compare equal with `==`.
-// The large variant is the default one, live in every lane of every run;
-// boxing it would buy nothing but a pointer chase on the per-completion
-// observe path.
-#[allow(clippy::large_enum_variant)]
+/// The accumulator is a pure function of the observation sequence, so
+/// deterministic replays still compare equal with `==`. It is an enum of
+/// one variant only because the benchmark digests hash its `Debug` text;
+/// it becomes a struct with the next change to the benchmark.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SojournStats {
-    /// Fixed-memory streaming estimators (the default).
+    /// Fixed-memory streaming estimators.
     Streaming {
         /// Number of sojourn samples observed.
         count: u64,
@@ -54,175 +52,80 @@ pub enum SojournStats {
         /// Streaming 99th-percentile estimator.
         p99: P2Quantile,
     },
-    /// Raw per-completion samples (opt-in; exact quantiles, unbounded
-    /// memory).
-    Exact {
-        /// Sojourn samples in completion order (nanoseconds).
-        samples: Vec<f64>,
-    },
 }
 
 impl SojournStats {
-    /// An empty streaming accumulator.
-    #[must_use]
-    fn streaming() -> Self {
-        SojournStats::Streaming {
-            count: 0,
-            p50: P2Quantile::new(0.50),
-            p95: P2Quantile::new(0.95),
-            p99: P2Quantile::new(0.99),
-        }
-    }
-
-    /// An empty exact-sample accumulator.
-    #[must_use]
-    pub fn exact() -> Self {
-        SojournStats::Exact {
-            samples: Vec::new(),
-        }
-    }
-
-    /// Folds one sojourn sample (nanoseconds) in.
-    ///
-    /// Streaming mode counts every sample but folds only the deterministic
-    /// warm-up/stride subsequence into the P² estimators (see the type
-    /// docs); exact mode stores everything.
+    /// Folds one sojourn sample (nanoseconds) in: counts every sample but
+    /// folds only the deterministic warm-up/stride subsequence into the P²
+    /// estimators (see the type docs).
     pub fn observe(&mut self, sojourn_ns: f64) {
-        match self {
-            SojournStats::Streaming {
-                count,
-                p50,
-                p95,
-                p99,
-            } => {
-                *count += 1;
-                let n = *count;
-                if n <= STREAMING_WARMUP
-                    || (n - STREAMING_WARMUP - 1).is_multiple_of(STREAMING_STRIDE)
-                {
-                    p50.observe(sojourn_ns);
-                    p95.observe(sojourn_ns);
-                    p99.observe(sojourn_ns);
-                }
-            }
-            SojournStats::Exact { samples } => samples.push(sojourn_ns),
+        let SojournStats::Streaming {
+            count,
+            p50,
+            p95,
+            p99,
+        } = self;
+        *count += 1;
+        let n = *count;
+        if n <= STREAMING_WARMUP || (n - STREAMING_WARMUP - 1).is_multiple_of(STREAMING_STRIDE) {
+            p50.observe(sojourn_ns);
+            p95.observe(sojourn_ns);
+            p99.observe(sojourn_ns);
         }
     }
 
     /// Number of samples observed.
     #[must_use]
     pub fn count(&self) -> u64 {
-        match self {
-            SojournStats::Streaming { count, .. } => *count,
-            SojournStats::Exact { samples } => samples.len() as u64,
-        }
+        let SojournStats::Streaming { count, .. } = self;
+        *count
     }
 
-    /// The `q`-quantile, or `None` before any sample. Exact mode serves any
-    /// `q` as an order statistic; streaming mode serves the *nearest tracked*
-    /// quantile (0.50, 0.95, 0.99) — the only ones the frontend reports.
+    /// The estimate of the *nearest tracked* quantile to `q` (0.50, 0.95,
+    /// 0.99 — the only ones the frontend reports), or `None` before any
+    /// sample.
     #[must_use]
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        match self {
-            SojournStats::Exact { samples } => {
-                if samples.is_empty() {
-                    None
-                } else {
-                    Some(quantile(samples, q))
-                }
-            }
-            SojournStats::Streaming { p50, p95, p99, .. } => {
-                let nearest = [p50, p95, p99]
-                    .into_iter()
-                    .min_by(|a, b| (a.q() - q).abs().total_cmp(&(b.q() - q).abs()))
-                    .expect("three candidates");
-                nearest.estimate()
-            }
-        }
+        let SojournStats::Streaming { p50, p95, p99, .. } = self;
+        let nearest = [p50, p95, p99]
+            .into_iter()
+            .min_by(|a, b| (a.q() - q).abs().total_cmp(&(b.q() - q).abs()))
+            .expect("three candidates");
+        nearest.estimate()
     }
 
-    /// Folds another accumulator in. Same-mode merges are natural (estimator
-    /// merge / sample concatenation). When the modes differ, an *empty* side
-    /// adopts the other's mode — so aggregating exact-mode banks into a
-    /// default accumulator stays exact — and two non-empty sides degrade to
-    /// streaming by re-observing the exact side's samples.
+    /// Folds another accumulator in: counts add and each estimator merges
+    /// with its counterpart.
     pub fn merge(&mut self, other: &SojournStats) {
-        if other.count() == 0 {
-            return;
-        }
-        if self.count() == 0 && std::mem::discriminant(self) != std::mem::discriminant(other) {
-            *self = other.clone();
-            return;
-        }
-        // Mixed-mode with an exact left side: degrade to streaming by
-        // replaying our samples into a copy of the streaming right side.
-        if matches!(self, SojournStats::Exact { .. })
-            && matches!(other, SojournStats::Streaming { .. })
-        {
-            let own = std::mem::replace(self, other.clone());
-            if let SojournStats::Exact { samples } = own {
-                for x in samples {
-                    self.observe(x);
-                }
-            }
-            return;
-        }
-        match (self, other) {
-            (
-                SojournStats::Streaming {
-                    count,
-                    p50,
-                    p95,
-                    p99,
-                },
-                SojournStats::Streaming {
-                    count: oc,
-                    p50: o50,
-                    p95: o95,
-                    p99: o99,
-                },
-            ) => {
-                *count += oc;
-                p50.merge(o50);
-                p95.merge(o95);
-                p99.merge(o99);
-            }
-            (SojournStats::Exact { samples }, SojournStats::Exact { samples: os }) => {
-                samples.extend_from_slice(os);
-            }
-            (
-                SojournStats::Streaming {
-                    count,
-                    p50,
-                    p95,
-                    p99,
-                },
-                SojournStats::Exact { samples },
-            ) => {
-                // Re-observe on the same warm-up/stride schedule observe()
-                // uses, so the result is a pure function of the sequence.
-                for &x in samples {
-                    *count += 1;
-                    let n = *count;
-                    if n <= STREAMING_WARMUP
-                        || (n - STREAMING_WARMUP - 1).is_multiple_of(STREAMING_STRIDE)
-                    {
-                        p50.observe(x);
-                        p95.observe(x);
-                        p99.observe(x);
-                    }
-                }
-            }
-            (SojournStats::Exact { .. }, SojournStats::Streaming { .. }) => {
-                unreachable!("handled above")
-            }
-        }
+        let (
+            SojournStats::Streaming {
+                count,
+                p50,
+                p95,
+                p99,
+            },
+            SojournStats::Streaming {
+                count: oc,
+                p50: o50,
+                p95: o95,
+                p99: o99,
+            },
+        ) = (self, other);
+        *count += oc;
+        p50.merge(o50);
+        p95.merge(o95);
+        p99.merge(o99);
     }
 }
 
 impl Default for SojournStats {
     fn default() -> Self {
-        Self::streaming()
+        SojournStats::Streaming {
+            count: 0,
+            p50: P2Quantile::new(0.50),
+            p95: P2Quantile::new(0.95),
+            p99: P2Quantile::new(0.99),
+        }
     }
 }
 
@@ -329,8 +232,9 @@ telemetry_table! {
         horizon_ns: f64 => sum,
         /// Waiting time from admission to start of service (nanoseconds).
         wait_ns: Summary => merge,
-        /// Columnar sojourn-time statistics: fixed-memory streaming quantiles by
-        /// default, raw samples when the run opted into exact mode.
+        /// Columnar sojourn-time statistics: fixed-memory streaming quantile
+        /// estimates. Exact order statistics come from the run's completion
+        /// log (see [`SojournStats`]).
         sojourn: SojournStats => merge,
         /// Scrub ticks that found the bank busy or demand waiting and yielded
         /// (background priority: demand always preempts at arbitration).
@@ -355,10 +259,9 @@ impl QueueTelemetry {
         }
     }
 
-    /// The `q`-quantile of completed-transaction sojourn time, or `None`
-    /// when nothing completed. Exact in exact-sample mode; in the default
-    /// streaming mode this serves the nearest tracked quantile (see
-    /// [`SojournStats::quantile`]).
+    /// The streaming estimate of the `q`-quantile of completed-transaction
+    /// sojourn time, or `None` when nothing completed. It serves the nearest
+    /// tracked quantile (see [`SojournStats::quantile`]).
     fn sojourn_quantile(&self, q: f64) -> Option<f64> {
         self.sojourn.quantile(q)
     }
@@ -367,13 +270,6 @@ impl QueueTelemetry {
     #[must_use]
     pub fn sojourn_p50(&self) -> f64 {
         self.sojourn_quantile(0.50).unwrap_or(0.0)
-    }
-
-    /// 95th-percentile sojourn time in nanoseconds (0 when nothing
-    /// completed).
-    #[must_use]
-    pub fn sojourn_p95(&self) -> f64 {
-        self.sojourn_quantile(0.95).unwrap_or(0.0)
     }
 
     /// 99th-percentile sojourn time in nanoseconds (0 when nothing
@@ -855,13 +751,15 @@ mod tests {
 
     #[test]
     fn queue_telemetry_quantiles_and_merge() {
-        let mut exact = SojournStats::exact();
+        // Four samples: P² is still exact, so the median is the order
+        // statistic.
+        let mut sojourn = SojournStats::default();
         for x in [10.0, 20.0, 30.0, 40.0] {
-            exact.observe(x);
+            sojourn.observe(x);
         }
         let mut q = QueueTelemetry {
             completed: 4,
-            sojourn: exact,
+            sojourn,
             depth_time_ns: 50.0,
             horizon_ns: 100.0,
             max_depth: 3,
@@ -869,7 +767,7 @@ mod tests {
         };
         assert!((q.sojourn_p50() - 25.0).abs() < 1e-12);
         assert!((q.mean_depth() - 0.5).abs() < 1e-12);
-        let mut one = SojournStats::exact();
+        let mut one = SojournStats::default();
         one.observe(100.0);
         let other = QueueTelemetry {
             completed: 1,
@@ -889,38 +787,21 @@ mod tests {
     }
 
     #[test]
-    fn streaming_sojourn_matches_exact_on_small_streams() {
-        // Below five samples the P² warm-up phase is exact, so streaming and
-        // exact modes agree to the bit.
-        let mut streaming = SojournStats::streaming();
-        let mut exact = SojournStats::exact();
-        for x in [30.0, 10.0, 20.0] {
+    fn streaming_sojourn_is_exact_on_small_streams() {
+        // Below five samples the P² warm-up phase is exact, so every tracked
+        // quantile equals the order statistic to the bit.
+        let samples = [30.0, 10.0, 20.0];
+        let mut streaming = SojournStats::default();
+        for x in samples {
             streaming.observe(x);
-            exact.observe(x);
         }
-        assert_eq!(streaming.quantile(0.5), exact.quantile(0.5));
-        assert_eq!(streaming.count(), exact.count());
-    }
-
-    #[test]
-    fn mixed_mode_sojourn_merge_degrades_to_streaming() {
-        let mut streaming = SojournStats::streaming();
-        streaming.observe(50.0);
-        let mut exact = SojournStats::exact();
-        exact.observe(10.0);
-        exact.observe(90.0);
-
-        let mut a = streaming.clone();
-        a.merge(&exact);
-        assert!(matches!(a, SojournStats::Streaming { .. }));
-        assert_eq!(a.count(), 3);
-
-        let mut b = exact.clone();
-        b.merge(&streaming);
-        assert!(matches!(b, SojournStats::Streaming { .. }));
-        assert_eq!(b.count(), 3);
-        // Same multiset, same warm-up exactness → same median.
-        assert_eq!(a.quantile(0.5), Some(50.0));
+        for q in [0.50, 0.95, 0.99] {
+            assert_eq!(
+                streaming.quantile(q),
+                Some(stt_stats::quantile(&samples, q))
+            );
+        }
+        assert_eq!(streaming.count(), 3);
     }
 
     #[test]
@@ -1023,7 +904,7 @@ mod tests {
     }
 
     fn queue(rng: &mut StdRng) -> QueueTelemetry {
-        let mut sojourn = SojournStats::streaming();
+        let mut sojourn = SojournStats::default();
         for _ in 0..rng.gen_range(1..100) {
             sojourn.observe(amount(rng));
         }

@@ -28,6 +28,10 @@ const MAX_NEWTON: usize = 200;
 const MAX_STEP: f64 = 0.5;
 /// Absolute Newton convergence tolerance on voltages (volts).
 const TOL_ABS: f64 = 1e-9;
+/// Most fixed steps a transient takes (`t_stop / dt`): 2^20. The longest
+/// shipped grid is 1,400 steps; the bound turns a mistyped `dt` into
+/// [`AnalysisError::InvalidOptions`] instead of an unbounded allocation.
+const MAX_TRAN_STEPS: f64 = 1_048_576.0;
 
 /// Errors from the DC or transient analyses.
 #[derive(Debug, Clone, PartialEq)]
@@ -826,7 +830,8 @@ impl Circuit {
     ///
     /// # Errors
     ///
-    /// Returns [`AnalysisError`] on invalid options, singular systems or
+    /// Returns [`AnalysisError`] on invalid options (a non-positive or
+    /// non-finite time, or more than 2^20 steps), singular systems or
     /// Newton non-convergence at any time point.
     pub fn transient(&self, options: &TranOptions) -> Result<TranResult, AnalysisError> {
         let grid = self.tran_grid(options)?;
@@ -886,6 +891,11 @@ impl Circuit {
             ));
         }
         let ratio = t_stop / dt;
+        if ratio > MAX_TRAN_STEPS {
+            return Err(AnalysisError::InvalidOptions(format!(
+                "t_stop / dt = {ratio:e} exceeds the limit of {MAX_TRAN_STEPS} steps"
+            )));
+        }
         // Snap to a whole step count when `t_stop` is an (FP-wise almost
         // exact) multiple of `dt`, so no sliver step is produced.
         let whole = if (ratio - ratio.round()).abs() < 1e-9 * ratio.round().max(1.0) {
@@ -1473,27 +1483,6 @@ impl Circuit {
     }
 }
 
-#[cfg(test)]
-impl Circuit {
-    /// The banded system matrix, in the banded backend's row order, that a
-    /// transient step of `h` ending at `t` factors: the banded unit tests'
-    /// handle on a real circuit's band.
-    pub(crate) fn banded_step_matrix(&self, t: Seconds, h: f64) -> BandedMatrix {
-        let mut ws = self.workspace(SolverStrategy::CachedLu, SolverBackend::Banded);
-        let x_prev = vec![0.0; self.dim()];
-        let step = CapStep {
-            h,
-            x_prev: &x_prev,
-            ground: &[0.0],
-        };
-        self.rebuild_matrix(&mut ws, t, Some(step));
-        match ws.store {
-            MatrixStore::Banded { work, .. } => work,
-            MatrixStore::Dense { .. } => unreachable!("the banded backend was forced"),
-        }
-    }
-}
-
 /// The conductance stamp primitive shared by every two-terminal element.
 fn stamp_conductance<M: StampTarget>(matrix: &mut M, a: Node, b: Node, g: f64) {
     if let Some(row_a) = Circuit::node_row(a) {
@@ -1628,6 +1617,27 @@ fn stamp_mosfet<M: StampTarget>(
         }
         matrix.add(row_s, row_s, gm + gds);
         rhs[row_s] += i_eq;
+    }
+}
+
+#[cfg(test)]
+impl Circuit {
+    /// The banded system matrix, in the banded backend's row order, that a
+    /// transient step of `h` ending at `t` factors: the banded unit tests'
+    /// handle on a real circuit's band.
+    pub(crate) fn banded_step_matrix(&self, t: Seconds, h: f64) -> BandedMatrix {
+        let mut ws = self.workspace(SolverStrategy::CachedLu, SolverBackend::Banded);
+        let x_prev = vec![0.0; self.dim()];
+        let step = CapStep {
+            h,
+            x_prev: &x_prev,
+            ground: &[0.0],
+        };
+        self.rebuild_matrix(&mut ws, t, Some(step));
+        match ws.store {
+            MatrixStore::Banded { work, .. } => work,
+            MatrixStore::Dense { .. } => unreachable!("the banded backend was forced"),
+        }
     }
 }
 
@@ -1896,7 +1906,8 @@ mod tests {
             .transient(&TranOptions::new(nanos(1.0), nanos(2.0)))
             .expect_err("dt > t_stop");
         assert!(err.to_string().contains("dt"));
-        // Non-finite times fail the same way, in both analyses.
+        // Non-finite times and oversized grids fail the same way, in both
+        // analyses.
         let nan = Seconds::new(f64::NAN);
         let inf = Seconds::new(f64::INFINITY);
         for (t_stop, dt) in [
@@ -1906,6 +1917,10 @@ mod tests {
             (inf, nanos(1.0)),
             (nanos(5.0), inf),
             (inf, inf),
+            // More steps than the grid bound, down to one past it.
+            (Seconds::new(1.0), Seconds::new(1e-300)),
+            (Seconds::new(1.0), Seconds::new(1e-10)),
+            (nanos(1.0), Seconds::new(1e-9 / (MAX_TRAN_STEPS + 1.0))),
         ] {
             let options = TranOptions::new(t_stop, dt).from_zero_state();
             let case = format!("t_stop {t_stop:?}, dt {dt:?}");

@@ -130,28 +130,6 @@ impl Matrix {
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, SingularMatrixError> {
         LuFactors::factor(self.clone())?.solve(b)
     }
-
-    /// Solves `A·x = b` into caller-provided buffers: `lu` is refactored
-    /// from this matrix (reusing its allocations) and the solution is
-    /// written to `x`. The allocation-free counterpart of [`Matrix::solve`]
-    /// for hot loops.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SingularMatrixError`] if no usable pivot exists.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square or a buffer length mismatches.
-    pub fn solve_into(
-        &self,
-        b: &[f64],
-        lu: &mut LuFactors,
-        x: &mut [f64],
-    ) -> Result<(), SingularMatrixError> {
-        lu.refactor(self)?;
-        lu.solve_into(b, x)
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -387,255 +365,6 @@ impl LuFactors {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    /// Matrix–vector product `A·x`: the round-trip check of the solves.
-    fn mul_vec(a: &Matrix, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), a.cols, "dimension mismatch in mul_vec");
-        (0..a.rows)
-            .map(|r| {
-                let row = &a.data[r * a.cols..(r + 1) * a.cols];
-                row.iter().zip(x).map(|(a, b)| a * b).sum()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn solves_small_system() {
-        let mut a = Matrix::zeros(3, 3);
-        let entries = [
-            (0, 0, 2.0),
-            (0, 1, 1.0),
-            (0, 2, -1.0),
-            (1, 0, -3.0),
-            (1, 1, -1.0),
-            (1, 2, 2.0),
-            (2, 0, -2.0),
-            (2, 1, 1.0),
-            (2, 2, 2.0),
-        ];
-        for (r, c, v) in entries {
-            a[(r, c)] = v;
-        }
-        let x = a.solve(&[8.0, -11.0, -3.0]).expect("nonsingular");
-        assert!((x[0] - 2.0).abs() < 1e-12);
-        assert!((x[1] - 3.0).abs() < 1e-12);
-        assert!((x[2] + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn identity_solve_is_identity() {
-        let eye = Matrix::identity(4);
-        let b = [1.0, -2.0, 3.5, 0.0];
-        let x = eye.solve(&b).expect("identity is nonsingular");
-        assert_eq!(x, b.to_vec());
-    }
-
-    #[test]
-    fn pivoting_handles_zero_diagonal() {
-        let mut a = Matrix::zeros(2, 2);
-        a[(0, 1)] = 1.0;
-        a[(1, 0)] = 1.0;
-        let x = a.solve(&[3.0, 7.0]).expect("permutation matrix");
-        assert_eq!(x, vec![7.0, 3.0]);
-    }
-
-    #[test]
-    fn singular_matrix_is_reported() {
-        let mut a = Matrix::zeros(2, 2);
-        a[(0, 0)] = 1.0;
-        a[(0, 1)] = 2.0;
-        a[(1, 0)] = 2.0;
-        a[(1, 1)] = 4.0;
-        let err = a.solve(&[1.0, 2.0]).expect_err("rank deficient");
-        assert_eq!(err.column, 1);
-        assert!(err.to_string().contains("singular"));
-    }
-
-    #[test]
-    fn stamp_accumulates() {
-        let mut a = Matrix::zeros(2, 2);
-        a.stamp(0, 0, 1.5);
-        a.stamp(0, 0, 2.5);
-        assert_eq!(a[(0, 0)], 4.0);
-    }
-
-    #[test]
-    fn lu_factors_reusable_across_rhs() {
-        let mut a = Matrix::zeros(2, 2);
-        a[(0, 0)] = 4.0;
-        a[(0, 1)] = 1.0;
-        a[(1, 0)] = 1.0;
-        a[(1, 1)] = 3.0;
-        let lu = LuFactors::factor(a.clone()).expect("spd");
-        for b in [[1.0, 0.0], [0.0, 1.0], [5.0, -2.0]] {
-            let x = lu.solve(&b).expect("factored");
-            let recovered = mul_vec(&a, &x);
-            assert!((recovered[0] - b[0]).abs() < 1e-12);
-            assert!((recovered[1] - b[1]).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn refactor_workspace_matches_fresh_factorization() {
-        let mut a = Matrix::zeros(3, 3);
-        let entries = [
-            (0, 0, 2.0),
-            (0, 1, 1.0),
-            (0, 2, -1.0),
-            (1, 0, -3.0),
-            (1, 1, -1.0),
-            (1, 2, 2.0),
-            (2, 0, -2.0),
-            (2, 1, 1.0),
-            (2, 2, 2.0),
-        ];
-        for (r, c, v) in entries {
-            a[(r, c)] = v;
-        }
-        let mut lu = LuFactors::workspace(3);
-        lu.refactor(&a).expect("nonsingular");
-        let mut x = [0.0; 3];
-        lu.solve_into(&[8.0, -11.0, -3.0], &mut x).expect("solve");
-        assert!((x[0] - 2.0).abs() < 1e-12);
-        assert!((x[1] - 3.0).abs() < 1e-12);
-        assert!((x[2] + 1.0).abs() < 1e-12);
-        // Refactoring over a used workspace (stale permutation, stale
-        // factors) must give the same answer as a fresh factorization.
-        let mut b = Matrix::zeros(2, 2);
-        b[(0, 1)] = 1.0;
-        b[(1, 0)] = 1.0;
-        let mut lu = LuFactors::workspace(2);
-        lu.refactor(&b).expect("permutation matrix");
-        lu.refactor(&b).expect("second refactor over stale state");
-        let mut x = [0.0; 2];
-        lu.solve_into(&[3.0, 7.0], &mut x).expect("solve");
-        assert_eq!(x, [7.0, 3.0]);
-    }
-
-    #[test]
-    fn refactor_reports_singularity_like_factor() {
-        let mut a = Matrix::zeros(2, 2);
-        a[(0, 0)] = 1.0;
-        a[(0, 1)] = 2.0;
-        a[(1, 0)] = 2.0;
-        a[(1, 1)] = 4.0;
-        let mut lu = LuFactors::workspace(2);
-        let err = lu.refactor(&a).expect_err("rank deficient");
-        assert_eq!(err.column, 1);
-    }
-
-    #[test]
-    fn copy_from_replaces_contents() {
-        let mut src = Matrix::zeros(2, 2);
-        src[(0, 1)] = 5.0;
-        let mut dst = Matrix::identity(2);
-        dst.copy_from(&src);
-        assert_eq!(dst[(0, 0)], 0.0);
-        assert_eq!(dst[(0, 1)], 5.0);
-    }
-
-    #[test]
-    fn solve_into_matches_solve() {
-        let mut a = Matrix::zeros(2, 2);
-        a[(0, 0)] = 4.0;
-        a[(0, 1)] = 1.0;
-        a[(1, 0)] = 1.0;
-        a[(1, 1)] = 3.0;
-        let b = [5.0, -2.0];
-        let expected = a.solve(&b).expect("spd");
-        let mut lu = LuFactors::workspace(2);
-        let mut x = [0.0; 2];
-        a.solve_into(&b, &mut lu, &mut x).expect("spd");
-        assert_eq!(x.to_vec(), expected, "identical bits expected");
-    }
-
-    #[test]
-    fn solve_multi_into_bit_identical_to_sequential() {
-        let mut a = Matrix::zeros(3, 3);
-        let entries = [
-            (0, 0, 0.1),
-            (0, 1, 1.0),
-            (0, 2, -1.0),
-            (1, 0, -3.0),
-            (1, 1, -1.0),
-            (1, 2, 2.0),
-            (2, 0, -2.0),
-            (2, 1, 1.0),
-            (2, 2, 2.0),
-        ];
-        for (r, c, v) in entries {
-            a[(r, c)] = v;
-        }
-        let lu = LuFactors::factor(a).expect("nonsingular");
-        let rhs = [[8.0, -11.0, -3.0], [1.0, 0.5, -0.25], [0.0, 2.0, 7.0]];
-        let width = rhs.len();
-        let mut soa = vec![0.0; 3 * width];
-        for (m, b) in rhs.iter().enumerate() {
-            for (row, &value) in b.iter().enumerate() {
-                soa[row * width + m] = value;
-            }
-        }
-        let mut out = vec![0.0; 3 * width];
-        lu.solve_multi_into(&soa, &mut out, width).expect("solve");
-        for (m, b) in rhs.iter().enumerate() {
-            let single = lu.solve(b).expect("solve");
-            for row in 0..3 {
-                assert_eq!(out[row * width + m], single[row], "member {m} row {row}");
-            }
-        }
-    }
-
-    proptest! {
-        #[test]
-        fn prop_solve_then_multiply_round_trips(
-            seed_entries in proptest::collection::vec(-10.0f64..10.0, 16),
-            b in proptest::collection::vec(-10.0f64..10.0, 4),
-        ) {
-            let mut a = Matrix::zeros(4, 4);
-            for (k, v) in seed_entries.iter().enumerate() {
-                a[(k / 4, k % 4)] = *v;
-            }
-            // Diagonal dominance guarantees nonsingularity.
-            for k in 0..4 {
-                let row_sum: f64 = (0..4).map(|c| a[(k, c)].abs()).sum();
-                a[(k, k)] += row_sum + 1.0;
-            }
-            let x = a.solve(&b).expect("diagonally dominant");
-            let recovered = mul_vec(&a, &x);
-            for (got, want) in recovered.iter().zip(&b) {
-                prop_assert!((got - want).abs() < 1e-8);
-            }
-        }
-
-        #[test]
-        fn prop_permuted_identity_solves_exactly(perm_seed in 0usize..24) {
-            // Any permutation matrix must be handled by pivoting alone.
-            let mut order = [0usize, 1, 2, 3];
-            // Simple Lehmer-code permutation from the seed.
-            let mut seed = perm_seed;
-            for k in (1..4).rev() {
-                let j = seed % (k + 1);
-                order.swap(k, j);
-                seed /= k + 1;
-            }
-            let mut a = Matrix::zeros(4, 4);
-            for (row, &col) in order.iter().enumerate() {
-                a[(row, col)] = 1.0;
-            }
-            let b = [1.0, 2.0, 3.0, 4.0];
-            let x = a.solve(&b).expect("permutation");
-            let recovered = mul_vec(&a, &x);
-            for (got, want) in recovered.iter().zip(&b) {
-                prop_assert!((got - want).abs() < 1e-12);
-            }
-        }
-    }
-}
-
 /// A complex number for AC (phasor) analysis.
 ///
 /// Deliberately minimal — just what the AC solver needs; no external
@@ -839,6 +568,240 @@ impl ComplexMatrix {
             x[row] = sum / self.at(row, row);
         }
         Ok(x)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Matrix–vector product `A·x`: the round-trip check of the solves.
+    fn mul_vec(a: &Matrix, x: &[f64]) -> Vec<f64> {
+        assert_eq!(x.len(), a.cols, "dimension mismatch in mul_vec");
+        (0..a.rows)
+            .map(|r| {
+                let row = &a.data[r * a.cols..(r + 1) * a.cols];
+                row.iter().zip(x).map(|(a, b)| a * b).sum()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn solves_small_system() {
+        let mut a = Matrix::zeros(3, 3);
+        let entries = [
+            (0, 0, 2.0),
+            (0, 1, 1.0),
+            (0, 2, -1.0),
+            (1, 0, -3.0),
+            (1, 1, -1.0),
+            (1, 2, 2.0),
+            (2, 0, -2.0),
+            (2, 1, 1.0),
+            (2, 2, 2.0),
+        ];
+        for (r, c, v) in entries {
+            a[(r, c)] = v;
+        }
+        let x = a.solve(&[8.0, -11.0, -3.0]).expect("nonsingular");
+        assert!((x[0] - 2.0).abs() < 1e-12);
+        assert!((x[1] - 3.0).abs() < 1e-12);
+        assert!((x[2] + 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn identity_solve_is_identity() {
+        let eye = Matrix::identity(4);
+        let b = [1.0, -2.0, 3.5, 0.0];
+        let x = eye.solve(&b).expect("identity is nonsingular");
+        assert_eq!(x, b.to_vec());
+    }
+
+    #[test]
+    fn pivoting_handles_zero_diagonal() {
+        let mut a = Matrix::zeros(2, 2);
+        a[(0, 1)] = 1.0;
+        a[(1, 0)] = 1.0;
+        let x = a.solve(&[3.0, 7.0]).expect("permutation matrix");
+        assert_eq!(x, vec![7.0, 3.0]);
+    }
+
+    #[test]
+    fn singular_matrix_is_reported() {
+        let mut a = Matrix::zeros(2, 2);
+        a[(0, 0)] = 1.0;
+        a[(0, 1)] = 2.0;
+        a[(1, 0)] = 2.0;
+        a[(1, 1)] = 4.0;
+        let err = a.solve(&[1.0, 2.0]).expect_err("rank deficient");
+        assert_eq!(err.column, 1);
+        assert!(err.to_string().contains("singular"));
+    }
+
+    #[test]
+    fn stamp_accumulates() {
+        let mut a = Matrix::zeros(2, 2);
+        a.stamp(0, 0, 1.5);
+        a.stamp(0, 0, 2.5);
+        assert_eq!(a[(0, 0)], 4.0);
+    }
+
+    #[test]
+    fn lu_factors_reusable_across_rhs() {
+        let mut a = Matrix::zeros(2, 2);
+        a[(0, 0)] = 4.0;
+        a[(0, 1)] = 1.0;
+        a[(1, 0)] = 1.0;
+        a[(1, 1)] = 3.0;
+        let lu = LuFactors::factor(a.clone()).expect("spd");
+        for b in [[1.0, 0.0], [0.0, 1.0], [5.0, -2.0]] {
+            let x = lu.solve(&b).expect("factored");
+            let recovered = mul_vec(&a, &x);
+            assert!((recovered[0] - b[0]).abs() < 1e-12);
+            assert!((recovered[1] - b[1]).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn refactor_workspace_matches_fresh_factorization() {
+        let mut a = Matrix::zeros(3, 3);
+        let entries = [
+            (0, 0, 2.0),
+            (0, 1, 1.0),
+            (0, 2, -1.0),
+            (1, 0, -3.0),
+            (1, 1, -1.0),
+            (1, 2, 2.0),
+            (2, 0, -2.0),
+            (2, 1, 1.0),
+            (2, 2, 2.0),
+        ];
+        for (r, c, v) in entries {
+            a[(r, c)] = v;
+        }
+        let mut lu = LuFactors::workspace(3);
+        lu.refactor(&a).expect("nonsingular");
+        let mut x = [0.0; 3];
+        lu.solve_into(&[8.0, -11.0, -3.0], &mut x).expect("solve");
+        assert!((x[0] - 2.0).abs() < 1e-12);
+        assert!((x[1] - 3.0).abs() < 1e-12);
+        assert!((x[2] + 1.0).abs() < 1e-12);
+        // Refactoring over a used workspace (stale permutation, stale
+        // factors) must give the same answer as a fresh factorization.
+        let mut b = Matrix::zeros(2, 2);
+        b[(0, 1)] = 1.0;
+        b[(1, 0)] = 1.0;
+        let mut lu = LuFactors::workspace(2);
+        lu.refactor(&b).expect("permutation matrix");
+        lu.refactor(&b).expect("second refactor over stale state");
+        let mut x = [0.0; 2];
+        lu.solve_into(&[3.0, 7.0], &mut x).expect("solve");
+        assert_eq!(x, [7.0, 3.0]);
+    }
+
+    #[test]
+    fn refactor_reports_singularity_like_factor() {
+        let mut a = Matrix::zeros(2, 2);
+        a[(0, 0)] = 1.0;
+        a[(0, 1)] = 2.0;
+        a[(1, 0)] = 2.0;
+        a[(1, 1)] = 4.0;
+        let mut lu = LuFactors::workspace(2);
+        let err = lu.refactor(&a).expect_err("rank deficient");
+        assert_eq!(err.column, 1);
+    }
+
+    #[test]
+    fn copy_from_replaces_contents() {
+        let mut src = Matrix::zeros(2, 2);
+        src[(0, 1)] = 5.0;
+        let mut dst = Matrix::identity(2);
+        dst.copy_from(&src);
+        assert_eq!(dst[(0, 0)], 0.0);
+        assert_eq!(dst[(0, 1)], 5.0);
+    }
+
+    #[test]
+    fn solve_multi_into_bit_identical_to_sequential() {
+        let mut a = Matrix::zeros(3, 3);
+        let entries = [
+            (0, 0, 0.1),
+            (0, 1, 1.0),
+            (0, 2, -1.0),
+            (1, 0, -3.0),
+            (1, 1, -1.0),
+            (1, 2, 2.0),
+            (2, 0, -2.0),
+            (2, 1, 1.0),
+            (2, 2, 2.0),
+        ];
+        for (r, c, v) in entries {
+            a[(r, c)] = v;
+        }
+        let lu = LuFactors::factor(a).expect("nonsingular");
+        let rhs = [[8.0, -11.0, -3.0], [1.0, 0.5, -0.25], [0.0, 2.0, 7.0]];
+        let width = rhs.len();
+        let mut soa = vec![0.0; 3 * width];
+        for (m, b) in rhs.iter().enumerate() {
+            for (row, &value) in b.iter().enumerate() {
+                soa[row * width + m] = value;
+            }
+        }
+        let mut out = vec![0.0; 3 * width];
+        lu.solve_multi_into(&soa, &mut out, width).expect("solve");
+        for (m, b) in rhs.iter().enumerate() {
+            let single = lu.solve(b).expect("solve");
+            for row in 0..3 {
+                assert_eq!(out[row * width + m], single[row], "member {m} row {row}");
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_solve_then_multiply_round_trips(
+            seed_entries in proptest::collection::vec(-10.0f64..10.0, 16),
+            b in proptest::collection::vec(-10.0f64..10.0, 4),
+        ) {
+            let mut a = Matrix::zeros(4, 4);
+            for (k, v) in seed_entries.iter().enumerate() {
+                a[(k / 4, k % 4)] = *v;
+            }
+            // Diagonal dominance guarantees nonsingularity.
+            for k in 0..4 {
+                let row_sum: f64 = (0..4).map(|c| a[(k, c)].abs()).sum();
+                a[(k, k)] += row_sum + 1.0;
+            }
+            let x = a.solve(&b).expect("diagonally dominant");
+            let recovered = mul_vec(&a, &x);
+            for (got, want) in recovered.iter().zip(&b) {
+                prop_assert!((got - want).abs() < 1e-8);
+            }
+        }
+
+        #[test]
+        fn prop_permuted_identity_solves_exactly(perm_seed in 0usize..24) {
+            // Any permutation matrix must be handled by pivoting alone.
+            let mut order = [0usize, 1, 2, 3];
+            // Simple Lehmer-code permutation from the seed.
+            let mut seed = perm_seed;
+            for k in (1..4).rev() {
+                let j = seed % (k + 1);
+                order.swap(k, j);
+                seed /= k + 1;
+            }
+            let mut a = Matrix::zeros(4, 4);
+            for (row, &col) in order.iter().enumerate() {
+                a[(row, col)] = 1.0;
+            }
+            let b = [1.0, 2.0, 3.0, 4.0];
+            let x = a.solve(&b).expect("permutation");
+            let recovered = mul_vec(&a, &x);
+            for (got, want) in recovered.iter().zip(&b) {
+                prop_assert!((got - want).abs() < 1e-12);
+            }
+        }
     }
 }
 

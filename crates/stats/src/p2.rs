@@ -16,7 +16,7 @@
 //!   stream grows; for unimodal latency-shaped distributions the relative
 //!   error at n ≥ 1000 is typically well under a few percent, but it is
 //!   *not* an order statistic — tests that assert exact sample quantiles
-//!   must use the exact-sample path instead.
+//!   must apply [`quantile`](crate::quantile) to the samples themselves.
 //! * The estimate is a **pure function of the observation sequence**: two
 //!   identical streams produce bit-identical estimators, so equality
 //!   comparisons between deterministic replays remain valid.

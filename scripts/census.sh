@@ -9,6 +9,9 @@
 #
 # Every listed name must be in scripts/census-allow.txt, which holds the API
 # that perfbench, the examples and the tests consume. The gate fails on
+#   - a top-level item after a file's first top-level `#[cfg(test)]` without
+#     a `#[cfg(test)]` of its own: library code there would escape both this
+#     census and scripts/loc.sh (move it above the file's test items);
 #   - a listed name missing from the allow-list (delete the function, make
 #     it private, or give it a library caller);
 #   - an allow-list name the census no longer lists, or that no consumer
@@ -32,6 +35,22 @@ words() {
         | sed -E 's|[[:space:]]//.*$||; s/\bfn[[:space:]]+[A-Za-z_][A-Za-z0-9_]*//g' \
         | { grep -oE '[A-Za-z_][A-Za-z0-9_]*' || true; } | sort -u
 }
+
+# Top-level items start in column 0; attribute, comment and blank lines
+# between a `#[cfg(test)]` and its item keep the item gated.
+find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { testing = 0; gated = 0 }
+    /^#\[cfg\(test\)\]/ { testing = 1; gated = 1; next }
+    !testing || /^(#\[|\/\/|[[:space:]]*$)/ { next }
+    /^[A-Za-z]/ {
+        if (!gated) printf "%s:%d: %s\n", FILENAME, FNR, $0
+        gated = 0
+    }' > "$tmp/misplaced"
+if [ -s "$tmp/misplaced" ]; then
+    echo "    FAIL: library items after a test item (move them above the file's first #[cfg(test)]):"
+    sed 's/^/        /' "$tmp/misplaced"
+    exit 1
+fi
 
 touch "$tmp/decls" "$tmp/uses" "$tmp/consumers"
 while IFS= read -r -d '' file; do

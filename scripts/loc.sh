@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Non-test Rust lines per crate: for every `.rs` file under a crate's
 # `src/`, the lines before the file's first top-level `#[cfg(test)]` (the
-# whole file when it has none). Reports only; gates nothing.
+# whole file when it has none). scripts/census.sh fails when a library item
+# follows a test item, so that prefix is a file's whole library code.
+# Reports only; gates nothing.
 #
 #     scripts/loc.sh            # every crate under crates/, then the total
 #     scripts/loc.sh ctrl mna   # just these crates

@@ -10,9 +10,9 @@
 //! 3. **The paper's §I argument, traffic-shaped** — a power cut mid-read
 //!    corrupts stored data under the destructive scheme and never under
 //!    the nondestructive (or conventional) scheme.
-//! 4. **The production read path is its reference** — `Scheme::resolve`,
-//!    and `Scheme::resolve_span` over spans of cells and settle codes kept
-//!    across reads, return what `RetryPolicy::resolve` over
+//! 4. **The production read path is its reference** — `Scheme::resolve_span`,
+//!    over one cell with fresh settle codes and over spans of cells with
+//!    codes kept across reads, returns what `RetryPolicy::resolve` over
 //!    `Scheme::sense_once` does, leaving the RNG and the array in the same
 //!    state (checked as proptests, plus fixed cases through each of its
 //!    branches).
@@ -227,10 +227,11 @@ proptest! {
     }
 }
 
-/// Runs `Scheme::resolve` and its reference — `RetryPolicy::resolve` over
-/// `Scheme::sense_once` — from equal copies of `array` and equally seeded
-/// RNGs, and asserts an equal resolution, an equal next RNG draw and an
-/// equal array afterwards. Returns the resolution.
+/// Runs a one-cell `Scheme::resolve_span` over fresh settle codes and its
+/// reference — `RetryPolicy::resolve` over `Scheme::sense_once` — from
+/// equal copies of `array` and equally seeded RNGs, and asserts an equal
+/// resolution, an equal next RNG draw and an equal array afterwards.
+/// Returns the resolution.
 fn assert_resolve_matches_reference(
     scheme: &Scheme,
     retry: &RetryPolicy,
@@ -240,7 +241,16 @@ fn assert_resolve_matches_reference(
 ) -> ReadResolution {
     let (mut array_fast, mut rng_fast) = (array.clone(), StdRng::seed_from_u64(seed));
     let (mut array_ref, mut rng_ref) = (array.clone(), StdRng::seed_from_u64(seed));
-    let fast = scheme.resolve(retry, &mut array_fast, addr, &mut rng_fast);
+    let cell = array.index_of(addr);
+    let fast = resolve_span(
+        scheme,
+        retry,
+        &mut array_fast,
+        cell..cell + 1,
+        &mut rng_fast,
+        &mut [SettleCodes::default()],
+        &mut SenseWork::default(),
+    )[0];
     let reference = retry.resolve(|| scheme.sense_once(&mut array_ref, addr, &mut rng_ref));
     let context = format!("{} {retry:?} at {addr}, seed {seed}", scheme.kind());
     assert_eq!(fast, reference, "resolution: {context}");
@@ -578,7 +588,7 @@ proptest! {
     }
 }
 
-/// The settle bound of `Scheme::resolve`, restated without its rounding
+/// The settle bound of `Scheme::resolve_span`, restated without its rounding
 /// slack or `f32` round-up: the smallest `u1` it decides for differential
 /// `d`, `exp(−k²/2)`. The fixed cases below keep every `u1` at least 1 %
 /// away from it, so they land on the intended branch.
@@ -663,7 +673,7 @@ fn scheme_resolve_matches_the_reference_through_each_branch() {
     assert_eq!((resolution.bit, resolution.confident), (true, false));
     assert_eq!(resolution.attempts, 3);
 
-    // A budget longer than the attempts `Scheme::resolve` keeps for a
+    // A budget longer than the attempts `Scheme::resolve_span` keeps for a
     // rebuild goes through the reference loop whole.
     let long = RetryPolicy {
         guard_band: Volts::new(50e-3),

@@ -27,6 +27,7 @@ use stt_ctrl::{
     ScrubConfig, ThermalTransient, Trace, Workload,
 };
 use stt_sense::SchemeKind;
+use stt_stats::quantile;
 
 fn timed_trace(config: &ControllerConfig, workload: Workload, ops: usize, gap_ns: f64) -> Trace {
     workload
@@ -330,14 +331,12 @@ fn destructive_reads_queue_harder_than_nondestructive_at_the_same_load() {
     for kind in [SchemeKind::Nondestructive, SchemeKind::Destructive] {
         let config = ControllerConfig::small(kind, 2).with_seed(2010);
         let trace = timed_trace(&config, Workload::ReadMostly, 2_000, 8.0);
-        // Exact sojourn samples: this test asserts on a true order-statistic
-        // tail, not the default streaming estimate.
-        let mut frontend = Frontend::new(
-            Controller::new(config),
-            FrontendConfig::fcfs_unbounded().with_exact_sojourn(),
-        );
+        let mut frontend = Frontend::new(Controller::new(config), FrontendConfig::fcfs_unbounded());
         let run = frontend.run(&trace);
-        p99.insert(kind, run.telemetry.aggregate().queue.sojourn_p99());
+        // A true order-statistic tail from the completion log, not the
+        // telemetry's streaming estimate.
+        let sojourn: Vec<f64> = run.completions.iter().map(|c| c.sojourn_ns()).collect();
+        p99.insert(kind, quantile(&sojourn, 0.99));
     }
     assert!(
         p99[&SchemeKind::Destructive] > 2.0 * p99[&SchemeKind::Nondestructive],
